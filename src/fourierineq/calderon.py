@@ -35,22 +35,7 @@ def psi(F: StepFunction, x: float) -> float:
 
 
 def _psi_fn(F: StepFunction) -> Callable[[float], float]:
-    sq = star(F).pow_compose(2.0)
-    pieces = sq.pieces
-    los = [p.lo for p in pieces]
-    acc = [0.0]
-    for p in pieces[:-1]:
-        seg = p.integral(p.lo, p.hi)
-        acc.append(acc[-1] + (seg.value if seg.is_finite else math.inf))
-
-    def fn(x: float) -> float:
-        i = bisect.bisect_right(los, x) - 1
-        if i < 0:
-            return 0.0
-        part = pieces[i].integral(pieces[i].lo, x)
-        return acc[i] + (part.value if part.is_finite else math.inf)
-
-    return fn
+    return star(F).pow_compose(2.0).cumulative()
 
 
 def phi(G: StepFunction, x: float) -> float:

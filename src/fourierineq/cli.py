@@ -31,22 +31,12 @@ from .hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE, TAIL_INTEGRAL,
 from .norms import (SequenceData, bochkarev_norm, dyadic_block_norms,
                     expL_pair, gamma_norm, morrey_optimal_norm,
                     optimal_Y_norm, theta_norm)
-from .pieces import StepFunction
+from .pieces import StepFunction, parse_exp
 from .weights import NONDECREASING, NONINCREASING, WeightSpec, parse_weight
 
 
 class InputError(Exception):
     """A violated precondition or malformed input (exit code 2)."""
-
-
-def _parse_exp(text: str):
-    text = text.strip().lower()
-    if text in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad exponent {text!r}: {exc}") from exc
 
 
 def _weight(text: str, direction: str) -> WeightSpec:
@@ -58,7 +48,7 @@ def _weight(text: str, direction: str) -> WeightSpec:
 
 def _config(args) -> ExponentConfig:
     try:
-        return ExponentConfig(_parse_exp(args.p), _parse_exp(args.q),
+        return ExponentConfig(parse_exp(args.p), parse_exp(args.q),
                               getattr(args, "d", 1))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -118,9 +108,9 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_hardy(args) -> int:
-    pp = float(_parse_exp(args.p))
-    qq = float(_parse_exp(args.q))
     try:
+        pp = float(parse_exp(args.p))
+        qq = float(parse_exp(args.q))
         if args.kind == "head_sum":
             useq = np.array([float(x) for x in args.u.split(",")])
             vseq = np.array([float(x) for x in args.v.split(",")])
@@ -154,7 +144,7 @@ def cmd_norms(args) -> int:
             if args.seq is None:
                 raise InputError(f"--seq is required for kind {kind}")
             seq = SequenceData.from_csv(args.seq)
-            e = _parse_exp(args.exponent)
+            e = parse_exp(args.exponent)
             if kind == "theta":
                 value = theta_norm(seq, e).to_json()
             elif kind == "gamma":
@@ -169,13 +159,13 @@ def cmd_norms(args) -> int:
                 raise InputError("--f is required for kind optimalY")
             f = StepFunction.from_csv(args.f)
             u = _weight(args.u, NONINCREASING)
-            value = optimal_Y_norm(f, u, _parse_exp(args.exponent)).to_json()
+            value = optimal_Y_norm(f, u, parse_exp(args.exponent)).to_json()
         elif kind == "morrey":
             if args.f is None:
                 raise InputError("--f is required for kind morrey")
             f = StepFunction.from_csv(args.f)
             shape = _weight(args.shape, NONINCREASING).profile()
-            value = morrey_optimal_norm(f, _parse_exp(args.exponent), shape,
+            value = morrey_optimal_norm(f, parse_exp(args.exponent), shape,
                                         args.d).to_json()
         else:  # expL
             if args.f is None:
@@ -190,6 +180,8 @@ def cmd_norms(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.N < 2 or args.N & (args.N - 1):
+        raise InputError(f"--N must be a power of two, got {args.N}")
     cfg = _config(args)
     u = _weight(args.u, NONINCREASING)
     v = _weight(args.v, NONDECREASING)
@@ -217,17 +209,21 @@ def cmd_estimate(args) -> int:
 def cmd_sweep(args) -> int:
     u = _weight(args.u, NONINCREASING)
     v = _weight(args.v, NONDECREASING)
+    try:
+        ps = [(t.strip(), parse_exp(t)) for t in args.p_list.split(",")]
+        qs = [(t.strip(), parse_exp(t)) for t in args.q_list.split(",")]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     rows = []
-    for ptxt in args.p_list.split(","):
-        for qtxt in args.q_list.split(","):
+    for ptxt, p in ps:
+        for qtxt, q in qs:
             try:
-                cfg = ExponentConfig(_parse_exp(ptxt), _parse_exp(qtxt),
-                                     args.d)
+                cfg = ExponentConfig(p, q, args.d)
             except ValueError:
                 continue
             rep = evaluate(u, v, cfg)
             g = rep.governing
-            rows.append([ptxt.strip(), qtxt.strip(), rep.regime,
+            rows.append([ptxt, qtxt, rep.regime,
                          g.state, "" if not g.is_finite else g.value,
                          rep.holds])
     out = args.out or "sweep.csv"

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Optional, Union
 
 from .extreal import ExtReal
-from .pieces import StepFunction
+from .pieces import StepFunction, log_quad, parse_exp, quad
 from .rearrange import circ_profile, lower_star
 from .symfunc import Asym, Divergence, SymFunc, ecmp
 from .weights import WeightSpec, NONINCREASING, NONDECREASING
@@ -44,9 +44,7 @@ REGIME_V = "V"
 
 def _exp(x) -> Exp:
     if isinstance(x, str):
-        if x in ("inf", "infinity", "oo"):
-            return math.inf
-        return Fraction(x)
+        return parse_exp(x)
     if isinstance(x, float) and math.isinf(x):
         return math.inf
     if isinstance(x, Fraction):
@@ -359,15 +357,12 @@ def qsharp_tail_finite(u: WeightSpec, cfg: ExponentConfig) -> ExtReal:
         f = _ustar_sym(u, cfg, cfg.q_sharp)
     except Divergence as exc:
         return ExtReal.infinite(exc.reason)
-    if f.tail.coef != 0.0 and not f.tail.integrable_at_inf():
+    if not f.tail.integrable_at_inf():
         return ExtReal.infinite(
             f"u*^qs ~ t**({f.tail.a}) log**({f.tail.b}) at inf")
-    import scipy.integrate as si
-    knots = [k for k in f.knots if k > 1.0] or [2.0]
-    val = si.quad(lambda t: f(t), 1.0, knots[-1], limit=200)[0]
-    val += si.quad(lambda x: f(math.exp(x)) * math.exp(x),
-                   math.log(knots[-1]), math.inf, limit=200)[0]
-    return ExtReal.finite(val)
+    last = max([k for k in f.knots if k > 1.0] or [2.0])
+    return ExtReal.finite(quad(f, 1.0, last)[0]
+                          + log_quad(f, last, math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -441,16 +436,16 @@ def evaluate(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> CriterionRepo
         return rep
     c4 = C4(u, v, cfg)
     cs["C4"] = c4
-    if regime == REGIME_III:
-        c6 = C6(u, v, cfg)
-        cs["C6"] = c6
-        cs["C5"] = c4 + c6
-        rep.holds = cs["C5"].is_finite
+    total, corr, correction = (("C5", "C6", C6) if regime == REGIME_III
+                               else ("C8", "C9", C9))
+    if c4.is_infinite:
+        rep.notes.append(f"{corr} not computed: C4 is infinite, so "
+                         f"{total} = C4 + {corr} is infinite")
+        cs[total] = c4
     else:
-        c9 = C9(u, v, cfg)
-        cs["C9"] = c9
-        cs["C8"] = c4 + c9
-        rep.holds = cs["C8"].is_finite
+        cs[corr] = correction(u, v, cfg)
+        cs[total] = c4 + cs[corr]
+    rep.holds = cs[total].is_finite
     return rep
 
 

@@ -27,7 +27,7 @@ from .calderon import _phi_fn, _phi_fn_numeric
 from .criteria import ExponentConfig, U_func, _ustar_sym, _w_inner_weight, \
     _is_inf, qsharp_tail_finite
 from .extreal import ExtReal
-from .pieces import StepFunction
+from .pieces import StepFunction, log_quad
 from .rearrange import star
 from .symfunc import Asym, Divergence, SymFunc
 from .weights import WeightSpec
@@ -96,16 +96,7 @@ def _series_tail(f, N: int) -> float:
     powers of log, which the plain infinite-interval transform handles
     poorly).  The neglected remainder is O(f'''(N)), far below the 1e-10
     relative target for N >= 65536."""
-    from .pieces import quad
-
-    def g(u: float) -> float:
-        try:
-            x = math.exp(u)
-            return f(x) * x
-        except (OverflowError, ZeroDivisionError):
-            return 0.0
-
-    integral = quad(g, math.log(N), math.inf, limit=300)[0]
+    integral = log_quad(f, N, math.inf)
     h = N * 1e-6
     fprime = (f(N + h) - f(N - h)) / (2 * h)
     return integral - f(N) / 2.0 - fprime / 12.0

@@ -29,20 +29,61 @@ import warnings
 
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
 
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad with accuracy warnings silenced (integrands
-    are piecewise smooth; achieved tolerances are validated against closed
-    forms in the tests)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return _scipy_quad(*args, **kwargs)
-
 from .extreal import ExtReal
 
 Exponent = Union[Fraction, int, float]
 
 _E = math.e
+
+
+# ---------------------------------------------------------------------------
+# Quadrature backbone: the package's only use of scipy.integrate
+# ---------------------------------------------------------------------------
+
+
+def quad(func, a: float, b: float) -> tuple[float, float]:
+    """scipy.integrate.quad (300 subdivisions) with accuracy warnings
+    silenced (integrands are piecewise smooth; achieved tolerances are
+    validated against closed forms in the tests)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        return _scipy_quad(func, a, b, limit=300)
+
+
+def log_quad(fn, t0: float, t1: float) -> float:
+    """integral_{t0}^{t1} fn(t) dt for 0 <= t0 < t1 <= inf, computed in
+    u = log t (integrand fn(e**u) e**u), which keeps power-law ends and wide
+    ranges well conditioned.  Where e**u under- or overflows, or fn fails or
+    is not finite there, the integrand reads 0: quad samples u far beyond
+    the range where the (convergent) integrand matters."""
+    def g(u: float) -> float:
+        try:
+            t = math.exp(u)
+        except OverflowError:
+            return 0.0
+        if t == 0.0 or math.isinf(t):
+            return 0.0
+        try:
+            v = fn(t) * t
+        except (OverflowError, ZeroDivisionError):
+            return 0.0
+        return v if math.isfinite(v) else 0.0
+
+    u0 = math.log(t0) if t0 > 0.0 else -math.inf
+    return quad(g, u0, math.log(t1))[0]
+
+
+def parse_exp(text: str) -> Exponent:
+    """Parse an exponent: an integer, decimal, fraction like ``4/3`` or
+    ``inf``.  Returns an exact Fraction, or math.inf; raises ValueError on
+    NaN, a zero denominator or anything else."""
+    s = text.strip().lower()
+    if s in ("inf", "infinity", "oo"):
+        return math.inf
+    try:
+        return Fraction(s)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"bad exponent {text!r}") from exc
 
 
 def _as_exp(x: Exponent) -> Exponent:
@@ -83,6 +124,8 @@ class TailSpec:
             raise ValueError(f"bad tail kind {self.kind!r}")
         object.__setattr__(self, "a", _as_exp(self.a))
         object.__setattr__(self, "b", _as_exp(self.b))
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("tail exponents must be finite")
         if self.kind == "power" and self.b != 0:
             raise ValueError("power tail takes no log exponent")
 
@@ -259,20 +302,11 @@ class Piece:
         # certified-convergent quadrature for log factors
         g = lambda s: self.coef * s ** a * math.log(_E + s) ** b
         if math.isinf(s1):
-            # substitute s = exp(u): exponential decay, well conditioned
             cut = max(s0, 1.0)
-            head_val = quad(g, s0, cut, limit=200)[0] if cut > s0 else 0.0
-            def gu(u: float) -> float:
-                # s = exp(u); the integrand decays, but quad samples u far
-                # out where exp overflows -- the true value there is ~0
-                try:
-                    s = math.exp(u)
-                    return g(s) * s
-                except OverflowError:
-                    return 0.0
-            tail_val, _err = quad(gu, math.log(cut), math.inf, limit=200)
+            head_val = quad(g, s0, cut)[0] if cut > s0 else 0.0
+            tail_val = log_quad(g, cut, math.inf)
             return ExtReal.finite(total + head_val + tail_val)
-        val, _err = quad(g, s0, s1, limit=200)
+        val, _err = quad(g, s0, s1)
         return ExtReal.finite(total + val)
 
     # -- algebra ---------------------------------------------------------
@@ -478,6 +512,34 @@ class StepFunction:
                 return total
         return total
 
+    def cumulative(self, from_left: bool = True):
+        """t -> integral_0^t f (from_left) or t -> integral_t^inf f, as
+        prefix sums of the piece integrals plus the partial integral of the
+        piece holding t; inf beyond a divergent piece.  Exact for pieces
+        without log factors."""
+        pieces, los = self.pieces, self._los
+        acc = [0.0]
+        for p in (pieces[:-1] if from_left else pieces[:0:-1]):
+            seg = p.integral(p.lo, p.hi)
+            acc.append(acc[-1] + (seg.value if seg.is_finite else math.inf))
+        if from_left:
+            def fn(t: float) -> float:
+                i = bisect.bisect_right(los, t) - 1
+                if i < 0:
+                    return 0.0
+                part = pieces[i].integral(pieces[i].lo, t)
+                return acc[i] + (part.value if part.is_finite else math.inf)
+            return fn
+        suffix = acc[::-1]  # suffix[i] = integral over the pieces after i
+
+        def fn(t: float) -> float:
+            i = bisect.bisect_right(los, t) - 1
+            if i < 0:
+                i, t = 0, 0.0
+            part = pieces[i].integral(t, pieces[i].hi)
+            return suffix[i] + (part.value if part.is_finite else math.inf)
+        return fn
+
     # -- algebra ---------------------------------------------------------------
     def pow_compose(self, e: float) -> "StepFunction":
         """Pointwise power f**e (exact; requires representable pieces)."""
@@ -546,10 +608,10 @@ class StepFunction:
                     if kind == "zero":
                         tail = TailSpec.zero()
                     elif kind == "power":
-                        tail = TailSpec.power(_parse_exp(row[2]))
+                        tail = TailSpec.power(parse_exp(row[2]))
                     elif kind == "powerlog":
-                        tail = TailSpec.powerlog(_parse_exp(row[2]),
-                                                 _parse_exp(row[3]))
+                        tail = TailSpec.powerlog(parse_exp(row[2]),
+                                                 parse_exp(row[3]))
                     else:
                         raise ValueError(f"unknown tail kind {kind!r}")
                 else:
@@ -564,14 +626,6 @@ class StepFunction:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StepFunction({len(self.pieces)} pieces on (0, inf))"
-
-
-def _parse_exp(s: str) -> Fraction:
-    s = s.strip()
-    try:
-        return Fraction(s)
-    except ValueError:
-        return Fraction(float(s))
 
 
 def _overlaps(f: StepFunction, g: StepFunction):

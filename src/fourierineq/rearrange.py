@@ -338,7 +338,7 @@ def hl_pairing(f: StepFunction, g: StepFunction) -> ExtReal:
         lo = 0.0
         for k in knots + [math.inf]:
             ub = k if math.isfinite(k) else hi * 1e6
-            val, _ = quad(lambda t: fs(t) * gs(t), lo, ub, limit=200)
+            val, _ = quad(lambda t: fs(t) * gs(t), lo, ub)
             total += val
             lo = ub
             if math.isinf(k):

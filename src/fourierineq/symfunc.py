@@ -19,29 +19,18 @@ cases (exponent exactly -1 or 0) are decided exactly.
 
 from __future__ import annotations
 
-import bisect
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-import warnings
 
-from scipy.integrate import IntegrationWarning, quad as _scipy_quad
-
-
-def quad(*args, **kwargs):
-    """scipy.integrate.quad with its accuracy warnings silenced; the
-    integrands here are piecewise-smooth with known discontinuities and the
-    achieved tolerances are validated against closed forms in the tests."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        return _scipy_quad(*args, **kwargs)
-
+from . import pieces
 from .extreal import ExtReal
-from .pieces import StepFunction, Exponent, _as_exp
+from .pieces import StepFunction, Exponent, _as_exp, log_quad
 
 
 class Divergence(Exception):
@@ -101,6 +90,8 @@ class Asym:
         return Asym(self.coef ** float(e), emul(self.a, e), emul(self.b, e))
 
     def integrable_at_zero(self) -> bool:
+        if self.coef == 0.0:
+            return True
         c = ecmp(self.a, -1)
         if c > 0:
             return True
@@ -109,6 +100,8 @@ class Asym:
         return ecmp(self.b, -1) < 0
 
     def integrable_at_inf(self) -> bool:
+        if self.coef == 0.0:
+            return True
         c = ecmp(self.a, -1)
         if c < 0:
             return True
@@ -177,8 +170,8 @@ class SymFunc:
         self.tail = tail
         self.knots = tuple(sorted({float(k) for k in knots
                                    if 0.0 < k < math.inf}))
-        # when the function wraps a StepFunction of closed-form pieces,
-        # keep it so cumulative integrals can be computed exactly
+        # a StepFunction of closed-form pieces (no log factors) that equals
+        # fn, kept so cumulative integrals can be computed exactly
         self.step = step
 
     def __call__(self, t: float) -> float:
@@ -218,9 +211,11 @@ class SymFunc:
             tail_terms.append(Asym(last.offset))
         if last.coef:
             tail_terms.append(Asym(last.coef, last.a, last.b))
+        closed_form = all(p.b == 0 for p in sf.pieces)
         return SymFunc(lambda t: sf(t), _dominant(head_terms, True),
                        _dominant(tail_terms, False),
-                       [b for b in sf.breakpoints if b > 0.0], step=sf)
+                       [b for b in sf.breakpoints if b > 0.0],
+                       step=sf if closed_form else None)
 
     # -- algebra ------------------------------------------------------------
     def mul(self, other: "SymFunc") -> "SymFunc":
@@ -304,26 +299,43 @@ class SymFunc:
         return SymFunc(fn, self.head, self.tail, self.knots)
 
     # -- calculus ---------------------------------------------------------
+    def _knot_integrals(self) -> tuple[float, list[float], float]:
+        """Integrals of f over the head (0, k_0), the segments
+        (k_i, k_{i+1}) and the tail (k_n, inf) of the knots (1 when there
+        are none); the head and tail are integrated in log coordinates.  An
+        end where f is certified not integrable is not integrated and
+        reads inf."""
+        f, ks = self.fn, self.knots or (1.0,)
+        h = (log_quad(f, 0.0, ks[0]) if self.head.integrable_at_zero()
+             else math.inf)
+        segs = [pieces.quad(f, a, b)[0] for a, b in zip(ks, ks[1:])]
+        t = (log_quad(f, ks[-1], math.inf) if self.tail.integrable_at_inf()
+             else math.inf)
+        return h, segs, t
+
     def integral(self) -> ExtReal:
         """integral over (0, inf) with symbolic endpoint certification."""
-        if self.head.coef != 0.0 and not self.head.integrable_at_zero():
+        if not self.head.integrable_at_zero():
             return ExtReal.infinite(
                 f"integrand ~ t**({self.head.a}) log**({self.head.b}) at 0")
-        if self.tail.coef != 0.0 and not self.tail.integrable_at_inf():
+        if not self.tail.integrable_at_inf():
             return ExtReal.infinite(
                 f"integrand ~ t**({self.tail.a}) log**({self.tail.b}) at inf")
-        return ExtReal.finite(_quad_0_inf(self.fn, self.knots))
+        return ExtReal.finite(_total(*self._knot_integrals()))
 
     def antiderivative(self) -> "SymFunc":
         """U(t) = integral_0^t f; raises Divergence when U is identically inf."""
-        if self.head.coef != 0.0 and not self.head.integrable_at_zero():
+        if not self.head.integrable_at_zero():
             raise Divergence(
                 f"head ~ t**({self.head.a}) log**({self.head.b}) "
                 "not integrable at 0")
-        fn = _exact_cumulative(self.step, from_left=True)
-        knots = self.knots if self.knots else (1.0,)
+        knots = self.knots or (1.0,)
+        tail_finite = self.tail.integrable_at_inf()
+        fn = None if self.step is None else self.step.cumulative()
+        if fn is None or tail_finite:
+            head_int, segs, tail_int = self._knot_integrals()
         if fn is None:
-            cum = _cumulative_at(self.fn, knots)
+            cum = list(itertools.accumulate([head_int, *segs]))
             fn = _piecewise_cumulative(self.fn, knots, cum, from_left=True)
         # head asymptotics of U
         ha, hb, hc = self.head.a, self.head.b, self.head.coef
@@ -334,10 +346,8 @@ class SymFunc:
         else:  # a == -1, b < -1
             head = Asym(hc / (-(float(hb) + 1.0)), 0, eadd(hb, 1))
         # tail asymptotics of U
-        if self.tail.coef == 0.0 or self.tail.integrable_at_inf():
-            total = _quad_0_inf(self.fn, self.knots) \
-                if (self.tail.coef == 0.0 or self.tail.integrable_at_inf()) else math.inf
-            tail = Asym(total, 0, 0)
+        if tail_finite:
+            tail = Asym(_total(head_int, segs, tail_int), 0, 0)
         elif ecmp(self.tail.a, -1) > 0:
             tail = Asym(self.tail.coef / (float(self.tail.a) + 1.0),
                         eadd(self.tail.a, 1), self.tail.b)
@@ -350,15 +360,20 @@ class SymFunc:
 
     def tail_integral(self) -> "SymFunc":
         """T(t) = integral_t^inf f; raises Divergence when identically inf."""
-        if self.tail.coef != 0.0 and not self.tail.integrable_at_inf():
+        if not self.tail.integrable_at_inf():
             raise Divergence(
                 f"tail ~ t**({self.tail.a}) log**({self.tail.b}) "
                 "not integrable at inf")
-        fn = _exact_cumulative(self.step, from_left=False)
-        knots = self.knots if self.knots else (1.0,)
+        knots = self.knots or (1.0,)
+        head_finite = self.head.integrable_at_zero()
+        fn = None if self.step is None else self.step.cumulative(
+            from_left=False)
+        if fn is None or head_finite:
+            head_int, segs, tail_int = self._knot_integrals()
         if fn is None:
-            cum = _cumulative_at(self.fn, knots, from_right=True)
-            fn = _piecewise_cumulative(self.fn, knots, cum, from_left=False)
+            cum = list(itertools.accumulate([tail_int, *reversed(segs)]))
+            fn = _piecewise_cumulative(self.fn, knots, cum[::-1],
+                                       from_left=False)
         ta, tb, tc = self.tail.a, self.tail.b, self.tail.coef
         if tc == 0.0:
             tail = Asym(0.0)
@@ -366,8 +381,8 @@ class SymFunc:
             tail = Asym(tc / (-(float(ta) + 1.0)), eadd(ta, 1), tb)
         else:  # a == -1, b < -1
             tail = Asym(tc / (-(float(tb) + 1.0)), 0, eadd(tb, 1))
-        if self.head.coef == 0.0 or self.head.integrable_at_zero():
-            head = Asym(_quad_0_inf(self.fn, self.knots), 0, 0)
+        if head_finite:
+            head = Asym(_total(head_int, segs, tail_int), 0, 0)
         elif ecmp(self.head.a, -1) < 0:
             head = Asym(self.head.coef / (-(float(self.head.a) + 1.0)),
                         eadd(self.head.a, 1), self.head.b)
@@ -426,108 +441,26 @@ class SymFunc:
 
 
 # ---------------------------------------------------------------------------
-# quadrature backbone
+# cumulative integrals
 # ---------------------------------------------------------------------------
 
 
-def _gu(fn):
-    """Exp-substituted integrand with under/overflow guards at the ends."""
-    def g(u: float) -> float:
-        try:
-            t = math.exp(u)
-        except OverflowError:
-            return 0.0
-        if t == 0.0 or math.isinf(t):
-            return 0.0
-        try:
-            v = fn(t) * t
-        except (OverflowError, ZeroDivisionError):
-            return 0.0
-        return v if math.isfinite(v) else 0.0
-    return g
-
-
-def _quad_0_inf(fn: Callable[[float], float], knots: Sequence[float]) -> float:
-    """integral_0^inf fn with exp substitution at both ends, split at knots."""
-    ks = sorted({float(k) for k in knots if 0.0 < k < math.inf})
-    if not ks:
-        ks = [1.0]
+def _total(head: float, segs: Sequence[float], tail: float) -> float:
+    """Sum of the knot integrals, left to right."""
     total = 0.0
-    # head: (0, ks[0]) via t = exp(u)
-    u0 = math.log(ks[0])
-    gu = _gu(fn)
-    total += quad(gu, -np.inf, u0, limit=300)[0]
-    for a, b in zip(ks, ks[1:]):
-        total += quad(fn, a, b, limit=300)[0]
-    total += quad(gu, math.log(ks[-1]), np.inf, limit=300)[0]
+    for part in (head, *segs, tail):
+        total += part
     return total
-
-
-def _exact_cumulative(sf, from_left: bool):
-    """Closed-form cumulative integral of a StepFunction whose pieces are
-    pure monomials (no log factors); None when unavailable."""
-    if sf is None or any(p.b != 0 for p in sf.pieces):
-        return None
-    pieces = sf.pieces
-    los = [p.lo for p in pieces]
-    if from_left:
-        acc = [0.0]
-        for p in pieces[:-1]:
-            seg = p.integral(p.lo, p.hi)
-            if not seg.is_finite:
-                return None
-            acc.append(acc[-1] + seg.value)
-
-        def fn(t: float) -> float:
-            i = bisect.bisect_right(los, t) - 1
-            if i < 0:
-                return 0.0
-            part = pieces[i].integral(pieces[i].lo, t)
-            return acc[i] + (part.value if part.is_finite else math.inf)
-
-        return fn
-    acc_r = [0.0]
-    for p in reversed(pieces[1:]):
-        seg = p.integral(p.lo, p.hi)
-        if not seg.is_finite:
-            return None
-        acc_r.append(acc_r[-1] + seg.value)
-    suffix = acc_r[::-1]  # suffix[i] = integral over pieces after i
-
-    def fn(t: float) -> float:
-        i = bisect.bisect_right(los, t) - 1
-        if i < 0:
-            i, t = 0, 0.0
-        part = pieces[i].integral(t, pieces[i].hi)
-        return suffix[i] + (part.value if part.is_finite else math.inf)
-
-    return fn
-
-
-def _cumulative_at(fn, knots, from_right: bool = False) -> list[float]:
-    ks = list(knots)
-    gu = _gu(fn)
-    if not from_right:
-        cum = [quad(gu, -np.inf, math.log(ks[0]), limit=300)[0]]
-        for a, b in zip(ks, ks[1:]):
-            cum.append(cum[-1] + quad(fn, a, b, limit=300)[0])
-    else:
-        cum = [quad(gu, math.log(ks[-1]), np.inf, limit=300)[0]]
-        for a, b in reversed(list(zip(ks, ks[1:]))):
-            cum.append(cum[-1] + quad(fn, a, b, limit=300)[0])
-        cum.reverse()
-    return cum
 
 
 def _piecewise_cumulative(fn, knots, cum, from_left: bool):
     ks = list(knots)
-    gu = _gu(fn)
 
     def seg(a: float, b: float) -> float:
-        # exp substitution keeps wide ranges well conditioned
+        # log coordinates keep wide ranges well conditioned
         if b > 8.0 * a:
-            return quad(gu, math.log(a), math.log(b), limit=300)[0]
-        return quad(fn, a, b, limit=300)[0]
+            return log_quad(fn, a, b)
+        return pieces.quad(fn, a, b)[0]
 
     @functools.lru_cache(maxsize=100000)
     def value(t: float) -> float:
@@ -536,11 +469,11 @@ def _piecewise_cumulative(fn, knots, cum, from_left: bool):
             if i < 0:
                 if t <= 0.0:
                     return 0.0
-                return quad(gu, -np.inf, math.log(t), limit=300)[0]
+                return log_quad(fn, 0.0, t)
             return cum[i] + seg(ks[i], t)
         i = int(np.searchsorted(ks, t, side="left"))
         if i >= len(ks):
-            return quad(gu, math.log(t), np.inf, limit=300)[0]
+            return log_quad(fn, t, math.inf)
         return cum[i] + seg(t, ks[i])
 
     return value

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .pieces import StepFunction, Exponent, _as_exp
+from .pieces import StepFunction, Exponent, _as_exp, parse_exp
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
@@ -50,6 +50,10 @@ class WeightSpec:
             raise ValueError("dimension must be >= 1")
         object.__setattr__(self, "a", _as_exp(self.a))
         object.__setattr__(self, "b", _as_exp(self.b))
+        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+            raise ValueError("weight exponents must be finite")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("indicator radius must be positive and finite")
         if self.family == "indicator" and self.direction != NONINCREASING:
             raise ValueError("indicator weights must be non-increasing")
 
@@ -180,14 +184,6 @@ _DSL_RE = re.compile(
     r"(?:@d=(?P<d>\d+))?\s*$")
 
 
-def _parse_number(s: str) -> Exponent:
-    s = s.strip()
-    try:
-        return Fraction(s)
-    except ValueError:
-        return float(s)
-
-
 def parse_weight(text: str, direction: str = NONINCREASING) -> WeightSpec:
     """Parse a weight description like `pow(1/4)@d=2` or `table(w.csv)`."""
     m = _DSL_RE.match(text)
@@ -198,17 +194,16 @@ def parse_weight(text: str, direction: str = NONINCREASING) -> WeightSpec:
     args = [a for a in m.group("args").split(",") if a.strip()]
     if fam == "pow":
         (a,) = args
-        a = _parse_number(a)
+        a = parse_exp(a)
         if a == 0:
             return WeightSpec.one(direction, d)
         return WeightSpec.power(a, direction, d)
     if fam == "powlog":
         a, b = args
-        return WeightSpec.powerlog(_parse_number(a), _parse_number(b),
-                                   direction, d)
+        return WeightSpec.powerlog(parse_exp(a), parse_exp(b), direction, d)
     if fam == "ind":
         (r,) = args
-        return WeightSpec.indicator(float(_parse_number(r)), d)
+        return WeightSpec.indicator(float(parse_exp(r)), d)
     (path,) = args
     return WeightSpec.from_table(StepFunction.from_csv(path.strip()),
                                  direction, d)

@@ -29,8 +29,23 @@ def test_criteria_bad_exponent_exit_2(capsys):
 
 
 def test_criteria_bad_weight_exit_2(capsys):
-    code, _ = run(capsys, "criteria", "--u", "nope(1)", "--v", "pow(0)",
-                  "--p", "2", "--q", "2")
+    for u in ["nope(1)", "pow(nan)", "pow(inf)", "pow(1/0)", "ind(0)",
+              "ind(-1)"]:
+        code, _ = run(capsys, "criteria", "--u", u, "--v", "pow(0)",
+                      "--p", "2", "--q", "2")
+        assert code == 2, u
+
+
+def test_estimate_non_power_of_two_N_exit_2(capsys):
+    code, _ = run(capsys, "estimate", "--u", "ind(1)", "--v", "pow(1/4)",
+                  "--p", "3", "--q", "2", "--N", "1000", "--L", "64")
+    assert code == 2
+
+
+def test_sweep_bad_exponent_exit_2(tmp_path, capsys):
+    code, _ = run(capsys, "sweep", "--u", "pow(1/4)", "--v", "pow(0)",
+                  "--p-list", "2,1/0", "--q-list", "2",
+                  "--out", str(tmp_path / "grid.csv"))
     assert code == 2
 
 

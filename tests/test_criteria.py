@@ -138,6 +138,33 @@ def test_regime_constants_finite_for_localized_u():
         assert rep.governing.is_finite
 
 
+def test_power_u_regimes_certified_infinite():
+    # u = |x|^{-3/4} passes the q#-tail test (its q#-tail integral is
+    # finite) but C4, resp. C7, diverges
+    u = WeightSpec.power(Fraction(3, 4), NONINCREASING)
+    v = WeightSpec.power(Fraction(1, 2), NONDECREASING)
+    for p, q, regime, key in [(3, 1, REGIME_III, "C5"),
+                              (math.inf, 1, REGIME_IV, "C7")]:
+        rep = evaluate(u, v, cfg(p, q))
+        assert rep.regime == regime
+        assert rep.constants["qsharp_tail"].is_finite
+        assert rep.holds is False
+        assert rep.governing is rep.constants[key]
+        assert rep.governing.is_infinite
+
+
+def test_infinite_C4_skips_correction():
+    # regime V with C4 = inf: C8 = C4 + C9 is infinite without C9
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.power(Fraction(1, 2), NONDECREASING)
+    rep = evaluate(u, v, cfg(2, Fraction(1, 2)))
+    assert rep.regime == REGIME_V
+    assert rep.constants["C4"].is_infinite
+    assert "C9" not in rep.constants
+    assert rep.governing.is_infinite and rep.holds is False
+    assert any(n.startswith("C9 not computed") for n in rep.notes)
+
+
 def test_dual_config_roundtrip():
     u = WeightSpec.power(Fraction(1, 4), NONINCREASING)
     v = WeightSpec.power(Fraction(1, 8), NONDECREASING)

@@ -121,12 +121,14 @@ def test_optimal_Y_q2_quadrature():
 
 def test_optimal_Y_q_lt_2():
     f = StepFunction.indicator(1.0)
-    u = WeightSpec.indicator(1.0)
-    v = optimal_Y_norm(f, u, 1)
-    assert v.is_finite and v.value > 0
-    # homogeneity in f
-    v2 = optimal_Y_norm(f.scaled(2.0), u, 1)
-    assert v2.value == pytest.approx(2.0 * v.value, rel=1e-7)
+    # a power-law u runs the q#-tail integral out to t = inf
+    for u, q in [(WeightSpec.indicator(1.0), 1),
+                 (WeightSpec.power(0.25), 1.5)]:
+        v = optimal_Y_norm(f, u, q)
+        assert v.is_finite and v.value > 0
+        # homogeneity in f
+        v2 = optimal_Y_norm(f.scaled(2.0), u, q)
+        assert v2.value == pytest.approx(2.0 * v.value, rel=1e-7)
 
 
 def test_optimal_Y_trivial_space_certified():

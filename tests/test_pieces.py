@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from fourierineq.pieces import Piece, StepFunction, TailSpec, sup_over
+from fourierineq.pieces import (Piece, StepFunction, TailSpec, log_quad,
+                                parse_exp, quad, sup_over)
 
 
 def test_from_cells_values_and_call():
@@ -123,3 +124,53 @@ def test_invalid_inputs():
         StepFunction.from_cells([0.0, 1.0], [-1.0])  # negative value
     with pytest.raises(ValueError):
         Piece(2.0, 1.0)  # empty interval
+
+
+def test_log_quad_finite_where_exp_overflows():
+    # quad maps (0, inf) onto u = log t and samples u far beyond 709, where
+    # math.exp overflows: the plain substituted integrand raises there
+    with pytest.raises(OverflowError):
+        quad(lambda u: math.exp(u) ** -2 * math.exp(u), 0.0, math.inf)
+    assert log_quad(lambda t: t ** -2, 1.0, math.inf) == pytest.approx(
+        1.0, rel=1e-12)
+    assert log_quad(lambda t: t ** -0.5, 0.0, 1.0) == pytest.approx(
+        2.0, rel=1e-12)
+    # a log-factor tail, integrated through log_quad; the reference is
+    # mpmath.quad of t^{-2} log(e+t)^{-2} over [1, 10, inf]
+    f = StepFunction.power(1.0, 2, 2)
+    val = f.integrate(1.0, math.inf)
+    assert val.is_finite and val.value == pytest.approx(0.383478689584624,
+                                                        rel=1e-12)
+
+
+def test_cumulative_both_directions():
+    f = StepFunction.from_cells([0.0, 1.0, 3.0], [2.0, 1.0, 1.0],
+                                tail=TailSpec.power(2))  # t^{-2} beyond 3
+    left, right = f.cumulative(), f.cumulative(from_left=False)
+    total = f.integrate().value  # 2 + 2 + 1/3
+    for t in [0.0, 0.5, 1.0, 2.0, 3.0, 6.0]:
+        assert left(t) == pytest.approx(f.integrate(0.0, t).value,
+                                        abs=1e-14)
+        assert left(t) + right(t) == pytest.approx(total, rel=1e-14)
+    assert right(6.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+    # beyond a divergent piece the cumulative integral is infinite
+    g = StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, math.inf])
+    assert g.cumulative()(1.5) == math.inf
+    assert g.cumulative()(3.0) == math.inf
+    assert g.cumulative(from_left=False)(0.5) == math.inf
+
+
+def test_parse_exp():
+    assert parse_exp("4/3") == Fraction(4, 3)
+    assert parse_exp(" 0.25 ") == Fraction(1, 4)
+    assert parse_exp("-2") == -2
+    assert parse_exp("INF") == math.inf and parse_exp("oo") == math.inf
+    for bad in ["nan", "1/0", "", "abc", "-inf"]:
+        with pytest.raises(ValueError):
+            parse_exp(bad)
+
+
+def test_tail_spec_rejects_non_finite_exponents():
+    for a, b in [(math.inf, 0), (math.nan, 0), (1, math.inf)]:
+        with pytest.raises(ValueError):
+            TailSpec.powerlog(a, b)

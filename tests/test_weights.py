@@ -68,10 +68,21 @@ def test_parse_table(tmp_path):
 
 
 def test_parse_errors():
-    with pytest.raises(ValueError):
-        parse_weight("gauss(1)")
-    with pytest.raises(ValueError):
-        parse_weight("pow()")
+    for text in ["gauss(1)", "pow()", "pow(nan)", "pow(inf)", "pow(1/0)",
+                 "powlog(1,nan)", "ind(0)", "ind(-1)", "ind(inf)"]:
+        with pytest.raises(ValueError):
+            parse_weight(text)
+
+
+def test_construction_rejects_invalid_parameters():
+    for a in [math.nan, math.inf, -math.inf]:
+        with pytest.raises(ValueError):
+            WeightSpec.power(a)
+        with pytest.raises(ValueError):
+            WeightSpec.powerlog(1, a)
+    for R in [0.0, -1.0, math.inf, math.nan]:
+        with pytest.raises(ValueError):
+            WeightSpec.indicator(R)
 
 
 def test_format_strings():
