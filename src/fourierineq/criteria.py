@@ -23,15 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Optional, Union
+from typing import Any, Optional
 
 from .extreal import ExtReal
-from .pieces import StepFunction, log_quad, parse_exp, quad
+from .pieces import Exponent, as_exp, log_quad, quad
 from .rearrange import circ_profile, lower_star
-from .symfunc import Asym, Divergence, SymFunc, ecmp
+from .symfunc import Divergence, SymFunc
 from .weights import WeightSpec, NONINCREASING, NONDECREASING
-
-Exp = Union[Fraction, float]  # math.inf marks an infinite exponent
 
 REGIME_DEG_QINF = "degenerate-q-infinity"
 REGIME_DEG_P1 = "degenerate-p-one"
@@ -42,26 +40,11 @@ REGIME_IV = "IV"
 REGIME_V = "V"
 
 
-def _exp(x) -> Exp:
-    if isinstance(x, str):
-        return parse_exp(x)
-    if isinstance(x, float) and math.isinf(x):
-        return math.inf
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**12) \
-            if float(Fraction(x).limit_denominator(10**12)) == x else Fraction(x)
-    raise TypeError(f"bad exponent {x!r}")
-
-
-def _is_inf(x: Exp) -> bool:
+def _is_inf(x: Exponent) -> bool:
     return isinstance(x, float) and math.isinf(x)
 
 
-def conjugate(p: Exp) -> Exp:
+def conjugate(p: Exponent) -> Exponent:
     """Hoelder conjugate: 1/p + 1/p' = 1 (1 <-> inf)."""
     if _is_inf(p):
         return Fraction(1)
@@ -78,13 +61,13 @@ class ExponentConfig:
     exactly.  Requires p >= 1 and q > 0.
     """
 
-    p: Exp
-    q: Exp
+    p: Exponent
+    q: Exponent
     d: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _exp(self.p))
-        object.__setattr__(self, "q", _exp(self.q))
+        object.__setattr__(self, "p", as_exp(self.p))
+        object.__setattr__(self, "q", as_exp(self.q))
         if not _is_inf(self.p) and self.p < 1:
             raise ValueError("p < 1 is not supported")
         if not _is_inf(self.q) and self.q <= 0:
@@ -94,17 +77,17 @@ class ExponentConfig:
 
     # -- derived exponents ----------------------------------------------
     @property
-    def p_prime(self) -> Exp:
+    def p_prime(self) -> Exponent:
         return conjugate(self.p)
 
     @property
-    def q_prime(self) -> Exp:
+    def q_prime(self) -> Exponent:
         if not _is_inf(self.q) and self.q < 1:
             raise ValueError("conjugate undefined for q < 1")
         return conjugate(self.q)
 
     @property
-    def r(self) -> Exp:
+    def r(self) -> Exponent:
         """1/r = 1/q - 1/p, defined for q < p."""
         if _is_inf(self.q) or (not _is_inf(self.p) and self.q >= self.p):
             raise ValueError("r is defined only for q < p")
@@ -113,7 +96,7 @@ class ExponentConfig:
         return 1 / (1 / self.q - 1 / self.p)
 
     @property
-    def q_sharp(self) -> Exp:
+    def q_sharp(self) -> Exponent:
         """1/q# = |1/2 - 1/q|; infinite exactly at q = 2."""
         if _is_inf(self.q):
             return Fraction(2)
@@ -124,7 +107,7 @@ class ExponentConfig:
         return 2 * self.q / (self.q - 2)
 
     @property
-    def p_sharp(self) -> Exp:
+    def p_sharp(self) -> Exponent:
         if _is_inf(self.p):
             return Fraction(2)
         if self.p == 2:
@@ -169,7 +152,7 @@ def classify(cfg: ExponentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exp) -> SymFunc:
+def _ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
     """u*(t)**power as a SymFunc; raises Divergence when u* is identically inf."""
     prof = circ_profile(u)
     if any(math.isinf(p.offset) for p in prof.pieces):
@@ -178,10 +161,11 @@ def _ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exp) -> SymFunc:
     return SymFunc.from_step(prof.pow_compose(power))
 
 
-def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exp) -> SymFunc:
+def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
     """v_*(t)**power (power is typically negative); Divergence when v_* = 0."""
     prof = lower_star(v)
-    if prof.essential_sup().is_finite and prof.essential_sup().value == 0.0:
+    top = prof.essential_sup()
+    if top.is_finite and top.value == 0.0:
         raise Divergence("v_* vanishes identically (v is not bounded below "
                          "by a positive non-decreasing radial weight)")
     return SymFunc.from_step(prof.pow_compose(power))

@@ -9,11 +9,18 @@ leads/tails are pieces with offset = 0.  The shift parameter exists because
 the family {offset + c*(t-shift)**a} is closed under the monotone inversion
 used to compute rearrangements exactly.
 
-Exponents are kept as Fractions whenever the caller supplies them that way,
-so finiteness decisions (which compare exponents against -1 and 0) are exact
-for rational data.  Coefficients are floats; quadrature is used only where a
-closed form does not exist (log factors over finite ranges, infinite tails
-with log factors), and only after convergence has been decided symbolically.
+The exponent rule: every exponent slot (Piece, TailSpec, WeightSpec, Asym,
+ExponentConfig) is normalized at construction by ``as_exp`` and holds a
+Fraction (ExponentConfig's p and q may also be math.inf).  An int becomes a
+Fraction, a string goes through ``parse_exp``, and a finite float becomes
+the simplest fraction with denominator at most 10**12 that converts back to
+exactly that float, or else its exact binary value.  Exponent arithmetic and
+every finiteness or limit decision (comparisons against -1 and 0) are
+therefore exact; exponents become floats only to evaluate powers.
+
+Coefficients are floats; quadrature is used only where a closed form does
+not exist (log factors over finite ranges, infinite tails with log factors),
+and only after convergence has been decided symbolically.
 """
 
 from __future__ import annotations
@@ -27,11 +34,13 @@ from typing import Iterable, Sequence, Union
 
 import warnings
 
+import numpy as np
 from scipy.integrate import IntegrationWarning, quad as _scipy_quad
+from scipy.optimize import minimize_scalar
 
 from .extreal import ExtReal
 
-Exponent = Union[Fraction, int, float]
+Exponent = Union[Fraction, float]  # a float exponent is math.inf
 
 _E = math.e
 
@@ -86,19 +95,38 @@ def parse_exp(text: str) -> Exponent:
         raise ValueError(f"bad exponent {text!r}") from exc
 
 
-def _as_exp(x: Exponent) -> Exponent:
-    """Normalize an exponent, preferring exact Fractions for exact inputs."""
+def as_exp(x) -> Exponent:
+    """The exponent rule (see the module docstring): a Fraction, or
+    math.inf for an infinite float or string.  Raises ValueError on NaN and
+    on a malformed string, TypeError on other types."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, float) and x.is_integer():
-        return Fraction(int(x))
-    return x
+    if isinstance(x, str):
+        return parse_exp(x)
+    if isinstance(x, float):
+        if math.isinf(x):
+            return x
+        short = Fraction(x).limit_denominator(10**12)
+        return short if float(short) == x else Fraction(x)
+    return Fraction(x)
 
 
-def _expf(x: Exponent) -> float:
-    return float(x)
+def scan_max(h, lo: float, hi: float, n: int) -> float:
+    """Numeric max of h over (lo, hi): the best of n geometrically spaced
+    samples, refined by a bounded scalar search between that sample's
+    neighbours.  An infinite hi is cut to max(10 (lo + 1), 1e6) and a zero
+    lo to 1e-9 hi."""
+    if math.isinf(hi):
+        hi = max(10.0 * (lo + 1.0), 1e6)
+    if lo <= 0.0:
+        lo = hi * 1e-9
+    ts = np.geomspace(lo, hi, n)
+    vals = [h(float(t)) for t in ts]
+    k = int(np.nanargmax(vals))
+    a = float(ts[max(k - 1, 0)])
+    b = float(ts[min(k + 1, n - 1)])
+    res = minimize_scalar(lambda t: -h(t), bounds=(a, b), method="bounded")
+    return max(vals[k], -res.fun)
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +150,8 @@ class TailSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("zero", "power", "powerlog"):
             raise ValueError(f"bad tail kind {self.kind!r}")
-        object.__setattr__(self, "a", _as_exp(self.a))
-        object.__setattr__(self, "b", _as_exp(self.b))
+        object.__setattr__(self, "a", as_exp(self.a))
+        object.__setattr__(self, "b", as_exp(self.b))
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("tail exponents must be finite")
         if self.kind == "power" and self.b != 0:
@@ -187,8 +215,8 @@ class Piece:
     b: Exponent = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_exp(self.a))
-        object.__setattr__(self, "b", _as_exp(self.b))
+        object.__setattr__(self, "a", as_exp(self.a))
+        object.__setattr__(self, "b", as_exp(self.b))
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"bad piece interval ({self.lo}, {self.hi})")
         if self.shift > self.lo + 1e-15 and (self.coef != 0.0):
@@ -217,19 +245,18 @@ class Piece:
         s = t - self.shift
         if s <= 0.0:
             s = 0.0
-            if _expf(self.a) < 0:
+            if self.a < 0:
                 return math.inf
-        val = self.offset + self.coef * s ** _expf(self.a)
+        val = self.offset + self.coef * s ** float(self.a)
         if self.b != 0:
-            val = self.offset + (val - self.offset) * math.log(_E + s) ** _expf(self.b)
+            val = self.offset + (val - self.offset) * math.log(_E + s) ** float(self.b)
         return val
 
     def limit_at(self, t: float) -> float:
         """One-sided limit; t may be 0.0 (from the right) or inf."""
         if self.is_constant:
             return self.const_value
-        a = _expf(self.a)
-        b = _expf(self.b)
+        a, b = self.a, self.b
         if math.isinf(t):
             if a > 0 or (a == 0 and b > 0):
                 return math.inf
@@ -247,9 +274,7 @@ class Piece:
 
     def values_monotone(self) -> bool:
         """True when the piece is monotone on its interval."""
-        a = _expf(self.a)
-        b = _expf(self.b)
-        return a * b >= 0  # same sign (or one vanishes) => monotone
+        return self.a * self.b >= 0  # same sign (or one vanishes)
 
     def endpoint_range(self) -> tuple[float, float]:
         v0 = self.limit_at(self.lo)
@@ -263,8 +288,6 @@ class Piece:
         x1 = min(x1, self.hi)
         if x1 <= x0:
             return ExtReal.finite(0.0)
-        a = _expf(self.a)
-        b = _expf(self.b)
         # constant part
         if self.offset > 0.0 or self.coef == 0.0:
             if math.isinf(x1) and self.offset > 0.0:
@@ -277,6 +300,7 @@ class Piece:
         s0 = x0 - self.shift
         s1 = x1 - self.shift if not math.isinf(x1) else math.inf
         # symbolic convergence checks
+        a, b = self.a, self.b
         if s0 <= 0.0:
             # head at s=0: log factor ~ 1 there, so integrability is a > -1
             if a <= -1:
@@ -296,11 +320,13 @@ class Piece:
                     return ExtReal.infinite("log divergence at piece head")
                 val = self.coef * math.log(s1 / s0)
             else:
-                hi_part = 0.0 if math.isinf(s1) else s1 ** (a + 1)
-                val = self.coef * (hi_part - s0 ** (a + 1)) / (a + 1)
+                a1 = float(a) + 1
+                hi_part = 0.0 if math.isinf(s1) else s1 ** a1
+                val = self.coef * (hi_part - s0 ** a1) / a1
             return ExtReal.finite(total + val)
         # certified-convergent quadrature for log factors
-        g = lambda s: self.coef * s ** a * math.log(_E + s) ** b
+        fa, fb = float(a), float(b)
+        g = lambda s: self.coef * s ** fa * math.log(_E + s) ** fb
         if math.isinf(s1):
             cut = max(s0, 1.0)
             head_val = quad(g, s0, cut)[0] if cut > s0 else 0.0
@@ -310,7 +336,8 @@ class Piece:
         return ExtReal.finite(total + val)
 
     # -- algebra ---------------------------------------------------------
-    def pow(self, e: float) -> "Piece":
+    def pow(self, e: Exponent) -> "Piece":
+        e = as_exp(e)
         if self.is_constant:
             v = self.const_value ** e if self.const_value > 0 else (
                 0.0 if e > 0 else math.inf)
@@ -322,17 +349,15 @@ class Piece:
         if not self.is_monomial:
             raise NotImplementedError(
                 "power of an offset-plus-power piece has no closed form")
-        ee = _as_exp(e)
-        return replace(self, coef=self.coef ** float(e),
-                       a=_as_exp(self.a * ee if isinstance(self.a, Fraction)
-                                 and isinstance(ee, Fraction) else _expf(self.a) * float(e)),
-                       b=_as_exp(self.b * ee if isinstance(self.b, Fraction)
-                                 and isinstance(ee, Fraction) else _expf(self.b) * float(e)))
+        return replace(self, coef=self.coef ** float(e), a=self.a * e,
+                       b=self.b * e)
 
     def scaled(self, k: float) -> "Piece":
         if k < 0:
             raise ValueError("negative scale")
-        return replace(self, offset=self.offset * k, coef=self.coef * k)
+        # a zero part stays zero under an infinite scale (0 * inf = 0)
+        return replace(self, offset=self.offset * k if self.offset else 0.0,
+                       coef=self.coef * k if self.coef else 0.0)
 
     def restricted(self, lo: float, hi: float) -> "Piece":
         lo = max(lo, self.lo)
@@ -351,14 +376,8 @@ class Piece:
             return self.restricted(lo, hi).scaled(other.const_value)
         if self.is_monomial and other.is_monomial and self.shift == other.shift:
             return Piece(lo, hi, 0.0, self.coef * other.coef, self.shift,
-                         _add_exp(self.a, other.a), _add_exp(self.b, other.b))
+                         self.a + other.a, self.b + other.b)
         return None
-
-
-def _add_exp(x: Exponent, y: Exponent) -> Exponent:
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    return _expf(x) + _expf(y)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +445,7 @@ class StepFunction:
     def power(coef: float, a: Exponent, b: Exponent = 0) -> "StepFunction":
         """coef * t**(-a) * log(e+t)**(-b) on all of (0, inf)."""
         return StepFunction([Piece(0.0, math.inf, 0.0, coef, 0.0,
-                                   -_as_exp(a), -_as_exp(b))])
+                                   -as_exp(a), -as_exp(b))])
 
     @staticmethod
     def indicator(R: float, height: float = 1.0) -> "StepFunction":
@@ -489,15 +508,7 @@ class StepFunction:
         return True
 
     def essential_sup(self) -> ExtReal:
-        best = 0.0
-        for p in self.pieces:
-            _, hi = p.endpoint_range()
-            if math.isinf(hi):
-                return ExtReal.infinite("unbounded piece")
-            if not p.values_monotone():
-                hi = max(hi, _piece_interior_max(p))
-            best = max(best, hi)
-        return ExtReal.finite(best)
+        return sup_over(self, StepFunction.constant(1.0))
 
     # -- calculus ------------------------------------------------------------
     def integrate(self, x0: float = 0.0, x1: float = math.inf) -> ExtReal:
@@ -629,28 +640,26 @@ class StepFunction:
 
 
 def _overlaps(f: StepFunction, g: StepFunction):
-    cuts = sorted(set(f.breakpoints) | set(g.breakpoints))
-    for lo, hi in zip(cuts, list(cuts[1:]) + [math.inf]):
-        mid = lo + 1.0 if math.isinf(hi) else 0.5 * (lo + hi)
-        i = bisect.bisect_right(f._los, mid) - 1
-        j = bisect.bisect_right(g._los, mid) - 1
+    """(lo, hi, p, q) for each cell between consecutive breakpoints of f
+    and g, with p and q the pieces of f and g over that cell; the two piece
+    lists are walked in step, so cells of any width get the right pieces."""
+    fe, ge = f._los[1:] + [math.inf], g._los[1:] + [math.inf]
+    i = j = 0
+    lo = 0.0
+    while lo < math.inf:
+        hi = min(fe[i], ge[j])
         yield lo, hi, f.pieces[i], g.pieces[j]
-
-
-def _piece_interior_max(p: Piece, minimize: bool = False) -> float:
-    """Interior extremum of a non-monotone (mixed-sign exponent) piece."""
-    from scipy.optimize import minimize_scalar
-    lo = p.lo if p.lo > 0 else min(p.hi, p.lo + 1e-12) * 0.5 + p.lo * 0.5
-    hi = p.hi if math.isfinite(p.hi) else max(10.0 * (lo + 1.0), 1e6)
-    sign = 1.0 if minimize else -1.0
-    res = minimize_scalar(lambda t: sign * p(t), bounds=(lo, hi),
-                          method="bounded")
-    return sign * res.fun
+        i += fe[i] == hi
+        j += ge[j] == hi
+        lo = hi
 
 
 # ---------------------------------------------------------------------------
 # sup of a product (funcspace-level op; exact monotone analysis per cell)
 # ---------------------------------------------------------------------------
+
+
+_CELL_SCAN = 129  # scan_max samples per cell of sup_over
 
 
 def sup_over(f: StepFunction, g: StepFunction,
@@ -679,7 +688,7 @@ def sup_over(f: StepFunction, g: StepFunction,
                 return ExtReal.infinite(f"product unbounded near {where}")
             best = max(best, v0, v1)
             if not prod.values_monotone():
-                best = max(best, _piece_interior_max(prod))
+                best = max(best, scan_max(prod, clo, chi, _CELL_SCAN))
             continue
         # inexact product (mixed offsets / shifts): numeric scan with
         # endpoint limits taken factor-wise
@@ -687,23 +696,6 @@ def sup_over(f: StepFunction, g: StepFunction,
         v1lim = p.limit_at(chi) * q.limit_at(chi)
         if math.isinf(v0) or math.isinf(v1lim):
             return ExtReal.infinite("product unbounded on a cell")
-        best = max(best, v0, v1lim, _numeric_cell_sup(
-            lambda t: p(t) * q(t), clo, chi))
+        best = max(best, v0, v1lim, scan_max(
+            lambda t: p(t) * q(t), clo, chi, _CELL_SCAN))
     return ExtReal.finite(best)
-
-
-def _numeric_cell_sup(h, lo: float, hi: float, n: int = 129) -> float:
-    import numpy as np
-    if math.isinf(hi):
-        hi = max(10.0 * (lo + 1.0), 1e6)
-    if lo <= 0:
-        lo = hi * 1e-9
-    ts = np.geomspace(lo, hi, n)
-    vals = [h(float(t)) for t in ts]
-    k = int(max(range(n), key=lambda i: vals[i]))
-    # golden-section refinement around the best sample
-    a = float(ts[max(k - 1, 0)])
-    b = float(ts[min(k + 1, n - 1)])
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda t: -h(t), bounds=(a, b), method="bounded")
-    return max(max(vals), -res.fun)

@@ -44,7 +44,7 @@ def star(f: StepFunction) -> StepFunction:
             return StepFunction.constant(math.inf)
         if p.b != 0:
             raise NotImplementedError("rearrangement of log-factor pieces")
-        if not p.is_constant and float(p.a) > 0:
+        if not p.is_constant and p.a > 0:
             if math.isinf(p.hi):
                 # grows without bound: every super-level set has infinite
                 # measure, so the rearrangement is identically +inf
@@ -216,20 +216,13 @@ def distribution(f: StepFunction) -> StepFunction:
                 continue
             coef = p.coef ** (-1.0 / a)
             out.append(Piece(lam_lo, lam_hi, p.shift, coef, p.offset,
-                             _inv_exp(p.a), 0))
+                             1 / p.a, 0))
             lam_cursor = lam_hi
     if math.isfinite(lam_cursor):
         out.append(Piece(lam_cursor, math.inf))
     if not out:
         return StepFunction.constant(0.0)
     return StepFunction(out)
-
-
-def _inv_exp(a):
-    from fractions import Fraction
-    if isinstance(a, Fraction):
-        return 1 / a
-    return 1.0 / float(a)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +299,7 @@ def double_star(f: StepFunction):
             if coef < 0:
                 coef = 0.0  # exact zero up to roundoff: f* non-increasing
             pieces.append(Piece(p.lo, p.hi, v, coef, 0.0, -1, 0))
-        elif p.is_monomial and p.shift == 0.0 and float(p.a) != -1:
+        elif p.is_monomial and p.shift == 0.0 and p.a != -1:
             a = float(p.a)
             head = acc - p.coef * p.lo ** (a + 1) / (a + 1) if p.lo > 0 else acc
             if abs(head) <= 1e-12 * max(1.0, acc):

@@ -13,8 +13,8 @@ sups) are made from the exponents symbolically; quadrature is used only for
 the finite numeric values and is performed in exp-substituted coordinates so
 endpoint singularities are integrated accurately.
 
-Exponents are Fractions whenever the inputs were rational, so boundary
-cases (exponent exactly -1 or 0) are decided exactly.
+Exponents follow the exponent rule of ``pieces`` (always Fractions), so
+boundary cases (exponent exactly -1 or 0) are decided exactly.
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import pieces
 from .extreal import ExtReal
-from .pieces import StepFunction, Exponent, _as_exp, log_quad
+from .pieces import StepFunction, Exponent, as_exp, log_quad, scan_max
 
 
 class Divergence(Exception):
@@ -42,34 +41,8 @@ class Divergence(Exception):
 
 
 # ---------------------------------------------------------------------------
-# exponent helpers
+# asymptotic terms
 # ---------------------------------------------------------------------------
-
-
-def eadd(x: Exponent, y: Exponent) -> Exponent:
-    x, y = _as_exp(x), _as_exp(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x + y
-    return float(x) + float(y)
-
-
-def emul(x: Exponent, y: Exponent) -> Exponent:
-    x, y = _as_exp(x), _as_exp(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return x * y
-    return float(x) * float(y)
-
-
-def eneg(x: Exponent) -> Exponent:
-    return -x
-
-
-def ecmp(x: Exponent, y: Exponent) -> int:
-    x, y = _as_exp(x), _as_exp(y)
-    if isinstance(x, Fraction) and isinstance(y, Fraction):
-        return (x > y) - (x < y)
-    fx, fy = float(x), float(y)
-    return (fx > fy) - (fx < fy)
 
 
 @dataclass(frozen=True)
@@ -79,67 +52,40 @@ class Asym:
     b: Exponent = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a", _as_exp(self.a))
-        object.__setattr__(self, "b", _as_exp(self.b))
+        object.__setattr__(self, "a", as_exp(self.a))
+        object.__setattr__(self, "b", as_exp(self.b))
 
     def mul(self, other: "Asym") -> "Asym":
-        return Asym(self.coef * other.coef, eadd(self.a, other.a),
-                    eadd(self.b, other.b))
+        return Asym(self.coef * other.coef, self.a + other.a,
+                    self.b + other.b)
 
     def pow(self, e: Exponent) -> "Asym":
-        return Asym(self.coef ** float(e), emul(self.a, e), emul(self.b, e))
+        e = as_exp(e)
+        return Asym(self.coef ** float(e), self.a * e, self.b * e)
 
     def integrable_at_zero(self) -> bool:
-        if self.coef == 0.0:
-            return True
-        c = ecmp(self.a, -1)
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-        return ecmp(self.b, -1) < 0
+        return (self.coef == 0.0 or self.a > -1
+                or (self.a == -1 and self.b < -1))
 
     def integrable_at_inf(self) -> bool:
-        if self.coef == 0.0:
-            return True
-        c = ecmp(self.a, -1)
-        if c < 0:
-            return True
-        if c > 0:
-            return False
-        return ecmp(self.b, -1) < 0
+        return (self.coef == 0.0 or self.a < -1
+                or (self.a == -1 and self.b < -1))
 
 
 def _limit_at_zero(asym: Asym) -> float:
-    # t**a with a>0 vanishes at 0, a<0 blows up
-    if asym.coef == 0.0:
+    # t**a with a>0 vanishes at 0, a<0 blows up; log(1/t)**b grows for b>0
+    if asym.coef == 0.0 or asym.a > 0 or (asym.a == 0 and asym.b < 0):
         return 0.0
-    c = ecmp(asym.a, 0)
-    if c > 0:
-        return 0.0
-    if c < 0:
+    if asym.a < 0 or asym.b > 0:
         return math.inf
-    bc = ecmp(asym.b, 0)
-    if bc > 0:
-        return math.inf  # log(1/t)**b grows
-    if bc < 0:
-        return 0.0
     return asym.coef
 
 
 def _limit_at_inf(asym: Asym) -> float:
-    if asym.coef == 0.0:
+    if asym.coef == 0.0 or asym.a < 0 or (asym.a == 0 and asym.b < 0):
         return 0.0
-    c = ecmp(asym.a, 0)
-    if c > 0:
+    if asym.a > 0 or asym.b > 0:
         return math.inf
-    if c < 0:
-        return 0.0
-    bc = ecmp(asym.b, 0)
-    if bc > 0:
-        return math.inf
-    if bc < 0:
-        return 0.0
     return asym.coef
 
 
@@ -147,11 +93,8 @@ def _dominant(terms: Sequence[Asym], at_zero: bool) -> Asym:
     terms = [t for t in terms if t.coef != 0.0]
     if not terms:
         return Asym(0.0)
-    def key(t: Asym):
-        return (float(t.a) if not at_zero else -float(t.a), float(t.b))
-    best = max(terms, key=key)
-    coef = sum(t.coef for t in terms
-               if ecmp(t.a, best.a) == 0 and ecmp(t.b, best.b) == 0)
+    best = max(terms, key=lambda t: (-t.a if at_zero else t.a, t.b))
+    coef = sum(t.coef for t in terms if (t.a, t.b) == (best.a, best.b))
     return Asym(coef, best.a, best.b)
 
 
@@ -181,8 +124,8 @@ class SymFunc:
     @staticmethod
     def power(coef: float, a: Exponent, b: Exponent = 0) -> "SymFunc":
         """coef * t**a * log(e+t)**b (head is a pure power, tail carries b)."""
-        a = _as_exp(a)
-        b = _as_exp(b)
+        a = as_exp(a)
+        b = as_exp(b)
         fa, fb, c = float(a), float(b), float(coef)
 
         def fn(t: float) -> float:
@@ -240,7 +183,7 @@ class SymFunc:
         step = None
         if self.step is not None:
             try:
-                step = self.step.pow_compose(fe)
+                step = self.step.pow_compose(e)
             except (NotImplementedError, ValueError):
                 step = None
         return SymFunc(fn, self.head.pow(e), self.tail.pow(e), self.knots,
@@ -263,8 +206,8 @@ class SymFunc:
     def recip_arg(self) -> "SymFunc":
         """t -> f(1/t); swaps the roles of 0 and infinity."""
         f = self.fn
-        head = Asym(self.tail.coef, eneg(self.tail.a), self.tail.b)
-        tail = Asym(self.head.coef, eneg(self.head.a), self.head.b)
+        head = Asym(self.tail.coef, -self.tail.a, self.tail.b)
+        tail = Asym(self.head.coef, -self.head.a, self.head.b)
         return SymFunc(lambda t: f(1.0 / t), head, tail,
                        [1.0 / k for k in self.knots])
 
@@ -341,21 +284,21 @@ class SymFunc:
         ha, hb, hc = self.head.a, self.head.b, self.head.coef
         if hc == 0.0:
             head = Asym(0.0)
-        elif ecmp(ha, -1) > 0:
-            head = Asym(hc / (float(ha) + 1.0), eadd(ha, 1), hb)
+        elif ha > -1:
+            head = Asym(hc / (float(ha) + 1.0), ha + 1, hb)
         else:  # a == -1, b < -1
-            head = Asym(hc / (-(float(hb) + 1.0)), 0, eadd(hb, 1))
+            head = Asym(hc / (-(float(hb) + 1.0)), 0, hb + 1)
         # tail asymptotics of U
         if tail_finite:
             tail = Asym(_total(head_int, segs, tail_int), 0, 0)
-        elif ecmp(self.tail.a, -1) > 0:
+        elif self.tail.a > -1:
             tail = Asym(self.tail.coef / (float(self.tail.a) + 1.0),
-                        eadd(self.tail.a, 1), self.tail.b)
+                        self.tail.a + 1, self.tail.b)
         else:  # a == -1, b >= -1
-            if ecmp(self.tail.b, -1) == 0:
+            if self.tail.b == -1:
                 raise Divergence("log-log growth tails are not supported")
             tail = Asym(self.tail.coef / (float(self.tail.b) + 1.0), 0,
-                        eadd(self.tail.b, 1))
+                        self.tail.b + 1)
         return SymFunc(fn, head, tail, knots)
 
     def tail_integral(self) -> "SymFunc":
@@ -377,20 +320,20 @@ class SymFunc:
         ta, tb, tc = self.tail.a, self.tail.b, self.tail.coef
         if tc == 0.0:
             tail = Asym(0.0)
-        elif ecmp(ta, -1) < 0:
-            tail = Asym(tc / (-(float(ta) + 1.0)), eadd(ta, 1), tb)
+        elif ta < -1:
+            tail = Asym(tc / (-(float(ta) + 1.0)), ta + 1, tb)
         else:  # a == -1, b < -1
-            tail = Asym(tc / (-(float(tb) + 1.0)), 0, eadd(tb, 1))
+            tail = Asym(tc / (-(float(tb) + 1.0)), 0, tb + 1)
         if head_finite:
             head = Asym(_total(head_int, segs, tail_int), 0, 0)
-        elif ecmp(self.head.a, -1) < 0:
+        elif self.head.a < -1:
             head = Asym(self.head.coef / (-(float(self.head.a) + 1.0)),
-                        eadd(self.head.a, 1), self.head.b)
+                        self.head.a + 1, self.head.b)
         else:
-            if ecmp(self.head.b, -1) == 0:
+            if self.head.b == -1:
                 raise Divergence("log-log heads are not supported")
             head = Asym(self.head.coef / (-(float(self.head.b) + 1.0)), 0,
-                        eadd(self.head.b, 1))
+                        self.head.b + 1)
         return SymFunc(fn, head, tail, knots)
 
     def sup(self) -> ExtReal:
@@ -406,16 +349,7 @@ class SymFunc:
                 f"~ {self.tail.coef:.3g} t**({self.tail.a}) "
                 f"log**({self.tail.b}) unbounded at inf")
         lo, hi = self._span()
-        ts = np.geomspace(lo / 1e8, hi * 1e8, 600)
-        vals = [self.fn(float(t)) for t in ts]
-        k = int(np.nanargmax(vals))
-        best = vals[k]
-        from scipy.optimize import minimize_scalar
-        a = float(ts[max(k - 1, 0)])
-        b = float(ts[min(k + 1, len(ts) - 1)])
-        res = minimize_scalar(lambda t: -self.fn(t), bounds=(a, b),
-                              method="bounded")
-        best = max(best, -res.fun, at0, atinf)
+        best = max(scan_max(self.fn, lo / 1e8, hi * 1e8, 600), at0, atinf)
         return ExtReal.finite(float(best))
 
     def running_sup_from(self) -> "SymFunc":

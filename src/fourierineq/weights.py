@@ -13,8 +13,8 @@ A trailing `@d=<n>` selects the ambient dimension (default 1).  Lebesgue
 measure is normalized so the unit ball has measure 1; the half-line profile
 of a radial function is h(t) = h0(t**(1/d)).
 
-Exponents written as `a/b` are kept as exact Fractions so downstream
-finiteness decisions are exact.
+Exponents follow the exponent rule of ``pieces`` (always Fractions), so
+downstream finiteness decisions are exact.
 """
 
 from __future__ import annotations
@@ -22,10 +22,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
-from .pieces import StepFunction, Exponent, _as_exp, parse_exp
+from .pieces import StepFunction, Exponent, as_exp, parse_exp
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
@@ -48,8 +47,8 @@ class WeightSpec:
             raise ValueError(f"bad direction {self.direction!r}")
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        object.__setattr__(self, "a", _as_exp(self.a))
-        object.__setattr__(self, "b", _as_exp(self.b))
+        object.__setattr__(self, "a", as_exp(self.a))
+        object.__setattr__(self, "b", as_exp(self.b))
         if not (math.isfinite(self.a) and math.isfinite(self.b)):
             raise ValueError("weight exponents must be finite")
         if not 0.0 < self.radius < math.inf:
@@ -151,9 +150,7 @@ def radial_map(profile: StepFunction, d: int) -> StepFunction:
         elif p.shift == 0.0:
             # c * r**a -> c * t**(a/d); log(e+r)**b -> ~ d**(-b) log(e+t)**b
             coef = p.coef * (float(d) ** (-float(p.b)) if p.b != 0 else 1.0)
-            out.append(Piece(lo, hi, p.offset, coef, 0.0,
-                             Fraction(p.a, d) if isinstance(p.a, Fraction)
-                             else float(p.a) / d, p.b))
+            out.append(Piece(lo, hi, p.offset, coef, 0.0, p.a / d, p.b))
         else:
             raise NotImplementedError("radial map of shifted pieces")
     return StepFunction(out)

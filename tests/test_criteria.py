@@ -71,6 +71,22 @@ def test_power_weight_balance():
     assert rep.holds is True
 
 
+def test_regime_ii_closed_form():
+    # u = ind(1), v = |x|^{1/4}, p = 3, q = 2, r = 6: U(s) = min(s, 1) and
+    # int_0^{1/s} v^{-3/2} = 1.6 s^{-5/8}, so
+    # C4^6 = int_0^1 s^2 (1.6 s^{-5/8})^4 ds = 2 * 1.6^4 = 13.1072
+    u = WeightSpec.indicator(1.0)
+    rep = evaluate(u, WeightSpec.power(Fraction(1, 4), NONDECREASING),
+                   cfg(3, 2))
+    assert rep.regime == REGIME_II and rep.holds is True
+    assert rep.governing.value == pytest.approx(13.1072 ** (1 / 6),
+                                                rel=1e-9)
+    # float spellings of the exponents give the same report, bit for bit
+    rep_f = evaluate(u, WeightSpec.power(0.25, NONDECREASING), cfg(3.0, 2.0))
+    assert (rep_f.regime, rep_f.holds) == (rep.regime, rep.holds)
+    assert rep_f.governing.value == rep.governing.value
+
+
 def test_power_weight_unbalanced():
     # too much decay on u: U diverges at 0? no -- sup blows up at an endpoint
     u = WeightSpec.power(Fraction(3, 4), NONINCREASING)

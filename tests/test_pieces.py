@@ -3,8 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from fourierineq.pieces import (Piece, StepFunction, TailSpec, log_quad,
-                                parse_exp, quad, sup_over)
+from fourierineq.criteria import ExponentConfig
+from fourierineq.pieces import (LeadSpec, Piece, StepFunction, TailSpec,
+                                as_exp, log_quad, parse_exp, quad, sup_over)
+from fourierineq.rearrange import hl_pairing
+from fourierineq.symfunc import Asym
+from fourierineq.weights import WeightSpec
 
 
 def test_from_cells_values_and_call():
@@ -35,6 +39,10 @@ def test_power_integrals_certificates():
     assert g.integrate(0.0, 1.0).is_infinite
     t = g.integrate(1.0, math.inf)
     assert t.is_finite and t.value == pytest.approx(1.0, rel=1e-12)
+    # (t^{-49})^{1/49} = t^{-1} diverges at 0 however 1/49 is spelled
+    h = StepFunction.from_cells([0.0, 1.0], [1.0], lead=LeadSpec.power(49))
+    for e in (1 / 49, Fraction(1, 49)):
+        assert h.pow_compose(e).integrate().is_infinite
 
 
 def test_critical_exponent_log_divergence():
@@ -107,6 +115,24 @@ def test_sup_over_product():
     h = StepFunction.power(1.0, -1)  # grows like t
     s2 = sup_over(f, h)
     assert s2.is_infinite
+    # an infinite cell times a power piece is infinite on that cell
+    k = StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, math.inf])
+    assert sup_over(k, h).is_infinite
+
+
+def test_breakpoints_one_ulp_apart():
+    # a cell one ulp wide between the breakpoints of f and g
+    x1 = 7.672331698415035
+    x2 = math.nextafter(x1, math.inf)
+    f = StepFunction.from_cells([0.0, x1, 10.0], [2.0, 0.5])
+    g = StepFunction.from_cells([0.0, x2, 10.0], [3.0, 1.0])
+    prod = f * g
+    for t in [0.5, 5.0, 8.0, 9.9, 20.0]:
+        assert prod(t) == f(t) * g(t)
+    assert sup_over(f, g).value == 6.0
+    pairing = hl_pairing(f, g)
+    assert pairing.is_finite and pairing.value == pytest.approx(
+        6.0 * x1 + 0.5 * (10.0 - x2), rel=1e-12)
 
 
 def test_essential_sup():
@@ -115,6 +141,12 @@ def test_essential_sup():
     assert s.is_finite and s.value == 7.0
     g = StepFunction.power(1.0, Fraction(-1, 2))  # grows
     assert g.essential_sup().is_infinite
+    assert StepFunction.from_cells([0, 1, 2], [1.0, math.inf]) \
+        .essential_sup().is_infinite
+    # t^{1/2} log(e+t)^{-2} on (0, 8) peaks inside the piece, near 1.55
+    h = StepFunction([Piece(0.0, 8.0, 0.0, 1.0, 0.0, Fraction(1, 2), -2)])
+    dense = max(h(i / 10000) for i in range(1, 80000))
+    assert h.essential_sup().value == pytest.approx(dense, rel=1e-9)
 
 
 def test_invalid_inputs():
@@ -168,6 +200,24 @@ def test_parse_exp():
     for bad in ["nan", "1/0", "", "abc", "-inf"]:
         with pytest.raises(ValueError):
             parse_exp(bad)
+
+
+def test_exponent_rule():
+    assert as_exp(3) == Fraction(3) and isinstance(as_exp(3), Fraction)
+    assert as_exp("4/3") == Fraction(4, 3)
+    assert as_exp(1 / 49) == Fraction(1, 49)
+    # 0.1 + 0.2 is not the float 0.3, so 3/10 would not convert back
+    assert as_exp(0.1 + 0.2) == Fraction(0.1 + 0.2)
+    assert as_exp(math.inf) == math.inf
+    with pytest.raises(ValueError):
+        as_exp(math.nan)
+    # every exponent slot holds the Fraction, and arithmetic stays exact
+    third = Fraction(3, 10)
+    assert WeightSpec.power(0.3).a == third
+    assert ExponentConfig(1, 0.3).q == third
+    assert Asym(1.0, 3).pow(0.1).a == third
+    assert TailSpec.power(0.3).a == third
+    assert Piece(0.0, 1.0, 0.0, 1.0, 0.0, 0.3).a == third
 
 
 def test_tail_spec_rejects_non_finite_exponents():

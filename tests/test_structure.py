@@ -6,24 +6,32 @@ import pathlib
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fourierineq"
 
 
-def _imports_scipy_integrate(tree: ast.AST) -> bool:
+def _imports(tree: ast.AST, module: str) -> bool:
+    """Does the tree import `module` (a dotted scipy submodule) or
+    anything from it?"""
+    parent, _, leaf = module.rpartition(".")
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any(a.name == "scipy.integrate"
-                   or a.name.startswith("scipy.integrate.")
+            if any(a.name == module or a.name.startswith(module + ".")
                    for a in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom) and node.module:
-            if node.module == "scipy.integrate" \
-                    or node.module.startswith("scipy.integrate."):
+            if node.module == module or node.module.startswith(module + "."):
                 return True
-            if node.module == "scipy" and any(a.name == "integrate"
-                                              for a in node.names):
+            if node.module == parent and any(a.name == leaf
+                                             for a in node.names):
                 return True
     return False
 
 
+def _users(module: str) -> list[str]:
+    return sorted(path.name for path in PACKAGE.glob("*.py")
+                  if _imports(ast.parse(path.read_text()), module))
+
+
 def test_only_pieces_imports_scipy_integrate():
-    users = sorted(path.name for path in PACKAGE.glob("*.py")
-                   if _imports_scipy_integrate(ast.parse(path.read_text())))
-    assert users == ["pieces.py"]
+    assert _users("scipy.integrate") == ["pieces.py"]
+
+
+def test_only_pieces_imports_scipy_optimize():
+    assert _users("scipy.optimize") == ["pieces.py"]

@@ -13,6 +13,11 @@ def test_power_integral_certificates():
     assert f.integral().is_infinite
     g = SymFunc.power(1.0, -2)
     assert g.integral().is_infinite  # diverges at 0 instead
+    # (t^{-49})^{1/49} = t^{-1} on (0, 1) diverges however 1/49 is spelled
+    h = SymFunc.from_step(StepFunction.from_cells(
+        [0.0, 1.0], [1.0], lead=TailSpec.power(49)))
+    for e in (1 / 49, Fraction(1, 49)):
+        assert h.pow(e).integral().is_infinite
 
 
 def test_antiderivative_of_power():
