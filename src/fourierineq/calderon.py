@@ -10,91 +10,127 @@ exactly when T(f) < K f for a uniform K; bestK below is the smallest scale
 factor sup_x (Psi_F(x) / Phi_G(x))**(1/2) that makes the domination hold
 (scaling G by K scales Phi by K**2, G* being 1-homogeneous).
 
-Psi and Phi are computed in closed form for compact step data: Psi is
-piecewise linear in x and Phi is cellwise a + b*log + c/x, so the supremum
-scan is exact up to the grid refinement of the monotone ratio.
+Constant-cell data (every live piece a finite constant cell, or a ``Cells``
+array pair such as the samples of a signal) is held as arrays: F* is a
+descending sort of the levels, Psi is piecewise linear (a cumulative sum of
+squared levels times widths) and Phi is cellwise a**2 t + 2ab log t - b**2/t
+in closed form, both evaluated on a whole array of points by
+``searchsorted``.  Other input keeps the piecewise path (``star``,
+``StepFunction.cumulative`` and the ``SymFunc`` layer), point by point.
+``dominates`` evaluates Psi and Phi on every scan point in one pass, so the
+supremum scan is exact up to the grid refinement of the monotone ratio.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Union
 
 import numpy as np
 
-from .extreal import ExtReal
 from .pieces import StepFunction
 from .rearrange import star
 
 
-def psi(F: StepFunction, x: float) -> float:
+class Cells(NamedTuple):
+    """Constant-cell data on (0, inf): level values[i] on the cell
+    (edges[i], edges[i + 1]] and zero beyond edges[-1]; edges[0] is 0."""
+
+    edges: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def sampled(mags: np.ndarray, dx: float) -> "Cells":
+        """Samples as cells of width dx, laid out like ``step_profile``."""
+        return Cells(np.arange(len(mags) + 1) * dx, np.asarray(mags, float))
+
+
+Profile = Union[StepFunction, Cells]
+
+
+def _as_cells(f: Profile) -> Profile:
+    """f as Cells when every live piece is a finite constant cell, else f."""
+    if isinstance(f, Cells):
+        return f
+    ps = f.pieces
+    if all(p.is_constant for p in ps) and ps[-1].const_value == 0.0:
+        vals = np.array([p.const_value for p in ps[:-1]], dtype=float)
+        if np.all(np.isfinite(vals)):
+            return Cells(np.array(f.breakpoints), vals)
+    return f
+
+
+def _star_cells(c: Cells) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, levels) of the non-increasing rearrangement: the positive
+    levels sorted descending, each keeping its cell's width."""
+    live = c.values > 0.0
+    order = np.argsort(-c.values[live], kind="stable")
+    edges = np.concatenate(([0.0], np.cumsum(np.diff(c.edges)[live][order])))
+    return edges, c.values[live][order]
+
+
+def _pointwise(fn: Callable[[float], float]) -> Callable:
+    """fn, extended to arrays point by point."""
+    return lambda x: (np.array([fn(float(t)) for t in x], dtype=float)
+                      if np.ndim(x) else fn(x))
+
+
+def psi(F: Profile, x: float) -> float:
     """Psi_F(x) = integral_0^x (F*)**2, exact for step data."""
-    return _psi_fn(F)(x)
+    return float(_psi_fn(F)(x))
 
 
-def _psi_fn(F: StepFunction) -> Callable[[float], float]:
-    return star(F).pow_compose(2.0).cumulative()
+def _psi_fn(F: Profile) -> Callable:
+    """x -> Psi_F(x) for a float or an array x."""
+    F = _as_cells(F)
+    if not isinstance(F, Cells):
+        return _pointwise(star(F).pow_compose(2.0).cumulative())
+    edges, levels = _star_cells(F)
+    sq = np.append(levels * levels, 0.0)
+    acc = np.concatenate(([0.0], np.cumsum(sq[:-1] * np.diff(edges))))
+
+    def fn(x):
+        i = np.searchsorted(edges, x, side="right") - 1
+        return acc[i] + sq[i] * (x - edges[i])
+    return fn
 
 
-def phi(G: StepFunction, x: float) -> float:
+def phi(G: Profile, x: float) -> float:
     """Phi_G(x) = integral_0^x (integral_0^{1/t} G*)**2 dt, exact for
     compact step data."""
-    return _phi_fn(G)(x)
+    return float(_phi_fn(G)(x))
 
 
-def _phi_fn(G: StepFunction) -> Callable[[float], float]:
-    gs = star(G)
-    cells = [p for p in gs.pieces if p.is_constant and p.const_value > 0
-             and math.isfinite(p.hi)]
-    if len(cells) != sum(1 for p in gs.pieces
-                         if p.offset != 0.0 or p.coef != 0.0):
-        return _phi_fn_numeric(gs)
-    # A(y) = integral_0^y G* is piecewise linear with knots y_i
-    ys = [0.0] + [p.hi for p in cells]
-    gvals = [p.const_value for p in cells]
-    A = [0.0]
-    for p, g in zip(cells, gvals):
-        A.append(A[-1] + g * (p.hi - p.lo))
-    Atot = A[-1]
-    # on t in (1/y_{i+1}, 1/y_i): A(1/t) = a_i + b_i / t
-    # cells in t ascending: first (0, 1/y_m]: constant Atot
-    t_edges = [0.0] + [1.0 / y for y in reversed(ys[1:])]  # ascending
-    coeffs = []  # (a, b) per t-cell
-    coeffs.append((Atot, 0.0))
-    for i in reversed(range(len(cells))):
-        a = A[i] - gvals[i] * ys[i]
-        coeffs.append((a, gvals[i]))
-    t_edges.append(math.inf)
+def _phi_fn(G: Profile) -> Callable:
+    """x -> Phi_G(x) for a float or an array x."""
+    G = _as_cells(G)
+    if not isinstance(G, Cells):
+        return _pointwise(_phi_fn_numeric(star(G)))
+    ys, g = _star_cells(G)
+    # A(y) = integral_0^y G* is piecewise linear with knots ys; on the t-cell
+    # (1/y_{i+1}, 1/y_i) A(1/t) = a + b/t with a = A(y_i) - g_i y_i, b = g_i.
+    # t-cells ascending: cell 0 is (0, 1/y_m] with A = A(y_m), b = 0.
+    A = np.concatenate(([0.0], np.cumsum(g * np.diff(ys))))
+    a = np.concatenate(([A[-1]], (A[:-1] - g * ys[:-1])[::-1]))
+    b = np.concatenate(([0.0], g[::-1]))
+    t_edges = np.concatenate(([0.0], 1.0 / ys[:0:-1], [math.inf]))
 
-    def cell_int(a: float, b: float, t0: float, t1: float) -> float:
+    def prim(k, t):
         # integral of (a + b/t)**2 = a**2 t + 2ab log t - b**2 / t
-        def prim(t: float) -> float:
-            out = a * a * t
-            if b != 0.0:
-                out += 2 * a * b * math.log(t) - b * b / t
-            return out
-        if t0 == 0.0:
-            if b != 0.0:
-                raise AssertionError("1/t term cannot reach t=0")
-            return a * a * t1
-        return prim(t1) - prim(t0)
+        ak, bk = a[k], b[k]
+        return ak * ak * t + (2 * ak * bk * np.log(t) - bk * bk / t)
 
-    cum = [0.0]
-    for i, (a, b) in enumerate(coeffs):
-        t0, t1 = t_edges[i], t_edges[i + 1]
-        if math.isinf(t1):
-            break
-        cum.append(cum[-1] + cell_int(a, b, t0, t1))
+    # cell k adds prim(k, t) - prim(k, t_k) beyond its left edge t_k;
+    # cell 0 starts at t = 0, where its b = 0 leaves a**2 t alone
+    k = np.arange(len(a))
+    left = np.concatenate(([0.0], prim(k[1:], t_edges[1:-1])))
+    cum = np.concatenate(([0.0], np.cumsum(prim(k[:-1], t_edges[1:-1])
+                                           - left[:-1])))
 
-    def fn(x: float) -> float:
-        i = bisect.bisect_right(t_edges, x) - 1
-        i = min(i, len(coeffs) - 1)
-        base = cum[i] if i < len(cum) else cum[-1]
-        a, b = coeffs[i]
-        return base + cell_int(a, b, t_edges[i], x)
-
+    def fn(x):
+        i = np.searchsorted(t_edges, x, side="right") - 1
+        return cum[i] + (prim(i, x) - left[i])
     return fn
 
 
@@ -118,36 +154,45 @@ class DominationCert:
                 "phi": self.phi_at}
 
 
-def dominates(F: StepFunction, G: StepFunction, tol: float = 1e-9,
+def _breakpoints(f: Profile) -> np.ndarray:
+    return f.edges if isinstance(f, Cells) else np.array(f.breakpoints)
+
+
+def dominates(F: Profile, G: Profile, tol: float = 1e-9,
               refine: int = 33) -> DominationCert:
-    """Check F < G and report bestK = sup_x (Psi_F/Phi_G)**(1/2)."""
-    psi_fn = _psi_fn(F)
-    phi_fn = _phi_fn(G)
-    knots = sorted({k for k in F.breakpoints + G.breakpoints if k > 0}
-                   | {1.0 / k for k in G.breakpoints if k > 0})
-    lo = min(knots) * 1e-6 if knots else 1e-6
-    hi = max(knots) * 1e6 if knots else 1e6
+    """Check F < G and report bestK = sup_x (Psi_F/Phi_G)**(1/2).
+
+    F and G are StepFunctions or Cells.  Psi and Phi are evaluated on all
+    scan points at once; a point with Phi <= 0 < Psi (the first one, in
+    increasing x) refutes the domination outright."""
+    bf, bg = _breakpoints(F), _breakpoints(G)
+    bf, bg = bf[bf > 0], bg[bg > 0]
+    knots = np.unique(np.concatenate((bf, bg, 1.0 / bg)))
+    lo = knots[0] * 1e-6 if len(knots) else 1e-6
+    hi = knots[-1] * 1e6 if len(knots) else 1e6
     # refine between knots; for dense profiles (sampled signals) refine only
     # a subsample of the intervals, keeping every knot as a scan point
-    seams = knots if len(knots) <= 300 else \
-        [knots[i] for i in range(0, len(knots), len(knots) // 300)]
+    seams = knots if len(knots) <= 300 else knots[::len(knots) // 300]
+    starts = np.maximum(np.concatenate(([lo], seams)), lo)
+    stops = np.concatenate((seams, [hi]))
     xs = np.unique(np.concatenate(
-        [np.geomspace(lo, hi, 400), np.asarray(knots, dtype=float)]
-        + [np.geomspace(max(a, lo), b, refine)
-           for a, b in zip([lo] + seams, seams + [hi])]))
-    best, bx, bpsi, bphi = 0.0, lo, 0.0, 0.0
-    for x in xs:
-        pv = psi_fn(float(x))
-        fv = phi_fn(float(x))
-        if fv <= 0.0:
-            if pv > 0.0:
-                return DominationCert(False, math.inf, float(x), pv, fv)
-            continue
-        r = pv / fv
-        if r > best:
-            best, bx, bpsi, bphi = r, float(x), pv, fv
-    bestK = math.sqrt(best)
-    return DominationCert(bestK <= 1.0 + tol, bestK, bx, bpsi, bphi)
+        (np.geomspace(lo, hi, 400), knots,
+         np.geomspace(starts, stops, refine, axis=1).ravel())))
+    pv, fv = _psi_fn(F)(xs), _phi_fn(G)(xs)
+    refuted = (fv <= 0.0) & (pv > 0.0)
+    if refuted.any():
+        k = int(np.argmax(refuted))
+        return DominationCert(False, math.inf, float(xs[k]), float(pv[k]),
+                              float(fv[k]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.where(fv > 0.0, pv / fv, 0.0)
+    r[~(r > 0.0)] = 0.0
+    k = int(np.argmax(r))
+    if r[k] == 0.0:
+        return DominationCert(True, 0.0, float(lo), 0.0, 0.0)
+    bestK = math.sqrt(float(r[k]))
+    return DominationCert(bestK <= 1.0 + tol, bestK, float(xs[k]),
+                          float(pv[k]), float(fv[k]))
 
 
 def verify_joint_type(signals: Iterable, tol: float = 1e-9) -> DominationCert:
@@ -155,14 +200,15 @@ def verify_joint_type(signals: Iterable, tol: float = 1e-9) -> DominationCert:
 
     For each sampled signal f, checks star(|Tf|) against star(|f|) and
     returns the worst-case certificate; the uniform bestK is the smallest K
-    with Tf < K f over the sample.
+    with Tf < K f over the sample.  The sample magnitudes enter as Cells
+    (the layout of ``step_profile``) without building a StepFunction.
     """
-    from .extremal import dft, step_profile
+    from .extremal import dft
     worst: DominationCert | None = None
     for sig in signals:
-        F = step_profile(dft(sig))
-        G = step_profile(sig)
-        cert = dominates(F, G, tol=tol)
+        T = dft(sig)
+        cert = dominates(Cells.sampled(np.abs(T.values), T.dx),
+                         Cells.sampled(np.abs(sig.values), sig.dx), tol=tol)
         if worst is None or cert.bestK > worst.bestK:
             worst = cert
     if worst is None:

@@ -69,19 +69,12 @@ def dft(sig: SampledSignal) -> SampledSignal:
     return SampledSignal(np.fft.fftshift(vals), N / sig.L)
 
 
-# keyed by id(w): each entry also holds a reference to w itself, so the id
-# stays alive and cannot be recycled for a different WeightSpec
-_WEIGHT_CACHE: dict[tuple, tuple[WeightSpec, np.ndarray]] = {}
-
-
-def _weight_array(w: WeightSpec, sig: SampledSignal) -> np.ndarray:
-    key = (id(w), sig.N, sig.L)
-    hit = _WEIGHT_CACHE.get(key)
-    if hit is not None and hit[0] is w:
-        return hit[1]
-    arr = np.array([w.evaluate(abs(float(x))) for x in sig.xs])
-    _WEIGHT_CACHE[key] = (w, arr)
-    return arr
+def _lp_norm(mags: np.ndarray, dx: float, p) -> float:
+    """(dx sum mags^p)^(1/p); the max at p = inf."""
+    if _is_inf(p):
+        return float(np.max(mags))
+    pf = float(p)
+    return float((dx * np.sum(mags ** pf)) ** (1.0 / pf))
 
 
 def weighted_norm(sig: SampledSignal, p, w: Optional[WeightSpec] = None
@@ -89,11 +82,8 @@ def weighted_norm(sig: SampledSignal, p, w: Optional[WeightSpec] = None
     """(integral |w f|^p)^(1/p) by the grid quadrature; sup norm at p=inf."""
     mags = np.abs(sig.values)
     if w is not None:
-        mags = mags * _weight_array(w, sig)
-    if _is_inf(p):
-        return float(np.max(mags))
-    pf = float(p)
-    return float((sig.dx * np.sum(mags ** pf)) ** (1.0 / pf))
+        mags = mags * w.evaluate(np.abs(sig.xs))
+    return _lp_norm(mags, sig.dx, p)
 
 
 def ratio(f: SampledSignal, u: WeightSpec, v: WeightSpec,
@@ -135,7 +125,7 @@ def _vinv_pprime(v: WeightSpec, cfg: ExponentConfig, xs: np.ndarray
                  ) -> np.ndarray:
     pp = cfg.p_prime
     e = float(pp) if not _is_inf(pp) else 1.0
-    vals = np.array([v.evaluate(abs(float(x))) for x in xs])
+    vals = v.evaluate(np.abs(xs))
     with np.errstate(divide="ignore"):
         return np.where(vals > 0, vals ** (-e), np.inf)
 
@@ -155,27 +145,65 @@ def modulated_bump(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     return sig
 
 
-def best_sign_ratio(build, eps0: np.ndarray, u: WeightSpec, v: WeightSpec,
-                    cfg: ExponentConfig, rng: np.random.Generator,
+def _block_ratio(blocks: np.ndarray, L: float, u: WeightSpec, v: WeightSpec,
+                 cfg: ExponentConfig):
+    """eps -> ratio(SampledSignal(eps @ blocks, L), u, v, cfg).
+
+    The transform is linear, T(sum eps_n block_n) = sum eps_n T(block_n),
+    so the block transforms and both weight arrays are computed once and
+    each call costs two matrix-vector products and two weighted norms."""
+    f0 = SampledSignal(blocks[0], L)
+    Ts = [dft(SampledSignal(b, L)) for b in blocks]
+    Tblocks = np.array([T.values for T in Ts])
+    vw = v.evaluate(np.abs(f0.xs))
+    uw = u.evaluate(np.abs(Ts[0].xs))
+
+    def ratio_of(eps: np.ndarray) -> float:
+        den = _lp_norm(np.abs(eps @ blocks) * vw, f0.dx, cfg.p)
+        if den == 0.0:
+            return 0.0
+        return _lp_norm(np.abs(eps @ Tblocks) * uw, Ts[0].dx, cfg.q) / den
+    return ratio_of
+
+
+def best_sign_ratio(ratio_of, eps0: np.ndarray, rng: np.random.Generator,
                     n_draws: int = 8) -> float:
-    """Maximize ratio over sign patterns: random draws + 1-flip ascent."""
+    """Maximize ratio_of over sign patterns: random draws + 1-flip ascent."""
     best = 0.0
     M = len(eps0)
     for draw in range(n_draws):
         eps = eps0 if draw == 0 else rng.choice([-1.0, 1.0], size=M)
-        cur = ratio(build(eps), u, v, cfg)
+        cur = ratio_of(eps)
         improved = True
         while improved:
             improved = False
             for i in range(M):
                 trial = eps.copy()
                 trial[i] *= -1
-                val = ratio(build(trial), u, v, cfg)
+                val = ratio_of(trial)
                 if val > cur * (1 + 1e-12):
                     eps, cur = trial, val
                     improved = True
         best = max(best, cur)
     return best
+
+
+def _translate_blocks(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
+                      n_blocks: int) -> np.ndarray:
+    """Rows lambda_n v**(-p') 1_{|x - 2ns| <= s} of the translate witness."""
+    p = float(cfg.p) if not _is_inf(cfg.p) else math.inf
+    if not p > 2:
+        raise ValueError("translate witness needs p > 2")
+    sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
+    xs = sig0.xs
+    base = _vinv_pprime(v, cfg, xs)
+    base[~np.isfinite(base)] = 0.0
+    s = L / (4.0 * n_blocks)
+    masks = np.abs(xs - 2 * np.arange(n_blocks)[:, None] * s) <= s
+    Vn = np.array([float(np.sum(base[m]) * sig0.dx) for m in masks])
+    Vn = np.maximum(Vn, 1e-300)
+    lam = Vn ** (1.0 / (p - 2.0)) if math.isfinite(p) else np.ones(n_blocks)
+    return np.where(masks, lam[:, None] * base, 0.0)
 
 
 def lower_bound_translates(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
@@ -186,34 +214,15 @@ def lower_bound_translates(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     f = v**(-p') sum_n eps_n lambda_n 1_{|x - 2ns| <= s},
     lambda_n = V_n**(1/(p-2)), V_n the local mass of v**(-p').
     """
-    p = float(cfg.p) if not _is_inf(cfg.p) else math.inf
-    if not p > 2:
-        raise ValueError("translate witness needs p > 2")
-    sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
-    xs = sig0.xs
-    base = _vinv_pprime(v, cfg, xs)
-    base[~np.isfinite(base)] = 0.0
-    s = L / (4.0 * n_blocks)
-    masks = [np.abs(xs - 2 * n * s) <= s for n in range(n_blocks)]
-    Vn = np.array([float(np.sum(base[m]) * sig0.dx) for m in masks])
-    Vn = np.maximum(Vn, 1e-300)
-    lam = Vn ** (1.0 / (p - 2.0)) if math.isfinite(p) else np.ones(n_blocks)
-
-    def build(eps: np.ndarray) -> SampledSignal:
-        vals = np.zeros(N)
-        for e, l, m in zip(eps, lam, masks):
-            vals[m] += e * l * base[m]
-        return SampledSignal(vals.astype(complex), L)
-
-    return best_sign_ratio(build, np.ones(n_blocks), u, v, cfg, rng)
+    blocks = _translate_blocks(v, cfg, N, L, n_blocks)
+    return best_sign_ratio(_block_ratio(blocks, L, u, v, cfg),
+                           np.ones(n_blocks), rng)
 
 
-def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
-                       rng: np.random.Generator, N: int = 4096,
-                       L: float = 64.0, n_shells: int = 6) -> float:
-    """Randomized annuli witness for q < p: shells of equal dyadic
-    v**(-p') mass, amplitudes swept over a one-parameter power family and
-    improved by sign ascent."""
+def _annuli_shells(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
+                   n_shells: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows v**(-p') 1_{shell n} for shells of dyadically halving
+    v**(-p') mass inside radius 0.45 L, and the mass W_n of each shell."""
     sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
     xs = sig0.xs
     base = _vinv_pprime(v, cfg, xs)
@@ -232,23 +241,25 @@ def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
         idx = int(np.searchsorted(cum, target))
         alphas.append(float(radii[order][min(idx, N - 1)]))
     alphas.append(0.0)
-    masks = [ (radii > alphas[n + 1]) & (radii <= alphas[n]) & inside
-              for n in range(n_shells)]
+    masks = np.array([(radii > alphas[n + 1]) & (radii <= alphas[n]) & inside
+                      for n in range(n_shells)])
     Wn = np.array([max(float(np.sum(base[m]) * sig0.dx), 1e-300)
                    for m in masks])
+    return np.where(masks, base, 0.0), Wn
 
+
+def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
+                       rng: np.random.Generator, N: int = 4096,
+                       L: float = 64.0, n_shells: int = 6) -> float:
+    """Randomized annuli witness for q < p: shells of equal dyadic
+    v**(-p') mass, amplitudes swept over a one-parameter power family and
+    improved by sign ascent."""
+    shells, Wn = _annuli_shells(v, cfg, N, L, n_shells)
     best = 0.0
     for theta in (-0.5, 0.0, 0.25, 0.5, 1.0):
-        lam = Wn ** theta
-
-        def build(eps: np.ndarray, lam=lam) -> SampledSignal:
-            vals = np.zeros(N)
-            for e, l, m in zip(eps, lam, masks):
-                vals[m] += e * l * base[m]
-            return SampledSignal(vals.astype(complex), L)
-
-        best = max(best, best_sign_ratio(build, np.ones(n_shells), u, v,
-                                         cfg, rng, n_draws=4))
+        blocks = (Wn ** theta)[:, None] * shells
+        best = max(best, best_sign_ratio(_block_ratio(blocks, L, u, v, cfg),
+                                         np.ones(n_shells), rng, n_draws=4))
     return best
 
 

@@ -27,7 +27,7 @@ from .calderon import _phi_fn, _phi_fn_numeric
 from .criteria import ExponentConfig, U_func, _ustar_sym, _w_inner_weight, \
     _is_inf, qsharp_tail_finite
 from .extreal import ExtReal
-from .pieces import StepFunction, log_quad
+from .pieces import StepFunction, as_exp, log_quad
 from .rearrange import star
 from .symfunc import Asym, Divergence, SymFunc
 from .weights import WeightSpec
@@ -108,7 +108,8 @@ def theta_norm(b: SequenceData, p) -> ExtReal:
     p < inf: (sum_n (sum_{j<=n} (b*_j)^2)^{p/2} / (n log^{p/2}(n+1)))^{1/p}
     p = inf: sup_n (sum_{j<=n} (b*_j)^2 / log(n+1))^{1/2}.
     """
-    if not (_is_inf(p) or float(p) > 2):
+    p = as_exp(p)
+    if not (_is_inf(p) or p > 2):
         raise ValueError("theta norm requires p > 2")
     m = len(b)
     if m == 0 or b.star[0] == 0.0:
@@ -144,9 +145,10 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
     use_twostar=False evaluates the a*-variant (equivalent up to a fixed
     factor, and zero tail beyond the support).
     """
-    qf = float(q)
-    if not 0 < qf < 2:
+    q = as_exp(q)
+    if not 0 < q < 2:
         raise ValueError("gamma norm requires 0 < q < 2")
+    qf = float(q)
     m = len(a)
     if m == 0 or a.star[0] == 0.0:
         return ExtReal.finite(0.0)
@@ -176,9 +178,10 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
 
 def bochkarev_norm(b: SequenceData, p) -> float:
     """sup_n log^{-1/p#}(n+1) (sum_{j<=n} (b*_j)^2)^{1/2}, 2 < p <= inf."""
-    if not (_is_inf(p) or float(p) > 2):
+    p = as_exp(p)
+    if not (_is_inf(p) or p > 2):
         raise ValueError("requires p > 2")
-    cfg_psharp = 2.0 if _is_inf(p) else 2.0 * float(p) / (float(p) - 2.0)
+    cfg_psharp = 2.0 if _is_inf(p) else float(2 * p / (p - 2))
     m = len(b)
     if m == 0 or b.star[0] == 0.0:
         return 0.0
@@ -196,13 +199,14 @@ def dyadic_block_norms(a: SequenceData, exponent) -> float:
                         including the exact S/j continuation beyond the
                         support (S = sum a*).
     """
-    e = float(exponent) if not _is_inf(exponent) else math.inf
-    if e == 2.0 or e <= 0:
+    exponent = as_exp(exponent)
+    if exponent == 2 or exponent <= 0:
         raise ValueError("block norms are defined away from exponent 2")
+    e = float(exponent)
     m = len(a)
     if m == 0 or a.star[0] == 0.0:
         return 0.0
-    if e > 2.0:
+    if exponent > 2:
         sq = a.star ** 2
         total = 0.0
         k = 0
@@ -292,14 +296,15 @@ def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
     q < 2 with xi identically infinite: the space is trivial (+inf for
     any f that is not a.e. zero).
     """
-    qf = float(q) if not _is_inf(q) else math.inf
-    if not 0 < qf < math.inf:
+    q = as_exp(q)
+    if not 0 < q < math.inf:
         raise ValueError("requires 0 < q < inf")
+    qf = float(q)
     if not f.pieces or f.essential_sup().value == 0.0:
         return ExtReal.finite(0.0)
     cfg = ExponentConfig(math.inf, q)
     try:
-        if qf >= 2:
+        if q >= 2:
             uq = _ustar_sym(u, cfg, cfg.q)
             integrand = uq.mul(_inner_average_sym(f).pow(cfg.q))
             return integrand.integral().powf(1.0 / qf)
@@ -310,7 +315,7 @@ def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
                 (tail_ok.reason or ""))
         w = _w_inner_weight(u, cfg)
         phi = _phi_symfunc(f)
-        integrand = w.mul(phi.pow(qf / 2.0))
+        integrand = w.mul(phi.pow(q / 2))
         return integrand.integral().powf(1.0 / qf)
     except Divergence as exc:
         return ExtReal.infinite(exc.reason)
@@ -323,16 +328,17 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
     q >= 2: sup_R shape(R) (int_0^{R^d} (int_0^{1/t} f*)^q dt)^{1/q}
     q < 2:  sup_R shape(R) R^{-d/2} (int_0^{R^d} Phi_f(t)^{q/2} dt)^{1/q}.
     """
-    qf = float(q) if not _is_inf(q) else math.inf
-    if not 0 < qf < math.inf:
+    q = as_exp(q)
+    if not 0 < q < math.inf:
         raise ValueError("requires 0 < q < inf")
+    qf = float(q)
     if not f.pieces or f.essential_sup().value == 0.0:
         return ExtReal.finite(0.0)
     try:
-        if qf >= 2:
-            inner = _inner_average_sym(f).pow(qf)
+        if q >= 2:
+            inner = _inner_average_sym(f).pow(q)
         else:
-            inner = _phi_symfunc(f).pow(qf / 2.0)
+            inner = _phi_symfunc(f).pow(q / 2)
         G = inner.antiderivative()  # cumulative integral, certified asyms
     except Divergence as exc:
         return ExtReal.infinite(exc.reason)
@@ -341,14 +347,14 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
 
     def comp(R: float) -> float:
         val = G(R ** d) ** (1.0 / qf) * phi_sym(R)
-        if qf < 2:
+        if q < 2:
             val *= R ** (-d / 2.0)
         return val
 
     def map_asym(a: Asym) -> Asym:
         # G(R^d) asymptotics in R, then the 1/q power
-        out = Asym(a.coef, a.a * d, a.b).pow(1.0 / qf)
-        if qf < 2:
+        out = Asym(a.coef, a.a * d, a.b).pow(1 / q)
+        if q < 2:
             out = out.mul(Asym(1.0, -d / 2.0, 0))
         return out
 

@@ -462,6 +462,28 @@ class StepFunction:
         i = bisect.bisect_right(self._los, t) - 1
         return self.pieces[i](t)
 
+    def at(self, ts) -> np.ndarray:
+        """f at every point of the array ts; where t <= 0 it reads the
+        right limit at 0 (``pieces[0].limit_at(0.0)``), as the first piece's
+        formula at t - shift clamped to 0 gives.  Each piece's formula runs
+        once on the group of points it holds; powers and logs are numpy's,
+        so values can differ from ``__call__`` in the last bits."""
+        shape = np.shape(ts)
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        idx = np.maximum(np.searchsorted(self._los, ts, side="right") - 1, 0)
+        levels = np.array([p.const_value if p.is_constant else math.nan
+                           for p in self.pieces])
+        out = levels[idx]
+        for i in np.unique(idx[np.isnan(out)]):
+            p, sel = self.pieces[i], idx == i
+            s = np.maximum(ts[sel] - p.shift, 0.0)
+            with np.errstate(divide="ignore"):
+                val = p.offset + p.coef * s ** float(p.a)
+            if p.b != 0:
+                val = p.offset + (val - p.offset) * np.log(_E + s) ** float(p.b)
+            out[sel] = val
+        return out.reshape(shape)
+
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self._los)

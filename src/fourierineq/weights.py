@@ -24,6 +24,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .pieces import StepFunction, Exponent, as_exp, parse_exp
 
 NONINCREASING = "nonincreasing"
@@ -115,12 +117,11 @@ class WeightSpec:
             return prof.is_nonincreasing()
         return _recip(prof).is_nonincreasing()
 
-    def evaluate(self, r: float) -> float:
-        """Pointwise value at radius r >= 0."""
-        prof = self.profile()
-        if r <= 0.0:
-            return prof.pieces[0].limit_at(0.0)
-        return prof(r)
+    def evaluate(self, r):
+        """Value at radius r >= 0 (the profile's right limit at r = 0).
+        r may be an array: the profile is built once for the whole grid."""
+        vals = self.profile().at(r)
+        return vals if np.ndim(r) else float(vals)
 
     # -- textual format ---------------------------------------------------
     def format(self) -> str:

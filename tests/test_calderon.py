@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fourierineq.calderon import dominates, phi, psi, verify_joint_type
-from fourierineq.extremal import random_band_limited
+from fourierineq.calderon import (Cells, dominates, phi, psi,
+                                  verify_joint_type)
+from fourierineq.extremal import dft, random_band_limited, step_profile
 from fourierineq.pieces import StepFunction
 from fourierineq.rearrange import star
 
@@ -77,3 +78,49 @@ def test_joint_type_on_band_limited_sample():
 def test_joint_type_needs_signals():
     with pytest.raises(ValueError):
         verify_joint_type([])
+
+
+def test_psi_with_tied_levels():
+    # F* = 2 on (0, 2], 1 on (2, 4]: Psi(3) = 4 * 2 + 1 * 1
+    F = StepFunction.from_cells([0, 1, 2, 3, 4], [2.0, 1.0, 2.0, 1.0])
+    assert psi(F, 3.0) == 9.0
+    assert psi(F, 10.0) == 10.0
+
+
+def test_cell_psi_matches_step_calculus(rng):
+    # the array path against star + pow_compose + cumulative on the pieces
+    for _ in range(20):
+        F = random_cells(rng, max_cells=8)
+        ref = star(F).pow_compose(2.0).cumulative()
+        for x in [1e-3, 0.7, 2.5, 9.0, 50.0]:
+            assert psi(F, x) == pytest.approx(ref(x), rel=1e-13, abs=0)
+
+
+def test_joint_type_pinned_on_one_signal():
+    sig = random_band_limited(np.random.default_rng(11), N=4096, L=64.0)
+    cert = verify_joint_type([sig])
+    assert cert.bestK == pytest.approx(0.6175305536913628, rel=1e-12)
+    assert cert.dominated
+    # the certificate carries the public Psi and Phi at its argmax
+    F, G = step_profile(dft(sig)), step_profile(sig)
+    assert cert.psi_at == psi(F, cert.argmax_x)
+    assert cert.phi_at == phi(G, cert.argmax_x)
+    assert cert.bestK == pytest.approx(
+        math.sqrt(cert.psi_at / cert.phi_at), rel=1e-15)
+    # StepFunction input reaches the same cells
+    assert dominates(F, G) == cert
+
+
+def test_not_dominated_reports_first_failing_x():
+    # Phi of a zero G vanishes while Psi_F > 0 at every x > 0, so the scan
+    # stops at its first point, min(knots) * 1e-6 with knots {1/2, 1, 2, 3}
+    F = StepFunction.from_cells([0, 1, 3], [2.0, 1.0])
+    G = StepFunction.from_cells([0, 2], [0.0])
+    for f, g in [(F, G), (Cells(np.array([0.0, 1.0, 3.0]),
+                                np.array([2.0, 1.0])),
+                          Cells(np.array([0.0, 2.0]), np.array([0.0])))]:
+        cert = dominates(f, g)
+        assert not cert.dominated and cert.bestK == math.inf
+        assert cert.argmax_x == 0.5e-6
+        assert cert.psi_at == psi(F, 0.5e-6) > 0.0
+        assert cert.phi_at == 0.0

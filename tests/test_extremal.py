@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fourierineq import extremal
 from fourierineq.criteria import ExponentConfig
 from fourierineq.extremal import (SampledSignal, bracket_constant,
                                   block_l2_condition, cube_pair_condition,
@@ -149,3 +150,23 @@ def test_bracket_json():
     j = br.to_json()
     assert set(j) >= {"lower", "upper", "regime", "witnesses"}
     assert j["regime"] == "I"
+
+
+def test_linear_sign_ratio_matches_direct_ratio():
+    # T(sum eps_n block_n) = sum eps_n T(block_n): the sign ascent's ratio
+    # from precomputed block transforms equals the ratio of the assembled
+    # signal
+    rng = np.random.default_rng(5)
+    N, L = 1024, 32.0
+    u = WeightSpec.indicator(2.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    for cfg in (ExponentConfig(3, 2), ExponentConfig(math.inf, 1)):
+        shells, Wn = extremal._annuli_shells(v, cfg, N, L, 6)
+        for blocks in (extremal._translate_blocks(v, cfg, N, L, 6),
+                       (Wn ** 0.5)[:, None] * shells):
+            ratio_of = extremal._block_ratio(blocks, L, u, v, cfg)
+            for _ in range(4):
+                eps = rng.choice([-1.0, 1.0], size=len(blocks))
+                f = SampledSignal(sum(e * b for e, b in zip(eps, blocks)), L)
+                assert ratio_of(eps) == pytest.approx(ratio(f, u, v, cfg),
+                                                      rel=1e-12)

@@ -9,7 +9,7 @@ from fourierineq.norms import (SequenceData, bochkarev_norm,
                                dyadic_block_norms, expL_pair, gamma_norm,
                                llogl_norm, morrey_optimal_norm,
                                optimal_Y_norm, theta_norm)
-from fourierineq.pieces import StepFunction
+from fourierineq.pieces import StepFunction, parse_exp
 from fourierineq.weights import WeightSpec
 
 E1 = SequenceData(np.array([1.0]))
@@ -57,6 +57,40 @@ def test_theta_homogeneity():
 def test_theta_requires_p_gt_2():
     with pytest.raises(ValueError):
         theta_norm(E1, 2.0)
+
+
+def test_regime_decided_on_exact_exponent():
+    # both exponents round to the float 2.0; the regime follows the exact
+    # value
+    above = parse_exp("2.00000000000000000001")
+    below = parse_exp("1.99999999999999999999")
+    assert float(above) == float(below) == 2.0
+    b = SequenceData(np.array([1.0, 0.5, 0.25]))
+    l2 = math.sqrt(1.3125)
+    assert theta_norm(b, above).is_finite
+    assert bochkarev_norm(b, above) == pytest.approx(l2, rel=1e-12)
+    # the p > 2 block form, whose block weights tend to 1 as p -> 2+
+    assert dyadic_block_norms(b, above) == pytest.approx(l2, rel=1e-12)
+    for p in (below, 2):
+        with pytest.raises(ValueError):
+            theta_norm(b, p)
+        with pytest.raises(ValueError):
+            bochkarev_norm(b, p)
+    with pytest.raises(ValueError):
+        dyadic_block_norms(b, 2)
+    with pytest.raises(ValueError):
+        gamma_norm(b, above)
+    # the q < 2 forms just below 2 continue those at q = 1.9999999
+    assert dyadic_block_norms(b, below) == pytest.approx(
+        dyadic_block_norms(b, 1.9999999), rel=1e-6)
+    assert gamma_norm(b, below).value == pytest.approx(
+        gamma_norm(b, 1.9999999).value, rel=1e-6)
+    # Morrey: the q < 2 form is unbounded for this f at every q < 2
+    f = StepFunction.from_cells([0, 1, 2], [1.0, 0.5])
+    one = StepFunction.constant(1.0)
+    assert morrey_optimal_norm(f, below, one).is_infinite
+    assert morrey_optimal_norm(f, 1.9999999, one).is_infinite
+    assert morrey_optimal_norm(f, 2, one).is_finite
 
 
 def test_gamma_bracket_against_partial_sums():

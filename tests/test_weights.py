@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fourierineq.pieces import StepFunction, TailSpec
@@ -89,3 +90,46 @@ def test_format_strings():
     assert WeightSpec.power(Fraction(1, 4)).format() == "pow(1/4)"
     assert WeightSpec.indicator(2.0).format() == "ind(2)"
     assert WeightSpec.power(1, d=2).format() == "pow(1)@d=2"
+
+
+def _scalar_evaluate(w, r):
+    """The pointwise rule: the profile's right limit at r = 0, else the
+    value of the piece holding r (pieces are left-open, right-closed)."""
+    prof = w.profile()
+    return prof.pieces[0].limit_at(0.0) if r <= 0.0 else prof(r)
+
+
+def test_array_evaluate_matches_pointwise_rule():
+    cells = StepFunction.from_cells([0.0, 1.0, 2.0, 4.0],
+                                    [math.inf, 2.0, 1.0])
+    tailed = StepFunction.from_cells([0.0, 1.0, 2.0], [3.0, 2.0, 1.0],
+                                     tail=TailSpec.power(1))
+    rng = np.random.default_rng(0)
+    rs = np.concatenate([[0.0, 0.5, 1.0, 2.0, 4.0, 8.0],
+                         rng.uniform(0.0, 8.0, 200),
+                         np.geomspace(1e-12, 1e12, 200)])
+    # constant cells are read, not computed: bit for bit
+    for w in [WeightSpec.one(), WeightSpec.one(NONDECREASING),
+              WeightSpec.indicator(2.0), WeightSpec.indicator(1.0, d=2),
+              WeightSpec.from_table(cells, NONINCREASING)]:
+        ref = np.array([_scalar_evaluate(w, float(r)) for r in rs])
+        assert np.array_equal(w.evaluate(rs), ref), w.format()
+    # power pieces use numpy's pow and log: a few ulp from math's
+    for w in [WeightSpec.power(Fraction(1, 4)),
+              WeightSpec.power(Fraction(1, 2), NONDECREASING),
+              WeightSpec.powerlog(1, 2),
+              WeightSpec.powerlog(Fraction(1, 3), Fraction(-1, 2),
+                                  NONDECREASING),
+              WeightSpec.from_table(tailed, NONINCREASING),
+              parse_weight("pow(1/4)@d=2")]:
+        ref = np.array([_scalar_evaluate(w, float(r)) for r in rs])
+        arr = w.evaluate(rs)
+        assert np.array_equal(np.isinf(arr), np.isinf(ref)), w.format()
+        fin = np.isfinite(ref)
+        np.testing.assert_array_max_ulp(arr[fin], ref[fin], maxulp=4)
+    # r = 0 takes the right limit: infinite for a decaying power
+    assert math.isinf(WeightSpec.power(Fraction(1, 4)).evaluate(0.0))
+    assert WeightSpec.from_table(cells, NONINCREASING).evaluate(0.5) \
+        == math.inf
+    # a float radius gives a float
+    assert type(WeightSpec.power(1).evaluate(2.0)) is float
