@@ -10,70 +10,42 @@ exactly when T(f) < K f for a uniform K; bestK below is the smallest scale
 factor sup_x (Psi_F(x) / Phi_G(x))**(1/2) that makes the domination hold
 (scaling G by K scales Phi by K**2, G* being 1-homogeneous).
 
-Constant-cell data (every live piece a finite constant cell, or a ``Cells``
-array pair such as the samples of a signal) is held as arrays: F* is a
-descending sort of the levels, Psi is piecewise linear (a cumulative sum of
-squared levels times widths) and Phi is cellwise a**2 t + 2ab log t - b**2/t
-in closed form, both evaluated on a whole array of points by
-``searchsorted``.  Other input keeps the piecewise path (``star``,
-``StepFunction.cumulative`` and the ``SymFunc`` layer), point by point.
-``dominates`` evaluates Psi and Phi on every scan point in one pass, so the
-supremum scan is exact up to the grid refinement of the monotone ratio.
+Constant-cell data (``rearrange.Cells``: every live piece a finite constant
+cell, or an array pair such as the samples of a signal) is held as arrays:
+F* is ``rearrange.star_cells``, the descending sort that ``star`` also
+uses, Psi is piecewise linear (a cumulative sum of squared levels times
+widths) and Phi is cellwise a**2 t + 2ab log t - b**2/t in closed form, both
+evaluated on a whole array of points by ``searchsorted``.  Other input keeps
+the piecewise path (``star``, ``StepFunction.cumulative`` and, for Phi, the
+``SymFunc`` inner average t -> integral_0^{1/t} G* of ``inner_average``, the
+package's one builder of it), point by point.  ``dominates`` evaluates Psi
+and Phi on every scan point in one pass, so the supremum scan is exact up to
+the grid refinement of the monotone ratio.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Union
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .pieces import StepFunction
-from .rearrange import star
-
-
-class Cells(NamedTuple):
-    """Constant-cell data on (0, inf): level values[i] on the cell
-    (edges[i], edges[i + 1]] and zero beyond edges[-1]; edges[0] is 0."""
-
-    edges: np.ndarray
-    values: np.ndarray
-
-    @staticmethod
-    def sampled(mags: np.ndarray, dx: float) -> "Cells":
-        """Samples as cells of width dx, laid out like ``step_profile``."""
-        return Cells(np.arange(len(mags) + 1) * dx, np.asarray(mags, float))
-
-
-Profile = Union[StepFunction, Cells]
-
-
-def _as_cells(f: Profile) -> Profile:
-    """f as Cells when every live piece is a finite constant cell, else f."""
-    if isinstance(f, Cells):
-        return f
-    ps = f.pieces
-    if all(p.is_constant for p in ps) and ps[-1].const_value == 0.0:
-        vals = np.array([p.const_value for p in ps[:-1]], dtype=float)
-        if np.all(np.isfinite(vals)):
-            return Cells(np.array(f.breakpoints), vals)
-    return f
-
-
-def _star_cells(c: Cells) -> tuple[np.ndarray, np.ndarray]:
-    """(edges, levels) of the non-increasing rearrangement: the positive
-    levels sorted descending, each keeping its cell's width."""
-    live = c.values > 0.0
-    order = np.argsort(-c.values[live], kind="stable")
-    edges = np.concatenate(([0.0], np.cumsum(np.diff(c.edges)[live][order])))
-    return edges, c.values[live][order]
+from .rearrange import Cells, Profile, as_cells, star, star_cells
+from .symfunc import SymFunc
 
 
 def _pointwise(fn: Callable[[float], float]) -> Callable:
     """fn, extended to arrays point by point."""
     return lambda x: (np.array([fn(float(t)) for t in x], dtype=float)
                       if np.ndim(x) else fn(x))
+
+
+def inner_average(fs: StepFunction) -> SymFunc:
+    """t -> integral_0^{1/t} fs for a non-increasing fs (such as star(f)),
+    as a SymFunc (non-increasing in t)."""
+    return SymFunc.from_step(fs).antiderivative().recip_arg()
 
 
 def psi(F: Profile, x: float) -> float:
@@ -83,10 +55,10 @@ def psi(F: Profile, x: float) -> float:
 
 def _psi_fn(F: Profile) -> Callable:
     """x -> Psi_F(x) for a float or an array x."""
-    F = _as_cells(F)
+    F = as_cells(F)
     if not isinstance(F, Cells):
         return _pointwise(star(F).pow_compose(2.0).cumulative())
-    edges, levels = _star_cells(F)
+    edges, levels = star_cells(F)
     sq = np.append(levels * levels, 0.0)
     acc = np.concatenate(([0.0], np.cumsum(sq[:-1] * np.diff(edges))))
 
@@ -99,15 +71,16 @@ def _psi_fn(F: Profile) -> Callable:
 def phi(G: Profile, x: float) -> float:
     """Phi_G(x) = integral_0^x (integral_0^{1/t} G*)**2 dt, exact for
     compact step data."""
-    return float(_phi_fn(G)(x))
+    return float(phi_fn(G)(x))
 
 
-def _phi_fn(G: Profile) -> Callable:
+def phi_fn(G: Profile) -> Callable:
     """x -> Phi_G(x) for a float or an array x."""
-    G = _as_cells(G)
+    G = as_cells(G)
     if not isinstance(G, Cells):
-        return _pointwise(_phi_fn_numeric(star(G)))
-    ys, g = _star_cells(G)
+        return _pointwise(
+            inner_average(star(G)).pow(2).antiderivative().fn)
+    ys, g = star_cells(G)
     # A(y) = integral_0^y G* is piecewise linear with knots ys; on the t-cell
     # (1/y_{i+1}, 1/y_i) A(1/t) = a + b/t with a = A(y_i) - g_i y_i, b = g_i.
     # t-cells ascending: cell 0 is (0, 1/y_m] with A = A(y_m), b = 0.
@@ -132,12 +105,6 @@ def _phi_fn(G: Profile) -> Callable:
         i = np.searchsorted(t_edges, x, side="right") - 1
         return cum[i] + (prim(i, x) - left[i])
     return fn
-
-
-def _phi_fn_numeric(gs: StepFunction) -> Callable[[float], float]:
-    from .symfunc import SymFunc
-    inner = SymFunc.from_step(gs).antiderivative().recip_arg()
-    return inner.pow(2).antiderivative().fn
 
 
 @dataclass
@@ -178,7 +145,7 @@ def dominates(F: Profile, G: Profile, tol: float = 1e-9,
     xs = np.unique(np.concatenate(
         (np.geomspace(lo, hi, 400), knots,
          np.geomspace(starts, stops, refine, axis=1).ravel())))
-    pv, fv = _psi_fn(F)(xs), _phi_fn(G)(xs)
+    pv, fv = _psi_fn(F)(xs), phi_fn(G)(xs)
     refuted = (fv <= 0.0) & (pv > 0.0)
     if refuted.any():
         k = int(np.argmax(refuted))

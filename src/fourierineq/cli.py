@@ -21,17 +21,16 @@ from fractions import Fraction
 
 import numpy as np
 
-from .criteria import (ExponentConfig, U_func, _is_inf, classify,
-                       dual_config, evaluate, xi_func)
+from .criteria import ExponentConfig, U_func, dual_config, evaluate, xi_func
 from .extreal import ExtReal
-from .extremal import (ConstantBracket, bracket_constant, dft,
-                       random_band_limited, ratio, weighted_norm)
+from .extremal import (bracket_constant, dft, random_band_limited, ratio,
+                       weighted_norm)
 from .hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE, TAIL_INTEGRAL,
                     HardyProblem, brute_force_K, hardy_K)
 from .norms import (SequenceData, bochkarev_norm, dyadic_block_norms,
                     expL_pair, gamma_norm, morrey_optimal_norm,
                     optimal_Y_norm, theta_norm)
-from .pieces import StepFunction, parse_exp
+from .pieces import StepFunction, is_inf, parse_exp
 from .weights import NONDECREASING, NONINCREASING, WeightSpec, parse_weight
 
 
@@ -90,7 +89,7 @@ def cmd_criteria(args) -> int:
     report = evaluate(u, v, cfg).to_json()
     if args.plot_dir:
         # xi(t)/U(t) profile when the correction weight exists (q < 2)
-        if not _is_inf(cfg.q) and cfg.q < 2:
+        if not is_inf(cfg.q) and cfg.q < 2:
             try:
                 U = U_func(u, cfg)
                 xi = xi_func(u, cfg)
@@ -109,8 +108,8 @@ def cmd_criteria(args) -> int:
 
 def cmd_hardy(args) -> int:
     try:
-        pp = float(parse_exp(args.p))
-        qq = float(parse_exp(args.q))
+        pp = parse_exp(args.p)
+        qq = parse_exp(args.q)
         if args.kind == "head_sum":
             useq = np.array([float(x) for x in args.u.split(",")])
             vseq = np.array([float(x) for x in args.v.split(",")])

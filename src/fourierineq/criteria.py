@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Any, Optional
 
 from .extreal import ExtReal
-from .pieces import Exponent, as_exp, log_quad, quad
+from .hardy import integral_form, sup_form
+from .pieces import (Exponent, as_exp, conjugate, is_inf, log_quad, quad,
+                     sharp)
 from .rearrange import circ_profile, lower_star
-from .symfunc import Divergence, SymFunc
-from .weights import WeightSpec, NONINCREASING, NONDECREASING
+from .symfunc import Divergence, SymFunc, guarded
+from .weights import WeightSpec, NONINCREASING, NONDECREASING, recip
 
 REGIME_DEG_QINF = "degenerate-q-infinity"
 REGIME_DEG_P1 = "degenerate-p-one"
@@ -38,19 +39,6 @@ REGIME_II = "II"
 REGIME_III = "III"
 REGIME_IV = "IV"
 REGIME_V = "V"
-
-
-def _is_inf(x: Exponent) -> bool:
-    return isinstance(x, float) and math.isinf(x)
-
-
-def conjugate(p: Exponent) -> Exponent:
-    """Hoelder conjugate: 1/p + 1/p' = 1 (1 <-> inf)."""
-    if _is_inf(p):
-        return Fraction(1)
-    if p == 1:
-        return math.inf
-    return p / (p - 1)
 
 
 @dataclass(frozen=True)
@@ -68,9 +56,9 @@ class ExponentConfig:
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", as_exp(self.p))
         object.__setattr__(self, "q", as_exp(self.q))
-        if not _is_inf(self.p) and self.p < 1:
+        if not is_inf(self.p) and self.p < 1:
             raise ValueError("p < 1 is not supported")
-        if not _is_inf(self.q) and self.q <= 0:
+        if not is_inf(self.q) and self.q <= 0:
             raise ValueError("q must be positive")
         if self.d < 1:
             raise ValueError("d must be a positive integer")
@@ -82,42 +70,30 @@ class ExponentConfig:
 
     @property
     def q_prime(self) -> Exponent:
-        if not _is_inf(self.q) and self.q < 1:
+        if not is_inf(self.q) and self.q < 1:
             raise ValueError("conjugate undefined for q < 1")
         return conjugate(self.q)
 
     @property
     def r(self) -> Exponent:
         """1/r = 1/q - 1/p, defined for q < p."""
-        if _is_inf(self.q) or (not _is_inf(self.p) and self.q >= self.p):
+        if is_inf(self.q) or (not is_inf(self.p) and self.q >= self.p):
             raise ValueError("r is defined only for q < p")
-        if _is_inf(self.p):
+        if is_inf(self.p):
             return self.q
         return 1 / (1 / self.q - 1 / self.p)
 
     @property
     def q_sharp(self) -> Exponent:
         """1/q# = |1/2 - 1/q|; infinite exactly at q = 2."""
-        if _is_inf(self.q):
-            return Fraction(2)
-        if self.q == 2:
-            return math.inf
-        if self.q < 2:
-            return 2 * self.q / (2 - self.q)
-        return 2 * self.q / (self.q - 2)
+        return sharp(self.q)
 
     @property
     def p_sharp(self) -> Exponent:
-        if _is_inf(self.p):
-            return Fraction(2)
-        if self.p == 2:
-            return math.inf
-        if self.p < 2:
-            return 2 * self.p / (2 - self.p)
-        return 2 * self.p / (self.p - 2)
+        return sharp(self.p)
 
     def to_json(self) -> dict[str, Any]:
-        fmt = lambda x: "inf" if _is_inf(x) else str(x)
+        fmt = lambda x: "inf" if is_inf(x) else str(x)
         return {"p": fmt(self.p), "q": fmt(self.q), "d": self.d}
 
 
@@ -128,11 +104,11 @@ def classify(cfg: ExponentConfig) -> str:
     term there is the v-side one).
     """
     p, q = cfg.p, cfg.q
-    if _is_inf(q):
+    if is_inf(q):
         return REGIME_DEG_QINF
     if p == 1:
         return REGIME_DEG_P1
-    if _is_inf(p):
+    if is_inf(p):
         if q >= 2:
             return REGIME_II
         return REGIME_IV
@@ -152,7 +128,7 @@ def classify(cfg: ExponentConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
+def ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
     """u*(t)**power as a SymFunc; raises Divergence when u* is identically inf."""
     prof = circ_profile(u)
     if any(math.isinf(p.offset) for p in prof.pieces):
@@ -173,32 +149,32 @@ def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
 
 def U_func(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     """U(t) = integral_0^t u*(s)**q ds; raises Divergence when U = inf."""
-    return _ustar_sym(u, cfg, cfg.q).antiderivative()
+    return ustar_sym(u, cfg, cfg.q).antiderivative()
 
 
 def xi_func(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     """xi(t) = U(t) + t**(q/2) (int_t^inf u*(s)**qs ds)**(q/qs), q < 2."""
     q = cfg.q
-    if _is_inf(q) or q >= 2:
+    if is_inf(q) or q >= 2:
         raise ValueError("xi is defined for q < 2")
     qs = cfg.q_sharp
     U = U_func(u, cfg)
-    tail = _ustar_sym(u, cfg, qs).tail_integral()  # Divergence if infinite
+    tail = ustar_sym(u, cfg, qs).tail_integral()  # Divergence if infinite
     bump = SymFunc.power(1.0, q / 2).mul(tail.pow(q / qs))
     return U.add(bump)
 
 
-def _w_inner_weight(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
+def w_inner_weight(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     """w(t) = u*(t)**q U(t)**(qs/2) xi(t)**(-qs/2) t**(-q/2)."""
     q, qs = cfg.q, cfg.q_sharp
-    uq = _ustar_sym(u, cfg, q)
+    uq = ustar_sym(u, cfg, q)
     U = U_func(u, cfg)
     xi = xi_func(u, cfg)
     return (uq.mul(U.pow(qs / 2)).mul(xi.pow(-qs / 2))
             .mul(SymFunc.power(1.0, -q / 2)))
 
 
-def _W_func(v: WeightSpec, cfg: ExponentConfig) -> SymFunc:
+def W_func(v: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     """W(s) = integral_0^{1/s} v_*(t)**(-p') dt.
 
     For p = 1 the inner quantity is read as the sup-norm of 1/v_* on
@@ -220,23 +196,10 @@ def _W_func(v: WeightSpec, cfg: ExponentConfig) -> SymFunc:
 # ---------------------------------------------------------------------------
 
 
-def _guarded(compute):
-    try:
-        return compute()
-    except Divergence as exc:
-        return ExtReal.infinite(exc.reason)
-
-
 def C3(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """sup_s U(s)**(1/q) (int_0^{1/s} v_***(-p'))**(1/p'), for p <= q."""
-    def compute() -> ExtReal:
-        q = cfg.q
-        U = U_func(u, cfg)
-        W = _W_func(v, cfg)
-        lhs = U.pow(1 / q)
-        rhs = W if cfg.p == 1 else W.pow(1 / cfg.p_prime)
-        return lhs.mul(rhs).sup()
-    return _guarded(compute)
+    return guarded(lambda: sup_form(U_func(u, cfg), W_func(v, cfg),
+                                    cfg.p, cfg.q))
 
 
 def C4(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
@@ -244,28 +207,18 @@ def C4(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
 
     ( int u*(s)**q U(s)**(r/p) (int_0^{1/s} v_***(-p'))**(r/p') ds )**(1/r).
     """
-    def compute() -> ExtReal:
-        q, r = cfg.q, cfg.r
-        uq = _ustar_sym(u, cfg, q)
-        U = U_func(u, cfg)
-        W = _W_func(v, cfg)
-        integrand = uq
-        if not _is_inf(cfg.p):
-            integrand = integrand.mul(U.pow(r / cfg.p))
-        wfac = W if cfg.p == 1 else W.pow(r / cfg.p_prime)
-        integrand = integrand.mul(wfac)
-        return integrand.integral().powf(1.0 / float(r))
-    return _guarded(compute)
+    return guarded(lambda: integral_form(
+        ustar_sym(u, cfg, cfg.q), U_func(u, cfg), W_func(v, cfg),
+        cfg.p, cfg.r))
 
 
 def C6(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """v-side correction for q < 2 < p < inf (regime III)."""
     def compute() -> ExtReal:
         r, ps, p = cfg.r, cfg.p_sharp, cfg.p
-        w = _w_inner_weight(u, cfg).tabulated()
+        w = w_inner_weight(u, cfg).tabulated()
         Tw = w.tail_integral()
-        vst = lower_star(v)
-        vsym_pow = SymFunc.from_step(vst.pow_compose(ps * (p - 2) / 2))
+        vsym_pow = _vstar_sym(v, cfg, ps * (p - 2) / 2)
         V = _vstar_sym(v, cfg, p).antiderivative()
         g = (SymFunc.power(1.0, ps / 2).mul(vsym_pow)
              .mul(V.tabulated().pow(-ps / 2)))
@@ -273,7 +226,7 @@ def C6(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
         integrand = w.mul(Tw.tabulated().pow(r / p)).mul(
             inner2.tabulated().pow(r / ps))
         return integrand.integral().powf(1.0 / float(r))
-    return _guarded(compute)
+    return guarded(compute)
 
 
 def C7(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
@@ -283,13 +236,13 @@ def C7(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """
     def compute() -> ExtReal:
         q = cfg.q
-        w = _w_inner_weight(u, cfg).tabulated()
+        w = w_inner_weight(u, cfg).tabulated()
         A1 = _vstar_sym(v, cfg, -1).antiderivative()
         inner = A1.recip_arg().tabulated()
         G = inner.pow(2).antiderivative()
         integrand = w.mul(G.tabulated().pow(q / 2))
         return integrand.integral().powf(1.0 / float(q))
-    return _guarded(compute)
+    return guarded(compute)
 
 
 def C9(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
@@ -300,14 +253,14 @@ def C9(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """
     def compute() -> ExtReal:
         r, p = cfg.r, cfg.p
-        w = _w_inner_weight(u, cfg).tabulated()
+        w = w_inner_weight(u, cfg).tabulated()
         Tw = w.tail_integral()
         V = _vstar_sym(v, cfg, p).antiderivative()
         h = SymFunc.power(1.0, r / 2).mul(V.tabulated().pow(-r / p))
         S = h.running_sup_from().recip_arg()
         integrand = w.mul(Tw.tabulated().pow(r / p)).mul(S)
         return integrand.integral().powf(1.0 / float(r))
-    return _guarded(compute)
+    return guarded(compute)
 
 
 def degenerate_constant(u: WeightSpec, v: WeightSpec,
@@ -318,7 +271,7 @@ def degenerate_constant(u: WeightSpec, v: WeightSpec,
         prof_u = circ_profile(u)
         if any(math.isinf(pc.offset) for pc in prof_u.pieces):
             raise Divergence("u* identically infinite")
-        if _is_inf(cfg.q):
+        if is_inf(cfg.q):
             unorm = prof_u.essential_sup()
         else:
             unorm = SymFunc.from_step(
@@ -332,21 +285,20 @@ def degenerate_constant(u: WeightSpec, v: WeightSpec,
             vnorm = _vstar_sym(v, cfg, -cfg.p_prime).integral().powf(
                 1.0 / float(cfg.p_prime))
         return unorm * vnorm
-    return _guarded(compute)
+    return guarded(compute)
 
 
 def qsharp_tail_finite(u: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """integral_1^inf u*(s)**qs ds (must be finite in regimes III/IV/V)."""
-    try:
-        f = _ustar_sym(u, cfg, cfg.q_sharp)
-    except Divergence as exc:
-        return ExtReal.infinite(exc.reason)
-    if not f.tail.integrable_at_inf():
-        return ExtReal.infinite(
-            f"u*^qs ~ t**({f.tail.a}) log**({f.tail.b}) at inf")
-    last = max([k for k in f.knots if k > 1.0] or [2.0])
-    return ExtReal.finite(quad(f, 1.0, last)[0]
-                          + log_quad(f, last, math.inf))
+    def compute() -> ExtReal:
+        f = ustar_sym(u, cfg, cfg.q_sharp)
+        if not f.tail.integrable_at_inf():
+            return ExtReal.infinite(
+                f"u*^qs ~ t**({f.tail.a}) log**({f.tail.b}) at inf")
+        last = max([k for k in f.knots if k > 1.0] or [2.0])
+        return ExtReal.finite(quad(f, 1.0, last)[0]
+                              + log_quad(f, last, math.inf))
+    return guarded(compute)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +392,7 @@ def dual_config(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig
     The inequality with data (u, v, p, q) holds iff the dual one does, with
     the same constant.  Requires 1 <= p, q <= inf.
     """
-    if not _is_inf(cfg.q) and cfg.q < 1:
+    if not is_inf(cfg.q) and cfg.q < 1:
         raise ValueError("duality requires q >= 1")
     new_cfg = ExponentConfig(cfg.q_prime, cfg.p_prime, cfg.d)
     return (_reciprocal_weight(v, NONINCREASING),
@@ -455,7 +407,6 @@ def _reciprocal_weight(w: WeightSpec, new_direction: str) -> WeightSpec:
     if w.family == "powerlog":
         return WeightSpec.powerlog(w.a, w.b, new_direction, w.d)
     if w.family == "table":
-        from .weights import _recip
-        return WeightSpec.from_table(_recip(w.table), new_direction, w.d)
+        return WeightSpec.from_table(recip(w.table), new_direction, w.d)
     raise ValueError("indicator weights have no reciprocal weight "
                      "(they vanish on a set of positive measure)")

@@ -24,10 +24,12 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import (ExponentConfig, CriterionReport, evaluate, classify,
-                       _is_inf, REGIME_DEG_QINF)
+from .criteria import (C3, ExponentConfig, CriterionReport, U_func, W_func,
+                       evaluate, REGIME_DEG_QINF)
 from .extreal import ExtReal
-from .pieces import StepFunction
+from .pieces import StepFunction, is_inf
+from .rearrange import circ_profile
+from .symfunc import guarded
 from .weights import WeightSpec
 
 
@@ -71,7 +73,7 @@ def dft(sig: SampledSignal) -> SampledSignal:
 
 def _lp_norm(mags: np.ndarray, dx: float, p) -> float:
     """(dx sum mags^p)^(1/p); the max at p = inf."""
-    if _is_inf(p):
+    if is_inf(p):
         return float(np.max(mags))
     pf = float(p)
     return float((dx * np.sum(mags ** pf)) ** (1.0 / pf))
@@ -124,7 +126,7 @@ def random_band_limited(rng: np.random.Generator, N: int = 4096,
 def _vinv_pprime(v: WeightSpec, cfg: ExponentConfig, xs: np.ndarray
                  ) -> np.ndarray:
     pp = cfg.p_prime
-    e = float(pp) if not _is_inf(pp) else 1.0
+    e = float(pp) if not is_inf(pp) else 1.0
     vals = v.evaluate(np.abs(xs))
     with np.errstate(divide="ignore"):
         return np.where(vals > 0, vals ** (-e), np.inf)
@@ -191,7 +193,7 @@ def best_sign_ratio(ratio_of, eps0: np.ndarray, rng: np.random.Generator,
 def _translate_blocks(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
                       n_blocks: int) -> np.ndarray:
     """Rows lambda_n v**(-p') 1_{|x - 2ns| <= s} of the translate witness."""
-    p = float(cfg.p) if not _is_inf(cfg.p) else math.inf
+    p = float(cfg.p) if not is_inf(cfg.p) else math.inf
     if not p > 2:
         raise ValueError("translate witness needs p > 2")
     sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
@@ -271,30 +273,45 @@ def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
 def cube_pair_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                         s: Optional[float] = None) -> ExtReal:
     """(int_{|A|=s} u^q)^{1/q} (int_{|B|=1/s} v^{-p'})^{1/p'} over centered
-    balls with |A||B| = 1; the sup over s when s is None."""
-    from .criteria import U_func, _W_func, _guarded
-    from .symfunc import Divergence
+    balls with |A||B| = 1; the sup over s (the constant C3) when s is
+    None."""
+    if s is None:
+        return C3(u, v, cfg)
 
     def compute() -> ExtReal:
-        U = U_func(u, cfg)
-        W = _W_func(v, cfg)
-        qe = 1.0 / float(cfg.q)
-        pe = 0.0 if _is_inf(cfg.p_prime) else 1.0 / float(cfg.p_prime)
-        if s is not None:
-            return ExtReal.finite(U(s) ** qe * (W(s) ** pe if pe else W(s)))
-        prod = U.pow(1.0 / float(cfg.q)).mul(
-            W if cfg.p == 1 else W.pow(1 / cfg.p_prime))
-        return prod.sup()
-
-    return _guarded(compute)
+        # at p = 1, W is the sup-norm factor itself
+        pe = 1.0 if cfg.p == 1 else 1.0 / float(cfg.p_prime)
+        return ExtReal.finite(U_func(u, cfg)(s) ** (1.0 / float(cfg.q))
+                              * W_func(v, cfg)(s) ** pe)
+    return guarded(compute)
 
 
-def _profile_interval_mass(prof: StepFunction, e: float, a: float, b: float
-                           ) -> float:
-    """integral_a^b w0(r)**e dr for 0 <= a < b (one side of the line)."""
-    powed = prof.pow_compose(e)
-    val = powed.integrate(max(a, 0.0), b)
-    return val.value if val.is_finite else math.inf
+def _block_sum(prof: StepFunction, e_in: float, e_out: float, width: float,
+              n_max: int = 4000, rel_tol: float = 1e-10) -> float:
+    """sum_n (integral of prof**e_in over block n)**e_out over the blocks
+    of the given width centred at n * width, n in Z, on both sides of the
+    origin (prof is a radial profile); inf when a block mass is.  The sum
+    stops after n_max blocks a side, or once a term (n > 8) falls below
+    rel_tol times the sum."""
+    powed = prof.pow_compose(e_in)
+
+    def mass(a: float, b: float) -> float:
+        val = powed.integrate(max(a, 0.0), b)
+        return val.value if val.is_finite else math.inf
+
+    half = width / 2.0
+    tot = (2.0 * mass(0.0, half)) ** e_out
+    n = 1
+    while n <= n_max:
+        m = mass(n * width - half, n * width + half)
+        if math.isinf(m):
+            return math.inf
+        term = 2.0 * m ** e_out
+        tot += term
+        if term < rel_tol * tot and n > 8:
+            break
+        n += 1
+    return tot
 
 
 def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
@@ -305,12 +322,11 @@ def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     (int_{|A| = 1/s} u^q)^{1/q} * (sum_n V_n^{p#/p'})^{1/p#},
     V_n = mass of v**(-p') on the block of width 2s centered at 2ns.
     """
-    if not (_is_inf(cfg.p) or cfg.p > 2):
+    if not (is_inf(cfg.p) or cfg.p > 2):
         raise ValueError("block condition requires p > 2")
     q = float(cfg.q)
     pp = float(cfg.p_prime)
     psh = float(cfg.p_sharp)
-    from .rearrange import circ_profile
     ustar = circ_profile(u)
     if any(math.isinf(pc.offset) for pc in ustar.pieces):
         return ExtReal.infinite("u* identically infinite")
@@ -320,27 +336,18 @@ def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     ufac = uval.value ** (1.0 / q)
     prof = v.profile()
     # symbolic tail check: v0 ~ r^g growth => V_n ~ 2s (2ns)^{-g p'},
-    # terms ~ n^{-g p' p#/p'}; converges iff g * p# > 1
+    # terms ~ n^{-g p' p#/p'}; converges iff g * p# > 1 (decided exactly)
     last = prof.pieces[-1]
     if last.coef != 0.0:
-        growth = float(last.a)  # v0 ~ r**growth at infinity
-        if growth * psh <= 1.0:
+        if last.a * cfg.p_sharp <= 1:
             return ExtReal.infinite(
                 "block sums diverge: v growth exponent too small "
-                f"({growth:g} * p# <= 1)")
+                f"({last.a} * p# <= 1)")
     elif last.offset > 0.0:
         return ExtReal.infinite("block sums diverge: v constant at infinity")
-    # n = 0 block is symmetric around the origin
-    e = psh / pp
-    total = (2.0 * _profile_interval_mass(prof, -pp, 0.0, s)) ** e
-    n = 1
-    while n <= n_max:
-        Vn = _profile_interval_mass(prof, -pp, 2 * n * s - s, 2 * n * s + s)
-        term = 2.0 * Vn ** e  # blocks at +-2ns
-        total += term
-        if term < rel_tol * total and n > 8:
-            break
-        n += 1
+    total = _block_sum(prof, -pp, psh / pp, 2.0 * s, n_max, rel_tol)
+    if math.isinf(total):
+        return ExtReal.infinite("block sums diverge")
     return ExtReal.finite(ufac * total ** (1.0 / psh))
 
 
@@ -362,26 +369,8 @@ def symmetric_block_condition(u: WeightSpec, v: WeightSpec,
     psh = float(cfg.p_sharp)
     uprof = u.profile()
     vprof = v.profile()
-
-    def block_sum(prof: StepFunction, e_in: float, e_out: float,
-                  width: float) -> float:
-        half = width / 2.0
-        tot = (2.0 * _profile_interval_mass(prof, e_in, 0.0, half)) ** e_out
-        n = 1
-        while n <= n_max:
-            m = _profile_interval_mass(prof, e_in, n * width - half,
-                                       n * width + half)
-            if math.isinf(m):
-                return math.inf
-            term = 2.0 * m ** e_out
-            tot += term
-            if term < rel_tol * tot and n > 8:
-                break
-            n += 1
-        return tot
-
-    vsum = block_sum(vprof, -pp, psh / pp, 1.0 / t)
-    usum = block_sum(uprof, q, qsh / q, t)
+    vsum = _block_sum(vprof, -pp, psh / pp, 1.0 / t, n_max, rel_tol)
+    usum = _block_sum(uprof, q, qsh / q, t, n_max, rel_tol)
     if math.isinf(vsum) or math.isinf(usum):
         block = ExtReal.infinite("block sums diverge")
     else:
@@ -429,13 +418,13 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     if np.all(np.isfinite(bump.values)) and np.any(bump.values != 0):
         wit["modulated_bump"] = ratio(bump, u, v, cfg)
 
-    p_gt_2 = _is_inf(cfg.p) or cfg.p > 2
+    p_gt_2 = is_inf(cfg.p) or cfg.p > 2
     if p_gt_2:
         try:
             wit["translates"] = lower_bound_translates(u, v, cfg, rng, N, L)
         except (ValueError, FloatingPointError):
             pass
-    q_lt_p = _is_inf(cfg.p) or (not _is_inf(cfg.q) and cfg.q < cfg.p)
+    q_lt_p = is_inf(cfg.p) or (not is_inf(cfg.q) and cfg.q < cfg.p)
     if q_lt_p and report.regime != REGIME_DEG_QINF:
         wit["annuli"] = lower_bound_annuli(u, v, cfg, rng, N, L)
 

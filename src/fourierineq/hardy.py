@@ -19,16 +19,14 @@ constant from both sides up to the equivalence factors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .extreal import ExtReal
-from .pieces import StepFunction
-from .symfunc import Divergence, SymFunc
+from .pieces import Exponent, StepFunction, as_exp, conjugate, is_inf
+from .symfunc import SymFunc, guarded
 
 HEAD_SUM = "head_sum"
 HEAD_INTEGRAL = "head_integral"
@@ -39,8 +37,8 @@ REVERSE = "reverse"
 @dataclass
 class HardyProblem:
     kind: str
-    pp: float  # exponent on the right-hand side
-    qq: float  # exponent on the left-hand side
+    pp: Exponent  # exponent on the right-hand side
+    qq: Exponent  # exponent on the left-hand side
     # discrete data
     u_seq: Optional[np.ndarray] = None
     v_seq: Optional[np.ndarray] = None
@@ -55,6 +53,8 @@ class HardyProblem:
     def __post_init__(self) -> None:
         if self.kind not in (HEAD_SUM, HEAD_INTEGRAL, TAIL_INTEGRAL, REVERSE):
             raise ValueError(f"unknown Hardy problem kind {self.kind!r}")
+        self.pp = as_exp(self.pp)
+        self.qq = as_exp(self.qq)
         if self.kind == HEAD_SUM:
             if self.u_seq is None or self.v_seq is None:
                 raise ValueError("discrete problems need u_seq and v_seq")
@@ -72,8 +72,34 @@ class HardyProblem:
                 raise ValueError("continuous forms require pp > 1")
 
     @property
-    def rr(self) -> float:
-        return 1.0 / (1.0 / self.qq - 1.0 / self.pp)
+    def rr(self) -> Exponent:
+        """1/rr = 1/qq - 1/pp."""
+        if is_inf(self.pp):
+            return self.qq
+        return 1 / (1 / self.qq - 1 / self.pp)
+
+
+# ---------------------------------------------------------------------------
+# the two Hardy functionals
+# ---------------------------------------------------------------------------
+
+
+def sup_form(A: SymFunc, B: SymFunc, p: Exponent, q: Exponent) -> ExtReal:
+    """sup_s A(s)**(1/q) B(s)**(1/p'), the constant for p <= q.  At p = 1
+    B is read as the sup-norm factor itself.  Raises Divergence as the
+    SymFunc calculus does."""
+    rhs = B if p == 1 else B.pow(1 / conjugate(p))
+    return A.pow(1 / q).mul(rhs).sup()
+
+
+def integral_form(a: SymFunc, A: SymFunc, B: SymFunc, p: Exponent,
+                  r: Exponent) -> ExtReal:
+    """(int a A**(r/p) B**(r/p'))**(1/r), the constant for q < p with
+    1/r = 1/q - 1/p.  At p = inf there is no A factor; at p = 1 B is read
+    as the sup-norm factor itself.  Raises Divergence as sup_form does."""
+    integrand = a if is_inf(p) else a.mul(A.pow(r / p))
+    integrand = integrand.mul(B if p == 1 else B.pow(r / conjugate(p)))
+    return integrand.integral().powf(1.0 / float(r))
 
 
 # ---------------------------------------------------------------------------
@@ -101,42 +127,34 @@ def _discrete_K(prob: HardyProblem) -> ExtReal:
         vtail = np.minimum.accumulate(v[::-1])[::-1]  # inf_{j>=n} v_j
         if np.any((u > 0) & (vtail == 0.0)):
             return ExtReal.infinite("inf_{j>=n} v_j vanishes where u_n > 0")
-        terms = u * Ucum ** (rr / pp) * vtail ** (-rr / pp)
+        terms = u * Ucum ** float(rr / pp) * vtail ** float(-rr / pp)
     else:
-        e = 1.0 / (1.0 - pp)
+        e = float(1 / (1 - pp))
         with np.errstate(divide="ignore"):
             ve = np.where(v > 0, v ** e, np.inf)
         if np.any(np.isinf(ve) & (u > 0)):
             return ExtReal.infinite("v_n vanishes where u_n > 0")
         vtail = np.cumsum(ve[::-1])[::-1]
-        terms = u * Ucum ** (rr / pp) * vtail ** (rr / _conj(pp))
-    return ExtReal.finite(float(np.sum(terms)) ** (1.0 / rr))
-
-
-def _conj(p: float) -> float:
-    return math.inf if p == 1 else p / (p - 1.0)
+        terms = (u * Ucum ** float(rr / pp)
+                 * vtail ** float(rr / conjugate(pp)))
+    return ExtReal.finite(float(np.sum(terms)) ** float(1 / rr))
 
 
 def _continuous_K(prob: HardyProblem) -> ExtReal:
     pp, qq = prob.pp, prob.qq
-    e = 1.0 / (1.0 - pp)  # negative for pp > 1
-    try:
+
+    def compute() -> ExtReal:
         usym = SymFunc.from_step(prob.u_w)
-        vsym = SymFunc.from_step(prob.v_w.pow_compose(e))
+        vsym = SymFunc.from_step(prob.v_w.pow_compose(1 / (1 - pp)))
         if prob.kind == HEAD_INTEGRAL:
-            # conditions pair int_x^inf u with int_0^x v**e
-            ufac = usym.tail_integral()
-            vfac = vsym.antiderivative()
+            # conditions pair int_x^inf u with int_0^x v**(1/(1-pp))
+            ufac, vfac = usym.tail_integral(), vsym.antiderivative()
         else:
-            ufac = usym.antiderivative()
-            vfac = vsym.tail_integral()
+            ufac, vfac = usym.antiderivative(), vsym.tail_integral()
         if qq >= pp:
-            return ufac.pow(1.0 / qq).mul(vfac.pow(1.0 / _conj(pp))).sup()
-        rr = prob.rr
-        integrand = usym.mul(ufac.pow(rr / pp)).mul(vfac.pow(rr / _conj(pp)))
-        return integrand.integral().powf(1.0 / rr)
-    except Divergence as exc:
-        return ExtReal.infinite(exc.reason)
+            return sup_form(ufac, vfac, pp, qq)
+        return integral_form(usym, ufac, vfac, pp, prob.rr)
+    return guarded(compute)
 
 
 def reverse_hardy_K(prob: HardyProblem) -> ExtReal:
@@ -148,19 +166,17 @@ def reverse_hardy_K(prob: HardyProblem) -> ExtReal:
     where W(x) = int_0^x w; finite iff xi is finite and the integral
     converges."""
     qq = prob.qq
-    try:
+
+    def compute() -> ExtReal:
         wsym = SymFunc.from_step(prob.w)
         W = wsym.antiderivative()
-        inner = SymFunc.power(1.0, -1.0 / (1.0 - qq)).mul(
-            W.pow(1.0 / (1.0 - qq)))
-        xi = SymFunc.power(1.0, qq).mul(
-            inner.tail_integral().pow(1.0 - qq))
+        inner = SymFunc.power(1.0, -1 / (1 - qq)).mul(W.pow(1 / (1 - qq)))
+        xi = SymFunc.power(1.0, qq).mul(inner.tail_integral().pow(1 - qq))
         nu_sym = SymFunc.from_step(prob.nu)
-        integrand = (nu_sym.pow(-qq).mul(xi.pow(-qq / (1.0 - qq)))
-                     .mul(W.pow(qq / (1.0 - qq))).mul(wsym))
-        return integrand.integral().powf(1.0 / qq)
-    except Divergence as exc:
-        return ExtReal.infinite(exc.reason)
+        integrand = (nu_sym.pow(-qq).mul(xi.pow(-qq / (1 - qq)))
+                     .mul(W.pow(qq / (1 - qq))).mul(wsym))
+        return integrand.integral().powf(1.0 / float(qq))
+    return guarded(compute)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +218,7 @@ def brute_force_K(prob: HardyProblem, rng: np.random.Generator,
 def _discrete_ratio_fn(prob: HardyProblem):
     u = np.asarray(prob.u_seq, dtype=float)
     v = np.asarray(prob.v_seq, dtype=float)[:len(u)]
-    pp, qq = prob.pp, prob.qq
+    pp, qq = float(prob.pp), float(prob.qq)
 
     def ratio(x: np.ndarray) -> float:
         tails = np.cumsum(x[::-1])[::-1]
@@ -213,25 +229,27 @@ def _discrete_ratio_fn(prob: HardyProblem):
     return ratio
 
 
-def _grid_for(*steps: StepFunction, n_cells: int) -> np.ndarray:
-    knots = sorted({k for s in steps for k in s.breakpoints if k > 0})
+def _dense_grid(f: StepFunction, g: StepFunction, n_cells: int):
+    """The evaluation grid of a continuous test function with n_cells
+    geometric cells spanning the knots of f and g (100 times beyond them
+    on both sides), each cell cut into 8: the midpoints and widths of the
+    sub-cells, the cell holding each midpoint, and f and g at the
+    midpoints."""
+    knots = sorted({k for s in (f, g) for k in s.breakpoints if k > 0})
     lo = (knots[0] if knots else 1.0) / 100.0
     hi = (knots[-1] if knots else 1.0) * 100.0
-    return np.geomspace(lo, hi, n_cells + 1)
+    edges = np.geomspace(lo, hi, n_cells + 1)
+    dense = np.unique(np.linspace(edges[:-1], edges[1:], 9, axis=1))
+    mids = 0.5 * (dense[:-1] + dense[1:])
+    cell_of = np.clip(np.searchsorted(edges, mids, side="right") - 1,
+                      0, n_cells - 1)
+    return mids, np.diff(dense), cell_of, f.at(mids), g.at(mids)
 
 
 def _continuous_ratio_fn(prob: HardyProblem, n_cells: int):
-    pp, qq = prob.pp, prob.qq
-    edges = _grid_for(prob.u_w, prob.v_w, n_cells=n_cells)
-    # dense evaluation grid: refine each cell
-    dense = np.unique(np.concatenate(
-        [np.linspace(a, b, 9) for a, b in zip(edges, edges[1:])]))
-    mids = 0.5 * (dense[:-1] + dense[1:])
-    widths = np.diff(dense)
-    uvals = np.array([prob.u_w(float(t)) for t in mids])
-    vvals = np.array([prob.v_w(float(t)) for t in mids])
-    cell_of = np.searchsorted(edges, mids, side="right") - 1
-    cell_of = np.clip(cell_of, 0, n_cells - 1)
+    pp, qq = float(prob.pp), float(prob.qq)
+    _mids, widths, cell_of, uvals, vvals = _dense_grid(prob.u_w, prob.v_w,
+                                                       n_cells)
 
     def ratio(x: np.ndarray) -> float:
         g = x[cell_of]
@@ -248,16 +266,9 @@ def _continuous_ratio_fn(prob: HardyProblem, n_cells: int):
 
 
 def _reverse_ratio_fn(prob: HardyProblem, n_cells: int):
-    qq = prob.qq
-    edges = _grid_for(prob.w, prob.nu, n_cells=n_cells)
-    dense = np.unique(np.concatenate(
-        [np.linspace(a, b, 9) for a, b in zip(edges, edges[1:])]))
-    mids = 0.5 * (dense[:-1] + dense[1:])
-    widths = np.diff(dense)
-    wvals = np.array([prob.w(float(t)) for t in mids])
-    nuvals = np.array([prob.nu(float(t)) for t in mids])
-    cell_of = np.clip(np.searchsorted(edges, mids, side="right") - 1,
-                      0, n_cells - 1)
+    qq = float(prob.qq)
+    mids, widths, cell_of, wvals, nuvals = _dense_grid(prob.w, prob.nu,
+                                                       n_cells)
 
     def ratio(x: np.ndarray) -> float:
         # enforce a non-increasing test function

@@ -18,18 +18,17 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 from scipy.special import zeta as _hurwitz
 
-from .calderon import _phi_fn, _phi_fn_numeric
-from .criteria import ExponentConfig, U_func, _ustar_sym, _w_inner_weight, \
-    _is_inf, qsharp_tail_finite
+from .calderon import inner_average, phi_fn
+from .criteria import (ExponentConfig, qsharp_tail_finite, ustar_sym,
+                       w_inner_weight)
 from .extreal import ExtReal
-from .pieces import StepFunction, as_exp, log_quad
+from .pieces import StepFunction, as_exp, is_inf, log_quad, quad, sharp
 from .rearrange import star
-from .symfunc import Asym, Divergence, SymFunc
+from .symfunc import Asym, Divergence, SymFunc, guarded
 from .weights import WeightSpec
 
 
@@ -89,17 +88,28 @@ class SequenceData:
 _TAIL_START = 65536
 
 
-def _series_tail(f, N: int) -> float:
+def _series_tail(f, N: int, integral: float) -> float:
     """sum_{n > N} f(n) for smooth, eventually-decreasing f, by
-    Euler-Maclaurin: integral_N^inf f - f(N)/2 - f'(N)/12.  The integral
-    is computed in u = log x coordinates (the series here decay like
-    powers of log, which the plain infinite-interval transform handles
-    poorly).  The neglected remainder is O(f'''(N)), far below the 1e-10
+    Euler-Maclaurin from integral = integral_N^inf f: integral - f(N)/2 -
+    f'(N)/12.  The neglected remainder is O(f'''(N)), far below the 1e-10
     relative target for N >= 65536."""
-    integral = log_quad(f, N, math.inf)
     h = N * 1e-6
     fprime = (f(N + h) - f(N - h)) / (2 * h)
     return integral - f(N) / 2.0 - fprime / 12.0
+
+
+def _log_power_integral(c: float, d, N: int) -> float:
+    """integral_N^inf c / (x log^{1+d}(x+1)) dx for an exact d > 0.  In
+    y = log(x+1) the integrand is c y^{-1-d} / (1 - e^{-y}): its main part
+    c y^{-1-d} integrates in closed form to c y0^{-d} / d, and only the
+    remainder c y^{-1-d} e^{-y} / (1 - e^{-y}), which decays like e^{-y},
+    goes to quadrature.  No range is lost where e^y overflows, and the 1/d
+    growth as d -> 0 is kept."""
+    y0 = math.log(N + 1)
+    s = 1.0 + float(d)
+    rest = quad(lambda y: y ** -s * math.exp(-y) / -math.expm1(-y),
+                y0, math.inf)[0]
+    return c * (y0 ** -float(d) / float(d) + rest)
 
 
 def theta_norm(b: SequenceData, p) -> ExtReal:
@@ -109,7 +119,7 @@ def theta_norm(b: SequenceData, p) -> ExtReal:
     p = inf: sup_n (sum_{j<=n} (b*_j)^2 / log(n+1))^{1/2}.
     """
     p = as_exp(p)
-    if not (_is_inf(p) or p > 2):
+    if not (is_inf(p) or p > 2):
         raise ValueError("theta norm requires p > 2")
     m = len(b)
     if m == 0 or b.star[0] == 0.0:
@@ -117,7 +127,7 @@ def theta_norm(b: SequenceData, p) -> ExtReal:
     sq = np.cumsum(b.star ** 2)
     ns = np.arange(1, m + 1, dtype=float)
     logs = np.log(ns + 1)
-    if _is_inf(p):
+    if is_inf(p):
         return ExtReal.finite(float(np.sqrt(np.max(sq / logs))))
     pf = float(p)
     partial = float(np.sum(sq ** (pf / 2) / (ns * logs ** (pf / 2))))
@@ -129,7 +139,7 @@ def theta_norm(b: SequenceData, p) -> ExtReal:
         partial += const * float(np.sum(1.0 / (ns2 *
                                                np.log(ns2 + 1) ** (pf / 2))))
     tail = _series_tail(lambda x: const / (x * math.log(x + 1) ** (pf / 2)),
-                        N0)
+                        N0, _log_power_integral(const, p / 2 - 1, N0))
     return ExtReal.finite((partial + tail) ** (1.0 / pf))
 
 
@@ -170,24 +180,26 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
             inner = S * S * _hurwitz(2, ns2)
             total += float(np.sum(inner ** (qf / 2)
                                   / (ns2 * np.log(ns2 + 1) ** (qf / 2))))
-        total += _series_tail(
-            lambda x: (S * S * float(_hurwitz(2, x))) ** (qf / 2)
-            / (x * math.log(x + 1) ** (qf / 2)), N0)
+        tail_term = (lambda x: (S * S * float(_hurwitz(2, x))) ** (qf / 2)
+                     / (x * math.log(x + 1) ** (qf / 2)))
+        # the terms decay like a power here, so log coordinates suffice
+        total += _series_tail(tail_term, N0,
+                              log_quad(tail_term, N0, math.inf))
     return ExtReal.finite(total ** (1.0 / qf))
 
 
 def bochkarev_norm(b: SequenceData, p) -> float:
     """sup_n log^{-1/p#}(n+1) (sum_{j<=n} (b*_j)^2)^{1/2}, 2 < p <= inf."""
     p = as_exp(p)
-    if not (_is_inf(p) or p > 2):
+    if not (is_inf(p) or p > 2):
         raise ValueError("requires p > 2")
-    cfg_psharp = 2.0 if _is_inf(p) else float(2 * p / (p - 2))
+    psharp = float(sharp(p))
     m = len(b)
     if m == 0 or b.star[0] == 0.0:
         return 0.0
     sq = np.cumsum(b.star ** 2)
     ns = np.arange(1, m + 1, dtype=float)
-    return float(np.max(np.sqrt(sq) / np.log(ns + 1) ** (1.0 / cfg_psharp)))
+    return float(np.max(np.sqrt(sq) / np.log(ns + 1) ** (1.0 / psharp)))
 
 
 def dyadic_block_norms(a: SequenceData, exponent) -> float:
@@ -256,33 +268,23 @@ def dyadic_block_norms(a: SequenceData, exponent) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _inner_average_sym(f: StepFunction) -> SymFunc:
-    """t -> integral_0^{1/t} f* as a SymFunc (non-increasing in t)."""
-    fs = star(f)
-    return SymFunc.from_step(fs).antiderivative().recip_arg()
-
-
 def _phi_symfunc(f: StepFunction) -> SymFunc:
-    """t -> integral_0^t (integral_0^{1/r} f*)^2 dr with certified
-    asymptotics; requires f* integrable (raises Divergence otherwise)."""
+    """t -> integral_0^t (integral_0^{1/r} f*)^2 dr (calderon's Phi_f) with
+    certified asymptotics; requires f* integrable (raises Divergence
+    otherwise)."""
     fs = star(f)
     tot = fs.integrate(0.0, math.inf)
     if not tot.is_finite:
         raise Divergence("f* is not integrable; inner averages diverge")
-    fn = _phi_fn(fs) if fs.is_compact() else _phi_fn_numeric(fs)
-    a_tot = tot.value
-    phi_total = None
-    # as t -> 0 the inner average is the full mass a_tot
-    head = Asym(a_tot * a_tot, 1, 0)
+    # as t -> 0 the inner average is the full mass
+    head = Asym(tot.value * tot.value, 1, 0)
     # as t -> inf the integral saturates (inner average is square-integrable
     # near infinity because f* is bounded near its support bound)
-    sym = SymFunc.from_step(fs).antiderivative().recip_arg().pow(2)
-    tail_val = sym.integral()
+    tail_val = inner_average(fs).pow(2).integral()
     if not tail_val.is_finite:
         raise Divergence("squared inner averages are not integrable")
-    tail = Asym(tail_val.value, 0, 0)
-    return SymFunc(fn, head, tail, knots=[1.0 / k for k in fs.breakpoints
-                                          if k > 0.0])
+    return SymFunc(phi_fn(fs), head, Asym(tail_val.value, 0, 0),
+                   knots=[1.0 / k for k in fs.breakpoints if k > 0.0])
 
 
 def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
@@ -303,22 +305,21 @@ def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
     if not f.pieces or f.essential_sup().value == 0.0:
         return ExtReal.finite(0.0)
     cfg = ExponentConfig(math.inf, q)
-    try:
+
+    def compute() -> ExtReal:
         if q >= 2:
-            uq = _ustar_sym(u, cfg, cfg.q)
-            integrand = uq.mul(_inner_average_sym(f).pow(cfg.q))
+            uq = ustar_sym(u, cfg, cfg.q)
+            integrand = uq.mul(inner_average(star(f)).pow(cfg.q))
             return integrand.integral().powf(1.0 / qf)
         tail_ok = qsharp_tail_finite(u, cfg)
         if not tail_ok.is_finite:
             return ExtReal.infinite(
                 "correction weight xi is identically infinite: " +
                 (tail_ok.reason or ""))
-        w = _w_inner_weight(u, cfg)
-        phi = _phi_symfunc(f)
-        integrand = w.mul(phi.pow(q / 2))
+        w = w_inner_weight(u, cfg)
+        integrand = w.mul(_phi_symfunc(f).pow(q / 2))
         return integrand.integral().powf(1.0 / qf)
-    except Divergence as exc:
-        return ExtReal.infinite(exc.reason)
+    return guarded(compute)
 
 
 def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
@@ -334,35 +335,35 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
     qf = float(q)
     if not f.pieces or f.essential_sup().value == 0.0:
         return ExtReal.finite(0.0)
-    try:
+    phi_sym = SymFunc.from_step(shape)
+
+    def compute() -> ExtReal:
         if q >= 2:
-            inner = _inner_average_sym(f).pow(q)
+            inner = inner_average(star(f)).pow(q)
         else:
             inner = _phi_symfunc(f).pow(q / 2)
         G = inner.antiderivative()  # cumulative integral, certified asyms
-    except Divergence as exc:
-        return ExtReal.infinite(exc.reason)
-    phi_sym = SymFunc.from_step(shape)
-    # R -> shape(R) * G(R^d)^{1/q} [* R^{-d/2} when q < 2] as a SymFunc in R
 
-    def comp(R: float) -> float:
-        val = G(R ** d) ** (1.0 / qf) * phi_sym(R)
-        if q < 2:
-            val *= R ** (-d / 2.0)
-        return val
+        # R -> shape(R) * G(R^d)^{1/q} [* R^{-d/2} when q < 2], a SymFunc in R
+        def comp(R: float) -> float:
+            val = G(R ** d) ** (1.0 / qf) * phi_sym(R)
+            if q < 2:
+                val *= R ** (-d / 2.0)
+            return val
 
-    def map_asym(a: Asym) -> Asym:
-        # G(R^d) asymptotics in R, then the 1/q power
-        out = Asym(a.coef, a.a * d, a.b).pow(1 / q)
-        if q < 2:
-            out = out.mul(Asym(1.0, -d / 2.0, 0))
-        return out
+        def map_asym(a: Asym) -> Asym:
+            # G(R^d) asymptotics in R, then the 1/q power
+            out = Asym(a.coef, a.a * d, a.b).pow(1 / q)
+            if q < 2:
+                out = out.mul(Asym(1.0, -d / 2.0, 0))
+            return out
 
-    head = map_asym(G.head).mul(phi_sym.head)
-    tail = map_asym(G.tail).mul(phi_sym.tail)
-    knots = sorted(set(list(shape.breakpoints) +
-                       [k ** (1.0 / d) for k in G.knots if k > 0]))
-    return SymFunc(comp, head, tail, knots=knots).sup()
+        head = map_asym(G.head).mul(phi_sym.head)
+        tail = map_asym(G.tail).mul(phi_sym.tail)
+        knots = sorted(set(list(shape.breakpoints) +
+                           [k ** (1.0 / d) for k in G.knots if k > 0]))
+        return SymFunc(comp, head, tail, knots=knots).sup()
+    return guarded(compute)
 
 
 def expL_pair(F: StepFunction, d: int = 1) -> tuple[ExtReal, ExtReal]:

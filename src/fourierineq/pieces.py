@@ -111,6 +111,30 @@ def as_exp(x) -> Exponent:
     return Fraction(x)
 
 
+def is_inf(x: Exponent) -> bool:
+    """True for the infinite exponent (the only float an exponent slot
+    holds)."""
+    return isinstance(x, float) and math.isinf(x)
+
+
+def conjugate(p: Exponent) -> Exponent:
+    """Hoelder conjugate: 1/p + 1/p' = 1 (1 <-> inf)."""
+    if is_inf(p):
+        return Fraction(1)
+    if p == 1:
+        return math.inf
+    return p / (p - 1)
+
+
+def sharp(x: Exponent) -> Exponent:
+    """x# with 1/x# = |1/2 - 1/x|: 2 at x = inf, inf exactly at x = 2."""
+    if is_inf(x):
+        return Fraction(2)
+    if x == 2:
+        return math.inf
+    return 2 * x / abs(2 - x)
+
+
 def scan_max(h, lo: float, hi: float, n: int) -> float:
     """Numeric max of h over (lo, hi): the best of n geometrically spaced
     samples, refined by a bounded scalar search between that sample's

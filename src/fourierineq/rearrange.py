@@ -13,14 +13,57 @@ is closed under that inversion), never sampled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple, Union
 
-from .pieces import quad
+import numpy as np
 
 from .extreal import ExtReal
-from .pieces import Piece, StepFunction
-from .weights import WeightSpec, NONINCREASING, _recip, radial_map
+from .pieces import Piece, StepFunction, quad
+from .weights import WeightSpec, recip
+
+
+# ---------------------------------------------------------------------------
+# constant-cell data
+# ---------------------------------------------------------------------------
+
+
+class Cells(NamedTuple):
+    """Constant-cell data on (0, inf): level values[i] on the cell
+    (edges[i], edges[i + 1]] and zero beyond edges[-1]; edges[0] is 0."""
+
+    edges: np.ndarray
+    values: np.ndarray
+
+    @staticmethod
+    def sampled(mags: np.ndarray, dx: float) -> "Cells":
+        """Samples as cells of width dx, laid out like ``step_profile``."""
+        return Cells(np.arange(len(mags) + 1) * dx, np.asarray(mags, float))
+
+
+Profile = Union[StepFunction, Cells]
+
+
+def as_cells(f: Profile) -> Profile:
+    """f as Cells when every piece is a finite constant cell and the tail
+    is zero, else f."""
+    if isinstance(f, Cells):
+        return f
+    ps = f.pieces
+    if all(p.is_constant for p in ps) and ps[-1].const_value == 0.0:
+        vals = np.array([p.const_value for p in ps[:-1]], dtype=float)
+        if np.all(np.isfinite(vals)):
+            return Cells(np.array(f.breakpoints), vals)
+    return f
+
+
+def star_cells(c: Cells) -> tuple[np.ndarray, np.ndarray]:
+    """(edges, levels) of the non-increasing rearrangement of cell data:
+    the positive levels sorted descending (stably), each keeping its
+    cell's width."""
+    live = c.values > 0.0
+    order = np.argsort(-c.values[live], kind="stable")
+    edges = np.concatenate(([0.0], np.cumsum(np.diff(c.edges)[live][order])))
+    return edges, c.values[live][order]
 
 
 # ---------------------------------------------------------------------------
@@ -52,29 +95,16 @@ def star(f: StepFunction) -> StepFunction:
             raise NotImplementedError(
                 "rearrangement of increasing power pieces")
 
-    # fast exact path: finitely many constant cells, zero tail
-    if all(p.is_constant for p in live) and all(math.isfinite(p.hi) for p in live):
-        return _star_of_cells(live)
+    cells = as_cells(f)
+    if isinstance(cells, Cells):
+        edges, levels = star_cells(cells)
+        # one piece per run of equal levels
+        keep = np.append(levels[1:] != levels[:-1], True)
+        his = edges[1:][keep]
+        los = np.concatenate(([0.0], his[:-1]))
+        return StepFunction([Piece(float(a), float(b), float(v))
+                             for a, b, v in zip(los, his, levels[keep])])
     return _star_general(live)
-
-
-def _star_of_cells(cells: list[Piece]) -> StepFunction:
-    items = sorted(((p.const_value, p.hi - p.lo) for p in cells),
-                   key=lambda x: -x[0])
-    pieces: list[Piece] = []
-    t = 0.0
-    for v, length in items:
-        if v == 0.0:
-            continue
-        if pieces and pieces[-1].const_value == v:
-            last = pieces.pop()
-            pieces.append(Piece(last.lo, last.hi + length, v))
-        else:
-            pieces.append(Piece(t, t + length, v))
-        t += length
-    if not pieces:
-        return StepFunction.constant(0.0)
-    return StepFunction(pieces)
 
 
 def _star_general(live: list[Piece]) -> StepFunction:
@@ -252,10 +282,10 @@ def lower_star(w: WeightSpec) -> StepFunction:
     integrals of negative powers of v_* diverge, as they must).
     """
     prof_half = w.halfline_profile()
-    recip = _recip(prof_half)
-    if recip.is_nonincreasing():
+    inv = recip(prof_half)
+    if inv.is_nonincreasing():
         return prof_half
-    return _recip(star(recip))
+    return recip(star(inv))
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ class Divergence(Exception):
         self.reason = reason
 
 
+def guarded(compute: Callable[[], ExtReal]) -> ExtReal:
+    """compute(), or an infinite ExtReal carrying the reason when it
+    raises Divergence."""
+    try:
+        return compute()
+    except Divergence as exc:
+        return ExtReal.infinite(exc.reason)
+
+
 # ---------------------------------------------------------------------------
 # asymptotic terms
 # ---------------------------------------------------------------------------

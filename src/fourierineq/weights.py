@@ -115,7 +115,7 @@ class WeightSpec:
         prof = self.profile()
         if self.direction == NONINCREASING:
             return prof.is_nonincreasing()
-        return _recip(prof).is_nonincreasing()
+        return recip(prof).is_nonincreasing()
 
     def evaluate(self, r):
         """Value at radius r >= 0 (the profile's right limit at r = 0).
@@ -157,7 +157,7 @@ def radial_map(profile: StepFunction, d: int) -> StepFunction:
     return StepFunction(out)
 
 
-def _recip(f: StepFunction) -> StepFunction:
+def recip(f: StepFunction) -> StepFunction:
     """Pointwise reciprocal; exact for constant and monomial pieces."""
     from .pieces import Piece
     out = []

@@ -70,6 +70,15 @@ def test_hardy_cli(capsys):
     assert j["K"]["state"] in ("finite", "infinite")
 
 
+def test_hardy_cli_exact_exponent_divergence(capsys):
+    # v^{1/(1-p)} = t^{-1} at p = 7/3: not integrable at 0, so K is infinite
+    code, out = run(capsys, "hardy", "--kind", "head_integral",
+                    "--u", "ind(1)", "--v", "pow(4/3)",
+                    "--p", "7/3", "--q", "7/3")
+    assert code == 0
+    assert json.loads(out)["K"]["state"] == "infinite"
+
+
 def test_hardy_discrete_with_oracle(capsys):
     code, out = run(capsys, "hardy", "--kind", "head_sum",
                     "--u", "1,0.5,0.25", "--v", "1,1,1",

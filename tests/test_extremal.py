@@ -170,3 +170,28 @@ def test_linear_sign_ratio_matches_direct_ratio():
                 f = SampledSignal(sum(e * b for e, b in zip(eps, blocks)), L)
                 assert ratio_of(eps) == pytest.approx(ratio(f, u, v, cfg),
                                                       rel=1e-12)
+
+
+def test_block_l2_condition_borderline_growth_diverges():
+    # v = |x|^{9/22} at p = 11 (p# = 22/9): the blocks give sum_n 1/n, so
+    # the condition is infinite; the growth test compares exact exponents
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.power(Fraction(9, 22), NONDECREASING)
+    assert block_l2_condition(u, v, ExponentConfig(11, 2), s=1.0).is_infinite
+
+
+def test_cube_pair_sup_is_C3():
+    from fourierineq.criteria import C3
+    u = WeightSpec.indicator(1.0)
+    for g, p, q in ((Fraction(1, 4), 2, 2), (Fraction(3, 4), 2, 2),
+                    (Fraction(1, 2), 2, 3)):
+        v = WeightSpec.power(g, NONDECREASING)
+        cfg = ExponentConfig(p, q)
+        c = cube_pair_condition(u, v, cfg)
+        assert repr(c) == repr(C3(u, v, cfg))
+        # and the sup bounds every point value, up to the numeric sup's
+        # accuracy at a kink (the maximum of the first case sits at s = 1)
+        if c.is_finite:
+            for s in (0.3, 1.0, 4.0):
+                assert cube_pair_condition(u, v, cfg, s=s).value <= \
+                    c.value * (1 + 1e-6)

@@ -95,3 +95,44 @@ def test_brute_force_respects_two_sided_bound():
     best = brute_force_K(prob, rng, n_restarts=6, n_cells=12, n_sweeps=10)
     assert best <= 2.0 * K.value * (1.0 + 1e-6)
     assert best >= K.value / 8.0
+
+
+def test_head_integral_exact_exponent_certificate():
+    # v = t^{4/3}, p = 7/3: v^{1/(1-p)} = t^{-1} is not integrable at 0,
+    # so K is infinite whichever way p and q are spelled
+    from fractions import Fraction
+    u = StepFunction.from_cells([0.0, 1.0], [1.0])
+    v = StepFunction.power(1.0, Fraction(-4, 3))
+    for p in (7 / 3, Fraction(7, 3), "7/3"):
+        prob = HardyProblem(HEAD_INTEGRAL, p, p, u_w=u, v_w=v)
+        assert prob.pp == prob.qq == Fraction(7, 3)
+        assert hardy_K(prob).is_infinite
+
+
+def test_float_and_exact_exponents_give_one_certificate():
+    from fractions import Fraction
+    for kind in (HEAD_INTEGRAL, TAIL_INTEGRAL):
+        for pp, qq in ((Fraction(5, 2), Fraction(3, 2)), (2, 3)):
+            a = hardy_K(continuous_problem(kind, pp, qq))
+            b = hardy_K(continuous_problem(kind, float(pp), float(qq)))
+            assert repr(a) == repr(b)
+            assert a.value == b.value
+
+
+def test_dense_grid_matches_pointwise_loop():
+    # reference: per-cell linspace and per-point weight calls
+    from fourierineq.hardy import _dense_grid
+    prob = continuous_problem()
+    n_cells = 12
+    mids, widths, cell_of, uvals, vvals = _dense_grid(prob.u_w, prob.v_w,
+                                                      n_cells)
+    edges = np.geomspace(1.0 / 100.0, 100.0, n_cells + 1)
+    dense = np.unique(np.concatenate(
+        [np.linspace(a, b, 9) for a, b in zip(edges, edges[1:])]))
+    ref_mids = 0.5 * (dense[:-1] + dense[1:])
+    assert np.array_equal(mids, ref_mids)
+    assert np.array_equal(widths, np.diff(dense))
+    assert np.all(edges[cell_of] <= mids) and np.all(mids < edges[cell_of + 1])
+    for vals, w in ((uvals, prob.u_w), (vvals, prob.v_w)):
+        ref = np.array([w(float(t)) for t in mids])
+        assert np.allclose(vals, ref, rtol=4e-16, atol=0.0)

@@ -46,6 +46,20 @@ def test_theta_bracket_against_partial_sums():
     assert partial <= v ** p <= partial + 1.2 * upper_tail
 
 
+def test_theta_tail_matches_mpmath_reference():
+    # exact partial sum to 65536 plus an Euler-Maclaurin tail whose
+    # integral is taken in y = log(x + 1), both in mpmath
+    v = theta_norm(E1, 3).value
+    assert v ** 3 == pytest.approx(4.078931176552033, rel=1e-8)
+
+
+def test_theta_just_above_two_keeps_its_tail():
+    # d = p/2 - 1 = 5e-21: the tail integral is about 1.3e20 * const
+    b = SequenceData(np.array([1.0, 0.5, 0.25]))
+    v = theta_norm(b, parse_exp("2.00000000000000000001"))
+    assert v.is_finite and v.value > 1e10
+
+
 def test_theta_homogeneity():
     a = SequenceData(np.array([2.0, 1.0, 0.5]))
     b = SequenceData(3.0 * a.values)

@@ -125,3 +125,32 @@ def test_hl_pairing_exact_constants():
     g = StepFunction.from_cells([0, 1], [6.0])
     r = hl_pairing(f, g)
     assert r.is_finite and r.value == pytest.approx(30.0, abs=1e-12)
+
+
+def _reference_star_of_cells(f):
+    """Levels sorted descending with Python's stable sort, equal
+    neighbours merged, one cell after another from 0."""
+    items = sorted(((p.const_value, p.hi - p.lo) for p in f.pieces
+                    if p.const_value > 0.0), key=lambda x: -x[0])
+    los, his, levels, t = [], [], [], 0.0
+    for v, length in items:
+        if levels and levels[-1] == v:
+            his[-1] += length
+        else:
+            los.append(t)
+            his.append(t + length)
+            levels.append(v)
+        t += length
+    return los, his, levels
+
+
+def test_star_of_cells_matches_reference_sort():
+    rng = np.random.default_rng(2024)
+    for _ in range(500):
+        f = random_cells(rng)
+        los, his, levels = _reference_star_of_cells(f)
+        live = star(f).pieces[:-1]
+        assert [p.lo for p in live] == los
+        assert [p.hi for p in live] == his
+        assert [p.const_value for p in live] == levels
+        assert star(f).pieces[-1].const_value == 0.0

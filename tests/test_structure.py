@@ -35,3 +35,20 @@ def test_only_pieces_imports_scipy_integrate():
 
 def test_only_pieces_imports_scipy_optimize():
     assert _users("scipy.optimize") == ["pieces.py"]
+
+
+def _private_imports(path: pathlib.Path) -> list[str]:
+    """`module.name` for each underscore name the file imports from
+    another package module (relative imports, at any depth)."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            out += [f"{node.module}.{a.name}" for a in node.names
+                    if a.name.startswith("_")]
+    return out
+
+
+def test_no_private_names_imported_across_modules():
+    found = {path.name: _private_imports(path)
+             for path in PACKAGE.glob("*.py")}
+    assert {k: v for k, v in found.items() if v} == {}
