@@ -165,12 +165,13 @@ def xi_func(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
 
 
 def w_inner_weight(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
-    """w(t) = u*(t)**q U(t)**(qs/2) xi(t)**(-qs/2) t**(-q/2)."""
+    """w(t) = u*(t)**q (U(t) / xi(t))**(qs/2) t**(-q/2).  U <= xi, so the
+    power of the ratio stays at most 1 however large qs is."""
     q, qs = cfg.q, cfg.q_sharp
     uq = ustar_sym(u, cfg, q)
     U = U_func(u, cfg)
     xi = xi_func(u, cfg)
-    return (uq.mul(U.pow(qs / 2)).mul(xi.pow(-qs / 2))
+    return (uq.mul(U.mul(xi.pow(-1)).pow(qs / 2))
             .mul(SymFunc.power(1.0, -q / 2)))
 
 

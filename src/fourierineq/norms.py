@@ -148,6 +148,14 @@ def _gamma_terms(a: SequenceData, use_twostar: bool) -> np.ndarray:
     return np.cumsum((seq ** 2)[::-1])[::-1]
 
 
+def _hurwitz_2(ns: np.ndarray) -> np.ndarray:
+    """zeta(2, n) on the consecutive integers ns, by the recurrence
+    zeta(2, n) = zeta(2, n + 1) + 1/n**2: one scalar zeta(2, ns[-1] + 1)
+    plus a reversed cumulative sum of 1/n**2, adding positive terms only."""
+    return (np.cumsum(1.0 / ns[::-1] ** 2)[::-1]
+            + float(_hurwitz(2, ns[-1] + 1)))
+
+
 def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
     """Tail series norm, 0 < q < 2:
 
@@ -177,7 +185,7 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
         N0 = max(m, _TAIL_START)
         if N0 > m:
             ns2 = np.arange(m + 1, N0 + 1, dtype=float)
-            inner = S * S * _hurwitz(2, ns2)
+            inner = S * S * _hurwitz_2(ns2)
             total += float(np.sum(inner ** (qf / 2)
                                   / (ns2 * np.log(ns2 + 1) ** (qf / 2))))
         tail_term = (lambda x: (S * S * float(_hurwitz(2, x))) ** (qf / 2)

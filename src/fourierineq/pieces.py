@@ -573,28 +573,30 @@ class StepFunction:
         """t -> integral_0^t f (from_left) or t -> integral_t^inf f, as
         prefix sums of the piece integrals plus the partial integral of the
         piece holding t; inf beyond a divergent piece.  Exact for pieces
-        without log factors."""
+        without log factors; where a piece's partial integrals are all
+        finite and closed form they are evaluated by ``_closed_partial``."""
         pieces, los = self.pieces, self._los
         acc = [0.0]
         for p in (pieces[:-1] if from_left else pieces[:0:-1]):
             seg = p.integral(p.lo, p.hi)
             acc.append(acc[-1] + (seg.value if seg.is_finite else math.inf))
-        if from_left:
-            def fn(t: float) -> float:
-                i = bisect.bisect_right(los, t) - 1
-                if i < 0:
-                    return 0.0
-                part = pieces[i].integral(pieces[i].lo, t)
-                return acc[i] + (part.value if part.is_finite else math.inf)
-            return fn
-        suffix = acc[::-1]  # suffix[i] = integral over the pieces after i
+        base = acc if from_left else acc[::-1]
+        closed = [_closed_partial(p, from_left) for p in pieces]
 
         def fn(t: float) -> float:
             i = bisect.bisect_right(los, t) - 1
             if i < 0:
+                if from_left:
+                    return 0.0
                 i, t = 0, 0.0
-            part = pieces[i].integral(t, pieces[i].hi)
-            return suffix[i] + (part.value if part.is_finite else math.inf)
+            part = closed[i]
+            if part is not None:
+                val = part(t)
+                if math.isfinite(val):
+                    return base[i] + val
+            p = pieces[i]
+            part = p.integral(p.lo, t) if from_left else p.integral(t, p.hi)
+            return base[i] + (part.value if part.is_finite else math.inf)
         return fn
 
     # -- algebra ---------------------------------------------------------------
@@ -683,6 +685,62 @@ class StepFunction:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StepFunction({len(self.pieces)} pieces on (0, inf))"
+
+
+def _closed_partial(p: Piece, from_left: bool):
+    """t -> p.integral(p.lo, t).value (from_left) or p.integral(t, p.hi)
+    .value for finite t, as a float formula with the operations of
+    ``Piece.integral`` in the same order (no ExtReal, no exponent
+    comparisons per call).  None unless every such partial integral is
+    finite and closed form: a finite level, no log factor, no divergent
+    end, a shift at most lo."""
+    lo, hi, off, c, shift, a = p.lo, p.hi, p.offset, p.coef, p.shift, p.a
+    finite_hi = not math.isinf(hi)
+    if math.isinf(off) or (not from_left and not finite_hi and off > 0.0):
+        return None  # an infinite level, or a level over infinite measure
+    power = c != 0.0
+    if power and (p.b != 0 or shift > lo):
+        return None
+    if power and not (a > -1 or lo - shift > 0.0):
+        return None  # the head at t = shift diverges
+    if power and not from_left and not finite_hi and a >= -1:
+        return None  # the tail diverges
+    log_form = a == -1
+    closed_power = power and not log_form
+    try:
+        a1 = float(a) + 1 if closed_power else 0.0
+        s0 = lo - shift if lo - shift > 0.0 else 0.0
+        head = s0 ** a1 if closed_power and from_left else 0.0
+        s1 = hi - shift if finite_hi else math.inf
+        tail = (s1 ** a1 if closed_power and finite_hi and not from_left
+                else 0.0)
+    except OverflowError:
+        return None  # Piece.integral raises it when called
+
+    def left(t: float) -> float:
+        x1 = min(t, hi)
+        if x1 <= lo:
+            return 0.0
+        total = off * (x1 - lo)
+        if not power:
+            return total
+        if log_form:
+            return total + c * math.log((x1 - shift) / s0)
+        return total + c * ((x1 - shift) ** a1 - head) / a1
+
+    def right(t: float) -> float:
+        x0 = max(t, lo)
+        if hi <= x0:
+            return 0.0
+        total = off * (hi - x0) if finite_hi else 0.0
+        if not power:
+            return total
+        s0 = x0 - shift if x0 - shift > 0.0 else 0.0
+        if log_form:
+            return total + c * math.log(s1 / s0)
+        return total + c * (tail - s0 ** a1) / a1
+
+    return left if from_left else right
 
 
 def _overlaps(f: StepFunction, g: StepFunction):

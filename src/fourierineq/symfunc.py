@@ -19,7 +19,7 @@ boundary cases (exponent exactly -1 or 0) are decided exactly.
 
 from __future__ import annotations
 
-import functools
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -65,12 +65,18 @@ class Asym:
         object.__setattr__(self, "b", as_exp(self.b))
 
     def mul(self, other: "Asym") -> "Asym":
-        return Asym(self.coef * other.coef, self.a + other.a,
-                    self.b + other.b)
+        # a zero coefficient means the function vanishes near that end
+        zero = self.coef == 0.0 or other.coef == 0.0
+        return Asym(0.0 if zero else self.coef * other.coef,
+                    self.a + other.a, self.b + other.b)
 
     def pow(self, e: Exponent) -> "Asym":
         e = as_exp(e)
-        return Asym(self.coef ** float(e), self.a * e, self.b * e)
+        try:
+            coef = self.coef ** float(e)
+        except OverflowError:
+            coef = math.inf
+        return Asym(coef, self.a * e, self.b * e)
 
     def integrable_at_zero(self) -> bool:
         return (self.coef == 0.0 or self.a > -1
@@ -217,8 +223,9 @@ class SymFunc:
         f = self.fn
         head = Asym(self.tail.coef, -self.tail.a, self.tail.b)
         tail = Asym(self.head.coef, -self.head.a, self.head.b)
-        return SymFunc(lambda t: f(1.0 / t), head, tail,
-                       [1.0 / k for k in self.knots])
+        fn = (f.reciprocal() if isinstance(f, Cumulative)
+              else lambda t: f(1.0 / t))
+        return SymFunc(fn, head, tail, [1.0 / k for k in self.knots])
 
     # -- numeric helpers -----------------------------------------------------
     def _span(self) -> tuple[float, float]:
@@ -227,18 +234,23 @@ class SymFunc:
         return lo, hi
 
     def tabulated(self, n: int = 2048, pad: float = 1e8) -> "SymFunc":
-        """Fast log-log interpolated copy (used inside nested quadratures)."""
+        """Fast log-log interpolated copy (used inside nested quadratures).
+        A cumulative integral is sampled in one sweep over the grid, and the
+        copy falls back to it re-anchored at the grid points."""
         lo, hi = self._span()
         lo, hi = lo / pad, hi * pad
         ts = np.geomspace(lo, hi, n)
-        vals = np.array([self.fn(float(t)) for t in ts])
+        if isinstance(self.fn, Cumulative):
+            vals, f = self.fn.sweep(ts)
+        else:
+            f = self.fn
+            vals = np.array([f(float(t)) for t in ts])
         finite = np.isfinite(vals)
         if not finite.all():
             vals = np.where(finite, vals, np.nan)
         logt = np.log(ts)
         with np.errstate(divide="ignore"):
             logv = np.log(vals)
-        f = self.fn
 
         def fn(t: float) -> float:
             if t <= lo or t >= hi:
@@ -288,7 +300,7 @@ class SymFunc:
             head_int, segs, tail_int = self._knot_integrals()
         if fn is None:
             cum = list(itertools.accumulate([head_int, *segs]))
-            fn = _piecewise_cumulative(self.fn, knots, cum, from_left=True)
+            fn = Cumulative(self.fn, knots, cum, from_left=True)
         # head asymptotics of U
         ha, hb, hc = self.head.a, self.head.b, self.head.coef
         if hc == 0.0:
@@ -324,8 +336,7 @@ class SymFunc:
             head_int, segs, tail_int = self._knot_integrals()
         if fn is None:
             cum = list(itertools.accumulate([tail_int, *reversed(segs)]))
-            fn = _piecewise_cumulative(self.fn, knots, cum[::-1],
-                                       from_left=False)
+            fn = Cumulative(self.fn, knots, cum[::-1], from_left=False)
         ta, tb, tc = self.tail.a, self.tail.b, self.tail.coef
         if tc == 0.0:
             tail = Asym(0.0)
@@ -358,7 +369,10 @@ class SymFunc:
                 f"~ {self.tail.coef:.3g} t**({self.tail.a}) "
                 f"log**({self.tail.b}) unbounded at inf")
         lo, hi = self._span()
-        best = max(scan_max(self.fn, lo / 1e8, hi * 1e8, 600), at0, atinf)
+        # a maximum at a kink sits on a knot, between the scan's samples
+        at_knots = [v for v in map(self.fn, self.knots) if math.isfinite(v)]
+        best = max(scan_max(self.fn, lo / 1e8, hi * 1e8, 600), at0, atinf,
+                   *at_knots)
         return ExtReal.finite(float(best))
 
     def running_sup_from(self) -> "SymFunc":
@@ -396,27 +410,70 @@ def _total(head: float, segs: Sequence[float], tail: float) -> float:
     return total
 
 
-def _piecewise_cumulative(fn, knots, cum, from_left: bool):
-    ks = list(knots)
+class Cumulative:
+    """t -> integral_0^t fn (from_left) or t -> integral_t^inf fn, held as
+    sorted anchors and the integral's values there; with recip set it is
+    t -> the same integral at 1/t.
 
-    def seg(a: float, b: float) -> float:
-        # log coordinates keep wide ranges well conditioned
-        if b > 8.0 * a:
-            return log_quad(fn, a, b)
-        return pieces.quad(fn, a, b)[0]
+    A point value integrates fn only from the nearest anchor on the side of
+    the fixed end (in log coordinates from 0 or to inf when there is none
+    there).  ``sweep`` gives the values on a whole grid in one pass."""
 
-    @functools.lru_cache(maxsize=100000)
-    def value(t: float) -> float:
-        if from_left:
-            i = int(np.searchsorted(ks, t, side="right")) - 1
+    __slots__ = ("fn", "anchors", "values", "from_left", "recip")
+
+    def __init__(self, fn, anchors: Sequence[float], values: Sequence[float],
+                 from_left: bool, recip: bool = False):
+        self.fn = fn
+        self.anchors = list(anchors)
+        self.values = list(values)
+        self.from_left = from_left
+        self.recip = recip
+
+    def reciprocal(self) -> "Cumulative":
+        return Cumulative(self.fn, self.anchors, self.values, self.from_left,
+                          not self.recip)
+
+    def __call__(self, t: float) -> float:
+        return self._value(1.0 / t if self.recip else t)
+
+    def _value(self, x: float) -> float:
+        ks, fn = self.anchors, self.fn
+        if self.from_left:
+            i = bisect.bisect_right(ks, x) - 1
             if i < 0:
-                if t <= 0.0:
-                    return 0.0
-                return log_quad(fn, 0.0, t)
-            return cum[i] + seg(ks[i], t)
-        i = int(np.searchsorted(ks, t, side="left"))
+                return 0.0 if x <= 0.0 else log_quad(fn, 0.0, x)
+            return self.values[i] + _segment(fn, ks[i], x)
+        i = bisect.bisect_left(ks, x)
         if i >= len(ks):
-            return log_quad(fn, t, math.inf)
-        return cum[i] + seg(t, ks[i])
+            return log_quad(fn, x, math.inf)
+        return self.values[i] + _segment(fn, x, ks[i])
 
-    return value
+    def sweep(self, ts: np.ndarray) -> tuple[np.ndarray, "Cumulative"]:
+        """The values at the increasing grid ts, and this cumulative
+        anchored at the grid (and the anchors inside it) instead.  The grid
+        is split at those anchors; each segment between consecutive points
+        is one ``quad``, summed from the point value at the grid's end on
+        the fixed side toward the other end."""
+        if self.recip:
+            vals, cum = self.reciprocal().sweep(1.0 / ts[::-1])
+            return vals[::-1], cum.reciprocal()
+        x0, x1 = float(ts[0]), float(ts[-1])
+        edges = sorted(set(ts.tolist()).union(
+            k for k in self.anchors if x0 < k < x1))
+        parts = [pieces.quad(self.fn, a, b)[0]
+                 for a, b in zip(edges, edges[1:])]
+        if self.from_left:
+            run = list(itertools.accumulate(parts, initial=self._value(x0)))
+        else:
+            run = list(itertools.accumulate(reversed(parts),
+                                            initial=self._value(x1)))[::-1]
+        cum = Cumulative(self.fn, edges, run, self.from_left)
+        return np.asarray(run)[np.searchsorted(edges, ts)], cum
+
+
+def _segment(fn, a: float, b: float) -> float:
+    """integral_a^b fn for 0 < a <= b < inf; log coordinates keep wide
+    ranges well conditioned."""
+    if b > 8.0 * a:
+        return log_quad(fn, a, b)
+    return pieces.quad(fn, a, b)[0]

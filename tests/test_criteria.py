@@ -7,7 +7,8 @@ from fourierineq.criteria import (REGIME_DEG_P1, REGIME_DEG_QINF, REGIME_I,
                                   REGIME_II, REGIME_III, REGIME_IV, REGIME_V,
                                   ExponentConfig, U_func, classify, conjugate,
                                   dual_config, evaluate, xi_func)
-from fourierineq.pieces import StepFunction, TailSpec
+from fourierineq.norms import optimal_Y_norm
+from fourierineq.pieces import StepFunction, TailSpec, parse_exp
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
 
 
@@ -202,3 +203,21 @@ def test_report_json():
     assert j["regime"] == REGIME_I
     assert j["holds"] is True
     assert j["constants"]["C3"]["state"] == "finite"
+
+
+def test_huge_q_sharp_gives_a_consistent_certificate():
+    # q just below 2 makes q# = 2q/(2-q) about 4e20; the asymptotic
+    # coefficients and point values raised to q#/2 used to overflow
+    q = parse_exp("1.99999999999999999999")
+    rep = evaluate(WeightSpec.indicator(1.0),
+                   WeightSpec.power(Fraction(1, 4), NONDECREASING), cfg(3, q))
+    assert rep.regime == REGIME_III
+    assert not any(math.isnan(c.value) for c in rep.constants.values())
+    gov = rep.governing
+    if gov.is_finite:
+        assert gov.value > 0.0 and rep.holds is True
+    else:
+        assert gov.is_infinite and rep.holds is False
+    y = optimal_Y_norm(StepFunction.indicator(1.0), WeightSpec.indicator(1.0),
+                       q)
+    assert y.is_infinite or (y.is_finite and y.value >= 0.0)

@@ -1,6 +1,8 @@
+import bisect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fourierineq.criteria import ExponentConfig
@@ -224,3 +226,64 @@ def test_tail_spec_rejects_non_finite_exponents():
     for a, b in [(math.inf, 0), (math.nan, 0), (1, math.inf)]:
         with pytest.raises(ValueError):
             TailSpec.powerlog(a, b)
+
+
+def _random_closed_form(rng) -> StepFunction:
+    """Random pieces without log factors whose partial integrals are all
+    finite: constant cells, shifted and unshifted powers, t**-1 pieces
+    away from their shift and a decaying or zero tail."""
+    edges = np.unique(np.round(rng.uniform(0.05, 9.0, rng.integers(1, 7)),
+                               int(rng.integers(0, 7))))
+    edges = [0.0, *edges[edges > 0.0].tolist()]
+    out = []
+    for lo, hi in zip(edges, edges[1:] + [math.inf]):
+        off = float(rng.choice([0.0, rng.uniform(0.0, 3.0)]))
+        coef = float(rng.uniform(0.1, 3.0))
+        kind = rng.integers(4) if math.isfinite(hi) else 4
+        if kind == 0:
+            out.append(Piece(lo, hi, off))
+        elif kind == 1:  # a power of t - shift with shift <= lo
+            shift = float(rng.choice([0.0, lo, lo * rng.random()]))
+            a = Fraction(int(rng.integers(-2, 9)), 4)
+            if shift == lo and a <= -1:
+                a = Fraction(1, 3)
+            out.append(Piece(lo, hi, off, coef, shift, a))
+        elif lo > 0.0:  # t**-1 or steeper, away from its shift
+            a = Fraction(-1) if kind == 2 else Fraction(-7, 3)
+            out.append(Piece(lo, hi, off, coef, lo * rng.random(), a))
+        else:
+            out.append(Piece(lo, hi, off, coef, 0.0, Fraction(2, 3)))
+        if kind == 4:  # the tail: zero or a decaying power
+            out[-1] = (Piece(lo, hi) if lo == 0.0 or rng.random() < 0.3 else
+                       Piece(lo, hi, 0.0, coef, lo * rng.random(),
+                             Fraction(-int(rng.integers(5, 12)), 4)))
+    return StepFunction(out)
+
+
+def test_closed_form_cumulative_is_piece_integral_bit_for_bit(monkeypatch):
+    rng = np.random.default_rng(2024)
+    for _ in range(300):
+        f = _random_closed_form(rng)
+        ps = f.pieces
+        inner = [p.hi for p in ps[:-1]]
+        ts = [0.0, *f.breakpoints, *inner,
+              *np.nextafter(inner, 0.0).tolist(),
+              *rng.uniform(0.0, 12.0, 8).tolist()]
+        left, right = f.cumulative(), f.cumulative(from_left=False)
+        # reference: prefix sums of Piece.integral plus the partial
+        # integral of the piece holding t
+        want = []
+        for t in ts:
+            i = bisect.bisect_right(f.breakpoints, t) - 1
+            head = sum((p.integral(p.lo, p.hi).value for p in ps[:i]), 0.0)
+            part = ps[i].integral(ps[i].lo, t).value
+            rest = 0.0
+            for p in ps[:i:-1]:
+                rest += p.integral(p.lo, p.hi).value
+            want.append((head + part, rest + ps[i].integral(t, ps[i].hi).value))
+        # the float formula runs for every point: Piece.integral is not
+        # called once the cumulatives are built
+        monkeypatch.setattr(Piece, "integral", None)
+        got = [(left(t), right(t)) for t in ts]
+        monkeypatch.undo()
+        assert got == want
