@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .criteria import ExponentConfig, U_func, dual_config, evaluate, xi_func
-from .extreal import ExtReal
+from .extreal import ExtReal, json_float
 from .extremal import (bracket_constant, dft, random_band_limited, ratio,
                        weighted_norm)
 from .hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE, TAIL_INTEGRAL,
@@ -54,7 +54,7 @@ def _config(args) -> ExponentConfig:
 
 
 def _write_report(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True)
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out:
         with open(out, "w") as fh:
             fh.write(text + "\n")
@@ -193,7 +193,7 @@ def cmd_estimate(args) -> int:
     half = max(
         ratio(random_band_limited(rng2, args.N // 2, args.L), u, v, cfg)
         for _ in range(max(2, args.budget // 2)))
-    report["half_resolution_lower"] = half
+    report["half_resolution_lower"] = json_float(half)
     if args.plot_dir:
         report["plot_series"] = {
             "ratio_vs_resolution": {

@@ -26,7 +26,7 @@ from typing import Any, Optional
 
 from .extreal import ExtReal
 from .hardy import integral_form, sup_form
-from .pieces import (Exponent, as_exp, conjugate, is_inf, log_quad, quad,
+from .pieces import (Exponent, as_exp, conjugate, end_quad, is_inf, quad,
                      sharp)
 from .rearrange import circ_profile, lower_star
 from .symfunc import Divergence, SymFunc, guarded
@@ -293,12 +293,12 @@ def qsharp_tail_finite(u: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """integral_1^inf u*(s)**qs ds (must be finite in regimes III/IV/V)."""
     def compute() -> ExtReal:
         f = ustar_sym(u, cfg, cfg.q_sharp)
-        if not f.tail.integrable_at_inf():
+        if not f.tail.integrable(at_zero=False):
             return ExtReal.infinite(
                 f"u*^qs ~ t**({f.tail.a}) log**({f.tail.b}) at inf")
         last = max([k for k in f.knots if k > 1.0] or [2.0])
         return ExtReal.finite(quad(f, 1.0, last)[0]
-                              + log_quad(f, last, math.inf))
+                              + end_quad(f, f.tail, last, math.inf))
     return guarded(compute)
 
 

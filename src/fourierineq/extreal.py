@@ -88,13 +88,6 @@ class ExtReal:
             return ExtReal.infinite("0 ** negative")
         return ExtReal.finite(self.value ** e)
 
-    def maximum(self, other: "ExtReal") -> "ExtReal":
-        if self.is_infinite or other.is_infinite:
-            return ExtReal.infinite(self.reason or other.reason)
-        if INDETERMINATE in (self.state, other.state):
-            return ExtReal.indeterminate(self.reason or other.reason)
-        return ExtReal.finite(max(self.value, other.value))
-
     # -- serialization -------------------------------------------------
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {"state": self.state}
@@ -104,16 +97,16 @@ class ExtReal:
             out["reason"] = self.reason
         return out
 
-    @staticmethod
-    def from_json(d: dict[str, Any]) -> "ExtReal":
-        state = d["state"]
-        if state == FINITE:
-            return ExtReal.finite(d["value"])
-        if state == INFINITE:
-            return ExtReal.infinite(d.get("reason", ""))
-        return ExtReal.indeterminate(d.get("reason", ""))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.is_finite:
             return f"ExtReal({self.value:.6g})"
         return f"ExtReal({self.state}{', ' + self.reason if self.reason else ''})"
+
+
+def json_float(x: float) -> float | dict[str, Any]:
+    """x for a JSON report, which has no Infinity or NaN: x when finite,
+    else the JSON form of an infinite (for NaN, indeterminate) ExtReal."""
+    if math.isfinite(x):
+        return x
+    return (ExtReal.indeterminate() if math.isnan(x)
+            else ExtReal.infinite()).to_json()

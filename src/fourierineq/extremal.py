@@ -26,7 +26,7 @@ import numpy as np
 
 from .criteria import (C3, ExponentConfig, CriterionReport, U_func, W_func,
                        evaluate, REGIME_DEG_QINF)
-from .extreal import ExtReal
+from .extreal import ExtReal, json_float
 from .pieces import StepFunction, is_inf
 from .rearrange import circ_profile
 from .symfunc import guarded
@@ -88,13 +88,32 @@ def weighted_norm(sig: SampledSignal, p, w: Optional[WeightSpec] = None
     return _lp_norm(mags, sig.dx, p)
 
 
+def _dual_weight(u: WeightSpec, T: SampledSignal, q) -> np.ndarray:
+    """u at the samples |xi| of the dual grid.  Where u is infinite at a
+    sample (a singular weight sampled at xi = 0), the q-th root of the
+    average of u**q over the radii of the sample's cell [xi - dx/2,
+    xi + dx/2] instead, finite wherever u**q is locally integrable; at
+    q = inf the weight stays infinite."""
+    w = u.evaluate(np.abs(T.xs))
+    singular = np.flatnonzero(~np.isfinite(w))
+    if is_inf(q) or not len(singular):
+        return w
+    uq = u.profile().pow_compose(q)
+    for i in singular:
+        r0, r1 = max(abs(T.xs[i]) - T.dx / 2, 0.0), abs(T.xs[i]) + T.dx / 2
+        w[i] = (uq.integrate(r0, r1).value / (r1 - r0)) ** (1.0 / float(q))
+    return w
+
+
 def ratio(f: SampledSignal, u: WeightSpec, v: WeightSpec,
           cfg: ExponentConfig) -> float:
-    """Empirical ||u Tf||_q / ||v f||_p; a lower bound for the optimal C."""
+    """Empirical ||u Tf||_q / ||v f||_p; a lower bound for the optimal C.
+    A weight infinite at a dual sample enters by ``_dual_weight``."""
     den = weighted_norm(f, cfg.p, v)
     if den == 0.0:
         return 0.0
-    num = weighted_norm(dft(f), cfg.q, u)
+    T = dft(f)
+    num = _lp_norm(np.abs(T.values) * _dual_weight(u, T, cfg.q), T.dx, cfg.q)
     return num / den
 
 
@@ -158,7 +177,7 @@ def _block_ratio(blocks: np.ndarray, L: float, u: WeightSpec, v: WeightSpec,
     Ts = [dft(SampledSignal(b, L)) for b in blocks]
     Tblocks = np.array([T.values for T in Ts])
     vw = v.evaluate(np.abs(f0.xs))
-    uw = u.evaluate(np.abs(Ts[0].xs))
+    uw = _dual_weight(u, Ts[0], cfg.q)
 
     def ratio_of(eps: np.ndarray) -> float:
         den = _lp_norm(np.abs(eps @ blocks) * vw, f0.dx, cfg.p)
@@ -395,8 +414,10 @@ class ConstantBracket:
     report: Optional[CriterionReport] = None
 
     def to_json(self) -> dict:
-        return {"lower": self.lower, "upper": self.upper.to_json(),
-                "regime": self.regime, "witnesses": self.witnesses}
+        return {"lower": json_float(self.lower),
+                "upper": self.upper.to_json(), "regime": self.regime,
+                "witnesses": {k: json_float(x)
+                              for k, x in self.witnesses.items()}}
 
 
 def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,

@@ -18,6 +18,12 @@ exactly that float, or else its exact binary value.  Exponent arithmetic and
 every finiteness or limit decision (comparisons against -1 and 0) are
 therefore exact; exponents become floats only to evaluate powers.
 
+The end rule decides, by one formula at both ends of (0, inf), whether a
+term c * t**a * L**b (L = log(1/t) at 0, log(t) at inf) is integrable there,
+its limit there and the leading term of its integral (``end_integrable``,
+``end_limit``, ``end_integral``), comparing the exact exponents.  Pieces and
+the asymptotic terms of ``symfunc`` take every end decision from it.
+
 Coefficients are floats; quadrature is used only where a closed form does
 not exist (log factors over finite ranges, infinite tails with log factors),
 and only after convergence has been decided symbolically.
@@ -82,6 +88,27 @@ def log_quad(fn, t0: float, t1: float) -> float:
     return quad(g, u0, math.log(t1))[0]
 
 
+_LOG_CUT = 700.0  # |log t| beyond which e**u may under- or overflow
+
+
+def end_quad(fn, end, t0: float, t1: float) -> float:
+    """``log_quad`` from the end t0 = 0 or to the end t1 = inf, where end
+    (an Asym, or a Piece for its own tail) holds fn's term there as coef,
+    a, b.  log_quad loses the slowly decaying rest of an end ~ t**-1 L**b,
+    so for such an end the part beyond |log t| = 700 is the end rule's
+    integrated term."""
+    if end.a != -1 or end.coef == 0.0:
+        return log_quad(fn, t0, t1)
+    if t0 == 0.0:
+        t0 = min(t1, math.exp(-_LOG_CUT))
+        cut_L = -math.log(t0)
+    else:
+        t1 = max(t0, math.exp(_LOG_CUT))
+        cut_L = math.log(t1)
+    c, _, b = end_integral(end.coef, end.a, end.b)  # c L**b with a = 0
+    return c * cut_L ** float(b) + log_quad(fn, t0, t1)
+
+
 def parse_exp(text: str) -> Exponent:
     """Parse an exponent: an integer, decimal, fraction like ``4/3`` or
     ``inf``.  Returns an exact Fraction, or math.inf; raises ValueError on
@@ -133,6 +160,50 @@ def sharp(x: Exponent) -> Exponent:
     if x == 2:
         return math.inf
     return 2 * x / abs(2 - x)
+
+
+class Divergence(Exception):
+    """Raised when a quantity is certified infinite; carries the reason."""
+
+    def __init__(self, reason: str):
+        super().__init__(reason)
+        self.reason = reason
+
+
+def end_integrable(c: float, a: Exponent, b: Exponent, at_zero: bool) -> bool:
+    """Is the term integrable at 0 (at_zero) or at inf?"""
+    if c == 0.0:
+        return True
+    if a == -1:
+        return b < -1
+    return (a > -1) == at_zero
+
+
+def end_limit(c: float, a: Exponent, b: Exponent, at_zero: bool) -> float:
+    """The term's limit at 0 (at_zero) or at inf: 0, c or inf."""
+    if c == 0.0:
+        return 0.0
+    if a != 0:
+        grows = (a < 0) == at_zero
+    elif b != 0:
+        grows = b > 0
+    else:
+        return c
+    return math.inf if grows else 0.0
+
+
+def end_integral(c: float, a: Exponent, b: Exponent
+                 ) -> tuple[float, Exponent, Exponent]:
+    """(c', a', b') of the leading term of the term's integral from the end
+    (or toward it, where it is not integrable): c t**(a+1) L**b / |a+1|,
+    or c L**(b+1) / |b+1| for a = -1; Divergence for log-log growth."""
+    if c == 0.0:
+        return 0.0, Fraction(0), Fraction(0)
+    if a != -1:
+        return c / abs(float(a) + 1.0), a + 1, b
+    if b == -1:
+        raise Divergence("log-log growth is not supported")
+    return c / abs(float(b) + 1.0), Fraction(0), b + 1
 
 
 def scan_max(h, lo: float, hi: float, n: int) -> float:
@@ -280,20 +351,10 @@ class Piece:
         """One-sided limit; t may be 0.0 (from the right) or inf."""
         if self.is_constant:
             return self.const_value
-        a, b = self.a, self.b
         if math.isinf(t):
-            if a > 0 or (a == 0 and b > 0):
-                return math.inf
-            if a < 0 or (a == 0 and b < 0):
-                return self.offset
-            return self.offset + self.coef
-        s = t - self.shift
-        if s <= 0.0:
-            if a < 0:
-                return math.inf
-            if a > 0:
-                return self.offset
-            return self.offset + self.coef  # log factor tends to 1 at s=0
+            return self.offset + end_limit(self.coef, self.a, self.b, False)
+        if t - self.shift <= 0.0:  # the log factor tends to 1 at s = 0
+            return self.offset + end_limit(self.coef, self.a, 0, True)
         return self(t)
 
     def values_monotone(self) -> bool:
@@ -326,17 +387,15 @@ class Piece:
         # symbolic convergence checks
         a, b = self.a, self.b
         if s0 <= 0.0:
-            # head at s=0: log factor ~ 1 there, so integrability is a > -1
-            if a <= -1:
+            # head at s=0: log factor ~ 1 there
+            if not end_integrable(self.coef, a, 0, True):
                 return ExtReal.infinite(
                     f"non-integrable head exponent {self.a} at t={self.shift}"
                 )
             s0 = 0.0
-        if math.isinf(s1):
-            if a > -1 or (a == -1 and b >= -1):
-                return ExtReal.infinite(
-                    f"non-integrable tail exponents (a={self.a}, b={self.b})"
-                )
+        if math.isinf(s1) and not end_integrable(self.coef, a, b, False):
+            return ExtReal.infinite(
+                f"non-integrable tail exponents (a={self.a}, b={self.b})")
         # exact closed forms when there is no log factor
         if b == 0:
             if a == -1:
@@ -354,7 +413,7 @@ class Piece:
         if math.isinf(s1):
             cut = max(s0, 1.0)
             head_val = quad(g, s0, cut)[0] if cut > s0 else 0.0
-            tail_val = log_quad(g, cut, math.inf)
+            tail_val = end_quad(g, self, cut, math.inf)
             return ExtReal.finite(total + head_val + tail_val)
         val, _err = quad(g, s0, s1)
         return ExtReal.finite(total + val)
@@ -511,10 +570,6 @@ class StepFunction:
     @property
     def breakpoints(self) -> tuple[float, ...]:
         return tuple(self._los)
-
-    @property
-    def grid(self) -> Grid:
-        return Grid(tuple(self._los))
 
     @property
     def tail(self) -> TailSpec:
@@ -701,9 +756,10 @@ def _closed_partial(p: Piece, from_left: bool):
     power = c != 0.0
     if power and (p.b != 0 or shift > lo):
         return None
-    if power and not (a > -1 or lo - shift > 0.0):
+    if power and lo - shift <= 0.0 and not end_integrable(c, a, 0, True):
         return None  # the head at t = shift diverges
-    if power and not from_left and not finite_hi and a >= -1:
+    if power and not (from_left or finite_hi
+                      or end_integrable(c, a, 0, False)):
         return None  # the tail diverges
     log_form = a == -1
     closed_power = power and not log_form

@@ -18,7 +18,8 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .extreal import ExtReal
-from .pieces import Piece, StepFunction, quad
+from .pieces import Piece, StepFunction
+from .symfunc import SymFunc
 from .weights import WeightSpec, recip
 
 
@@ -354,16 +355,4 @@ def hl_pairing(f: StepFunction, g: StepFunction) -> ExtReal:
     try:
         return (fs * gs).integrate()
     except NotImplementedError:
-        knots = sorted(set(fs.breakpoints) | set(gs.breakpoints))
-        knots = [k for k in knots if k > 0.0]
-        hi = (knots[-1] if knots else 1.0)
-        total = 0.0
-        lo = 0.0
-        for k in knots + [math.inf]:
-            ub = k if math.isfinite(k) else hi * 1e6
-            val, _ = quad(lambda t: fs(t) * gs(t), lo, ub)
-            total += val
-            lo = ub
-            if math.isinf(k):
-                break
-        return ExtReal.finite(total)
+        return SymFunc.from_step(fs).mul(SymFunc.from_step(gs)).integral()

@@ -9,9 +9,10 @@ A SymFunc couples a numeric callable with those two asymptotic exponents:
     f(t) ~ coef * t**a * log(t)**b     as t -> inf
 
 All finiteness decisions (integrability at the endpoints, boundedness of
-sups) are made from the exponents symbolically; quadrature is used only for
-the finite numeric values and is performed in exp-substituted coordinates so
-endpoint singularities are integrated accurately.
+sups) are made from the exponents symbolically, by the end rule of
+``pieces``; quadrature is used only for the finite numeric values and is
+performed in exp-substituted coordinates so endpoint singularities are
+integrated accurately.
 
 Exponents follow the exponent rule of ``pieces`` (always Fractions), so
 boundary cases (exponent exactly -1 or 0) are decided exactly.
@@ -29,15 +30,9 @@ import numpy as np
 
 from . import pieces
 from .extreal import ExtReal
-from .pieces import StepFunction, Exponent, as_exp, log_quad, scan_max
-
-
-class Divergence(Exception):
-    """Raised when a quantity is certified infinite; carries the reason."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
+from .pieces import (Divergence, StepFunction, Exponent, as_exp,
+                     end_integrable, end_integral, end_limit, end_quad,
+                     log_quad, scan_max)
 
 
 def guarded(compute: Callable[[], ExtReal]) -> ExtReal:
@@ -78,30 +73,29 @@ class Asym:
             coef = math.inf
         return Asym(coef, self.a * e, self.b * e)
 
-    def integrable_at_zero(self) -> bool:
-        return (self.coef == 0.0 or self.a > -1
-                or (self.a == -1 and self.b < -1))
+    # the end rule of ``pieces``, at 0 (at_zero) or at inf
+    def integrable(self, at_zero: bool) -> bool:
+        return end_integrable(self.coef, self.a, self.b, at_zero)
 
-    def integrable_at_inf(self) -> bool:
-        return (self.coef == 0.0 or self.a < -1
-                or (self.a == -1 and self.b < -1))
+    def limit(self, at_zero: bool) -> float:
+        return end_limit(self.coef, self.a, self.b, at_zero)
 
-
-def _limit_at_zero(asym: Asym) -> float:
-    # t**a with a>0 vanishes at 0, a<0 blows up; log(1/t)**b grows for b>0
-    if asym.coef == 0.0 or asym.a > 0 or (asym.a == 0 and asym.b < 0):
-        return 0.0
-    if asym.a < 0 or asym.b > 0:
-        return math.inf
-    return asym.coef
+    def integrated(self) -> "Asym":
+        """The leading term of the integral from (or toward) the end."""
+        return Asym(*end_integral(self.coef, self.a, self.b))
 
 
-def _limit_at_inf(asym: Asym) -> float:
-    if asym.coef == 0.0 or asym.a < 0 or (asym.a == 0 and asym.b < 0):
-        return 0.0
-    if asym.a > 0 or asym.b > 0:
-        return math.inf
-    return asym.coef
+def _piece_end(p: pieces.Piece, at_zero: bool) -> Asym:
+    """The leading term at 0 (at_zero) or at inf of the first or last
+    piece p: offset + coef t**a L**b, where the log factor log(e+t) of a
+    piece tends to 1 at 0 (L**0 there).  A piece shifted left of 0 is a
+    finite level there, its limit at 0."""
+    if at_zero and p.shift < 0.0:
+        return Asym(p.limit_at(0.0))
+    terms = [Asym(p.offset)] if p.offset else []
+    if p.coef:
+        terms.append(Asym(p.coef, p.a, 0 if at_zero else p.b))
+    return _dominant(terms, at_zero)
 
 
 def _dominant(terms: Sequence[Asym], at_zero: bool) -> Asym:
@@ -154,24 +148,9 @@ class SymFunc:
 
     @staticmethod
     def from_step(sf: StepFunction) -> "SymFunc":
-        first, last = sf.pieces[0], sf.pieces[-1]
-        head_terms = []
-        if first.offset:
-            head_terms.append(Asym(first.offset))
-        if first.coef:
-            if first.shift < 0.0:
-                head_terms.append(Asym(first((first.lo + min(first.hi, first.lo + 1)) / 2
-                                             if first.lo > 0 else min(first.hi, 1.0) / 2)))
-            else:
-                head_terms.append(Asym(first.coef, first.a, 0))
-        tail_terms = []
-        if last.offset:
-            tail_terms.append(Asym(last.offset))
-        if last.coef:
-            tail_terms.append(Asym(last.coef, last.a, last.b))
         closed_form = all(p.b == 0 for p in sf.pieces)
-        return SymFunc(lambda t: sf(t), _dominant(head_terms, True),
-                       _dominant(tail_terms, False),
+        return SymFunc(lambda t: sf(t), _piece_end(sf.pieces[0], True),
+                       _piece_end(sf.pieces[-1], False),
                        [b for b in sf.breakpoints if b > 0.0],
                        step=sf if closed_form else None)
 
@@ -210,13 +189,6 @@ class SymFunc:
                        _dominant([self.head, other.head], True),
                        _dominant([self.tail, other.tail], False),
                        self.knots + other.knots)
-
-    def scaled(self, k: float) -> "SymFunc":
-        f = self.fn
-        return SymFunc(lambda t: k * f(t),
-                       Asym(k * self.head.coef, self.head.a, self.head.b),
-                       Asym(k * self.tail.coef, self.tail.a, self.tail.b),
-                       self.knots)
 
     def recip_arg(self) -> "SymFunc":
         """t -> f(1/t); swaps the roles of 0 and infinity."""
@@ -263,6 +235,10 @@ class SymFunc:
         return SymFunc(fn, self.head, self.tail, self.knots)
 
     # -- calculus ---------------------------------------------------------
+    def _ends(self):
+        """(term, at_zero, name) for the head and the tail."""
+        return ((self.head, True, "0"), (self.tail, False, "inf"))
+
     def _knot_integrals(self) -> tuple[float, list[float], float]:
         """Integrals of f over the head (0, k_0), the segments
         (k_i, k_{i+1}) and the tail (k_n, inf) of the knots (1 when there
@@ -270,114 +246,72 @@ class SymFunc:
         end where f is certified not integrable is not integrated and
         reads inf."""
         f, ks = self.fn, self.knots or (1.0,)
-        h = (log_quad(f, 0.0, ks[0]) if self.head.integrable_at_zero()
-             else math.inf)
+        h = (end_quad(f, self.head, 0.0, ks[0])
+             if self.head.integrable(at_zero=True) else math.inf)
         segs = [pieces.quad(f, a, b)[0] for a, b in zip(ks, ks[1:])]
-        t = (log_quad(f, ks[-1], math.inf) if self.tail.integrable_at_inf()
-             else math.inf)
+        t = (end_quad(f, self.tail, ks[-1], math.inf)
+             if self.tail.integrable(at_zero=False) else math.inf)
         return h, segs, t
 
     def integral(self) -> ExtReal:
         """integral over (0, inf) with symbolic endpoint certification."""
-        if not self.head.integrable_at_zero():
-            return ExtReal.infinite(
-                f"integrand ~ t**({self.head.a}) log**({self.head.b}) at 0")
-        if not self.tail.integrable_at_inf():
-            return ExtReal.infinite(
-                f"integrand ~ t**({self.tail.a}) log**({self.tail.b}) at inf")
+        for end, at_zero, name in self._ends():
+            if not end.integrable(at_zero):
+                return ExtReal.infinite(
+                    f"integrand ~ t**({end.a}) log**({end.b}) at {name}")
         return ExtReal.finite(_total(*self._knot_integrals()))
 
     def antiderivative(self) -> "SymFunc":
         """U(t) = integral_0^t f; raises Divergence when U is identically inf."""
-        if not self.head.integrable_at_zero():
-            raise Divergence(
-                f"head ~ t**({self.head.a}) log**({self.head.b}) "
-                "not integrable at 0")
-        knots = self.knots or (1.0,)
-        tail_finite = self.tail.integrable_at_inf()
-        fn = None if self.step is None else self.step.cumulative()
-        if fn is None or tail_finite:
-            head_int, segs, tail_int = self._knot_integrals()
-        if fn is None:
-            cum = list(itertools.accumulate([head_int, *segs]))
-            fn = Cumulative(self.fn, knots, cum, from_left=True)
-        # head asymptotics of U
-        ha, hb, hc = self.head.a, self.head.b, self.head.coef
-        if hc == 0.0:
-            head = Asym(0.0)
-        elif ha > -1:
-            head = Asym(hc / (float(ha) + 1.0), ha + 1, hb)
-        else:  # a == -1, b < -1
-            head = Asym(hc / (-(float(hb) + 1.0)), 0, hb + 1)
-        # tail asymptotics of U
-        if tail_finite:
-            tail = Asym(_total(head_int, segs, tail_int), 0, 0)
-        elif self.tail.a > -1:
-            tail = Asym(self.tail.coef / (float(self.tail.a) + 1.0),
-                        self.tail.a + 1, self.tail.b)
-        else:  # a == -1, b >= -1
-            if self.tail.b == -1:
-                raise Divergence("log-log growth tails are not supported")
-            tail = Asym(self.tail.coef / (float(self.tail.b) + 1.0), 0,
-                        self.tail.b + 1)
-        return SymFunc(fn, head, tail, knots)
+        return self._cumulative(from_left=True)
 
     def tail_integral(self) -> "SymFunc":
         """T(t) = integral_t^inf f; raises Divergence when identically inf."""
-        if not self.tail.integrable_at_inf():
+        return self._cumulative(from_left=False)
+
+    def _cumulative(self, from_left: bool) -> "SymFunc":
+        """integral_0^t f (from_left) or integral_t^inf f, with its ends
+        from the end rule (a finite total where f is integrable)."""
+        ends = self._ends()
+        (start, _, name), (other, _, _) = ends if from_left else ends[::-1]
+        if not start.integrable(from_left):
             raise Divergence(
-                f"tail ~ t**({self.tail.a}) log**({self.tail.b}) "
-                "not integrable at inf")
+                f"{'head' if from_left else 'tail'} ~ t**({start.a}) "
+                f"log**({start.b}) not integrable at {name}")
         knots = self.knots or (1.0,)
-        head_finite = self.head.integrable_at_zero()
-        fn = None if self.step is None else self.step.cumulative(
-            from_left=False)
-        if fn is None or head_finite:
+        other_finite = other.integrable(not from_left)
+        fn = None if self.step is None else self.step.cumulative(from_left)
+        if fn is None or other_finite:
             head_int, segs, tail_int = self._knot_integrals()
         if fn is None:
-            cum = list(itertools.accumulate([tail_int, *reversed(segs)]))
-            fn = Cumulative(self.fn, knots, cum[::-1], from_left=False)
-        ta, tb, tc = self.tail.a, self.tail.b, self.tail.coef
-        if tc == 0.0:
-            tail = Asym(0.0)
-        elif ta < -1:
-            tail = Asym(tc / (-(float(ta) + 1.0)), ta + 1, tb)
-        else:  # a == -1, b < -1
-            tail = Asym(tc / (-(float(tb) + 1.0)), 0, tb + 1)
-        if head_finite:
-            head = Asym(_total(head_int, segs, tail_int), 0, 0)
-        elif self.head.a < -1:
-            head = Asym(self.head.coef / (-(float(self.head.a) + 1.0)),
-                        self.head.a + 1, self.head.b)
-        else:
-            if self.head.b == -1:
-                raise Divergence("log-log heads are not supported")
-            head = Asym(self.head.coef / (-(float(self.head.b) + 1.0)), 0,
-                        self.head.b + 1)
+            parts = ([head_int, *segs] if from_left
+                     else [tail_int, *reversed(segs)])
+            cum = list(itertools.accumulate(parts))
+            fn = Cumulative(self.fn, knots, cum if from_left else cum[::-1],
+                            from_left, start)
+        near = start.integrated()
+        far = (Asym(_total(head_int, segs, tail_int)) if other_finite
+               else other.integrated())
+        head, tail = (near, far) if from_left else (far, near)
         return SymFunc(fn, head, tail, knots)
 
     def sup(self) -> ExtReal:
         """sup over (0, inf) with certified endpoint limits."""
-        at0 = _limit_at_zero(self.head)
-        atinf = _limit_at_inf(self.tail)
-        if math.isinf(at0):
-            return ExtReal.infinite(
-                f"~ {self.head.coef:.3g} t**({self.head.a}) "
-                f"log**({self.head.b}) unbounded at 0")
-        if math.isinf(atinf):
-            return ExtReal.infinite(
-                f"~ {self.tail.coef:.3g} t**({self.tail.a}) "
-                f"log**({self.tail.b}) unbounded at inf")
+        lims = [end.limit(at_zero) for end, at_zero, _ in self._ends()]
+        for lim, (end, _, name) in zip(lims, self._ends()):
+            if math.isinf(lim):
+                return ExtReal.infinite(f"~ {end.coef:.3g} t**({end.a}) "
+                                        f"log**({end.b}) unbounded at {name}")
         lo, hi = self._span()
         # a maximum at a kink sits on a knot, between the scan's samples
         at_knots = [v for v in map(self.fn, self.knots) if math.isfinite(v)]
-        best = max(scan_max(self.fn, lo / 1e8, hi * 1e8, 600), at0, atinf,
+        best = max(scan_max(self.fn, lo / 1e8, hi * 1e8, 600), *lims,
                    *at_knots)
         return ExtReal.finite(float(best))
 
     def running_sup_from(self) -> "SymFunc":
         """S(x) = sup over [x, inf) of f; requires a bounded tail limit."""
-        atinf = _limit_at_inf(self.tail)
+        atinf = self.tail.limit(at_zero=False)
         if math.isinf(atinf):
             raise Divergence("running sup of a function unbounded at inf")
         lo, hi = self._span()
@@ -412,26 +346,27 @@ def _total(head: float, segs: Sequence[float], tail: float) -> float:
 
 class Cumulative:
     """t -> integral_0^t fn (from_left) or t -> integral_t^inf fn, held as
-    sorted anchors and the integral's values there; with recip set it is
-    t -> the same integral at 1/t.
+    sorted anchors and the integral's values there; end is fn's term at the
+    fixed end.  With recip set it is t -> the same integral at 1/t.
 
     A point value integrates fn only from the nearest anchor on the side of
-    the fixed end (in log coordinates from 0 or to inf when there is none
+    the fixed end (from the end itself, by ``end_quad``, when there is none
     there).  ``sweep`` gives the values on a whole grid in one pass."""
 
-    __slots__ = ("fn", "anchors", "values", "from_left", "recip")
+    __slots__ = ("fn", "anchors", "values", "from_left", "end", "recip")
 
     def __init__(self, fn, anchors: Sequence[float], values: Sequence[float],
-                 from_left: bool, recip: bool = False):
+                 from_left: bool, end: Asym, recip: bool = False):
         self.fn = fn
         self.anchors = list(anchors)
         self.values = list(values)
         self.from_left = from_left
+        self.end = end
         self.recip = recip
 
     def reciprocal(self) -> "Cumulative":
         return Cumulative(self.fn, self.anchors, self.values, self.from_left,
-                          not self.recip)
+                          self.end, not self.recip)
 
     def __call__(self, t: float) -> float:
         return self._value(1.0 / t if self.recip else t)
@@ -441,11 +376,11 @@ class Cumulative:
         if self.from_left:
             i = bisect.bisect_right(ks, x) - 1
             if i < 0:
-                return 0.0 if x <= 0.0 else log_quad(fn, 0.0, x)
+                return 0.0 if x <= 0.0 else end_quad(fn, self.end, 0.0, x)
             return self.values[i] + _segment(fn, ks[i], x)
         i = bisect.bisect_left(ks, x)
         if i >= len(ks):
-            return log_quad(fn, x, math.inf)
+            return end_quad(fn, self.end, x, math.inf)
         return self.values[i] + _segment(fn, x, ks[i])
 
     def sweep(self, ts: np.ndarray) -> tuple[np.ndarray, "Cumulative"]:
@@ -467,7 +402,7 @@ class Cumulative:
         else:
             run = list(itertools.accumulate(reversed(parts),
                                             initial=self._value(x1)))[::-1]
-        cum = Cumulative(self.fn, edges, run, self.from_left)
+        cum = Cumulative(self.fn, edges, run, self.from_left, self.end)
         return np.asarray(run)[np.searchsorted(edges, ts)], cum
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import pytest
 
@@ -12,11 +13,20 @@ def run(capsys, *args):
     return code, out
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """The report parsed as JSON proper: NaN and Infinity are refused."""
+    return json.loads(text, parse_constant=_no_constant)
+
+
 def test_criteria_plancherel(capsys):
     code, out = run(capsys, "criteria", "--u", "pow(0)", "--v", "pow(0)",
                     "--p", "2", "--q", "2")
     assert code == 0
-    j = json.loads(out)
+    j = strict_json(out)
     assert j["regime"] == "I"
     assert j["holds"] is True
     assert j["constants"]["C3"]["value"] == pytest.approx(1.0, abs=1e-12)
@@ -56,7 +66,7 @@ def test_criteria_out_and_plots(tmp_path, capsys):
                   "--p", "3", "--q", "1/2",
                   "--out", str(out_file), "--plot-dir", str(plot_dir))
     assert code == 0
-    j = json.loads(out_file.read_text())
+    j = strict_json(out_file.read_text())
     assert j["regime"] == "III"
     assert (plot_dir / "xi_over_U.csv").exists()
 
@@ -66,7 +76,7 @@ def test_hardy_cli(capsys):
                     "--u", "pow(3)", "--v", "pow(-1)",
                     "--p", "2", "--q", "2")
     assert code == 0
-    j = json.loads(out)
+    j = strict_json(out)
     assert j["K"]["state"] in ("finite", "infinite")
 
 
@@ -76,7 +86,7 @@ def test_hardy_cli_exact_exponent_divergence(capsys):
                     "--u", "ind(1)", "--v", "pow(4/3)",
                     "--p", "7/3", "--q", "7/3")
     assert code == 0
-    assert json.loads(out)["K"]["state"] == "infinite"
+    assert strict_json(out)["K"]["state"] == "infinite"
 
 
 def test_hardy_discrete_with_oracle(capsys):
@@ -84,7 +94,7 @@ def test_hardy_discrete_with_oracle(capsys):
                     "--u", "1,0.5,0.25", "--v", "1,1,1",
                     "--p", "1", "--q", "1/2", "--oracle", "--seed", "1")
     assert code == 0
-    j = json.loads(out)
+    j = strict_json(out)
     assert j["K"]["state"] == "finite"
     assert j["oracle_lower_bound"] > 0
 
@@ -95,7 +105,7 @@ def test_norms_theta_from_csv(tmp_path, capsys):
     code, out = run(capsys, "norms", "--kind", "theta",
                     "--seq", str(seq), "--exponent", "4")
     assert code == 0
-    j = json.loads(out)
+    j = strict_json(out)
     assert j["value"]["state"] == "finite"
 
 
@@ -109,9 +119,34 @@ def test_estimate_plancherel(capsys):
                     "--p", "2", "--q", "2", "--N", "512", "--L", "16",
                     "--budget", "2", "--seed", "7")
     assert code == 0
-    j = json.loads(out)
+    j = strict_json(out)
     assert j["upper"]["value"] == pytest.approx(1.0, abs=1e-12)
     assert j["lower"] >= 0.99
+
+
+def test_estimate_singular_u_reports_finite_lower(capsys):
+    # the README's criteria config: u = |xi|**-1/4 is infinite at xi = 0,
+    # a sample of the dual grid
+    code, out = run(capsys, "estimate", "--u", "pow(1/4)", "--v", "pow(0)",
+                    "--p", "4/3", "--q", "2")
+    assert code == 0
+    j = strict_json(out)
+    assert j["upper"]["state"] == "finite"
+    assert 0 < j["lower"] <= 1.5 * j["upper"]["value"]
+    assert all(math.isfinite(x) for x in j["witnesses"].values())
+    assert math.isfinite(j["half_resolution_lower"])
+
+
+def test_estimate_infinite_lower_is_an_extreal(capsys):
+    # at q = inf a weight infinite at xi = 0 makes every ratio infinite
+    code, out = run(capsys, "estimate", "--u", "pow(1/4)", "--v", "pow(0)",
+                    "--p", "1", "--q", "inf", "--N", "512", "--L", "16",
+                    "--budget", "2")
+    assert code == 0
+    j = strict_json(out)
+    assert j["upper"]["state"] == "infinite"
+    assert j["lower"] == {"state": "infinite"}
+    assert j["half_resolution_lower"] == {"state": "infinite"}
 
 
 def test_verify_suites(capsys):

@@ -6,7 +6,8 @@ import pytest
 from fourierineq.criteria import (REGIME_DEG_P1, REGIME_DEG_QINF, REGIME_I,
                                   REGIME_II, REGIME_III, REGIME_IV, REGIME_V,
                                   ExponentConfig, U_func, classify, conjugate,
-                                  dual_config, evaluate, xi_func)
+                                  dual_config, evaluate, qsharp_tail_finite,
+                                  xi_func)
 from fourierineq.norms import optimal_Y_norm
 from fourierineq.pieces import StepFunction, TailSpec, parse_exp
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
@@ -221,3 +222,13 @@ def test_huge_q_sharp_gives_a_consistent_certificate():
     y = optimal_Y_norm(StepFunction.indicator(1.0), WeightSpec.indicator(1.0),
                        q)
     assert y.is_infinite or (y.is_finite and y.value >= 0.0)
+
+
+def test_qsharp_tail_of_a_log_power_weight():
+    # u = r^-1/2 log(e+r)^-3/4 at q = 1 (q# = 2): the q#-tail is
+    # integral_1^inf t^-1 log(e+t)^-3/2, 3% of it beyond t = e^709.78;
+    # the reference is mpmath.quad
+    u = WeightSpec.powerlog(Fraction(1, 2), Fraction(3, 4))
+    tail = qsharp_tail_finite(u, ExponentConfig(3, 1))
+    assert tail.is_finite
+    assert tail.value == pytest.approx(2.2975656105992071, rel=1e-10)

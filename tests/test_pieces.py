@@ -177,6 +177,17 @@ def test_log_quad_finite_where_exp_overflows():
                                                         rel=1e-12)
 
 
+def test_log_power_piece_tail_beyond_exp_overflow():
+    # t^-1 log(e+t)^-3/2 holds 3% of its integral over (1, inf) beyond
+    # t = e^709.78; the reference is mpmath.quad over [1, inf]
+    f = StepFunction.from_cells([0.0, 1.0], [1.0, 1.0],
+                                tail=TailSpec.powerlog(1, Fraction(3, 2)))
+    assert f.integrate().value == pytest.approx(1.0 + 2.2975656105992071,
+                                                rel=1e-10)
+    assert f.cumulative(from_left=False)(1.0) == pytest.approx(
+        2.2975656105992071, rel=1e-10)
+
+
 def test_cumulative_both_directions():
     f = StepFunction.from_cells([0.0, 1.0, 3.0], [2.0, 1.0, 1.0],
                                 tail=TailSpec.power(2))  # t^{-2} beyond 3

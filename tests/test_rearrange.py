@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierineq.pieces import StepFunction
+from fourierineq.pieces import Piece, StepFunction
 from fourierineq.rearrange import (circ_profile, distribution, double_star,
                                    hl_pairing, lower_star, star)
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
@@ -125,6 +125,23 @@ def test_hl_pairing_exact_constants():
     g = StepFunction.from_cells([0, 1], [6.0])
     r = hl_pairing(f, g)
     assert r.is_finite and r.value == pytest.approx(30.0, abs=1e-12)
+
+
+def test_hl_pairing_of_a_product_without_closed_form():
+    # f = 1 + t**-1/2 times a power tail of g: no exact product piece on
+    # (1, inf), so the pairing is a certified SymFunc integral
+    f = StepFunction([Piece(0.0, math.inf, 1.0, 1.0, 0.0, Fraction(-1, 2))])
+
+    def g(a):
+        return StepFunction([Piece(0.0, 1.0, 1.0),
+                             Piece(1.0, math.inf, 0.0, 1.0, 0.0, a)])
+
+    # int_0^1 (1 + t**-1/2) + int_1^inf (t**-11/10 + t**-8/5) = 3 + 10 + 5/3
+    r = hl_pairing(f, g(Fraction(-11, 10)))
+    assert r.is_finite and r.value == pytest.approx(3 + 10 + 5 / 3,
+                                                    rel=1e-9)
+    # the tail t**-9/10 is not integrable
+    assert hl_pairing(f, g(Fraction(-9, 10))).is_infinite
 
 
 def _reference_star_of_cells(f):

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from fourierineq import criteria, pieces
 from fourierineq.pieces import StepFunction, TailSpec, log_quad
+from fourierineq.rearrange import star
 from fourierineq.symfunc import Asym, Cumulative, Divergence, SymFunc
 from fourierineq.weights import NONDECREASING, WeightSpec
 
@@ -97,10 +98,115 @@ def test_recip_arg():
 
 
 def test_asym_integrability():
-    assert Asym(1.0, Fraction(-1, 2), 0).integrable_at_zero()
-    assert not Asym(1.0, -1, 0).integrable_at_zero()
-    assert Asym(1.0, -1, -2).integrable_at_inf()
-    assert not Asym(1.0, -1, -1).integrable_at_inf()
+    assert Asym(1.0, Fraction(-1, 2), 0).integrable(at_zero=True)
+    assert not Asym(1.0, -1, 0).integrable(at_zero=True)
+    assert Asym(1.0, -1, -2).integrable(at_zero=False)
+    assert not Asym(1.0, -1, -1).integrable(at_zero=False)
+
+
+# the per-end decisions the end rule replaced, kept as its reference
+def _integrable_at_zero(asym):
+    return (asym.coef == 0.0 or asym.a > -1
+            or (asym.a == -1 and asym.b < -1))
+
+
+def _integrable_at_inf(asym):
+    return (asym.coef == 0.0 or asym.a < -1
+            or (asym.a == -1 and asym.b < -1))
+
+
+def _limit_at_zero(asym):
+    if asym.coef == 0.0 or asym.a > 0 or (asym.a == 0 and asym.b < 0):
+        return 0.0
+    if asym.a < 0 or asym.b > 0:
+        return math.inf
+    return asym.coef
+
+
+def _limit_at_inf(asym):
+    if asym.coef == 0.0 or asym.a < 0 or (asym.a == 0 and asym.b < 0):
+        return 0.0
+    if asym.a > 0 or asym.b > 0:
+        return math.inf
+    return asym.coef
+
+
+REFERENCE = {True: (_integrable_at_zero, _limit_at_zero),
+             False: (_integrable_at_inf, _limit_at_inf)}
+HALVES = [Fraction(k, 2) for k in range(-6, 3)]  # -3, -5/2, ..., 1
+
+
+@pytest.mark.parametrize("a", HALVES)
+def test_end_rule_matches_the_per_end_reference(a):
+    for b in HALVES:
+        for coef in (0.0, 2.5):
+            term = Asym(coef, a, b)
+            for at_zero, (integrable, limit) in REFERENCE.items():
+                assert term.integrable(at_zero) == integrable(term)
+                assert term.limit(at_zero) == limit(term)
+            if coef and (a, b) == (-1, -1):
+                with pytest.raises(Divergence):
+                    term.integrated()
+            elif coef:
+                out = term.integrated()
+                assert isinstance(out.coef, float) and out.coef > 0.0
+                if a != -1:
+                    assert (out.a, out.b) == (a + 1, b)
+                    assert out.coef == coef / abs(a + 1)
+                else:
+                    assert (out.a, out.b) == (0, b + 1)
+                    assert out.coef == coef / abs(b + 1)
+
+
+def test_tail_integral_head_of_a_log_growth_is_positive():
+    # f = 1/t on (0, 1], t**-2 beyond: T(t) = log(1/t) + 1 for t <= 1
+    f = StepFunction([pieces.Piece(0.0, 1.0, 0.0, 1.0, 0.0, -1),
+                      pieces.Piece(1.0, math.inf, 0.0, 1.0, 0.0, -2)])
+    T = SymFunc.from_step(f).tail_integral()
+    assert T.head == Asym(1.0, 0, 1)
+    ratios = []
+    for t in (1e-9, 1e-30, 1e-100):
+        term = T.head.coef * math.log(1.0 / t) ** float(T.head.b)
+        assert T(t) == pytest.approx(term + 1.0, rel=1e-12)
+        ratios.append(T(t) / term)
+    assert ratios == sorted(ratios, reverse=True) and ratios[-1] < 1.005
+    root = T.pow(Fraction(1, 2)).head
+    assert isinstance(root.coef, float) and root.coef == 1.0
+
+
+def test_sup_of_a_shifted_first_piece():
+    # f = 0.5 on (0, 1], 1 + 0.1 t**-2 on (1, 2], 0 beyond: star(f) starts
+    # with the shifted piece 1 + 0.1 (t + 1)**-2, whose limit at 0 is 1.1
+    f = StepFunction([pieces.Piece(0.0, 1.0, 0.5),
+                      pieces.Piece(1.0, 2.0, 1.0, 0.1, 0.0, -2),
+                      pieces.Piece(2.0, math.inf)])
+    fs = star(f)
+    assert fs.pieces[0].shift < 0.0
+    assert SymFunc.from_step(fs).head == Asym(1.1)
+    assert SymFunc.from_step(fs).sup().value == pytest.approx(1.1, rel=1e-12)
+    assert fs.essential_sup().value == pytest.approx(1.1, rel=1e-12)
+
+
+# mpmath: integral_1^inf dt / (t log(e+t)**(3/2)), and from 10 instead
+LOG_END_T1 = 2.2975656105992071
+LOG_END_T10 = 1.2950990460012571
+
+
+def test_log_power_tail_beyond_exp_overflow():
+    # t**-1 log**-3/2 still holds 3% of its integral beyond t = e**709.78,
+    # where log_quad's e**u overflows
+    T = SymFunc.power(1.0, -1, Fraction(-3, 2)).tail_integral()
+    assert T(1.0) == pytest.approx(LOG_END_T1, rel=1e-10)
+    assert T(10.0) == pytest.approx(LOG_END_T10, rel=1e-10)
+
+
+def test_log_power_head_beyond_exp_underflow():
+    # the same integrals mirrored by t -> 1/t: a head t**-1 log(1/t)**-3/2
+    f = SymFunc(lambda t: 1.0 / (t * math.log(math.e + 1.0 / t) ** 1.5),
+                Asym(1.0, -1, Fraction(-3, 2)), Asym(1.0, -1, 0), (1.0,))
+    U = f.antiderivative()
+    assert U(1.0) == pytest.approx(LOG_END_T1, rel=1e-10)
+    assert U(0.1) == pytest.approx(LOG_END_T10, rel=1e-10)
 
 
 def test_sup_sees_a_maximum_at_a_knot():
