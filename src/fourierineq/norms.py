@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import zeta as _hurwitz
 
 from .calderon import inner_average, phi_fn
 from .criteria import (ExponentConfig, qsharp_tail_finite, ustar_sym,
@@ -141,6 +140,19 @@ def theta_norm(b: SequenceData, p) -> ExtReal:
     tail = _series_tail(lambda x: const / (x * math.log(x + 1) ** (pf / 2)),
                         N0, _log_power_integral(const, p / 2 - 1, N0))
     return ExtReal.finite((partial + tail) ** (1.0 / pf))
+
+
+_zeta = None  # scipy.special.zeta, loaded by the first _hurwitz call
+
+
+def _hurwitz(s: float, n):
+    """Hurwitz zeta(s, n); loads scipy.special on first use, so that
+    importing the package does not import scipy."""
+    global _zeta
+    if _zeta is None:
+        from scipy.special import zeta
+        _zeta = zeta
+    return _zeta(s, n)
 
 
 def _gamma_terms(a: SequenceData, use_twostar: bool) -> np.ndarray:

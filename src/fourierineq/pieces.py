@@ -41,8 +41,6 @@ from typing import Iterable, Sequence, Union
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad as _scipy_quad
-from scipy.optimize import minimize_scalar
 
 from .extreal import ExtReal
 
@@ -55,13 +53,29 @@ _E = math.e
 # Quadrature backbone: the package's only use of scipy.integrate
 # ---------------------------------------------------------------------------
 
+# scipy's QUADPACK quad and its IntegrationWarning, loaded by the first quad
+# call, so that importing the package does not import scipy
+_scipy_quad = None
+_IntegrationWarning = None
+
+
+def _load_quadpack() -> None:
+    global _scipy_quad, _IntegrationWarning
+    # from the defining module, not from scipy.integrate: a caller that
+    # rebinds scipy.integrate.quad (a call counter, say) does not reach
+    # the package's quadratures
+    from scipy.integrate._quadpack_py import IntegrationWarning, quad
+    _scipy_quad, _IntegrationWarning = quad, IntegrationWarning
+
 
 def quad(func, a: float, b: float) -> tuple[float, float]:
     """scipy.integrate.quad (300 subdivisions) with accuracy warnings
     silenced (integrands are piecewise smooth; achieved tolerances are
     validated against closed forms in the tests)."""
+    if _scipy_quad is None:
+        _load_quadpack()
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
+        warnings.simplefilter("ignore", _IntegrationWarning)
         return _scipy_quad(func, a, b, limit=300)
 
 
@@ -206,11 +220,82 @@ def end_integral(c: float, a: Exponent, b: Exponent
     return c / abs(float(b) + 1.0), Fraction(0), b + 1
 
 
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-5  # absolute tolerance on the minimizer
+_MAXFUN = 500  # evaluations
+
+
+def brent_min(f, a: float, b: float) -> float:
+    """The least value of f found on [a, b] (finite, a <= b) by Brent's
+    bounded search (Brent 1973, ch. 5): golden-section steps, and
+    parabolic steps where the fit through the three best points x, w, v
+    falls inside the bracket and shrinks the step.  It stops when the
+    bracket is within 1e-5 (plus a relative sqrt-eps) of the best point,
+    or after 500 evaluations.  Its iterates, and so its value, are those of
+    scipy.optimize.minimize_scalar(f, bounds=(a, b), method="bounded")."""
+    x = w = v = a + _GOLDEN * (b - a)
+    fx = fw = fv = f(x)
+    num = 1
+    rat = e = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(x - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                rat = p / q
+                u = x + rat
+                if u - a < tol2 or b - u < tol2:
+                    rat = tol1 if xm >= x else -tol1
+        if golden:  # into the larger part of the bracket
+            e = (a if x >= xm else b) - x
+            rat = _GOLDEN * e
+        step = max(abs(rat), tol1)
+        u = x + (step if rat >= 0.0 else -step)
+        fu = f(u)
+        num += 1
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv = w, fw
+            w, fw = x, fx
+            x, fx = u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv = w, fw
+                w, fw = u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _MAXFUN:
+            break
+    return fx
+
+
 def scan_max(h, lo: float, hi: float, n: int) -> float:
     """Numeric max of h over (lo, hi): the best of n geometrically spaced
-    samples, refined by a bounded scalar search between that sample's
-    neighbours.  An infinite hi is cut to max(10 (lo + 1), 1e6) and a zero
-    lo to 1e-9 hi."""
+    samples, refined by a bounded Brent search (``brent_min``) between
+    that sample's neighbours.  An infinite hi is cut to
+    max(10 (lo + 1), 1e6) and a zero lo to 1e-9 hi."""
     if math.isinf(hi):
         hi = max(10.0 * (lo + 1.0), 1e6)
     if lo <= 0.0:
@@ -220,8 +305,7 @@ def scan_max(h, lo: float, hi: float, n: int) -> float:
     k = int(np.nanargmax(vals))
     a = float(ts[max(k - 1, 0)])
     b = float(ts[min(k + 1, n - 1)])
-    res = minimize_scalar(lambda t: -h(t), bounds=(a, b), method="bounded")
-    return max(vals[k], -res.fun)
+    return max(vals[k], -brent_min(lambda t: -h(t), a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -280,18 +280,19 @@ class SymFunc:
                 f"log**({start.b}) not integrable at {name}")
         knots = self.knots or (1.0,)
         other_finite = other.integrable(not from_left)
-        fn = None if self.step is None else self.step.cumulative(from_left)
-        if fn is None or other_finite:
+        if self.step is not None:
+            fn = self.step.cumulative(from_left)
+            total = self.step.integrate().value
+        else:
             head_int, segs, tail_int = self._knot_integrals()
-        if fn is None:
             parts = ([head_int, *segs] if from_left
                      else [tail_int, *reversed(segs)])
             cum = list(itertools.accumulate(parts))
             fn = Cumulative(self.fn, knots, cum if from_left else cum[::-1],
                             from_left, start)
+            total = _total(head_int, segs, tail_int)
         near = start.integrated()
-        far = (Asym(_total(head_int, segs, tail_int)) if other_finite
-               else other.integrated())
+        far = Asym(total) if other_finite else other.integrated()
         head, tail = (near, far) if from_left else (far, near)
         return SymFunc(fn, head, tail, knots)
 

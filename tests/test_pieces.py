@@ -7,7 +7,8 @@ import pytest
 
 from fourierineq.criteria import ExponentConfig
 from fourierineq.pieces import (LeadSpec, Piece, StepFunction, TailSpec,
-                                as_exp, log_quad, parse_exp, quad, sup_over)
+                                as_exp, brent_min, log_quad, parse_exp, quad,
+                                sup_over)
 from fourierineq.rearrange import hl_pairing
 from fourierineq.symfunc import Asym
 from fourierineq.weights import WeightSpec
@@ -298,3 +299,75 @@ def test_closed_form_cumulative_is_piece_integral_bit_for_bit(monkeypatch):
         got = [(left(t), right(t)) for t in ts]
         monkeypatch.undo()
         assert got == want
+
+
+def _search_problems(rng, n):
+    """n seeded (f, a, b): smooth, kinked, flat and power-log functions to
+    minimize, with a from 1e-6 to 1e6, b/a up to 100 and one a = b."""
+    out = []
+    for i in range(n):
+        a = float(10.0 ** rng.uniform(-6.0, 6.0))
+        b = a * float(10.0 ** rng.uniform(0.0, 2.0)) if i else a
+        m = float(rng.uniform(a, b))
+        c, d = float(rng.uniform(0.1, 10.0)), float(rng.uniform(-5.0, 5.0))
+        s = float(rng.uniform(0.3, 1.5))
+        p, q = float(rng.uniform(0.1, 3.0)), float(rng.uniform(0.1, 3.0))
+        e = float(rng.uniform(-2.0, 2.0))
+        kind = i % 5
+        if kind == 0:  # smooth
+            def f(t, m=m, c=c, d=d):
+                return c * ((t - m) / m) ** 2 + d
+        elif kind == 1:  # kink at m
+            def f(t, m=m, c=c, s=s):
+                return c * math.pow(abs(t - m) / m, s)
+        elif kind == 2:  # flat
+            def f(t, d=d):
+                return d
+        elif kind == 3:  # peak of a power-log, as scan_max searches it
+            def f(t, m=m, p=p, q=q, e=e):
+                x = t / m
+                return -(math.pow(x, p) * math.pow(1.0 + x, -p - q)
+                         * math.pow(math.log(math.e + x), e))
+        else:  # kinked peak of two power laws meeting at m
+            def f(t, m=m, p=p, q=q):
+                x = t / m
+                return -min(math.pow(x, p), math.pow(x, -q))
+        out.append((f, a, b))
+    return out
+
+
+def test_brent_min_keeps_scipy_bounded_iterates_bit_for_bit():
+    from scipy.optimize import minimize_scalar
+
+    def traced(f, xs):
+        def g(t):
+            xs.append(float(t))
+            return f(float(t))
+        return g
+
+    for f, a, b in _search_problems(np.random.default_rng(8), 200):
+        ours, theirs = [], []
+        got = brent_min(traced(f, ours), a, b)
+        res = minimize_scalar(traced(f, theirs), bounds=(a, b),
+                              method="bounded")
+        assert ours == theirs
+        assert got.hex() == float(res.fun).hex()
+
+
+def test_quad_bypasses_a_rebound_scipy_integrate_quad(monkeypatch):
+    # a counter that rebinds scipy.integrate.quad before the backbone's
+    # first call must not see the package's integrals
+    import scipy.integrate
+    from scipy.integrate._quadpack_py import quad as quadpack
+    from fourierineq import pieces
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return quadpack(*args, **kwargs)
+    monkeypatch.setattr(pieces, "_scipy_quad", None)
+    monkeypatch.setattr(scipy.integrate, "quad", counting)
+    assert quad(lambda t: t * t, 0.0, 1.0)[0] == pytest.approx(1 / 3)
+    assert calls == []
+    assert pieces._scipy_quad is quadpack

@@ -1,7 +1,11 @@
-"""Layering rules checked on the source text."""
+"""Layering rules checked on the source text, and the import cost of the
+command line."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "fourierineq"
 
@@ -33,8 +37,20 @@ def test_only_pieces_imports_scipy_integrate():
     assert _users("scipy.integrate") == ["pieces.py"]
 
 
-def test_only_pieces_imports_scipy_optimize():
-    assert _users("scipy.optimize") == ["pieces.py"]
+def test_no_module_imports_scipy_optimize():
+    assert _users("scipy.optimize") == []
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy loads on the first quadrature or zeta call, not on import."""
+    code = ("import sys, fourierineq.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ,
+                              "PYTHONPATH": str(PACKAGE.parent)}).stdout
+    assert out.strip() == "[]"
 
 
 def _private_imports(path: pathlib.Path) -> list[str]:

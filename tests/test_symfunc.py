@@ -62,6 +62,24 @@ def test_from_step_exact_cumulative():
     assert G(2.0) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_step_backed_totals_are_closed_form(monkeypatch):
+    # U = integral_0^t 1_(0,1]: its far-end total is the step's closed-form
+    # integral, with no quadrature
+    calls = []
+    real = pieces.quad
+    monkeypatch.setattr(pieces, "quad",
+                        lambda *args: calls.append(args) or real(*args))
+    U = criteria.U_func(WeightSpec.indicator(1.0),
+                        criteria.ExponentConfig(3, 2))
+    assert calls == []
+    assert U.tail == Asym(1.0) and U.tail.coef == 1.0
+    sf = StepFunction.from_cells([0, 1, 3], [2.0, 1.0],
+                                 lead=TailSpec.power(Fraction(1, 2)))
+    G = SymFunc.from_step(sf).tail_integral()
+    assert calls == []
+    assert G.head.coef == sf.integrate().value
+
+
 def test_from_step_with_power_tail():
     sf = StepFunction.from_cells([0, 1], [1.0, 1.0], tail=TailSpec.power(2))
     G = SymFunc.from_step(sf).tail_integral()
