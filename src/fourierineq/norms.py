@@ -142,17 +142,28 @@ def theta_norm(b: SequenceData, p) -> ExtReal:
     return ExtReal.finite((partial + tail) ** (1.0 / pf))
 
 
-_zeta = None  # scipy.special.zeta, loaded by the first _hurwitz call
+# B_2, B_4, ..., B_14: the Bernoulli numbers of zeta(2, x)'s asymptotic series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
-def _hurwitz(s: float, n):
-    """Hurwitz zeta(s, n); loads scipy.special on first use, so that
-    importing the package does not import scipy."""
-    global _zeta
-    if _zeta is None:
-        from scipy.special import zeta
-        _zeta = zeta
-    return _zeta(s, n)
+def _zeta2(x) -> float:
+    """Hurwitz zeta(2, x) = sum_{k>=0} (x + k)**-2 for x > 0: the recurrence
+    zeta(2, x) = x**-2 + zeta(2, x + 1) up to x >= 16, then the asymptotic
+    series 1/x + 1/(2 x**2) + sum_k B_2k / x**(2k+1) over 7 Bernoulli
+    terms, in powers of 1/x so that a huge x underflows instead of
+    overflowing.  The recurrence's terms are added smallest first."""
+    x = float(x)
+    steps = []
+    while x < 16.0:
+        steps.append(x)
+        x += 1.0
+    r = 1.0 / x
+    r2 = r * r
+    series = 0.0
+    for b in reversed(_BERNOULLI):
+        series = series * r2 + b
+    return (sum(1.0 / (y * y) for y in reversed(steps))
+            + (r + 0.5 * r2 + r * r2 * series))
 
 
 def _gamma_terms(a: SequenceData, use_twostar: bool) -> np.ndarray:
@@ -160,12 +171,12 @@ def _gamma_terms(a: SequenceData, use_twostar: bool) -> np.ndarray:
     return np.cumsum((seq ** 2)[::-1])[::-1]
 
 
-def _hurwitz_2(ns: np.ndarray) -> np.ndarray:
+def _zeta2_at(ns: np.ndarray) -> np.ndarray:
     """zeta(2, n) on the consecutive integers ns, by the recurrence
     zeta(2, n) = zeta(2, n + 1) + 1/n**2: one scalar zeta(2, ns[-1] + 1)
     plus a reversed cumulative sum of 1/n**2, adding positive terms only."""
     return (np.cumsum(1.0 / ns[::-1] ** 2)[::-1]
-            + float(_hurwitz(2, ns[-1] + 1)))
+            + _zeta2(ns[-1] + 1))
 
 
 def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
@@ -189,7 +200,7 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
     if use_twostar:
         # beyond the support a**_j = S / j exactly, so the inner tail at n
         # is S^2 * hurwitz_zeta(2, n); fold that into the finite terms too
-        extra = S * S * float(_hurwitz(2, m + 1))
+        extra = S * S * _zeta2(m + 1)
         tails = tails + extra
     total = float(np.sum(tails ** (qf / 2) / (ns * logs ** (qf / 2))))
     if use_twostar:
@@ -197,10 +208,10 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
         N0 = max(m, _TAIL_START)
         if N0 > m:
             ns2 = np.arange(m + 1, N0 + 1, dtype=float)
-            inner = S * S * _hurwitz_2(ns2)
+            inner = S * S * _zeta2_at(ns2)
             total += float(np.sum(inner ** (qf / 2)
                                   / (ns2 * np.log(ns2 + 1) ** (qf / 2))))
-        tail_term = (lambda x: (S * S * float(_hurwitz(2, x))) ** (qf / 2)
+        tail_term = (lambda x: (S * S * _zeta2(x)) ** (qf / 2)
                      / (x * math.log(x + 1) ** (qf / 2)))
         # the terms decay like a power here, so log coordinates suffice
         total += _series_tail(tail_term, N0,
@@ -258,13 +269,13 @@ def dyadic_block_norms(a: SequenceData, exponent) -> float:
         return total ** (1.0 / e)
     # e < 2: two-star tail blocks; inner tail T(n) = sum_{j>=n} (a**_j)^2
     S = a.total
-    zeta_tail = S * S * float(_hurwitz(2, m + 1))
+    zeta_tail = S * S * _zeta2(m + 1)
     T_at = np.cumsum((a.twostar ** 2)[::-1])[::-1] + zeta_tail
 
     def tail_from(n: float) -> float:
         if n <= m:
             return float(T_at[int(n) - 1])
-        return S * S * float(_hurwitz(2, n))
+        return S * S * _zeta2(n)
 
     total = 0.0
     k = 0

@@ -33,12 +33,14 @@ from __future__ import annotations
 
 import bisect
 import csv
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-import warnings
 
 import numpy as np
 
@@ -50,33 +52,70 @@ _E = math.e
 
 
 # ---------------------------------------------------------------------------
-# Quadrature backbone: the package's only use of scipy.integrate
+# Quadrature backbone: QUADPACK's compiled routines, called directly
 # ---------------------------------------------------------------------------
 
-# scipy's QUADPACK quad and its IntegrationWarning, loaded by the first quad
-# call, so that importing the package does not import scipy
-_scipy_quad = None
-_IntegrationWarning = None
+# QUADPACK's qagse (finite range) and qagie (an infinite end), from scipy's
+# compiled extension scipy/integrate/_quadpack, loaded by the first quad call.
+# Loading the extension alone does not import the scipy.integrate package
+# (about 0.5 s and 40 MB, most of it scipy.special and the ODE solvers).  The
+# two routines are private to scipy: tests/test_pieces.py checks ``quad``
+# against scipy.integrate.quad bit for bit, so a change of their signature
+# fails there.
+_qagse = None
+_qagie = None
+_QUADPACK = "scipy.integrate._quadpack"
+_TOL = 1.49e-8  # scipy.integrate.quad's default epsabs and epsrel
+_LIMIT = 300    # subdivisions
 
 
 def _load_quadpack() -> None:
-    global _scipy_quad, _IntegrationWarning
-    # from the defining module, not from scipy.integrate: a caller that
-    # rebinds scipy.integrate.quad (a call counter, say) does not reach
-    # the package's quadratures
-    from scipy.integrate._quadpack_py import IntegrationWarning, quad
-    _scipy_quad, _IntegrationWarning = quad, IntegrationWarning
+    global _qagse, _qagie
+    scipy = importlib.util.find_spec("scipy")  # does not import scipy
+    where = (os.path.join(scipy.submodule_search_locations[0], "integrate")
+             if scipy else "scipy/integrate (scipy is not installed)")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(where, "_quadpack" + suffix)
+        if os.path.isfile(path):
+            break
+    else:
+        raise ImportError(f"no QUADPACK extension _quadpack in {where}")
+    loader = importlib.machinery.ExtensionFileLoader(_QUADPACK, path)
+    # the extension enters itself in sys.modules; put back what was there,
+    # so that a later import of scipy.integrate loads it the usual way
+    held = sys.modules.get(_QUADPACK)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_loader(_QUADPACK, loader))
+    loader.exec_module(module)
+    if held is None:
+        sys.modules.pop(_QUADPACK, None)
+    else:
+        sys.modules[_QUADPACK] = held
+    _qagse, _qagie = module._qagse, module._qagie
 
 
 def quad(func, a: float, b: float) -> tuple[float, float]:
-    """scipy.integrate.quad (300 subdivisions) with accuracy warnings
-    silenced (integrands are piecewise smooth; achieved tolerances are
-    validated against closed forms in the tests)."""
-    if _scipy_quad is None:
+    """(value, error estimate) of integral_a^b func, bit for bit that of
+    scipy.integrate.quad(func, a, b, limit=300): QUADPACK's qagse, or qagie
+    with an infinite end mapped as scipy does.  Accuracy flags are not
+    reported (integrands are piecewise smooth; achieved tolerances are
+    validated against closed forms in the tests); invalid input raises
+    ValueError, and an exception in func propagates."""
+    if _qagse is None:
         _load_quadpack()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", _IntegrationWarning)
-        return _scipy_quad(func, a, b, limit=300)
+    if a == b:
+        return 0.0, 0.0
+    flip, a, b = b < a, min(a, b), max(a, b)
+    if b == math.inf:
+        bound, ends = (0.0, 2) if a == -math.inf else (a, 1)
+        value, err, ier = _qagie(func, bound, ends, (), 0, _TOL, _TOL, _LIMIT)
+    elif a == -math.inf:
+        value, err, ier = _qagie(func, b, -1, (), 0, _TOL, _TOL, _LIMIT)
+    else:
+        value, err, ier = _qagse(func, a, b, (), 0, _TOL, _TOL, _LIMIT)
+    if ier == 6:
+        raise ValueError(f"invalid QUADPACK input on ({a}, {b})")
+    return (-value if flip else value), err
 
 
 def log_quad(fn, t0: float, t1: float) -> float:

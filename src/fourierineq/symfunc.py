@@ -304,8 +304,10 @@ class SymFunc:
                 return ExtReal.infinite(f"~ {end.coef:.3g} t**({end.a}) "
                                         f"log**({end.b}) unbounded at {name}")
         lo, hi = self._span()
-        # a maximum at a kink sits on a knot, between the scan's samples
-        at_knots = [v for v in map(self.fn, self.knots) if math.isfinite(v)]
+        # a maximum at a kink or a jump sits on a knot, between the scan's
+        # samples: take the value there and the limit from the left
+        near = [t for k in self.knots for t in (k, math.nextafter(k, 0.0))]
+        at_knots = [v for v in map(self.fn, near) if math.isfinite(v)]
         best = max(scan_max(self.fn, lo / 1e8, hi * 1e8, 600), *lims,
                    *at_knots)
         return ExtReal.finite(float(best))

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import zeta
 
-from fourierineq.norms import (SequenceData, bochkarev_norm,
+from fourierineq.norms import (SequenceData, _zeta2, bochkarev_norm,
                                dyadic_block_norms, expL_pair, gamma_norm,
                                llogl_norm, morrey_optimal_norm,
                                optimal_Y_norm, theta_norm)
@@ -122,6 +122,14 @@ def test_gamma_bracket_against_partial_sums():
                       / (math.exp(u) - 1.0) ** (q / 2),
                       math.log(200000.0), 60.0, limit=200)[0]
     assert partial <= v ** q <= partial + 1.2 * upper_tail
+
+
+def test_zeta2_matches_scipy_zeta():
+    xs = [*range(1, 200), *np.linspace(0.01, 40.0, 997),
+          *np.geomspace(1.0, 1e15, 999)]
+    for x in xs:
+        want = float(zeta(2, x))
+        assert abs(_zeta2(x) - want) <= 2e-15 * want, x
 
 
 def test_gamma_star_variant_le_twostar():

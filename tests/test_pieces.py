@@ -1,5 +1,6 @@
 import bisect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -358,16 +359,57 @@ def test_quad_bypasses_a_rebound_scipy_integrate_quad(monkeypatch):
     # a counter that rebinds scipy.integrate.quad before the backbone's
     # first call must not see the package's integrals
     import scipy.integrate
-    from scipy.integrate._quadpack_py import quad as quadpack
     from fourierineq import pieces
 
     calls = []
+    quadpack = scipy.integrate.quad
 
     def counting(*args, **kwargs):
         calls.append(args)
         return quadpack(*args, **kwargs)
-    monkeypatch.setattr(pieces, "_scipy_quad", None)
+    monkeypatch.setattr(pieces, "_qagse", None)
     monkeypatch.setattr(scipy.integrate, "quad", counting)
     assert quad(lambda t: t * t, 0.0, 1.0)[0] == pytest.approx(1 / 3)
     assert calls == []
-    assert pieces._scipy_quad is quadpack
+
+
+# (integrand, a, b): finite ranges, each infinite end, reversed and empty
+# ranges, an integral QUADPACK cannot converge and a NaN integrand
+QUAD_CASES = {
+    "finite": (lambda t: t * t, 0.0, 1.0),
+    "finite-log": (lambda t: math.exp(-t) * math.log1p(t), 0.5, 30.0),
+    "end-singularity": (lambda t: t ** -0.5 * math.cos(t), 0.0, 4.0),
+    "to-inf": (lambda t: math.exp(-t) / (1.0 + t), 2.0, math.inf),
+    "from-minus-inf": (lambda t: math.exp(t) * t * t, -math.inf, -1.0),
+    "whole-line": (lambda t: 1.0 / (1.0 + t ** 4), -math.inf, math.inf),
+    "reversed": (lambda t: math.sqrt(t), 3.0, 1.0),
+    "reversed-inf": (lambda t: math.exp(-t), math.inf, 0.0),
+    "reversed-whole-line": (lambda t: math.exp(-t * t), math.inf,
+                            -math.inf),
+    "empty": (lambda t: t, 2.0, 2.0),
+    "empty-inf": (lambda t: t, math.inf, math.inf),
+    "no-convergence": (lambda t: math.sin(1.0 / t), 0.0, 1.0),
+    "nan": (lambda t: math.nan, 0.0, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(QUAD_CASES))
+def test_quad_is_scipy_quad_bit_for_bit(case):
+    import scipy.integrate
+
+    f, a, b = QUAD_CASES[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
+        want = scipy.integrate.quad(f, a, b, limit=300)
+    assert [x.hex() for x in quad(f, a, b)] == [float(x).hex() for x in want]
+
+
+def test_quad_lets_an_integrand_error_through():
+    class Boom(Exception):
+        pass
+
+    def f(t):
+        raise Boom
+    for a, b in ((0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)):
+        with pytest.raises(Boom):
+            quad(f, a, b)

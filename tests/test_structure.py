@@ -33,24 +33,60 @@ def _users(module: str) -> list[str]:
                   if _imports(ast.parse(path.read_text()), module))
 
 
-def test_only_pieces_imports_scipy_integrate():
-    assert _users("scipy.integrate") == ["pieces.py"]
+def test_no_module_imports_scipy_integrate():
+    assert _users("scipy.integrate") == []
+    # the quadrature backbone loads QUADPACK's compiled extension itself
+    assert sorted(path.name for path in PACKAGE.glob("*.py")
+                  if "_quadpack" in path.read_text()) == ["pieces.py"]
 
 
 def test_no_module_imports_scipy_optimize():
     assert _users("scipy.optimize") == []
 
 
+def _fresh(code: str, *args: str) -> str:
+    """stdout of code run by a fresh interpreter that imports the package
+    from the source tree."""
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True,
+                          env={**os.environ,
+                               "PYTHONPATH": str(PACKAGE.parent)}).stdout
+
+
 def test_cli_import_loads_no_scipy():
-    """scipy loads on the first quadrature or zeta call, not on import."""
+    """Importing the command line imports no scipy module at all."""
     code = ("import sys, fourierineq.cli; "
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env={**os.environ,
-                              "PYTHONPATH": str(PACKAGE.parent)}).stdout
-    assert out.strip() == "[]"
+    assert _fresh(code).strip() == "[]"
+
+
+FIRST_INTEGRAL = """
+import sys, time
+from fourierineq import cli, pieces
+t = time.perf_counter()
+value = pieces.quad(lambda t: t * t, 0.0, 1.0)[0]
+first_s = time.perf_counter() - t
+assert cli.main(["norms", "--kind", "gamma", "--seq", sys.argv[1],
+                 "--exponent", "1"]) == 0
+print([m for m in ("scipy.integrate", "scipy.special") if m in sys.modules])
+print(first_s)
+import scipy.integrate
+assert scipy.integrate.quad(lambda t: t * t, 0.0, 1.0)[0] == value
+assert scipy.integrate._quadpack._qagse  # imported the usual way
+"""
+
+
+def test_first_integral_and_gamma_norm_load_no_scipy_package(tmp_path):
+    """Neither the first quadrature nor ``norms --kind gamma`` (zeta(2, x))
+    imports scipy.integrate or scipy.special, the first integral stays far
+    below the 0.5 s that importing scipy.integrate costs, and a later
+    import of scipy.integrate works."""
+    seq = tmp_path / "seq.csv"
+    seq.write_text("1,1.0\n2,0.5\n3,0.25\n")
+    loaded, first_s = _fresh(FIRST_INTEGRAL, str(seq)).splitlines()[-2:]
+    assert loaded == "[]"
+    assert float(first_s) < 0.2
 
 
 def _private_imports(path: pathlib.Path) -> list[str]:

@@ -235,6 +235,14 @@ def test_sup_sees_a_maximum_at_a_knot():
     assert kink.sup().value == 1.0
 
 
+def test_sup_sees_the_left_limit_at_a_jump():
+    # t on (0, 1], 0 beyond: the value at the knot is the right side's 0,
+    # and the scan's samples stop short of 1
+    ramp = SymFunc.from_step(StepFunction([pieces.Piece(0.0, 1.0, 0.0, 1.0,
+                                                        0.0, 1)]))
+    assert ramp.sup().value == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # sweep-tabulated cumulative integrals on the pinned deep-quadrature configs
 # ---------------------------------------------------------------------------
