@@ -27,11 +27,19 @@ the asymptotic terms of ``symfunc`` take every end decision from it.
 Coefficients are floats; quadrature is used only where a closed form does
 not exist (log factors over finite ranges, infinite tails with log factors),
 and only after convergence has been decided symbolically.
+
+Array evaluators (``Piece.at``, ``StepFunction.at``, ``StepCumulative.at``)
+compute a whole array of points with numpy's logs and powers, which on an
+AVX-512 x86 host differ from the C library's in the last bit for about 5%
+of exp and pow values; so an array value may differ from the point value by
+a few ulp.  The segment rule ``quad_segments`` integrates every segment of
+a grid at once and gives ``quad``'s bits for the same node values.
 """
 
 from __future__ import annotations
 
 import bisect
+import collections
 import csv
 import importlib.machinery
 import importlib.util
@@ -67,6 +75,10 @@ _qagie = None
 _QUADPACK = "scipy.integrate._quadpack"
 _TOL = 1.49e-8  # scipy.integrate.quad's default epsabs and epsrel
 _LIMIT = 300    # subdivisions
+# nonzero QUADPACK flags returned by quad, by ier: 1 the subdivision limit
+# was reached, 2 roundoff was detected, 3 bad integrand behaviour, 4 no
+# convergence, 5 divergence or slow convergence
+QUAD_FLAGS: collections.Counter = collections.Counter()
 
 
 def _load_quadpack() -> None:
@@ -97,10 +109,10 @@ def _load_quadpack() -> None:
 def quad(func, a: float, b: float) -> tuple[float, float]:
     """(value, error estimate) of integral_a^b func, bit for bit that of
     scipy.integrate.quad(func, a, b, limit=300): QUADPACK's qagse, or qagie
-    with an infinite end mapped as scipy does.  Accuracy flags are not
-    reported (integrands are piecewise smooth; achieved tolerances are
-    validated against closed forms in the tests); invalid input raises
-    ValueError, and an exception in func propagates."""
+    with an infinite end mapped as scipy does.  A nonzero accuracy flag is
+    counted in ``QUAD_FLAGS`` (integrands are piecewise smooth; achieved
+    tolerances are validated against closed forms in the tests); invalid
+    input raises ValueError, and an exception in func propagates."""
     if _qagse is None:
         _load_quadpack()
     if a == b:
@@ -115,7 +127,92 @@ def quad(func, a: float, b: float) -> tuple[float, float]:
         value, err, ier = _qagse(func, a, b, (), 0, _TOL, _TOL, _LIMIT)
     if ier == 6:
         raise ValueError(f"invalid QUADPACK input on ({a}, {b})")
+    if ier:
+        QUAD_FLAGS[ier] += 1
     return (-value if flip else value), err
+
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21): the Kronrod abscissae
+# (those at odd indices are the 10-point Gauss nodes), the Kronrod weights
+# with the centre's last, and the Gauss weights
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077208422440823, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def quad_segments(func, at, edges: np.ndarray) -> np.ndarray:
+    """integral of func over every segment (edges[i], edges[i+1]) of the
+    increasing finite array edges, where at(ts) gives func at every point
+    of an array ts.
+
+    The segment rule: for all segments at once it computes the first stage
+    of QUADPACK's qagse, the 21-point Kronrod estimate and its error, in
+    dqk21's operation order, taking at one node row (one point per
+    segment) at a time.  A segment passes qagse's first-stage test
+    (abserr <= errbnd and abserr != resasc, or abserr = 0) where qagse
+    would stop there with ier = 0; its value is then the one ``quad``
+    returns, bit for bit, whenever at gives func's values (numpy's exp and
+    pow may differ from the C library's by a few ulp, so an ``at`` built
+    from them can move the value that much).  Every other segment, and
+    every one with a node value that is not finite, is integrated by
+    ``quad``, which flags it as it would any call."""
+    a, b = edges[:-1], edges[1:]
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    fc = at(centr)
+    finite = np.isfinite(fc)
+    fv1, fv2 = [None] * 10, [None] * 10
+    with np.errstate(all="ignore"):  # segments with non-finite nodes
+        resk = _WGK[10] * fc
+        resabs = np.abs(resk)
+        resg = np.zeros_like(centr)
+        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
+            absc = hlgth * _XGK[j]
+            f1, f2 = at(centr - absc), at(centr + absc)
+            fv1[j], fv2[j] = f1, f2
+            finite &= np.isfinite(f1) & np.isfinite(f2)
+            fsum = f1 + f2
+            if j % 2:
+                resg = resg + _WG[j // 2] * fsum
+            resk = resk + _WGK[j] * fsum
+            resabs = resabs + _WGK[j] * (np.abs(f1) + np.abs(f2))
+        reskh = resk * 0.5
+        resasc = _WGK[10] * np.abs(fc - reskh)
+        for j in range(10):
+            resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh)
+                                         + np.abs(fv2[j] - reskh))
+        result = resk * hlgth
+        dhlgth = np.abs(hlgth)
+        resabs = resabs * dhlgth
+        resasc = resasc * dhlgth
+        abserr = np.abs((resk - resg) * hlgth)
+        rel = 200.0 * abserr / resasc
+    scale = np.flatnonzero(finite & (resasc != 0.0) & (abserr != 0.0))
+    # Python's ** is the C library's pow, as QUADPACK's; numpy's may differ
+    # in the last bit
+    abserr[scale] = resasc[scale] * np.minimum(
+        1.0, [x ** 1.5 for x in rel[scale].tolist()])
+    big = resabs > _UFLOW / (50.0 * _EPMACH)
+    abserr[big] = np.maximum((_EPMACH * 50.0) * resabs[big], abserr[big])
+    errbnd = np.maximum(_TOL, _TOL * np.abs(result))
+    accepted = finite & (((abserr <= errbnd) & (abserr != resasc))
+                         | (abserr == 0.0))
+    for i in np.flatnonzero(~accepted):
+        result[i] = quad(func, float(a[i]), float(b[i]))[0]
+    return result
 
 
 def log_quad(fn, t0: float, t1: float) -> float:
@@ -330,21 +427,22 @@ def brent_min(f, a: float, b: float) -> float:
     return fx
 
 
-def scan_max(h, lo: float, hi: float, n: int) -> float:
+def scan_max(h, h_at, lo: float, hi: float, n: int) -> float:
     """Numeric max of h over (lo, hi): the best of n geometrically spaced
-    samples, refined by a bounded Brent search (``brent_min``) between
-    that sample's neighbours.  An infinite hi is cut to
-    max(10 (lo + 1), 1e6) and a zero lo to 1e-9 hi."""
+    samples, taken by h_at (h on an array) in one call, refined by a
+    bounded Brent search (``brent_min``) on h between that sample's
+    neighbours.  An infinite hi is cut to max(10 (lo + 1), 1e6) and a zero
+    lo to 1e-9 hi."""
     if math.isinf(hi):
         hi = max(10.0 * (lo + 1.0), 1e6)
     if lo <= 0.0:
         lo = hi * 1e-9
     ts = np.geomspace(lo, hi, n)
-    vals = [h(float(t)) for t in ts]
+    vals = h_at(ts)
     k = int(np.nanargmax(vals))
     a = float(ts[max(k - 1, 0)])
     b = float(ts[min(k + 1, n - 1)])
-    return max(vals[k], -brent_min(lambda t: -h(t), a, b))
+    return max(float(vals[k]), -brent_min(lambda t: -h(t), a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +566,20 @@ class Piece:
         val = self.offset + self.coef * s ** float(self.a)
         if self.b != 0:
             val = self.offset + (val - self.offset) * math.log(_E + s) ** float(self.b)
+        return val
+
+    def at(self, ts: np.ndarray) -> np.ndarray:
+        """The piece's formula at every point of the array ts, with
+        t - shift clamped to 0 as in ``__call__``; powers and logs are
+        numpy's, so values can differ from ``__call__`` in the last bits."""
+        if self.is_constant:
+            return np.full(np.shape(ts), self.const_value)
+        s = np.maximum(ts - self.shift, 0.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            val = self.offset + self.coef * s ** float(self.a)
+            if self.b != 0:
+                val = self.offset + ((val - self.offset)
+                                     * np.log(_E + s) ** float(self.b))
         return val
 
     def limit_at(self, t: float) -> float:
@@ -672,8 +784,7 @@ class StepFunction:
         """f at every point of the array ts; where t <= 0 it reads the
         right limit at 0 (``pieces[0].limit_at(0.0)``), as the first piece's
         formula at t - shift clamped to 0 gives.  Each piece's formula runs
-        once on the group of points it holds; powers and logs are numpy's,
-        so values can differ from ``__call__`` in the last bits."""
+        once on the group of points it holds (``Piece.at``)."""
         shape = np.shape(ts)
         ts = np.asarray(ts, dtype=float).reshape(-1)
         idx = np.maximum(np.searchsorted(self._los, ts, side="right") - 1, 0)
@@ -681,13 +792,8 @@ class StepFunction:
                            for p in self.pieces])
         out = levels[idx]
         for i in np.unique(idx[np.isnan(out)]):
-            p, sel = self.pieces[i], idx == i
-            s = np.maximum(ts[sel] - p.shift, 0.0)
-            with np.errstate(divide="ignore"):
-                val = p.offset + p.coef * s ** float(p.a)
-            if p.b != 0:
-                val = p.offset + (val - p.offset) * np.log(_E + s) ** float(p.b)
-            out[sel] = val
+            sel = idx == i
+            out[sel] = self.pieces[i].at(ts[sel])
         return out.reshape(shape)
 
     @property
@@ -747,35 +853,9 @@ class StepFunction:
                 return total
         return total
 
-    def cumulative(self, from_left: bool = True):
-        """t -> integral_0^t f (from_left) or t -> integral_t^inf f, as
-        prefix sums of the piece integrals plus the partial integral of the
-        piece holding t; inf beyond a divergent piece.  Exact for pieces
-        without log factors; where a piece's partial integrals are all
-        finite and closed form they are evaluated by ``_closed_partial``."""
-        pieces, los = self.pieces, self._los
-        acc = [0.0]
-        for p in (pieces[:-1] if from_left else pieces[:0:-1]):
-            seg = p.integral(p.lo, p.hi)
-            acc.append(acc[-1] + (seg.value if seg.is_finite else math.inf))
-        base = acc if from_left else acc[::-1]
-        closed = [_closed_partial(p, from_left) for p in pieces]
-
-        def fn(t: float) -> float:
-            i = bisect.bisect_right(los, t) - 1
-            if i < 0:
-                if from_left:
-                    return 0.0
-                i, t = 0, 0.0
-            part = closed[i]
-            if part is not None:
-                val = part(t)
-                if math.isfinite(val):
-                    return base[i] + val
-            p = pieces[i]
-            part = p.integral(p.lo, t) if from_left else p.integral(t, p.hi)
-            return base[i] + (part.value if part.is_finite else math.inf)
-        return fn
+    def cumulative(self, from_left: bool = True) -> "StepCumulative":
+        """t -> integral_0^t f (from_left) or t -> integral_t^inf f."""
+        return StepCumulative(self, from_left)
 
     # -- algebra ---------------------------------------------------------------
     def pow_compose(self, e: float) -> "StepFunction":
@@ -865,13 +945,73 @@ class StepFunction:
         return f"StepFunction({len(self.pieces)} pieces on (0, inf))"
 
 
+class StepCumulative:
+    """t -> integral_0^t f (from_left) or t -> integral_t^inf f of a
+    StepFunction f, as prefix sums of the piece integrals plus the partial
+    integral of the piece holding t; inf beyond a divergent piece.  Exact
+    for pieces without log factors; where a piece's partial integrals are
+    all finite and closed form they are evaluated by ``_closed_partial``,
+    at one point or, by ``at``, on the group of points of an array that
+    the piece holds."""
+
+    __slots__ = ("pieces", "los", "from_left", "base", "closed")
+
+    def __init__(self, f: StepFunction, from_left: bool):
+        self.pieces, self.los, self.from_left = f.pieces, f._los, from_left
+        acc = [0.0]
+        for p in (f.pieces[:-1] if from_left else f.pieces[:0:-1]):
+            seg = p.integral(p.lo, p.hi)
+            acc.append(acc[-1] + (seg.value if seg.is_finite else math.inf))
+        self.base = acc if from_left else acc[::-1]
+        self.closed = [_closed_partial(p, from_left) for p in f.pieces]
+
+    def __call__(self, t: float) -> float:
+        i = bisect.bisect_right(self.los, t) - 1
+        if i < 0:
+            if self.from_left:
+                return 0.0
+            i, t = 0, 0.0
+        part = self.closed[i]
+        if part is not None:
+            val = part[0](t)
+            if math.isfinite(val):
+                return self.base[i] + val
+        return self.base[i] + self._integral(i, t)
+
+    def _integral(self, i: int, t: float) -> float:
+        p = self.pieces[i]
+        part = (p.integral(p.lo, t) if self.from_left
+                else p.integral(t, p.hi))
+        return part.value if part.is_finite else math.inf
+
+    def at(self, ts: np.ndarray) -> np.ndarray:
+        """The integral at every point of the array ts; numpy's logs and
+        powers can differ from ``__call__`` in the last bits."""
+        ts = np.asarray(ts, dtype=float)
+        idx = np.searchsorted(self.los, ts, side="right") - 1
+        out = np.zeros(ts.shape)
+        if not self.from_left:  # left of 0: the integral from 0
+            ts = np.where(idx < 0, 0.0, ts)
+            idx = np.maximum(idx, 0)
+        for i in np.unique(idx[idx >= 0]):
+            sel = np.flatnonzero(idx == i)
+            part = self.closed[i]
+            vals = (part[1](ts[sel]) if part is not None
+                    else np.full(len(sel), math.nan))
+            for k in np.flatnonzero(~np.isfinite(vals)):
+                vals[k] = self._integral(i, float(ts[sel[k]]))
+            out[sel] = self.base[i] + vals
+        return out
+
+
 def _closed_partial(p: Piece, from_left: bool):
-    """t -> p.integral(p.lo, t).value (from_left) or p.integral(t, p.hi)
-    .value for finite t, as a float formula with the operations of
-    ``Piece.integral`` in the same order (no ExtReal, no exponent
-    comparisons per call).  None unless every such partial integral is
-    finite and closed form: a finite level, no log factor, no divergent
-    end, a shift at most lo."""
+    """(point, array) evaluators of t -> p.integral(p.lo, t).value
+    (from_left) or p.integral(t, p.hi).value for finite t, as float
+    formulas with the operations of ``Piece.integral`` in the same order
+    (no ExtReal, no exponent comparisons per call); the array one takes
+    points of the piece's interval, with numpy's logs and powers.  None
+    unless every such partial integral is finite and closed form: a finite
+    level, no log factor, no divergent end, a shift at most lo."""
     lo, hi, off, c, shift, a = p.lo, p.hi, p.offset, p.coef, p.shift, p.a
     finite_hi = not math.isinf(hi)
     if math.isinf(off) or (not from_left and not finite_hi and off > 0.0):
@@ -919,7 +1059,26 @@ def _closed_partial(p: Piece, from_left: bool):
             return total + c * math.log(s1 / s0)
         return total + c * (tail - s0 ** a1) / a1
 
-    return left if from_left else right
+    def left_at(t: np.ndarray) -> np.ndarray:
+        x1 = np.minimum(t, hi)
+        total = off * (x1 - lo)
+        if power:
+            with np.errstate(all="ignore"):  # non-finite: the fallback
+                total = total + (c * np.log((x1 - shift) / s0) if log_form
+                                 else c * ((x1 - shift) ** a1 - head) / a1)
+        return np.where(x1 <= lo, 0.0, total)
+
+    def right_at(t: np.ndarray) -> np.ndarray:
+        x0 = np.maximum(t, lo)
+        total = off * (hi - x0) if finite_hi else np.zeros(t.shape)
+        if power:
+            s0 = np.maximum(x0 - shift, 0.0)
+            with np.errstate(all="ignore"):  # non-finite: the fallback
+                total = total + (c * np.log(s1 / s0) if log_form
+                                 else c * (tail - s0 ** a1) / a1)
+        return np.where(hi <= x0, 0.0, total)
+
+    return (left, left_at) if from_left else (right, right_at)
 
 
 def _overlaps(f: StepFunction, g: StepFunction):
@@ -971,7 +1130,8 @@ def sup_over(f: StepFunction, g: StepFunction,
                 return ExtReal.infinite(f"product unbounded near {where}")
             best = max(best, v0, v1)
             if not prod.values_monotone():
-                best = max(best, scan_max(prod, clo, chi, _CELL_SCAN))
+                best = max(best, scan_max(prod, prod.at, clo, chi,
+                                          _CELL_SCAN))
             continue
         # inexact product (mixed offsets / shifts): numeric scan with
         # endpoint limits taken factor-wise
@@ -979,6 +1139,8 @@ def sup_over(f: StepFunction, g: StepFunction,
         v1lim = p.limit_at(chi) * q.limit_at(chi)
         if math.isinf(v0) or math.isinf(v1lim):
             return ExtReal.infinite("product unbounded on a cell")
-        best = max(best, v0, v1lim, scan_max(
-            lambda t: p(t) * q(t), clo, chi, _CELL_SCAN))
+        with np.errstate(invalid="ignore", over="ignore"):
+            best = max(best, v0, v1lim, scan_max(
+                lambda t: p(t) * q(t), lambda ts: p.at(ts) * q.at(ts),
+                clo, chi, _CELL_SCAN))
     return ExtReal.finite(best)

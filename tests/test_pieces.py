@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fourierineq import pieces
 from fourierineq.criteria import ExponentConfig
 from fourierineq.pieces import (LeadSpec, Piece, StepFunction, TailSpec,
                                 as_exp, brent_min, log_quad, parse_exp, quad,
@@ -207,6 +208,7 @@ def test_cumulative_both_directions():
     assert g.cumulative(from_left=False)(0.5) == math.inf
 
 
+
 def test_parse_exp():
     assert parse_exp("4/3") == Fraction(4, 3)
     assert parse_exp(" 0.25 ") == Fraction(1, 4)
@@ -300,6 +302,28 @@ def test_closed_form_cumulative_is_piece_integral_bit_for_bit(monkeypatch):
         got = [(left(t), right(t)) for t in ts]
         monkeypatch.undo()
         assert got == want
+
+
+def test_cumulative_at_is_the_point_value():
+    # at runs each piece's closed form on its group of points with numpy's
+    # logs and powers; a difference of partial integrals is absolute, on the
+    # scale of the cumulative, so it is compared there too
+    rng = np.random.default_rng(2025)
+    fs = [_random_closed_form(rng) for _ in range(200)]
+    fs.append(StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, math.inf]))
+    for f in fs:
+        inner = [p.hi for p in f.pieces[:-1]]
+        ts = np.array([0.0, *f.breakpoints, *inner,
+                       *np.nextafter(inner, 0.0).tolist(),
+                       *rng.uniform(0.0, 12.0, 8).tolist()])
+        for cum in (f.cumulative(), f.cumulative(from_left=False)):
+            got = cum.at(ts)
+            want = np.array([cum(float(t)) for t in ts])
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+            np.testing.assert_array_equal(got == 0.0, want == 0.0)
+            ok = np.isfinite(want)
+            np.testing.assert_allclose(got[ok], want[ok], rtol=2e-15,
+                                       atol=1e-15 * want[ok].max())
 
 
 def _search_problems(rng, n):
@@ -413,3 +437,78 @@ def test_quad_lets_an_integrand_error_through():
     for a, b in ((0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)):
         with pytest.raises(Boom):
             quad(f, a, b)
+
+
+# ---------------------------------------------------------------------------
+# the segment rule: qagse's first stage on every segment of a grid at once
+# ---------------------------------------------------------------------------
+
+
+def _pointwise(f):
+    """at(ts) from f, one point at a time: the same node values quad sees."""
+    return lambda ts: np.array([f(float(t)) for t in ts])
+
+
+def _segment_integrands(rng):
+    """Seeded smooth, kinked and power-law integrands."""
+    for _ in range(12):
+        c, k = rng.uniform(0.1, 3.0), rng.uniform(0.2, 5.0)
+        knot, a = rng.uniform(0.5, 20.0), rng.uniform(-2.5, 2.5)
+        yield lambda t, c=c, k=k: c * math.exp(-k * t) * math.cos(t) ** 2
+        yield lambda t, c=c, knot=knot: c * abs(t - knot) ** 0.5 + 1.0
+        yield lambda t, c=c, a=a: c * t ** a * math.log(math.e + t) ** 0.5
+
+
+def test_segment_rule_returns_quads_bits(monkeypatch):
+    rng = np.random.default_rng(20)
+    accepted = total = 0
+    for f in _segment_integrands(rng):
+        edges = np.unique(np.geomspace(rng.uniform(1e-6, 1.0),
+                                       rng.uniform(2.0, 1e6),
+                                       int(rng.integers(20, 200))))
+        want = [quad(f, a, b)[0] for a, b in zip(edges, edges[1:])]
+        sent = []
+
+        def recorded(func, a, b):
+            sent.append((a, b))
+            return quad(func, a, b)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(pieces, "quad", recorded)
+            got = pieces.quad_segments(f, _pointwise(f), edges)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        total += len(want)
+        accepted += len(want) - len(sent)
+    # most segments of a fine grid pass the first stage; the rest are
+    # integrated by quad
+    assert 0.5 * total < accepted < total
+
+
+def test_segment_rule_sends_the_rest_to_quad(monkeypatch):
+    # (0, 2 pi): sin's cancellation makes qagse flag roundoff (ier 2) at
+    # its first stage; (2 pi, 3 pi): the node value at the centre is inf;
+    # (3 pi, 4 pi): a kink the 21-point estimate does not resolve to the
+    # tolerance; (4 pi, 5 pi) is smooth and accepted
+    edges = np.array([0.0, 2.0, 3.0, 4.0, 5.0]) * math.pi
+    centre = 0.5 * (edges[1] + edges[2])
+
+    def f(t):
+        if t < edges[1]:
+            return 1e8 * math.sin(t)
+        if t < edges[2]:
+            return math.inf if t == centre else 1.0
+        return abs(t - 3.3 * math.pi) ** 0.5
+
+    sent = []
+
+    def recorded(func, a, b):
+        sent.append((a, b))
+        return quad(func, a, b)
+
+    pieces.QUAD_FLAGS.clear()
+    monkeypatch.setattr(pieces, "quad", recorded)
+    got = pieces.quad_segments(f, _pointwise(f), edges)
+    segs = list(zip(edges.tolist(), edges[1:].tolist()))
+    assert sent == segs[:3]
+    assert pieces.QUAD_FLAGS[2] == 1
+    assert [x.hex() for x in got] == [quad(f, a, b)[0].hex() for a, b in segs]

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from fourierineq import criteria, pieces
@@ -253,9 +255,16 @@ PINNED = {
     "IV": (Fraction(3, 4), math.inf, 1, 3.3957851450627903),
     "V": (Fraction(1, 4), Fraction(3, 2), Fraction(1, 2), 1.3865871452054561),
 }
-# integrand evaluations of one evaluate(); tabulating the cumulatives
-# point by point costs 2.73M (III) and 2.22M (V)
+# integrand evaluations of one evaluate(), scalar ones through pieces.quad
+# plus array nodes through the segment rule pieces.quad_segments;
+# tabulating the cumulatives point by point costs 2.73M (III) and 2.22M (V)
 EVAL_BUDGET = {"III": 400_000, "V": 200_000}
+# the scalar ones alone: 129k (III) and 58k (V) with one quad per sweep
+# segment, 43k and 15k once the segment rule accepts most segments
+SCALAR_BUDGET = {"III": 60_000, "V": 25_000}
+# nonzero QUADPACK flags of one evaluate(), by ier: roundoff (2) and the
+# subdivision limit (1) on log_quad heads over (-inf, 0] in u = log t
+QUAD_FLAGS = {"III": {2: 2}, "IV": {2: 1}, "V": {2: 1, 1: 1}}
 
 
 def _pointwise_reference(cum: Cumulative, t: float) -> float:
@@ -283,11 +292,13 @@ def _pointwise_reference(cum: Cumulative, t: float) -> float:
 def pinned_runs():
     """Per pinned config: the report of one evaluate(), every sweep it
     made (the cumulative as it was before the sweep, the grid and the
-    values) and its integrand evaluations through pieces.quad."""
+    values), its integrand evaluations (scalar ones through pieces.quad,
+    array nodes through pieces.quad_segments) and its QUADPACK flags."""
     runs = {}
     for name, (g, p, q, _pin) in PINNED.items():
-        swept, evals = [], [0]
+        swept, evals = [], {"scalar": 0, "array": 0}
         sweep, quad = Cumulative.sweep, pieces.quad
+        segments = pieces.quad_segments
 
         def recording(self, ts):
             vals, cum = sweep(self, ts)
@@ -296,17 +307,25 @@ def pinned_runs():
 
         def counted(f, a, b):
             def g(x):
-                evals[0] += 1
+                evals["scalar"] += 1
                 return f(x)
             return quad(g, a, b)
 
+        def counted_nodes(f, at, edges):
+            def nodes(ts):
+                evals["array"] += len(ts)
+                return at(ts)
+            return segments(f, nodes, edges)
+
+        pieces.QUAD_FLAGS.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Cumulative, "sweep", recording)
             mp.setattr(pieces, "quad", counted)
+            mp.setattr(pieces, "quad_segments", counted_nodes)
             rep = criteria.evaluate(
                 WeightSpec.indicator(1.0), WeightSpec.power(g, NONDECREASING),
                 criteria.ExponentConfig(p, q))
-        runs[name] = (rep, swept, evals[0])
+        runs[name] = (rep, swept, evals, dict(pieces.QUAD_FLAGS))
     return runs
 
 
@@ -357,7 +376,25 @@ def test_sweep_matches_pointwise_cumulatives(pinned_runs, name):
 
 @pytest.mark.parametrize("name", sorted(EVAL_BUDGET))
 def test_nested_quadrature_evaluation_budget(pinned_runs, name):
-    assert pinned_runs[name][2] < EVAL_BUDGET[name]
+    evals = pinned_runs[name][2]
+    assert evals["array"] > 0  # the sweeps go through the segment rule
+    assert evals["scalar"] + evals["array"] < EVAL_BUDGET[name]
+    assert evals["scalar"] < SCALAR_BUDGET[name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_quadpack_flags_are_counted(pinned_runs, name):
+    assert pinned_runs[name][3] == QUAD_FLAGS[name]
+
+
+def test_no_quadpack_flags_in_regime_ii():
+    pieces.QUAD_FLAGS.clear()
+    rep = criteria.evaluate(
+        WeightSpec.indicator(1.0), WeightSpec.power(Fraction(1, 4),
+                                                    NONDECREASING),
+        criteria.ExponentConfig(3, 2))
+    assert rep.regime == criteria.REGIME_II
+    assert not pieces.QUAD_FLAGS
 
 
 def test_recip_sweep_is_the_sweep_on_the_reciprocal_grid():
@@ -371,3 +408,86 @@ def test_recip_sweep_is_the_sweep_on_the_reciprocal_grid():
     # beyond the window the copy integrates from the nearest grid anchor
     assert tab(1e5) == pytest.approx(1e5, rel=1e-9)
     assert tab(1e-5) == pytest.approx(1e-5, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the array evaluator at, against fn
+# ---------------------------------------------------------------------------
+
+
+def _at_family() -> dict[str, SymFunc]:
+    """A SymFunc from every constructor that builds an array evaluator,
+    with zero cells (step), infinite cells (its negative power) and nan
+    (their product, 0 * inf)."""
+    step = SymFunc.from_step(StepFunction.from_cells(
+        [0.0, 0.5, 2.0, 5.0], [3.0, 0.0, 1.5, 0.8], tail=TailSpec.power(2)))
+    shifted = SymFunc.from_step(StepFunction([
+        pieces.Piece(0.0, 1.0, 0.5, 1.0, 0.0, Fraction(1, 3)),
+        pieces.Piece(1.0, 3.0, 0.0, 2.0, 0.5, -1),
+        pieces.Piece(3.0, math.inf, 0.0, 1.0, 1.0, Fraction(-5, 2))]))
+    power = SymFunc.power(2.0, Fraction(-3, 2), Fraction(1, 2))
+    return {
+        "power": power,
+        "constant": SymFunc.constant(1.7),
+        "from_step": step,
+        "from_step shifted": shifted,
+        "mul": power.mul(step),
+        "add": power.add(step),
+        "pow": step.pow(Fraction(-1, 3)),
+        "pow of power": power.pow(Fraction(5, 2)),
+        "0 * inf": step.mul(step.pow(-1)),
+        "recip_arg": power.mul(step).recip_arg(),
+        "tabulated": power.mul(shifted).tabulated(n=257, pad=1e3),
+        "tabulated with zeros": power.mul(step).tabulated(n=257, pad=1e3),
+        "tabulated cumulative": power.add(shifted).tail_integral()
+        .tabulated(n=257, pad=1e3),
+        "tabulated recip cumulative": power.add(shifted).tail_integral()
+        .recip_arg().tabulated(n=257, pad=1e3),
+        "step antiderivative": shifted.antiderivative(),
+        "step tail integral": step.tail_integral(),
+        "step antiderivative, infinite cells": step.pow(-1).antiderivative(),
+        "running_sup_from": SymFunc.power(1.0, Fraction(1, 2)).mul(step)
+        .running_sup_from(),
+        "running_sup_from shifted": SymFunc.power(1.0, Fraction(1, 2))
+        .mul(shifted).running_sup_from(),
+    }
+
+
+AT_FAMILY = _at_family()
+# knots of the family, the tabulated window's ends (1e-3, 5e3) and
+# points beyond it, and the running sups' last sample (5e8) and beyond
+AT_POINTS = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 1e-3, 5e3, 2e-4, 1e5, 5e8,
+                      1e9, 3e11])
+
+
+def _assert_at_is_fn(f: SymFunc, ts: np.ndarray) -> None:
+    got = f.at(ts)
+    want = np.array([f.fn(float(t)) for t in ts])
+    assert got.shape == want.shape
+    for special in (np.isnan, np.isinf, lambda x: x == 0.0):
+        np.testing.assert_array_equal(special(got), special(want))
+    ok = np.isfinite(want) & (want != 0.0)
+    np.testing.assert_allclose(got[ok], want[ok], rtol=2e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(AT_FAMILY))
+def test_at_agrees_with_fn_at_knots_and_beyond(name):
+    ts = np.concatenate([AT_POINTS, np.nextafter(AT_POINTS, 0.0)])
+    _assert_at_is_fn(AT_FAMILY[name], ts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.floats(-12.0, 12.0), min_size=1, max_size=40))
+def test_at_agrees_with_fn(log_ts):
+    ts = 10.0 ** np.array(log_ts)
+    for f in AT_FAMILY.values():
+        _assert_at_is_fn(f, ts)
+
+
+def test_at_family_has_zero_infinite_and_nan_cells():
+    ts = np.array([1.0])  # inside the zero cell (0.5, 2) of the step
+    assert AT_FAMILY["from_step"].at(ts)[0] == 0.0
+    assert AT_FAMILY["pow"].at(ts)[0] == math.inf
+    assert math.isnan(AT_FAMILY["0 * inf"].at(ts)[0])
+    assert AT_FAMILY["step antiderivative, infinite cells"].at(ts)[0] == (
+        math.inf)
