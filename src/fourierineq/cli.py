@@ -38,17 +38,29 @@ class InputError(Exception):
     """A violated precondition or malformed input (exit code 2)."""
 
 
-def _weight(text: str, direction: str) -> WeightSpec:
+def _weight(text: str, direction: str, d: int | None = None) -> WeightSpec:
     try:
-        return parse_weight(text, direction)
+        return parse_weight(text, direction, d)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
 
-def _config(args) -> ExponentConfig:
+def _problem(args) -> tuple[WeightSpec, WeightSpec, int]:
+    """u, v and the one dimension d of a subcommand: --d, when given, is
+    the dimension of every weight without `@d=`, and d; without it d is
+    u's.  Weights of another dimension are malformed input."""
+    u = _weight(args.u, NONINCREASING, args.d)
+    v = _weight(args.v, NONDECREASING, args.d)
+    d = u.d if args.d is None else args.d
+    if not u.d == v.d == d:
+        raise InputError(f"u, v and --d must share one dimension, got "
+                         f"d = {u.d}, {v.d} and {d}")
+    return u, v, d
+
+
+def _config(args, d: int) -> ExponentConfig:
     try:
-        return ExponentConfig(parse_exp(args.p), parse_exp(args.q),
-                              getattr(args, "d", 1))
+        return ExponentConfig(parse_exp(args.p), parse_exp(args.q), d)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -83,9 +95,8 @@ def emit_plot_data(report: dict, outdir: str) -> list[str]:
 
 
 def cmd_criteria(args) -> int:
-    cfg = _config(args)
-    u = _weight(args.u, NONINCREASING)
-    v = _weight(args.v, NONDECREASING)
+    u, v, d = _problem(args)
+    cfg = _config(args, d)
     report = evaluate(u, v, cfg).to_json()
     if args.plot_dir:
         # xi(t)/U(t) profile when the correction weight exists (q < 2)
@@ -157,13 +168,13 @@ def cmd_norms(args) -> int:
             if args.f is None:
                 raise InputError("--f is required for kind optimalY")
             f = StepFunction.from_csv(args.f)
-            u = _weight(args.u, NONINCREASING)
+            u = _weight(args.u, NONINCREASING, args.d)
             value = optimal_Y_norm(f, u, parse_exp(args.exponent)).to_json()
         elif kind == "morrey":
             if args.f is None:
                 raise InputError("--f is required for kind morrey")
             f = StepFunction.from_csv(args.f)
-            shape = _weight(args.shape, NONINCREASING).profile()
+            shape = _weight(args.shape, NONINCREASING, args.d).profile()
             value = morrey_optimal_norm(f, parse_exp(args.exponent), shape,
                                         args.d).to_json()
         else:  # expL
@@ -181,13 +192,15 @@ def cmd_norms(args) -> int:
 def cmd_estimate(args) -> int:
     if args.N < 2 or args.N & (args.N - 1):
         raise InputError(f"--N must be a power of two, got {args.N}")
-    cfg = _config(args)
-    u = _weight(args.u, NONINCREASING)
-    v = _weight(args.v, NONDECREASING)
+    u, v, d = _problem(args)
+    cfg = _config(args, d)
     rng = np.random.default_rng(args.seed)
     br = bracket_constant(u, v, cfg, rng, N=args.N, L=args.L,
                           n_random=args.budget)
     report = br.to_json()
+    if br.lower is None:  # no one-dimensional witness is a bound here
+        _write_report(report, args.out)
+        return 0
     # resolution-sensitivity delta: best random-signal ratio at N vs N/2
     rng2 = np.random.default_rng(args.seed)
     half = max(
@@ -206,8 +219,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    u = _weight(args.u, NONINCREASING)
-    v = _weight(args.v, NONDECREASING)
+    u, v, d = _problem(args)
     try:
         ps = [(t.strip(), parse_exp(t)) for t in args.p_list.split(",")]
         qs = [(t.strip(), parse_exp(t)) for t in args.q_list.split(",")]
@@ -217,7 +229,7 @@ def cmd_sweep(args) -> int:
     for ptxt, p in ps:
         for qtxt, q in qs:
             try:
-                cfg = ExponentConfig(p, q, args.d)
+                cfg = ExponentConfig(p, q, d)
             except ValueError:
                 continue
             rep = evaluate(u, v, cfg)
@@ -286,6 +298,10 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+D_HELP = ("ambient dimension: the d of every weight without @d= "
+          "(default: u's d)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fourierineq",
@@ -306,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("criteria", help="classify and evaluate a config")
     add_common(pc)
-    pc.add_argument("--d", type=int, default=1)
+    pc.add_argument("--d", type=int, default=None, help=D_HELP)
     pc.add_argument("--plot-dir", default=None)
     pc.set_defaults(fn=cmd_criteria)
 
@@ -342,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("estimate", help="two-sided constant bracket")
     add_common(pe)
-    pe.add_argument("--d", type=int, default=1)
+    pe.add_argument("--d", type=int, default=None, help=D_HELP)
     pe.add_argument("--N", type=int, default=4096)
     pe.add_argument("--L", type=float, default=64.0)
     pe.add_argument("--seed", type=int, default=0)
@@ -363,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated p values")
     ps.add_argument("--q-list", required=True,
                     help="comma-separated q values")
-    ps.add_argument("--d", type=int, default=1)
+    ps.add_argument("--d", type=int, default=None, help=D_HELP)
     ps.add_argument("--out", default=None)
     ps.set_defaults(fn=cmd_sweep)
 

@@ -123,6 +123,14 @@ def classify(cfg: ExponentConfig) -> str:
     return REGIME_V
 
 
+def check_dimension(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> None:
+    """The one ambient dimension of a problem: ValueError unless u, v and
+    the config share their d."""
+    if not u.d == v.d == cfg.d:
+        raise ValueError(f"u, v and the exponents must share one dimension, "
+                         f"got d = {u.d}, {v.d} and {cfg.d}")
+
+
 # ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
@@ -340,7 +348,9 @@ class CriterionReport:
 
 
 def evaluate(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> CriterionReport:
-    """Classify the exponent pair and evaluate the governing constants."""
+    """Classify the exponent pair and evaluate the governing constants;
+    ValueError unless u, v and cfg share one dimension."""
+    check_dimension(u, v, cfg)
     regime = classify(cfg)
     rep = CriterionReport(regime, cfg, u, v)
     cs = rep.constants
@@ -391,8 +401,9 @@ def dual_config(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig
     """The dual problem: (u, v, p, q) -> (1/v, 1/u, q', p').
 
     The inequality with data (u, v, p, q) holds iff the dual one does, with
-    the same constant.  Requires 1 <= p, q <= inf.
+    the same constant.  Requires 1 <= p, q <= inf and one dimension.
     """
+    check_dimension(u, v, cfg)
     if not is_inf(cfg.q) and cfg.q < 1:
         raise ValueError("duality requires q >= 1")
     new_cfg = ExponentConfig(cfg.q_prime, cfg.p_prime, cfg.d)

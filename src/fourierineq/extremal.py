@@ -407,26 +407,36 @@ def symmetric_block_condition(u: WeightSpec, v: WeightSpec,
 
 @dataclass
 class ConstantBracket:
-    lower: float
+    lower: Optional[float]  # None where no witness applies
     upper: ExtReal
     regime: str
     witnesses: dict[str, float] = field(default_factory=dict)
     report: Optional[CriterionReport] = None
+    notes: list[str] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {"lower": json_float(self.lower),
+        return {"lower": (None if self.lower is None
+                          else json_float(self.lower)),
                 "upper": self.upper.to_json(), "regime": self.regime,
                 "witnesses": {k: json_float(x)
-                              for k, x in self.witnesses.items()}}
+                              for k, x in self.witnesses.items()},
+                "notes": self.notes}
 
 
 def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                      rng: np.random.Generator, N: int = 4096,
                      L: float = 64.0, n_random: int = 8) -> ConstantBracket:
     """Bracket the optimal constant: criteria upper value vs the best
-    constructive witness ratio (every witness gives a true lower bound)."""
+    constructive witness ratio (every witness gives a true lower bound).
+    The witnesses are signals on the line, so in d > 1 there is no lower
+    bound (and a note says so); ValueError unless u, v and cfg share one
+    dimension."""
     report = evaluate(u, v, cfg)
     upper = report.governing
+    if cfg.d > 1:
+        return ConstantBracket(None, upper, report.regime, {}, report, [
+            f"no lower bound: the witnesses are one-dimensional signals, "
+            f"not functions on R^{cfg.d}"])
     wit: dict[str, float] = {}
 
     best = 0.0

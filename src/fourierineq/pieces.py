@@ -33,7 +33,10 @@ compute a whole array of points with numpy's logs and powers, which on an
 AVX-512 x86 host differ from the C library's in the last bit for about 5%
 of exp and pow values; so an array value may differ from the point value by
 a few ulp.  The segment rule ``quad_segments`` integrates every segment of
-a grid at once and gives ``quad``'s bits for the same node values.
+a grid at once and gives ``quad``'s bits for the same node values;
+``quad_cells`` integrates cells at once, halving as arrays the pieces the
+first stage leaves open.  Both run QUADPACK's first stage on arrays by
+``first_stage``.
 """
 
 from __future__ import annotations
@@ -153,47 +156,42 @@ _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
 
-def quad_segments(func, at, edges: np.ndarray) -> np.ndarray:
-    """integral of func over every segment (edges[i], edges[i+1]) of the
-    increasing finite array edges, where at(ts) gives func at every point
-    of an array ts.
+_GAUSS_FIRST = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # dqk21's order of the nodes
+_WGK_ROWS = np.array(_WGK)[:, None]
+_WG_ROWS = np.array(_WG)[:, None]
 
-    The segment rule: for all segments at once it computes the first stage
-    of QUADPACK's qagse, the 21-point Kronrod estimate and its error, in
-    dqk21's operation order, taking at one node row (one point per
-    segment) at a time.  A segment passes qagse's first-stage test
-    (abserr <= errbnd and abserr != resasc, or abserr = 0) where qagse
-    would stop there with ier = 0; its value is then the one ``quad``
-    returns, bit for bit, whenever at gives func's values (numpy's exp and
-    pow may differ from the C library's by a few ulp, so an ``at`` built
-    from them can move the value that much).  Every other segment, and
-    every one with a node value that is not finite, is integrated by
-    ``quad``, which flags it as it would any call."""
-    a, b = edges[:-1], edges[1:]
+
+def first_stage(at, a: np.ndarray, b: np.ndarray):
+    """The first stage of QUADPACK's qagse on every segment (a[i], b[i])
+    at once: QUADPACK's 21-point Kronrod rule dqk21, as arrays (result,
+    abserr, resabs, resasc, finite), finite false where a node value is
+    not.  at is called once, on the 21 nodes of every segment.  Each sum
+    runs over the nodes in dqk21's order, by ``np.add.accumulate``
+    (strictly left to right), so a segment gets dqk21's bits for the same
+    node values.  The one Gauss-Kronrod stage of ``quad_segments`` and
+    ``quad_cells``."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
-    fc = at(centr)
-    finite = np.isfinite(fc)
-    fv1, fv2 = [None] * 10, [None] * 10
+    absc = np.multiply.outer(_XGK, hlgth)
+    nodes = np.concatenate([centr[None], centr - absc, centr + absc])
+    fv = np.asarray(at(nodes.reshape(-1)), dtype=float).reshape(21, -1)
+    fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
+    finite = np.isfinite(fv).all(axis=0)
+    wgk, first = _WGK_ROWS[:10], _GAUSS_FIRST
     with np.errstate(all="ignore"):  # segments with non-finite nodes
-        resk = _WGK[10] * fc
-        resabs = np.abs(resk)
-        resg = np.zeros_like(centr)
-        for j in (1, 3, 5, 7, 9, 0, 2, 4, 6, 8):  # the Gauss nodes first
-            absc = hlgth * _XGK[j]
-            f1, f2 = at(centr - absc), at(centr + absc)
-            fv1[j], fv2[j] = f1, f2
-            finite &= np.isfinite(f1) & np.isfinite(f2)
-            fsum = f1 + f2
-            if j % 2:
-                resg = resg + _WG[j // 2] * fsum
-            resk = resk + _WGK[j] * fsum
-            resabs = resabs + _WGK[j] * (np.abs(f1) + np.abs(f2))
+        resk0 = _WGK[10] * fc
+        fsum = (fv1 + fv2)[first]
+        resk = np.add.accumulate(np.concatenate(
+            [resk0[None], wgk[first] * fsum]))[-1]
+        resg = np.add.accumulate(np.concatenate(
+            [np.zeros((1, len(centr))), _WG_ROWS * fsum[:5]]))[-1]
+        resabs = np.add.accumulate(np.concatenate(
+            [np.abs(resk0)[None],
+             wgk[first] * (np.abs(fv1) + np.abs(fv2))[first]]))[-1]
         reskh = resk * 0.5
-        resasc = _WGK[10] * np.abs(fc - reskh)
-        for j in range(10):
-            resasc = resasc + _WGK[j] * (np.abs(fv1[j] - reskh)
-                                         + np.abs(fv2[j] - reskh))
+        resasc = np.add.accumulate(np.concatenate(
+            [(_WGK[10] * np.abs(fc - reskh))[None],
+             wgk * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh))]))[-1]
         result = resk * hlgth
         dhlgth = np.abs(hlgth)
         resabs = resabs * dhlgth
@@ -207,20 +205,97 @@ def quad_segments(func, at, edges: np.ndarray) -> np.ndarray:
         1.0, [x ** 1.5 for x in rel[scale].tolist()])
     big = resabs > _UFLOW / (50.0 * _EPMACH)
     abserr[big] = np.maximum((_EPMACH * 50.0) * resabs[big], abserr[big])
-    errbnd = np.maximum(_TOL, _TOL * np.abs(result))
-    accepted = finite & (((abserr <= errbnd) & (abserr != resasc))
-                         | (abserr == 0.0))
+    return result, abserr, resabs, resasc, finite
+
+
+def _passes(abserr, resasc, finite, errbnd) -> np.ndarray:
+    """qagse's test to stop after its first stage with ier = 0: every node
+    value finite, and abserr <= errbnd and abserr != resasc, or abserr =
+    0."""
+    return finite & (((abserr <= errbnd) & (abserr != resasc))
+                     | (abserr == 0.0))
+
+
+def quad_segments(func, at, edges: np.ndarray) -> np.ndarray:
+    """integral of func over every segment (edges[i], edges[i+1]) of the
+    increasing finite array edges, where at(ts) gives func at every point
+    of an array ts.
+
+    The segment rule: ``first_stage`` runs qagse's first stage on all
+    segments at once.  A segment where qagse would stop there with ier = 0
+    (abserr within qagse's bound max(epsabs, epsrel |result|) at
+    ``quad``'s tolerances) takes the dqk21 result, which is the value
+    ``quad`` returns, bit for bit, whenever at gives func's values (numpy's
+    exp and pow may differ from the C library's by a few ulp, so an ``at``
+    built from them can move the value that much).  Every other segment,
+    and every one with a node value that is not finite, is integrated by
+    ``quad``, which flags it as it would any call."""
+    a, b = edges[:-1], edges[1:]
+    result, abserr, _, resasc, finite = first_stage(at, a, b)
+    accepted = _passes(abserr, resasc, finite,
+                       np.maximum(_TOL, _TOL * np.abs(result)))
     for i in np.flatnonzero(~accepted):
         result[i] = quad(func, float(a[i]), float(b[i]))[0]
     return result
 
 
-def log_quad(fn, t0: float, t1: float) -> float:
-    """integral_{t0}^{t1} fn(t) dt for 0 <= t0 < t1 <= inf, computed in
-    u = log t (integrand fn(e**u) e**u), which keeps power-law ends and wide
-    ranges well conditioned.  Where e**u under- or overflows, or fn fails or
-    is not finite there, the integrand reads 0: quad samples u far beyond
-    the range where the (convergent) integrand matters."""
+def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """integral of func over every cell (a[i], b[i]) (finite, a <= b),
+    where at(ts) gives func at every point of an array ts.
+
+    Every cell goes through ``first_stage``, and so does every piece that
+    halving makes, all pieces of one level in one call.  A cell is done
+    when the error estimates of its pieces sum to at most epsrel |I|, I
+    the sum of their results and epsrel ``quad``'s: qagse's test on the
+    whole cell, without its absolute floor epsabs, so that a cell with a
+    small integral (the last cell before a zero of a cumulative) keeps its
+    relative accuracy.  Until then a piece whose error is within its
+    width's share of that bound is kept, and the others are halved.  A
+    cell that would pass quad's 300 subintervals, a piece with a node
+    value that is not finite, one that halving cannot split and one whose
+    error estimate is at the level of roundoff (where qagse flags ier 2)
+    are integrated by ``quad``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = len(a)
+    width = b - a
+    total = np.zeros(n)  # the kept pieces' results and errors, per cell
+    kept_err = np.zeros(n)
+    count = np.ones(n, dtype=int)  # subintervals per cell
+    cell, lo, hi = np.arange(n), a, b
+    while len(cell):
+        result, abserr, resabs, resasc, finite = first_stage(at, lo, hi)
+        errbnd = _TOL * np.abs(total + np.bincount(cell, result,
+                                                   minlength=n))
+        done = ((kept_err + np.bincount(cell, abserr, minlength=n) <= errbnd)
+                & (np.bincount(cell, ~finite, minlength=n) == 0))
+        share = np.divide(hi - lo, width[cell], out=np.zeros(len(cell)),
+                          where=width[cell] > 0.0)
+        keep = done[cell] | _passes(abserr, resasc, finite,
+                                    errbnd[cell] * share)
+        total += np.bincount(cell[keep], result[keep], minlength=n)
+        kept_err += np.bincount(cell[keep], abserr[keep], minlength=n)
+        rest = ~keep
+        cell, lo, hi = cell[rest], lo[rest], hi[rest]
+        mid = 0.5 * (lo + hi)
+        split = (finite[rest] & (lo < mid) & (mid < hi)
+                 & (abserr[rest] > (100.0 * _EPMACH) * resabs[rest]))
+        count += np.bincount(cell[split], minlength=n)
+        split &= (count <= _LIMIT)[cell]
+        for i in np.flatnonzero(~split):
+            total[cell[i]] += quad(func, float(lo[i]), float(hi[i]))[0]
+        cell, lo, mid, hi = cell[split], lo[split], mid[split], hi[split]
+        cell = np.concatenate([cell, cell])
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    return total
+
+
+def log_integrand(fn, at=None):
+    """(g, g_at): the integrand of ``log_quad`` in u = log t,
+    g(u) = fn(e**u) e**u, and the same on an array of u by at (fn on an
+    array of t).  Where e**u under- or overflows, or fn fails or is not
+    finite there, the integrand reads 0: quad samples u far beyond the
+    range where the (convergent) integrand matters."""
     def g(u: float) -> float:
         try:
             t = math.exp(u)
@@ -234,8 +309,38 @@ def log_quad(fn, t0: float, t1: float) -> float:
             return 0.0
         return v if math.isfinite(v) else 0.0
 
+    def g_at(us: np.ndarray) -> np.ndarray:
+        out = np.zeros(len(us))
+        with np.errstate(all="ignore"):
+            ts = np.exp(us)
+            ok = np.flatnonzero((ts > 0.0) & (ts < math.inf))
+            v = at(ts[ok]) * ts[ok]
+        out[ok] = np.where(np.isfinite(v), v, 0.0)
+        return out
+
+    return g, g_at
+
+
+def log_quad(fn, t0: float, t1: float) -> float:
+    """integral_{t0}^{t1} fn(t) dt for 0 <= t0 < t1 <= inf, computed by
+    ``quad`` in u = log t (the integrand of ``log_integrand``), which keeps
+    power-law ends and wide ranges well conditioned."""
     u0 = math.log(t0) if t0 > 0.0 else -math.inf
-    return quad(g, u0, math.log(t1))[0]
+    return quad(log_integrand(fn)[0], u0, math.log(t1))[0]
+
+
+def log_cells(fn, at, edges: Sequence[float]) -> float:
+    """integral of fn over (edges[0], edges[-1]), for increasing finite
+    edges > 0 at fn's kinks, in u = log t (``log_integrand``; at is fn on
+    an array): the whole range as one cell where its first stage meets the
+    bound of ``quad_cells``, else every cell (edges[i], edges[i+1]) by
+    ``quad_cells``."""
+    g, g_at = log_integrand(fn, at)
+    us = np.log(np.asarray(edges, dtype=float))
+    result, abserr, _, resasc, finite = first_stage(g_at, us[:1], us[-1:])
+    if _passes(abserr, resasc, finite, _TOL * np.abs(result))[0]:
+        return float(result[0])
+    return math.fsum(quad_cells(g, g_at, us[:-1], us[1:]).tolist())
 
 
 _LOG_CUT = 700.0  # |log t| beyond which e**u may under- or overflow

@@ -16,15 +16,26 @@ integrated accurately.
 
 Beside fn, every SymFunc holds an array evaluator ``at``: at(ts) is f at
 every point of a 1-d float array ts, computed with numpy over the whole
-array where the constructor allows it (a quadrature cumulative, and a
-SymFunc built from a bare callable, sample point by point).  Sweeps and
-scans use it: ``tabulated`` samples and integrates its grid segments by
-``pieces.quad_segments``, and ``sup`` and ``running_sup_from`` scan with
-it.  at may differ from fn by a few ulp, because numpy's exp and pow are
-not the C library's (on an AVX-512 x86 host about 5% of exp and of pow
-values of 200k random points differ in the last bit); inf, 0 and nan fall
-where fn's float arithmetic puts them.  The segment rule itself gives
-``quad``'s bits for the same node values.
+array (a SymFunc built from a bare callable samples point by point).
+Sweeps and scans use it: ``tabulated`` samples and integrates its grid
+segments by ``pieces.quad_segments``, and ``sup`` and ``running_sup_from``
+scan with it.  at may differ from fn by a few ulp, because numpy's exp and
+pow are not the C library's (on an AVX-512 x86 host about 5% of exp and of
+pow values of 200k random points differ in the last bit); inf, 0 and nan
+fall where fn's float arithmetic puts them.  The segment rule itself gives
+``quad``'s bits for the same node values.  A quadrature cumulative's
+``Cumulative.at`` integrates the pieces between sorted points at once, so
+it agrees with the point values to the quadrature's tolerance, not to the
+ulp.
+
+Every SymFunc also carries its kinks: the sorted points where it is not
+smooth between its knots, the grid of a ``tabulated`` factor and the
+sample grid of a ``running_sup_from`` one.  ``mul``, ``add`` and ``pow``
+take the union, ``recip_arg`` takes 1/x, and a cumulative has none.  An
+integral over a head, segment or tail of the knots is taken cell by cell
+between its outermost kinks, in log coordinates (``pieces.log_cells``), and
+beyond them by ``end_quad``; where no factor is tabulated there are no
+kinks, and nothing changes.
 
 Exponents follow the exponent rule of ``pieces`` (always Fractions), so
 boundary cases (exponent exactly -1 or 0) are decided exactly.
@@ -50,6 +61,16 @@ from .pieces import (Divergence, StepFunction, Exponent, as_exp,
 def _pointwise(fn: Callable[[float], float]):
     """fn extended to a 1-d array, point by point."""
     return lambda ts: np.array([fn(float(t)) for t in ts], dtype=float)
+
+
+_NO_KINKS = np.empty(0)
+
+
+def _kinks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The union of two sorted sets of kinks."""
+    if not len(b):
+        return a
+    return np.union1d(a, b) if len(a) else b
 
 
 def _quiet():
@@ -136,10 +157,11 @@ def _dominant(terms: Sequence[Asym], at_zero: bool) -> Asym:
 
 
 class SymFunc:
-    __slots__ = ("fn", "at", "head", "tail", "knots", "step")
+    __slots__ = ("fn", "at", "head", "tail", "knots", "step", "kinks")
 
     def __init__(self, fn: Callable[[float], float], head: Asym, tail: Asym,
-                 knots: Sequence[float] = (), step=None, at=None):
+                 knots: Sequence[float] = (), step=None, at=None,
+                 kinks: np.ndarray = _NO_KINKS):
         self.fn = fn
         # f on a 1-d array (see the module docstring); point by point
         # where the constructor gives none
@@ -151,6 +173,10 @@ class SymFunc:
         # a StepFunction of closed-form pieces (no log factors) that equals
         # fn, kept so cumulative integrals can be computed exactly
         self.step = step
+        # the sorted points where f is not smooth between its knots (the
+        # grids of tabulated and running-sup factors), where its integral
+        # is split into cells
+        self.kinks = kinks
 
     def __call__(self, t: float) -> float:
         return self.fn(t)
@@ -197,7 +223,7 @@ class SymFunc:
 
         return SymFunc(lambda t: f(t) * g(t), self.head.mul(other.head),
                        self.tail.mul(other.tail), self.knots + other.knots,
-                       at=at)
+                       at=at, kinks=_kinks(self.kinks, other.kinks))
 
     def pow(self, e: Exponent) -> "SymFunc":
         f, f_at = self.fn, self.at
@@ -226,7 +252,7 @@ class SymFunc:
             except (NotImplementedError, ValueError):
                 step = None
         return SymFunc(fn, self.head.pow(e), self.tail.pow(e), self.knots,
-                       step=step, at=at)
+                       step=step, at=at, kinks=self.kinks)
 
     def add(self, other: "SymFunc") -> "SymFunc":
         f, g = self.fn, other.fn
@@ -239,7 +265,8 @@ class SymFunc:
         return SymFunc(lambda t: f(t) + g(t),
                        _dominant([self.head, other.head], True),
                        _dominant([self.tail, other.tail], False),
-                       self.knots + other.knots, at=at)
+                       self.knots + other.knots, at=at,
+                       kinks=_kinks(self.kinks, other.kinks))
 
     def recip_arg(self) -> "SymFunc":
         """t -> f(1/t); swaps the roles of 0 and infinity."""
@@ -253,7 +280,8 @@ class SymFunc:
             with _quiet():
                 return f_at(1.0 / ts)
 
-        return SymFunc(fn, head, tail, [1.0 / k for k in self.knots], at=at)
+        return SymFunc(fn, head, tail, [1.0 / k for k in self.knots], at=at,
+                       kinks=1.0 / self.kinks[::-1])
 
     # -- numeric helpers -----------------------------------------------------
     def _span(self) -> tuple[float, float]:
@@ -266,13 +294,14 @@ class SymFunc:
         A cumulative integral is sampled in one sweep over the grid, and the
         copy falls back to it re-anchored at the grid points; other
         functions are sampled by ``at``.  Outside the grid, and where the
-        interpolated log is not finite, the copy is the function itself."""
+        interpolated log is not finite, the copy is the function itself.
+        The grid points are kinks of the copy."""
         lo, hi = self._span()
         lo, hi = lo / pad, hi * pad
         ts = np.geomspace(lo, hi, n)
         if isinstance(self.fn, Cumulative):
             vals, f = self.fn.sweep(ts)
-            f_at = _pointwise(f)
+            f_at = f.at
         else:
             f, f_at = self.fn, self.at
             vals = f_at(ts)
@@ -302,7 +331,8 @@ class SymFunc:
                 out[rest] = f_at(ts[rest])
             return out
 
-        return SymFunc(fn, self.head, self.tail, self.knots, at=at)
+        return SymFunc(fn, self.head, self.tail, self.knots, at=at,
+                       kinks=_kinks(self.kinks, ts))
 
     # -- calculus ---------------------------------------------------------
     def _ends(self):
@@ -312,16 +342,38 @@ class SymFunc:
     def _knot_integrals(self) -> tuple[float, list[float], float]:
         """Integrals of f over the head (0, k_0), the segments
         (k_i, k_{i+1}) and the tail (k_n, inf) of the knots (1 when there
-        are none); the head and tail are integrated in log coordinates.  An
-        end where f is certified not integrable is not integrated and
-        reads inf."""
-        f, ks = self.fn, self.knots or (1.0,)
-        h = (end_quad(f, self.head, 0.0, ks[0])
+        are none), each by ``_part``.  An end where f is certified not
+        integrable is not integrated and reads inf."""
+        ks = self.knots or (1.0,)
+        h = (self._part(0.0, ks[0])
              if self.head.integrable(at_zero=True) else math.inf)
-        segs = [pieces.quad(f, a, b)[0] for a, b in zip(ks, ks[1:])]
-        t = (end_quad(f, self.tail, ks[-1], math.inf)
+        segs = [self._part(a, b) for a, b in zip(ks, ks[1:])]
+        t = (self._part(ks[-1], math.inf)
              if self.tail.integrable(at_zero=False) else math.inf)
         return h, segs, t
+
+    def _part(self, t0: float, t1: float) -> float:
+        """integral_{t0}^{t1} f for a head (t0 = 0), a segment or a tail
+        (t1 = inf) of the knots.  Between its outermost kinks it is
+        integrated in log coordinates, cell by cell (``pieces.log_cells``);
+        an end beyond them, and a whole part without kinks, by
+        ``end_quad`` (in log coordinates) or, for a segment, ``quad``."""
+        f, kinks = self.fn, self.kinks
+        inner = kinks[(kinks > t0) & (kinks < t1)].tolist()
+        if not inner:
+            if t0 == 0.0:
+                return end_quad(f, self.head, 0.0, t1)
+            if t1 == math.inf:
+                return end_quad(f, self.tail, t0, math.inf)
+            return pieces.quad(f, t0, t1)[0]
+        edges = ([t0] if t0 > 0.0 else []) + inner + (
+            [t1] if t1 < math.inf else [])
+        total = pieces.log_cells(f, self.at, edges)
+        if t0 == 0.0:
+            total = end_quad(f, self.head, 0.0, inner[0]) + total
+        if t1 == math.inf:
+            total += end_quad(f, self.tail, inner[-1], math.inf)
+        return total
 
     def integral(self) -> ExtReal:
         """integral over (0, inf) with symbolic endpoint certification."""
@@ -361,7 +413,7 @@ class SymFunc:
             cum = list(itertools.accumulate(parts))
             fn = Cumulative(self.fn, self.at, knots,
                             cum if from_left else cum[::-1], from_left, start)
-            at = None  # point by point
+            at = fn.at
             total = _total(head_int, segs, tail_int)
         near = start.integrated()
         far = Asym(total) if other_finite else other.integrated()
@@ -415,7 +467,7 @@ class SymFunc:
 
         global_sup = float(max(np.max(vals), atinf))
         return SymFunc(fn, Asym(global_sup), Asym(max(atinf, float(vals[-1]))),
-                       self.knots, at=at)
+                       self.knots, at=at, kinks=ts)
 
 
 # ---------------------------------------------------------------------------
@@ -433,21 +485,23 @@ def _total(head: float, segs: Sequence[float], tail: float) -> float:
 
 class Cumulative:
     """t -> integral_0^t fn (from_left) or t -> integral_t^inf fn, held as
-    sorted anchors and the integral's values there; at is fn on an array,
+    sorted anchors and the integral's values there; fn_at is fn on an array,
     and end is fn's term at the fixed end.  With recip set it is t -> the
     same integral at 1/t.
 
     A point value integrates fn only from the nearest anchor on the side of
     the fixed end (from the end itself, by ``end_quad``, when there is none
-    there).  ``sweep`` gives the values on a whole grid in one pass."""
+    there).  ``at`` gives the values at an array of points, and ``sweep``
+    on a whole grid in one pass."""
 
-    __slots__ = ("fn", "at", "anchors", "values", "from_left", "end", "recip")
+    __slots__ = ("fn", "fn_at", "anchors", "values", "from_left", "end",
+                 "recip")
 
-    def __init__(self, fn, at, anchors: Sequence[float],
+    def __init__(self, fn, fn_at, anchors: Sequence[float],
                  values: Sequence[float], from_left: bool, end: Asym,
                  recip: bool = False):
         self.fn = fn
-        self.at = at
+        self.fn_at = fn_at
         self.anchors = list(anchors)
         self.values = list(values)
         self.from_left = from_left
@@ -455,7 +509,7 @@ class Cumulative:
         self.recip = recip
 
     def reciprocal(self) -> "Cumulative":
-        return Cumulative(self.fn, self.at, self.anchors, self.values,
+        return Cumulative(self.fn, self.fn_at, self.anchors, self.values,
                           self.from_left, self.end, not self.recip)
 
     def __call__(self, t: float) -> float:
@@ -473,6 +527,44 @@ class Cumulative:
             return end_quad(fn, self.end, x, math.inf)
         return self.values[i] + _segment(fn, x, ks[i])
 
+    def at(self, ts: np.ndarray) -> np.ndarray:
+        """The values at every point of the array ts.  Between the first
+        and the last anchor, the points are sorted by their anchor (the
+        nearest on the side of the fixed end), and each is integrated from
+        its neighbour toward the anchor, so that one piece per anchor at
+        most reaches a singular end; all pieces go through one
+        ``pieces.quad_cells`` pass in log coordinates, and their running
+        sums from the anchors give the values.  A point beyond the
+        anchors is a point value."""
+        xs = 1.0 / ts if self.recip else np.asarray(ts, dtype=float)
+        ks = np.asarray(self.anchors)
+        out = np.empty(len(xs))
+        inside = (xs >= ks[0]) & (xs <= ks[-1])
+        for j in np.flatnonzero(~inside):
+            out[j] = self._value(float(xs[j]))
+        pos = np.flatnonzero(inside)
+        if not len(pos):
+            return out
+        x = xs[pos]
+        if self.from_left:  # the anchor at or left of x
+            i = np.searchsorted(ks, x, side="right") - 1
+        else:  # the anchor at or right of x
+            i = np.searchsorted(ks, x, side="left")
+        order = np.lexsort((x if self.from_left else -x, i))
+        pos, x, i = pos[order], x[order], i[order]
+        first = np.ones(len(x), dtype=bool)
+        first[1:] = i[1:] != i[:-1]
+        near = np.where(first, ks[i], np.roll(x, 1))  # toward the anchor
+        lo, hi = ((near, x) if self.from_left else (x, near))
+        g, g_at = pieces.log_integrand(self.fn, self.fn_at)
+        parts = pieces.quad_cells(g, g_at, np.log(lo), np.log(hi))
+        starts = np.flatnonzero(first)
+        vals = np.asarray(self.values)[i[starts]]
+        runs = [v + np.cumsum(seg) for v, seg in
+                zip(vals.tolist(), np.split(parts, starts[1:]))]
+        out[pos] = np.concatenate(runs)
+        return out
+
     def sweep(self, ts: np.ndarray) -> tuple[np.ndarray, "Cumulative"]:
         """The values at the increasing grid ts, and this cumulative
         anchored at the grid (and the anchors inside it) instead.  The grid
@@ -487,14 +579,14 @@ class Cumulative:
         x0, x1 = float(ts[0]), float(ts[-1])
         edges = sorted(set(ts.tolist()).union(
             k for k in self.anchors if x0 < k < x1))
-        parts = pieces.quad_segments(self.fn, self.at,
+        parts = pieces.quad_segments(self.fn, self.fn_at,
                                      np.array(edges)).tolist()
         if self.from_left:
             run = list(itertools.accumulate(parts, initial=self._value(x0)))
         else:
             run = list(itertools.accumulate(reversed(parts),
                                             initial=self._value(x1)))[::-1]
-        cum = Cumulative(self.fn, self.at, edges, run, self.from_left,
+        cum = Cumulative(self.fn, self.fn_at, edges, run, self.from_left,
                          self.end)
         return np.asarray(run)[np.searchsorted(edges, ts)], cum
 

@@ -182,13 +182,15 @@ _DSL_RE = re.compile(
     r"(?:@d=(?P<d>\d+))?\s*$")
 
 
-def parse_weight(text: str, direction: str = NONINCREASING) -> WeightSpec:
-    """Parse a weight description like `pow(1/4)@d=2` or `table(w.csv)`."""
+def parse_weight(text: str, direction: str = NONINCREASING,
+                 d: Optional[int] = None) -> WeightSpec:
+    """Parse a weight description like `pow(1/4)@d=2` or `table(w.csv)`;
+    d (default 1) is the dimension of a description without `@d=`."""
     m = _DSL_RE.match(text)
     if m is None:
         raise ValueError(f"cannot parse weight {text!r}")
     fam = m.group("fam")
-    d = int(m.group("d") or 1)
+    d = int(m.group("d")) if m.group("d") else (1 if d is None else d)
     args = [a for a in m.group("args").split(",") if a.strip()]
     if fam == "pow":
         (a,) = args

@@ -166,3 +166,39 @@ def test_sweep_csv(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert {"p", "q", "regime", "state", "constant", "holds"} <= set(rows[0])
+
+
+def test_criteria_d_sets_the_dimension_of_every_weight(capsys):
+    # in d = 3 the constant is infinite (t**(-3/2) at 0); the weights used
+    # to stay one-dimensional, and the report said holds: true
+    code, out = run(capsys, "criteria", "--u", "ind(1)", "--v", "pow(1/4)",
+                    "--p", "3", "--q", "2", "--d", "3")
+    assert code == 0
+    j = strict_json(out)
+    assert (j["u"], j["v"], j["config"]["d"]) == ("ind(1)@d=3",
+                                                  "pow(1/4)@d=3", 3)
+    assert j["holds"] is False
+    assert j["constants"]["C4"]["state"] == "infinite"
+
+
+@pytest.mark.parametrize("args", [
+    ("criteria", "--u", "ind(1)@d=3", "--v", "pow(1/4)", "--p", "3",
+     "--q", "2"),
+    ("criteria", "--u", "ind(1)", "--v", "pow(1/4)@d=2", "--p", "3",
+     "--q", "2", "--d", "3"),
+    ("estimate", "--u", "ind(1)@d=2", "--v", "pow(1/4)", "--p", "3",
+     "--q", "2", "--N", "256"),
+    ("sweep", "--u", "ind(1)", "--v", "pow(1/4)@d=3", "--p-list", "3",
+     "--q-list", "2"),
+])
+def test_mixed_dimensions_exit_2(capsys, args):
+    assert run(capsys, *args)[0] == 2
+
+
+def test_estimate_reports_no_lower_bound_in_d3(capsys):
+    code, out = run(capsys, "estimate", "--u", "ind(1)", "--v", "pow(1/4)",
+                    "--p", "3", "--q", "2", "--d", "3", "--N", "256")
+    assert code == 0
+    j = strict_json(out)
+    assert j["lower"] is None and j["witnesses"] == {}
+    assert j["notes"] and "half_resolution_lower" not in j

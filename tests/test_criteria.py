@@ -13,8 +13,8 @@ from fourierineq.pieces import StepFunction, TailSpec, parse_exp
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
 
 
-def cfg(p, q):
-    return ExponentConfig(p, q)
+def cfg(p, q, d=1):
+    return ExponentConfig(p, q, d)
 
 
 def test_conjugate():
@@ -232,3 +232,19 @@ def test_qsharp_tail_of_a_log_power_weight():
     tail = qsharp_tail_finite(u, ExponentConfig(3, 1))
     assert tail.is_finite
     assert tail.value == pytest.approx(2.2975656105992071, rel=1e-10)
+
+
+def test_one_dimension_per_problem():
+    u = WeightSpec.indicator(1.0, d=3)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    with pytest.raises(ValueError, match="one dimension"):
+        evaluate(u, v, cfg(3, 2))
+    with pytest.raises(ValueError, match="one dimension"):
+        evaluate(WeightSpec.indicator(1.0), v, cfg(3, 2, 2))
+    with pytest.raises(ValueError, match="one dimension"):
+        dual_config(WeightSpec.power(Fraction(1, 4), d=2),
+                    WeightSpec.power(Fraction(1, 8), NONDECREASING),
+                    cfg(Fraction(4, 3), 2, 2))
+    # in d = 3 the (3, 2) constant of ind(1) and pow(1/4) is infinite
+    v3 = WeightSpec.power(Fraction(1, 4), NONDECREASING, d=3)
+    assert evaluate(u, v3, cfg(3, 2, 3)).holds is False

@@ -195,3 +195,15 @@ def test_cube_pair_sup_is_C3():
             for s in (0.3, 1.0, 4.0):
                 assert cube_pair_condition(u, v, cfg, s=s).value <= \
                     c.value * (1 + 1e-12)
+
+
+def test_bracket_in_d3_reports_no_lower_bound():
+    u = WeightSpec.indicator(1.0, d=3)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING, d=3)
+    br = bracket_constant(u, v, ExponentConfig(3, 2, 3),
+                          np.random.default_rng(7), N=256, n_random=2)
+    assert br.lower is None and br.witnesses == {} and br.notes
+    assert br.to_json()["lower"] is None
+    with pytest.raises(ValueError, match="one dimension"):
+        bracket_constant(u, WeightSpec.power(Fraction(1, 4), NONDECREASING),
+                         ExponentConfig(3, 2, 3), np.random.default_rng(7))

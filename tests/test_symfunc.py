@@ -1,12 +1,13 @@
 import bisect
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from fourierineq import criteria, pieces
 from fourierineq.pieces import StepFunction, TailSpec, log_quad
@@ -256,15 +257,21 @@ PINNED = {
     "V": (Fraction(1, 4), Fraction(3, 2), Fraction(1, 2), 1.3865871452054561),
 }
 # integrand evaluations of one evaluate(), scalar ones through pieces.quad
-# plus array nodes through the segment rule pieces.quad_segments;
-# tabulating the cumulatives point by point costs 2.73M (III) and 2.22M (V)
-EVAL_BUDGET = {"III": 400_000, "V": 200_000}
+# plus array nodes through pieces.first_stage (the sweeps' segment rule and
+# the cells of the outer integrals and of Cumulative.at); tabulating the
+# cumulatives point by point costs 2.73M (III) and 2.22M (V), the segment
+# rule with one log_quad over each outer head 129k and 58k, and the outer
+# integrals cell by cell 171k and 113k
+EVAL_BUDGET = {"III": 200_000, "V": 130_000}
 # the scalar ones alone: 129k (III) and 58k (V) with one quad per sweep
-# segment, 43k and 15k once the segment rule accepts most segments
-SCALAR_BUDGET = {"III": 60_000, "V": 25_000}
-# nonzero QUADPACK flags of one evaluate(), by ier: roundoff (2) and the
-# subdivision limit (1) on log_quad heads over (-inf, 0] in u = log t
-QUAD_FLAGS = {"III": {2: 2}, "IV": {2: 1}, "V": {2: 1, 1: 1}}
+# segment, 43k and 15k once the segment rule accepts most segments, 3.3k and
+# 0.9k once the outer integrals run cell by cell
+SCALAR_BUDGET = {"III": 5_000, "V": 1_500}
+# nonzero QUADPACK flags of one evaluate(), by ier: none since the outer
+# integrals run cell by cell (one log_quad over each head flagged roundoff,
+# ier 2, on III twice and on IV and V once, and the subdivision limit,
+# ier 1, on V)
+QUAD_FLAGS = {"III": {}, "IV": {}, "V": {}}
 
 
 def _pointwise_reference(cum: Cumulative, t: float) -> float:
@@ -293,17 +300,25 @@ def pinned_runs():
     """Per pinned config: the report of one evaluate(), every sweep it
     made (the cumulative as it was before the sweep, the grid and the
     values), its integrand evaluations (scalar ones through pieces.quad,
-    array nodes through pieces.quad_segments) and its QUADPACK flags."""
+    array nodes through pieces.first_stage), its QUADPACK flags and every
+    integral over (0, inf) of a function with kinks (the function and the
+    value)."""
     runs = {}
     for name, (g, p, q, _pin) in PINNED.items():
-        swept, evals = [], {"scalar": 0, "array": 0}
+        swept, evals, outer = [], {"scalar": 0, "array": 0}, []
         sweep, quad = Cumulative.sweep, pieces.quad
-        segments = pieces.quad_segments
+        stage, integral = pieces.first_stage, SymFunc.integral
 
         def recording(self, ts):
             vals, cum = sweep(self, ts)
             swept.append((self, ts, vals))
             return vals, cum
+
+        def recorded(self):
+            value = integral(self)
+            if len(self.kinks):
+                outer.append((self, value))
+            return value
 
         def counted(f, a, b):
             def g(x):
@@ -311,21 +326,22 @@ def pinned_runs():
                 return f(x)
             return quad(g, a, b)
 
-        def counted_nodes(f, at, edges):
+        def counted_nodes(at, a, b):
             def nodes(ts):
                 evals["array"] += len(ts)
                 return at(ts)
-            return segments(f, nodes, edges)
+            return stage(nodes, a, b)
 
         pieces.QUAD_FLAGS.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Cumulative, "sweep", recording)
             mp.setattr(pieces, "quad", counted)
-            mp.setattr(pieces, "quad_segments", counted_nodes)
+            mp.setattr(pieces, "first_stage", counted_nodes)
+            mp.setattr(SymFunc, "integral", recorded)
             rep = criteria.evaluate(
                 WeightSpec.indicator(1.0), WeightSpec.power(g, NONDECREASING),
                 criteria.ExponentConfig(p, q))
-        runs[name] = (rep, swept, evals, dict(pieces.QUAD_FLAGS))
+        runs[name] = (rep, swept, evals, dict(pieces.QUAD_FLAGS), outer)
     return runs
 
 
@@ -377,7 +393,7 @@ def test_sweep_matches_pointwise_cumulatives(pinned_runs, name):
 @pytest.mark.parametrize("name", sorted(EVAL_BUDGET))
 def test_nested_quadrature_evaluation_budget(pinned_runs, name):
     evals = pinned_runs[name][2]
-    assert evals["array"] > 0  # the sweeps go through the segment rule
+    assert evals["array"] > 0  # sweeps and cells go through first_stage
     assert evals["scalar"] + evals["array"] < EVAL_BUDGET[name]
     assert evals["scalar"] < SCALAR_BUDGET[name]
 
@@ -385,6 +401,112 @@ def test_nested_quadrature_evaluation_budget(pinned_runs, name):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_quadpack_flags_are_counted(pinned_runs, name):
     assert pinned_runs[name][3] == QUAD_FLAGS[name]
+
+
+def _log_t(f):
+    """f(t) dt in u = log t, reading 0 where e**u or f under- or
+    overflows."""
+    def g(u):
+        t = math.exp(u) if u < 709.0 else math.inf
+        try:
+            v = f(t) * t if 0.0 < t < math.inf else 0.0
+        except OverflowError:
+            return 0.0
+        return v if math.isfinite(v) else 0.0
+    return g
+
+
+GL = {n: np.polynomial.legendre.leggauss(n) for n in (40, 80)}
+
+
+def _tight_integral(f: SymFunc) -> float:
+    """integral of f over (0, inf), cut at its knots and kinks, in u = log t:
+    each cell between consecutive cuts by 40- and 80-point Gauss-Legendre on
+    f.at, where the two agree to 1e-13, else (a cell with a singular end)
+    by scipy's quad of f to relative accuracy 1e-12; the ends beyond the
+    outermost cuts by scipy's quad too."""
+    cuts = np.log(sorted({*f.knots, *f.kinks.tolist()}))
+    a, b = cuts[:-1], cuts[1:]
+    rules = []
+    for x, wts in GL.values():
+        us = 0.5 * (a + b)[:, None] + 0.5 * (b - a)[:, None] * x
+        vals = (f.at(np.exp(us).ravel()) * np.exp(us).ravel()).reshape(
+            us.shape)
+        rules.append(0.5 * (b - a) * (vals @ wts))
+    coarse, fine = rules
+    g = _log_t(f)
+
+    def tight(u0, u1):
+        # quad flags roundoff on the cell that ends at t = 1, where the
+        # integrand drops to 0 (at the last 5.5e-17 of the cell in u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return quad(g, u0, u1, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    parts = [tight(-math.inf, cuts[0]), tight(cuts[-1], math.inf)]
+    for i in range(len(a)):
+        same = abs(coarse[i] - fine[i]) <= 1e-13 * abs(fine[i])
+        parts.append(fine[i] if same else tight(a[i], b[i]))
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_outer_integrals_match_a_tight_reference(pinned_runs, name):
+    # the outer integral of C6 (III), C7 (IV) and C9 (V): one log_quad
+    # over the head (0, 1), across 1024 tabulation kinks (and V's 600
+    # running-sup jumps), was 1.7e-7, 2.7e-8 and 3.6e-7 off
+    outer = pinned_runs[name][4]
+    assert outer
+    f, value = outer[-1]
+    assert value.is_finite
+    assert value.value == pytest.approx(_tight_integral(f), rel=1e-10,
+                                        abs=0.0)
+
+
+def _iii_cumulatives():
+    """The tail integral and the antiderivative of pinned III's inner
+    weight w, anchored at their tabulation grid (and the knot 1, where u*
+    and w fall to 0), and the reciprocal of the first."""
+    cfg = criteria.ExponentConfig(3, 1)
+    w = criteria.w_inner_weight(WeightSpec.indicator(1.0), cfg).tabulated()
+    ts = np.geomspace(1e-8, 1e8, 2048)
+    Tw = w.tail_integral().fn.sweep(ts)[1]
+    U = w.antiderivative().fn.sweep(ts)[1]
+    return {"from right": Tw, "from left": U, "recip": Tw.reciprocal()}
+
+
+CUMULATIVES = _iii_cumulatives()
+
+
+@pytest.mark.parametrize("name", sorted(CUMULATIVES))
+def test_cumulative_at_matches_its_point_values(name):
+    cum = CUMULATIVES[name]
+    rng = np.random.default_rng(11)
+    # across the anchors, in the support-end cell (0.991, 1) and beyond
+    # the anchors at both ends; within 1e-6 of 1 the reference is not
+    # tight, as the nodes that round to t = 1, where w reads 0, cover
+    # 5.5e-17 of the range
+    xs = np.concatenate([10.0 ** rng.uniform(-8.0, 8.0, 40),
+                         1.0 - rng.uniform(1e-4, 8.9e-3, 20),
+                         1.0 - np.geomspace(1e-6, 1e-4, 4),
+                         [1e-12, 3e-10, 1e9, 4e11]])
+    ts = 1.0 / xs if cum.recip else xs
+    got = cum.at(ts)
+    ks = cum.anchors
+    for x, t, v in zip(xs.tolist(), ts.tolist(), got.tolist()):
+        if not ks[0] <= x <= ks[-1]:  # a point value beyond the anchors
+            assert v == cum(t)
+            continue
+        # the point value as the anchor on the fixed side plus the
+        # integral from x to it, in log t to relative accuracy 1e-12: the
+        # point value itself, one quad at quad's tolerances, is up to 5e-8
+        # off at 1 - 1e-4, where Tw falls to 0 and quad's absolute floor
+        # 1.49e-8 is the larger bound
+        i = (bisect.bisect_right(ks, x) - 1 if cum.from_left
+             else bisect.bisect_left(ks, x))
+        lo, hi = sorted((math.log(ks[i]), math.log(x)))
+        part = quad(_log_t(cum.fn), lo, hi, epsabs=0.0, epsrel=1e-12,
+                    limit=200)[0]
+        assert v == pytest.approx(cum.values[i] + part, rel=1e-9, abs=0.0)
 
 
 def test_no_quadpack_flags_in_regime_ii():

@@ -133,3 +133,10 @@ def test_array_evaluate_matches_pointwise_rule():
         == math.inf
     # a float radius gives a float
     assert type(WeightSpec.power(1).evaluate(2.0)) is float
+
+
+def test_parse_dimension_default():
+    assert parse_weight("pow(1/4)", d=3).d == 3
+    assert parse_weight("pow(1/4)@d=2", d=3).d == 2  # @d= wins
+    assert parse_weight("pow(0)", NONDECREASING, 2).d == 2
+    assert parse_weight("ind(1)").d == 1
