@@ -71,12 +71,13 @@ def dft(sig: SampledSignal) -> SampledSignal:
     return SampledSignal(np.fft.fftshift(vals), N / sig.L)
 
 
-def _lp_norm(mags: np.ndarray, dx: float, p) -> float:
-    """(dx sum mags^p)^(1/p); the max at p = inf."""
+def _lp_norm(mags: np.ndarray, dx: float, p):
+    """(dx sum mags^p)^(1/p) along the last axis (one norm per row of a
+    2-d array); the max at p = inf."""
     if is_inf(p):
-        return float(np.max(mags))
+        return np.max(mags, axis=-1)
     pf = float(p)
-    return float((dx * np.sum(mags ** pf)) ** (1.0 / pf))
+    return (dx * np.sum(mags ** pf, axis=-1)) ** (1.0 / pf)
 
 
 def weighted_norm(sig: SampledSignal, p, w: Optional[WeightSpec] = None
@@ -85,7 +86,7 @@ def weighted_norm(sig: SampledSignal, p, w: Optional[WeightSpec] = None
     mags = np.abs(sig.values)
     if w is not None:
         mags = mags * w.evaluate(np.abs(sig.xs))
-    return _lp_norm(mags, sig.dx, p)
+    return float(_lp_norm(mags, sig.dx, p))
 
 
 def _dual_weight(u: WeightSpec, T: SampledSignal, q) -> np.ndarray:
@@ -114,7 +115,24 @@ def ratio(f: SampledSignal, u: WeightSpec, v: WeightSpec,
         return 0.0
     T = dft(f)
     num = _lp_norm(np.abs(T.values) * _dual_weight(u, T, cfg.q), T.dx, cfg.q)
-    return num / den
+    return float(num) / den
+
+
+def _grid_ratios(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig, N: int,
+                 L: float):
+    """(F, TF) -> ratio() of every row of F, for rows F (k, N) of samples
+    over [-L/2, L/2) and TF their transforms.  v at |x| and u on the dual
+    grid are evaluated once, here, for every signal of a bracket."""
+    x = SampledSignal(np.zeros(N), L)
+    xi = SampledSignal(np.zeros(N), N / L)  # the grid of dft's output
+    vw = v.evaluate(np.abs(x.xs))
+    uw = _dual_weight(u, xi, cfg.q)
+
+    def ratios(F: np.ndarray, TF: np.ndarray) -> np.ndarray:
+        den = _lp_norm(np.abs(F) * vw, x.dx, cfg.p)
+        num = _lp_norm(np.abs(TF) * uw, xi.dx, cfg.q)
+        return np.divide(num, den, out=np.zeros(len(den)), where=den != 0.0)
+    return ratios
 
 
 def step_profile(sig: SampledSignal) -> StepFunction:
@@ -166,46 +184,31 @@ def modulated_bump(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     return sig
 
 
-def _block_ratio(blocks: np.ndarray, L: float, u: WeightSpec, v: WeightSpec,
-                 cfg: ExponentConfig):
-    """eps -> ratio(SampledSignal(eps @ blocks, L), u, v, cfg).
+def _block_ratio(blocks: np.ndarray, L: float, ratios):
+    """E -> ratio() of the signals E @ blocks, one per row of the (k, M)
+    coefficient array E; ratios is the bracket's ``_grid_ratios``.
 
-    The transform is linear, T(sum eps_n block_n) = sum eps_n T(block_n),
-    so the block transforms and both weight arrays are computed once and
-    each call costs two matrix-vector products and two weighted norms."""
-    f0 = SampledSignal(blocks[0], L)
-    Ts = [dft(SampledSignal(b, L)) for b in blocks]
-    Tblocks = np.array([T.values for T in Ts])
-    vw = v.evaluate(np.abs(f0.xs))
-    uw = _dual_weight(u, Ts[0], cfg.q)
-
-    def ratio_of(eps: np.ndarray) -> float:
-        den = _lp_norm(np.abs(eps @ blocks) * vw, f0.dx, cfg.p)
-        if den == 0.0:
-            return 0.0
-        return _lp_norm(np.abs(eps @ Tblocks) * uw, Ts[0].dx, cfg.q) / den
-    return ratio_of
+    The transform is linear, T(sum e_n block_n) = sum e_n T(block_n), so
+    the block transforms are computed once and a batch of rows costs two
+    matrix products and one ``ratios`` call."""
+    Tblocks = np.array([dft(SampledSignal(b, L)).values for b in blocks])
+    return lambda E: ratios(E @ blocks, E @ Tblocks)
 
 
-def best_sign_ratio(ratio_of, eps0: np.ndarray, rng: np.random.Generator,
-                    n_draws: int = 8) -> float:
-    """Maximize ratio_of over sign patterns: random draws + 1-flip ascent."""
+_CHUNK = 8  # sign patterns per batch of best_sign_ratio
+
+
+def best_sign_ratio(ratio_of, M: int) -> float:
+    """Exact maximum of ratio_of over the sign patterns eps in {-1, 1}^M.
+    Flipping every sign leaves a ratio unchanged, so the 2**(M-1) patterns
+    with eps_(M-1) = 1 are enough: pattern c has eps_n = 1 - 2 (bit n of
+    c), and they go through in batches of _CHUNK rows."""
     best = 0.0
-    M = len(eps0)
-    for draw in range(n_draws):
-        eps = eps0 if draw == 0 else rng.choice([-1.0, 1.0], size=M)
-        cur = ratio_of(eps)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(M):
-                trial = eps.copy()
-                trial[i] *= -1
-                val = ratio_of(trial)
-                if val > cur * (1 + 1e-12):
-                    eps, cur = trial, val
-                    improved = True
-        best = max(best, cur)
+    codes = np.arange(2 ** (M - 1))
+    for start in range(0, len(codes), _CHUNK):
+        E = 1.0 - 2.0 * ((codes[start:start + _CHUNK, None]
+                          >> np.arange(M)) & 1)
+        best = max(best, float(np.max(ratio_of(E))))
     return best
 
 
@@ -228,16 +231,18 @@ def _translate_blocks(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
 
 
 def lower_bound_translates(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
-                           rng: np.random.Generator, N: int = 4096,
-                           L: float = 64.0, n_blocks: int = 6) -> float:
-    """Randomized translate witness for p > 2:
+                           N: int = 4096, L: float = 64.0, n_blocks: int = 6,
+                           *, ratios=None) -> float:
+    """Translate witness for p > 2: the largest ratio() of
 
     f = v**(-p') sum_n eps_n lambda_n 1_{|x - 2ns| <= s},
-    lambda_n = V_n**(1/(p-2)), V_n the local mass of v**(-p').
-    """
+    lambda_n = V_n**(1/(p-2)), V_n the local mass of v**(-p'),
+
+    over all 2**(n_blocks-1) sign patterns eps, 8 at a time
+    (``best_sign_ratio``).  ratios: a ``_grid_ratios`` to reuse."""
     blocks = _translate_blocks(v, cfg, N, L, n_blocks)
-    return best_sign_ratio(_block_ratio(blocks, L, u, v, cfg),
-                           np.ones(n_blocks), rng)
+    ratios = ratios or _grid_ratios(u, v, cfg, N, L)
+    return best_sign_ratio(_block_ratio(blocks, L, ratios), n_blocks)
 
 
 def _annuli_shells(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
@@ -270,18 +275,19 @@ def _annuli_shells(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
 
 
 def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
-                       rng: np.random.Generator, N: int = 4096,
-                       L: float = 64.0, n_shells: int = 6) -> float:
-    """Randomized annuli witness for q < p: shells of equal dyadic
-    v**(-p') mass, amplitudes swept over a one-parameter power family and
-    improved by sign ascent."""
+                       N: int = 4096, L: float = 64.0, n_shells: int = 6,
+                       *, ratios=None) -> float:
+    """Annuli witness for q < p: shells of dyadically halving v**(-p')
+    mass W_n with amplitudes W_n**theta, and the largest ratio() over a
+    power family of theta and all 2**(n_shells-1) sign patterns, 8 at a
+    time (``best_sign_ratio``).  The shells are transformed once, since
+    T(lambda shell) = lambda T(shell).  ratios: a ``_grid_ratios``."""
     shells, Wn = _annuli_shells(v, cfg, N, L, n_shells)
-    best = 0.0
-    for theta in (-0.5, 0.0, 0.25, 0.5, 1.0):
-        blocks = (Wn ** theta)[:, None] * shells
-        best = max(best, best_sign_ratio(_block_ratio(blocks, L, u, v, cfg),
-                                         np.ones(n_shells), rng, n_draws=4))
-    return best
+    shell_ratio = _block_ratio(shells, L,
+                               ratios or _grid_ratios(u, v, cfg, N, L))
+    return max(best_sign_ratio(lambda E: shell_ratio(E * Wn ** theta),
+                               n_shells)
+               for theta in (-0.5, 0.0, 0.25, 0.5, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +434,13 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                      L: float = 64.0, n_random: int = 8) -> ConstantBracket:
     """Bracket the optimal constant: criteria upper value vs the best
     constructive witness ratio (every witness gives a true lower bound).
-    The witnesses are signals on the line, so in d > 1 there is no lower
-    bound (and a note says so); ValueError unless u, v and cfg share one
-    dimension."""
+    Only ``random_band_limited`` is random: the best ratio of n_random
+    signals drawn from rng.  The modulated bump and the translates and
+    annuli witnesses are deterministic, the last two exact maxima over
+    every sign pattern.  All of them share one evaluation of v on the
+    signal grid and of u on the dual grid.  The witnesses are signals on
+    the line, so in d > 1 there is no lower bound (and a note says so);
+    ValueError unless u, v and cfg share one dimension."""
     report = evaluate(u, v, cfg)
     upper = report.governing
     if cfg.d > 1:
@@ -438,26 +448,30 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
             f"no lower bound: the witnesses are one-dimensional signals, "
             f"not functions on R^{cfg.d}"])
     wit: dict[str, float] = {}
+    ratios = _grid_ratios(u, v, cfg, N, L)
+
+    def ratio_on_grid(sig: SampledSignal) -> float:
+        return float(ratios(sig.values[None], dft(sig).values[None])[0])
 
     best = 0.0
     for _ in range(n_random):
-        sig = random_band_limited(rng, N, L)
-        best = max(best, ratio(sig, u, v, cfg))
+        best = max(best, ratio_on_grid(random_band_limited(rng, N, L)))
     wit["random_band_limited"] = best
 
     bump = modulated_bump(u, v, cfg, N, L)
     if np.all(np.isfinite(bump.values)) and np.any(bump.values != 0):
-        wit["modulated_bump"] = ratio(bump, u, v, cfg)
+        wit["modulated_bump"] = ratio_on_grid(bump)
 
     p_gt_2 = is_inf(cfg.p) or cfg.p > 2
     if p_gt_2:
         try:
-            wit["translates"] = lower_bound_translates(u, v, cfg, rng, N, L)
+            wit["translates"] = lower_bound_translates(u, v, cfg, N, L,
+                                                       ratios=ratios)
         except (ValueError, FloatingPointError):
             pass
     q_lt_p = is_inf(cfg.p) or (not is_inf(cfg.q) and cfg.q < cfg.p)
     if q_lt_p and report.regime != REGIME_DEG_QINF:
-        wit["annuli"] = lower_bound_annuli(u, v, cfg, rng, N, L)
+        wit["annuli"] = lower_bound_annuli(u, v, cfg, N, L, ratios=ratios)
 
     lower = max(wit.values()) if wit else 0.0
     return ConstantBracket(lower, upper, report.regime, wit, report)

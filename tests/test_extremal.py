@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -8,7 +9,8 @@ from fourierineq import extremal
 from fourierineq.criteria import ExponentConfig
 from fourierineq.extremal import (SampledSignal, bracket_constant,
                                   block_l2_condition, cube_pair_condition,
-                                  dft, lower_bound_annuli, modulated_bump,
+                                  dft, lower_bound_annuli,
+                                  lower_bound_translates, modulated_bump,
                                   random_band_limited, ratio, step_profile,
                                   symmetric_block_condition, weighted_norm)
 from fourierineq.pieces import StepFunction, TailSpec
@@ -153,23 +155,141 @@ def test_bracket_json():
 
 
 def test_linear_sign_ratio_matches_direct_ratio():
-    # T(sum eps_n block_n) = sum eps_n T(block_n): the sign ascent's ratio
-    # from precomputed block transforms equals the ratio of the assembled
-    # signal
+    # T(sum eps_n block_n) = sum eps_n T(block_n): the batched evaluator's
+    # ratio of each row of patterns, from precomputed block transforms,
+    # equals the ratio of the assembled signal
     rng = np.random.default_rng(5)
     N, L = 1024, 32.0
     u = WeightSpec.indicator(2.0)
     v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
     for cfg in (ExponentConfig(3, 2), ExponentConfig(math.inf, 1)):
+        ratios = extremal._grid_ratios(u, v, cfg, N, L)
         shells, Wn = extremal._annuli_shells(v, cfg, N, L, 6)
         for blocks in (extremal._translate_blocks(v, cfg, N, L, 6),
                        (Wn ** 0.5)[:, None] * shells):
-            ratio_of = extremal._block_ratio(blocks, L, u, v, cfg)
-            for _ in range(4):
-                eps = rng.choice([-1.0, 1.0], size=len(blocks))
+            ratio_of = extremal._block_ratio(blocks, L, ratios)
+            E = rng.choice([-1.0, 1.0], size=(4, len(blocks)))
+            for eps, r in zip(E, ratio_of(E)):
                 f = SampledSignal(sum(e * b for e, b in zip(eps, blocks)), L)
-                assert ratio_of(eps) == pytest.approx(ratio(f, u, v, cfg),
-                                                      rel=1e-12)
+                assert r == pytest.approx(ratio(f, u, v, cfg), rel=1e-12)
+
+
+THETAS = (-0.5, 0.0, 0.25, 0.5, 1.0)  # lower_bound_annuli's amplitude family
+
+
+def test_sign_search_is_the_brute_force_maximum():
+    # the search over 2**(M-1) patterns equals the largest public ratio()
+    # of every explicitly assembled signal over all 2**M patterns
+    N, L = 512, 16.0
+    u = WeightSpec.indicator(2.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    signs = [np.array(e) for e in itertools.product((1.0, -1.0), repeat=6)]
+    for cfg in (ExponentConfig(3, 2), ExponentConfig(math.inf, 1)):
+        blocks = extremal._translate_blocks(v, cfg, N, L, 6)
+        brute = max(ratio(SampledSignal(eps @ blocks, L), u, v, cfg)
+                    for eps in signs)
+        assert lower_bound_translates(u, v, cfg, N, L) == pytest.approx(
+            brute, rel=1e-12)
+        shells, Wn = extremal._annuli_shells(v, cfg, N, L, 6)
+        brute = max(ratio(SampledSignal((eps * Wn ** th) @ shells, L),
+                          u, v, cfg) for eps in signs for th in THETAS)
+        assert lower_bound_annuli(u, v, cfg, N, L) == pytest.approx(
+            brute, rel=1e-12)
+
+
+def ascent_sign_ratio(ratio_of, eps0, rng, n_draws=8):
+    """The randomized 1-flip ascent that best_sign_ratio replaced, kept as
+    a reference: n_draws starts (eps0, then random patterns), each
+    improved one sign flip at a time while a flip raises the ratio."""
+    best = 0.0
+    M = len(eps0)
+    for draw in range(n_draws):
+        eps = eps0 if draw == 0 else rng.choice([-1.0, 1.0], size=M)
+        cur = ratio_of(eps)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(M):
+                trial = eps.copy()
+                trial[i] *= -1
+                val = ratio_of(trial)
+                if val > cur * (1 + 1e-12):
+                    eps, cur = trial, val
+                    improved = True
+        best = max(best, cur)
+    return best
+
+
+def ascent_witnesses(u, v, cfg, rng, N, L):
+    """(translates, annuli) as the ascent found them, drawing from rng in
+    the order bracket_constant did (p > 2 and q < p)."""
+    ratios = extremal._grid_ratios(u, v, cfg, N, L)
+    blocks = extremal._translate_blocks(v, cfg, N, L, 6)
+    translate_ratio = extremal._block_ratio(blocks, L, ratios)
+    translates = ascent_sign_ratio(lambda e: translate_ratio(e[None])[0],
+                                   np.ones(6), rng)
+    shells, Wn = extremal._annuli_shells(v, cfg, N, L, 6)
+    shell_ratio = extremal._block_ratio(shells, L, ratios)
+    annuli = max(ascent_sign_ratio(
+        lambda e: shell_ratio(e[None] * Wn ** th)[0], np.ones(6), rng,
+        n_draws=4) for th in THETAS)
+    return translates, annuli
+
+
+def test_sign_search_is_never_below_the_ascent():
+    N, L = 512, 16.0
+    for R, g, p, q in itertools.product((0.5, 2.0), (Fraction(1, 4),
+                                                     Fraction(1, 2)),
+                                        (3, 4, math.inf), (1, 2)):
+        u = WeightSpec.indicator(R)
+        v = WeightSpec.power(g, NONDECREASING)
+        cfg = ExponentConfig(p, q)
+        ascent = ascent_witnesses(u, v, cfg, np.random.default_rng(1), N, L)
+        exact = (lower_bound_translates(u, v, cfg, N, L),
+                 lower_bound_annuli(u, v, cfg, N, L))
+        for a, e in zip(ascent, exact):
+            assert e >= a * (1 - 1e-12)
+
+
+def test_sign_search_beats_the_ascent_at_inf_1():
+    # ind(2) against pow(1/4) at (inf, 1): with the rng of bracket_constant
+    # at seed 3 (eight random signals drawn first), the ascent stopped at
+    # annuli 5.7338; the exact maximum is 5.9063
+    u = WeightSpec.indicator(2.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    cfg = ExponentConfig(math.inf, 1)
+    rng = np.random.default_rng(3)
+    for _ in range(8):
+        random_band_limited(rng, 4096, 64.0)
+    _, ascent = ascent_witnesses(u, v, cfg, rng, 4096, 64.0)
+    exact = lower_bound_annuli(u, v, cfg)
+    assert ascent == pytest.approx(5.733804, rel=1e-6)
+    assert exact == pytest.approx(5.906331, rel=1e-6)
+    assert exact > ascent
+
+
+def test_block_witnesses_do_not_depend_on_rng():
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    cfg = ExponentConfig(3, 2)
+    a, b = (bracket_constant(u, v, cfg, np.random.default_rng(seed),
+                             N=512, L=16.0) for seed in (1, 2))
+    assert a.witnesses["random_band_limited"] != \
+        b.witnesses["random_band_limited"]
+    for name in ("translates", "annuli"):
+        assert a.witnesses[name] == b.witnesses[name]
+
+
+def test_random_witness_is_the_best_ratio_of_its_draws():
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    cfg = ExponentConfig(3, 2)
+    br = bracket_constant(u, v, cfg, np.random.default_rng(9), N=512, L=16.0)
+    rng = np.random.default_rng(9)
+    best = max(ratio(random_band_limited(rng, 512, 16.0), u, v, cfg)
+               for _ in range(8))
+    assert br.witnesses["random_band_limited"] == pytest.approx(best,
+                                                                rel=1e-12)
 
 
 def test_block_l2_condition_borderline_growth_diverges():
