@@ -118,21 +118,29 @@ def ratio(f: SampledSignal, u: WeightSpec, v: WeightSpec,
     return float(num) / den
 
 
-def _grid_ratios(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig, N: int,
-                 L: float):
+class _GridRatios:
     """(F, TF) -> ratio() of every row of F, for rows F (k, N) of samples
     over [-L/2, L/2) and TF their transforms.  v at |x| and u on the dual
-    grid are evaluated once, here, for every signal of a bracket."""
-    x = SampledSignal(np.zeros(N), L)
-    xi = SampledSignal(np.zeros(N), N / L)  # the grid of dft's output
-    vw = v.evaluate(np.abs(x.xs))
-    uw = _dual_weight(u, xi, cfg.q)
+    grid are evaluated once, here, for every signal of a bracket; base is
+    v**(-p') on the signal grid (``_vinv_pprime`` of the same values), the
+    profile of every constructive witness."""
 
-    def ratios(F: np.ndarray, TF: np.ndarray) -> np.ndarray:
-        den = _lp_norm(np.abs(F) * vw, x.dx, cfg.p)
-        num = _lp_norm(np.abs(TF) * uw, xi.dx, cfg.q)
+    def __init__(self, u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
+                 N: int, L: float):
+        self.x = SampledSignal(np.zeros(N), L)
+        self.xi = SampledSignal(np.zeros(N), N / L)  # dft's output grid
+        self.vw = v.evaluate(np.abs(self.x.xs))
+        self.uw = _dual_weight(u, self.xi, cfg.q)
+        self.base = _vinv_pprime(v, cfg, self.x.xs, self.vw)
+        self.cfg = cfg
+
+    def __call__(self, F: np.ndarray, TF: np.ndarray) -> np.ndarray:
+        den = _lp_norm(np.abs(F) * self.vw, self.x.dx, self.cfg.p)
+        num = _lp_norm(np.abs(TF) * self.uw, self.xi.dx, self.cfg.q)
         return np.divide(num, den, out=np.zeros(len(den)), where=den != 0.0)
-    return ratios
+
+
+_grid_ratios = _GridRatios
 
 
 def step_profile(sig: SampledSignal) -> StepFunction:
@@ -160,25 +168,32 @@ def random_band_limited(rng: np.random.Generator, N: int = 4096,
 # ---------------------------------------------------------------------------
 
 
-def _vinv_pprime(v: WeightSpec, cfg: ExponentConfig, xs: np.ndarray
-                 ) -> np.ndarray:
+def _vinv_pprime(v: WeightSpec, cfg: ExponentConfig, xs: np.ndarray,
+                 vals: Optional[np.ndarray] = None) -> np.ndarray:
+    """v**(-p') at the samples xs, 0 where it is not finite; vals: v at
+    |xs|, where the caller has it."""
     pp = cfg.p_prime
     e = float(pp) if not is_inf(pp) else 1.0
-    vals = v.evaluate(np.abs(xs))
+    if vals is None:
+        vals = v.evaluate(np.abs(xs))
     with np.errstate(divide="ignore"):
-        return np.where(vals > 0, vals ** (-e), np.inf)
+        base = np.where(vals > 0, vals ** (-e), np.inf)
+    base[~np.isfinite(base)] = 0.0
+    return base
 
 
 def modulated_bump(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
-                   N: int = 4096, L: float = 64.0) -> SampledSignal:
+                   N: int = 4096, L: float = 64.0, *,
+                   base: Optional[np.ndarray] = None) -> SampledSignal:
     """f(x) = v(x)**(-p') e^{2 pi i xi0 x} with xi0 at the max of u.
 
     This witness makes ||u Tf||_inf approach ||u||_inf ||1/v||_{p'}
-    ||f v||_p and is the sharpness witness in the degenerate regime."""
+    ||f v||_p and is the sharpness witness in the degenerate regime.
+    base: v**(-p') on the grid (``_GridRatios.base``), where the caller
+    has it."""
     sig = SampledSignal(np.zeros(N, dtype=complex), L)
-    xs = sig.xs
-    base = _vinv_pprime(v, cfg, xs)
-    base[~np.isfinite(base)] = 0.0
+    if base is None:
+        base = _vinv_pprime(v, cfg, sig.xs)
     # u is radial non-increasing: its max over the dual grid sits at xi = 0
     sig.values = base.astype(complex)
     return sig
@@ -213,15 +228,17 @@ def best_sign_ratio(ratio_of, M: int) -> float:
 
 
 def _translate_blocks(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
-                      n_blocks: int) -> np.ndarray:
-    """Rows lambda_n v**(-p') 1_{|x - 2ns| <= s} of the translate witness."""
+                      n_blocks: int, base: Optional[np.ndarray] = None
+                      ) -> np.ndarray:
+    """Rows lambda_n v**(-p') 1_{|x - 2ns| <= s} of the translate witness;
+    base: v**(-p') on the grid, where the caller has it."""
     p = float(cfg.p) if not is_inf(cfg.p) else math.inf
     if not p > 2:
         raise ValueError("translate witness needs p > 2")
     sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
     xs = sig0.xs
-    base = _vinv_pprime(v, cfg, xs)
-    base[~np.isfinite(base)] = 0.0
+    if base is None:
+        base = _vinv_pprime(v, cfg, xs)
     s = L / (4.0 * n_blocks)
     masks = np.abs(xs - 2 * np.arange(n_blocks)[:, None] * s) <= s
     Vn = np.array([float(np.sum(base[m]) * sig0.dx) for m in masks])
@@ -240,19 +257,21 @@ def lower_bound_translates(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
 
     over all 2**(n_blocks-1) sign patterns eps, 8 at a time
     (``best_sign_ratio``).  ratios: a ``_grid_ratios`` to reuse."""
-    blocks = _translate_blocks(v, cfg, N, L, n_blocks)
     ratios = ratios or _grid_ratios(u, v, cfg, N, L)
+    blocks = _translate_blocks(v, cfg, N, L, n_blocks, ratios.base)
     return best_sign_ratio(_block_ratio(blocks, L, ratios), n_blocks)
 
 
 def _annuli_shells(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
-                   n_shells: int) -> tuple[np.ndarray, np.ndarray]:
+                   n_shells: int, base: Optional[np.ndarray] = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
     """Rows v**(-p') 1_{shell n} for shells of dyadically halving
-    v**(-p') mass inside radius 0.45 L, and the mass W_n of each shell."""
+    v**(-p') mass inside radius 0.45 L, and the mass W_n of each shell;
+    base: v**(-p') on the grid, where the caller has it."""
     sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
     xs = sig0.xs
-    base = _vinv_pprime(v, cfg, xs)
-    base[~np.isfinite(base)] = 0.0
+    if base is None:
+        base = _vinv_pprime(v, cfg, xs)
     radii = np.abs(xs)
     Rmax = 0.45 * L
     inside = radii <= Rmax
@@ -282,9 +301,9 @@ def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     power family of theta and all 2**(n_shells-1) sign patterns, 8 at a
     time (``best_sign_ratio``).  The shells are transformed once, since
     T(lambda shell) = lambda T(shell).  ratios: a ``_grid_ratios``."""
-    shells, Wn = _annuli_shells(v, cfg, N, L, n_shells)
-    shell_ratio = _block_ratio(shells, L,
-                               ratios or _grid_ratios(u, v, cfg, N, L))
+    ratios = ratios or _grid_ratios(u, v, cfg, N, L)
+    shells, Wn = _annuli_shells(v, cfg, N, L, n_shells, ratios.base)
+    shell_ratio = _block_ratio(shells, L, ratios)
     return max(best_sign_ratio(lambda E: shell_ratio(E * Wn ** theta),
                                n_shells)
                for theta in (-0.5, 0.0, 0.25, 0.5, 1.0))
@@ -458,7 +477,7 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
         best = max(best, ratio_on_grid(random_band_limited(rng, N, L)))
     wit["random_band_limited"] = best
 
-    bump = modulated_bump(u, v, cfg, N, L)
+    bump = modulated_bump(u, v, cfg, N, L, base=ratios.base)
     if np.all(np.isfinite(bump.values)) and np.any(bump.values != 0):
         wit["modulated_bump"] = ratio_on_grid(bump)
 

@@ -4,10 +4,14 @@ A StepFunction is a finite list of pieces covering (0, inf).  Each piece is
 
     f(t) = offset + coef * (t - shift)**a * log(e + t - shift)**b
 
-on an interval (lo, hi].  Constant cells are pieces with coef = 0; power
-leads/tails are pieces with offset = 0.  The shift parameter exists because
-the family {offset + c*(t-shift)**a} is closed under the monotone inversion
-used to compute rearrangements exactly.
+on an interval [lo, hi) (the first piece on (0, hi)): a StepFunction is
+right-continuous, and at a breakpoint it takes the piece on the right
+(``StepFunction.indicator(1.0)(1.0)`` is 0); the limit from the left is
+the value one ulp below, which ``SymFunc.sup`` reads at every knot.
+Constant cells are pieces with coef = 0; power leads/tails are pieces with
+offset = 0.  The shift parameter exists because the family
+{offset + c*(t-shift)**a} is closed under the monotone inversion used to
+compute rearrangements exactly.
 
 The exponent rule: every exponent slot (Piece, TailSpec, WeightSpec, Asym,
 ExponentConfig) is normalized at construction by ``as_exp`` and holds a
@@ -34,8 +38,10 @@ AVX-512 x86 host differ from the C library's in the last bit for about 5%
 of exp and pow values; so an array value may differ from the point value by
 a few ulp.  The segment rule ``quad_segments`` integrates every segment of
 a grid at once and gives ``quad``'s bits for the same node values;
-``quad_cells`` integrates cells at once, halving as arrays the pieces the
-first stage leaves open.  Both run QUADPACK's first stage on arrays by
+``quad_cells`` integrates cells at once by the graded rule (each cell in a
+variable x in (0, 1) whose map u = a + (b - a) x**2 (3 - 2 x) flattens an
+algebraic singularity at either end), halving in x, as arrays, the pieces
+the first stage leaves open.  Both run QUADPACK's first stage on arrays by
 ``first_stage``.
 """
 
@@ -239,22 +245,53 @@ def quad_segments(func, at, edges: np.ndarray) -> np.ndarray:
     return result
 
 
+def _grade(x, a, width):
+    """(u, du/dx) of the graded map of ``quad_cells`` for the cell
+    (a, a + width): u = a + width s(x), s(x) = x**2 (3 - 2 x), at a point
+    or an array x."""
+    return a + width * (x * x * (3.0 - 2.0 * x)), width * 6.0 * x * (1.0 - x)
+
+
+def _graded(at, a: np.ndarray, width: np.ndarray, cell: np.ndarray):
+    """at(u) du/dx in the graded variable x, on ``first_stage``'s nodes of
+    pieces of the cells cell (node-major, one column per piece)."""
+    def mapped(xs: np.ndarray) -> np.ndarray:
+        reps = len(xs) // len(cell)
+        u, du = _grade(xs, np.tile(a[cell], reps), np.tile(width[cell], reps))
+        return at(u) * du
+    return mapped
+
+
+def _graded_point(func, a: float, width: float):
+    """func(u) du/dx in the graded variable x of the cell (a, a + width),
+    at a point."""
+    def mapped(x: float) -> float:
+        u, du = _grade(x, a, width)
+        return func(u) * du
+    return mapped
+
+
 def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """integral of func over every cell (a[i], b[i]) (finite, a <= b),
     where at(ts) gives func at every point of an array ts.
 
-    Every cell goes through ``first_stage``, and so does every piece that
-    halving makes, all pieces of one level in one call.  A cell is done
-    when the error estimates of its pieces sum to at most epsrel |I|, I
-    the sum of their results and epsrel ``quad``'s: qagse's test on the
-    whole cell, without its absolute floor epsabs, so that a cell with a
-    small integral (the last cell before a zero of a cumulative) keeps its
-    relative accuracy.  Until then a piece whose error is within its
-    width's share of that bound is kept, and the others are halved.  A
-    cell that would pass quad's 300 subintervals, a piece with a node
-    value that is not finite, one that halving cannot split and one whose
-    error estimate is at the level of roundoff (where qagse flags ier 2)
-    are integrated by ``quad``."""
+    The graded rule: every cell is integrated in a variable x in (0, 1),
+    u = a + (b - a) x**2 (3 - 2 x), whose Jacobian (b - a) 6 x (1 - x)
+    vanishes at both ends, so that an algebraic singularity at an end of
+    the cell, (b - u)**alpha, becomes (1 - x)**(2 alpha + 1): flattened
+    enough that the first stage accepts the cell.  Every cell goes through
+    ``first_stage`` in x, and so does every piece that halving in x makes,
+    all pieces of one level in one call.  A cell is done when the error
+    estimates of its pieces sum to at most epsrel |I|, I the sum of their
+    results and epsrel ``quad``'s: qagse's test on the whole cell, without
+    its absolute floor epsabs, so that a cell with a small integral (the
+    last cell before a zero of a cumulative) keeps its relative accuracy.
+    Until then a piece whose error is within its width's share of that
+    bound is kept, and the others are halved.  A cell that would pass
+    quad's 300 subintervals, a piece with a node value that is not finite,
+    one that halving cannot split and one whose error estimate is at the
+    level of roundoff (where qagse flags ier 2) are integrated by ``quad``,
+    in x.  A cell of width 0 is 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
@@ -262,17 +299,17 @@ def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     total = np.zeros(n)  # the kept pieces' results and errors, per cell
     kept_err = np.zeros(n)
     count = np.ones(n, dtype=int)  # subintervals per cell
-    cell, lo, hi = np.arange(n), a, b
+    cell = np.flatnonzero(width != 0.0)
+    lo, hi = np.zeros(len(cell)), np.ones(len(cell))  # pieces, in x
     while len(cell):
-        result, abserr, resabs, resasc, finite = first_stage(at, lo, hi)
+        result, abserr, resabs, resasc, finite = first_stage(
+            _graded(at, a, width, cell), lo, hi)
         errbnd = _TOL * np.abs(total + np.bincount(cell, result,
                                                    minlength=n))
         done = ((kept_err + np.bincount(cell, abserr, minlength=n) <= errbnd)
                 & (np.bincount(cell, ~finite, minlength=n) == 0))
-        share = np.divide(hi - lo, width[cell], out=np.zeros(len(cell)),
-                          where=width[cell] > 0.0)
         keep = done[cell] | _passes(abserr, resasc, finite,
-                                    errbnd[cell] * share)
+                                    errbnd[cell] * (hi - lo))
         total += np.bincount(cell[keep], result[keep], minlength=n)
         kept_err += np.bincount(cell[keep], abserr[keep], minlength=n)
         rest = ~keep
@@ -283,7 +320,9 @@ def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         count += np.bincount(cell[split], minlength=n)
         split &= (count <= _LIMIT)[cell]
         for i in np.flatnonzero(~split):
-            total[cell[i]] += quad(func, float(lo[i]), float(hi[i]))[0]
+            c = cell[i]
+            mapped = _graded_point(func, float(a[c]), float(width[c]))
+            total[c] += quad(mapped, float(lo[i]), float(hi[i]))[0]
         cell, lo, mid, hi = cell[split], lo[split], mid[split], hi[split]
         cell = np.concatenate([cell, cell])
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
@@ -332,14 +371,17 @@ def log_quad(fn, t0: float, t1: float) -> float:
 def log_cells(fn, at, edges: Sequence[float]) -> float:
     """integral of fn over (edges[0], edges[-1]), for increasing finite
     edges > 0 at fn's kinks, in u = log t (``log_integrand``; at is fn on
-    an array): the whole range as one cell where its first stage meets the
-    bound of ``quad_cells``, else every cell (edges[i], edges[i+1]) by
-    ``quad_cells``."""
+    an array): the whole range as one cell where its first stage, in u,
+    meets the bound of ``quad_cells`` (the graded map would crowd the
+    nodes of a wide smooth range at its ends), else every cell (edges[i],
+    edges[i+1]) by the graded rule of ``quad_cells``."""
     g, g_at = log_integrand(fn, at)
     us = np.log(np.asarray(edges, dtype=float))
-    result, abserr, _, resasc, finite = first_stage(g_at, us[:1], us[-1:])
-    if _passes(abserr, resasc, finite, _TOL * np.abs(result))[0]:
-        return float(result[0])
+    if len(us) > 2:  # one cell is quad_cells' first stage
+        result, abserr, _, resasc, finite = first_stage(g_at, us[:1],
+                                                        us[-1:])
+        if _passes(abserr, resasc, finite, _TOL * np.abs(result))[0]:
+            return float(result[0])
     return math.fsum(quad_cells(g, g_at, us[:-1], us[1:]).tolist())
 
 
@@ -532,21 +574,26 @@ def brent_min(f, a: float, b: float) -> float:
     return fx
 
 
-def scan_max(h, h_at, lo: float, hi: float, n: int) -> float:
-    """Numeric max of h over (lo, hi): the best of n geometrically spaced
-    samples, taken by h_at (h on an array) in one call, refined by a
-    bounded Brent search (``brent_min``) on h between that sample's
-    neighbours.  An infinite hi is cut to max(10 (lo + 1), 1e6) and a zero
-    lo to 1e-9 hi."""
+def scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """n geometrically spaced samples over (lo, hi), the grid of
+    ``scan_max``.  An infinite hi is cut to max(10 (lo + 1), 1e6) and a
+    zero lo to 1e-9 hi."""
     if math.isinf(hi):
         hi = max(10.0 * (lo + 1.0), 1e6)
     if lo <= 0.0:
         lo = hi * 1e-9
-    ts = np.geomspace(lo, hi, n)
+    return np.geomspace(lo, hi, n)
+
+
+def scan_max(h, h_at, ts: np.ndarray) -> float:
+    """Numeric max of h over the increasing grid ts (``scan_grid``) and
+    between its points: the best sample, taken by h_at (h on an array) in
+    one call, refined by a bounded Brent search (``brent_min``) on h
+    between that sample's neighbours."""
     vals = h_at(ts)
     k = int(np.nanargmax(vals))
     a = float(ts[max(k - 1, 0)])
-    b = float(ts[min(k + 1, n - 1)])
+    b = float(ts[min(k + 1, len(ts) - 1)])
     return max(float(vals[k]), -brent_min(lambda t: -h(t), a, b))
 
 
@@ -812,6 +859,8 @@ class StepFunction:
     """Piecewise power-log function on (0, inf).
 
     Pieces tile (0, inf) with no gaps; trailing zero is an explicit piece.
+    Each piece holds [lo, hi), so a value at a breakpoint is the right
+    piece's (``__call__`` and ``at`` agree there).
     """
 
     __slots__ = ("pieces", "_los")
@@ -1235,8 +1284,8 @@ def sup_over(f: StepFunction, g: StepFunction,
                 return ExtReal.infinite(f"product unbounded near {where}")
             best = max(best, v0, v1)
             if not prod.values_monotone():
-                best = max(best, scan_max(prod, prod.at, clo, chi,
-                                          _CELL_SCAN))
+                best = max(best, scan_max(
+                    prod, prod.at, scan_grid(clo, chi, _CELL_SCAN)))
             continue
         # inexact product (mixed offsets / shifts): numeric scan with
         # endpoint limits taken factor-wise
@@ -1247,5 +1296,5 @@ def sup_over(f: StepFunction, g: StepFunction,
         with np.errstate(invalid="ignore", over="ignore"):
             best = max(best, v0, v1lim, scan_max(
                 lambda t: p(t) * q(t), lambda ts: p.at(ts) * q.at(ts),
-                clo, chi, _CELL_SCAN))
+                scan_grid(clo, chi, _CELL_SCAN)))
     return ExtReal.finite(best)

@@ -236,7 +236,7 @@ def distribution(f: StepFunction) -> StepFunction:
                                  else math.inf))
                 lam_cursor = v
         else:
-            # lam = off + c*(t-K)**a on (lo, hi]  =>
+            # lam = off + c*(t-K)**a on [lo, hi)  =>
             # m(lam) = K + ((lam-off)/c)**(1/a) on (value(hi), value(lo))
             v_at_hi = p.limit_at(p.hi)
             v_at_lo = p.limit_at(p.lo)

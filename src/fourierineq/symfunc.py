@@ -17,25 +17,29 @@ integrated accurately.
 Beside fn, every SymFunc holds an array evaluator ``at``: at(ts) is f at
 every point of a 1-d float array ts, computed with numpy over the whole
 array (a SymFunc built from a bare callable samples point by point).
-Sweeps and scans use it: ``tabulated`` samples and integrates its grid
-segments by ``pieces.quad_segments``, and ``sup`` and ``running_sup_from``
-scan with it.  at may differ from fn by a few ulp, because numpy's exp and
-pow are not the C library's (on an AVX-512 x86 host about 5% of exp and of
-pow values of 200k random points differ in the last bit); inf, 0 and nan
-fall where fn's float arithmetic puts them.  The segment rule itself gives
-``quad``'s bits for the same node values.  A quadrature cumulative's
-``Cumulative.at`` integrates the pieces between sorted points at once, so
-it agrees with the point values to the quadrature's tolerance, not to the
-ulp.
+Sweeps and scans use it: ``anchored`` re-anchors a quadrature cumulative
+at a grid in one sweep, its grid segments integrated by
+``pieces.quad_segments``; ``tabulated`` is ``anchored`` plus log-log
+interpolation between the grid values; and ``sup`` and
+``running_sup_from`` scan with it.  at may differ from fn by a few ulp,
+because numpy's exp and pow are not the C library's (on an AVX-512 x86
+host about 5% of exp and of pow values of 200k random points differ in the
+last bit); inf, 0 and nan fall where fn's float arithmetic puts them.  The
+segment rule itself gives ``quad``'s bits for the same node values.  A
+quadrature cumulative's ``Cumulative.at`` integrates the pieces between
+sorted points at once (by the graded rule of ``pieces.quad_cells``), so it
+agrees with the point values to the quadrature's tolerance, not to the
+ulp; at its anchors it reads their values.
 
 Every SymFunc also carries its kinks: the sorted points where it is not
 smooth between its knots, the grid of a ``tabulated`` factor and the
 sample grid of a ``running_sup_from`` one.  ``mul``, ``add`` and ``pow``
 take the union, ``recip_arg`` takes 1/x, and a cumulative has none.  An
 integral over a head, segment or tail of the knots is taken cell by cell
-between its outermost kinks, in log coordinates (``pieces.log_cells``), and
-beyond them by ``end_quad``; where no factor is tabulated there are no
-kinks, and nothing changes.
+between its outermost kinks, in log coordinates (``pieces.log_cells``, whose
+graded cells take a singular end such as u*'s support end at their first
+stage), and beyond them by ``end_quad``; where no factor is tabulated there
+are no kinks, and nothing changes.
 
 Exponents follow the exponent rule of ``pieces`` (always Fractions), so
 boundary cases (exponent exactly -1 or 0) are decided exactly.
@@ -55,7 +59,7 @@ from . import pieces
 from .extreal import ExtReal
 from .pieces import (Divergence, StepFunction, Exponent, as_exp,
                      end_integrable, end_integral, end_limit, end_quad,
-                     log_quad, scan_max)
+                     log_quad, scan_grid, scan_max)
 
 
 def _pointwise(fn: Callable[[float], float]):
@@ -64,6 +68,7 @@ def _pointwise(fn: Callable[[float], float]):
 
 
 _NO_KINKS = np.empty(0)
+_SCAN = 600  # samples of the scan of sup
 
 
 def _kinks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -289,22 +294,35 @@ class SymFunc:
         hi = max(self.knots) if self.knots else 1.0
         return lo, hi
 
+    def anchored(self, ts: np.ndarray) -> "SymFunc":
+        """The same function, with a quadrature cumulative re-anchored at
+        the increasing grid ts (and its anchors inside it) by one
+        ``Cumulative.sweep``, so that its values at the grid points are
+        the anchors' and a point value between them integrates from the
+        nearest grid point; any other function is itself."""
+        if not isinstance(self.fn, Cumulative):
+            return self
+        cum = self.fn.sweep(ts)[1]
+        return SymFunc(cum, self.head, self.tail, self.knots, at=cum.at)
+
+    def scan_grid(self) -> np.ndarray:
+        """The geometric grid that ``sup`` scans: 600 points from the
+        lowest knot / 1e8 to the highest * 1e8."""
+        lo, hi = self._span()
+        return scan_grid(lo / 1e8, hi * 1e8, _SCAN)
+
     def tabulated(self, n: int = 2048, pad: float = 1e8) -> "SymFunc":
-        """Fast log-log interpolated copy (used inside nested quadratures).
-        A cumulative integral is sampled in one sweep over the grid, and the
-        copy falls back to it re-anchored at the grid points; other
-        functions are sampled by ``at``.  Outside the grid, and where the
-        interpolated log is not finite, the copy is the function itself.
-        The grid points are kinks of the copy."""
+        """Fast log-log interpolated copy (used inside nested quadratures):
+        ``anchored`` at the geometric grid, and interpolated between its
+        values there, which ``at`` gives.  Outside the grid, and where the
+        interpolated log is not finite, the copy is the anchored function
+        itself.  The grid points are kinks of the copy."""
         lo, hi = self._span()
         lo, hi = lo / pad, hi * pad
         ts = np.geomspace(lo, hi, n)
-        if isinstance(self.fn, Cumulative):
-            vals, f = self.fn.sweep(ts)
-            f_at = f.at
-        else:
-            f, f_at = self.fn, self.at
-            vals = f_at(ts)
+        anchored = self.anchored(ts)
+        f, f_at = anchored.fn, anchored.at
+        vals = f_at(ts)
         finite = np.isfinite(vals)
         if not finite.all():
             vals = np.where(finite, vals, np.nan)
@@ -427,12 +445,11 @@ class SymFunc:
             if math.isinf(lim):
                 return ExtReal.infinite(f"~ {end.coef:.3g} t**({end.a}) "
                                         f"log**({end.b}) unbounded at {name}")
-        lo, hi = self._span()
         # a maximum at a kink or a jump sits on a knot, between the scan's
         # samples: take the value there and the limit from the left
         near = [t for k in self.knots for t in (k, math.nextafter(k, 0.0))]
         at_knots = [v for v in map(self.fn, near) if math.isfinite(v)]
-        best = max(scan_max(self.fn, self.at, lo / 1e8, hi * 1e8, 600),
+        best = max(scan_max(self.fn, self.at, self.scan_grid()),
                    *lims, *at_knots)
         return ExtReal.finite(float(best))
 
@@ -532,10 +549,11 @@ class Cumulative:
         and the last anchor, the points are sorted by their anchor (the
         nearest on the side of the fixed end), and each is integrated from
         its neighbour toward the anchor, so that one piece per anchor at
-        most reaches a singular end; all pieces go through one
-        ``pieces.quad_cells`` pass in log coordinates, and their running
-        sums from the anchors give the values.  A point beyond the
-        anchors is a point value."""
+        most reaches a singular end, which the graded rule takes at its
+        first stage; all pieces go through one ``pieces.quad_cells`` pass
+        in log coordinates, and their running sums from the anchors give
+        the values (a point at an anchor is a piece of width 0).  A point
+        beyond the anchors is a point value."""
         xs = 1.0 / ts if self.recip else np.asarray(ts, dtype=float)
         ks = np.asarray(self.anchors)
         out = np.empty(len(xs))
@@ -558,11 +576,16 @@ class Cumulative:
         lo, hi = ((near, x) if self.from_left else (x, near))
         g, g_at = pieces.log_integrand(self.fn, self.fn_at)
         parts = pieces.quad_cells(g, g_at, np.log(lo), np.log(hi))
+        # the running sum from each anchor; a point alone at its anchor
+        # (every point of a grid the cumulative is anchored at) is one term
+        vals = np.asarray(self.values)[i]
+        run = vals + parts
         starts = np.flatnonzero(first)
-        vals = np.asarray(self.values)[i[starts]]
-        runs = [v + np.cumsum(seg) for v, seg in
-                zip(vals.tolist(), np.split(parts, starts[1:]))]
-        out[pos] = np.concatenate(runs)
+        sizes = np.diff(starts, append=len(x))
+        for s, m in zip(starts[sizes > 1].tolist(),
+                        sizes[sizes > 1].tolist()):
+            run[s:s + m] = vals[s] + np.cumsum(parts[s:s + m])
+        out[pos] = run
         return out
 
     def sweep(self, ts: np.ndarray) -> tuple[np.ndarray, "Cumulative"]:

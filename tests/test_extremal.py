@@ -327,3 +327,27 @@ def test_bracket_in_d3_reports_no_lower_bound():
     with pytest.raises(ValueError, match="one dimension"):
         bracket_constant(u, WeightSpec.power(Fraction(1, 4), NONDECREASING),
                          ExponentConfig(3, 2, 3), np.random.default_rng(7))
+
+
+def test_bracket_evaluates_each_weight_once(monkeypatch):
+    # v on the signal grid and u on the dual grid, one call each, shared by
+    # every witness (5 calls when each witness evaluated v again); the
+    # witnesses are those of the public builders, bit for bit
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    cfg = ExponentConfig(3, 2)
+    N, L = 512, 16.0
+    calls, evaluate = [], WeightSpec.evaluate
+
+    def counted(self, x):
+        calls.append(self)
+        return evaluate(self, x)
+    monkeypatch.setattr(WeightSpec, "evaluate", counted)
+    br = bracket_constant(u, v, cfg, np.random.default_rng(3), N=N, L=L)
+    assert len(calls) == 2 and {id(w) for w in calls} == {id(u), id(v)}
+    monkeypatch.undo()
+    assert br.witnesses["modulated_bump"] == ratio(
+        modulated_bump(u, v, cfg, N, L), u, v, cfg)
+    assert br.witnesses["translates"] == lower_bound_translates(u, v, cfg,
+                                                                N, L)
+    assert br.witnesses["annuli"] == lower_bound_annuli(u, v, cfg, N, L)

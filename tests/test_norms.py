@@ -1,10 +1,12 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from fourierineq import pieces
 from fourierineq.norms import (SequenceData, _zeta2, bochkarev_norm,
                                dyadic_block_norms, expL_pair, gamma_norm,
                                llogl_norm, morrey_optimal_norm,
@@ -234,3 +236,41 @@ def test_zero_inputs():
     zf = StepFunction.from_cells([0, 1], [0.0])
     assert optimal_Y_norm(zf, WeightSpec.one(), 2).value == 0.0
     assert llogl_norm(zf).value == 0.0
+
+
+# morrey_optimal_norm on the suite's and the benchmark's finite cases,
+# (f, q, shape, d) -> its value when G(R^d) was a quadrature per scan sample
+BOX = StepFunction.indicator(1.0)
+TWO = StepFunction.from_cells([0, 1, 2], [1.0, 0.5])
+MORREY = {
+    "box, q=2, R^-1/2": ((BOX, 2, StepFunction.power(1.0, Fraction(1, 2)), 1),
+                         1.0000000000000002),
+    "two cells, q=2, 1": ((TWO, 2, StepFunction.constant(1.0), 1),
+                          1.6871791814386439),
+    "two cells, q=3, 1, d=2": ((TWO, 3, StepFunction.constant(1.0), 2),
+                               1.4537643280457095),
+    "box, q=1, R^-1/2": ((BOX, 1, StepFunction.power(1.0, Fraction(1, 2)),
+                          1), 1.4142135623730951),
+    "two cells, q=3/2, R^-1/2, d=2": (
+        (TWO, Fraction(3, 2), StepFunction.power(1.0, Fraction(1, 2)), 2),
+        1.2852449446246108),
+    "box, q=4, R^-1/4, d=3": (
+        (BOX, 4, StepFunction.power(1.0, Fraction(1, 4)), 3),
+        1.0203318003558435),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MORREY))
+def test_morrey_scan_on_an_anchored_cumulative(monkeypatch, name):
+    # G is anchored at the scan's grid: one sweep, and quadratures only for
+    # the refining search and the knots (621 on the box case before)
+    args, before = MORREY[name]
+    calls, quad = [], pieces.quad
+
+    def counted(*a):
+        calls.append(a)
+        return quad(*a)
+    monkeypatch.setattr(pieces, "quad", counted)
+    v = morrey_optimal_norm(*args)
+    assert v.is_finite and v.value == pytest.approx(before, rel=1e-12)
+    assert len(calls) < 80

@@ -512,3 +512,81 @@ def test_segment_rule_sends_the_rest_to_quad(monkeypatch):
     assert sent == segs[:3]
     assert pieces.QUAD_FLAGS[2] == 1
     assert [x.hex() for x in got] == [quad(f, a, b)[0].hex() for a, b in segs]
+
+
+def _stage_count(monkeypatch) -> list:
+    """pieces.first_stage wrapped to record the segments of every call."""
+    calls, stage = [], pieces.first_stage
+
+    def counted(at, a, b):
+        calls.append(len(a))
+        return stage(at, a, b)
+    monkeypatch.setattr(pieces, "first_stage", counted)
+    return calls
+
+
+# (f, its array evaluator, edges, closed form of the integral over them):
+# a support end ~ (1 - t)**alpha, whose graded map (1 - x)**(2 alpha + 1) is
+# smooth for alpha = 1/2 and 3/2, and a kink |t - 3/4|**(1/2) at an edge
+GRADED = {
+    "(1 - t)**(1/2)": (lambda t: (1.0 - t) ** 0.5,
+                       lambda ts: (1.0 - ts) ** 0.5, [0.5, 1.0],
+                       0.5 ** 1.5 / 1.5),
+    "(1 - t)**(3/2)": (lambda t: (1.0 - t) ** 1.5,
+                       lambda ts: (1.0 - ts) ** 1.5, [0.5, 1.0],
+                       0.5 ** 2.5 / 2.5),
+    "kink": (lambda t: abs(t - 0.75) ** 0.5,
+             lambda ts: np.abs(ts - 0.75) ** 0.5, [0.5, 0.75, 1.0], 1 / 6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_graded_cells_take_an_algebraic_end_at_the_first_stage(
+        monkeypatch, name):
+    # without the graded map each case halved 10 to 16 levels
+    f, f_at, edges, exact = GRADED[name]
+    calls = _stage_count(monkeypatch)
+    got = pieces.log_cells(f, f_at, edges)
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+    # a range of two cells is first tried whole, in log t, then both cells
+    # go through one graded pass
+    assert calls == ([1] if len(edges) == 2 else [1, 2])
+
+
+def test_graded_cells_with_a_rough_end(monkeypatch):
+    # (1 - t)**(3/4) maps to (1 - x)**(5/2), which the first stage does not
+    # resolve to quad's tolerance: three levels (twelve without the map)
+    calls = _stage_count(monkeypatch)
+    got = pieces.log_cells(lambda t: (1.0 - t) ** 0.75,
+                           lambda ts: (1.0 - ts) ** 0.75, [0.5, 1.0])
+    assert got == pytest.approx(0.5 ** 1.75 / 1.75, rel=1e-11, abs=0.0)
+    assert len(calls) == 3
+
+
+def test_quad_cells_fallback_integrates_the_graded_integrand(monkeypatch):
+    # a non-finite node value sends the cell's piece to quad, in x over
+    # (0, 1); a cell of width 0 is 0 and costs nothing
+    sent = []
+
+    def recorded(func, a, b):
+        sent.append((a, b))
+        return quad(func, a, b)
+
+    def f_at(us):
+        return np.where(us == 1.5, math.inf, us * us)
+
+    monkeypatch.setattr(pieces, "quad", recorded)
+    got = pieces.quad_cells(lambda u: u * u, f_at, np.array([1.0, 2.0]),
+                            np.array([2.0, 2.0]))
+    assert sent == [(0.0, 1.0)]  # x = 1/2 is u = 3/2, the centre node
+    assert got[0] == pytest.approx(7.0 / 3.0, rel=1e-14)
+    assert got[1] == 0.0
+
+
+def test_step_function_is_right_continuous_at_a_breakpoint():
+    # a piece holds [lo, hi): at a breakpoint the piece on the right
+    f = StepFunction.indicator(1.0)
+    assert f(1.0) == 0.0
+    assert f(math.nextafter(1.0, 0.0)) == 1.0
+    ts = np.array([1.0, math.nextafter(1.0, 0.0), 0.5, 2.0])
+    np.testing.assert_array_equal(f.at(ts), [f(t) for t in ts])

@@ -104,3 +104,15 @@ def test_no_private_names_imported_across_modules():
     found = {path.name: _private_imports(path)
              for path in PACKAGE.glob("*.py")}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_every_symfunc_of_norms_has_an_array_evaluator():
+    """Every ``SymFunc(...)`` that norms.py builds passes ``at=``, so that
+    no sup scan there samples point by point."""
+    tree = ast.parse((PACKAGE / "norms.py").read_text())
+    built = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "SymFunc"]
+    assert built
+    assert [node.lineno for node in built
+            if not any(k.arg == "at" for k in node.keywords)] == []
