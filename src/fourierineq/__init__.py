@@ -20,11 +20,12 @@ from .calderon import DominationCert, dominates, phi, psi, verify_joint_type
 from .norms import (SequenceData, bochkarev_norm, dyadic_block_norms,
                     expL_pair, gamma_norm, llogl_norm, morrey_optimal_norm,
                     optimal_Y_norm, theta_norm)
-from .extremal import (ConstantBracket, SampledSignal, block_l2_condition,
-                       bracket_constant, cube_pair_condition, dft,
-                       lower_bound_annuli, lower_bound_translates, ratio,
-                       random_band_limited, step_profile,
-                       symmetric_block_condition, weighted_norm)
+from .extremal import (ConstantBracket, SampledSignal, best_random_ratio,
+                       block_l2_condition, bracket_constant,
+                       cube_pair_condition, dft, lower_bound_annuli,
+                       lower_bound_translates, ratio, random_band_limited,
+                       step_profile, symmetric_block_condition,
+                       weighted_norm)
 
 __version__ = "0.1.0"
 
@@ -42,7 +43,8 @@ __all__ = [
     "dyadic_block_norms", "optimal_Y_norm", "morrey_optimal_norm",
     "expL_pair", "llogl_norm",
     "SampledSignal", "dft", "ratio", "weighted_norm", "step_profile",
-    "random_band_limited", "lower_bound_translates", "lower_bound_annuli",
+    "random_band_limited", "best_random_ratio", "lower_bound_translates",
+    "lower_bound_annuli",
     "cube_pair_condition", "block_l2_condition",
     "symmetric_block_condition", "bracket_constant", "ConstantBracket",
 ]

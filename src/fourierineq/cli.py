@@ -23,8 +23,8 @@ import numpy as np
 
 from .criteria import ExponentConfig, U_func, dual_config, evaluate, xi_func
 from .extreal import ExtReal, json_float
-from .extremal import (bracket_constant, dft, random_band_limited, ratio,
-                       weighted_norm)
+from .extremal import (best_random_ratio, bracket_constant, dft,
+                       random_band_limited, weighted_norm)
 from .hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE, TAIL_INTEGRAL,
                     HardyProblem, brute_force_K, hardy_K)
 from .norms import (SequenceData, bochkarev_norm, dyadic_block_norms,
@@ -202,10 +202,8 @@ def cmd_estimate(args) -> int:
         _write_report(report, args.out)
         return 0
     # resolution-sensitivity delta: best random-signal ratio at N vs N/2
-    rng2 = np.random.default_rng(args.seed)
-    half = max(
-        ratio(random_band_limited(rng2, args.N // 2, args.L), u, v, cfg)
-        for _ in range(max(2, args.budget // 2)))
+    half = best_random_ratio(u, v, cfg, np.random.default_rng(args.seed),
+                             args.N // 2, args.L, max(2, args.budget // 2))
     report["half_resolution_lower"] = json_float(half)
     if args.plot_dir:
         report["plot_series"] = {

@@ -8,7 +8,15 @@ Signals are sampled on a uniform grid of N points (N a power of two) over
 
 whose dual grid has spacing 1/L.  With these weights the discrete Plancherel
 identity holds exactly and |Tf| is bounded by the discrete L1 norm, so the
-elementary inequalities are reproduced to machine precision.
+elementary inequalities are reproduced to machine precision.  ``dft`` works
+on rows: a SampledSignal may hold k signals (k, N) on one grid, and a
+bracket transforms its random signals, and the blocks of each block
+witness, in one FFT call each.
+
+The translate and annuli witnesses are sums sum_n e_n b_n of blocks b_n
+with disjoint supports, so ||v sum_n e_n b_n||_p is the l^p norm of
+(|e_n| ||v b_n||_p)_n: a sign search computes the M block norms once and
+only the transform side once per pattern.
 
 All norms here use ordinary Lebesgue measure on R (the criteria module works
 in ball-measure half-line coordinates; the two conventions agree up to
@@ -35,12 +43,16 @@ from .weights import WeightSpec
 
 @dataclass
 class SampledSignal:
-    values: np.ndarray  # complex samples at x_j = -L/2 + j L/N
+    # complex samples at x_j = -L/2 + j L/N: one signal (N,), or one signal
+    # per row (k, N) on the same grid
+    values: np.ndarray
     L: float
 
     def __post_init__(self) -> None:
         self.values = np.asarray(self.values, dtype=complex)
-        n = len(self.values)
+        if self.values.ndim not in (1, 2):
+            raise ValueError("samples must be one signal or rows of signals")
+        n = self.values.shape[-1]
         if n < 2 or (n & (n - 1)) != 0:
             raise ValueError("sample count must be a power of two")
         if not self.L > 0:
@@ -48,7 +60,7 @@ class SampledSignal:
 
     @property
     def N(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
     @property
     def dx(self) -> float:
@@ -61,14 +73,15 @@ class SampledSignal:
 
 def dft(sig: SampledSignal) -> SampledSignal:
     """Quadrature-weighted DFT; output is a SampledSignal on the dual grid
-    (spacing 1/L, span N/L, frequencies -N/(2L) .. (N/2-1)/L)."""
+    (spacing 1/L, span N/L, frequencies -N/(2L) .. (N/2-1)/L).  Rows of
+    signals are transformed row by row, in one FFT call."""
     N = sig.N
-    F = np.fft.fft(sig.values)
+    F = np.fft.fft(sig.values, axis=-1)
     k = np.arange(N)
     k[k >= N // 2] -= N  # frequency index of each FFT bin
     phase = np.where(k % 2 == 0, 1.0, -1.0)  # exp(i pi k), k in Z
     vals = sig.dx * phase * F
-    return SampledSignal(np.fft.fftshift(vals), N / sig.L)
+    return SampledSignal(np.fft.fftshift(vals, axes=-1), N / sig.L)
 
 
 def _lp_norm(mags: np.ndarray, dx: float, p):
@@ -118,12 +131,17 @@ def ratio(f: SampledSignal, u: WeightSpec, v: WeightSpec,
     return float(num) / den
 
 
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den, 0 where den is 0 (``ratio``'s convention)."""
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
+
+
 class _GridRatios:
-    """(F, TF) -> ratio() of every row of F, for rows F (k, N) of samples
-    over [-L/2, L/2) and TF their transforms.  v at |x| and u on the dual
-    grid are evaluated once, here, for every signal of a bracket; base is
-    v**(-p') on the signal grid (``_vinv_pprime`` of the same values), the
-    profile of every constructive witness."""
+    """sig -> ratio() of sig, or of every row of sig, a SampledSignal on
+    N points over [-L/2, L/2).  v at |x| and u on the dual grid are
+    evaluated once, here, for every signal of a bracket; base is v**(-p')
+    on the signal grid (``_vinv_pprime`` of the same values), the profile
+    of every constructive witness."""
 
     def __init__(self, u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                  N: int, L: float):
@@ -134,10 +152,17 @@ class _GridRatios:
         self.base = _vinv_pprime(v, cfg, self.x.xs, self.vw)
         self.cfg = cfg
 
-    def __call__(self, F: np.ndarray, TF: np.ndarray) -> np.ndarray:
-        den = _lp_norm(np.abs(F) * self.vw, self.x.dx, self.cfg.p)
-        num = _lp_norm(np.abs(TF) * self.uw, self.xi.dx, self.cfg.q)
-        return np.divide(num, den, out=np.zeros(len(den)), where=den != 0.0)
+    def signal_norms(self, F: np.ndarray) -> np.ndarray:
+        """||v f||_p of every row f of F."""
+        return _lp_norm(np.abs(F) * self.vw, self.x.dx, self.cfg.p)
+
+    def transform_norms(self, TF: np.ndarray) -> np.ndarray:
+        """||u Tf||_q of every row Tf of TF (on the dual grid)."""
+        return _lp_norm(np.abs(TF) * self.uw, self.xi.dx, self.cfg.q)
+
+    def __call__(self, sig: SampledSignal) -> np.ndarray:
+        return _quotient(self.transform_norms(dft(sig).values),
+                         self.signal_norms(sig.values))
 
 
 _grid_ratios = _GridRatios
@@ -161,6 +186,21 @@ def random_band_limited(rng: np.random.Generator, N: int = 4096,
     spec[np.abs(k) > band_frac * N / 2] = 0.0
     vals = np.fft.ifft(spec)
     return SampledSignal(vals, L)
+
+
+def best_random_ratio(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
+                      rng: np.random.Generator, N: int = 4096,
+                      L: float = 64.0, n: int = 8, *, ratios=None) -> float:
+    """The largest ratio() of n signals ``random_band_limited(rng, N, L)``,
+    drawn one by one in rng order (0.0 when n < 1); their transforms are
+    one FFT over rows and their ratios one ``_grid_ratios`` call.  ratios:
+    a ``_grid_ratios`` to reuse."""
+    if n < 1:
+        return 0.0
+    ratios = ratios or _grid_ratios(u, v, cfg, N, L)
+    sigs = SampledSignal([random_band_limited(rng, N, L).values
+                          for _ in range(n)], L)
+    return float(np.max(ratios(sigs)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +240,28 @@ def modulated_bump(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
 
 
 def _block_ratio(blocks: np.ndarray, L: float, ratios):
-    """E -> ratio() of the signals E @ blocks, one per row of the (k, M)
-    coefficient array E; ratios is the bracket's ``_grid_ratios``.
+    """E -> ratio() of the signals E @ blocks, one per row of the real
+    (k, M) coefficient array E; ratios is the bracket's ``_grid_ratios``.
 
-    The transform is linear, T(sum e_n block_n) = sum e_n T(block_n), so
-    the block transforms are computed once and a batch of rows costs two
-    matrix products and one ``ratios`` call."""
-    Tblocks = np.array([dft(SampledSignal(b, L)).values for b in blocks])
-    return lambda E: ratios(E @ blocks, E @ Tblocks)
+    The blocks have disjoint supports (ValueError otherwise), so the signal
+    side of a row is ||v sum e_n block_n||_p = ||(|e_n| P_n)_n||_lp with
+    P_n = ||v block_n||_p (the max at p = inf): M numbers per row, from
+    block norms computed once.  The transform is linear, T(sum e_n block_n)
+    = sum e_n T(block_n), so the M block transforms are one FFT over rows,
+    and a batch costs one real matrix product (E times the float view of
+    the transforms) and the dual-side norms of its rows."""
+    if np.any(np.count_nonzero(blocks, axis=0) > 1):
+        raise ValueError("blocks must have disjoint supports")
+    P = ratios.signal_norms(blocks)
+    # (M, 2N): the real and imaginary part of each sample in turn
+    Tflat = np.ascontiguousarray(dft(SampledSignal(blocks, L)).values
+                                 ).view(float)
+    p = ratios.cfg.p
+
+    def ratio_of(E: np.ndarray) -> np.ndarray:
+        return _quotient(ratios.transform_norms((E @ Tflat).view(complex)),
+                         _lp_norm(np.abs(E) * P, 1.0, p))
+    return ratio_of
 
 
 _CHUNK = 8  # sign patterns per batch of best_sign_ratio
@@ -230,8 +284,9 @@ def best_sign_ratio(ratio_of, M: int) -> float:
 def _translate_blocks(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
                       n_blocks: int, base: Optional[np.ndarray] = None
                       ) -> np.ndarray:
-    """Rows lambda_n v**(-p') 1_{|x - 2ns| <= s} of the translate witness;
-    base: v**(-p') on the grid, where the caller has it."""
+    """Rows lambda_n v**(-p') 1_{-s <= x - 2ns < s} of the translate
+    witness, disjoint supports; base: v**(-p') on the grid, where the
+    caller has it."""
     p = float(cfg.p) if not is_inf(cfg.p) else math.inf
     if not p > 2:
         raise ValueError("translate witness needs p > 2")
@@ -240,7 +295,10 @@ def _translate_blocks(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
     if base is None:
         base = _vinv_pprime(v, cfg, xs)
     s = L / (4.0 * n_blocks)
-    masks = np.abs(xs - 2 * np.arange(n_blocks)[:, None] * s) <= s
+    # block n is -s <= x - 2ns < s; one index per point, so a point on a
+    # common edge lies in one block only, whatever the rounding
+    index = np.floor((xs + s) / (2 * s))
+    masks = index == np.arange(n_blocks)[:, None]
     Vn = np.array([float(np.sum(base[m]) * sig0.dx) for m in masks])
     Vn = np.maximum(Vn, 1e-300)
     lam = Vn ** (1.0 / (p - 2.0)) if math.isfinite(p) else np.ones(n_blocks)
@@ -252,7 +310,7 @@ def lower_bound_translates(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                            *, ratios=None) -> float:
     """Translate witness for p > 2: the largest ratio() of
 
-    f = v**(-p') sum_n eps_n lambda_n 1_{|x - 2ns| <= s},
+    f = v**(-p') sum_n eps_n lambda_n 1_{-s <= x - 2ns < s},
     lambda_n = V_n**(1/(p-2)), V_n the local mass of v**(-p'),
 
     over all 2**(n_blocks-1) sign patterns eps, 8 at a time
@@ -454,12 +512,13 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     """Bracket the optimal constant: criteria upper value vs the best
     constructive witness ratio (every witness gives a true lower bound).
     Only ``random_band_limited`` is random: the best ratio of n_random
-    signals drawn from rng.  The modulated bump and the translates and
-    annuli witnesses are deterministic, the last two exact maxima over
-    every sign pattern.  All of them share one evaluation of v on the
-    signal grid and of u on the dual grid.  The witnesses are signals on
-    the line, so in d > 1 there is no lower bound (and a note says so);
-    ValueError unless u, v and cfg share one dimension."""
+    signals drawn from rng (``best_random_ratio``).  The modulated bump
+    and the translates and annuli witnesses are deterministic, the last
+    two exact maxima over every sign pattern.  All of them share one
+    evaluation of v on the signal grid and of u on the dual grid.  The
+    witnesses are signals on the line, so in d > 1 there is no lower bound
+    (and a note says so); ValueError unless u, v and cfg share one
+    dimension."""
     report = evaluate(u, v, cfg)
     upper = report.governing
     if cfg.d > 1:
@@ -468,18 +527,12 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
             f"not functions on R^{cfg.d}"])
     wit: dict[str, float] = {}
     ratios = _grid_ratios(u, v, cfg, N, L)
-
-    def ratio_on_grid(sig: SampledSignal) -> float:
-        return float(ratios(sig.values[None], dft(sig).values[None])[0])
-
-    best = 0.0
-    for _ in range(n_random):
-        best = max(best, ratio_on_grid(random_band_limited(rng, N, L)))
-    wit["random_band_limited"] = best
+    wit["random_band_limited"] = best_random_ratio(u, v, cfg, rng, N, L,
+                                                   n_random, ratios=ratios)
 
     bump = modulated_bump(u, v, cfg, N, L, base=ratios.base)
     if np.all(np.isfinite(bump.values)) and np.any(bump.values != 0):
-        wit["modulated_bump"] = ratio_on_grid(bump)
+        wit["modulated_bump"] = float(ratios(bump))
 
     p_gt_2 = is_inf(cfg.p) or cfg.p > 2
     if p_gt_2:

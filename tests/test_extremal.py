@@ -42,6 +42,15 @@ def test_dft_box_at_zero_frequency():
     assert abs(F.values[k0]) == pytest.approx(1.0, abs=2 * dx)
 
 
+def test_dft_of_rows_is_the_dft_of_each_row():
+    rng = np.random.default_rng(4)
+    rows = [random_band_limited(rng, 512, 16.0) for _ in range(3)]
+    F = dft(SampledSignal([f.values for f in rows], 16.0))
+    assert F.values.shape == (3, 512) and F.N == 512
+    for f, Tf in zip(rows, F.values):
+        assert np.array_equal(Tf, dft(f).values)
+
+
 def test_discrete_plancherel_exact():
     rng = np.random.default_rng(0)
     f = random_band_limited(rng)
@@ -155,23 +164,49 @@ def test_bracket_json():
 
 
 def test_linear_sign_ratio_matches_direct_ratio():
-    # T(sum eps_n block_n) = sum eps_n T(block_n): the batched evaluator's
-    # ratio of each row of patterns, from precomputed block transforms,
-    # equals the ratio of the assembled signal
+    # T(sum eps_n block_n) = sum eps_n T(block_n), and disjoint blocks give
+    # ||v f||_p from the block norms: the batched evaluator's ratio of each
+    # row of patterns equals the ratio of the assembled signal
     rng = np.random.default_rng(5)
     N, L = 1024, 32.0
     u = WeightSpec.indicator(2.0)
     v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
-    for cfg in (ExponentConfig(3, 2), ExponentConfig(math.inf, 1)):
+    for cfg, M in itertools.product(
+            (ExponentConfig(3, 2), ExponentConfig(math.inf, 1),
+             ExponentConfig(6, Fraction(3, 2)), ExponentConfig(4, 3),
+             ExponentConfig(3, 1)), (4, 6)):
         ratios = extremal._grid_ratios(u, v, cfg, N, L)
-        shells, Wn = extremal._annuli_shells(v, cfg, N, L, 6)
-        for blocks in (extremal._translate_blocks(v, cfg, N, L, 6),
+        shells, Wn = extremal._annuli_shells(v, cfg, N, L, M)
+        for blocks in (extremal._translate_blocks(v, cfg, N, L, M),
                        (Wn ** 0.5)[:, None] * shells):
             ratio_of = extremal._block_ratio(blocks, L, ratios)
             E = rng.choice([-1.0, 1.0], size=(4, len(blocks)))
             for eps, r in zip(E, ratio_of(E)):
                 f = SampledSignal(sum(e * b for e, b in zip(eps, blocks)), L)
                 assert r == pytest.approx(ratio(f, u, v, cfg), rel=1e-12)
+
+
+def test_translate_blocks_partition_the_grid():
+    # half-open blocks -s <= x - 2ns < s: no grid point lies in two blocks
+    # (the closed blocks shared one at n_blocks = 2 and 11, three at 4)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    for N, L in ((512, 16.0), (1024, 32.0), (256, 64.0)):
+        for M in range(1, 13):
+            blocks = extremal._translate_blocks(v, ExponentConfig(3, 2), N,
+                                                L, M)
+            assert np.max(np.count_nonzero(blocks, axis=0)) <= 1
+
+
+def test_block_ratio_refuses_overlapping_blocks():
+    N, L = 512, 16.0
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    cfg = ExponentConfig(3, 2)
+    blocks = extremal._translate_blocks(v, cfg, N, L, 6)
+    blocks[1] += blocks[0]
+    with pytest.raises(ValueError, match="disjoint"):
+        extremal._block_ratio(blocks, L,
+                              extremal._grid_ratios(u, v, cfg, N, L))
 
 
 THETAS = (-0.5, 0.0, 0.25, 0.5, 1.0)  # lower_bound_annuli's amplitude family
@@ -351,3 +386,21 @@ def test_bracket_evaluates_each_weight_once(monkeypatch):
     assert br.witnesses["translates"] == lower_bound_translates(u, v, cfg,
                                                                 N, L)
     assert br.witnesses["annuli"] == lower_bound_annuli(u, v, cfg, N, L)
+
+
+def test_bracket_transforms_in_batches(monkeypatch):
+    # one FFT call each for the random signals, the modulated bump, the
+    # translate blocks and the annuli shells (21 with one call a signal)
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    calls, fft = [], np.fft.fft
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return fft(*args, **kwargs)
+    monkeypatch.setattr(np.fft, "fft", counted)
+    br = bracket_constant(u, v, ExponentConfig(3, 2),
+                          np.random.default_rng(3), N=512, L=16.0)
+    assert set(br.witnesses) == {"random_band_limited", "modulated_bump",
+                                 "translates", "annuli"}
+    assert len(calls) <= 4
