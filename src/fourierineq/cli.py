@@ -30,7 +30,7 @@ from .hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE, TAIL_INTEGRAL,
 from .norms import (SequenceData, bochkarev_norm, dyadic_block_norms,
                     expL_pair, gamma_norm, morrey_optimal_norm,
                     optimal_Y_norm, theta_norm)
-from .pieces import StepFunction, is_inf, parse_exp
+from .pieces import Divergence, StepFunction, is_inf, parse_exp
 from .weights import NONDECREASING, NONINCREASING, WeightSpec, parse_weight
 
 
@@ -100,17 +100,19 @@ def cmd_criteria(args) -> int:
     report = evaluate(u, v, cfg).to_json()
     if args.plot_dir:
         # xi(t)/U(t) profile when the correction weight exists (q < 2)
+        # and U and the tail in xi are finite
         if not is_inf(cfg.q) and cfg.q < 2:
             try:
                 U = U_func(u, cfg)
                 xi = xi_func(u, cfg)
+            except Divergence:
+                pass
+            else:
                 ts = np.geomspace(1e-4, 1e4, 200)
-                rows = [[float(t), xi(t) / U(t)] for t in ts]
+                rows = np.column_stack([ts, xi.at(ts) / U.at(ts)]).tolist()
                 report["plot_series"] = {
                     "xi_over_U": {"columns": ["t", "xi_over_U"],
                                   "rows": rows}}
-            except Exception:
-                pass
         emit_plot_data(report, args.plot_dir)
         report.pop("plot_series", None)
     _write_report(report, args.out)

@@ -36,13 +36,12 @@ Array evaluators (``Piece.at``, ``StepFunction.at``, ``StepCumulative.at``)
 compute a whole array of points with numpy's logs and powers, which on an
 AVX-512 x86 host differ from the C library's in the last bit for about 5%
 of exp and pow values; so an array value may differ from the point value by
-a few ulp.  The segment rule ``quad_segments`` integrates every segment of
-a grid at once and gives ``quad``'s bits for the same node values;
-``quad_cells`` integrates cells at once by the graded rule (each cell in a
-variable x in (0, 1) whose map u = a + (b - a) x**2 (3 - 2 x) flattens an
-algebraic singularity at either end), halving in x, as arrays, the pieces
-the first stage leaves open.  Both run QUADPACK's first stage on arrays by
-``first_stage``.
+a few ulp.  The package's one array quadrature rule is the graded rule
+``quad_cells``: it integrates cells at once, each in a variable x in (0, 1)
+whose map u = a + (b - a) x**2 (3 - 2 x) flattens an algebraic singularity
+at either end, halving in x, as arrays, the pieces that QUADPACK's first
+Gauss-Kronrod stage (``first_stage``, on arrays) leaves open.  It agrees
+with ``quad`` to the quadrature's tolerance, not to the bit.
 """
 
 from __future__ import annotations
@@ -149,66 +148,64 @@ _XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452
         0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
         0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
         0.294392862701460198131126603103866, 0.148874338981631210884826001129720)
-_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-        0.123491976262065851077208422440823, 0.134709217311473325928054001771707,
-        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-        0.149445554002916905664936468389821)
-_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-       0.295524224714752870173892994651338)
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208422440823, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338])
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
 
 
-_GAUSS_FIRST = [1, 3, 5, 7, 9, 0, 2, 4, 6, 8]  # dqk21's order of the nodes
-_WGK_ROWS = np.array(_WGK)[:, None]
-_WG_ROWS = np.array(_WG)[:, None]
+def _weighted(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i w[i] rows[i].  By einsum, not @: BLAS allocates its work
+    buffers on its first call, which raised the peak resident memory of
+    the bench's constants workload, where nothing else calls BLAS, by
+    0.3 MB."""
+    return np.einsum("i,ij->j", w, rows)
 
 
 def first_stage(at, a: np.ndarray, b: np.ndarray):
-    """The first stage of QUADPACK's qagse on every segment (a[i], b[i])
-    at once: QUADPACK's 21-point Kronrod rule dqk21, as arrays (result,
-    abserr, resabs, resasc, finite), finite false where a node value is
-    not.  at is called once, on the 21 nodes of every segment.  Each sum
-    runs over the nodes in dqk21's order, by ``np.add.accumulate``
-    (strictly left to right), so a segment gets dqk21's bits for the same
-    node values.  The one Gauss-Kronrod stage of ``quad_segments`` and
-    ``quad_cells``."""
+    """QUADPACK's 21-point Kronrod rule dqk21 on every segment (a[i], b[i])
+    at once, the first stage of qagse: arrays (result, abserr, resabs,
+    resasc, finite), finite false where a node value is not.  at is called
+    once, on the 21 nodes of every segment, and may overwrite the array it
+    is given (``log_integrand``'s does).  The nodes, weights and error
+    formula are dqk21's; its sums are products with the weight vectors, so
+    a result agrees with dqk21's to rounding, not to the bit.  The one
+    Gauss-Kronrod stage of the graded rule ``quad_cells``."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = np.multiply.outer(_XGK, hlgth)
     nodes = np.concatenate([centr[None], centr - absc, centr + absc])
+    del absc  # the arrays of a pass are large: keep few alive
     fv = np.asarray(at(nodes.reshape(-1)), dtype=float).reshape(21, -1)
+    del nodes
     fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
     finite = np.isfinite(fv).all(axis=0)
-    wgk, first = _WGK_ROWS[:10], _GAUSS_FIRST
+    wgk, wc = _WGK[:10], _WGK[10]
     with np.errstate(all="ignore"):  # segments with non-finite nodes
-        resk0 = _WGK[10] * fc
-        fsum = (fv1 + fv2)[first]
-        resk = np.add.accumulate(np.concatenate(
-            [resk0[None], wgk[first] * fsum]))[-1]
-        resg = np.add.accumulate(np.concatenate(
-            [np.zeros((1, len(centr))), _WG_ROWS * fsum[:5]]))[-1]
-        resabs = np.add.accumulate(np.concatenate(
-            [np.abs(resk0)[None],
-             wgk[first] * (np.abs(fv1) + np.abs(fv2))[first]]))[-1]
+        fsum = fv1 + fv2
+        resk = wc * fc + _weighted(wgk, fsum)
+        resg = _weighted(_WG, fsum[1::2])  # the Gauss nodes
+        resabs = wc * np.abs(fc) + _weighted(wgk, np.abs(fv1) + np.abs(fv2))
         reskh = resk * 0.5
-        resasc = np.add.accumulate(np.concatenate(
-            [(_WGK[10] * np.abs(fc - reskh))[None],
-             wgk * (np.abs(fv1 - reskh) + np.abs(fv2 - reskh))]))[-1]
+        resasc = wc * np.abs(fc - reskh) + _weighted(
+            wgk, np.abs(fv1 - reskh) + np.abs(fv2 - reskh))
         result = resk * hlgth
         dhlgth = np.abs(hlgth)
-        resabs = resabs * dhlgth
-        resasc = resasc * dhlgth
+        resabs *= dhlgth
+        resasc *= dhlgth
         abserr = np.abs((resk - resg) * hlgth)
-        rel = 200.0 * abserr / resasc
-    scale = np.flatnonzero(finite & (resasc != 0.0) & (abserr != 0.0))
-    # Python's ** is the C library's pow, as QUADPACK's; numpy's may differ
-    # in the last bit
-    abserr[scale] = resasc[scale] * np.minimum(
-        1.0, [x ** 1.5 for x in rel[scale].tolist()])
+        scaled = resasc * np.minimum(1.0, (200.0 * abserr / resasc) ** 1.5)
+    abserr = np.where(finite & (resasc != 0.0) & (abserr != 0.0), scaled,
+                      abserr)
     big = resabs > _UFLOW / (50.0 * _EPMACH)
     abserr[big] = np.maximum((_EPMACH * 50.0) * resabs[big], abserr[big])
     return result, abserr, resabs, resasc, finite
@@ -222,43 +219,28 @@ def _passes(abserr, resasc, finite, errbnd) -> np.ndarray:
                      | (abserr == 0.0))
 
 
-def quad_segments(func, at, edges: np.ndarray) -> np.ndarray:
-    """integral of func over every segment (edges[i], edges[i+1]) of the
-    increasing finite array edges, where at(ts) gives func at every point
-    of an array ts.
-
-    The segment rule: ``first_stage`` runs qagse's first stage on all
-    segments at once.  A segment where qagse would stop there with ier = 0
-    (abserr within qagse's bound max(epsabs, epsrel |result|) at
-    ``quad``'s tolerances) takes the dqk21 result, which is the value
-    ``quad`` returns, bit for bit, whenever at gives func's values (numpy's
-    exp and pow may differ from the C library's by a few ulp, so an ``at``
-    built from them can move the value that much).  Every other segment,
-    and every one with a node value that is not finite, is integrated by
-    ``quad``, which flags it as it would any call."""
-    a, b = edges[:-1], edges[1:]
-    result, abserr, _, resasc, finite = first_stage(at, a, b)
-    accepted = _passes(abserr, resasc, finite,
-                       np.maximum(_TOL, _TOL * np.abs(result)))
-    for i in np.flatnonzero(~accepted):
-        result[i] = quad(func, float(a[i]), float(b[i]))[0]
-    return result
-
-
 def _grade(x, a, width):
-    """(u, du/dx) of the graded map of ``quad_cells`` for the cell
-    (a, a + width): u = a + width s(x), s(x) = x**2 (3 - 2 x), at a point
-    or an array x."""
-    return a + width * (x * x * (3.0 - 2.0 * x)), width * 6.0 * x * (1.0 - x)
+    """u = a + width s(x), s(x) = x**2 (3 - 2 x): the graded map of
+    ``quad_cells`` for the cell (a, a + width), at a point or an array x."""
+    return a + width * (x * x * (3.0 - 2.0 * x))
+
+
+def _grade_slope(x, width):
+    """du/dx of the graded map."""
+    return width * 6.0 * x * (1.0 - x)
 
 
 def _graded(at, a: np.ndarray, width: np.ndarray, cell: np.ndarray):
     """at(u) du/dx in the graded variable x, on ``first_stage``'s nodes of
     pieces of the cells cell (node-major, one column per piece)."""
+    a, width = a[cell], width[cell]
+
     def mapped(xs: np.ndarray) -> np.ndarray:
-        reps = len(xs) // len(cell)
-        u, du = _grade(xs, np.tile(a[cell], reps), np.tile(width[cell], reps))
-        return at(u) * du
+        x = xs.reshape(-1, len(cell))
+        fv = at(_grade(x, a, width).reshape(-1))
+        du = _grade_slope(x, width)  # after at: one array less at its peak
+        du *= fv.reshape(du.shape)
+        return du.reshape(-1)
     return mapped
 
 
@@ -266,8 +248,7 @@ def _graded_point(func, a: float, width: float):
     """func(u) du/dx in the graded variable x of the cell (a, a + width),
     at a point."""
     def mapped(x: float) -> float:
-        u, du = _grade(x, a, width)
-        return func(u) * du
+        return func(_grade(x, a, width)) * _grade_slope(x, width)
     return mapped
 
 
@@ -291,7 +272,11 @@ def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     quad's 300 subintervals, a piece with a node value that is not finite,
     one that halving cannot split and one whose error estimate is at the
     level of roundoff (where qagse flags ier 2) are integrated by ``quad``,
-    in x.  A cell of width 0 is 0."""
+    in x.  A cell of width 0 is 0.
+
+    The package's one array rule: sweeps, ``Cumulative.at`` and the outer
+    integrals of ``log_cells`` all go through it.  Its values agree with
+    ``quad``'s to the tolerance, with no bit contract."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
@@ -332,7 +317,8 @@ def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def log_integrand(fn, at=None):
     """(g, g_at): the integrand of ``log_quad`` in u = log t,
     g(u) = fn(e**u) e**u, and the same on an array of u by at (fn on an
-    array of t).  Where e**u under- or overflows, or fn fails or is not
+    array of t); g_at computes in the array of u it is given, which it
+    overwrites.  Where e**u under- or overflows, or fn fails or is not
     finite there, the integrand reads 0: quad samples u far beyond the
     range where the (convergent) integrand matters."""
     def g(u: float) -> float:
@@ -349,12 +335,15 @@ def log_integrand(fn, at=None):
         return v if math.isfinite(v) else 0.0
 
     def g_at(us: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(us))
         with np.errstate(all="ignore"):
-            ts = np.exp(us)
-            ok = np.flatnonzero((ts > 0.0) & (ts < math.inf))
-            v = at(ts[ok]) * ts[ok]
-        out[ok] = np.where(np.isfinite(v), v, 0.0)
+            ts = np.exp(us, out=us)
+            ok = (ts > 0.0) & (ts < math.inf)
+            if ok.all():
+                out = np.multiply(at(ts), ts, out=ts)
+            else:
+                out = np.zeros(len(us))
+                out[ok] = at(ts[ok]) * ts[ok]
+        out[~np.isfinite(out)] = 0.0
         return out
 
     return g, g_at

@@ -14,22 +14,20 @@ sups) are made from the exponents symbolically, by the end rule of
 performed in exp-substituted coordinates so endpoint singularities are
 integrated accurately.
 
-Beside fn, every SymFunc holds an array evaluator ``at``: at(ts) is f at
-every point of a 1-d float array ts, computed with numpy over the whole
-array (a SymFunc built from a bare callable samples point by point).
-Sweeps and scans use it: ``anchored`` re-anchors a quadrature cumulative
-at a grid in one sweep, its grid segments integrated by
-``pieces.quad_segments``; ``tabulated`` is ``anchored`` plus log-log
-interpolation between the grid values; and ``sup`` and
-``running_sup_from`` scan with it.  at may differ from fn by a few ulp,
-because numpy's exp and pow are not the C library's (on an AVX-512 x86
-host about 5% of exp and of pow values of 200k random points differ in the
-last bit); inf, 0 and nan fall where fn's float arithmetic puts them.  The
-segment rule itself gives ``quad``'s bits for the same node values.  A
-quadrature cumulative's ``Cumulative.at`` integrates the pieces between
-sorted points at once (by the graded rule of ``pieces.quad_cells``), so it
-agrees with the point values to the quadrature's tolerance, not to the
-ulp; at its anchors it reads their values.
+Beside fn, every SymFunc holds an array evaluator ``at`` (a required
+argument): at(ts) is f at every point of a 1-d float array ts, computed
+with numpy over the whole array.  Sweeps and scans use it: ``anchored``
+re-anchors a quadrature cumulative at a grid in one sweep;
+``tabulated`` is ``anchored`` plus log-log interpolation between the grid
+values; and ``sup`` and ``running_sup_from`` scan with it.  at may differ
+from fn by a few ulp, because numpy's exp and pow are not the C library's
+(on an AVX-512 x86 host about 5% of exp and of pow values of 200k random
+points differ in the last bit); inf, 0 and nan fall where fn's float
+arithmetic puts them.  A quadrature cumulative's ``Cumulative.at`` and
+``Cumulative.sweep`` integrate the pieces between sorted points at once,
+in log coordinates, by the graded rule of ``pieces.quad_cells``, so they
+agree with the point values to the quadrature's tolerance, not to the
+ulp; at its anchors ``at`` reads their values.
 
 Every SymFunc also carries its kinks: the sorted points where it is not
 smooth between its knots, the grid of a ``tabulated`` factor and the
@@ -60,11 +58,6 @@ from .extreal import ExtReal
 from .pieces import (Divergence, StepFunction, Exponent, as_exp,
                      end_integrable, end_integral, end_limit, end_quad,
                      log_quad, scan_grid, scan_max)
-
-
-def _pointwise(fn: Callable[[float], float]):
-    """fn extended to a 1-d array, point by point."""
-    return lambda ts: np.array([fn(float(t)) for t in ts], dtype=float)
 
 
 _NO_KINKS = np.empty(0)
@@ -165,12 +158,11 @@ class SymFunc:
     __slots__ = ("fn", "at", "head", "tail", "knots", "step", "kinks")
 
     def __init__(self, fn: Callable[[float], float], head: Asym, tail: Asym,
-                 knots: Sequence[float] = (), step=None, at=None,
+                 knots: Sequence[float] = (), step=None, *,
+                 at: Callable[[np.ndarray], np.ndarray],
                  kinks: np.ndarray = _NO_KINKS):
         self.fn = fn
-        # f on a 1-d array (see the module docstring); point by point
-        # where the constructor gives none
-        self.at = _pointwise(fn) if at is None else at
+        self.at = at  # f on a 1-d array (see the module docstring)
         self.head = head
         self.tail = tail
         self.knots = tuple(sorted({float(k) for k in knots
@@ -343,8 +335,8 @@ class SymFunc:
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
                 lv = np.interp(np.log(ts), logt, logv)
-                out = np.exp(lv)
-            rest = (ts <= lo) | (ts >= hi) | ~np.isfinite(lv)
+                rest = (ts <= lo) | (ts >= hi) | ~np.isfinite(lv)
+                out = np.exp(lv, out=lv)  # in place, once rest has read lv
             if rest.any():
                 out[rest] = f_at(ts[rest])
             return out
@@ -592,18 +584,19 @@ class Cumulative:
         """The values at the increasing grid ts, and this cumulative
         anchored at the grid (and the anchors inside it) instead.  The grid
         is split at those anchors; the segments between consecutive points
-        are integrated by the segment rule ``pieces.quad_segments`` (each
-        one's ``quad`` where the rule does not accept it) and summed from
-        the point value at the grid's end on the fixed side toward the
-        other end."""
+        are integrated in log coordinates, all in one pass of the graded
+        rule ``pieces.quad_cells``, as ``at`` integrates its pieces, and
+        summed from the point value at the grid's end on the fixed side
+        toward the other end."""
         if self.recip:
             vals, cum = self.reciprocal().sweep(1.0 / ts[::-1])
             return vals[::-1], cum.reciprocal()
         x0, x1 = float(ts[0]), float(ts[-1])
         edges = sorted(set(ts.tolist()).union(
             k for k in self.anchors if x0 < k < x1))
-        parts = pieces.quad_segments(self.fn, self.fn_at,
-                                     np.array(edges)).tolist()
+        us = np.log(edges)
+        g, g_at = pieces.log_integrand(self.fn, self.fn_at)
+        parts = pieces.quad_cells(g, g_at, us[:-1], us[1:]).tolist()
         if self.from_left:
             run = list(itertools.accumulate(parts, initial=self._value(x0)))
         else:

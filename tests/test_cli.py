@@ -1,10 +1,14 @@
 import csv
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
+from fourierineq import cli
 from fourierineq.cli import main
+from fourierineq.criteria import ExponentConfig, U_func, xi_func
+from fourierineq.weights import WeightSpec
 
 
 def run(capsys, *args):
@@ -69,6 +73,36 @@ def test_criteria_out_and_plots(tmp_path, capsys):
     j = strict_json(out_file.read_text())
     assert j["regime"] == "III"
     assert (plot_dir / "xi_over_U.csv").exists()
+
+
+def test_criteria_plot_rows_are_xi_over_U(tmp_path, capsys):
+    plot_dir = tmp_path / "plots"
+    code, _ = run(capsys, "criteria", "--u", "ind(1)", "--v", "pow(1/4)",
+                  "--p", "3", "--q", "1/2", "--plot-dir", str(plot_dir))
+    assert code == 0
+    with open(plot_dir / "xi_over_U.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["t", "xi_over_U"]
+    cfg = ExponentConfig(3, Fraction(1, 2))
+    U = U_func(WeightSpec.indicator(1.0), cfg)
+    xi = xi_func(WeightSpec.indicator(1.0), cfg)
+    assert len(rows) == 201
+    for t, ratio in rows[1:]:
+        t = float(t)
+        assert float(ratio) == pytest.approx(xi(t) / U(t), rel=1e-12, abs=0.0)
+
+
+def test_criteria_plot_error_is_not_swallowed(tmp_path, capsys, monkeypatch):
+    # only a certified divergence of U or of xi's tail skips the profile;
+    # any other fault is an internal error
+    def broken(u, cfg):
+        raise RuntimeError("broken xi")
+
+    monkeypatch.setattr(cli, "xi_func", broken)
+    code = main(["criteria", "--u", "ind(1)", "--v", "pow(1/4)", "--p", "3",
+                 "--q", "1/2", "--plot-dir", str(tmp_path / "plots")])
+    assert code == 1
+    assert "RuntimeError: broken xi" in capsys.readouterr().err
 
 
 def test_hardy_cli(capsys):

@@ -440,78 +440,43 @@ def test_quad_lets_an_integrand_error_through():
 
 
 # ---------------------------------------------------------------------------
-# the segment rule: qagse's first stage on every segment of a grid at once
+# the first stage: dqk21 on every segment of an array at once
 # ---------------------------------------------------------------------------
 
 
-def _pointwise(f):
-    """at(ts) from f, one point at a time: the same node values quad sees."""
-    return lambda ts: np.array([f(float(t)) for t in ts])
-
-
-def _segment_integrands(rng):
-    """Seeded smooth, kinked and power-law integrands."""
-    for _ in range(12):
+def _stage_integrands(rng):
+    """Seeded smooth and power-log integrands."""
+    for _ in range(10):
         c, k = rng.uniform(0.1, 3.0), rng.uniform(0.2, 5.0)
-        knot, a = rng.uniform(0.5, 20.0), rng.uniform(-2.5, 2.5)
+        a, b = rng.uniform(-2.5, 2.5), rng.uniform(-2.0, 2.0)
         yield lambda t, c=c, k=k: c * math.exp(-k * t) * math.cos(t) ** 2
-        yield lambda t, c=c, knot=knot: c * abs(t - knot) ** 0.5 + 1.0
-        yield lambda t, c=c, a=a: c * t ** a * math.log(math.e + t) ** 0.5
+        yield lambda t, c=c, a=a, b=b: c * t ** a * math.log(math.e + t) ** b
 
 
-def test_segment_rule_returns_quads_bits(monkeypatch):
-    rng = np.random.default_rng(20)
-    accepted = total = 0
-    for f in _segment_integrands(rng):
-        edges = np.unique(np.geomspace(rng.uniform(1e-6, 1.0),
-                                       rng.uniform(2.0, 1e6),
-                                       int(rng.integers(20, 200))))
-        want = [quad(f, a, b)[0] for a, b in zip(edges, edges[1:])]
-        sent = []
+def test_first_stage_is_quadpacks_first_stage():
+    import scipy.integrate
 
-        def recorded(func, a, b):
-            sent.append((a, b))
-            return quad(func, a, b)
-
-        with monkeypatch.context() as mp:
-            mp.setattr(pieces, "quad", recorded)
-            got = pieces.quad_segments(f, _pointwise(f), edges)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
-        total += len(want)
-        accepted += len(want) - len(sent)
-    # most segments of a fine grid pass the first stage; the rest are
-    # integrated by quad
-    assert 0.5 * total < accepted < total
-
-
-def test_segment_rule_sends_the_rest_to_quad(monkeypatch):
-    # (0, 2 pi): sin's cancellation makes qagse flag roundoff (ier 2) at
-    # its first stage; (2 pi, 3 pi): the node value at the centre is inf;
-    # (3 pi, 4 pi): a kink the 21-point estimate does not resolve to the
-    # tolerance; (4 pi, 5 pi) is smooth and accepted
-    edges = np.array([0.0, 2.0, 3.0, 4.0, 5.0]) * math.pi
-    centre = 0.5 * (edges[1] + edges[2])
-
-    def f(t):
-        if t < edges[1]:
-            return 1e8 * math.sin(t)
-        if t < edges[2]:
-            return math.inf if t == centre else 1.0
-        return abs(t - 3.3 * math.pi) ** 0.5
-
-    sent = []
-
-    def recorded(func, a, b):
-        sent.append((a, b))
-        return quad(func, a, b)
-
-    pieces.QUAD_FLAGS.clear()
-    monkeypatch.setattr(pieces, "quad", recorded)
-    got = pieces.quad_segments(f, _pointwise(f), edges)
-    segs = list(zip(edges.tolist(), edges[1:].tolist()))
-    assert sent == segs[:3]
-    assert pieces.QUAD_FLAGS[2] == 1
-    assert [x.hex() for x in got] == [quad(f, a, b)[0].hex() for a, b in segs]
+    # scipy's quad with limit=1 returns qagse's first stage: dqk21's result
+    # and error estimate on the whole range.  The node values are the same
+    # (f point by point), so only the order of the sums differs: the error
+    # estimate, a 1.5 power of a cancelling difference of two sums, moves
+    # by up to 2e-4 relative with the last bit of a sum
+    rng = np.random.default_rng(21)
+    for f in _stage_integrands(rng):
+        a = rng.uniform(1e-3, 10.0, 10)
+        b = a * rng.uniform(1.01, 100.0, 10)
+        result, abserr, _, _, finite = pieces.first_stage(
+            lambda ts: np.array([f(float(t)) for t in ts]), a, b)
+        assert finite.all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore",
+                                  scipy.integrate.IntegrationWarning)
+            want = [scipy.integrate.quad(f, x, y, limit=1)
+                    for x, y in zip(a.tolist(), b.tolist())]
+        np.testing.assert_allclose(result, [w[0] for w in want],
+                                   rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(abserr, [w[1] for w in want],
+                                   rtol=1e-3, atol=0.0)
 
 
 def _stage_count(monkeypatch) -> list:

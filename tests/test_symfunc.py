@@ -224,7 +224,8 @@ def test_log_power_tail_beyond_exp_overflow():
 def test_log_power_head_beyond_exp_underflow():
     # the same integrals mirrored by t -> 1/t: a head t**-1 log(1/t)**-3/2
     f = SymFunc(lambda t: 1.0 / (t * math.log(math.e + 1.0 / t) ** 1.5),
-                Asym(1.0, -1, Fraction(-3, 2)), Asym(1.0, -1, 0), (1.0,))
+                Asym(1.0, -1, Fraction(-3, 2)), Asym(1.0, -1, 0), (1.0,),
+                at=lambda ts: 1.0 / (ts * np.log(math.e + 1.0 / ts) ** 1.5))
     U = f.antiderivative()
     assert U(1.0) == pytest.approx(LOG_END_T1, rel=1e-10)
     assert U(0.1) == pytest.approx(LOG_END_T10, rel=1e-10)
@@ -257,8 +258,8 @@ PINNED = {
     "V": (Fraction(1, 4), Fraction(3, 2), Fraction(1, 2), 1.3865871452054561),
 }
 # integrand evaluations of one evaluate(), scalar ones through pieces.quad
-# plus array nodes through pieces.first_stage (the sweeps' segment rule and
-# the cells of the outer integrals and of Cumulative.at); tabulating the
+# plus array nodes through pieces.first_stage (the graded cells of the
+# sweeps, of the outer integrals and of Cumulative.at); tabulating the
 # cumulatives point by point costs 2.73M (III) and 2.22M (V), the segment
 # rule with one log_quad over each outer head 129k and 58k, the outer
 # integrals cell by cell 171k and 113k, and graded cells 155k and 100k
@@ -269,7 +270,8 @@ EVAL_BUDGET = {"III": 162_000, "V": 105_000}
 STAGE_BUDGET = {"III": 15, "IV": 7, "V": 12}
 # the scalar ones alone: 129k (III) and 58k (V) with one quad per sweep
 # segment, 43k and 15k once the segment rule accepts most segments, 3.3k and
-# 0.9k once the outer integrals run cell by cell
+# 0.9k once the outer integrals run cell by cell, 3.1k and 0.8k once the
+# sweeps run through graded cells
 SCALAR_BUDGET = {"III": 5_000, "V": 1_500}
 # nonzero QUADPACK flags of one evaluate(), by ier: none since the outer
 # integrals run cell by cell (one log_quad over each head flagged roundoff,
