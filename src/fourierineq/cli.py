@@ -7,11 +7,18 @@ numeric fields).  Exit codes: 0 success, 2 input/precondition error,
 
 Exponents are accepted as integers, decimals, fractions like ``4/3``, or
 ``inf``, and are kept exact through regime classification.
+
+Every check of the textual input (weights, exponents, dimensions, --N,
+--L, --suite) runs in stdlib-only code; only then does a subcommand import
+the modules it computes with, so malformed input exits 2 before numpy
+loads.  The compute modules are used by module name (``criteria.evaluate``),
+so a test can patch them.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -19,18 +26,8 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .criteria import ExponentConfig, U_func, dual_config, evaluate, xi_func
+from .exponents import ExponentConfig, is_inf, parse_exp
 from .extreal import ExtReal, json_float
-from .extremal import (best_random_ratio, bracket_constant, dft,
-                       random_band_limited, weighted_norm)
-from .hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE, TAIL_INTEGRAL,
-                    HardyProblem, brute_force_K, hardy_K)
-from .norms import (SequenceData, bochkarev_norm, dyadic_block_norms,
-                    expL_pair, gamma_norm, morrey_optimal_norm,
-                    optimal_Y_norm, theta_norm)
-from .pieces import Divergence, StepFunction, is_inf, parse_exp
 from .weights import NONDECREASING, NONINCREASING, WeightSpec, parse_weight
 
 
@@ -38,11 +35,19 @@ class InputError(Exception):
     """A violated precondition or malformed input (exit code 2)."""
 
 
-def _weight(text: str, direction: str, d: int | None = None) -> WeightSpec:
+@contextlib.contextmanager
+def _malformed():
+    """A ValueError inside, or an OSError reading an input file, is
+    malformed input."""
     try:
-        return parse_weight(text, direction, d)
-    except ValueError as exc:
+        yield
+    except (ValueError, OSError) as exc:
         raise InputError(str(exc)) from exc
+
+
+def _weight(text: str, direction: str, d: int | None = None) -> WeightSpec:
+    with _malformed():
+        return parse_weight(text, direction, d)
 
 
 def _problem(args) -> tuple[WeightSpec, WeightSpec, int]:
@@ -59,10 +64,8 @@ def _problem(args) -> tuple[WeightSpec, WeightSpec, int]:
 
 
 def _config(args, d: int) -> ExponentConfig:
-    try:
+    with _malformed():
         return ExponentConfig(parse_exp(args.p), parse_exp(args.q), d)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 def _write_report(report: dict, out: str | None) -> None:
@@ -97,15 +100,17 @@ def emit_plot_data(report: dict, outdir: str) -> list[str]:
 def cmd_criteria(args) -> int:
     u, v, d = _problem(args)
     cfg = _config(args, d)
-    report = evaluate(u, v, cfg).to_json()
+    from . import criteria, pieces
+    report = criteria.evaluate(u, v, cfg).to_json()
     if args.plot_dir:
         # xi(t)/U(t) profile when the correction weight exists (q < 2)
         # and U and the tail in xi are finite
         if not is_inf(cfg.q) and cfg.q < 2:
+            import numpy as np
             try:
-                U = U_func(u, cfg)
-                xi = xi_func(u, cfg)
-            except Divergence:
+                U = criteria.U_func(u, cfg)
+                xi = criteria.xi_func(u, cfg)
+            except pieces.Divergence:
                 pass
             else:
                 ts = np.geomspace(1e-4, 1e4, 200)
@@ -120,92 +125,112 @@ def cmd_criteria(args) -> int:
 
 
 def cmd_hardy(args) -> int:
-    try:
+    with _malformed():
         pp = parse_exp(args.p)
         qq = parse_exp(args.q)
         if args.kind == "head_sum":
-            useq = np.array([float(x) for x in args.u.split(",")])
-            vseq = np.array([float(x) for x in args.v.split(",")])
-            prob = HardyProblem(HEAD_SUM, pp, qq, u_seq=useq, v_seq=vseq)
-        elif args.kind == "reverse":
-            w = _weight(args.u, NONINCREASING).profile()
-            nu = StepFunction.power(1.0, -1)  # nu(t) = t
-            prob = HardyProblem(REVERSE, pp, qq, w=w, nu=nu)
+            useq = [float(x) for x in args.u.split(",")]
+            vseq = [float(x) for x in args.v.split(",")]
         else:
-            kind = HEAD_INTEGRAL if args.kind == "head_integral" \
-                else TAIL_INTEGRAL
-            uw = _weight(args.u, NONINCREASING).profile()
-            vw = _weight(args.v, NONDECREASING).profile()
-            prob = HardyProblem(kind, pp, qq, u_w=uw, v_w=vw)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    K = hardy_K(prob)
+            uw = _weight(args.u, NONINCREASING)
+            if args.kind != "reverse":
+                vw = _weight(args.v, NONDECREASING)
+    import numpy as np
+    from . import hardy, pieces
+    with _malformed():
+        if args.kind == "head_sum":
+            prob = hardy.HardyProblem(hardy.HEAD_SUM, pp, qq,
+                                      u_seq=np.array(useq),
+                                      v_seq=np.array(vseq))
+        elif args.kind == "reverse":
+            nu = pieces.StepFunction.power(1.0, -1)  # nu(t) = t
+            prob = hardy.HardyProblem(hardy.REVERSE, pp, qq,
+                                      w=uw.profile(), nu=nu)
+        else:
+            kind = (hardy.HEAD_INTEGRAL if args.kind == "head_integral"
+                    else hardy.TAIL_INTEGRAL)
+            prob = hardy.HardyProblem(kind, pp, qq, u_w=uw.profile(),
+                                      v_w=vw.profile())
+    K = hardy.hardy_K(prob)
     report = {"kind": args.kind, "p": args.p, "q": args.q,
               "K": K.to_json()}
     if args.oracle:
         rng = np.random.default_rng(args.seed)
-        report["oracle_lower_bound"] = brute_force_K(prob, rng)
+        report["oracle_lower_bound"] = hardy.brute_force_K(prob, rng)
     _write_report(report, args.out)
     return 0
 
 
+# the input flags each kind of norm requires
+NORM_INPUTS = {"optimalY": ("f", "u"), "morrey": ("f", "shape"),
+               "expL": ("f",), "theta": ("seq",), "gamma": ("seq",),
+               "bochkarev": ("seq",), "blocks": ("seq",)}
+
+
 def cmd_norms(args) -> int:
     kind = args.kind
-    try:
-        if kind in ("theta", "gamma", "bochkarev", "blocks"):
-            if args.seq is None:
-                raise InputError(f"--seq is required for kind {kind}")
-            seq = SequenceData.from_csv(args.seq)
-            e = parse_exp(args.exponent)
+    for flag in NORM_INPUTS[kind]:
+        if getattr(args, flag) is None:
+            raise InputError(f"--{flag} is required for kind {kind}")
+    sequence = NORM_INPUTS[kind] == ("seq",)
+    if not sequence and args.d < 1:
+        raise InputError(f"--d must be a positive integer, got {args.d}")
+    with _malformed():
+        e = parse_exp(args.exponent) if kind != "expL" else None
+    if kind == "optimalY":
+        u = _weight(args.u, NONINCREASING, args.d)
+    elif kind == "morrey":
+        shape = _weight(args.shape, NONINCREASING, args.d)
+    from . import norms, pieces
+    with _malformed():
+        if sequence:
+            seq = norms.SequenceData.from_csv(args.seq)
             if kind == "theta":
-                value = theta_norm(seq, e).to_json()
+                value = norms.theta_norm(seq, e).to_json()
             elif kind == "gamma":
-                value = gamma_norm(seq, e).to_json()
+                value = norms.gamma_norm(seq, e).to_json()
             elif kind == "bochkarev":
-                value = ExtReal.finite(bochkarev_norm(seq, e)).to_json()
+                value = ExtReal.finite(norms.bochkarev_norm(seq, e)).to_json()
             else:
                 value = ExtReal.finite(
-                    dyadic_block_norms(seq, e)).to_json()
-        elif kind == "optimalY":
-            if args.f is None:
-                raise InputError("--f is required for kind optimalY")
-            f = StepFunction.from_csv(args.f)
-            u = _weight(args.u, NONINCREASING, args.d)
-            value = optimal_Y_norm(f, u, parse_exp(args.exponent)).to_json()
-        elif kind == "morrey":
-            if args.f is None:
-                raise InputError("--f is required for kind morrey")
-            f = StepFunction.from_csv(args.f)
-            shape = _weight(args.shape, NONINCREASING, args.d).profile()
-            value = morrey_optimal_norm(f, parse_exp(args.exponent), shape,
-                                        args.d).to_json()
-        else:  # expL
-            if args.f is None:
-                raise InputError("--f is required for kind expL")
-            f = StepFunction.from_csv(args.f)
-            left, right = expL_pair(f, args.d)
-            value = {"expL": left.to_json(), "head_average": right.to_json()}
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+                    norms.dyadic_block_norms(seq, e)).to_json()
+        else:
+            f = pieces.StepFunction.from_csv(args.f)
+            if kind == "optimalY":
+                value = norms.optimal_Y_norm(f, u, e).to_json()
+            elif kind == "morrey":
+                value = norms.morrey_optimal_norm(f, e, shape.profile(),
+                                                  args.d).to_json()
+            else:  # expL
+                left, right = norms.expL_pair(f, args.d)
+                value = {"expL": left.to_json(),
+                         "head_average": right.to_json()}
     _write_report({"kind": kind, "value": value}, args.out)
     return 0
 
 
 def cmd_estimate(args) -> int:
-    if args.N < 2 or args.N & (args.N - 1):
-        raise InputError(f"--N must be a power of two, got {args.N}")
+    # a bracket at N and its random witness at N/2 both need >= 2 samples
+    if args.N < 4 or args.N & (args.N - 1):
+        raise InputError(f"--N must be a power of two, at least 4, got "
+                         f"{args.N}")
+    if not 0.0 < args.L < math.inf:
+        raise InputError(f"--L must be positive and finite, got {args.L}")
     u, v, d = _problem(args)
     cfg = _config(args, d)
+    import numpy as np
+    from . import extremal
     rng = np.random.default_rng(args.seed)
-    br = bracket_constant(u, v, cfg, rng, N=args.N, L=args.L,
-                          n_random=args.budget)
+    br = extremal.bracket_constant(u, v, cfg, rng, N=args.N, L=args.L,
+                                   n_random=args.budget)
     report = br.to_json()
     if br.lower is None:  # no one-dimensional witness is a bound here
         _write_report(report, args.out)
         return 0
     # resolution-sensitivity delta: best random-signal ratio at N vs N/2
-    half = best_random_ratio(u, v, cfg, np.random.default_rng(args.seed),
-                             args.N // 2, args.L, max(2, args.budget // 2))
+    half = extremal.best_random_ratio(
+        u, v, cfg, np.random.default_rng(args.seed), args.N // 2, args.L,
+        max(2, args.budget // 2))
     report["half_resolution_lower"] = json_float(half)
     if args.plot_dir:
         report["plot_series"] = {
@@ -220,23 +245,24 @@ def cmd_estimate(args) -> int:
 
 def cmd_sweep(args) -> int:
     u, v, d = _problem(args)
-    try:
+    with _malformed():
         ps = [(t.strip(), parse_exp(t)) for t in args.p_list.split(",")]
         qs = [(t.strip(), parse_exp(t)) for t in args.q_list.split(",")]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    rows = []
+    cells = []
     for ptxt, p in ps:
         for qtxt, q in qs:
             try:
-                cfg = ExponentConfig(p, q, d)
+                cells.append((ptxt, qtxt, ExponentConfig(p, q, d)))
             except ValueError:
                 continue
-            rep = evaluate(u, v, cfg)
-            g = rep.governing
-            rows.append([ptxt, qtxt, rep.regime,
-                         g.state, "" if not g.is_finite else g.value,
-                         rep.holds])
+    from . import criteria
+    rows = []
+    for ptxt, qtxt, cfg in cells:
+        rep = criteria.evaluate(u, v, cfg)
+        g = rep.governing
+        rows.append([ptxt, qtxt, rep.regime,
+                     g.state, "" if not g.is_finite else g.value,
+                     rep.holds])
     out = args.out or "sweep.csv"
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -254,38 +280,44 @@ def cmd_verify(args) -> int:
     if not chosen <= suites:
         raise InputError(f"unknown suite {args.suite!r}; "
                          f"choose from {sorted(suites)} or 'all'")
-    rng = np.random.default_rng(args.seed)
-    one_u = WeightSpec.one(NONINCREASING)
-    one_v = WeightSpec.one(NONDECREASING)
     if "plancherel" in chosen:
-        rep = evaluate(one_u, one_v, ExponentConfig(2, 2))
+        from . import criteria
+        one_u = WeightSpec.one(NONINCREASING)
+        one_v = WeightSpec.one(NONDECREASING)
+        rep = criteria.evaluate(one_u, one_v, ExponentConfig(2, 2))
         ok = rep.governing.is_finite and abs(rep.governing.value - 1) < 1e-9
         print(f"plancherel: C = {rep.governing.value} "
               f"{'ok' if ok else 'FAIL'}")
         if not ok:
             failures.append("plancherel")
     if "fourier" in chosen:
+        import numpy as np
+        from . import extremal
+        rng = np.random.default_rng(args.seed)
         bad = 0
         for _ in range(20):
-            f = random_band_limited(rng)
-            F = dft(f)
-            if weighted_norm(F, math.inf) > weighted_norm(f, 1) + 1e-9:
+            f = extremal.random_band_limited(rng)
+            F = extremal.dft(f)
+            if (extremal.weighted_norm(F, math.inf)
+                    > extremal.weighted_norm(f, 1) + 1e-9):
                 bad += 1
-            if abs(weighted_norm(F, 2) / weighted_norm(f, 2) - 1) > 1e-6:
+            if abs(extremal.weighted_norm(F, 2)
+                   / extremal.weighted_norm(f, 2) - 1) > 1e-6:
                 bad += 1
         print(f"fourier: {bad} violations on 20 signals")
         if bad:
             failures.append("fourier")
     if "duality" in chosen:
+        from . import criteria
         bad = 0
         for (p, q) in [(2, 2), (Fraction(4, 3), 2), (2, 4), (3, 2),
                        (4, 3)]:
             cfg = ExponentConfig(p, q)
             u = WeightSpec.power(Fraction(1, 8))
             v = WeightSpec.power(Fraction(1, 8), NONDECREASING)
-            du, dv, dcfg = dual_config(u, v, cfg)
-            if (evaluate(u, v, cfg).governing.is_finite
-                    != evaluate(du, dv, dcfg).governing.is_finite):
+            du, dv, dcfg = criteria.dual_config(u, v, cfg)
+            if (criteria.evaluate(u, v, cfg).governing.is_finite
+                    != criteria.evaluate(du, dv, dcfg).governing.is_finite):
                 bad += 1
         print(f"duality: {bad} finiteness mismatches on 5 configs")
         if bad:
@@ -345,8 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pn = sub.add_parser("norms", help="optimal-space and sequence norms")
     pn.add_argument("--kind", required=True,
-                    choices=["optimalY", "morrey", "expL", "theta", "gamma",
-                             "bochkarev", "blocks"])
+                    choices=list(NORM_INPUTS))
     pn.add_argument("--seq", help="CSV of rows n,value (sequence kinds)")
     pn.add_argument("--f", help="step-function CSV (function kinds)")
     pn.add_argument("--u", help="weight DSL (optimalY)")

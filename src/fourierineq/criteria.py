@@ -24,10 +24,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+# ExponentConfig and conjugate keep their import path criteria.<name>
+from .exponents import Exponent, ExponentConfig, conjugate, is_inf
 from .extreal import ExtReal
 from .hardy import integral_form, sup_form
-from .pieces import (Exponent, as_exp, conjugate, end_quad, is_inf, quad,
-                     sharp)
+from .pieces import end_quad, quad
 from .rearrange import circ_profile, lower_star
 from .symfunc import Divergence, SymFunc, guarded
 from .weights import WeightSpec, NONINCREASING, NONDECREASING, recip
@@ -39,62 +40,6 @@ REGIME_II = "II"
 REGIME_III = "III"
 REGIME_IV = "IV"
 REGIME_V = "V"
-
-
-@dataclass(frozen=True)
-class ExponentConfig:
-    """Exponent pair (p, q) with ambient dimension d.
-
-    Exponents are exact rationals (or inf); regime boundaries are decided
-    exactly.  Requires p >= 1 and q > 0.
-    """
-
-    p: Exponent
-    q: Exponent
-    d: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", as_exp(self.p))
-        object.__setattr__(self, "q", as_exp(self.q))
-        if not is_inf(self.p) and self.p < 1:
-            raise ValueError("p < 1 is not supported")
-        if not is_inf(self.q) and self.q <= 0:
-            raise ValueError("q must be positive")
-        if self.d < 1:
-            raise ValueError("d must be a positive integer")
-
-    # -- derived exponents ----------------------------------------------
-    @property
-    def p_prime(self) -> Exponent:
-        return conjugate(self.p)
-
-    @property
-    def q_prime(self) -> Exponent:
-        if not is_inf(self.q) and self.q < 1:
-            raise ValueError("conjugate undefined for q < 1")
-        return conjugate(self.q)
-
-    @property
-    def r(self) -> Exponent:
-        """1/r = 1/q - 1/p, defined for q < p."""
-        if is_inf(self.q) or (not is_inf(self.p) and self.q >= self.p):
-            raise ValueError("r is defined only for q < p")
-        if is_inf(self.p):
-            return self.q
-        return 1 / (1 / self.q - 1 / self.p)
-
-    @property
-    def q_sharp(self) -> Exponent:
-        """1/q# = |1/2 - 1/q|; infinite exactly at q = 2."""
-        return sharp(self.q)
-
-    @property
-    def p_sharp(self) -> Exponent:
-        return sharp(self.p)
-
-    def to_json(self) -> dict[str, Any]:
-        fmt = lambda x: "inf" if is_inf(x) else str(x)
-        return {"p": fmt(self.p), "q": fmt(self.q), "d": self.d}
 
 
 def classify(cfg: ExponentConfig) -> str:

@@ -32,10 +32,11 @@ from typing import Optional
 
 import numpy as np
 
-from .criteria import (C3, ExponentConfig, CriterionReport, U_func, W_func,
-                       evaluate, REGIME_DEG_QINF)
+from .criteria import (C3, CriterionReport, U_func, W_func, evaluate,
+                       REGIME_DEG_QINF)
+from .exponents import ExponentConfig, is_inf
 from .extreal import ExtReal, json_float
-from .pieces import StepFunction, is_inf
+from .pieces import StepFunction
 from .rearrange import circ_profile
 from .symfunc import guarded
 from .weights import WeightSpec

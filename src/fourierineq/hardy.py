@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
+from .exponents import Exponent, as_exp, conjugate, is_inf
 from .extreal import ExtReal
-from .pieces import Exponent, StepFunction, as_exp, conjugate, is_inf
+from .pieces import StepFunction
 from .symfunc import SymFunc, guarded
 
 HEAD_SUM = "head_sum"

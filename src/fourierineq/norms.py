@@ -27,10 +27,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calderon import inner_average, phi_fn
-from .criteria import (ExponentConfig, qsharp_tail_finite, ustar_sym,
-                       w_inner_weight)
+from .criteria import qsharp_tail_finite, ustar_sym, w_inner_weight
+from .exponents import ExponentConfig, as_exp, is_inf, sharp
 from .extreal import ExtReal
-from .pieces import StepFunction, as_exp, is_inf, log_quad, quad, sharp
+from .pieces import StepFunction, log_quad, quad
 from .rearrange import star
 from .symfunc import Asym, Divergence, SymFunc, guarded
 from .weights import WeightSpec

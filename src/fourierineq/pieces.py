@@ -13,14 +13,10 @@ offset = 0.  The shift parameter exists because the family
 {offset + c*(t-shift)**a} is closed under the monotone inversion used to
 compute rearrangements exactly.
 
-The exponent rule: every exponent slot (Piece, TailSpec, WeightSpec, Asym,
-ExponentConfig) is normalized at construction by ``as_exp`` and holds a
-Fraction (ExponentConfig's p and q may also be math.inf).  An int becomes a
-Fraction, a string goes through ``parse_exp``, and a finite float becomes
-the simplest fraction with denominator at most 10**12 that converts back to
-exactly that float, or else its exact binary value.  Exponent arithmetic and
-every finiteness or limit decision (comparisons against -1 and 0) are
-therefore exact; exponents become floats only to evaluate powers.
+The exponent rule (every exponent slot holds a Fraction, or math.inf), its
+parser and the exponent helpers live in ``exponents``; ``as_exp`` and
+``parse_exp`` are imported here and keep their names ``pieces.as_exp`` and
+``pieces.parse_exp``.
 
 The end rule decides, by one formula at both ends of (0, inf), whether a
 term c * t**a * L**b (L = log(1/t) at 0, log(t) at inf) is integrable there,
@@ -56,13 +52,12 @@ import os
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
+from .exponents import Exponent, as_exp, parse_exp
 from .extreal import ExtReal
-
-Exponent = Union[Fraction, float]  # a float exponent is math.inf
 
 _E = math.e
 
@@ -393,59 +388,6 @@ def end_quad(fn, end, t0: float, t1: float) -> float:
         cut_L = math.log(t1)
     c, _, b = end_integral(end.coef, end.a, end.b)  # c L**b with a = 0
     return c * cut_L ** float(b) + log_quad(fn, t0, t1)
-
-
-def parse_exp(text: str) -> Exponent:
-    """Parse an exponent: an integer, decimal, fraction like ``4/3`` or
-    ``inf``.  Returns an exact Fraction, or math.inf; raises ValueError on
-    NaN, a zero denominator or anything else."""
-    s = text.strip().lower()
-    if s in ("inf", "infinity", "oo"):
-        return math.inf
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad exponent {text!r}") from exc
-
-
-def as_exp(x) -> Exponent:
-    """The exponent rule (see the module docstring): a Fraction, or
-    math.inf for an infinite float or string.  Raises ValueError on NaN and
-    on a malformed string, TypeError on other types."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, str):
-        return parse_exp(x)
-    if isinstance(x, float):
-        if math.isinf(x):
-            return x
-        short = Fraction(x).limit_denominator(10**12)
-        return short if float(short) == x else Fraction(x)
-    return Fraction(x)
-
-
-def is_inf(x: Exponent) -> bool:
-    """True for the infinite exponent (the only float an exponent slot
-    holds)."""
-    return isinstance(x, float) and math.isinf(x)
-
-
-def conjugate(p: Exponent) -> Exponent:
-    """Hoelder conjugate: 1/p + 1/p' = 1 (1 <-> inf)."""
-    if is_inf(p):
-        return Fraction(1)
-    if p == 1:
-        return math.inf
-    return p / (p - 1)
-
-
-def sharp(x: Exponent) -> Exponent:
-    """x# with 1/x# = |1/2 - 1/x|: 2 at x = inf, inf exactly at x = 2."""
-    if is_inf(x):
-        return Fraction(2)
-    if x == 2:
-        return math.inf
-    return 2 * x / abs(2 - x)
 
 
 class Divergence(Exception):
@@ -1093,9 +1035,8 @@ class StepCumulative:
     StepFunction f, as prefix sums of the piece integrals plus the partial
     integral of the piece holding t; inf beyond a divergent piece.  Exact
     for pieces without log factors; where a piece's partial integrals are
-    all finite and closed form they are evaluated by ``_closed_partial``,
-    at one point or, by ``at``, on the group of points of an array that
-    the piece holds."""
+    closed form they are evaluated by ``_closed_partial``, at one point or,
+    by ``at``, on the group of points of an array that the piece holds."""
 
     __slots__ = ("pieces", "los", "from_left", "base", "closed")
 
@@ -1114,14 +1055,16 @@ class StepCumulative:
             if self.from_left:
                 return 0.0
             i, t = 0, 0.0
+        return self.base[i] + self._partial(i, t)
+
+    def _partial(self, i: int, t: float) -> float:
+        """The partial integral of piece i at t: its closed form where that
+        is finite, else ``Piece.integral``."""
         part = self.closed[i]
         if part is not None:
             val = part[0](t)
             if math.isfinite(val):
-                return self.base[i] + val
-        return self.base[i] + self._integral(i, t)
-
-    def _integral(self, i: int, t: float) -> float:
+                return val
         p = self.pieces[i]
         part = (p.integral(p.lo, t) if self.from_left
                 else p.integral(t, p.hi))
@@ -1129,7 +1072,8 @@ class StepCumulative:
 
     def at(self, ts: np.ndarray) -> np.ndarray:
         """The integral at every point of the array ts; numpy's logs and
-        powers can differ from ``__call__`` in the last bits."""
+        powers can differ from ``__call__`` in the last bits.  A point whose
+        array value is not finite is computed as ``__call__`` computes it."""
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.los, ts, side="right") - 1
         out = np.zeros(ts.shape)
@@ -1142,7 +1086,7 @@ class StepCumulative:
             vals = (part[1](ts[sel]) if part is not None
                     else np.full(len(sel), math.nan))
             for k in np.flatnonzero(~np.isfinite(vals)):
-                vals[k] = self._integral(i, float(ts[sel[k]]))
+                vals[k] = self._partial(i, float(ts[sel[k]]))
             out[sel] = self.base[i] + vals
         return out
 
@@ -1154,7 +1098,10 @@ def _closed_partial(p: Piece, from_left: bool):
     (no ExtReal, no exponent comparisons per call); the array one takes
     points of the piece's interval, with numpy's logs and powers.  None
     unless every such partial integral is finite and closed form: a finite
-    level, no log factor, no divergent end, a shift at most lo."""
+    level, no log factor, no divergent end, a shift at most lo.  One
+    divergent end is allowed: a head at t = shift that diverges, for the
+    right partials, which reach it only from t = shift, where they are
+    inf."""
     lo, hi, off, c, shift, a = p.lo, p.hi, p.offset, p.coef, p.shift, p.a
     finite_hi = not math.isinf(hi)
     if math.isinf(off) or (not from_left and not finite_hi and off > 0.0):
@@ -1162,7 +1109,9 @@ def _closed_partial(p: Piece, from_left: bool):
     power = c != 0.0
     if power and (p.b != 0 or shift > lo):
         return None
-    if power and lo - shift <= 0.0 and not end_integrable(c, a, 0, True):
+    open_head = (power and lo - shift <= 0.0
+                 and not end_integrable(c, a, 0, True))
+    if open_head and from_left:
         return None  # the head at t = shift diverges
     if power and not (from_left or finite_hi
                       or end_integrable(c, a, 0, False)):
@@ -1198,6 +1147,8 @@ def _closed_partial(p: Piece, from_left: bool):
         if not power:
             return total
         s0 = x0 - shift if x0 - shift > 0.0 else 0.0
+        if s0 == 0.0 and open_head:
+            return math.inf
         if log_form:
             return total + c * math.log(s1 / s0)
         return total + c * (tail - s0 ** a1) / a1

@@ -54,10 +54,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import pieces
+from .exponents import Exponent, as_exp
 from .extreal import ExtReal
-from .pieces import (Divergence, StepFunction, Exponent, as_exp,
-                     end_integrable, end_integral, end_limit, end_quad,
-                     log_quad, scan_grid, scan_max)
+from .pieces import (Divergence, StepFunction, end_integrable, end_integral,
+                     end_limit, end_quad, log_quad, scan_grid, scan_max)
 
 
 _NO_KINKS = np.empty(0)

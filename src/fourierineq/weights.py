@@ -13,8 +13,11 @@ A trailing `@d=<n>` selects the ambient dimension (default 1).  Lebesgue
 measure is normalized so the unit ball has measure 1; the half-line profile
 of a radial function is h(t) = h0(t**(1/d)).
 
-Exponents follow the exponent rule of ``pieces`` (always Fractions), so
-downstream finiteness decisions are exact.
+Exponents follow the exponent rule of ``exponents`` (always Fractions), so
+downstream finiteness decisions are exact.  A WeightSpec and the parser
+need only the standard library: numpy and ``pieces`` load when a profile
+is built or a table is read, so the command line checks its weights before
+numpy loads.
 """
 
 from __future__ import annotations
@@ -22,11 +25,12 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-import numpy as np
+from .exponents import Exponent, as_exp, parse_exp
 
-from .pieces import StepFunction, Exponent, as_exp, parse_exp
+if TYPE_CHECKING:
+    from .pieces import StepFunction
 
 NONINCREASING = "nonincreasing"
 NONDECREASING = "nondecreasing"
@@ -88,6 +92,7 @@ class WeightSpec:
 
     def profile(self) -> StepFunction:
         """The radial profile r -> w0(r) as a function on (0, inf)."""
+        from .pieces import StepFunction
         if self.family == "one":
             return StepFunction.constant(1.0)
         if self.family == "power":
@@ -120,6 +125,7 @@ class WeightSpec:
     def evaluate(self, r):
         """Value at radius r >= 0 (the profile's right limit at r = 0).
         r may be an array: the profile is built once for the whole grid."""
+        import numpy as np
         vals = self.profile().at(r)
         return vals if np.ndim(r) else float(vals)
 
@@ -142,7 +148,7 @@ def radial_map(profile: StepFunction, d: int) -> StepFunction:
     """Profile of a radial function in ball-measure coordinates t = r**d."""
     if d == 1:
         return profile
-    from .pieces import Piece
+    from .pieces import Piece, StepFunction
     out = []
     for p in profile.pieces:
         lo, hi = p.lo ** d, (p.hi ** d if math.isfinite(p.hi) else math.inf)
@@ -159,7 +165,7 @@ def radial_map(profile: StepFunction, d: int) -> StepFunction:
 
 def recip(f: StepFunction) -> StepFunction:
     """Pointwise reciprocal; exact for constant and monomial pieces."""
-    from .pieces import Piece
+    from .pieces import Piece, StepFunction
     out = []
     for p in f.pieces:
         if p.is_constant:
@@ -205,5 +211,6 @@ def parse_weight(text: str, direction: str = NONINCREASING,
         (r,) = args
         return WeightSpec.indicator(float(parse_exp(r)), d)
     (path,) = args
+    from .pieces import StepFunction
     return WeightSpec.from_table(StepFunction.from_csv(path.strip()),
                                  direction, d)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from fourierineq import cli
+from fourierineq import criteria
 from fourierineq.cli import main
 from fourierineq.criteria import ExponentConfig, U_func, xi_func
 from fourierineq.weights import WeightSpec
@@ -56,6 +56,14 @@ def test_estimate_non_power_of_two_N_exit_2(capsys):
     assert code == 2
 
 
+def test_estimate_N_below_4_exit_2(capsys):
+    # the half-resolution witness runs at N/2 samples
+    for N in ["2", "1", "0", "-4"]:
+        code, _ = run(capsys, "estimate", "--u", "ind(1)", "--v", "pow(1/4)",
+                      "--p", "3", "--q", "2", "--N", N)
+        assert code == 2, N
+
+
 def test_sweep_bad_exponent_exit_2(tmp_path, capsys):
     code, _ = run(capsys, "sweep", "--u", "pow(1/4)", "--v", "pow(0)",
                   "--p-list", "2,1/0", "--q-list", "2",
@@ -94,11 +102,18 @@ def test_criteria_plot_rows_are_xi_over_U(tmp_path, capsys):
 
 def test_criteria_plot_error_is_not_swallowed(tmp_path, capsys, monkeypatch):
     # only a certified divergence of U or of xi's tail skips the profile;
-    # any other fault is an internal error
+    # any other fault is an internal error.  evaluate calls xi_func too, so
+    # xi breaks only once the criteria are evaluated: in the profile
     def broken(u, cfg):
         raise RuntimeError("broken xi")
 
-    monkeypatch.setattr(cli, "xi_func", broken)
+    def evaluate(*args):
+        report = real_evaluate(*args)
+        monkeypatch.setattr(criteria, "xi_func", broken)
+        return report
+
+    real_evaluate = criteria.evaluate
+    monkeypatch.setattr(criteria, "evaluate", evaluate)
     code = main(["criteria", "--u", "ind(1)", "--v", "pow(1/4)", "--p", "3",
                  "--q", "1/2", "--plot-dir", str(tmp_path / "plots")])
     assert code == 1
@@ -146,6 +161,36 @@ def test_norms_theta_from_csv(tmp_path, capsys):
 def test_norms_requires_input(capsys):
     code, _ = run(capsys, "norms", "--kind", "theta", "--exponent", "4")
     assert code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ("criteria", "--u", "table(missing.csv)", "--v", "pow(0)", "--p", "2",
+     "--q", "2"),
+    ("norms", "--kind", "optimalY", "--f", "missing.csv", "--u", "pow(1/4)"),
+    ("norms", "--kind", "morrey", "--f", "missing.csv", "--shape", "ind(1)"),
+    ("norms", "--kind", "theta", "--seq", "missing.csv"),
+], ids=["criteria-u-table", "optimalY-f", "morrey-f", "theta-seq"])
+def test_missing_input_file_exit_2(tmp_path, monkeypatch, capsys, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(list(args)) == 2
+    assert "missing.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ("--kind", "optimalY", "--f", "f.csv"),
+    ("--kind", "morrey", "--f", "f.csv"),
+    ("--kind", "expL", "--f", "f.csv", "--d", "0"),
+])
+def test_norms_weight_and_dimension_checked_exit_2(capsys, args):
+    assert run(capsys, "norms", *args)[0] == 2
+
+
+@pytest.mark.parametrize("L", ["0", "-1", "nan", "inf"])
+def test_estimate_L_must_be_positive_and_finite(capsys, L):
+    code = main(["estimate", "--u", "ind(1)", "--v", "pow(1/4)", "--p", "3",
+                 "--q", "2", "--N", "256", "--L", L])
+    assert code == 2
+    assert "--L" in capsys.readouterr().err
 
 
 def test_estimate_plancherel(capsys):

@@ -326,6 +326,45 @@ def test_cumulative_at_is_the_point_value():
                                        atol=1e-15 * want[ok].max())
 
 
+def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):
+    # a head c (t - shift)**a with a <= -1 diverges at t = shift, but the
+    # integral from t > shift to the right never reaches it: the right
+    # cumulative keeps its closed form there, and only t = shift is inf
+    fs = [StepFunction.power(1.0, Fraction(3, 2)),
+          StepFunction([Piece(0.0, 2.0, 0.5, 1.0, 0.0, Fraction(-1)),
+                        Piece(2.0, math.inf, 0.0, 3.0, 0.0, Fraction(-2))]),
+          StepFunction([Piece(0.0, 1.0, 1.0),
+                        Piece(1.0, 4.0, 0.0, 2.0, 1.0, Fraction(-5, 2)),
+                        Piece(4.0, math.inf)])]
+    heads = [0.0, 0.0, 1.0]
+    calls = []
+    integral = Piece.integral
+    monkeypatch.setattr(Piece, "integral", lambda p, x0, x1: (
+        calls.append(x0), integral(p, x0, x1))[1])
+    for f, head in zip(fs, heads):
+        ts = np.array([0.0, *f.breakpoints, *np.geomspace(1e-6, 1e3, 61)])
+        at_head = [t for t in ts.tolist() if t == head]
+        for from_left in (True, False):
+            cum = f.cumulative(from_left=from_left)
+            calls.clear()
+            want = np.array([cum(float(t)) for t in ts])
+            if not from_left:  # Piece.integral only where the partial is inf
+                assert calls == at_head
+            calls.clear()
+            got = cum.at(ts)
+            if not from_left:
+                assert calls == at_head
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+            ok = np.isfinite(want)
+            np.testing.assert_allclose(got[ok], want[ok], rtol=2e-15,
+                                       atol=1e-15 * want[ok].max())
+    # integral_t^inf s**(-3/2) ds = 2 / sqrt(t)
+    right = fs[0].cumulative(from_left=False)
+    for t in [1e-6, 0.3, 1.0, 50.0]:
+        assert right(t) == pytest.approx(2.0 / math.sqrt(t), rel=1e-14)
+    assert right(0.0) == math.inf
+
+
 def _search_problems(rng, n):
     """n seeded (f, a, b): smooth, kinked, flat and power-log functions to
     minimize, with a from 1e-6 to 1e6, b/a up to 100 and one a = b."""

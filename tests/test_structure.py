@@ -2,6 +2,7 @@
 command line."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
@@ -59,6 +60,85 @@ def test_cli_import_loads_no_scipy():
             "print(sorted(m for m in sys.modules "
             "if m.split('.')[0] == 'scipy'))")
     assert _fresh(code).strip() == "[]"
+
+
+def test_package_and_cli_import_load_no_numpy():
+    """The package resolves its public names on first use, and the command
+    line imports only stdlib-only modules until its input is checked."""
+    code = ("import sys, fourierineq, fourierineq.cli; "
+            "fourierineq.ExponentConfig, fourierineq.parse_weight; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'numpy'))")
+    assert _fresh(code).strip() == "[]"
+
+
+CRIT = ["criteria", "--v", "pow(0)", "--p", "2", "--q", "2", "--u"]
+EST = ["estimate", "--u", "ind(1)", "--v", "pow(1/4)", "--p", "3", "--q", "2"]
+# the malformed inputs of the README's exit-2 list that need no input file
+MALFORMED = [
+    ["criteria", "--u", "pow(0)", "--v", "pow(0)", "--p", "1/2", "--q", "2"],
+    ["criteria", "--u", "pow(0)", "--v", "pow(0)", "--p", "1/0", "--q", "2"],
+    ["criteria", "--u", "pow(0)", "--v", "pow(0)", "--p", "nan", "--q", "2"],
+    CRIT + ["pow(1/0)"], CRIT + ["pow(nan)"], CRIT + ["pow(inf)"],
+    CRIT + ["nope(1)"], CRIT + ["ind(0)"],
+    ["criteria", "--u", "ind(1)@d=3", "--v", "pow(1/4)", "--p", "3",
+     "--q", "2"],
+    ["sweep", "--u", "pow(1/4)", "--v", "pow(0)", "--p-list", "2,1/0",
+     "--q-list", "2"],
+    EST + ["--N", "1000"], EST + ["--N", "2"], EST + ["--L", "0"],
+    ["norms", "--kind", "theta"], ["norms", "--kind", "expL"],
+    ["verify", "--suite", "nope"],
+]
+
+CHECKED_FIRST = """
+import json, sys
+from fourierineq.cli import main
+for args in json.loads(sys.argv[1]):
+    print(main(args), "numpy" in sys.modules)
+"""
+
+
+def test_malformed_input_exits_2_before_numpy_loads():
+    lines = _fresh(CHECKED_FIRST, json.dumps(MALFORMED)).splitlines()
+    assert lines == ["2 False"] * len(MALFORMED)
+
+
+CRITERIA_RUN = """
+import sys
+from fourierineq.cli import main
+assert main(["criteria", "--u", "pow(1/4)", "--v", "pow(0)", "--p", "4/3",
+             "--q", "2"]) == 0
+print(sorted(m.split(".")[1] for m in sys.modules
+             if m.startswith("fourierineq.")))
+"""
+
+
+def test_criteria_run_imports_only_what_it_runs():
+    loaded = set(ast.literal_eval(_fresh(CRITERIA_RUN).splitlines()[-1]))
+    assert "criteria" in loaded
+    assert not loaded & {"extremal", "calderon", "norms"}
+
+
+PUBLIC_NAMES = """
+import importlib, fourierineq
+bad = []
+for name in fourierineq.__all__:
+    home = importlib.import_module("fourierineq." + fourierineq._HOME[name])
+    obj = getattr(fourierineq, name)
+    # a function or class is defined in its home module, not re-exported
+    if (obj is not vars(home)[name]
+            or getattr(obj, "__module__", home.__name__) != home.__name__):
+        bad.append(name)
+print(bad)
+print(set(fourierineq.__all__) <= set(dir(fourierineq)),
+      fourierineq.symfunc.__name__, hasattr(fourierineq, "no_such_name"))
+"""
+
+
+def test_public_names_are_their_home_modules_objects():
+    bad, rest = _fresh(PUBLIC_NAMES).splitlines()
+    assert bad == "[]"
+    assert rest == "True fourierineq.symfunc False"
 
 
 FIRST_INTEGRAL = """
