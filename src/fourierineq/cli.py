@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--p", required=True)
     ph.add_argument("--q", required=True)
     ph.add_argument("--oracle", action="store_true",
-                    help="also run the brute-force lower-bound search")
+                    help="also run the brute-force witness search (a ratio "
+                         "of discretized norms, not a certified lower bound)")
     ph.add_argument("--seed", type=int, default=0)
     ph.add_argument("--out", default=None)
     ph.set_defaults(fn=cmd_hardy)

@@ -122,7 +122,8 @@ def _dual_weight(u: WeightSpec, T: SampledSignal, q) -> np.ndarray:
 
 def ratio(f: SampledSignal, u: WeightSpec, v: WeightSpec,
           cfg: ExponentConfig) -> float:
-    """Empirical ||u Tf||_q / ||v f||_p; a lower bound for the optimal C.
+    """Empirical ||u Tf||_q / ||v f||_p of the quadrature-weighted DFT on
+    Z_N, not a bound for the optimal C of the transform on R.
     A weight infinite at a dual sample enters by ``_dual_weight``."""
     den = weighted_norm(f, cfg.p, v)
     if den == 0.0:
@@ -511,7 +512,9 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                      rng: np.random.Generator, N: int = 4096,
                      L: float = 64.0, n_random: int = 8) -> ConstantBracket:
     """Bracket the optimal constant: criteria upper value vs the best
-    constructive witness ratio (every witness gives a true lower bound).
+    constructive witness ratio.  A witness ratio is that of the
+    quadrature-weighted DFT on Z_N, not a lower bound for the operator on
+    R (for u = v = 1, p = 4/3, q = 4 it is 1.0 against 0.936687).
     Only ``random_band_limited`` is random: the best ratio of n_random
     signals drawn from rng (``best_random_ratio``).  The modulated bump
     and the translates and annuli witnesses are deterministic, the last

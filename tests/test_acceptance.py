@@ -22,15 +22,14 @@ from fourierineq.criteria import (ExponentConfig, U_func, dual_config,
 from fourierineq.extremal import (bracket_constant, dft, modulated_bump,
                                   random_band_limited, ratio, weighted_norm)
 from fourierineq.hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE,
-                               TAIL_INTEGRAL, HardyProblem, brute_force_K,
-                               hardy_K)
+                               TAIL_INTEGRAL, brute_force_K, hardy_K)
 from fourierineq.norms import (SequenceData, bochkarev_norm,
                                dyadic_block_norms, gamma_norm, theta_norm)
 from fourierineq.pieces import StepFunction, TailSpec
 from fourierineq.rearrange import hl_pairing, star
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
 
-from conftest import measure_above, random_cells
+from conftest import measure_above, random_cells, random_hardy_problems
 
 
 # -- 1. exact rearrangement identities --------------------------------------
@@ -178,44 +177,11 @@ def test_dual_problem_finiteness_invariant():
 
 # -- 8. Hardy constants are two-sided ----------------------------------------
 
-def _random_hardy_step(rng, decay=None, cells=4):
-    edges = np.concatenate([[0.0], np.sort(rng.uniform(0.2, 5.0, cells))])
-    vals = rng.uniform(0.2, 2.0, cells)
-    if decay is not None:
-        vals = np.append(vals, rng.uniform(0.2, 2.0))
-        return StepFunction.from_cells(edges.tolist(), vals.tolist(),
-                                       tail=TailSpec.power(decay))
-    return StepFunction.from_cells(edges.tolist(), vals.tolist())
-
-
-def _hardy_problems(kind, rng, n=20):
-    out = []
-    for _ in range(n):
-        if kind == HEAD_SUM:
-            m = int(rng.integers(3, 8))
-            out.append(HardyProblem(HEAD_SUM, 1.0, 0.5,
-                                    u_seq=rng.uniform(0.1, 1.0, m),
-                                    v_seq=rng.uniform(0.5, 2.0, m)))
-        elif kind == HEAD_INTEGRAL:
-            out.append(HardyProblem(kind, 2.0, 2.0,
-                                    u_w=_random_hardy_step(rng, decay=3.0),
-                                    v_w=_random_hardy_step(rng, decay=-1.0)))
-        elif kind == TAIL_INTEGRAL:
-            out.append(HardyProblem(kind, 2.0, 2.0,
-                                    u_w=_random_hardy_step(rng),
-                                    v_w=_random_hardy_step(rng, decay=-2.0)))
-        else:
-            out.append(HardyProblem(REVERSE, 1.0, 0.5,
-                                    w=_random_hardy_step(rng),
-                                    nu=StepFunction.power(1.0, -1)))
-    return out
-
-
 @pytest.mark.parametrize("kind", [HEAD_SUM, HEAD_INTEGRAL, TAIL_INTEGRAL,
                                   REVERSE])
 def test_hardy_constant_two_sided(kind):
     C_EQUIV = 8.0
-    probs = _hardy_problems(kind, np.random.default_rng(42))
+    probs = random_hardy_problems(kind, np.random.default_rng(42))
     per_seed = {}
     for seed in (1, 2):
         ratios = []

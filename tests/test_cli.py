@@ -148,6 +148,23 @@ def test_hardy_discrete_with_oracle(capsys):
     assert j["oracle_lower_bound"] > 0
 
 
+@pytest.mark.parametrize("kind,weights", [
+    ("head_integral", ("--u", "pow(3)", "--v", "pow(-1)", "--p", "2",
+                       "--q", "2")),
+    ("tail_integral", ("--u", "ind(1)", "--v", "pow(2)", "--p", "2",
+                       "--q", "2")),
+    ("reverse", ("--u", "ind(1)", "--p", "1", "--q", "1/2")),
+])
+def test_hardy_oracle_of_every_continuous_kind(capsys, kind, weights):
+    # the search at its default sizes
+    code, out = run(capsys, "hardy", "--kind", kind, *weights, "--oracle",
+                    "--seed", "1")
+    assert code == 0
+    j = strict_json(out)
+    assert j["K"]["state"] == "finite"
+    assert j["oracle_lower_bound"] > 0
+
+
 def test_norms_theta_from_csv(tmp_path, capsys):
     seq = tmp_path / "seq.csv"
     seq.write_text("1,1.0\n2,0.5\n")

@@ -1,12 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from fourierineq import hardy
 from fourierineq.hardy import (HEAD_INTEGRAL, HEAD_SUM, REVERSE,
                                TAIL_INTEGRAL, HardyProblem, brute_force_K,
                                hardy_K)
 from fourierineq.pieces import StepFunction, TailSpec
+
+from conftest import random_hardy_problems
+
+KINDS = (HEAD_SUM, HEAD_INTEGRAL, TAIL_INTEGRAL, REVERSE)
 
 
 def continuous_problem(kind=HEAD_INTEGRAL, pp=2.0, qq=2.0):
@@ -136,3 +142,194 @@ def test_dense_grid_matches_pointwise_loop():
     for vals, w in ((uvals, prob.u_w), (vvals, prob.v_w)):
         ref = np.array([w(float(t)) for t in mids])
         assert np.allclose(vals, ref, rtol=4e-16, atol=0.0)
+
+
+# -- the lockstep ascent against the sequential one ---------------------------
+
+def _sequential_ratio(prob, n_cells):
+    """The ratio of one test input and its length: the 1-D ratios the
+    lockstep ascent replaced, kept as the reference."""
+    if prob.kind == HEAD_SUM:
+        u = np.asarray(prob.u_seq, dtype=float)
+        v = np.asarray(prob.v_seq, dtype=float)[:len(u)]
+        pp, qq = float(prob.pp), float(prob.qq)
+
+        def ratio(x):
+            tails = np.cumsum(x[::-1])[::-1]
+            lhs = float(np.sum(u * tails ** qq)) ** (1.0 / qq)
+            rhs = float(np.sum(v * x ** pp)) ** (1.0 / pp)
+            return lhs / rhs if rhs > 0 else 0.0
+        return ratio, len(u)
+    if prob.kind == REVERSE:
+        qq = float(prob.qq)
+        mids, widths, cell_of, wvals, nuvals = hardy._dense_grid(
+            prob.w, prob.nu, n_cells)
+
+        def ratio(x):
+            lev = np.maximum.accumulate(x[::-1])[::-1]
+            f = lev[cell_of]
+            lhs = float(np.sum(wvals * f ** qq * widths)) ** (1.0 / qq)
+            cums = np.cumsum(f * widths) - 0.5 * f * widths
+            rhs = float(np.max(nuvals / mids * cums))
+            return lhs / rhs if rhs > 0 else 0.0
+        return ratio, n_cells
+    pp, qq = float(prob.pp), float(prob.qq)
+    _mids, widths, cell_of, uvals, vvals = hardy._dense_grid(
+        prob.u_w, prob.v_w, n_cells)
+
+    def ratio(x):
+        g = x[cell_of]
+        masses = g * widths
+        if prob.kind == HEAD_INTEGRAL:
+            inner = np.cumsum(masses) - 0.5 * masses
+        else:
+            inner = np.cumsum(masses[::-1])[::-1] - 0.5 * masses
+        lhs = float(np.sum(uvals * inner ** qq * widths)) ** (1.0 / qq)
+        rhs = float(np.sum(vvals * g ** pp * widths)) ** (1.0 / pp)
+        return lhs / rhs if rhs > 0 else 0.0
+    return ratio, n_cells
+
+
+def sequential_brute_force_K(prob, rng, n_restarts=32, n_cells=24,
+                             n_sweeps=30):
+    """The coordinate ascent run one restart after another."""
+    ratio, dim = _sequential_ratio(prob, n_cells)
+    best = 0.0
+    for _ in range(n_restarts):
+        x = rng.lognormal(0.0, 1.0, size=dim)
+        cur = ratio(x)
+        for _ in range(n_sweeps):
+            improved = False
+            for i in range(dim):
+                for fac in (4.0, 0.25, 1.5, 1 / 1.5):
+                    y = x.copy()
+                    y[i] *= fac
+                    val = ratio(y)
+                    if val > cur * (1 + 1e-12):
+                        x, cur = y, val
+                        improved = True
+            if not improved:
+                break
+        best = max(best, cur)
+    return best
+
+
+def bench_problem(kind):
+    """The benchmark's fixed problem of each kind."""
+    cell = StepFunction.from_cells([0.0, 1.0], [1.0])
+    if kind == HEAD_SUM:
+        return HardyProblem(HEAD_SUM, 1.0, 0.5,
+                            u_seq=np.array([1.0, 0.5, 0.25, 0.125]),
+                            v_seq=np.ones(4))
+    if kind == HEAD_INTEGRAL:
+        return continuous_problem()
+    if kind == TAIL_INTEGRAL:
+        v = StepFunction.from_cells([0.0, 1.0], [1.0, 1.0],
+                                    tail=TailSpec.power(-2))
+        return HardyProblem(TAIL_INTEGRAL, 2.0, 2.0, u_w=cell, v_w=v)
+    return HardyProblem(REVERSE, 1.0, 0.5, w=cell,
+                        nu=StepFunction.power(1.0, -1))
+
+
+def assert_lockstep_matches(prob, seed, sizes=()):
+    got = brute_force_K(prob, np.random.default_rng(seed), *sizes)
+    want = sequential_brute_force_K(prob, np.random.default_rng(seed),
+                                    *sizes)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    return got
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lockstep_ascent_matches_sequential(kind):
+    # the benchmark's problem at its sizes and seeds, then one random
+    # problem per seed at the benchmark's sizes and at slightly larger ones
+    for seed in (1, 2, 3):
+        assert_lockstep_matches(bench_problem(kind), seed, (4, 10, 8))
+    for seed in range(10):
+        prob, = random_hardy_problems(kind, np.random.default_rng(seed), n=1)
+        for sizes in ((4, 10, 8), (6, 12, 10)):
+            assert assert_lockstep_matches(prob, seed, sizes) > 0
+
+
+def _counting_ratios(monkeypatch):
+    """Wrap the three ratio factories so that every ratio call is
+    counted; returns the counter."""
+    calls = {"ratio": 0}
+
+    def counted(ratio):
+        def wrapper(x):
+            calls["ratio"] += 1
+            return ratio(x)
+        return wrapper
+
+    def factory(make):
+        def wrapped(*args):
+            ratio, dim = make(*args)
+            return counted(ratio), dim
+        return wrapped
+
+    for name in ("_discrete_ratio_fn", "_continuous_ratio_fn",
+                 "_reverse_ratio_fn"):
+        monkeypatch.setattr(hardy, name, factory(getattr(hardy, name)))
+    return calls
+
+
+@pytest.fixture(scope="module")
+def default_runs():
+    """Per kind: brute_force_K of the benchmark's problem at the default
+    sizes and seed 1, with its number of ratio calls."""
+    runs = {}
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_ratios(mp)
+        for kind in KINDS:
+            calls["ratio"] = 0
+            value = brute_force_K(bench_problem(kind),
+                                  np.random.default_rng(1))
+            runs[kind] = (value, calls["ratio"])
+    return runs
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lockstep_ascent_matches_sequential_at_defaults(default_runs, kind):
+    want = sequential_brute_force_K(bench_problem(kind),
+                                    np.random.default_rng(1))
+    assert default_runs[kind][0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_ratio_calls_do_not_grow_with_restarts(default_runs, monkeypatch,
+                                               kind):
+    # one ratio call for the start points and at most one per move, each
+    # for all live restarts at once
+    prob = bench_problem(kind)
+    dim = len(prob.u_seq) if kind == HEAD_SUM else 24
+    budget = 1 + 4 * 30 * dim
+    assert default_runs[kind][1] <= budget
+    calls = _counting_ratios(monkeypatch)
+    brute_force_K(prob, np.random.default_rng(1), n_restarts=1)
+    assert 0 < calls["ratio"] <= budget
+
+
+def test_no_restarts_give_zero():
+    for kind in KINDS:
+        assert brute_force_K(bench_problem(kind), np.random.default_rng(1),
+                             n_restarts=0) == 0.0
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_no_sweeps_give_the_best_start(kind):
+    prob = bench_problem(kind)
+    ratio, dim = _sequential_ratio(prob, 10)
+    starts = np.random.default_rng(5).lognormal(0.0, 1.0, size=(4, dim))
+    want = max(0.0, *(ratio(x) for x in starts))
+    got = brute_force_K(prob, np.random.default_rng(5), n_restarts=4,
+                        n_cells=10, n_sweeps=0)
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_vanishing_rhs_weight_reads_zero_without_warning():
+    prob = HardyProblem(HEAD_SUM, 1.0, 0.5, u_seq=np.ones(4),
+                        v_seq=np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert brute_force_K(prob, np.random.default_rng(0)) == 0.0
