@@ -18,9 +18,9 @@ widths) and Phi is cellwise a**2 t + 2ab log t - b**2/t in closed form, both
 evaluated on a whole array of points by ``searchsorted``.  Other input keeps
 the piecewise path (``star``, ``StepFunction.cumulative`` and, for Phi, the
 ``SymFunc`` inner average t -> integral_0^{1/t} G* of ``inner_average``, the
-package's one builder of it), point by point.  ``dominates`` evaluates Psi
-and Phi on every scan point in one pass, so the supremum scan is exact up to
-the grid refinement of the monotone ratio.
+package's one builder of it), through their array evaluators.
+``dominates`` evaluates Psi and Phi on every scan point in one pass, so the
+supremum scan is exact up to the grid refinement of the monotone ratio.
 """
 
 from __future__ import annotations
@@ -36,12 +36,6 @@ from .rearrange import Cells, Profile, as_cells, star, star_cells
 from .symfunc import SymFunc
 
 
-def _pointwise(fn: Callable[[float], float]) -> Callable:
-    """fn, extended to arrays point by point."""
-    return lambda x: (np.array([fn(float(t)) for t in x], dtype=float)
-                      if np.ndim(x) else fn(x))
-
-
 def inner_average(fs: StepFunction) -> SymFunc:
     """t -> integral_0^{1/t} fs for a non-increasing fs (such as star(f)),
     as a SymFunc (non-increasing in t)."""
@@ -50,14 +44,14 @@ def inner_average(fs: StepFunction) -> SymFunc:
 
 def psi(F: Profile, x: float) -> float:
     """Psi_F(x) = integral_0^x (F*)**2, exact for step data."""
-    return float(_psi_fn(F)(x))
+    return float(_psi_fn(F)(np.array([float(x)]))[0])
 
 
 def _psi_fn(F: Profile) -> Callable:
-    """x -> Psi_F(x) for a float or an array x."""
+    """x -> Psi_F(x) for an array x."""
     F = as_cells(F)
     if not isinstance(F, Cells):
-        return _pointwise(star(F).pow_compose(2.0).cumulative())
+        return star(F).pow_compose(2.0).cumulative().at
     edges, levels = star_cells(F)
     sq = np.append(levels * levels, 0.0)
     acc = np.concatenate(([0.0], np.cumsum(sq[:-1] * np.diff(edges))))
@@ -71,15 +65,14 @@ def _psi_fn(F: Profile) -> Callable:
 def phi(G: Profile, x: float) -> float:
     """Phi_G(x) = integral_0^x (integral_0^{1/t} G*)**2 dt, exact for
     compact step data."""
-    return float(phi_fn(G)(x))
+    return float(phi_fn(G)(np.array([float(x)]))[0])
 
 
 def phi_fn(G: Profile) -> Callable:
-    """x -> Phi_G(x) for a float or an array x."""
+    """x -> Phi_G(x) for an array x."""
     G = as_cells(G)
     if not isinstance(G, Cells):
-        return _pointwise(
-            inner_average(star(G)).pow(2).antiderivative().fn)
+        return inner_average(star(G)).pow(2).antiderivative().at
     ys, g = star_cells(G)
     # A(y) = integral_0^y G* is piecewise linear with knots ys; on the t-cell
     # (1/y_{i+1}, 1/y_i) A(1/t) = a + b/t with a = A(y_i) - g_i y_i, b = g_i.

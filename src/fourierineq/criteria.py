@@ -28,7 +28,7 @@ from typing import Any, Optional
 from .exponents import Exponent, ExponentConfig, conjugate, is_inf
 from .extreal import ExtReal
 from .hardy import integral_form, sup_form
-from .pieces import end_quad, quad
+from .pieces import StepFunction
 from .rearrange import circ_profile, lower_star
 from .symfunc import Divergence, SymFunc, guarded
 from .weights import WeightSpec, NONINCREASING, NONDECREASING, recip
@@ -81,13 +81,18 @@ def check_dimension(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
-    """u*(t)**power as a SymFunc; raises Divergence when u* is identically inf."""
+def _ustar_profile(u: WeightSpec, power: Exponent) -> StepFunction:
+    """u*(t)**power; raises Divergence when u* is identically inf."""
     prof = circ_profile(u)
     if any(math.isinf(p.offset) for p in prof.pieces):
         raise Divergence("u* is identically infinite (u is not dominated by "
                          "a non-increasing radial weight)")
-    return SymFunc.from_step(prof.pow_compose(power))
+    return prof.pow_compose(power)
+
+
+def ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
+    """u*(t)**power as a SymFunc; raises Divergence when u* is identically inf."""
+    return SymFunc.from_step(_ustar_profile(u, power))
 
 
 def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
@@ -245,13 +250,12 @@ def degenerate_constant(u: WeightSpec, v: WeightSpec,
 def qsharp_tail_finite(u: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """integral_1^inf u*(s)**qs ds (must be finite in regimes III/IV/V)."""
     def compute() -> ExtReal:
-        f = ustar_sym(u, cfg, cfg.q_sharp)
-        if not f.tail.integrable(at_zero=False):
+        prof = _ustar_profile(u, cfg.q_sharp)
+        tail = SymFunc.from_step(prof).tail
+        if not tail.integrable(at_zero=False):
             return ExtReal.infinite(
-                f"u*^qs ~ t**({f.tail.a}) log**({f.tail.b}) at inf")
-        last = max([k for k in f.knots if k > 1.0] or [2.0])
-        return ExtReal.finite(quad(f, 1.0, last)[0]
-                              + end_quad(f, f.tail, last, math.inf))
+                f"u*^qs ~ t**({tail.a}) log**({tail.b}) at inf")
+        return prof.integrate(1.0, math.inf)
     return guarded(compute)
 
 

@@ -119,12 +119,16 @@ def hardy_K(prob: HardyProblem) -> ExtReal:
     return _continuous_K(prob)
 
 
-def _discrete_K(prob: HardyProblem) -> ExtReal:
+def _discrete_weights(prob: HardyProblem) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of a discrete problem, v cut or padded with inf to the length
+    of u: an inf v_n admits only x_n = 0."""
     u = np.asarray(prob.u_seq, dtype=float)
-    v = np.asarray(prob.v_seq, dtype=float)
-    n = len(u)
-    v = v[:n] if len(v) >= n else np.pad(v, (0, n - len(v)),
-                                         constant_values=np.inf)
+    v = np.asarray(prob.v_seq, dtype=float)[:len(u)]
+    return u, np.pad(v, (0, len(u) - len(v)), constant_values=np.inf)
+
+
+def _discrete_K(prob: HardyProblem) -> ExtReal:
+    u, v = _discrete_weights(prob)
     pp, rr = prob.pp, prob.rr
     Ucum = np.cumsum(u)
     if pp <= 1:
@@ -227,12 +231,15 @@ def _row_ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _discrete_ratio_fn(prob: HardyProblem):
-    """The ratio of each row of a (rows, dim) array of sequences."""
-    u = np.asarray(prob.u_seq, dtype=float)
-    v = np.asarray(prob.v_seq, dtype=float)[:len(u)]
+    """The ratio of each row of a (rows, dim) array of sequences; x_n is
+    held at 0 where v_n is inf."""
+    u, v = _discrete_weights(prob)
+    held = np.isinf(v)
+    v = np.where(held, 0.0, v)
     pp, qq = float(prob.pp), float(prob.qq)
 
     def ratio(x: np.ndarray) -> np.ndarray:
+        x = np.where(held, 0.0, x)
         tails = x[:, ::-1].cumsum(axis=-1)[:, ::-1]
         lhs = (u * tails ** qq).sum(axis=-1) ** (1.0 / qq)
         rhs = (v * x ** pp).sum(axis=-1) ** (1.0 / pp)

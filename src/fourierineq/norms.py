@@ -12,10 +12,10 @@ Logs are natural; log+(x) = max(log x, 0).  Infinite series tails are
 summed via integral comparison with relative remainder below 1e-10 so
 values are reproducible at reported precision.
 
-Every SymFunc built here has an array evaluator, so that each sup scan is
-one array call; the Morrey norm anchors its cumulative G at the grid that
-its sup scans (``SymFunc.anchored``), so the scan reads G's anchors after
-one sweep instead of one quadrature per sample.
+Every SymFunc built here is given by its array evaluator alone, and QUADPACK
+integrates only the series tails; the Morrey norm anchors its cumulative G
+at the grid that its sup scans (``SymFunc.anchored``), so the scan reads
+G's anchors after one sweep instead of one quadrature per sample.
 """
 
 from __future__ import annotations
@@ -319,10 +319,9 @@ def _phi_symfunc(f: StepFunction) -> SymFunc:
     tail_val = inner_average(fs).pow(2).integral()
     if not tail_val.is_finite:
         raise Divergence("squared inner averages are not integrable")
-    phi = phi_fn(fs)  # a float or an array
-    return SymFunc(phi, head, Asym(tail_val.value, 0, 0),
+    return SymFunc(head, Asym(tail_val.value, 0, 0),
                    knots=[1.0 / k for k in fs.breakpoints if k > 0.0],
-                   at=phi)
+                   at=phi_fn(fs))
 
 
 def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
@@ -384,12 +383,6 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
 
         # R -> shape(R) * G(R^d)^{1/q} [* R^{-d/2} when q < 2], a SymFunc in
         # R, with G anchored at the grid its sup scans (below)
-        def comp(R: float) -> float:
-            val = Ga(R ** d) ** (1.0 / qf) * phi_sym(R)
-            if q < 2:
-                val *= R ** (-d / 2.0)
-            return val
-
         def comp_at(Rs: np.ndarray) -> np.ndarray:
             with np.errstate(all="ignore"):
                 val = Ga.at(Rs ** d) ** (1.0 / qf) * phi_sym.at(Rs)
@@ -408,7 +401,7 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
         tail = map_asym(G.tail).mul(phi_sym.tail)
         knots = sorted(set(list(shape.breakpoints) +
                            [k ** (1.0 / d) for k in G.knots if k > 0]))
-        composite = SymFunc(comp, head, tail, knots=knots, at=comp_at)
+        composite = SymFunc(head, tail, knots=knots, at=comp_at)
         # the scan samples are then anchors: one sweep instead of a
         # quadrature per sample
         Ga = G.anchored(composite.scan_grid() ** d)
@@ -426,24 +419,19 @@ def expL_pair(F: StepFunction, d: int = 1) -> tuple[ExtReal, ExtReal]:
         return ExtReal.finite(0.0), ExtReal.finite(0.0)
     A = SymFunc.from_step(star(F)).antiderivative()
 
-    def denom_left(R: float) -> float:
-        return R ** d * (1.0 + max(math.log(1.0 / R), 0.0))
-
     def denom_left_at(Rs: np.ndarray) -> np.ndarray:
         return Rs ** d * (1.0 + np.maximum(np.log(1.0 / Rs), 0.0))
 
     # near 0: R^d (1 + log(1/R)) ~ (1/d) t log(1/t) with t = R^d
-    dleft = SymFunc(denom_left, Asym(1.0, d, 1), Asym(1.0, d, 0),
-                    knots=[1.0], at=denom_left_at)
-    Aleft = SymFunc(lambda R: A(R ** d),
-                    Asym(A.head.coef, A.head.a * d, A.head.b),
+    dleft = SymFunc(Asym(1.0, d, 1), Asym(1.0, d, 0), knots=[1.0],
+                    at=denom_left_at)
+    Aleft = SymFunc(Asym(A.head.coef, A.head.a * d, A.head.b),
                     Asym(A.tail.coef, A.tail.a * d, A.tail.b),
                     knots=[k ** (1.0 / d) for k in A.knots if k > 0],
                     at=lambda Rs: A.at(Rs ** d))
     left = Aleft.mul(dleft.pow(-1)).sup()
 
-    dright = SymFunc(lambda R: 1.0 + max(math.log(R), 0.0),
-                     Asym(1.0, 0, 0), Asym(1.0, 0, 1), knots=[1.0],
+    dright = SymFunc(Asym(1.0, 0, 0), Asym(1.0, 0, 1), knots=[1.0],
                      at=lambda Rs: 1.0 + np.maximum(np.log(Rs), 0.0))
     right = A.mul(dright.pow(-1)).sup()
     return left, right
@@ -455,7 +443,6 @@ def llogl_norm(F: StepFunction) -> ExtReal:
     if not F.pieces or F.essential_sup().value == 0.0:
         return ExtReal.finite(0.0)
     Fs = SymFunc.from_step(star(F))
-    wlog = SymFunc(lambda t: 1.0 + max(math.log(1.0 / t), 0.0),
-                   Asym(1.0, 0, 1), Asym(1.0, 0, 0), knots=[1.0],
+    wlog = SymFunc(Asym(1.0, 0, 1), Asym(1.0, 0, 0), knots=[1.0],
                    at=lambda ts: 1.0 + np.maximum(np.log(1.0 / ts), 0.0))
     return Fs.mul(wlog).integral()

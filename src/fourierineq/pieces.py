@@ -31,13 +31,17 @@ and only after convergence has been decided symbolically.
 Array evaluators (``Piece.at``, ``StepFunction.at``, ``StepCumulative.at``)
 compute a whole array of points with numpy's logs and powers, which on an
 AVX-512 x86 host differ from the C library's in the last bit for about 5%
-of exp and pow values; so an array value may differ from the point value by
-a few ulp.  The package's one array quadrature rule is the graded rule
-``quad_cells``: it integrates cells at once, each in a variable x in (0, 1)
-whose map u = a + (b - a) x**2 (3 - 2 x) flattens an algebraic singularity
-at either end, halving in x, as arrays, the pieces that QUADPACK's first
+of exp and pow values; so an array value may differ from the scalar
+``Piece.__call__`` and ``StepFunction.__call__`` by a few ulp.  The
+package's one array quadrature rule is the graded rule ``quad_cells``: it
+integrates cells at once, each in a variable x in (0, 1) whose map
+u = a + (b - a) x**2 (3 - 2 x) flattens an algebraic singularity at either
+end, halving in x, as arrays, the pieces that QUADPACK's first
 Gauss-Kronrod stage (``first_stage``, on arrays) leaves open.  It agrees
-with ``quad`` to the quadrature's tolerance, not to the bit.
+with ``quad`` to the quadrature's tolerance, not to the bit.  Every
+integral of a ``SymFunc`` runs through it; QUADPACK integrates only plain
+functions of one float (``norms``' series tails, the log-factor pieces of
+``Piece.integral``, the rare fallback of ``quad_cells``).
 """
 
 from __future__ import annotations
@@ -76,7 +80,7 @@ _E = math.e
 _qagse = None
 _qagie = None
 _QUADPACK = "scipy.integrate._quadpack"
-_TOL = 1.49e-8  # scipy.integrate.quad's default epsabs and epsrel
+QUAD_TOL = 1.49e-8  # scipy.integrate.quad's default epsabs and epsrel
 _LIMIT = 300    # subdivisions
 # nonzero QUADPACK flags returned by quad, by ier: 1 the subdivision limit
 # was reached, 2 roundoff was detected, 3 bad integrand behaviour, 4 no
@@ -123,11 +127,14 @@ def quad(func, a: float, b: float) -> tuple[float, float]:
     flip, a, b = b < a, min(a, b), max(a, b)
     if b == math.inf:
         bound, ends = (0.0, 2) if a == -math.inf else (a, 1)
-        value, err, ier = _qagie(func, bound, ends, (), 0, _TOL, _TOL, _LIMIT)
+        value, err, ier = _qagie(func, bound, ends, (), 0, QUAD_TOL,
+                                  QUAD_TOL, _LIMIT)
     elif a == -math.inf:
-        value, err, ier = _qagie(func, b, -1, (), 0, _TOL, _TOL, _LIMIT)
+        value, err, ier = _qagie(func, b, -1, (), 0, QUAD_TOL, QUAD_TOL,
+                                  _LIMIT)
     else:
-        value, err, ier = _qagse(func, a, b, (), 0, _TOL, _TOL, _LIMIT)
+        value, err, ier = _qagse(func, a, b, (), 0, QUAD_TOL, QUAD_TOL,
+                                  _LIMIT)
     if ier == 6:
         raise ValueError(f"invalid QUADPACK input on ({a}, {b})")
     if ier:
@@ -239,17 +246,9 @@ def _graded(at, a: np.ndarray, width: np.ndarray, cell: np.ndarray):
     return mapped
 
 
-def _graded_point(func, a: float, width: float):
-    """func(u) du/dx in the graded variable x of the cell (a, a + width),
-    at a point."""
-    def mapped(x: float) -> float:
-        return func(_grade(x, a, width)) * _grade_slope(x, width)
-    return mapped
-
-
-def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """integral of func over every cell (a[i], b[i]) (finite, a <= b),
-    where at(ts) gives func at every point of an array ts.
+def quad_cells(at, a: np.ndarray, b: np.ndarray, epsabs=0.0) -> np.ndarray:
+    """integral over every cell (a[i], b[i]) (finite, a <= b) of the
+    function that at(ts) gives at every point of an array ts.
 
     The graded rule: every cell is integrated in a variable x in (0, 1),
     u = a + (b - a) x**2 (3 - 2 x), whose Jacobian (b - a) 6 x (1 - x)
@@ -258,24 +257,27 @@ def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     enough that the first stage accepts the cell.  Every cell goes through
     ``first_stage`` in x, and so does every piece that halving in x makes,
     all pieces of one level in one call.  A cell is done when the error
-    estimates of its pieces sum to at most epsrel |I|, I the sum of their
-    results and epsrel ``quad``'s: qagse's test on the whole cell, without
-    its absolute floor epsabs, so that a cell with a small integral (the
-    last cell before a zero of a cumulative) keeps its relative accuracy.
-    Until then a piece whose error is within its width's share of that
-    bound is kept, and the others are halved.  A cell that would pass
-    quad's 300 subintervals, a piece with a node value that is not finite,
-    one that halving cannot split and one whose error estimate is at the
-    level of roundoff (where qagse flags ier 2) are integrated by ``quad``,
-    in x.  A cell of width 0 is 0.
+    estimates of its pieces sum to at most max(epsabs, QUAD_TOL |I|), I the
+    sum of their results: qagse's test on the whole cell, where epsabs (one
+    per cell, or one for all) is 0 for a relative bound, so that a cell
+    with a small integral (the last before a zero of a cumulative) keeps
+    its relative accuracy, and ``QUAD_TOL`` for a cell that stands for one
+    of quad's integrals, at its tolerances.  Until then a piece
+    whose error is within its width's share of that bound is kept, and the
+    others are halved.  A cell that would pass quad's 300 subintervals, a
+    piece with a node value that is not finite, one that halving cannot
+    split and one whose error estimate is at the level of roundoff (where
+    qagse flags ier 2) are integrated by ``quad``, in x, on at at one point
+    (0 where it is not finite).  A cell of width 0 is 0.
 
-    The package's one array rule: sweeps, ``Cumulative.at`` and the outer
-    integrals of ``log_cells`` all go through it.  Its values agree with
-    ``quad``'s to the tolerance, with no bit contract."""
+    The package's one array rule: sweeps, ``Cumulative.at``, ``end_quad``
+    and the integrals of ``log_cells`` all go through it.  Its values agree
+    with ``quad``'s to the tolerance, with no bit contract."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
     width = b - a
+    floor = np.broadcast_to(np.asarray(epsabs, dtype=float), (n,))
     total = np.zeros(n)  # the kept pieces' results and errors, per cell
     kept_err = np.zeros(n)
     count = np.ones(n, dtype=int)  # subintervals per cell
@@ -284,8 +286,8 @@ def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     while len(cell):
         result, abserr, resabs, resasc, finite = first_stage(
             _graded(at, a, width, cell), lo, hi)
-        errbnd = _TOL * np.abs(total + np.bincount(cell, result,
-                                                   minlength=n))
+        errbnd = np.maximum(floor, QUAD_TOL * np.abs(
+            total + np.bincount(cell, result, minlength=n)))
         done = ((kept_err + np.bincount(cell, abserr, minlength=n) <= errbnd)
                 & (np.bincount(cell, ~finite, minlength=n) == 0))
         keep = done[cell] | _passes(abserr, resasc, finite,
@@ -300,22 +302,44 @@ def quad_cells(func, at, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         count += np.bincount(cell[split], minlength=n)
         split &= (count <= _LIMIT)[cell]
         for i in np.flatnonzero(~split):
-            c = cell[i]
-            mapped = _graded_point(func, float(a[c]), float(width[c]))
-            total[c] += quad(mapped, float(lo[i]), float(hi[i]))[0]
+            mapped = _graded(at, a, width, cell[i:i + 1])
+            total[cell[i]] += quad(lambda x: float(np.nan_to_num(
+                mapped(np.array([x]))[0], posinf=0.0, neginf=0.0)),
+                float(lo[i]), float(hi[i]))[0]
         cell, lo, mid, hi = cell[split], lo[split], mid[split], hi[split]
         cell = np.concatenate([cell, cell])
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
     return total
 
 
-def log_integrand(fn, at=None):
-    """(g, g_at): the integrand of ``log_quad`` in u = log t,
-    g(u) = fn(e**u) e**u, and the same on an array of u by at (fn on an
-    array of t); g_at computes in the array of u it is given, which it
-    overwrites.  Where e**u under- or overflows, or fn fails or is not
-    finite there, the integrand reads 0: quad samples u far beyond the
-    range where the (convergent) integrand matters."""
+def log_integrand(at):
+    """The integrand of an integral in u = log t, at(e**u) e**u on an array
+    of u (at is the function on an array of t); it computes in the array
+    of u it is given, which it overwrites.  Where e**u under- or
+    overflows, or at is not finite there, the integrand reads 0: a
+    quadrature samples u far beyond the range where the (convergent)
+    integrand matters."""
+    def g_at(us: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            ts = np.exp(us, out=us)
+            ok = (ts > 0.0) & (ts < math.inf)
+            if ok.all():
+                out = np.multiply(at(ts), ts, out=ts)
+            else:
+                out = np.zeros(len(us))
+                out[ok] = at(ts[ok]) * ts[ok]
+        out[~np.isfinite(out)] = 0.0
+        return out
+
+    return g_at
+
+
+def log_quad(fn, t0: float, t1: float) -> float:
+    """integral_{t0}^{t1} fn(t) dt for 0 <= t0 < t1 <= inf and a plain
+    function fn of one float, computed by ``quad`` in u = log t, which
+    keeps power-law ends and wide ranges well conditioned; as in
+    ``log_integrand``, the integrand reads 0 where e**u under- or
+    overflows, or fn fails or is not finite there."""
     def g(u: float) -> float:
         try:
             t = math.exp(u)
@@ -329,65 +353,64 @@ def log_integrand(fn, at=None):
             return 0.0
         return v if math.isfinite(v) else 0.0
 
-    def g_at(us: np.ndarray) -> np.ndarray:
-        with np.errstate(all="ignore"):
-            ts = np.exp(us, out=us)
-            ok = (ts > 0.0) & (ts < math.inf)
-            if ok.all():
-                out = np.multiply(at(ts), ts, out=ts)
-            else:
-                out = np.zeros(len(us))
-                out[ok] = at(ts[ok]) * ts[ok]
-        out[~np.isfinite(out)] = 0.0
-        return out
-
-    return g, g_at
-
-
-def log_quad(fn, t0: float, t1: float) -> float:
-    """integral_{t0}^{t1} fn(t) dt for 0 <= t0 < t1 <= inf, computed by
-    ``quad`` in u = log t (the integrand of ``log_integrand``), which keeps
-    power-law ends and wide ranges well conditioned."""
     u0 = math.log(t0) if t0 > 0.0 else -math.inf
-    return quad(log_integrand(fn)[0], u0, math.log(t1))[0]
+    return quad(g, u0, math.log(t1))[0]
 
 
-def log_cells(fn, at, edges: Sequence[float]) -> float:
-    """integral of fn over (edges[0], edges[-1]), for increasing finite
-    edges > 0 at fn's kinks, in u = log t (``log_integrand``; at is fn on
-    an array): the whole range as one cell where its first stage, in u,
-    meets the bound of ``quad_cells`` (the graded map would crowd the
-    nodes of a wide smooth range at its ends), else every cell (edges[i],
-    edges[i+1]) by the graded rule of ``quad_cells``."""
-    g, g_at = log_integrand(fn, at)
+def log_cells(at, edges: Sequence[float], epsabs: float = 0.0) -> float:
+    """integral over (edges[0], edges[-1]), for increasing finite edges > 0
+    at the function's kinks, of the function that at gives on an array, in
+    u = log t (``log_integrand``): the whole range as one cell where its
+    first stage, in u, meets the bound of ``quad_cells`` (the graded map
+    would crowd the nodes of a wide smooth range at its ends), else every
+    cell (edges[i], edges[i+1]) by the graded rule of ``quad_cells`` with
+    the floor epsabs."""
+    g_at = log_integrand(at)
     us = np.log(np.asarray(edges, dtype=float))
     if len(us) > 2:  # one cell is quad_cells' first stage
         result, abserr, _, resasc, finite = first_stage(g_at, us[:1],
                                                         us[-1:])
-        if _passes(abserr, resasc, finite, _TOL * np.abs(result))[0]:
+        bound = max(epsabs, QUAD_TOL * abs(float(result[0])))
+        if _passes(abserr, resasc, finite, bound)[0]:
             return float(result[0])
-    return math.fsum(quad_cells(g, g_at, us[:-1], us[1:]).tolist())
+    return math.fsum(quad_cells(g_at, us[:-1], us[1:], epsabs).tolist())
 
 
 _LOG_CUT = 700.0  # |log t| beyond which e**u may under- or overflow
 
 
-def end_quad(fn, end, t0: float, t1: float) -> float:
-    """``log_quad`` from the end t0 = 0 or to the end t1 = inf, where end
-    (an Asym, or a Piece for its own tail) holds fn's term there as coef,
-    a, b.  log_quad loses the slowly decaying rest of an end ~ t**-1 L**b,
-    so for such an end the part beyond |log t| = 700 is the end rule's
-    integrated term."""
-    if end.a != -1 or end.coef == 0.0:
-        return log_quad(fn, t0, t1)
-    if t0 == 0.0:
-        t0 = min(t1, math.exp(-_LOG_CUT))
-        cut_L = -math.log(t0)
+def end_quad(at, end, t0: float, t1: float) -> float:
+    """integral from the end t0 = 0 or to the end t1 = inf of the function
+    that at gives on an array; end (an Asym, or a Piece for its own tail)
+    holds its term c t**a L**b there, L = |log t|.  Up to the cut
+    |log t| = 700 (or t0, t1 beyond it) by ``quad_cells`` at quad's
+    tolerances, mapped onto y in (0, 1] by y = (t/t_e)**(a+1) for a power
+    term (a != -1, b = 0), on which the term is constant, else by qagie's
+    u = u_e -+ (1 - y)/y in u = log t; beyond the cut, the end rule's
+    integrated term there, the rest of an end ~ t**-1 L**b that floats
+    cannot reach, and the leading term of the rest of any other."""
+    at_zero = t0 == 0.0
+    u = math.log(t1 if at_zero else t0)
+    cut = min(u, -_LOG_CUT) if at_zero else max(u, _LOG_CUT)
+    c, a1, b1 = end_integral(end.coef, end.a, end.b)
+    with np.errstate(all="ignore"):
+        scale = float(np.exp(float(a1) * cut
+                             + float(b1) * math.log(abs(cut))))
+    beyond = c * scale if c and scale > 0.0 else 0.0
+    g_at = log_integrand(at)
+    alpha = float(end.a) + 1.0
+    if end.coef != 0.0 and alpha != 0.0 and end.b == 0:
+        def mapped(y: np.ndarray) -> np.ndarray:
+            return g_at(u + np.log(y) / alpha) / (abs(alpha) * y)
+        y_cut = math.exp(alpha * (cut - u))
     else:
-        t1 = max(t0, math.exp(_LOG_CUT))
-        cut_L = math.log(t1)
-    c, _, b = end_integral(end.coef, end.a, end.b)  # c L**b with a = 0
-    return c * cut_L ** float(b) + log_quad(fn, t0, t1)
+        sign = -1.0 if at_zero else 1.0
+
+        def mapped(y: np.ndarray) -> np.ndarray:
+            return g_at(u + sign * (1.0 - y) / y) / (y * y)
+        y_cut = 1.0 / (1.0 + abs(cut - u))
+    inner = quad_cells(mapped, np.array([y_cut]), np.array([1.0]), QUAD_TOL)
+    return beyond + float(inner[0])
 
 
 class Divergence(Exception):
@@ -435,74 +458,9 @@ def end_integral(c: float, a: Exponent, b: Exponent
 
 
 _SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
-_XATOL = 1e-5  # absolute tolerance on the minimizer
-_MAXFUN = 500  # evaluations
-
-
-def brent_min(f, a: float, b: float) -> float:
-    """The least value of f found on [a, b] (finite, a <= b) by Brent's
-    bounded search (Brent 1973, ch. 5): golden-section steps, and
-    parabolic steps where the fit through the three best points x, w, v
-    falls inside the bracket and shrinks the step.  It stops when the
-    bracket is within 1e-5 (plus a relative sqrt-eps) of the best point,
-    or after 500 evaluations.  Its iterates, and so its value, are those of
-    scipy.optimize.minimize_scalar(f, bounds=(a, b), method="bounded")."""
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = f(x)
-    num = 1
-    rat = e = 0.0
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
-    tol2 = 2.0 * tol1
-    while abs(x - xm) > tol2 - 0.5 * (b - a):
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, rat
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                golden = False
-                rat = p / q
-                u = x + rat
-                if u - a < tol2 or b - u < tol2:
-                    rat = tol1 if xm >= x else -tol1
-        if golden:  # into the larger part of the bracket
-            e = (a if x >= xm else b) - x
-            rat = _GOLDEN * e
-        step = max(abs(rat), tol1)
-        u = x + (step if rat >= 0.0 else -step)
-        fu = f(u)
-        num += 1
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + _XATOL / 3.0
-        tol2 = 2.0 * tol1
-        if num >= _MAXFUN:
-            break
-    return fx
+_REFINE = 20  # array calls of the refinement of scan_max, at most
+_BATCH = 15  # points per call of the refinement
+_FLAT = 8.0 * sys.float_info.epsilon  # a bracket flat to rounding
 
 
 def scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
@@ -516,16 +474,55 @@ def scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def scan_max(h, h_at, ts: np.ndarray) -> float:
+def scan_max(h_at, ts: np.ndarray) -> float:
     """Numeric max of h over the increasing grid ts (``scan_grid``) and
-    between its points: the best sample, taken by h_at (h on an array) in
-    one call, refined by a bounded Brent search (``brent_min``) on h
-    between that sample's neighbours."""
+    between its points, where h_at is h on an array: the best sample, taken
+    in one call, refined between its neighbours unless they are within a
+    few ulp of it.  Each step is one call of h_at at 15 points evenly
+    spaced across the bracket and at the vertex of the parabola through
+    the three even points nearest the best point so far, which bracket the
+    next step, an eighth as wide (so noise in h cannot close it early).
+    Steps stop when the bracket is within 4 sqrt(eps) of the best point,
+    relative, or two vertices in a row agree to sqrt(eps) and the last is
+    the best point.  nan reads as no value."""
     vals = h_at(ts)
     k = int(np.nanargmax(vals))
-    a = float(ts[max(k - 1, 0)])
-    b = float(ts[min(k + 1, len(ts) - 1)])
-    return max(float(vals[k]), -brent_min(lambda t: -h(t), a, b))
+    best = float(vals[k])
+    x = ts[max(k - 1, 0):k + 2]
+    f = np.where(np.isnan(vals), -np.inf, vals)[max(k - 1, 0):k + 2]
+    near = np.delete(f, min(k, 1))
+    if not len(near) or best - np.max(near) <= _FLAT * abs(best):
+        return best
+    xb, last = float(ts[k]), math.nan
+    for _ in range(_REFINE):
+        x0, x2 = float(x[0]), float(x[-1])
+        tol = _SQRT_EPS * abs(xb)
+        if x2 - x0 <= 4.0 * tol:
+            break
+        vertex = []
+        if len(x) == 3:  # the vertex of the parabola through x, f
+            x1, (y0, y1, y2) = float(x[1]), f.tolist()
+            p = (x1 - x0) ** 2 * (y1 - y2) - (x1 - x2) ** 2 * (y1 - y0)
+            q = (x1 - x0) * (y1 - y2) - (x1 - x2) * (y1 - y0)
+            v = x1 - 0.5 * p / q if q != 0.0 and math.isfinite(q) else x0
+            vertex = [v] if x0 < v < x2 else []
+        xs = np.linspace(x0, x2, _BATCH + 2)
+        fs = h_at(np.concatenate([xs[1:-1], vertex]))
+        fs = np.where(np.isnan(fs), -np.inf, fs)
+        if vertex and fs[-1] > best:
+            best, xb = float(fs[-1]), vertex[0]
+        fs = np.concatenate([f[:1], fs[:_BATCH], f[-1:]])
+        j = int(np.argmax(fs))
+        if fs[j] > best:
+            best, xb = float(fs[j]), float(xs[j])
+        if vertex and xb == vertex[0] and abs(xb - last) <= tol:
+            break
+        last = vertex[0] if vertex else math.nan
+        # the inner even point nearest to the best point so far, and its
+        # neighbours
+        j = int(np.argmin(np.abs(xs[1:-1] - xb))) + 1
+        x, f = xs[j - 1:j + 2], fs[j - 1:j + 2]
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +728,8 @@ class Piece:
         if math.isinf(s1):
             cut = max(s0, 1.0)
             head_val = quad(g, s0, cut)[0] if cut > s0 else 0.0
-            tail_val = end_quad(g, self, cut, math.inf)
+            g_at = lambda s: self.coef * s ** fa * np.log(_E + s) ** fb
+            tail_val = end_quad(g_at, self, cut, math.inf)
             return ExtReal.finite(total + head_val + tail_val)
         val, _err = quad(g, s0, s1)
         return ExtReal.finite(total + val)
@@ -876,7 +874,8 @@ class StepFunction:
         levels = np.array([p.const_value if p.is_constant else math.nan
                            for p in self.pieces])
         out = levels[idx]
-        for i in np.unique(idx[np.isnan(out)]):
+        held = np.bincount(idx[np.isnan(out)], minlength=len(self.pieces))
+        for i in np.flatnonzero(held):
             sel = idx == i
             out[sel] = self.pieces[i].at(ts[sel])
         return out.reshape(shape)
@@ -1034,9 +1033,10 @@ class StepCumulative:
     """t -> integral_0^t f (from_left) or t -> integral_t^inf f of a
     StepFunction f, as prefix sums of the piece integrals plus the partial
     integral of the piece holding t; inf beyond a divergent piece.  Exact
-    for pieces without log factors; where a piece's partial integrals are
-    closed form they are evaluated by ``_closed_partial``, at one point or,
-    by ``at``, on the group of points of an array that the piece holds."""
+    for pieces without log factors: ``at`` evaluates each piece's partial
+    integrals on the group of points of an array that the piece holds, by
+    its closed form (``_closed_partial``) where there is one, else by
+    ``Piece.integral`` point by point."""
 
     __slots__ = ("pieces", "los", "from_left", "base", "closed")
 
@@ -1049,59 +1049,43 @@ class StepCumulative:
         self.base = acc if from_left else acc[::-1]
         self.closed = [_closed_partial(p, from_left) for p in f.pieces]
 
-    def __call__(self, t: float) -> float:
-        i = bisect.bisect_right(self.los, t) - 1
-        if i < 0:
-            if self.from_left:
-                return 0.0
-            i, t = 0, 0.0
-        return self.base[i] + self._partial(i, t)
-
     def _partial(self, i: int, t: float) -> float:
-        """The partial integral of piece i at t: its closed form where that
-        is finite, else ``Piece.integral``."""
-        part = self.closed[i]
-        if part is not None:
-            val = part[0](t)
-            if math.isfinite(val):
-                return val
+        """The partial integral of piece i at t by ``Piece.integral``; inf
+        where it diverges, or overflows the floats."""
         p = self.pieces[i]
-        part = (p.integral(p.lo, t) if self.from_left
-                else p.integral(t, p.hi))
+        try:
+            part = (p.integral(p.lo, t) if self.from_left
+                    else p.integral(t, p.hi))
+        except OverflowError:
+            return math.inf
         return part.value if part.is_finite else math.inf
 
     def at(self, ts: np.ndarray) -> np.ndarray:
-        """The integral at every point of the array ts; numpy's logs and
-        powers can differ from ``__call__`` in the last bits.  A point whose
-        array value is not finite is computed as ``__call__`` computes it."""
+        """The integral at every point of the array ts."""
         ts = np.asarray(ts, dtype=float)
         idx = np.searchsorted(self.los, ts, side="right") - 1
         out = np.zeros(ts.shape)
         if not self.from_left:  # left of 0: the integral from 0
             ts = np.where(idx < 0, 0.0, ts)
             idx = np.maximum(idx, 0)
-        for i in np.unique(idx[idx >= 0]):
+        held = np.bincount(idx[idx >= 0], minlength=len(self.pieces))
+        for i in np.flatnonzero(held):
             sel = np.flatnonzero(idx == i)
             part = self.closed[i]
-            vals = (part[1](ts[sel]) if part is not None
-                    else np.full(len(sel), math.nan))
-            for k in np.flatnonzero(~np.isfinite(vals)):
-                vals[k] = self._partial(i, float(ts[sel[k]]))
+            vals = (part(ts[sel]) if part is not None else np.array(
+                [self._partial(i, t) for t in ts[sel].tolist()]))
             out[sel] = self.base[i] + vals
         return out
 
 
 def _closed_partial(p: Piece, from_left: bool):
-    """(point, array) evaluators of t -> p.integral(p.lo, t).value
-    (from_left) or p.integral(t, p.hi).value for finite t, as float
-    formulas with the operations of ``Piece.integral`` in the same order
-    (no ExtReal, no exponent comparisons per call); the array one takes
-    points of the piece's interval, with numpy's logs and powers.  None
-    unless every such partial integral is finite and closed form: a finite
-    level, no log factor, no divergent end, a shift at most lo.  One
-    divergent end is allowed: a head at t = shift that diverges, for the
-    right partials, which reach it only from t = shift, where they are
-    inf."""
+    """The array evaluator of t -> p.integral(p.lo, t).value (from_left)
+    or p.integral(t, p.hi).value on the piece's interval: the float
+    formulas of ``Piece.integral`` in its order, with numpy's logs and
+    powers, inf where a partial integral overflows.  None unless each is
+    closed form: a finite level, no log factor, no divergent tail, a shift
+    at most lo.  A head that diverges at t = shift is inf from the left,
+    and from the right only at t = shift."""
     lo, hi, off, c, shift, a = p.lo, p.hi, p.offset, p.coef, p.shift, p.a
     finite_hi = not math.isinf(hi)
     if math.isinf(off) or (not from_left and not finite_hi and off > 0.0):
@@ -1111,8 +1095,6 @@ def _closed_partial(p: Piece, from_left: bool):
         return None
     open_head = (power and lo - shift <= 0.0
                  and not end_integrable(c, a, 0, True))
-    if open_head and from_left:
-        return None  # the head at t = shift diverges
     if power and not (from_left or finite_hi
                       or end_integrable(c, a, 0, False)):
         return None  # the tail diverges
@@ -1121,58 +1103,35 @@ def _closed_partial(p: Piece, from_left: bool):
     try:
         a1 = float(a) + 1 if closed_power else 0.0
         s0 = lo - shift if lo - shift > 0.0 else 0.0
-        head = s0 ** a1 if closed_power and from_left else 0.0
+        head = s0 ** a1 if closed_power and from_left and not open_head else 0.0
         s1 = hi - shift if finite_hi else math.inf
         tail = (s1 ** a1 if closed_power and finite_hi and not from_left
                 else 0.0)
     except OverflowError:
         return None  # Piece.integral raises it when called
 
-    def left(t: float) -> float:
-        x1 = min(t, hi)
-        if x1 <= lo:
-            return 0.0
-        total = off * (x1 - lo)
-        if not power:
-            return total
-        if log_form:
-            return total + c * math.log((x1 - shift) / s0)
-        return total + c * ((x1 - shift) ** a1 - head) / a1
-
-    def right(t: float) -> float:
-        x0 = max(t, lo)
-        if hi <= x0:
-            return 0.0
-        total = off * (hi - x0) if finite_hi else 0.0
-        if not power:
-            return total
-        s0 = x0 - shift if x0 - shift > 0.0 else 0.0
-        if s0 == 0.0 and open_head:
-            return math.inf
-        if log_form:
-            return total + c * math.log(s1 / s0)
-        return total + c * (tail - s0 ** a1) / a1
-
-    def left_at(t: np.ndarray) -> np.ndarray:
+    def left(t: np.ndarray) -> np.ndarray:
         x1 = np.minimum(t, hi)
+        if open_head:
+            return np.where(x1 <= lo, 0.0, math.inf)
         total = off * (x1 - lo)
         if power:
-            with np.errstate(all="ignore"):  # non-finite: the fallback
+            with np.errstate(all="ignore"):
                 total = total + (c * np.log((x1 - shift) / s0) if log_form
                                  else c * ((x1 - shift) ** a1 - head) / a1)
         return np.where(x1 <= lo, 0.0, total)
 
-    def right_at(t: np.ndarray) -> np.ndarray:
+    def right(t: np.ndarray) -> np.ndarray:
         x0 = np.maximum(t, lo)
         total = off * (hi - x0) if finite_hi else np.zeros(t.shape)
         if power:
             s0 = np.maximum(x0 - shift, 0.0)
-            with np.errstate(all="ignore"):  # non-finite: the fallback
+            with np.errstate(all="ignore"):  # inf at s0 = 0 on an open head
                 total = total + (c * np.log(s1 / s0) if log_form
                                  else c * (tail - s0 ** a1) / a1)
         return np.where(hi <= x0, 0.0, total)
 
-    return (left, left_at) if from_left else (right, right_at)
+    return left if from_left else right
 
 
 def _overlaps(f: StepFunction, g: StepFunction):
@@ -1225,7 +1184,7 @@ def sup_over(f: StepFunction, g: StepFunction,
             best = max(best, v0, v1)
             if not prod.values_monotone():
                 best = max(best, scan_max(
-                    prod, prod.at, scan_grid(clo, chi, _CELL_SCAN)))
+                    prod.at, scan_grid(clo, chi, _CELL_SCAN)))
             continue
         # inexact product (mixed offsets / shifts): numeric scan with
         # endpoint limits taken factor-wise
@@ -1235,6 +1194,6 @@ def sup_over(f: StepFunction, g: StepFunction,
             return ExtReal.infinite("product unbounded on a cell")
         with np.errstate(invalid="ignore", over="ignore"):
             best = max(best, v0, v1lim, scan_max(
-                lambda t: p(t) * q(t), lambda ts: p.at(ts) * q.at(ts),
+                lambda ts: p.at(ts) * q.at(ts),
                 scan_grid(clo, chi, _CELL_SCAN)))
     return ExtReal.finite(best)

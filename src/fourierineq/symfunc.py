@@ -3,7 +3,7 @@
 The criteria constants are nested integrals whose integrands are products of
 powers of antiderivatives; such functions have exact power-log leading
 behavior at 0 and at infinity even though no closed form exists in between.
-A SymFunc couples a numeric callable with those two asymptotic exponents:
+A SymFunc couples an array evaluator with those two asymptotic exponents:
 
     f(t) ~ coef * t**a * log(1/t)**b   as t -> 0+
     f(t) ~ coef * t**a * log(t)**b     as t -> inf
@@ -14,20 +14,19 @@ sups) are made from the exponents symbolically, by the end rule of
 performed in exp-substituted coordinates so endpoint singularities are
 integrated accurately.
 
-Beside fn, every SymFunc holds an array evaluator ``at`` (a required
-argument): at(ts) is f at every point of a 1-d float array ts, computed
-with numpy over the whole array.  Sweeps and scans use it: ``anchored``
-re-anchors a quadrature cumulative at a grid in one sweep;
-``tabulated`` is ``anchored`` plus log-log interpolation between the grid
-values; and ``sup`` and ``running_sup_from`` scan with it.  at may differ
-from fn by a few ulp, because numpy's exp and pow are not the C library's
-(on an AVX-512 x86 host about 5% of exp and of pow values of 200k random
-points differ in the last bit); inf, 0 and nan fall where fn's float
-arithmetic puts them.  A quadrature cumulative's ``Cumulative.at`` and
-``Cumulative.sweep`` integrate the pieces between sorted points at once,
-in log coordinates, by the graded rule of ``pieces.quad_cells``, so they
-agree with the point values to the quadrature's tolerance, not to the
-ulp; at its anchors ``at`` reads their values.
+A SymFunc has one evaluator, ``at`` (a required argument): at(ts) is f at
+every point of a 1-d float array ts, computed with numpy over the whole
+array; calling the SymFunc reads at at one point.  Every integral, point
+value and sup scan runs through it: ``anchored`` re-anchors a quadrature
+cumulative at a grid in one sweep; ``tabulated`` is ``anchored`` plus
+log-log interpolation between the grid values; ``sup`` and
+``running_sup_from`` scan with it; and the integrals go through the one
+array rule ``pieces.quad_cells``.  A quadrature cumulative's
+``Cumulative.at`` and ``Cumulative.sweep`` integrate the pieces between
+sorted points at once, in log coordinates, so they agree with the exact
+integral to the quadrature's tolerance; at its anchors ``at`` reads their
+values.  Where a SymFunc holds a StepFunction of closed-form pieces
+(``step``), its integral and cumulatives are that StepFunction's, exact.
 
 Every SymFunc also carries its kinks: the sorted points where it is not
 smooth between its knots, the grid of a ``tabulated`` factor and the
@@ -36,8 +35,8 @@ take the union, ``recip_arg`` takes 1/x, and a cumulative has none.  An
 integral over a head, segment or tail of the knots is taken cell by cell
 between its outermost kinks, in log coordinates (``pieces.log_cells``, whose
 graded cells take a singular end such as u*'s support end at their first
-stage), and beyond them by ``end_quad``; where no factor is tabulated there
-are no kinks, and nothing changes.
+stage), and beyond them by ``pieces.end_quad``; a segment without kinks is
+one cell.
 
 Exponents follow the exponent rule of ``pieces`` (always Fractions), so
 boundary cases (exponent exactly -1 or 0) are decided exactly.
@@ -45,7 +44,6 @@ boundary cases (exponent exactly -1 or 0) are decided exactly.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,8 +54,8 @@ import numpy as np
 from . import pieces
 from .exponents import Exponent, as_exp
 from .extreal import ExtReal
-from .pieces import (Divergence, StepFunction, end_integrable, end_integral,
-                     end_limit, end_quad, log_quad, scan_grid, scan_max)
+from .pieces import (QUAD_TOL, Divergence, StepFunction, end_integrable,
+                     end_integral, end_limit, scan_grid, scan_max)
 
 
 _NO_KINKS = np.empty(0)
@@ -73,7 +71,7 @@ def _kinks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _quiet():
     """numpy's floating-point warnings off: an array evaluator reads inf, 0
-    and nan where fn's float arithmetic does."""
+    and nan where its float arithmetic puts them."""
     return np.errstate(all="ignore")
 
 
@@ -155,20 +153,18 @@ def _dominant(terms: Sequence[Asym], at_zero: bool) -> Asym:
 
 
 class SymFunc:
-    __slots__ = ("fn", "at", "head", "tail", "knots", "step", "kinks")
+    __slots__ = ("at", "head", "tail", "knots", "step", "kinks")
 
-    def __init__(self, fn: Callable[[float], float], head: Asym, tail: Asym,
-                 knots: Sequence[float] = (), step=None, *,
-                 at: Callable[[np.ndarray], np.ndarray],
+    def __init__(self, head: Asym, tail: Asym, knots: Sequence[float] = (),
+                 step=None, *, at: Callable[[np.ndarray], np.ndarray],
                  kinks: np.ndarray = _NO_KINKS):
-        self.fn = fn
         self.at = at  # f on a 1-d array (see the module docstring)
         self.head = head
         self.tail = tail
         self.knots = tuple(sorted({float(k) for k in knots
                                    if 0.0 < k < math.inf}))
-        # a StepFunction of closed-form pieces (no log factors) that equals
-        # fn, kept so cumulative integrals can be computed exactly
+        # a StepFunction of closed-form pieces (no log factors) equal to f,
+        # kept so that its integrals can be computed exactly
         self.step = step
         # the sorted points where f is not smooth between its knots (the
         # grids of tabulated and running-sup factors), where its integral
@@ -176,7 +172,7 @@ class SymFunc:
         self.kinks = kinks
 
     def __call__(self, t: float) -> float:
-        return self.fn(t)
+        return float(self.at(np.array([float(t)]))[0])
 
     # -- constructors -----------------------------------------------------
     @staticmethod
@@ -186,59 +182,46 @@ class SymFunc:
         b = as_exp(b)
         fa, fb, c = float(a), float(b), float(coef)
 
-        def fn(t: float) -> float:
-            return c * t ** fa * (math.log(math.e + t) ** fb if fb else 1.0)
-
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
                 return c * ts ** fa * (np.log(math.e + ts) ** fb if fb
                                        else 1.0)
 
-        return SymFunc(fn, Asym(c, a, 0), Asym(c, a, b), (1.0,), at=at)
+        return SymFunc(Asym(c, a, 0), Asym(c, a, b), (1.0,), at=at)
 
     @staticmethod
     def constant(c: float) -> "SymFunc":
-        return SymFunc(lambda t: c, Asym(c), Asym(c),
+        return SymFunc(Asym(c), Asym(c),
                        at=lambda ts: np.full(len(ts), c, dtype=float))
 
     @staticmethod
     def from_step(sf: StepFunction) -> "SymFunc":
         closed_form = all(p.b == 0 for p in sf.pieces)
-        return SymFunc(lambda t: sf(t), _piece_end(sf.pieces[0], True),
+        return SymFunc(_piece_end(sf.pieces[0], True),
                        _piece_end(sf.pieces[-1], False),
                        [b for b in sf.breakpoints if b > 0.0],
                        step=sf if closed_form else None, at=sf.at)
 
     # -- algebra ------------------------------------------------------------
     def mul(self, other: "SymFunc") -> "SymFunc":
-        f, g = self.fn, other.fn
         f_at, g_at = self.at, other.at
 
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
                 return f_at(ts) * g_at(ts)
 
-        return SymFunc(lambda t: f(t) * g(t), self.head.mul(other.head),
-                       self.tail.mul(other.tail), self.knots + other.knots,
-                       at=at, kinks=_kinks(self.kinks, other.kinks))
+        return SymFunc(self.head.mul(other.head), self.tail.mul(other.tail),
+                       self.knots + other.knots, at=at,
+                       kinks=_kinks(self.kinks, other.kinks))
 
     def pow(self, e: Exponent) -> "SymFunc":
-        f, f_at = self.fn, self.at
+        f_at = self.at
         fe = float(e)
         if fe == 0.0:
             return SymFunc.constant(1.0)
 
-        def fn(t: float) -> float:
-            v = f(t)
-            if v == 0.0:
-                return 0.0 if fe > 0 else math.inf
-            if math.isinf(v):
-                return math.inf if fe > 0 else 0.0
-            return v ** fe
-
         def at(ts: np.ndarray) -> np.ndarray:
-            # np.power's 0 and inf rules are fn's: 0**fe is 0 (fe > 0) or
-            # inf, inf**fe is inf (fe > 0) or 0
+            # 0**fe is 0 (fe > 0) or inf, inf**fe is inf (fe > 0) or 0
             with _quiet():
                 return np.power(f_at(ts), fe)
 
@@ -248,36 +231,34 @@ class SymFunc:
                 step = self.step.pow_compose(e)
             except (NotImplementedError, ValueError):
                 step = None
-        return SymFunc(fn, self.head.pow(e), self.tail.pow(e), self.knots,
+        return SymFunc(self.head.pow(e), self.tail.pow(e), self.knots,
                        step=step, at=at, kinks=self.kinks)
 
     def add(self, other: "SymFunc") -> "SymFunc":
-        f, g = self.fn, other.fn
         f_at, g_at = self.at, other.at
 
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
                 return f_at(ts) + g_at(ts)
 
-        return SymFunc(lambda t: f(t) + g(t),
-                       _dominant([self.head, other.head], True),
+        return SymFunc(_dominant([self.head, other.head], True),
                        _dominant([self.tail, other.tail], False),
                        self.knots + other.knots, at=at,
                        kinks=_kinks(self.kinks, other.kinks))
 
     def recip_arg(self) -> "SymFunc":
         """t -> f(1/t); swaps the roles of 0 and infinity."""
-        f, f_at = self.fn, self.at
         head = Asym(self.tail.coef, -self.tail.a, self.tail.b)
         tail = Asym(self.head.coef, -self.head.a, self.head.b)
-        fn = (f.reciprocal() if isinstance(f, Cumulative)
-              else lambda t: f(1.0 / t))
+        f_at, cum = self.at, _quadrature_cumulative(self)
 
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
                 return f_at(1.0 / ts)
 
-        return SymFunc(fn, head, tail, [1.0 / k for k in self.knots], at=at,
+        if cum is not None:  # a cumulative stays one, for ``anchored``
+            at = cum.reciprocal().at
+        return SymFunc(head, tail, [1.0 / k for k in self.knots], at=at,
                        kinks=1.0 / self.kinks[::-1])
 
     # -- numeric helpers -----------------------------------------------------
@@ -290,12 +271,13 @@ class SymFunc:
         """The same function, with a quadrature cumulative re-anchored at
         the increasing grid ts (and its anchors inside it) by one
         ``Cumulative.sweep``, so that its values at the grid points are
-        the anchors' and a point value between them integrates from the
-        nearest grid point; any other function is itself."""
-        if not isinstance(self.fn, Cumulative):
+        the anchors' and a value between them integrates from the nearest
+        grid point; any other function is itself."""
+        cum = _quadrature_cumulative(self)
+        if cum is None:
             return self
-        cum = self.fn.sweep(ts)[1]
-        return SymFunc(cum, self.head, self.tail, self.knots, at=cum.at)
+        return SymFunc(self.head, self.tail, self.knots,
+                       at=cum.sweep(ts)[1].at)
 
     def scan_grid(self) -> np.ndarray:
         """The geometric grid that ``sup`` scans: 600 points from the
@@ -306,14 +288,13 @@ class SymFunc:
     def tabulated(self, n: int = 2048, pad: float = 1e8) -> "SymFunc":
         """Fast log-log interpolated copy (used inside nested quadratures):
         ``anchored`` at the geometric grid, and interpolated between its
-        values there, which ``at`` gives.  Outside the grid, and where the
-        interpolated log is not finite, the copy is the anchored function
-        itself.  The grid points are kinks of the copy."""
+        values there.  Outside the grid, and where the interpolated log is
+        not finite, the copy is the anchored function itself.  The grid
+        points are kinks of the copy."""
         lo, hi = self._span()
         lo, hi = lo / pad, hi * pad
         ts = np.geomspace(lo, hi, n)
-        anchored = self.anchored(ts)
-        f, f_at = anchored.fn, anchored.at
+        f_at = self.anchored(ts).at
         vals = f_at(ts)
         finite = np.isfinite(vals)
         if not finite.all():
@@ -321,16 +302,6 @@ class SymFunc:
         logt = np.log(ts)
         with np.errstate(divide="ignore"):
             logv = np.log(vals)
-
-        def fn(t: float) -> float:
-            if t <= lo or t >= hi:
-                return f(t)
-            # numpy's log, as in at: a last-bit difference in log t moves
-            # the interpolated value by the log-log slope times |log t|
-            lv = np.interp(np.log(t), logt, logv)
-            if not math.isfinite(lv):
-                return f(t)
-            return math.exp(lv)
 
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
@@ -341,7 +312,7 @@ class SymFunc:
                 out[rest] = f_at(ts[rest])
             return out
 
-        return SymFunc(fn, self.head, self.tail, self.knots, at=at,
+        return SymFunc(self.head, self.tail, self.knots, at=at,
                        kinks=_kinks(self.kinks, ts))
 
     # -- calculus ---------------------------------------------------------
@@ -364,33 +335,36 @@ class SymFunc:
 
     def _part(self, t0: float, t1: float) -> float:
         """integral_{t0}^{t1} f for a head (t0 = 0), a segment or a tail
-        (t1 = inf) of the knots.  Between its outermost kinks it is
-        integrated in log coordinates, cell by cell (``pieces.log_cells``);
-        an end beyond them, and a whole part without kinks, by
-        ``end_quad`` (in log coordinates) or, for a segment, ``quad``."""
-        f, kinks = self.fn, self.kinks
+        (t1 = inf) of the knots, in log coordinates: between its outermost
+        kinks cell by cell (``pieces.log_cells``), beyond them by
+        ``end_quad``; a segment without kinks is one cell of ``log_cells``
+        at quad's tolerances."""
+        kinks = self.kinks
         inner = kinks[(kinks > t0) & (kinks < t1)].tolist()
         if not inner:
             if t0 == 0.0:
-                return end_quad(f, self.head, 0.0, t1)
+                return pieces.end_quad(self.at, self.head, 0.0, t1)
             if t1 == math.inf:
-                return end_quad(f, self.tail, t0, math.inf)
-            return pieces.quad(f, t0, t1)[0]
+                return pieces.end_quad(self.at, self.tail, t0, math.inf)
+            return pieces.log_cells(self.at, [t0, t1], QUAD_TOL)
         edges = ([t0] if t0 > 0.0 else []) + inner + (
             [t1] if t1 < math.inf else [])
-        total = pieces.log_cells(f, self.at, edges)
+        total = pieces.log_cells(self.at, edges)
         if t0 == 0.0:
-            total = end_quad(f, self.head, 0.0, inner[0]) + total
+            total = pieces.end_quad(self.at, self.head, 0.0, inner[0]) + total
         if t1 == math.inf:
-            total += end_quad(f, self.tail, inner[-1], math.inf)
+            total += pieces.end_quad(self.at, self.tail, inner[-1], math.inf)
         return total
 
     def integral(self) -> ExtReal:
-        """integral over (0, inf) with symbolic endpoint certification."""
+        """integral over (0, inf) with symbolic endpoint certification; the
+        closed form of ``step`` where it is set."""
         for end, at_zero, name in self._ends():
             if not end.integrable(at_zero):
                 return ExtReal.infinite(
                     f"integrand ~ t**({end.a}) log**({end.b}) at {name}")
+        if self.step is not None:
+            return self.step.integrate()
         return ExtReal.finite(_total(*self._knot_integrals()))
 
     def antiderivative(self) -> "SymFunc":
@@ -413,22 +387,20 @@ class SymFunc:
         knots = self.knots or (1.0,)
         other_finite = other.integrable(not from_left)
         if self.step is not None:
-            fn = self.step.cumulative(from_left)
-            at = fn.at
+            at = self.step.cumulative(from_left).at
             total = self.step.integrate().value
         else:
             head_int, segs, tail_int = self._knot_integrals()
             parts = ([head_int, *segs] if from_left
                      else [tail_int, *reversed(segs)])
             cum = list(itertools.accumulate(parts))
-            fn = Cumulative(self.fn, self.at, knots,
-                            cum if from_left else cum[::-1], from_left, start)
-            at = fn.at
+            at = Cumulative(self.at, knots, cum if from_left else cum[::-1],
+                            from_left, start).at
             total = _total(head_int, segs, tail_int)
         near = start.integrated()
         far = Asym(total) if other_finite else other.integrated()
         head, tail = (near, far) if from_left else (far, near)
-        return SymFunc(fn, head, tail, knots, at=at)
+        return SymFunc(head, tail, knots, at=at)
 
     def sup(self) -> ExtReal:
         """sup over (0, inf) with certified endpoint limits."""
@@ -440,9 +412,9 @@ class SymFunc:
         # a maximum at a kink or a jump sits on a knot, between the scan's
         # samples: take the value there and the limit from the left
         near = [t for k in self.knots for t in (k, math.nextafter(k, 0.0))]
-        at_knots = [v for v in map(self.fn, near) if math.isfinite(v)]
-        best = max(scan_max(self.fn, self.at, self.scan_grid()),
-                   *lims, *at_knots)
+        at_knots = self.at(np.array(near)) if near else np.empty(0)
+        best = max(scan_max(self.at, self.scan_grid()), *lims,
+                   *at_knots[np.isfinite(at_knots)].tolist())
         return ExtReal.finite(float(best))
 
     def running_sup_from(self) -> "SymFunc":
@@ -456,18 +428,11 @@ class SymFunc:
         vals = f_at(ts)
         suffix = np.maximum.accumulate(np.maximum(vals, atinf)[::-1])[::-1]
 
-        def fn(x: float) -> float:
-            if x >= ts[-1]:  # the largest of 16 samples over [x, 10 x]
-                return max(atinf, float(np.max(
-                    f_at(np.geomspace(x, 10 * x, 16)))))
-            i = int(np.searchsorted(ts, x, side="left"))
-            return float(suffix[min(i, len(ts) - 1)])
-
         def at(xs: np.ndarray) -> np.ndarray:
             out = suffix[np.minimum(np.searchsorted(ts, xs, side="left"),
                                     len(ts) - 1)]
             far = xs >= ts[-1]
-            if far.any():
+            if far.any():  # the largest of 16 samples over [x, 10 x]
                 x = xs[far]
                 top = np.max(f_at(np.geomspace(x, 10 * x, 16).reshape(-1))
                              .reshape(16, -1), axis=0)
@@ -475,7 +440,7 @@ class SymFunc:
             return out
 
         global_sup = float(max(np.max(vals), atinf))
-        return SymFunc(fn, Asym(global_sup), Asym(max(atinf, float(vals[-1]))),
+        return SymFunc(Asym(global_sup), Asym(max(atinf, float(vals[-1]))),
                        self.knots, at=at, kinks=ts)
 
 
@@ -493,24 +458,18 @@ def _total(head: float, segs: Sequence[float], tail: float) -> float:
 
 
 class Cumulative:
-    """t -> integral_0^t fn (from_left) or t -> integral_t^inf fn, held as
-    sorted anchors and the integral's values there; fn_at is fn on an array,
-    and end is fn's term at the fixed end.  With recip set it is t -> the
-    same integral at 1/t.
+    """t -> integral_0^t f (from_left) or t -> integral_t^inf f, held as
+    sorted anchors and the integral's values there; f_at is f on an array,
+    and end is f's term at the fixed end.  With recip set it is t -> the
+    same integral at 1/t.  ``at`` gives the values at an array of points,
+    and ``sweep`` on a whole grid in one pass."""
 
-    A point value integrates fn only from the nearest anchor on the side of
-    the fixed end (from the end itself, by ``end_quad``, when there is none
-    there).  ``at`` gives the values at an array of points, and ``sweep``
-    on a whole grid in one pass."""
+    __slots__ = ("f_at", "anchors", "values", "from_left", "end", "recip")
 
-    __slots__ = ("fn", "fn_at", "anchors", "values", "from_left", "end",
-                 "recip")
-
-    def __init__(self, fn, fn_at, anchors: Sequence[float],
+    def __init__(self, f_at, anchors: Sequence[float],
                  values: Sequence[float], from_left: bool, end: Asym,
                  recip: bool = False):
-        self.fn = fn
-        self.fn_at = fn_at
+        self.f_at = f_at
         self.anchors = list(anchors)
         self.values = list(values)
         self.from_left = from_left
@@ -518,66 +477,57 @@ class Cumulative:
         self.recip = recip
 
     def reciprocal(self) -> "Cumulative":
-        return Cumulative(self.fn, self.fn_at, self.anchors, self.values,
+        return Cumulative(self.f_at, self.anchors, self.values,
                           self.from_left, self.end, not self.recip)
 
-    def __call__(self, t: float) -> float:
-        return self._value(1.0 / t if self.recip else t)
-
-    def _value(self, x: float) -> float:
-        ks, fn = self.anchors, self.fn
-        if self.from_left:
-            i = bisect.bisect_right(ks, x) - 1
-            if i < 0:
-                return 0.0 if x <= 0.0 else end_quad(fn, self.end, 0.0, x)
-            return self.values[i] + _segment(fn, ks[i], x)
-        i = bisect.bisect_left(ks, x)
-        if i >= len(ks):
-            return end_quad(fn, self.end, x, math.inf)
-        return self.values[i] + _segment(fn, x, ks[i])
-
     def at(self, ts: np.ndarray) -> np.ndarray:
-        """The values at every point of the array ts.  Between the first
-        and the last anchor, the points are sorted by their anchor (the
-        nearest on the side of the fixed end), and each is integrated from
-        its neighbour toward the anchor, so that one piece per anchor at
-        most reaches a singular end, which the graded rule takes at its
-        first stage; all pieces go through one ``pieces.quad_cells`` pass
-        in log coordinates, and their running sums from the anchors give
-        the values (a point at an anchor is a piece of width 0).  A point
-        beyond the anchors is a point value."""
+        """The values at every point of the array ts, in one
+        ``pieces.quad_cells`` pass in u = log t.  The points are sorted by
+        their anchor (the nearest on the side of the fixed end), and each
+        is integrated from its neighbour toward the anchor, so that one
+        piece per anchor at most reaches a singular end, which the graded
+        rule takes at its first stage; running sums from the anchors give
+        the values (a point at an anchor is a piece of width 0).  Beyond
+        the anchors on the fixed side, the outermost point is the anchor,
+        its value from the end by ``pieces.end_quad``; a piece beyond the
+        anchors keeps quad's tolerances, the others the sweeps' bound."""
         xs = 1.0 / ts if self.recip else np.asarray(ts, dtype=float)
         ks = np.asarray(self.anchors)
-        out = np.empty(len(xs))
-        inside = (xs >= ks[0]) & (xs <= ks[-1])
-        for j in np.flatnonzero(~inside):
-            out[j] = self._value(float(xs[j]))
-        pos = np.flatnonzero(inside)
-        if not len(pos):
-            return out
-        x = xs[pos]
-        if self.from_left:  # the anchor at or left of x
-            i = np.searchsorted(ks, x, side="right") - 1
-        else:  # the anchor at or right of x
-            i = np.searchsorted(ks, x, side="left")
-        order = np.lexsort((x if self.from_left else -x, i))
-        pos, x, i = pos[order], x[order], i[order]
+        outside = (xs < ks[0]) | (xs > ks[-1])
+        # in w = u (from_left) or w = -u, the fixed end is at w = -inf
+        sign = 1.0 if self.from_left else -1.0
+        w, kw = sign * np.log(xs), sign * np.log(ks)
+        vals = np.asarray(self.values)
+        if not self.from_left:
+            kw, vals = kw[::-1], vals[::-1]
+        i = np.searchsorted(kw, w, side="right") - 1  # -1: the end
+        if (i < 0).any():  # the outermost point as one more anchor
+            j = int(np.argmin(np.where(i < 0, w, math.inf)))
+            t = float(xs[j])
+            ends = (0.0, t) if self.from_left else (t, math.inf)
+            kw = np.append(w[j], kw)
+            vals = np.append(pieces.end_quad(self.f_at, self.end, *ends),
+                             vals)
+            i += 1
+        order = np.lexsort((w, i))
+        x, i = w[order], i[order]
         first = np.ones(len(x), dtype=bool)
         first[1:] = i[1:] != i[:-1]
-        near = np.where(first, ks[i], np.roll(x, 1))  # toward the anchor
-        lo, hi = ((near, x) if self.from_left else (x, near))
-        g, g_at = pieces.log_integrand(self.fn, self.fn_at)
-        parts = pieces.quad_cells(g, g_at, np.log(lo), np.log(hi))
+        near = np.where(first, kw[i], np.roll(x, 1))  # toward the anchor
+        lo, hi = (near, x) if self.from_left else (-x, -near)
+        parts = pieces.quad_cells(pieces.log_integrand(self.f_at), lo, hi,
+                                  np.where(outside[order], QUAD_TOL, 0.0))
         # the running sum from each anchor; a point alone at its anchor
         # (every point of a grid the cumulative is anchored at) is one term
-        vals = np.asarray(self.values)[i]
-        run = vals + parts
+        start = vals[i]
+        run = start + parts
         starts = np.flatnonzero(first)
         sizes = np.diff(starts, append=len(x))
         for s, m in zip(starts[sizes > 1].tolist(),
                         sizes[sizes > 1].tolist()):
-            run[s:s + m] = vals[s] + np.cumsum(parts[s:s + m])
-        out[pos] = run
+            run[s:s + m] = start[s] + np.cumsum(parts[s:s + m])
+        out = np.empty(len(x))
+        out[order] = run
         return out
 
     def sweep(self, ts: np.ndarray) -> tuple[np.ndarray, "Cumulative"]:
@@ -586,8 +536,8 @@ class Cumulative:
         is split at those anchors; the segments between consecutive points
         are integrated in log coordinates, all in one pass of the graded
         rule ``pieces.quad_cells``, as ``at`` integrates its pieces, and
-        summed from the point value at the grid's end on the fixed side
-        toward the other end."""
+        summed from the value at the grid's end on the fixed side (by
+        ``at``) toward the other end."""
         if self.recip:
             vals, cum = self.reciprocal().sweep(1.0 / ts[::-1])
             return vals[::-1], cum.reciprocal()
@@ -595,21 +545,19 @@ class Cumulative:
         edges = sorted(set(ts.tolist()).union(
             k for k in self.anchors if x0 < k < x1))
         us = np.log(edges)
-        g, g_at = pieces.log_integrand(self.fn, self.fn_at)
-        parts = pieces.quad_cells(g, g_at, us[:-1], us[1:]).tolist()
+        parts = pieces.quad_cells(pieces.log_integrand(self.f_at), us[:-1],
+                                  us[1:]).tolist()
+        start = float(self.at(np.array([x0 if self.from_left else x1]))[0])
         if self.from_left:
-            run = list(itertools.accumulate(parts, initial=self._value(x0)))
+            run = list(itertools.accumulate(parts, initial=start))
         else:
             run = list(itertools.accumulate(reversed(parts),
-                                            initial=self._value(x1)))[::-1]
-        cum = Cumulative(self.fn, self.fn_at, edges, run, self.from_left,
-                         self.end)
+                                            initial=start))[::-1]
+        cum = Cumulative(self.f_at, edges, run, self.from_left, self.end)
         return np.asarray(run)[np.searchsorted(edges, ts)], cum
 
 
-def _segment(fn, a: float, b: float) -> float:
-    """integral_a^b fn for 0 < a <= b < inf; log coordinates keep wide
-    ranges well conditioned."""
-    if b > 8.0 * a:
-        return log_quad(fn, a, b)
-    return pieces.quad(fn, a, b)[0]
+def _quadrature_cumulative(f: SymFunc) -> "Cumulative | None":
+    """The quadrature cumulative whose ``at`` f's is, else None."""
+    cum = getattr(f.at, "__self__", None)
+    return cum if isinstance(cum, Cumulative) else None

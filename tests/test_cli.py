@@ -148,6 +148,19 @@ def test_hardy_discrete_with_oracle(capsys):
     assert j["oracle_lower_bound"] > 0
 
 
+def test_hardy_discrete_oracle_with_a_short_v(capsys):
+    # v is padded with inf to the length of u, and x_3 held at 0 where
+    # v_3 = inf: K and the oracle read the same problem
+    code, out = run(capsys, "hardy", "--kind", "head_sum",
+                    "--u", "1,0.5,0.25", "--v", "1,1",
+                    "--p", "1", "--q", "1/2", "--oracle", "--seed", "1")
+    assert code == 0
+    j = strict_json(out)
+    K = j["K"]["value"]
+    assert j["K"]["state"] == "finite" and K > 0
+    assert K / 8.0 <= j["oracle_lower_bound"] <= 8.0 * K
+
+
 @pytest.mark.parametrize("kind,weights", [
     ("head_integral", ("--u", "pow(3)", "--v", "pow(-1)", "--p", "2",
                        "--q", "2")),

@@ -12,6 +12,7 @@ from fourierineq.norms import (SequenceData, _zeta2, bochkarev_norm,
                                llogl_norm, morrey_optimal_norm,
                                optimal_Y_norm, theta_norm)
 from fourierineq.pieces import StepFunction, parse_exp
+from fourierineq.symfunc import SymFunc
 from fourierineq.weights import WeightSpec
 
 E1 = SequenceData(np.array([1.0]))
@@ -239,7 +240,10 @@ def test_zero_inputs():
 
 
 # morrey_optimal_norm on the suite's and the benchmark's finite cases,
-# (f, q, shape, d) -> its value when G(R^d) was a quadrature per scan sample
+# (f, q, shape, d) -> its value when G(R^d) was a quadrature per scan sample;
+# the d = 3 box case re-pinned upward (from 1.0203318003558435, +2.7e-12)
+# when the search between the scan's samples became array steps, which
+# reach the dense scan of its bracket below
 BOX = StepFunction.indicator(1.0)
 TWO = StepFunction.from_cells([0, 1, 2], [1.0, 0.5])
 MORREY = {
@@ -256,21 +260,33 @@ MORREY = {
         1.2852449446246108),
     "box, q=4, R^-1/4, d=3": (
         (BOX, 4, StepFunction.power(1.0, Fraction(1, 4)), 3),
-        1.0203318003558435),
+        1.020331800358631),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MORREY))
 def test_morrey_scan_on_an_anchored_cumulative(monkeypatch, name):
-    # G is anchored at the scan's grid: one sweep, and quadratures only for
-    # the refining search and the knots (621 on the box case before)
+    # G is anchored at the scan's grid: one sweep, and no QUADPACK call (621
+    # on the box case when each sample was a quadrature, under 80 when the
+    # refining search and the knots were)
     args, before = MORREY[name]
-    calls, quad = [], pieces.quad
+    calls, quad, sup = [], pieces.quad, SymFunc.sup
+    scanned = []
 
     def counted(*a):
         calls.append(a)
         return quad(*a)
     monkeypatch.setattr(pieces, "quad", counted)
+    monkeypatch.setattr(SymFunc, "sup", lambda f: (scanned.append(f),
+                                                   sup(f))[1])
     v = morrey_optimal_norm(*args)
     assert v.is_finite and v.value == pytest.approx(before, rel=1e-12)
-    assert len(calls) < 80
+    assert calls == []
+    # the sup reaches a dense scan between the neighbours of its best
+    # sample, 20001 even points
+    (f,) = scanned
+    ts = f.scan_grid()
+    k = int(np.nanargmax(f.at(ts)))
+    dense = f.at(np.linspace(ts[max(k - 1, 0)], ts[min(k + 1, len(ts) - 1)],
+                             20001))
+    assert v.value >= float(np.nanmax(dense)) * (1.0 - 1e-13)

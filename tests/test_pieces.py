@@ -9,10 +9,10 @@ import pytest
 from fourierineq import pieces
 from fourierineq.criteria import ExponentConfig
 from fourierineq.pieces import (LeadSpec, Piece, StepFunction, TailSpec,
-                                as_exp, brent_min, log_quad, parse_exp, quad,
+                                as_exp, log_quad, parse_exp, quad, scan_max,
                                 sup_over)
 from fourierineq.rearrange import hl_pairing
-from fourierineq.symfunc import Asym
+from fourierineq.symfunc import Asym, SymFunc
 from fourierineq.weights import WeightSpec
 
 
@@ -187,8 +187,13 @@ def test_log_power_piece_tail_beyond_exp_overflow():
                                 tail=TailSpec.powerlog(1, Fraction(3, 2)))
     assert f.integrate().value == pytest.approx(1.0 + 2.2975656105992071,
                                                 rel=1e-10)
-    assert f.cumulative(from_left=False)(1.0) == pytest.approx(
-        2.2975656105992071, rel=1e-10)
+    assert f.cumulative(from_left=False).at(np.array([1.0]))[0] == (
+        pytest.approx(2.2975656105992071, rel=1e-10))
+
+
+def _at(cum, t: float) -> float:
+    """A cumulative's array evaluator at one point."""
+    return float(cum.at(np.array([t]))[0])
 
 
 def test_cumulative_both_directions():
@@ -197,16 +202,32 @@ def test_cumulative_both_directions():
     left, right = f.cumulative(), f.cumulative(from_left=False)
     total = f.integrate().value  # 2 + 2 + 1/3
     for t in [0.0, 0.5, 1.0, 2.0, 3.0, 6.0]:
-        assert left(t) == pytest.approx(f.integrate(0.0, t).value,
-                                        abs=1e-14)
-        assert left(t) + right(t) == pytest.approx(total, rel=1e-14)
-    assert right(6.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
+        assert _at(left, t) == pytest.approx(f.integrate(0.0, t).value,
+                                             abs=1e-14)
+        assert _at(left, t) + _at(right, t) == pytest.approx(total,
+                                                             rel=1e-14)
+    assert _at(right, 6.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
     # beyond a divergent piece the cumulative integral is infinite
     g = StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, math.inf])
-    assert g.cumulative()(1.5) == math.inf
-    assert g.cumulative()(3.0) == math.inf
-    assert g.cumulative(from_left=False)(0.5) == math.inf
+    assert _at(g.cumulative(), 1.5) == math.inf
+    assert _at(g.cumulative(), 3.0) == math.inf
+    assert _at(g.cumulative(from_left=False), 0.5) == math.inf
 
+
+def test_cumulative_reads_inf_where_a_partial_integral_overflows():
+    # t**3 beyond 1: integral_1^t s**3 ds = (t**4 - 1)/4 exceeds the floats
+    # at t = 1e100, where the closed form's power overflowed
+    f = StepFunction.from_cells([0, 1], [1, 1], tail=TailSpec.power(-3))
+    got = f.cumulative().at(np.array([0.5, 2.0, 1e100]))
+    np.testing.assert_array_equal(got, [0.5, 1.0 + 15.0 / 4.0, math.inf])
+    assert SymFunc.from_step(f).antiderivative()(1e100) == math.inf
+    assert f.cumulative(from_left=False).at(np.array([1e100]))[0] == (
+        math.inf)
+    # a piece without a closed form (a log factor) goes to Piece.integral,
+    # whose power overflows there too
+    g = StepFunction([Piece(0.0, 1.0, 1.0),
+                      Piece(1.0, math.inf, 0.0, 1.0, 0.0, 3, 1)])
+    assert g.cumulative().at(np.array([1e150]))[0] == math.inf
 
 
 def test_parse_exp():
@@ -275,39 +296,33 @@ def _random_closed_form(rng) -> StepFunction:
     return StepFunction(out)
 
 
-def test_closed_form_cumulative_is_piece_integral_bit_for_bit(monkeypatch):
-    rng = np.random.default_rng(2024)
-    for _ in range(300):
-        f = _random_closed_form(rng)
-        ps = f.pieces
-        inner = [p.hi for p in ps[:-1]]
-        ts = [0.0, *f.breakpoints, *inner,
-              *np.nextafter(inner, 0.0).tolist(),
-              *rng.uniform(0.0, 12.0, 8).tolist()]
-        left, right = f.cumulative(), f.cumulative(from_left=False)
-        # reference: prefix sums of Piece.integral plus the partial
-        # integral of the piece holding t
-        want = []
-        for t in ts:
-            i = bisect.bisect_right(f.breakpoints, t) - 1
-            head = sum((p.integral(p.lo, p.hi).value for p in ps[:i]), 0.0)
-            part = ps[i].integral(ps[i].lo, t).value
-            rest = 0.0
-            for p in ps[:i:-1]:
-                rest += p.integral(p.lo, p.hi).value
-            want.append((head + part, rest + ps[i].integral(t, ps[i].hi).value))
-        # the float formula runs for every point: Piece.integral is not
-        # called once the cumulatives are built
-        monkeypatch.setattr(Piece, "integral", None)
-        got = [(left(t), right(t)) for t in ts]
-        monkeypatch.undo()
-        assert got == want
+def _piece_integral_cumulatives(f: StepFunction, ts) -> np.ndarray:
+    """(left, right) cumulative integrals of f at every point of ts: prefix
+    sums of ``Piece.integral`` plus the partial integral of the piece
+    holding t, each part inf where it diverges."""
+    ps = f.pieces
+
+    def part(p, x0, x1):
+        v = p.integral(x0, x1)
+        return v.value if v.is_finite else math.inf
+    out = []
+    for t in ts:
+        i = bisect.bisect_right(f.breakpoints, t) - 1
+        head = sum((part(p, p.lo, p.hi) for p in ps[:i]), 0.0)
+        rest = 0.0
+        for p in ps[:i:-1]:
+            rest += part(p, p.lo, p.hi)
+        out.append((head + part(ps[i], ps[i].lo, t),
+                    rest + part(ps[i], t, ps[i].hi)))
+    return np.array(out)
 
 
-def test_cumulative_at_is_the_point_value():
+def test_cumulative_at_is_the_point_value(monkeypatch):
     # at runs each piece's closed form on its group of points with numpy's
     # logs and powers; a difference of partial integrals is absolute, on the
-    # scale of the cumulative, so it is compared there too
+    # scale of the cumulative, so it is compared there too.  The reference
+    # is Piece.integral, whose float formulas at uses in the same order, so
+    # only numpy's logs and powers differ (in the last bit)
     rng = np.random.default_rng(2025)
     fs = [_random_closed_form(rng) for _ in range(200)]
     fs.append(StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, math.inf]))
@@ -316,14 +331,20 @@ def test_cumulative_at_is_the_point_value():
         ts = np.array([0.0, *f.breakpoints, *inner,
                        *np.nextafter(inner, 0.0).tolist(),
                        *rng.uniform(0.0, 12.0, 8).tolist()])
-        for cum in (f.cumulative(), f.cumulative(from_left=False)):
-            got = cum.at(ts)
-            want = np.array([cum(float(t)) for t in ts])
-            np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-            np.testing.assert_array_equal(got == 0.0, want == 0.0)
-            ok = np.isfinite(want)
-            np.testing.assert_allclose(got[ok], want[ok], rtol=2e-15,
-                                       atol=1e-15 * want[ok].max())
+        want = _piece_integral_cumulatives(f, ts.tolist())
+        cums = (f.cumulative(), f.cumulative(from_left=False))
+        # the float formulas run for every point of a closed-form piece:
+        # Piece.integral is not called once the cumulatives are built
+        if not any(p.offset == math.inf for p in f.pieces):
+            monkeypatch.setattr(Piece, "integral", None)
+        got = [cum.at(ts) for cum in cums]
+        monkeypatch.undo()
+        for g, w in zip(got, want.T):
+            np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
+            np.testing.assert_array_equal(g == 0.0, w == 0.0)
+            ok = np.isfinite(w)
+            np.testing.assert_allclose(g[ok], w[ok], rtol=2e-15,
+                                       atol=1e-15 * w[ok].max())
 
 
 def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):
@@ -336,24 +357,19 @@ def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):
           StepFunction([Piece(0.0, 1.0, 1.0),
                         Piece(1.0, 4.0, 0.0, 2.0, 1.0, Fraction(-5, 2)),
                         Piece(4.0, math.inf)])]
-    heads = [0.0, 0.0, 1.0]
     calls = []
     integral = Piece.integral
     monkeypatch.setattr(Piece, "integral", lambda p, x0, x1: (
         calls.append(x0), integral(p, x0, x1))[1])
-    for f, head in zip(fs, heads):
+    for f in fs:
         ts = np.array([0.0, *f.breakpoints, *np.geomspace(1e-6, 1e3, 61)])
-        at_head = [t for t in ts.tolist() if t == head]
         for from_left in (True, False):
             cum = f.cumulative(from_left=from_left)
             calls.clear()
-            want = np.array([cum(float(t)) for t in ts])
-            if not from_left:  # Piece.integral only where the partial is inf
-                assert calls == at_head
-            calls.clear()
             got = cum.at(ts)
-            if not from_left:
-                assert calls == at_head
+            assert calls == []  # closed form, inf at t = shift included
+            want = _piece_integral_cumulatives(f, ts.tolist())[
+                :, 0 if from_left else 1]
             np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
             ok = np.isfinite(want)
             np.testing.assert_allclose(got[ok], want[ok], rtol=2e-15,
@@ -361,13 +377,36 @@ def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):
     # integral_t^inf s**(-3/2) ds = 2 / sqrt(t)
     right = fs[0].cumulative(from_left=False)
     for t in [1e-6, 0.3, 1.0, 50.0]:
-        assert right(t) == pytest.approx(2.0 / math.sqrt(t), rel=1e-14)
-    assert right(0.0) == math.inf
+        assert _at(right, t) == pytest.approx(2.0 / math.sqrt(t), rel=1e-14)
+    assert _at(right, 0.0) == math.inf
+
+
+def test_left_cumulative_over_a_divergent_head_is_inf_in_closed_form(
+        monkeypatch):
+    # integral_0^t s**(-3/2) ds diverges for every t > 0: the closed form
+    # reads inf, and no point goes to Piece.integral
+    f = StepFunction.power(1.0, Fraction(3, 2))
+    calls = []
+    integral = Piece.integral
+    monkeypatch.setattr(Piece, "integral", lambda p, x0, x1: (
+        calls.append(x0), integral(p, x0, x1))[1])
+    got = f.cumulative().at(np.geomspace(1e-6, 1e3, 2048))
+    assert calls == [] and (got == math.inf).all()
+    # a divergent head after a finite cell: 0 up to it, inf beyond
+    g = StepFunction([Piece(0.0, 1.0), Piece(1.0, math.inf, 0.0, 2.0, 1.0,
+                                             Fraction(-3, 2))])
+    cum = g.cumulative()
+    calls.clear()  # the integral of the finite cell, once
+    got = cum.at(np.array([0.5, 1.0, 1.5, 1e3]))
+    assert calls == []
+    np.testing.assert_array_equal(got, [0.0, 0.0, math.inf, math.inf])
 
 
 def _search_problems(rng, n):
-    """n seeded (f, a, b): smooth, kinked, flat and power-log functions to
-    minimize, with a from 1e-6 to 1e6, b/a up to 100 and one a = b."""
+    """n seeded (f, a, b, m): smooth, kinked, flat and power-log functions
+    to minimize, with a from 1e-6 to 1e6, b/a up to 100 and one a = b; the
+    kinked ones (every fifth from the second, and from the fifth) have
+    their least value at m."""
     out = []
     for i in range(n):
         a = float(10.0 ** rng.uniform(-6.0, 6.0))
@@ -396,26 +435,38 @@ def _search_problems(rng, n):
             def f(t, m=m, p=p, q=q):
                 x = t / m
                 return -min(math.pow(x, p), math.pow(x, -q))
-        out.append((f, a, b))
+        out.append((f, a, b, m))
     return out
 
 
-def test_brent_min_keeps_scipy_bounded_iterates_bit_for_bit():
+def test_scan_max_refines_as_high_as_bounded_brent():
+    # scan_max on h = -f, refined between the neighbours of the best of 9
+    # even samples of [a, b].  On the smooth and flat problems it rises as
+    # high as scipy's bounded Brent search (which the package used before,
+    # bit for bit) on the same bracket; at the kink or cusp of the others,
+    # whose peak is at m, at least as high as h at 4 sqrt(eps) m from m,
+    # the distance to which the refinement closes its bracket
     from scipy.optimize import minimize_scalar
 
-    def traced(f, xs):
-        def g(t):
-            xs.append(float(t))
-            return f(float(t))
-        return g
-
-    for f, a, b in _search_problems(np.random.default_rng(8), 200):
-        ours, theirs = [], []
-        got = brent_min(traced(f, ours), a, b)
-        res = minimize_scalar(traced(f, theirs), bounds=(a, b),
-                              method="bounded")
-        assert ours == theirs
-        assert got.hex() == float(res.fun).hex()
+    tol = 4.0 * math.sqrt(2.2e-16)
+    for i, (f, a, b, m) in enumerate(
+            _search_problems(np.random.default_rng(8), 200)):
+        if a == b:
+            continue
+        ts = np.linspace(a, b, 9)
+        h_at = np.vectorize(lambda t, f=f: -f(float(t)))
+        got = scan_max(h_at, ts)
+        vals = h_at(ts)
+        k = int(np.argmax(vals))
+        lo, hi = ts[max(k - 1, 0)], ts[min(k + 1, 8)]
+        if i % 5 in (1, 4):  # a kink at m
+            want = float(np.min(h_at(np.array([m * (1 - tol),
+                                               m * (1 + tol)]))))
+        else:
+            want = -minimize_scalar(f, bounds=(lo, hi),
+                                    method="bounded").fun
+        want = max(want, float(vals[k]))
+        assert got >= want - 1e-12 * max(1.0, abs(want))
 
 
 def test_quad_bypasses_a_rebound_scipy_integrate_quad(monkeypatch):
@@ -529,18 +580,15 @@ def _stage_count(monkeypatch) -> list:
     return calls
 
 
-# (f, its array evaluator, edges, closed form of the integral over them):
-# a support end ~ (1 - t)**alpha, whose graded map (1 - x)**(2 alpha + 1) is
-# smooth for alpha = 1/2 and 3/2, and a kink |t - 3/4|**(1/2) at an edge
+# (f on an array, edges, closed form of the integral over them): a support
+# end ~ (1 - t)**alpha, whose graded map (1 - x)**(2 alpha + 1) is smooth
+# for alpha = 1/2 and 3/2, and a kink |t - 3/4|**(1/2) at an edge
 GRADED = {
-    "(1 - t)**(1/2)": (lambda t: (1.0 - t) ** 0.5,
-                       lambda ts: (1.0 - ts) ** 0.5, [0.5, 1.0],
+    "(1 - t)**(1/2)": (lambda ts: (1.0 - ts) ** 0.5, [0.5, 1.0],
                        0.5 ** 1.5 / 1.5),
-    "(1 - t)**(3/2)": (lambda t: (1.0 - t) ** 1.5,
-                       lambda ts: (1.0 - ts) ** 1.5, [0.5, 1.0],
+    "(1 - t)**(3/2)": (lambda ts: (1.0 - ts) ** 1.5, [0.5, 1.0],
                        0.5 ** 2.5 / 2.5),
-    "kink": (lambda t: abs(t - 0.75) ** 0.5,
-             lambda ts: np.abs(ts - 0.75) ** 0.5, [0.5, 0.75, 1.0], 1 / 6),
+    "kink": (lambda ts: np.abs(ts - 0.75) ** 0.5, [0.5, 0.75, 1.0], 1 / 6),
 }
 
 
@@ -548,9 +596,9 @@ GRADED = {
 def test_graded_cells_take_an_algebraic_end_at_the_first_stage(
         monkeypatch, name):
     # without the graded map each case halved 10 to 16 levels
-    f, f_at, edges, exact = GRADED[name]
+    f_at, edges, exact = GRADED[name]
     calls = _stage_count(monkeypatch)
-    got = pieces.log_cells(f, f_at, edges)
+    got = pieces.log_cells(f_at, edges)
     assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
     # a range of two cells is first tried whole, in log t, then both cells
     # go through one graded pass
@@ -561,15 +609,15 @@ def test_graded_cells_with_a_rough_end(monkeypatch):
     # (1 - t)**(3/4) maps to (1 - x)**(5/2), which the first stage does not
     # resolve to quad's tolerance: three levels (twelve without the map)
     calls = _stage_count(monkeypatch)
-    got = pieces.log_cells(lambda t: (1.0 - t) ** 0.75,
-                           lambda ts: (1.0 - ts) ** 0.75, [0.5, 1.0])
+    got = pieces.log_cells(lambda ts: (1.0 - ts) ** 0.75, [0.5, 1.0])
     assert got == pytest.approx(0.5 ** 1.75 / 1.75, rel=1e-11, abs=0.0)
     assert len(calls) == 3
 
 
 def test_quad_cells_fallback_integrates_the_graded_integrand(monkeypatch):
     # a non-finite node value sends the cell's piece to quad, in x over
-    # (0, 1); a cell of width 0 is 0 and costs nothing
+    # (0, 1), on the graded integrand at one point, which reads 0 where it
+    # is not finite; a cell of width 0 is 0 and costs nothing
     sent = []
 
     def recorded(func, a, b):
@@ -580,8 +628,7 @@ def test_quad_cells_fallback_integrates_the_graded_integrand(monkeypatch):
         return np.where(us == 1.5, math.inf, us * us)
 
     monkeypatch.setattr(pieces, "quad", recorded)
-    got = pieces.quad_cells(lambda u: u * u, f_at, np.array([1.0, 2.0]),
-                            np.array([2.0, 2.0]))
+    got = pieces.quad_cells(f_at, np.array([1.0, 2.0]), np.array([2.0, 2.0]))
     assert sent == [(0.0, 1.0)]  # x = 1/2 is u = 3/2, the centre node
     assert got[0] == pytest.approx(7.0 / 3.0, rel=1e-14)
     assert got[1] == 0.0

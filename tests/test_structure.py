@@ -196,3 +196,35 @@ def test_every_symfunc_of_norms_has_an_array_evaluator():
     assert built
     assert [node.lineno for node in built
             if not any(k.arg == "at" for k in node.keywords)] == []
+
+
+def _quadpack_names(path: pathlib.Path) -> list[str]:
+    """The QUADPACK entry points (``pieces.quad``, ``log_quad``) that the
+    file imports from ``pieces`` or reads as attributes of it."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "pieces":
+            found += [a.name for a in node.names
+                      if a.name in ("quad", "log_quad")]
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name)
+              and node.value.id == "pieces"
+              and node.attr in ("quad", "log_quad")):
+            found.append(f"pieces.{node.attr}")
+    return found
+
+
+def test_no_symfunc_is_integrated_by_quadpack():
+    """A SymFunc has one evaluator, its array ``at``, and QUADPACK only
+    integrates plain functions of one float: neither ``symfunc`` nor the
+    modules that integrate SymFuncs without a series (``criteria``,
+    ``hardy``, ``calderon``) name ``quad`` or ``log_quad``, and a SymFunc
+    holds no point function ``fn``."""
+    from fourierineq.symfunc import Cumulative, SymFunc
+
+    found = {name: _quadpack_names(PACKAGE / name)
+             for name in ("symfunc.py", "criteria.py", "hardy.py",
+                          "calderon.py")}
+    assert {k: v for k, v in found.items() if v} == {}
+    assert "fn" not in SymFunc.__slots__
+    assert "fn" not in Cumulative.__slots__
