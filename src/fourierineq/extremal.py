@@ -16,7 +16,9 @@ witness, in one FFT call each.
 The translate and annuli witnesses are sums sum_n e_n b_n of blocks b_n
 with disjoint supports, so ||v sum_n e_n b_n||_p is the l^p norm of
 (|e_n| ||v b_n||_p)_n: a sign search computes the M block norms once and
-only the transform side once per pattern.
+only the transform side once per pattern.  At q = 2 the transform side is
+the quadratic form e^T G e of the M x M Gram matrix of the weighted block
+transforms, so a pattern costs M**2 operations, not an N-point norm.
 
 All norms here use ordinary Lebesgue measure on R (the criteria module works
 in ball-measure half-line coordinates; the two conventions agree up to
@@ -249,20 +251,36 @@ def _block_ratio(blocks: np.ndarray, L: float, ratios):
     side of a row is ||v sum e_n block_n||_p = ||(|e_n| P_n)_n||_lp with
     P_n = ||v block_n||_p (the max at p = inf): M numbers per row, from
     block norms computed once.  The transform is linear, T(sum e_n block_n)
-    = sum e_n T(block_n), so the M block transforms are one FFT over rows,
-    and a batch costs one real matrix product (E times the float view of
-    the transforms) and the dual-side norms of its rows."""
+    = sum e_n T(block_n), so the M block transforms are one FFT over rows.
+
+    At q = 2, where u is finite at every dual sample, the transform side
+    is a quadratic form: with A_n = u T(block_n) on the dual grid and the
+    M x M Gram matrix G = Re(A A*) dxi, ||u T(sum e_n block_n)||_2**2 =
+    e^T G e.  G is built once, and a row costs M**2 operations, not N.
+    Every other input (q != 2, or a singular u whose cell average is
+    infinite) takes a batch as one real matrix product (E times the float
+    view of the transforms) and the dual-side norms of its rows."""
     if np.any(np.count_nonzero(blocks, axis=0) > 1):
         raise ValueError("blocks must have disjoint supports")
     P = ratios.signal_norms(blocks)
-    # (M, 2N): the real and imaginary part of each sample in turn
-    Tflat = np.ascontiguousarray(dft(SampledSignal(blocks, L)).values
-                                 ).view(float)
+    TB = dft(SampledSignal(blocks, L)).values
     p = ratios.cfg.p
+    if ratios.cfg.q == 2 and np.all(np.isfinite(ratios.uw)):
+        # (M, 2N): the real and imaginary part of each weighted sample in
+        # turn, so A A^T is the real part of the complex Gram matrix
+        A = (TB * ratios.uw).view(float)
+        G = (A @ A.T) * ratios.xi.dx
+
+        def pattern_norms(E: np.ndarray) -> np.ndarray:
+            return np.sqrt(np.maximum(np.sum((E @ G) * E, axis=-1), 0.0))
+    else:
+        Tflat = np.ascontiguousarray(TB).view(float)
+
+        def pattern_norms(E: np.ndarray) -> np.ndarray:
+            return ratios.transform_norms((E @ Tflat).view(complex))
 
     def ratio_of(E: np.ndarray) -> np.ndarray:
-        return _quotient(ratios.transform_norms((E @ Tflat).view(complex)),
-                         _lp_norm(np.abs(E) * P, 1.0, p))
+        return _quotient(pattern_norms(E), _lp_norm(np.abs(E) * P, 1.0, p))
     return ratio_of
 
 
@@ -273,13 +291,17 @@ def best_sign_ratio(ratio_of, M: int) -> float:
     """Exact maximum of ratio_of over the sign patterns eps in {-1, 1}^M.
     Flipping every sign leaves a ratio unchanged, so the 2**(M-1) patterns
     with eps_(M-1) = 1 are enough: pattern c has eps_n = 1 - 2 (bit n of
-    c), and they go through in batches of _CHUNK rows."""
+    c), and they go through in batches of _CHUNK rows (at q = 2 a row of
+    a ``_block_ratio`` is one quadratic form in the signs).  A NaN row
+    (0 * inf, where a transform vanishes at a dual sample of infinite
+    weight) is skipped; 0.0 when every row is NaN."""
     best = 0.0
     codes = np.arange(2 ** (M - 1))
     for start in range(0, len(codes), _CHUNK):
         E = 1.0 - 2.0 * ((codes[start:start + _CHUNK, None]
                           >> np.arange(M)) & 1)
-        best = max(best, float(np.max(ratio_of(E))))
+        rows = ratio_of(E)
+        best = float(np.max(rows, initial=best, where=~np.isnan(rows)))
     return best
 
 
@@ -316,7 +338,9 @@ def lower_bound_translates(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     lambda_n = V_n**(1/(p-2)), V_n the local mass of v**(-p'),
 
     over all 2**(n_blocks-1) sign patterns eps, 8 at a time
-    (``best_sign_ratio``).  ratios: a ``_grid_ratios`` to reuse."""
+    (``best_sign_ratio``).  At q = 2 (u finite on the dual grid) a
+    pattern's transform norm is the quadratic form e^T G e of the blocks'
+    Gram matrix (``_block_ratio``).  ratios: a ``_grid_ratios`` to reuse."""
     ratios = ratios or _grid_ratios(u, v, cfg, N, L)
     blocks = _translate_blocks(v, cfg, N, L, n_blocks, ratios.base)
     return best_sign_ratio(_block_ratio(blocks, L, ratios), n_blocks)
@@ -360,7 +384,9 @@ def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     mass W_n with amplitudes W_n**theta, and the largest ratio() over a
     power family of theta and all 2**(n_shells-1) sign patterns, 8 at a
     time (``best_sign_ratio``).  The shells are transformed once, since
-    T(lambda shell) = lambda T(shell).  ratios: a ``_grid_ratios``."""
+    T(lambda shell) = lambda T(shell), and at q = 2 (u finite on the dual
+    grid) their Gram matrix serves every theta and pattern
+    (``_block_ratio``).  ratios: a ``_grid_ratios``."""
     ratios = ratios or _grid_ratios(u, v, cfg, N, L)
     shells, Wn = _annuli_shells(v, cfg, N, L, n_shells, ratios.base)
     shell_ratio = _block_ratio(shells, L, ratios)

@@ -14,7 +14,8 @@ from fourierineq.extremal import (SampledSignal, bracket_constant,
                                   random_band_limited, ratio, step_profile,
                                   symmetric_block_condition, weighted_norm)
 from fourierineq.pieces import StepFunction, TailSpec
-from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
+from fourierineq.weights import (NONDECREASING, NONINCREASING, WeightSpec,
+                                 parse_weight)
 
 
 def gaussian(N=4096, L=64.0):
@@ -214,22 +215,87 @@ THETAS = (-0.5, 0.0, 0.25, 0.5, 1.0)  # lower_bound_annuli's amplitude family
 
 def test_sign_search_is_the_brute_force_maximum():
     # the search over 2**(M-1) patterns equals the largest public ratio()
-    # of every explicitly assembled signal over all 2**M patterns
+    # of every explicitly assembled signal over all 2**M patterns; at
+    # q = 2 the search reads each pattern from the blocks' Gram matrix
     N, L = 512, 16.0
     u = WeightSpec.indicator(2.0)
     v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
-    signs = [np.array(e) for e in itertools.product((1.0, -1.0), repeat=6)]
-    for cfg in (ExponentConfig(3, 2), ExponentConfig(math.inf, 1)):
-        blocks = extremal._translate_blocks(v, cfg, N, L, 6)
+    for cfg, M in ((ExponentConfig(3, 2), 6), (ExponentConfig(math.inf, 1), 6),
+                   (ExponentConfig(4, 2), 6), (ExponentConfig(math.inf, 2), 6),
+                   (ExponentConfig(3, 2), 10)):
+        signs = [np.array(e)
+                 for e in itertools.product((1.0, -1.0), repeat=M)]
+        blocks = extremal._translate_blocks(v, cfg, N, L, M)
         brute = max(ratio(SampledSignal(eps @ blocks, L), u, v, cfg)
                     for eps in signs)
-        assert lower_bound_translates(u, v, cfg, N, L) == pytest.approx(
+        assert lower_bound_translates(u, v, cfg, N, L, M) == pytest.approx(
             brute, rel=1e-12)
-        shells, Wn = extremal._annuli_shells(v, cfg, N, L, 6)
+        shells, Wn = extremal._annuli_shells(v, cfg, N, L, M)
         brute = max(ratio(SampledSignal((eps * Wn ** th) @ shells, L),
                           u, v, cfg) for eps in signs for th in THETAS)
-        assert lower_bound_annuli(u, v, cfg, N, L) == pytest.approx(
+        assert lower_bound_annuli(u, v, cfg, N, L, M) == pytest.approx(
             brute, rel=1e-12)
+
+
+def test_sign_search_skips_nan_rows():
+    # u = |xi|^(-1/2) at (inf, 2): u**2 has no finite cell average at
+    # xi = 0, so the dual weight is inf there, and a pattern whose transform
+    # vanishes at xi = 0 has the ratio 0 * inf = NaN, the others inf; a
+    # NaN row hid the rest of its batch, and the witness read 0.0
+    N, L = 512, 16.0
+    u = WeightSpec.power(Fraction(1, 2))
+    v = WeightSpec.one(NONDECREASING)
+    cfg = ExponentConfig(math.inf, 2)
+    blocks = extremal._translate_blocks(v, cfg, N, L, 6)
+    signs = [np.array(e) for e in itertools.product((1.0, -1.0), repeat=6)]
+    with np.errstate(invalid="ignore"):
+        rows = [ratio(SampledSignal(eps @ blocks, L), u, v, cfg)
+                for eps in signs]
+        witness = lower_bound_translates(u, v, cfg, N, L)
+    assert any(math.isnan(r) for r in rows)
+    assert max(r for r in rows if not math.isnan(r)) == math.inf
+    assert witness == math.inf
+    assert extremal.best_sign_ratio(
+        lambda E: np.where(E[:, 0] > 0, np.nan, 2.0), 4) == 2.0
+    assert extremal.best_sign_ratio(
+        lambda E: np.full(len(E), np.nan), 4) == 0.0
+
+
+@pytest.mark.parametrize("us, vs, p, q", [
+    ("pow(1/2)", "pow(1/2)", 3, 2), ("pow(3/4)", "pow(1/4)", 4, 2),
+    ("pow(1/2)", "pow(0)", math.inf, 2)])
+def test_block_witnesses_of_a_singular_u_at_q2(us, vs, p, q):
+    # u**2 = |xi|^(-2a) has no finite cell average at xi = 0 (2a >= 1), so
+    # the dual weight is inf there: the Gram matrix would hold inf and NaN,
+    # and these witnesses keep the per-pattern norms, which read inf
+    u, v = parse_weight(us), parse_weight(vs, NONDECREASING)
+    cfg = ExponentConfig(p, q)
+    with np.errstate(invalid="ignore"):
+        assert lower_bound_translates(u, v, cfg, 512, 16.0) == math.inf
+        assert lower_bound_annuli(u, v, cfg, 512, 16.0) == math.inf
+
+
+def test_block_witnesses_at_q2_take_no_dual_grid_norms(monkeypatch):
+    # at q = 2, with u finite on the dual grid, a pattern's transform norm
+    # is read from the Gram matrix; q != 2 and a singular u keep the
+    # N-point norms of _GridRatios.transform_norms
+    N, L = 512, 16.0
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    calls, transform_norms = [], extremal._GridRatios.transform_norms
+
+    def counted(self, TF):
+        calls.append(np.shape(TF))
+        return transform_norms(self, TF)
+    monkeypatch.setattr(extremal._GridRatios, "transform_norms", counted)
+    for u, cfg, expect in (
+            (WeightSpec.indicator(1.0), ExponentConfig(3, 2), False),
+            (WeightSpec.power(Fraction(1, 4)), ExponentConfig(4, 2), False),
+            (WeightSpec.indicator(1.0), ExponentConfig(3, 1), True),
+            (WeightSpec.power(Fraction(1, 2)), ExponentConfig(3, 2), True)):
+        calls.clear()
+        lower_bound_translates(u, v, cfg, N, L)
+        lower_bound_annuli(u, v, cfg, N, L)
+        assert bool(calls) == expect
 
 
 def ascent_sign_ratio(ratio_of, eps0, rng, n_draws=8):
