@@ -96,12 +96,17 @@ def ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
 
 
 def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
-    """v_*(t)**power (power is typically negative); Divergence when v_* = 0."""
+    """v_*(t)**power (power is typically negative); Divergence when v_* = 0,
+    and for a negative power when v_* vanishes on an interval (0, a)."""
     prof = lower_star(v)
     top = prof.essential_sup()
     if top.is_finite and top.value == 0.0:
         raise Divergence("v_* vanishes identically (v is not bounded below "
                          "by a positive non-decreasing radial weight)")
+    first = prof.pieces[0]
+    if power < 0 and first.is_constant and first.const_value == 0.0:
+        raise Divergence(f"v_* vanishes on (0, {first.hi:.6g}), so "
+                         f"v_***({power}) is infinite there")
     return SymFunc.from_step(prof.pow_compose(power))
 
 

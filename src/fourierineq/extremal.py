@@ -575,5 +575,6 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     if q_lt_p and report.regime != REGIME_DEG_QINF:
         wit["annuli"] = lower_bound_annuli(u, v, cfg, N, L, ratios=ratios)
 
-    lower = max(wit.values()) if wit else 0.0
+    # a NaN witness (0 * inf or inf / inf on the grid) bounds nothing
+    lower = max((x for x in wit.values() if not math.isnan(x)), default=0.0)
     return ConstantBracket(lower, upper, report.regime, wit, report)

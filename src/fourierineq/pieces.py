@@ -484,10 +484,13 @@ def scan_max(h_at, ts: np.ndarray) -> float:
     next step, an eighth as wide (so noise in h cannot close it early).
     Steps stop when the bracket is within 4 sqrt(eps) of the best point,
     relative, or two vertices in a row agree to sqrt(eps) and the last is
-    the best point.  nan reads as no value."""
+    the best point.  nan reads as no value, and an inf sample is the
+    max."""
     vals = h_at(ts)
     k = int(np.nanargmax(vals))
     best = float(vals[k])
+    if best == math.inf:
+        return best
     x = ts[max(k - 1, 0):k + 2]
     f = np.where(np.isnan(vals), -np.inf, vals)[max(k - 1, 0):k + 2]
     near = np.delete(f, min(k, 1))

@@ -28,6 +28,14 @@ integral to the quadrature's tolerance; at its anchors ``at`` reads their
 values.  Where a SymFunc holds a StepFunction of closed-form pieces
 (``step``), its integral and cumulatives are that StepFunction's, exact.
 
+A product follows the rule 0 x = 0, as ``Asym.mul`` does at the ends: it
+reads 0 wherever either factor reads 0, even where the other is inf or
+nan, the measure-theoretic convention for integrands.  ``mul`` evaluates
+its first factor at every point and its second only where the first is
+not 0, so the nested quadratures of a factor are skipped where the
+product is known to vanish (the weight w of the criteria, which vanishes
+beyond u's support, comes first).
+
 Every SymFunc also carries its kinks: the sorted points where it is not
 smooth between its knots, the grid of a ``tabulated`` factor and the
 sample grid of a ``running_sup_from`` one.  ``mul``, ``add`` and ``pow``
@@ -67,6 +75,14 @@ def _kinks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not len(b):
         return a
     return np.union1d(a, b) if len(a) else b
+
+
+def _times(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """f * g in a new array, 0 wherever g is 0 (even where f is inf or
+    nan)."""
+    out = f * g
+    out[g == 0.0] = 0.0
+    return out
 
 
 def _quiet():
@@ -109,7 +125,7 @@ class Asym:
         e = as_exp(e)
         try:
             coef = self.coef ** float(e)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # 0**e is inf for e < 0
             coef = math.inf
         return Asym(coef, self.a * e, self.b * e)
 
@@ -204,11 +220,22 @@ class SymFunc:
 
     # -- algebra ------------------------------------------------------------
     def mul(self, other: "SymFunc") -> "SymFunc":
+        """The product f g, read by the rule 0 x = 0: it is 0 wherever
+        either factor is 0, even where the other is inf or nan.  Its ``at``
+        evaluates f (self) at every point and g (other) only where f is
+        not 0, so a factor that vanishes belongs first."""
         f_at, g_at = self.at, other.at
 
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
-                return f_at(ts) * g_at(ts)
+                f = f_at(ts)
+                if f.all():  # nan is not 0
+                    return _times(f, g_at(ts))
+                out = np.zeros(len(ts))
+                live = f != 0.0
+                if live.any():
+                    out[live] = _times(f[live], g_at(ts[live]))
+                return out
 
         return SymFunc(self.head.mul(other.head), self.tail.mul(other.tail),
                        self.knots + other.knots, at=at,
@@ -413,8 +440,12 @@ class SymFunc:
         # samples: take the value there and the limit from the left
         near = [t for k in self.knots for t in (k, math.nextafter(k, 0.0))]
         at_knots = self.at(np.array(near)) if near else np.empty(0)
-        best = max(scan_max(self.at, self.scan_grid()), *lims,
+        grid = self.scan_grid()
+        best = max(scan_max(self.at, grid), *lims,
                    *at_knots[np.isfinite(at_knots)].tolist())
+        if math.isinf(best):
+            return ExtReal.infinite(f"reads inf on the scan of "
+                                    f"({grid[0]:.3g}, {grid[-1]:.3g})")
         return ExtReal.finite(float(best))
 
     def running_sup_from(self) -> "SymFunc":

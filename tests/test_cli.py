@@ -36,6 +36,29 @@ def test_criteria_plancherel(capsys):
     assert j["constants"]["C3"]["value"] == pytest.approx(1.0, abs=1e-12)
 
 
+GOVERNING = {"degenerate-p-one": "degenerate", "I": "C3", "II": "C4",
+             "III": "C5", "IV": "C7", "V": "C8"}
+
+
+@pytest.mark.parametrize("p, q", [("3", "2"), ("2", "1"), ("inf", "1"),
+                                  ("3", "1"), ("2", "2"), ("1", "1"),
+                                  ("3/2", "1/2")])
+def test_criteria_v_vanishing_near_the_origin_is_infinite(tmp_path, capsys,
+                                                          p, q):
+    # v = 0 on (0, 1): an f supported there has ||v f||_p = 0 and
+    # u Ff != 0, so no constant holds for any p
+    table = tmp_path / "v.csv"
+    table.write_text("0.0,0.0\n1.0,1.0\ntail,power,-1\n")
+    code, out = run(capsys, "criteria", "--u", "ind(1)", "--v",
+                    f"table({table})", "--p", p, "--q", q)
+    assert code == 0
+    j = strict_json(out)
+    assert j["holds"] is False
+    governing = j["constants"][GOVERNING[j["regime"]]]
+    assert governing["state"] == "infinite"
+    assert p == "1" or "(0, 1)" in governing["reason"]
+
+
 def test_criteria_bad_exponent_exit_2(capsys):
     code, _ = run(capsys, "criteria", "--u", "pow(0)", "--v", "pow(0)",
                   "--p", "1/2", "--q", "2")

@@ -418,6 +418,32 @@ def test_cube_pair_sup_is_C3():
                     c.value * (1 + 1e-12)
 
 
+def test_bracket_lower_skips_nan_witnesses(monkeypatch):
+    # v = |x|^(-1/2) is infinite at x = 0, a sample of the signal grid:
+    # the random and bump ratios read inf / inf or 0 * inf = NaN, which
+    # bounds nothing, and came first in max(witnesses)
+    u = WeightSpec.power(Fraction(1, 2))
+    v = WeightSpec.power(Fraction(1, 2))
+    cfg = ExponentConfig(3, 2)
+
+    def bracket():
+        with np.errstate(invalid="ignore"):
+            return bracket_constant(u, v, cfg, np.random.default_rng(7),
+                                    N=512, L=16.0, n_random=2)
+
+    br = bracket()
+    wit = br.witnesses
+    assert math.isnan(wit["random_band_limited"])  # kept visible
+    assert math.isnan(wit["modulated_bump"])
+    assert br.lower == max(x for x in wit.values() if not math.isnan(x))
+    nan = lambda *args, **kw: math.nan  # noqa: E731
+    monkeypatch.setattr(extremal, "lower_bound_translates", nan)
+    monkeypatch.setattr(extremal, "lower_bound_annuli", nan)
+    br = bracket()
+    assert all(math.isnan(x) for x in br.witnesses.values())
+    assert br.lower == 0.0
+
+
 def test_bracket_in_d3_reports_no_lower_bound():
     u = WeightSpec.indicator(1.0, d=3)
     v = WeightSpec.power(Fraction(1, 4), NONDECREASING, d=3)

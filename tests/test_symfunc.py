@@ -125,6 +125,27 @@ def test_sup_certificates():
     assert s.is_finite and s.value == pytest.approx(3.0)
 
 
+def test_sup_is_infinite_where_a_scan_sample_is():
+    # 1/f for a step f with a zero cell (1, 2): both ends finite, and the
+    # scan reads inf inside the cell
+    gap = SymFunc.from_step(StepFunction.from_cells(
+        [0, 1, 2, 3], [1.0, 0.0, 2.0, 2.0], tail=TailSpec.power(0))).pow(-1)
+    assert math.isfinite(gap.head.limit(True))
+    assert math.isfinite(gap.tail.limit(False))
+    s = gap.sup()
+    assert s.is_infinite and "scan" in s.reason
+
+
+def test_negative_power_of_a_vanishing_end_is_infinite():
+    # ind(1) vanishes on (1, inf), so its power -1 is inf there, as
+    # np.power reads 0**-1 on the array
+    inv = SymFunc.from_step(StepFunction.indicator(1.0)).pow(-1)
+    assert inv.tail.coef == math.inf
+    assert not inv.tail.integrable(at_zero=False)
+    assert inv.at(np.array([0.5, 2.0])).tolist() == [1.0, math.inf]
+    assert Asym(0.0, 1, 0).pow(Fraction(-1, 2)).coef == math.inf
+
+
 def test_mul_pow_asymptotics():
     f = SymFunc.power(2.0, 1)
     g = SymFunc.power(3.0, -1)
@@ -133,6 +154,36 @@ def test_mul_pow_asymptotics():
     sq = f.pow(2)
     assert sq(3.0) == pytest.approx(36.0, rel=1e-12)
     assert sq.tail.a == 2
+
+
+def _recorded(f: SymFunc, seen: list) -> SymFunc:
+    """f, with every array its ``at`` receives appended to seen."""
+    def at(ts):
+        seen.append(ts.copy())
+        return f.at(ts)
+    return SymFunc(f.head, f.tail, f.knots, at=at)
+
+
+def test_mul_evaluates_the_second_factor_only_where_the_first_is_not_0():
+    step = SymFunc.from_step(STEP)  # 0 on (0.5, 2)
+    power = AT_FAMILY["power"]
+    ts = np.geomspace(1e-3, 1e3, 101)
+    fs = step.at(ts)
+    seen = []
+    got = step.mul(_recorded(power, seen)).at(ts)
+    asked = np.concatenate(seen)
+    assert (step.at(asked) != 0.0).all()
+    np.testing.assert_array_equal(asked, ts[fs != 0.0])
+    np.testing.assert_array_equal(
+        got, np.where(fs == 0.0, 0.0, fs * power.at(ts)))
+    # where the first factor vanishes at every point, the second is not
+    # evaluated at all; where it vanishes nowhere, at every point at once
+    seen.clear()
+    zero = ts[(ts > 0.5) & (ts < 2.0)]
+    assert (step.mul(_recorded(step, seen)).at(zero) == 0.0).all()
+    assert seen == []
+    power.mul(_recorded(step, seen)).at(ts)
+    assert len(seen) == 1 and (seen[0] == ts).all()
 
 
 def test_recip_arg():
@@ -285,14 +336,21 @@ PINNED = {
 # sweeps, of the integrals and of Cumulative.at); tabulating the
 # cumulatives point by point costs 2.73M (III) and 2.22M (V), the segment
 # rule with one log_quad over each outer head 129k and 58k, the outer
-# integrals cell by cell 171k and 113k, and graded cells 155k and 100k
-EVAL_BUDGET = {"III": 162_000, "V": 105_000}
+# integrals cell by cell 171k and 113k, graded cells 155k and 100k, and
+# 152k and 100k once a product skips its second factor where the first
+# reads 0
+EVAL_BUDGET = {"III": 155_000, "V": 102_000}
 # pieces.first_stage calls of the cells of the outer integrals (between
 # their outermost kinks) of one evaluate(); counted over the whole evaluate,
 # 126 (III), 16 (IV) and 42 (V) with cells halved in u = log t, where the
 # cell before u*'s support end took about 12 levels, and 12, 5 and 9 with
 # graded cells
 STAGE_BUDGET = {"III": 15, "IV": 7, "V": 12}
+# pieces.first_stage calls of one whole evaluate(), the nested cumulatives'
+# Cumulative.at and the ends' end_quad included: 59 (III), 15 (IV) and 19
+# (V) while a product evaluated its second factor where the first read 0,
+# 23, 11 and 16 since it does not
+ALL_STAGE_BUDGET = {"III": 25, "IV": 12, "V": 17}
 # the scalar ones alone: 129k (III) and 58k (V) with one quad per sweep
 # segment, 43k and 15k once the segment rule accepts most segments, 3.3k and
 # 0.9k once the outer integrals run cell by cell, 3.1k and 0.8k once the
@@ -341,14 +399,14 @@ def pinned_runs():
     """Per pinned config: the report of one evaluate(), every sweep it
     made (the cumulative as it was before the sweep, the grid and the
     values), its integrand evaluations (scalar ones through pieces.quad,
-    array nodes through pieces.first_stage, and the first_stage calls of
-    the cells of its outer integrals), its QUADPACK flags and every
-    integral over (0, inf) of a function with kinks (the function and the
-    value)."""
+    array nodes through pieces.first_stage, the first_stage calls of the
+    cells of its outer integrals, and all its first_stage calls), its
+    QUADPACK flags and every integral over (0, inf) of a function with
+    kinks (the function and the value)."""
     runs = {}
     for name, (g, p, q, _pin) in PINNED.items():
         swept, outer = [], []
-        evals = {"scalar": 0, "array": 0, "stages": 0}
+        evals = {"scalar": 0, "array": 0, "stages": 0, "all_stages": 0}
         sweep, quad = Cumulative.sweep, pieces.quad
         stage, integral = pieces.first_stage, SymFunc.integral
         log_cells, quad_cells = pieces.log_cells, pieces.quad_cells
@@ -396,6 +454,7 @@ def pinned_runs():
             # cell, and the passes of their quad_cells call
             if state["cells"] and state["depth"] <= 1:
                 evals["stages"] += 1
+            evals["all_stages"] += 1
 
             def nodes(ts):
                 evals["array"] += len(ts)
@@ -469,6 +528,11 @@ def test_nested_quadrature_evaluation_budget(pinned_runs, name):
 @pytest.mark.parametrize("name", sorted(STAGE_BUDGET))
 def test_outer_integrals_pass_in_few_stages(pinned_runs, name):
     assert pinned_runs[name][2]["stages"] <= STAGE_BUDGET[name]
+
+
+@pytest.mark.parametrize("name", sorted(ALL_STAGE_BUDGET))
+def test_evaluate_passes_in_few_stages(pinned_runs, name):
+    assert pinned_runs[name][2]["all_stages"] <= ALL_STAGE_BUDGET[name]
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
@@ -656,8 +720,8 @@ ANCHORS = np.geomspace(1e-3, 5e3, 257)  # the anchored members' grid
 
 def _at_family() -> dict[str, SymFunc]:
     """A SymFunc from every constructor that builds an array evaluator,
-    with zero cells (step), infinite cells (its negative power) and nan
-    (their product, 0 * inf)."""
+    with zero cells (step), infinite cells (its negative power) and their
+    products in both orders, 0 * inf and inf * 0, which read 0 there."""
     step = SymFunc.from_step(STEP)
     shifted = SymFunc.from_step(SHIFTED)
     power = SymFunc.power(2.0, Fraction(-3, 2), Fraction(1, 2))
@@ -671,6 +735,7 @@ def _at_family() -> dict[str, SymFunc]:
         "pow": step.pow(Fraction(-1, 3)),
         "pow of power": power.pow(Fraction(5, 2)),
         "0 * inf": step.mul(step.pow(-1)),
+        "inf * 0": step.pow(-1).mul(step),
         "recip_arg": power.mul(step).recip_arg(),
         "tabulated": power.mul(shifted).tabulated(**TAB),
         "tabulated with zeros": power.mul(step).tabulated(**TAB),
@@ -701,6 +766,12 @@ AT_POINTS = np.array([0.5, 1.0, 2.0, 3.0, 5.0, 1e-3, 5e3, 2e-4, 1e5, 5e8,
 
 def _power(t: float) -> float:
     return 2.0 * t ** -1.5 * math.log(math.e + t) ** 0.5
+
+
+def _mul(x: float, y: float) -> float:
+    """x * y by the product rule of ``SymFunc.mul``: 0 where either is 0,
+    even where the other is inf or nan."""
+    return 0.0 if x == 0.0 or y == 0.0 else x * y
 
 
 def _pow(v: float, e: float) -> float:
@@ -797,7 +868,8 @@ def _references() -> dict[str, tuple]:
         "add": (lambda t: _power(t) + step(t), exact),
         "pow": (lambda t: _pow(step(t), -1 / 3), exact),
         "pow of power": (lambda t: _pow(_power(t), 2.5), exact),
-        "0 * inf": (lambda t: step(t) * _pow(step(t), -1.0), exact),
+        "0 * inf": (lambda t: _mul(step(t), _pow(step(t), -1.0)), exact),
+        "inf * 0": (lambda t: _mul(_pow(step(t), -1.0), step(t)), exact),
         "recip_arg": (lambda t: _power(1 / t) * step(1 / t), exact),
         "tabulated": (_tabulated(lambda t: _power(t) * SHIFTED(t),
                                  (1.0, 3.0)), exact),
@@ -855,6 +927,9 @@ def test_at_family_has_zero_infinite_and_nan_cells():
     ts = np.array([1.0])  # inside the zero cell (0.5, 2) of the step
     assert AT_FAMILY["from_step"].at(ts)[0] == 0.0
     assert AT_FAMILY["pow"].at(ts)[0] == math.inf
-    assert math.isnan(AT_FAMILY["0 * inf"].at(ts)[0])
+    # where the float product 0 * inf is nan, the products read 0
+    assert math.isnan(0.0 * math.inf)
+    assert AT_FAMILY["0 * inf"].at(ts)[0] == 0.0
+    assert AT_FAMILY["inf * 0"].at(ts)[0] == 0.0
     assert AT_FAMILY["step antiderivative, infinite cells"].at(ts)[0] == (
         math.inf)
