@@ -136,8 +136,11 @@ def ratio(f: SampledSignal, u: WeightSpec, v: WeightSpec,
 
 
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """num / den, 0 where den is 0 (``ratio``'s convention)."""
-    return np.divide(num, den, out=np.zeros(np.shape(den)), where=den != 0.0)
+    """num / den, 0 where den is 0 (``ratio``'s convention), nan where
+    both are inf."""
+    with np.errstate(invalid="ignore"):
+        return np.divide(num, den, out=np.zeros(np.shape(den)),
+                         where=den != 0.0)
 
 
 class _GridRatios:
@@ -157,8 +160,10 @@ class _GridRatios:
         self.cfg = cfg
 
     def signal_norms(self, F: np.ndarray) -> np.ndarray:
-        """||v f||_p of every row f of F."""
-        return _lp_norm(np.abs(F) * self.vw, self.x.dx, self.cfg.p)
+        """||v f||_p of every row f of F; nan where v is inf at a zero
+        sample of f (0 * inf)."""
+        with np.errstate(invalid="ignore"):
+            return _lp_norm(np.abs(F) * self.vw, self.x.dx, self.cfg.p)
 
     def transform_norms(self, TF: np.ndarray) -> np.ndarray:
         """||u Tf||_q of every row Tf of TF (on the dual grid)."""

@@ -12,8 +12,9 @@ Logs are natural; log+(x) = max(log x, 0).  Infinite series tails are
 summed via integral comparison with relative remainder below 1e-10 so
 values are reproducible at reported precision.
 
-Every SymFunc built here is given by its array evaluator alone, and QUADPACK
-integrates only the series tails; the Morrey norm anchors its cumulative G
+Every SymFunc built here is given by its array evaluator alone, and every
+integral, the series tails included, runs through the graded rule
+``pieces.quad_cells``; the Morrey norm anchors its cumulative G
 at the grid that its sup scans (``SymFunc.anchored``), so the scan reads
 G's anchors after one sweep instead of one quadrature per sample.
 """
@@ -30,7 +31,7 @@ from .calderon import inner_average, phi_fn
 from .criteria import qsharp_tail_finite, ustar_sym, w_inner_weight
 from .exponents import ExponentConfig, as_exp, is_inf, sharp
 from .extreal import ExtReal
-from .pieces import StepFunction, log_quad, quad
+from .pieces import StepFunction, end_quad, quad_cells
 from .rearrange import star
 from .symfunc import Asym, Divergence, SymFunc, guarded
 from .weights import WeightSpec
@@ -107,12 +108,18 @@ def _log_power_integral(c: float, d, N: int) -> float:
     y = log(x+1) the integrand is c y^{-1-d} / (1 - e^{-y}): its main part
     c y^{-1-d} integrates in closed form to c y0^{-d} / d, and only the
     remainder c y^{-1-d} e^{-y} / (1 - e^{-y}), which decays like e^{-y},
-    goes to quadrature.  No range is lost where e^y overflows, and the 1/d
-    growth as d -> 0 is kept."""
+    goes to quadrature, by ``quad_cells`` to relative accuracy in
+    z = e^{-(y - y0)} on (0, 1), where it reads
+    e^{-y0} (y0 - log z)^{-1-d} / (1 - e^{-y0} z).  No range is lost where
+    e^y overflows, and the 1/d growth as d -> 0 is kept."""
     y0 = math.log(N + 1)
     s = 1.0 + float(d)
-    rest = quad(lambda y: y ** -s * math.exp(-y) / -math.expm1(-y),
-                y0, math.inf)[0]
+    e0 = 1.0 / (N + 1)  # e^{-y0}
+
+    def rest_at(z: np.ndarray) -> np.ndarray:
+        with np.errstate(divide="ignore"):  # z = 0 is y = inf, where it is 0
+            return e0 * (y0 - np.log(z)) ** -s / (1.0 - e0 * z)
+    rest = float(quad_cells(rest_at, np.zeros(1), np.ones(1))[0])
     return c * (y0 ** -float(d) / float(d) + rest)
 
 
@@ -151,24 +158,29 @@ def theta_norm(b: SequenceData, p) -> ExtReal:
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
-def _zeta2(x) -> float:
-    """Hurwitz zeta(2, x) = sum_{k>=0} (x + k)**-2 for x > 0: the recurrence
-    zeta(2, x) = x**-2 + zeta(2, x + 1) up to x >= 16, then the asymptotic
-    series 1/x + 1/(2 x**2) + sum_k B_2k / x**(2k+1) over 7 Bernoulli
-    terms, in powers of 1/x so that a huge x underflows instead of
-    overflowing.  The recurrence's terms are added smallest first."""
-    x = float(x)
-    steps = []
-    while x < 16.0:
-        steps.append(x)
-        x += 1.0
+def _zeta2_series(x):
+    """zeta(2, x) for x >= 16, at a float or an array: the asymptotic series
+    1/x + 1/(2 x**2) + sum_k B_2k / x**(2k+1) over 7 Bernoulli terms, in
+    powers of 1/x so that a huge x underflows instead of overflowing."""
     r = 1.0 / x
     r2 = r * r
     series = 0.0
     for b in reversed(_BERNOULLI):
         series = series * r2 + b
+    return r + 0.5 * r2 + r * r2 * series
+
+
+def _zeta2(x) -> float:
+    """Hurwitz zeta(2, x) = sum_{k>=0} (x + k)**-2 for x > 0: the recurrence
+    zeta(2, x) = x**-2 + zeta(2, x + 1) up to x >= 16, then
+    ``_zeta2_series``.  The recurrence's terms are added smallest first."""
+    x = float(x)
+    steps = []
+    while x < 16.0:
+        steps.append(x)
+        x += 1.0
     return (sum(1.0 / (y * y) for y in reversed(steps))
-            + (r + 0.5 * r2 + r * r2 * series))
+            + _zeta2_series(x))
 
 
 def _gamma_terms(a: SequenceData, use_twostar: bool) -> np.ndarray:
@@ -216,11 +228,15 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
             inner = S * S * _zeta2_at(ns2)
             total += float(np.sum(inner ** (qf / 2)
                                   / (ns2 * np.log(ns2 + 1) ** (qf / 2))))
-        tail_term = (lambda x: (S * S * _zeta2(x)) ** (qf / 2)
-                     / (x * math.log(x + 1) ** (qf / 2)))
-        # the terms decay like a power here, so log coordinates suffice
-        total += _series_tail(tail_term, N0,
-                              log_quad(tail_term, N0, math.inf))
+
+        def tail_term(x):
+            """The outer term at x >= N0, a float or an array."""
+            return ((S * S * _zeta2_series(x)) ** (qf / 2)
+                    / (x * np.log(x + 1) ** (qf / 2)))
+        # the terms decay like S^q x^(-1-q/2) log(x)^(-q/2)
+        end = Asym(S ** qf, -1 - q / 2, -q / 2)
+        total += float(_series_tail(tail_term, N0,
+                                    end_quad(tail_term, end, N0, math.inf)))
     return ExtReal.finite(total ** (1.0 / qf))
 
 

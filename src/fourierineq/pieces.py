@@ -33,15 +33,14 @@ compute a whole array of points with numpy's logs and powers, which on an
 AVX-512 x86 host differ from the C library's in the last bit for about 5%
 of exp and pow values; so an array value may differ from the scalar
 ``Piece.__call__`` and ``StepFunction.__call__`` by a few ulp.  The
-package's one array quadrature rule is the graded rule ``quad_cells``: it
+package's one quadrature rule is the graded rule ``quad_cells``: it
 integrates cells at once, each in a variable x in (0, 1) whose map
 u = a + (b - a) x**2 (3 - 2 x) flattens an algebraic singularity at either
 end, halving in x, as arrays, the pieces that QUADPACK's first
-Gauss-Kronrod stage (``first_stage``, on arrays) leaves open.  It agrees
-with ``quad`` to the quadrature's tolerance, not to the bit.  Every
-integral of a ``SymFunc`` runs through it; QUADPACK integrates only plain
-functions of one float (``norms``' series tails, the log-factor pieces of
-``Piece.integral``, the rare fallback of ``quad_cells``).
+Gauss-Kronrod stage (dqk21, here ``first_stage`` on arrays) leaves open.
+Every integral of the package runs through it: those of a ``SymFunc``,
+the log-factor pieces of ``Piece.integral`` and the series tails of
+``norms``.  It needs numpy alone.
 """
 
 from __future__ import annotations
@@ -49,10 +48,7 @@ from __future__ import annotations
 import bisect
 import collections
 import csv
-import importlib.machinery
-import importlib.util
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -67,79 +63,15 @@ _E = math.e
 
 
 # ---------------------------------------------------------------------------
-# Quadrature backbone: QUADPACK's compiled routines, called directly
+# Quadrature backbone: QUADPACK's first stage on arrays, and the graded rule
 # ---------------------------------------------------------------------------
 
-# QUADPACK's qagse (finite range) and qagie (an infinite end), from scipy's
-# compiled extension scipy/integrate/_quadpack, loaded by the first quad call.
-# Loading the extension alone does not import the scipy.integrate package
-# (about 0.5 s and 40 MB, most of it scipy.special and the ODE solvers).  The
-# two routines are private to scipy: tests/test_pieces.py checks ``quad``
-# against scipy.integrate.quad bit for bit, so a change of their signature
-# fails there.
-_qagse = None
-_qagie = None
-_QUADPACK = "scipy.integrate._quadpack"
-QUAD_TOL = 1.49e-8  # scipy.integrate.quad's default epsabs and epsrel
-_LIMIT = 300    # subdivisions
-# nonzero QUADPACK flags returned by quad, by ier: 1 the subdivision limit
-# was reached, 2 roundoff was detected, 3 bad integrand behaviour, 4 no
-# convergence, 5 divergence or slow convergence
+QUAD_TOL = 1.49e-8  # QUADPACK's customary epsabs and epsrel (scipy's quad's)
+_LIMIT = 300    # pieces per cell
+# cells of quad_cells that stopped before their bound was met, by reason:
+# "limit" (a cell reached _LIMIT pieces) or "roundoff" (a piece whose error
+# estimate is at the level of roundoff, or that halving cannot split)
 QUAD_FLAGS: collections.Counter = collections.Counter()
-
-
-def _load_quadpack() -> None:
-    global _qagse, _qagie
-    scipy = importlib.util.find_spec("scipy")  # does not import scipy
-    where = (os.path.join(scipy.submodule_search_locations[0], "integrate")
-             if scipy else "scipy/integrate (scipy is not installed)")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = os.path.join(where, "_quadpack" + suffix)
-        if os.path.isfile(path):
-            break
-    else:
-        raise ImportError(f"no QUADPACK extension _quadpack in {where}")
-    loader = importlib.machinery.ExtensionFileLoader(_QUADPACK, path)
-    # the extension enters itself in sys.modules; put back what was there,
-    # so that a later import of scipy.integrate loads it the usual way
-    held = sys.modules.get(_QUADPACK)
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_loader(_QUADPACK, loader))
-    loader.exec_module(module)
-    if held is None:
-        sys.modules.pop(_QUADPACK, None)
-    else:
-        sys.modules[_QUADPACK] = held
-    _qagse, _qagie = module._qagse, module._qagie
-
-
-def quad(func, a: float, b: float) -> tuple[float, float]:
-    """(value, error estimate) of integral_a^b func, bit for bit that of
-    scipy.integrate.quad(func, a, b, limit=300): QUADPACK's qagse, or qagie
-    with an infinite end mapped as scipy does.  A nonzero accuracy flag is
-    counted in ``QUAD_FLAGS`` (integrands are piecewise smooth; achieved
-    tolerances are validated against closed forms in the tests); invalid
-    input raises ValueError, and an exception in func propagates."""
-    if _qagse is None:
-        _load_quadpack()
-    if a == b:
-        return 0.0, 0.0
-    flip, a, b = b < a, min(a, b), max(a, b)
-    if b == math.inf:
-        bound, ends = (0.0, 2) if a == -math.inf else (a, 1)
-        value, err, ier = _qagie(func, bound, ends, (), 0, QUAD_TOL,
-                                  QUAD_TOL, _LIMIT)
-    elif a == -math.inf:
-        value, err, ier = _qagie(func, b, -1, (), 0, QUAD_TOL, QUAD_TOL,
-                                  _LIMIT)
-    else:
-        value, err, ier = _qagse(func, a, b, (), 0, QUAD_TOL, QUAD_TOL,
-                                  _LIMIT)
-    if ier == 6:
-        raise ValueError(f"invalid QUADPACK input on ({a}, {b})")
-    if ier:
-        QUAD_FLAGS[ier] += 1
-    return (-value if flip else value), err
 
 
 # QUADPACK's 21-point Gauss-Kronrod rule (dqk21): the Kronrod abscissae
@@ -176,12 +108,13 @@ def _weighted(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def first_stage(at, a: np.ndarray, b: np.ndarray):
     """QUADPACK's 21-point Kronrod rule dqk21 on every segment (a[i], b[i])
     at once, the first stage of qagse: arrays (result, abserr, resabs,
-    resasc, finite), finite false where a node value is not.  at is called
-    once, on the 21 nodes of every segment, and may overwrite the array it
-    is given (``log_integrand``'s does).  The nodes, weights and error
-    formula are dqk21's; its sums are products with the weight vectors, so
-    a result agrees with dqk21's to rounding, not to the bit.  The one
-    Gauss-Kronrod stage of the graded rule ``quad_cells``."""
+    resasc, finite), finite false where a node value is not; such a value
+    reads 0 in the sums.  at is called once, on the 21 nodes of every
+    segment, and may overwrite the array it is given (``log_integrand``'s
+    does).  The nodes, weights and error formula are dqk21's; its sums are
+    products with the weight vectors, so a result agrees with dqk21's to
+    rounding, not to the bit.  The one Gauss-Kronrod stage of the graded
+    rule ``quad_cells``."""
     centr = 0.5 * (a + b)
     hlgth = 0.5 * (b - a)
     absc = np.multiply.outer(_XGK, hlgth)
@@ -189,8 +122,11 @@ def first_stage(at, a: np.ndarray, b: np.ndarray):
     del absc  # the arrays of a pass are large: keep few alive
     fv = np.asarray(at(nodes.reshape(-1)), dtype=float).reshape(21, -1)
     del nodes
+    ok = np.isfinite(fv)
+    finite = ok.all(axis=0)
+    if not finite.all():  # in a new array: at may return one it holds
+        fv = np.where(ok, fv, 0.0)
     fc, fv1, fv2 = fv[0], fv[1:11], fv[11:]
-    finite = np.isfinite(fv).all(axis=0)
     wgk, wc = _WGK[:10], _WGK[10]
     with np.errstate(all="ignore"):  # segments with non-finite nodes
         fsum = fv1 + fv2
@@ -262,17 +198,19 @@ def quad_cells(at, a: np.ndarray, b: np.ndarray, epsabs=0.0) -> np.ndarray:
     per cell, or one for all) is 0 for a relative bound, so that a cell
     with a small integral (the last before a zero of a cumulative) keeps
     its relative accuracy, and ``QUAD_TOL`` for a cell that stands for one
-    of quad's integrals, at its tolerances.  Until then a piece
-    whose error is within its width's share of that bound is kept, and the
-    others are halved.  A cell that would pass quad's 300 subintervals, a
-    piece with a node value that is not finite, one that halving cannot
-    split and one whose error estimate is at the level of roundoff (where
-    qagse flags ier 2) are integrated by ``quad``, in x, on at at one point
-    (0 where it is not finite).  A cell of width 0 is 0.
+    of QUADPACK's integrals, at its tolerances.  Until then a piece whose
+    error is within its width's share of that bound is kept, and the
+    others are halved; a node value that is not finite reads 0, and its
+    piece is halved like any other.  A cell stops open when it would pass
+    300 pieces (QUADPACK's subdivision limit here) or a piece cannot
+    improve: halving cannot split it, or its error estimate is at the
+    level of roundoff (where qagse flags ier 2).  Such a cell keeps its
+    best estimate, the results of its open pieces included, and counts
+    once in ``QUAD_FLAGS``, under "limit" or "roundoff".  A cell of width
+    0 is 0.
 
-    The package's one array rule: sweeps, ``Cumulative.at``, ``end_quad``
-    and the integrals of ``log_cells`` all go through it.  Its values agree
-    with ``quad``'s to the tolerance, with no bit contract."""
+    The package's one quadrature rule: sweeps, ``Cumulative.at``,
+    ``end_quad`` and the integrals of ``log_cells`` all go through it."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
@@ -280,7 +218,8 @@ def quad_cells(at, a: np.ndarray, b: np.ndarray, epsabs=0.0) -> np.ndarray:
     floor = np.broadcast_to(np.asarray(epsabs, dtype=float), (n,))
     total = np.zeros(n)  # the kept pieces' results and errors, per cell
     kept_err = np.zeros(n)
-    count = np.ones(n, dtype=int)  # subintervals per cell
+    count = np.ones(n, dtype=int)  # pieces per cell
+    why = np.zeros(n, dtype=np.int8)  # 1 stopped at roundoff, 2 at the limit
     cell = np.flatnonzero(width != 0.0)
     lo, hi = np.zeros(len(cell)), np.ones(len(cell))  # pieces, in x
     while len(cell):
@@ -297,18 +236,22 @@ def quad_cells(at, a: np.ndarray, b: np.ndarray, epsabs=0.0) -> np.ndarray:
         rest = ~keep
         cell, lo, hi = cell[rest], lo[rest], hi[rest]
         mid = 0.5 * (lo + hi)
-        split = (finite[rest] & (lo < mid) & (mid < hi)
+        split = ((lo < mid) & (mid < hi)
                  & (abserr[rest] > (100.0 * _EPMACH) * resabs[rest]))
         count += np.bincount(cell[split], minlength=n)
-        split &= (count <= _LIMIT)[cell]
-        for i in np.flatnonzero(~split):
-            mapped = _graded(at, a, width, cell[i:i + 1])
-            total[cell[i]] += quad(lambda x: float(np.nan_to_num(
-                mapped(np.array([x]))[0], posinf=0.0, neginf=0.0)),
-                float(lo[i]), float(hi[i]))[0]
+        over = (count > _LIMIT)[cell]
+        split &= ~over
+        if not split.all():  # open pieces: their results are the estimate
+            stop = ~split
+            total += np.bincount(cell[stop], result[rest][stop], minlength=n)
+            why[cell[stop]] = np.where(over[stop], 2, 1)
         cell, lo, mid, hi = cell[split], lo[split], mid[split], hi[split]
         cell = np.concatenate([cell, cell])
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+    for code, reason in ((1, "roundoff"), (2, "limit")):
+        stopped = int(np.count_nonzero(why == code))
+        if stopped:
+            QUAD_FLAGS[reason] += stopped
     return total
 
 
@@ -332,29 +275,6 @@ def log_integrand(at):
         return out
 
     return g_at
-
-
-def log_quad(fn, t0: float, t1: float) -> float:
-    """integral_{t0}^{t1} fn(t) dt for 0 <= t0 < t1 <= inf and a plain
-    function fn of one float, computed by ``quad`` in u = log t, which
-    keeps power-law ends and wide ranges well conditioned; as in
-    ``log_integrand``, the integrand reads 0 where e**u under- or
-    overflows, or fn fails or is not finite there."""
-    def g(u: float) -> float:
-        try:
-            t = math.exp(u)
-        except OverflowError:
-            return 0.0
-        if t == 0.0 or math.isinf(t):
-            return 0.0
-        try:
-            v = fn(t) * t
-        except (OverflowError, ZeroDivisionError):
-            return 0.0
-        return v if math.isfinite(v) else 0.0
-
-    u0 = math.log(t0) if t0 > 0.0 else -math.inf
-    return quad(g, u0, math.log(t1))[0]
 
 
 def log_cells(at, edges: Sequence[float], epsabs: float = 0.0) -> float:
@@ -383,12 +303,12 @@ def end_quad(at, end, t0: float, t1: float) -> float:
     """integral from the end t0 = 0 or to the end t1 = inf of the function
     that at gives on an array; end (an Asym, or a Piece for its own tail)
     holds its term c t**a L**b there, L = |log t|.  Up to the cut
-    |log t| = 700 (or t0, t1 beyond it) by ``quad_cells`` at quad's
-    tolerances, mapped onto y in (0, 1] by y = (t/t_e)**(a+1) for a power
-    term (a != -1, b = 0), on which the term is constant, else by qagie's
-    u = u_e -+ (1 - y)/y in u = log t; beyond the cut, the end rule's
-    integrated term there, the rest of an end ~ t**-1 L**b that floats
-    cannot reach, and the leading term of the rest of any other."""
+    |log t| = 700 (or t0, t1 beyond it) by ``quad_cells`` at the
+    tolerances ``QUAD_TOL``, mapped onto y in (0, 1] by y = (t/t_e)**(a+1)
+    for a power term (a != -1, b = 0), on which the term is constant, else
+    by qagie's u = u_e -+ (1 - y)/y in u = log t; beyond the cut, the end
+    rule's integrated term there, the rest of an end ~ t**-1 L**b that
+    floats cannot reach, and the leading term of the rest of any other."""
     at_zero = t0 == 0.0
     u = math.log(t1 if at_zero else t0)
     cut = min(u, -_LOG_CUT) if at_zero else max(u, _LOG_CUT)
@@ -422,9 +342,13 @@ class Divergence(Exception):
 
 
 def end_integrable(c: float, a: Exponent, b: Exponent, at_zero: bool) -> bool:
-    """Is the term integrable at 0 (at_zero) or at inf?"""
+    """Is the term integrable at 0 (at_zero) or at inf?  Not where its
+    coefficient is not finite (the negative power of a function that
+    vanishes near the end)."""
     if c == 0.0:
         return True
+    if not math.isfinite(c):
+        return False
     if a == -1:
         return b < -1
     return (a > -1) == at_zero
@@ -725,16 +649,23 @@ class Piece:
                 hi_part = 0.0 if math.isinf(s1) else s1 ** a1
                 val = self.coef * (hi_part - s0 ** a1) / a1
             return ExtReal.finite(total + val)
-        # certified-convergent quadrature for log factors
+        # certified-convergent quadrature for log factors: a head at s = 0
+        # by the end rule of its power (the log factor tends to 1 there),
+        # the cells up to s = 1 or s1, and an infinite tail by its own
         fa, fb = float(a), float(b)
-        g = lambda s: self.coef * s ** fa * math.log(_E + s) ** fb
-        if math.isinf(s1):
-            cut = max(s0, 1.0)
-            head_val = quad(g, s0, cut)[0] if cut > s0 else 0.0
-            g_at = lambda s: self.coef * s ** fa * np.log(_E + s) ** fb
-            tail_val = end_quad(g_at, self, cut, math.inf)
-            return ExtReal.finite(total + head_val + tail_val)
-        val, _err = quad(g, s0, s1)
+        g_at = lambda s: self.coef * s ** fa * np.log(_E + s) ** fb
+        lo = min(s1, 1.0) if s0 == 0.0 else s0
+        hi = max(lo, 1.0) if math.isinf(s1) else s1
+        val = 0.0
+        with np.errstate(over="ignore"):  # read below
+            if s0 == 0.0:
+                val += end_quad(g_at, replace(self, b=0), 0.0, lo)
+            if hi > lo:
+                val += log_cells(g_at, [lo, hi])
+            if math.isinf(s1):
+                val += end_quad(g_at, self, hi, math.inf)
+        if not math.isfinite(val):  # past the floats' range
+            raise OverflowError(f"integral of a piece over ({x0}, {x1})")
         return ExtReal.finite(total + val)
 
     # -- algebra ---------------------------------------------------------

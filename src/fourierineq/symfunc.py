@@ -20,13 +20,14 @@ array; calling the SymFunc reads at at one point.  Every integral, point
 value and sup scan runs through it: ``anchored`` re-anchors a quadrature
 cumulative at a grid in one sweep; ``tabulated`` is ``anchored`` plus
 log-log interpolation between the grid values; ``sup`` and
-``running_sup_from`` scan with it; and the integrals go through the one
-array rule ``pieces.quad_cells``.  A quadrature cumulative's
-``Cumulative.at`` and ``Cumulative.sweep`` integrate the pieces between
-sorted points at once, in log coordinates, so they agree with the exact
-integral to the quadrature's tolerance; at its anchors ``at`` reads their
-values.  Where a SymFunc holds a StepFunction of closed-form pieces
-(``step``), its integral and cumulatives are that StepFunction's, exact.
+``running_sup_from`` scan with it; and the integrals go through the
+package's one quadrature rule ``pieces.quad_cells``.  A quadrature
+cumulative's ``Cumulative.at`` and ``Cumulative.sweep`` integrate the
+pieces between sorted points at once, in log coordinates, so they agree
+with the exact integral to the quadrature's tolerance; at its anchors
+``at`` reads their values.  Where a SymFunc holds a StepFunction of
+closed-form pieces (``step``), its integral and cumulatives are that
+StepFunction's, exact.
 
 A product follows the rule 0 x = 0, as ``Asym.mul`` does at the ends: it
 reads 0 wherever either factor reads 0, even where the other is inf or
@@ -365,7 +366,7 @@ class SymFunc:
         (t1 = inf) of the knots, in log coordinates: between its outermost
         kinks cell by cell (``pieces.log_cells``), beyond them by
         ``end_quad``; a segment without kinks is one cell of ``log_cells``
-        at quad's tolerances."""
+        at the tolerances ``QUAD_TOL``."""
         kinks = self.kinks
         inner = kinks[(kinks > t0) & (kinks < t1)].tolist()
         if not inner:
@@ -521,7 +522,8 @@ class Cumulative:
         the values (a point at an anchor is a piece of width 0).  Beyond
         the anchors on the fixed side, the outermost point is the anchor,
         its value from the end by ``pieces.end_quad``; a piece beyond the
-        anchors keeps quad's tolerances, the others the sweeps' bound."""
+        anchors keeps the tolerances ``QUAD_TOL``, the others the sweeps'
+        bound."""
         xs = 1.0 / ts if self.recip else np.asarray(ts, dtype=float)
         ks = np.asarray(self.anchors)
         outside = (xs < ks[0]) | (xs > ks[-1])

@@ -444,6 +444,19 @@ def test_bracket_lower_skips_nan_witnesses(monkeypatch):
     assert br.lower == 0.0
 
 
+def test_bracket_with_an_infinite_v_sample_warns_nothing():
+    # the same bracket at the defaults, under the suite's filter, which
+    # turns a RuntimeWarning into an error: inf / inf and 0 * inf in the
+    # ratios are NaN witnesses, not warnings
+    br = bracket_constant(WeightSpec.power(Fraction(1, 2)),
+                          WeightSpec.power(Fraction(1, 2)),
+                          ExponentConfig(3, 2), np.random.default_rng(7))
+    wit = br.witnesses
+    assert math.isnan(wit["random_band_limited"])
+    assert math.isnan(wit["modulated_bump"])
+    assert br.lower == max(x for x in wit.values() if not math.isnan(x))
+
+
 def test_bracket_in_d3_reports_no_lower_bound():
     u = WeightSpec.indicator(1.0, d=3)
     v = WeightSpec.power(Fraction(1, 4), NONDECREASING, d=3)

@@ -9,8 +9,7 @@ import pytest
 from fourierineq import pieces
 from fourierineq.criteria import ExponentConfig
 from fourierineq.pieces import (LeadSpec, Piece, StepFunction, TailSpec,
-                                as_exp, log_quad, parse_exp, quad, scan_max,
-                                sup_over)
+                                as_exp, parse_exp, scan_max, sup_over)
 from fourierineq.rearrange import hl_pairing
 from fourierineq.symfunc import Asym, SymFunc
 from fourierineq.weights import WeightSpec
@@ -164,16 +163,9 @@ def test_invalid_inputs():
 
 
 def test_log_quad_finite_where_exp_overflows():
-    # quad maps (0, inf) onto u = log t and samples u far beyond 709, where
-    # math.exp overflows: the plain substituted integrand raises there
-    with pytest.raises(OverflowError):
-        quad(lambda u: math.exp(u) ** -2 * math.exp(u), 0.0, math.inf)
-    assert log_quad(lambda t: t ** -2, 1.0, math.inf) == pytest.approx(
-        1.0, rel=1e-12)
-    assert log_quad(lambda t: t ** -0.5, 0.0, 1.0) == pytest.approx(
-        2.0, rel=1e-12)
-    # a log-factor tail, integrated through log_quad; the reference is
-    # mpmath.quad of t^{-2} log(e+t)^{-2} over [1, 10, inf]
+    # a log-factor tail, integrated in u = log t, whose nodes reach far
+    # beyond u = 709, where e**u overflows; the reference is mpmath.quad of
+    # t^{-2} log(e+t)^{-2} over [1, 10, inf]
     f = StepFunction.power(1.0, 2, 2)
     val = f.integrate(1.0, math.inf)
     assert val.is_finite and val.value == pytest.approx(0.383478689584624,
@@ -469,66 +461,6 @@ def test_scan_max_refines_as_high_as_bounded_brent():
         assert got >= want - 1e-12 * max(1.0, abs(want))
 
 
-def test_quad_bypasses_a_rebound_scipy_integrate_quad(monkeypatch):
-    # a counter that rebinds scipy.integrate.quad before the backbone's
-    # first call must not see the package's integrals
-    import scipy.integrate
-    from fourierineq import pieces
-
-    calls = []
-    quadpack = scipy.integrate.quad
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return quadpack(*args, **kwargs)
-    monkeypatch.setattr(pieces, "_qagse", None)
-    monkeypatch.setattr(scipy.integrate, "quad", counting)
-    assert quad(lambda t: t * t, 0.0, 1.0)[0] == pytest.approx(1 / 3)
-    assert calls == []
-
-
-# (integrand, a, b): finite ranges, each infinite end, reversed and empty
-# ranges, an integral QUADPACK cannot converge and a NaN integrand
-QUAD_CASES = {
-    "finite": (lambda t: t * t, 0.0, 1.0),
-    "finite-log": (lambda t: math.exp(-t) * math.log1p(t), 0.5, 30.0),
-    "end-singularity": (lambda t: t ** -0.5 * math.cos(t), 0.0, 4.0),
-    "to-inf": (lambda t: math.exp(-t) / (1.0 + t), 2.0, math.inf),
-    "from-minus-inf": (lambda t: math.exp(t) * t * t, -math.inf, -1.0),
-    "whole-line": (lambda t: 1.0 / (1.0 + t ** 4), -math.inf, math.inf),
-    "reversed": (lambda t: math.sqrt(t), 3.0, 1.0),
-    "reversed-inf": (lambda t: math.exp(-t), math.inf, 0.0),
-    "reversed-whole-line": (lambda t: math.exp(-t * t), math.inf,
-                            -math.inf),
-    "empty": (lambda t: t, 2.0, 2.0),
-    "empty-inf": (lambda t: t, math.inf, math.inf),
-    "no-convergence": (lambda t: math.sin(1.0 / t), 0.0, 1.0),
-    "nan": (lambda t: math.nan, 0.0, 1.0),
-}
-
-
-@pytest.mark.parametrize("case", sorted(QUAD_CASES))
-def test_quad_is_scipy_quad_bit_for_bit(case):
-    import scipy.integrate
-
-    f, a, b = QUAD_CASES[case]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.integrate.IntegrationWarning)
-        want = scipy.integrate.quad(f, a, b, limit=300)
-    assert [x.hex() for x in quad(f, a, b)] == [float(x).hex() for x in want]
-
-
-def test_quad_lets_an_integrand_error_through():
-    class Boom(Exception):
-        pass
-
-    def f(t):
-        raise Boom
-    for a, b in ((0.0, 1.0), (0.0, math.inf), (-math.inf, math.inf)):
-        with pytest.raises(Boom):
-            quad(f, a, b)
-
-
 # ---------------------------------------------------------------------------
 # the first stage: dqk21 on every segment of an array at once
 # ---------------------------------------------------------------------------
@@ -615,23 +547,45 @@ def test_graded_cells_with_a_rough_end(monkeypatch):
 
 
 def test_quad_cells_fallback_integrates_the_graded_integrand(monkeypatch):
-    # a non-finite node value sends the cell's piece to quad, in x over
-    # (0, 1), on the graded integrand at one point, which reads 0 where it
-    # is not finite; a cell of width 0 is 0 and costs nothing
-    sent = []
-
-    def recorded(func, a, b):
-        sent.append((a, b))
-        return quad(func, a, b)
+    # a non-finite node value reads 0, and its piece is halved like any
+    # other: the inf at u = 3/2, the centre node of the graded cell (1, 2),
+    # leaves the first level's two halves, whose nodes miss it; a cell of
+    # width 0 is 0 and costs nothing
+    calls = _stage_count(monkeypatch)
 
     def f_at(us):
         return np.where(us == 1.5, math.inf, us * us)
 
-    monkeypatch.setattr(pieces, "quad", recorded)
+    pieces.QUAD_FLAGS.clear()
     got = pieces.quad_cells(f_at, np.array([1.0, 2.0]), np.array([2.0, 2.0]))
-    assert sent == [(0.0, 1.0)]  # x = 1/2 is u = 3/2, the centre node
     assert got[0] == pytest.approx(7.0 / 3.0, rel=1e-14)
     assert got[1] == 0.0
+    assert calls == [1, 2]
+    assert not pieces.QUAD_FLAGS
+
+
+def test_quad_cells_flags_a_cell_that_stops_open():
+    # sin(1/u) on (0, 1) oscillates without end near 0: the cell reaches the
+    # limit of 300 pieces, keeps its estimate, within 1e-6 of sin 1 - Ci(1)
+    # (0.50406706190692837, mpmath), and counts once under "limit"; the
+    # smooth cell beside it is not flagged
+    def f_at(us):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(us < 1.5, np.sin(1.0 / us), us)
+
+    pieces.QUAD_FLAGS.clear()
+    got = pieces.quad_cells(f_at, np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+    assert got[0] == pytest.approx(0.50406706190692837, abs=1e-6)
+    assert got[1] == pytest.approx(2.5, rel=1e-14)
+    assert pieces.QUAD_FLAGS == {"limit": 1}
+    # an integral of 0 to relative accuracy: the error estimate of
+    # integral_{-0.4}^1 (u - 0.3) du is at the level of roundoff, so the
+    # cell stops there, at its estimate
+    pieces.QUAD_FLAGS.clear()
+    got = pieces.quad_cells(lambda us: us - 0.3, np.array([-0.4]),
+                            np.array([1.0]))
+    assert abs(got[0]) < 1e-15
+    assert pieces.QUAD_FLAGS == {"roundoff": 1}
 
 
 def test_step_function_is_right_continuous_at_a_breakpoint():

@@ -34,13 +34,6 @@ def _users(module: str) -> list[str]:
                   if _imports(ast.parse(path.read_text()), module))
 
 
-def test_no_module_imports_scipy_integrate():
-    assert _users("scipy.integrate") == []
-    # the quadrature backbone loads QUADPACK's compiled extension itself
-    assert sorted(path.name for path in PACKAGE.glob("*.py")
-                  if "_quadpack" in path.read_text()) == ["pieces.py"]
-
-
 def test_no_module_imports_scipy_optimize():
     assert _users("scipy.optimize") == []
 
@@ -141,32 +134,34 @@ def test_public_names_are_their_home_modules_objects():
     assert rest == "True fourierineq.symfunc False"
 
 
-FIRST_INTEGRAL = """
-import sys, time
-from fourierineq import cli, pieces
-t = time.perf_counter()
-value = pieces.quad(lambda t: t * t, 0.0, 1.0)[0]
-first_s = time.perf_counter() - t
+NUMPY_ONLY_RUN = """
+import math, sys
+from fourierineq import cli
+from fourierineq.pieces import Piece
+assert cli.main(["norms", "--kind", "theta", "--seq", sys.argv[1],
+                 "--exponent", "3"]) == 0
 assert cli.main(["norms", "--kind", "gamma", "--seq", sys.argv[1],
                  "--exponent", "1"]) == 0
-print([m for m in ("scipy.integrate", "scipy.special") if m in sys.modules])
-print(first_s)
-import scipy.integrate
-assert scipy.integrate.quad(lambda t: t * t, 0.0, 1.0)[0] == value
-assert scipy.integrate._quadpack._qagse  # imported the usual way
+# log-factor pieces: a head at 0 and cells, then cells and a tail
+head = Piece(0.0, math.inf, 0.0, 1.0, 0.0, -0.5, 1)
+tail = Piece(0.0, math.inf, 0.0, 1.0, 0.0, -2, -2)
+assert head.integral(0.0, 5.0).is_finite
+assert tail.integral(0.5, math.inf).is_finite
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
-def test_first_integral_and_gamma_norm_load_no_scipy_package(tmp_path):
-    """Neither the first quadrature nor ``norms --kind gamma`` (zeta(2, x))
-    imports scipy.integrate or scipy.special, the first integral stays far
-    below the 0.5 s that importing scipy.integrate costs, and a later
-    import of scipy.integrate works."""
+def test_package_imports_no_scipy(tmp_path):
+    """The package needs numpy alone: no module imports scipy, none loads
+    scipy's QUADPACK extension by path, and a run of the series norms
+    (their tails by quadrature) and of a log-factor piece's integral
+    loads no scipy module."""
+    assert _users("scipy") == []
+    assert sorted(path.name for path in PACKAGE.glob("*.py")
+                  if "_quadpack" in path.read_text()) == []
     seq = tmp_path / "seq.csv"
     seq.write_text("1,1.0\n2,0.5\n3,0.25\n")
-    loaded, first_s = _fresh(FIRST_INTEGRAL, str(seq)).splitlines()[-2:]
-    assert loaded == "[]"
-    assert float(first_s) < 0.2
+    assert _fresh(NUMPY_ONLY_RUN, str(seq)).splitlines()[-1] == "[]"
 
 
 def _private_imports(path: pathlib.Path) -> list[str]:
@@ -198,33 +193,10 @@ def test_every_symfunc_of_norms_has_an_array_evaluator():
             if not any(k.arg == "at" for k in node.keywords)] == []
 
 
-def _quadpack_names(path: pathlib.Path) -> list[str]:
-    """The QUADPACK entry points (``pieces.quad``, ``log_quad``) that the
-    file imports from ``pieces`` or reads as attributes of it."""
-    found = []
-    for node in ast.walk(ast.parse(path.read_text())):
-        if isinstance(node, ast.ImportFrom) and node.module == "pieces":
-            found += [a.name for a in node.names
-                      if a.name in ("quad", "log_quad")]
-        elif (isinstance(node, ast.Attribute)
-              and isinstance(node.value, ast.Name)
-              and node.value.id == "pieces"
-              and node.attr in ("quad", "log_quad")):
-            found.append(f"pieces.{node.attr}")
-    return found
-
-
 def test_no_symfunc_is_integrated_by_quadpack():
-    """A SymFunc has one evaluator, its array ``at``, and QUADPACK only
-    integrates plain functions of one float: neither ``symfunc`` nor the
-    modules that integrate SymFuncs without a series (``criteria``,
-    ``hardy``, ``calderon``) name ``quad`` or ``log_quad``, and a SymFunc
-    holds no point function ``fn``."""
+    """A SymFunc has one evaluator, its array ``at``: it holds no point
+    function ``fn`` for a scalar quadrature."""
     from fourierineq.symfunc import Cumulative, SymFunc
 
-    found = {name: _quadpack_names(PACKAGE / name)
-             for name in ("symfunc.py", "criteria.py", "hardy.py",
-                          "calderon.py")}
-    assert {k: v for k, v in found.items() if v} == {}
     assert "fn" not in SymFunc.__slots__
     assert "fn" not in Cumulative.__slots__

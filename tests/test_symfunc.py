@@ -70,8 +70,8 @@ def test_step_backed_totals_are_closed_form(monkeypatch):
     # U = integral_0^t 1_(0,1]: its far-end total is the step's closed-form
     # integral, with no quadrature
     calls = []
-    real = pieces.quad
-    monkeypatch.setattr(pieces, "quad",
+    real = pieces.first_stage
+    monkeypatch.setattr(pieces, "first_stage",
                         lambda *args: calls.append(args) or real(*args))
     U = criteria.U_func(WeightSpec.indicator(1.0),
                         criteria.ExponentConfig(3, 2))
@@ -89,9 +89,7 @@ def test_integral_of_a_step_backed_function_is_closed_form(monkeypatch):
     # weight v = 2 on (0, 2), 2 t beyond: ||u||_2**2 read 1.0000000000000002
     # by quadrature; with the step's closed form no quadrature runs
     calls = []
-    quad, stage = pieces.quad, pieces.first_stage
-    monkeypatch.setattr(pieces, "quad",
-                        lambda *a: calls.append(a) or quad(*a))
+    stage = pieces.first_stage
     monkeypatch.setattr(pieces, "first_stage",
                         lambda *a: calls.append(a) or stage(*a))
     u = WeightSpec.indicator(1.0)
@@ -144,6 +142,21 @@ def test_negative_power_of_a_vanishing_end_is_infinite():
     assert not inv.tail.integrable(at_zero=False)
     assert inv.at(np.array([0.5, 2.0])).tolist() == [1.0, math.inf]
     assert Asym(0.0, 1, 0).pow(Fraction(-1, 2)).coef == math.inf
+
+
+def test_an_infinite_end_term_is_not_integrable():
+    # a function that vanishes on (0, 1) has a negative power that is inf
+    # there: its head term inf * t**0 was integrable by the exponent alone,
+    # and the antiderivative read inf everywhere without Divergence
+    for a in (Fraction(-2), Fraction(0), Fraction(3)):
+        for at_zero in (True, False):
+            assert not pieces.end_integrable(math.inf, a, 0, at_zero)
+    vanishing = StepFunction.from_cells([0, 1], [0.0, 1.0],
+                                        tail=TailSpec.power(0))
+    inv = SymFunc.from_step(vanishing).pow(-2)
+    assert inv.head.coef == math.inf
+    with pytest.raises(Divergence):
+        inv.antiderivative()
 
 
 def test_mul_pow_asymptotics():
@@ -290,7 +303,7 @@ LOG_END_T10 = 1.2950990460012571
 
 def test_log_power_tail_beyond_exp_overflow():
     # t**-1 log**-3/2 still holds 3% of its integral beyond t = e**709.78,
-    # where log_quad's e**u overflows
+    # where e**u overflows
     T = SymFunc.power(1.0, -1, Fraction(-3, 2)).tail_integral()
     assert T(1.0) == pytest.approx(LOG_END_T1, rel=1e-10)
     assert T(10.0) == pytest.approx(LOG_END_T10, rel=1e-10)
@@ -331,14 +344,14 @@ PINNED = {
     "IV": (Fraction(3, 4), math.inf, 1, 3.3957851450627903),
     "V": (Fraction(1, 4), Fraction(3, 2), Fraction(1, 2), 1.3865871452054561),
 }
-# integrand evaluations of one evaluate(), scalar ones through pieces.quad
-# plus array nodes through pieces.first_stage (the graded cells of the
-# sweeps, of the integrals and of Cumulative.at); tabulating the
-# cumulatives point by point costs 2.73M (III) and 2.22M (V), the segment
-# rule with one log_quad over each outer head 129k and 58k, the outer
-# integrals cell by cell 171k and 113k, graded cells 155k and 100k, and
-# 152k and 100k once a product skips its second factor where the first
-# reads 0
+# integrand evaluations of one evaluate(): array nodes through
+# pieces.first_stage (the graded cells of the sweeps, of the integrals and
+# of Cumulative.at), and before that scalar ones through QUADPACK too;
+# tabulating the cumulatives point by point costs 2.73M (III) and 2.22M
+# (V), the segment rule with one QUADPACK integral over each outer head
+# 129k and 58k, the outer integrals cell by cell 171k and 113k, graded
+# cells 155k and 100k, and 152k and 100k once a product skips its second
+# factor where the first reads 0
 EVAL_BUDGET = {"III": 155_000, "V": 102_000}
 # pieces.first_stage calls of the cells of the outer integrals (between
 # their outermost kinks) of one evaluate(); counted over the whole evaluate,
@@ -351,16 +364,8 @@ STAGE_BUDGET = {"III": 15, "IV": 7, "V": 12}
 # (V) while a product evaluated its second factor where the first read 0,
 # 23, 11 and 16 since it does not
 ALL_STAGE_BUDGET = {"III": 25, "IV": 12, "V": 17}
-# the scalar ones alone: 129k (III) and 58k (V) with one quad per sweep
-# segment, 43k and 15k once the segment rule accepts most segments, 3.3k and
-# 0.9k once the outer integrals run cell by cell, 3.1k and 0.8k once the
-# sweeps run through graded cells, none since every integral of a SymFunc
-# runs on its array evaluator
-SCALAR_BUDGET = {"III": 0, "V": 0}
-# nonzero QUADPACK flags of one evaluate(), by ier: none since the outer
-# integrals run cell by cell (one log_quad over each head flagged roundoff,
-# ier 2, on III twice and on IV and V once, and the subdivision limit,
-# ier 1, on V)
+# cells of quad_cells that stopped open ("limit" or "roundoff") in one
+# evaluate(): none
 QUAD_FLAGS = {"III": {}, "IV": {}, "V": {}}
 
 
@@ -398,16 +403,16 @@ def _pointwise_reference(cum: Cumulative, t: float) -> float:
 def pinned_runs():
     """Per pinned config: the report of one evaluate(), every sweep it
     made (the cumulative as it was before the sweep, the grid and the
-    values), its integrand evaluations (scalar ones through pieces.quad,
-    array nodes through pieces.first_stage, the first_stage calls of the
-    cells of its outer integrals, and all its first_stage calls), its
-    QUADPACK flags and every integral over (0, inf) of a function with
+    values), its integrand evaluations (array nodes through
+    pieces.first_stage, the first_stage calls of the cells of its outer
+    integrals, and all its first_stage calls), the cells that stopped open
+    (``pieces.QUAD_FLAGS``) and every integral over (0, inf) of a function with
     kinks (the function and the value)."""
     runs = {}
     for name, (g, p, q, _pin) in PINNED.items():
         swept, outer = [], []
-        evals = {"scalar": 0, "array": 0, "stages": 0, "all_stages": 0}
-        sweep, quad = Cumulative.sweep, pieces.quad
+        evals = {"array": 0, "stages": 0, "all_stages": 0}
+        sweep = Cumulative.sweep
         stage, integral = pieces.first_stage, SymFunc.integral
         log_cells, quad_cells = pieces.log_cells, pieces.quad_cells
         # in an outer integral's log_cells, and quad_cells calls open
@@ -443,12 +448,6 @@ def pinned_runs():
             finally:
                 state["depth"] -= 1
 
-        def counted(f, a, b):
-            def g(x):
-                evals["scalar"] += 1
-                return f(x)
-            return quad(g, a, b)
-
         def counted_nodes(at, a, b):
             # the outer cells' own stages: the whole range tried as one
             # cell, and the passes of their quad_cells call
@@ -464,7 +463,6 @@ def pinned_runs():
         pieces.QUAD_FLAGS.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Cumulative, "sweep", recording)
-            mp.setattr(pieces, "quad", counted)
             mp.setattr(pieces, "first_stage", counted_nodes)
             mp.setattr(pieces, "log_cells", outer_cells)
             mp.setattr(pieces, "quad_cells", nested)
@@ -521,8 +519,7 @@ def test_sweep_matches_pointwise_cumulatives(pinned_runs, name):
 def test_nested_quadrature_evaluation_budget(pinned_runs, name):
     evals = pinned_runs[name][2]
     assert evals["array"] > 0  # sweeps and cells go through first_stage
-    assert evals["scalar"] + evals["array"] < EVAL_BUDGET[name]
-    assert evals["scalar"] <= SCALAR_BUDGET[name]
+    assert evals["array"] < EVAL_BUDGET[name]
 
 
 @pytest.mark.parametrize("name", sorted(STAGE_BUDGET))
@@ -601,9 +598,9 @@ def _tight_integral(f: SymFunc) -> float:
 
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_outer_integrals_match_a_tight_reference(pinned_runs, name):
-    # the outer integral of C6 (III), C7 (IV) and C9 (V): one log_quad
-    # over the head (0, 1), across 1024 tabulation kinks (and V's 600
-    # running-sup jumps), was 1.7e-7, 2.7e-8 and 3.6e-7 off
+    # the outer integral of C6 (III), C7 (IV) and C9 (V): one QUADPACK
+    # integral in log t over the head (0, 1), across 1024 tabulation kinks
+    # (and V's 600 running-sup jumps), was 1.7e-7, 2.7e-8 and 3.6e-7 off
     outer = pinned_runs[name][4]
     assert outer
     f, value = outer[-1]
@@ -783,21 +780,34 @@ def _pow(v: float, e: float) -> float:
     return v ** e
 
 
-def _tabulated(base, knots) -> callable:
+def _power_at(ts: np.ndarray) -> np.ndarray:
+    """_power on an array, by the float operations of ``SymFunc.power``."""
+    return 2.0 * ts ** -1.5 * np.log(math.e + ts) ** 0.5
+
+
+def _tabulated(base, knots, base_at=None) -> callable:
     """The log-log interpolation of base at the geometric grid of TAB
     over the knots, and base itself outside it and where the
-    interpolated log is not finite."""
+    interpolated log is not finite.  Inside, it does the float operations
+    of ``tabulated``'s ``at``: the node values as one array (base_at, or
+    base point by point), np.interp on their logs, then np.exp.  A
+    rounding of a log of magnitude 27 is 3.6e-15 of the value, so a
+    reference that interpolated other node values or exponentiated by
+    math.exp could differ from ``at`` by more than the 2e-15 it is held
+    to."""
     lo, hi = min(knots) / TAB["pad"], max(knots) * TAB["pad"]
     grid = np.geomspace(lo, hi, TAB["n"])
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.array([base(t) for t in grid.tolist()])
+        vals = (base_at(grid) if base_at is not None
+                else np.array([base(t) for t in grid.tolist()]))
         logv = np.log(np.where(np.isfinite(vals), vals, np.nan))
+    logt = np.log(grid)
 
     def f(t: float) -> float:
         if t <= lo or t >= hi:
             return base(t)
-        lv = float(np.interp(np.log(t), np.log(grid), logv))
-        return math.exp(lv) if math.isfinite(lv) else base(t)
+        lv = np.interp(np.log(np.array([t])), logt, logv)
+        return float(np.exp(lv)[0]) if np.isfinite(lv[0]) else base(t)
     return f
 
 
@@ -871,10 +881,12 @@ def _references() -> dict[str, tuple]:
         "0 * inf": (lambda t: _mul(step(t), _pow(step(t), -1.0)), exact),
         "inf * 0": (lambda t: _mul(_pow(step(t), -1.0), step(t)), exact),
         "recip_arg": (lambda t: _power(1 / t) * step(1 / t), exact),
-        "tabulated": (_tabulated(lambda t: _power(t) * SHIFTED(t),
-                                 (1.0, 3.0)), exact),
-        "tabulated with zeros": (_tabulated(lambda t: _power(t) * step(t),
-                                            (0.5, 1.0, 2.0, 5.0)), exact),
+        "tabulated": (_tabulated(
+            lambda t: _power(t) * SHIFTED(t), (1.0, 3.0),
+            lambda ts: _power_at(ts) * SHIFTED.at(ts)), exact),
+        "tabulated with zeros": (_tabulated(
+            lambda t: _power(t) * step(t), (0.5, 1.0, 2.0, 5.0),
+            lambda ts: _power_at(ts) * step.at(ts)), exact),
         "tabulated cumulative": (_tabulated(tail, (1.0, 3.0)), quadrature),
         "tabulated recip cumulative": (
             _tabulated(lambda t: tail(1 / t), (1 / 3, 1.0)), quadrature),
