@@ -657,7 +657,7 @@ class Piece:
         lo = min(s1, 1.0) if s0 == 0.0 else s0
         hi = max(lo, 1.0) if math.isinf(s1) else s1
         val = 0.0
-        with np.errstate(over="ignore"):  # read below
+        with np.errstate(over="ignore"):  # an overflow is inf, read below
             if s0 == 0.0:
                 val += end_quad(g_at, replace(self, b=0), 0.0, lo)
             if hi > lo:
