@@ -135,9 +135,14 @@ def test_public_names_are_their_home_modules_objects():
 
 
 NUMPY_ONLY_RUN = """
-import math, sys
+import math, sys, time
+import numpy as np
 from fourierineq import cli
-from fourierineq.pieces import Piece
+from fourierineq.pieces import Piece, quad_cells
+t = time.perf_counter()
+value = quad_cells(lambda t: t * t, np.array([0.0]), np.array([1.0]))[0]
+first_s = time.perf_counter() - t
+assert abs(value - 1 / 3) < 1e-14
 assert cli.main(["norms", "--kind", "theta", "--seq", sys.argv[1],
                  "--exponent", "3"]) == 0
 assert cli.main(["norms", "--kind", "gamma", "--seq", sys.argv[1],
@@ -148,20 +153,30 @@ tail = Piece(0.0, math.inf, 0.0, 1.0, 0.0, -2, -2)
 assert head.integral(0.0, 5.0).is_finite
 assert tail.integral(0.5, math.inf).is_finite
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(first_s)
 """
 
 
-def test_package_imports_no_scipy(tmp_path):
-    """The package needs numpy alone: no module imports scipy, none loads
-    scipy's QUADPACK extension by path, and a run of the series norms
-    (their tails by quadrature) and of a log-factor piece's integral
-    loads no scipy module."""
+def test_no_module_imports_scipy_integrate():
+    """The package needs numpy alone: no module imports any scipy module
+    (scipy.integrate included), and none loads scipy's QUADPACK extension
+    by path."""
+    assert _users("scipy.integrate") == []
     assert _users("scipy") == []
     assert sorted(path.name for path in PACKAGE.glob("*.py")
                   if "_quadpack" in path.read_text()) == []
+
+
+def test_first_integral_and_gamma_norm_load_no_scipy_package(tmp_path):
+    """A run of the first integral, of the series norms (their tails by
+    quadrature) and of a log-factor piece's integral loads no scipy module,
+    and the first integral stays far below the 0.5 s that importing
+    scipy.integrate costs."""
     seq = tmp_path / "seq.csv"
     seq.write_text("1,1.0\n2,0.5\n3,0.25\n")
-    assert _fresh(NUMPY_ONLY_RUN, str(seq)).splitlines()[-1] == "[]"
+    loaded, first_s = _fresh(NUMPY_ONLY_RUN, str(seq)).splitlines()[-2:]
+    assert loaded == "[]"
+    assert float(first_s) < 0.2
 
 
 def _private_imports(path: pathlib.Path) -> list[str]:
