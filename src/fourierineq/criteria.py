@@ -81,18 +81,20 @@ def check_dimension(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ustar_profile(u: WeightSpec, power: Exponent) -> StepFunction:
-    """u*(t)**power; raises Divergence when u* is identically inf."""
+def ustar_profile(u: WeightSpec) -> StepFunction:
+    """u* in ball-measure half-line coordinates (``circ_profile``); raises
+    Divergence when u* is identically inf, the one place that decides
+    it."""
     prof = circ_profile(u)
     if any(math.isinf(p.offset) for p in prof.pieces):
         raise Divergence("u* is identically infinite (u is not dominated by "
                          "a non-increasing radial weight)")
-    return prof.pow_compose(power)
+    return prof
 
 
 def ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
     """u*(t)**power as a SymFunc; raises Divergence when u* is identically inf."""
-    return SymFunc.from_step(_ustar_profile(u, power))
+    return SymFunc.from_step(ustar_profile(u).pow_compose(power))
 
 
 def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
@@ -232,9 +234,7 @@ def degenerate_constant(u: WeightSpec, v: WeightSpec,
     """||u||_q * ||1/v||_{p'} (always an upper bound; sharp for q = inf or
     p = 1), computed in ball-measure half-line coordinates."""
     def compute() -> ExtReal:
-        prof_u = circ_profile(u)
-        if any(math.isinf(pc.offset) for pc in prof_u.pieces):
-            raise Divergence("u* identically infinite")
+        prof_u = ustar_profile(u)
         if is_inf(cfg.q):
             unorm = prof_u.essential_sup()
         else:
@@ -255,7 +255,7 @@ def degenerate_constant(u: WeightSpec, v: WeightSpec,
 def qsharp_tail_finite(u: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     """integral_1^inf u*(s)**qs ds (must be finite in regimes III/IV/V)."""
     def compute() -> ExtReal:
-        prof = _ustar_profile(u, cfg.q_sharp)
+        prof = ustar_profile(u).pow_compose(cfg.q_sharp)
         tail = SymFunc.from_step(prof).tail
         if not tail.integrable(at_zero=False):
             return ExtReal.infinite(

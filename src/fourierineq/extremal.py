@@ -35,12 +35,11 @@ from typing import Optional
 import numpy as np
 
 from .criteria import (C3, CriterionReport, U_func, W_func, evaluate,
-                       REGIME_DEG_QINF)
+                       ustar_profile, REGIME_DEG_QINF)
 from .exponents import ExponentConfig, is_inf
 from .extreal import ExtReal, json_float
 from .pieces import StepFunction
-from .rearrange import circ_profile
-from .symfunc import guarded
+from .symfunc import Divergence, guarded
 from .weights import WeightSpec
 
 
@@ -462,9 +461,10 @@ def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     q = float(cfg.q)
     pp = float(cfg.p_prime)
     psh = float(cfg.p_sharp)
-    ustar = circ_profile(u)
-    if any(math.isinf(pc.offset) for pc in ustar.pieces):
-        return ExtReal.infinite("u* identically infinite")
+    try:
+        ustar = ustar_profile(u)
+    except Divergence as exc:
+        return ExtReal.infinite(exc.reason)
     uval = ustar.pow_compose(q).integrate(0.0, 1.0 / s)
     if not uval.is_finite:
         return ExtReal.infinite(uval.reason)

@@ -16,7 +16,8 @@ Every SymFunc built here is given by its array evaluator alone, and every
 integral, the series tails included, runs through the graded rule
 ``pieces.quad_cells``; the Morrey norm anchors its cumulative G
 at the grid that its sup scans (``SymFunc.anchored``), so the scan reads
-G's anchors after one sweep instead of one quadrature per sample.
+G's anchors after one ``Cumulative.at`` pass instead of one quadrature
+per sample.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .criteria import qsharp_tail_finite, ustar_sym, w_inner_weight
 from .exponents import ExponentConfig, as_exp, is_inf, sharp
 from .extreal import ExtReal
 from .pieces import StepFunction, end_quad, quad_cells
-from .rearrange import star
+from .rearrange import circ_profile, star
 from .symfunc import Asym, Divergence, SymFunc, guarded
 from .weights import WeightSpec
 
@@ -350,12 +351,16 @@ def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
         with Phi_f(t) = int_0^t (int_0^{1/r} f*)^2 dr;
     q < 2 with xi identically infinite: the space is trivial (+inf for
     any f that is not a.e. zero).
+
+    For a nonzero f and a nonzero u the integrand is positive near 0, so a
+    computed 0 is floating-point underflow (of (U/xi)**(q#/2) for q just
+    below 2, where q# is huge) and is reported indeterminate.
     """
     q = as_exp(q)
     if not 0 < q < math.inf:
         raise ValueError("requires 0 < q < inf")
     qf = float(q)
-    if not f.pieces or f.essential_sup().value == 0.0:
+    if f.support_bound() == 0.0:  # f = 0 a.e.
         return ExtReal.finite(0.0)
     cfg = ExponentConfig(math.inf, q)
 
@@ -372,7 +377,13 @@ def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
         w = w_inner_weight(u, cfg)
         integrand = w.mul(_phi_symfunc(f).pow(q / 2))
         return integrand.integral().powf(1.0 / qf)
-    return guarded(compute)
+    norm = guarded(compute)
+    if (norm.is_finite and norm.value == 0.0
+            and circ_profile(u).support_bound() > 0.0):
+        return ExtReal.indeterminate(
+            "the integrand underflows to 0 in floating point, but the norm "
+            "of a nonzero f is positive")
+    return norm
 
 
 def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
@@ -386,7 +397,7 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
     if not 0 < q < math.inf:
         raise ValueError("requires 0 < q < inf")
     qf = float(q)
-    if not f.pieces or f.essential_sup().value == 0.0:
+    if f.support_bound() == 0.0:  # f = 0 a.e.
         return ExtReal.finite(0.0)
     phi_sym = SymFunc.from_step(shape)
 
@@ -418,8 +429,8 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
         knots = sorted(set(list(shape.breakpoints) +
                            [k ** (1.0 / d) for k in G.knots if k > 0]))
         composite = SymFunc(head, tail, knots=knots, at=comp_at)
-        # the scan samples are then anchors: one sweep instead of a
-        # quadrature per sample
+        # the scan samples are then anchors: one Cumulative.at pass
+        # instead of a quadrature per sample
         Ga = G.anchored(composite.scan_grid() ** d)
         return composite.sup()
     return guarded(compute)
@@ -431,7 +442,7 @@ def expL_pair(F: StepFunction, d: int = 1) -> tuple[ExtReal, ExtReal]:
     left:  sup_R (R^d (1 + log+(1/R)))^{-1} int_0^{R^d} F*
     right: sup_R (1 + log+ R)^{-1} int_0^R F*.
     """
-    if not F.pieces or F.essential_sup().value == 0.0:
+    if F.support_bound() == 0.0:  # F = 0 a.e.
         return ExtReal.finite(0.0), ExtReal.finite(0.0)
     A = SymFunc.from_step(star(F)).antiderivative()
 
@@ -456,7 +467,7 @@ def expL_pair(F: StepFunction, d: int = 1) -> tuple[ExtReal, ExtReal]:
 def llogl_norm(F: StepFunction) -> ExtReal:
     """int F*(t) (1 + log+(1/t)) dt, the associate-side functional of the
     exponential-Orlicz norm."""
-    if not F.pieces or F.essential_sup().value == 0.0:
+    if F.support_bound() == 0.0:  # F = 0 a.e.
         return ExtReal.finite(0.0)
     Fs = SymFunc.from_step(star(F))
     wlog = SymFunc(Asym(1.0, 0, 1), Asym(1.0, 0, 0), knots=[1.0],

@@ -209,8 +209,8 @@ def quad_cells(at, a: np.ndarray, b: np.ndarray, epsabs=0.0) -> np.ndarray:
     once in ``QUAD_FLAGS``, under "limit" or "roundoff".  A cell of width
     0 is 0.
 
-    The package's one quadrature rule: sweeps, ``Cumulative.at``,
-    ``end_quad`` and the integrals of ``log_cells`` all go through it."""
+    The package's one quadrature rule: ``Cumulative.at``, ``end_quad``
+    and the integrals of ``log_cells`` all go through it."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)

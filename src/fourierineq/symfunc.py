@@ -18,14 +18,14 @@ A SymFunc has one evaluator, ``at`` (a required argument): at(ts) is f at
 every point of a 1-d float array ts, computed with numpy over the whole
 array; calling the SymFunc reads at at one point.  Every integral, point
 value and sup scan runs through it: ``anchored`` re-anchors a quadrature
-cumulative at a grid in one sweep; ``tabulated`` is ``anchored`` plus
-log-log interpolation between the grid values; ``sup`` and
+cumulative at a grid, at its values there; ``tabulated`` is ``anchored``
+plus log-log interpolation between the grid values; ``sup`` and
 ``running_sup_from`` scan with it; and the integrals go through the
 package's one quadrature rule ``pieces.quad_cells``.  A quadrature
-cumulative's ``Cumulative.at`` and ``Cumulative.sweep`` integrate the
-pieces between sorted points at once, in log coordinates, so they agree
-with the exact integral to the quadrature's tolerance; at its anchors
-``at`` reads their values.  Where a SymFunc holds a StepFunction of
+cumulative's values all come from ``Cumulative.at``, which integrates the
+pieces between sorted points at once, in log coordinates, so it agrees
+with the exact integral to the quadrature's tolerance; at its anchors it
+reads their values.  Where a SymFunc holds a StepFunction of
 closed-form pieces (``step``), its integral and cumulatives are that
 StepFunction's, exact.
 
@@ -278,14 +278,12 @@ class SymFunc:
         """t -> f(1/t); swaps the roles of 0 and infinity."""
         head = Asym(self.tail.coef, -self.tail.a, self.tail.b)
         tail = Asym(self.head.coef, -self.head.a, self.head.b)
-        f_at, cum = self.at, _quadrature_cumulative(self)
+        f_at = self.at
 
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
                 return f_at(1.0 / ts)
 
-        if cum is not None:  # a cumulative stays one, for ``anchored``
-            at = cum.reciprocal().at
         return SymFunc(head, tail, [1.0 / k for k in self.knots], at=at,
                        kinks=1.0 / self.kinks[::-1])
 
@@ -297,15 +295,20 @@ class SymFunc:
 
     def anchored(self, ts: np.ndarray) -> "SymFunc":
         """The same function, with a quadrature cumulative re-anchored at
-        the increasing grid ts (and its anchors inside it) by one
-        ``Cumulative.sweep``, so that its values at the grid points are
-        the anchors' and a value between them integrates from the nearest
-        grid point; any other function is itself."""
-        cum = _quadrature_cumulative(self)
-        if cum is None:
+        the increasing grid ts and its anchors inside it, at the values
+        that its ``Cumulative.at`` gives there in one pass, so that its
+        values at the grid points are the anchors' and a value between
+        them integrates from the nearest grid point; any other function is
+        itself."""
+        cum = getattr(self.at, "__self__", None)
+        if not isinstance(cum, Cumulative):
             return self
-        return SymFunc(self.head, self.tail, self.knots,
-                       at=cum.sweep(ts)[1].at)
+        x0, x1 = float(ts[0]), float(ts[-1])
+        edges = np.array(sorted(set(ts.tolist()).union(
+            k for k in cum.anchors if x0 < k < x1)))
+        anchored = Cumulative(cum.f_at, edges, cum.at(edges), cum.from_left,
+                              cum.end)
+        return SymFunc(self.head, self.tail, self.knots, at=anchored.at)
 
     def scan_grid(self) -> np.ndarray:
         """The geometric grid that ``sup`` scans: 600 points from the
@@ -492,25 +495,18 @@ def _total(head: float, segs: Sequence[float], tail: float) -> float:
 class Cumulative:
     """t -> integral_0^t f (from_left) or t -> integral_t^inf f, held as
     sorted anchors and the integral's values there; f_at is f on an array,
-    and end is f's term at the fixed end.  With recip set it is t -> the
-    same integral at 1/t.  ``at`` gives the values at an array of points,
-    and ``sweep`` on a whole grid in one pass."""
+    and end is f's term at the fixed end.  ``at`` gives the values at an
+    array of points."""
 
-    __slots__ = ("f_at", "anchors", "values", "from_left", "end", "recip")
+    __slots__ = ("f_at", "anchors", "values", "from_left", "end")
 
     def __init__(self, f_at, anchors: Sequence[float],
-                 values: Sequence[float], from_left: bool, end: Asym,
-                 recip: bool = False):
+                 values: Sequence[float], from_left: bool, end: Asym):
         self.f_at = f_at
         self.anchors = list(anchors)
         self.values = list(values)
         self.from_left = from_left
         self.end = end
-        self.recip = recip
-
-    def reciprocal(self) -> "Cumulative":
-        return Cumulative(self.f_at, self.anchors, self.values,
-                          self.from_left, self.end, not self.recip)
 
     def at(self, ts: np.ndarray) -> np.ndarray:
         """The values at every point of the array ts, in one
@@ -522,9 +518,9 @@ class Cumulative:
         the values (a point at an anchor is a piece of width 0).  Beyond
         the anchors on the fixed side, the outermost point is the anchor,
         its value from the end by ``pieces.end_quad``; a piece beyond the
-        anchors keeps the tolerances ``QUAD_TOL``, the others the sweeps'
-        bound."""
-        xs = 1.0 / ts if self.recip else np.asarray(ts, dtype=float)
+        anchors keeps the tolerances ``QUAD_TOL``, the others the bound of
+        ``quad_cells``."""
+        xs = np.asarray(ts, dtype=float)
         ks = np.asarray(self.anchors)
         outside = (xs < ks[0]) | (xs > ks[-1])
         # in w = u (from_left) or w = -u, the fixed end is at w = -inf
@@ -562,35 +558,3 @@ class Cumulative:
         out = np.empty(len(x))
         out[order] = run
         return out
-
-    def sweep(self, ts: np.ndarray) -> tuple[np.ndarray, "Cumulative"]:
-        """The values at the increasing grid ts, and this cumulative
-        anchored at the grid (and the anchors inside it) instead.  The grid
-        is split at those anchors; the segments between consecutive points
-        are integrated in log coordinates, all in one pass of the graded
-        rule ``pieces.quad_cells``, as ``at`` integrates its pieces, and
-        summed from the value at the grid's end on the fixed side (by
-        ``at``) toward the other end."""
-        if self.recip:
-            vals, cum = self.reciprocal().sweep(1.0 / ts[::-1])
-            return vals[::-1], cum.reciprocal()
-        x0, x1 = float(ts[0]), float(ts[-1])
-        edges = sorted(set(ts.tolist()).union(
-            k for k in self.anchors if x0 < k < x1))
-        us = np.log(edges)
-        parts = pieces.quad_cells(pieces.log_integrand(self.f_at), us[:-1],
-                                  us[1:]).tolist()
-        start = float(self.at(np.array([x0 if self.from_left else x1]))[0])
-        if self.from_left:
-            run = list(itertools.accumulate(parts, initial=start))
-        else:
-            run = list(itertools.accumulate(reversed(parts),
-                                            initial=start))[::-1]
-        cum = Cumulative(self.f_at, edges, run, self.from_left, self.end)
-        return np.asarray(run)[np.searchsorted(edges, ts)], cum
-
-
-def _quadrature_cumulative(f: SymFunc) -> "Cumulative | None":
-    """The quadrature cumulative whose ``at`` f's is, else None."""
-    cum = getattr(f.at, "__self__", None)
-    return cum if isinstance(cum, Cumulative) else None

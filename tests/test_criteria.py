@@ -6,10 +6,12 @@ import pytest
 from fourierineq.criteria import (REGIME_DEG_P1, REGIME_DEG_QINF, REGIME_I,
                                   REGIME_II, REGIME_III, REGIME_IV, REGIME_V,
                                   ExponentConfig, U_func, classify, conjugate,
-                                  dual_config, evaluate, qsharp_tail_finite,
-                                  xi_func)
+                                  degenerate_constant, dual_config, evaluate,
+                                  qsharp_tail_finite, ustar_profile, xi_func)
+from fourierineq.extremal import block_l2_condition
 from fourierineq.norms import optimal_Y_norm
 from fourierineq.pieces import StepFunction, TailSpec, parse_exp
+from fourierineq.symfunc import Divergence
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
 
 
@@ -221,7 +223,9 @@ def test_huge_q_sharp_gives_a_consistent_certificate():
         assert gov.is_infinite and rep.holds is False
     y = optimal_Y_norm(StepFunction.indicator(1.0), WeightSpec.indicator(1.0),
                        q)
-    assert y.is_infinite or (y.is_finite and y.value >= 0.0)
+    # the norm of a nonzero f is positive: a computed 0 is underflow
+    assert (y.is_infinite or (y.is_finite and y.value > 0.0)
+            or (y.state == "indeterminate" and "underflow" in y.reason))
 
 
 def test_qsharp_tail_of_a_log_power_weight():
@@ -248,3 +252,18 @@ def test_one_dimension_per_problem():
     # in d = 3 the (3, 2) constant of ind(1) and pow(1/4) is infinite
     v3 = WeightSpec.power(Fraction(1, 4), NONDECREASING, d=3)
     assert evaluate(u, v3, cfg(3, 2, 3)).holds is False
+
+
+def test_infinite_ustar_is_decided_in_one_place():
+    # r^{+1} declared non-increasing: u* is identically +inf, and every
+    # constant built on u* reports the reason of criteria.ustar_profile
+    bad = WeightSpec("power", NONINCREASING, a=-1)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    with pytest.raises(Divergence) as exc:
+        ustar_profile(bad)
+    reason = exc.value.reason
+    assert "u* is identically infinite" in reason
+    for got in (degenerate_constant(bad, v, cfg(math.inf, 2)),
+                qsharp_tail_finite(bad, cfg(3, 1)),
+                block_l2_condition(bad, v, cfg(3, 2), 1.0)):
+        assert got.is_infinite and got.reason == reason

@@ -6,13 +6,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import zeta
 
+from fourierineq.extreal import ExtReal
 from fourierineq.norms import (SequenceData, _log_power_integral, _zeta2,
                                bochkarev_norm, dyadic_block_norms, expL_pair,
                                gamma_norm, llogl_norm, morrey_optimal_norm,
                                optimal_Y_norm, theta_norm)
 from fourierineq.pieces import StepFunction, parse_exp
 from fourierineq.symfunc import SymFunc
-from fourierineq.weights import WeightSpec
+from fourierineq.weights import NONINCREASING, WeightSpec
 
 E1 = SequenceData(np.array([1.0]))
 
@@ -217,6 +218,20 @@ def test_optimal_Y_trivial_space_certified():
     assert v.is_infinite
 
 
+def test_optimal_Y_underflow_is_not_a_certified_zero():
+    f, u = StepFunction.indicator(1.0), WeightSpec.indicator(1.0)
+    # the weight (U/xi)**(q#/2), about 2**(-q#/2), falls below the least
+    # double 2**-1074 once q# > 2148 (q = 1999/1000 gives q# = 3998, q
+    # just below 2 about 4e20), so the integral reads 0; the norm of a
+    # nonzero f is positive, so that 0 is indeterminate
+    for q in (Fraction(1999, 1000), parse_exp("1.99999999999999999999")):
+        v = optimal_Y_norm(f, u, q)
+        assert v.state == "indeterminate" and "underflow" in v.reason
+    # a small but representable norm stays finite
+    v = optimal_Y_norm(f, u, Fraction(199, 100))
+    assert v.is_finite and 0.0 < v.value < 1e-29
+
+
 def test_morrey_q2():
     # f = 1_(0,1], shape(R) = R^{-1/2}: the sup is 1, attained on R <= 1
     f = StepFunction.indicator(1.0)
@@ -256,6 +271,11 @@ def test_zero_inputs():
     assert bochkarev_norm(z, 4.0) == 0.0
     zf = StepFunction.from_cells([0, 1], [0.0])
     assert optimal_Y_norm(zf, WeightSpec.one(), 2).value == 0.0
+    # a zero weight has a zero norm for every f
+    zu = WeightSpec.from_table(StepFunction.constant(0.0), NONINCREASING)
+    for q in (1, 2, 3):
+        assert optimal_Y_norm(StepFunction.indicator(1.0), zu, q) == (
+            ExtReal.finite(0.0))
     assert llogl_norm(zf).value == 0.0
 
 
@@ -286,9 +306,10 @@ MORREY = {
 
 @pytest.mark.parametrize("name", sorted(MORREY))
 def test_morrey_scan_on_an_anchored_cumulative(monkeypatch, name):
-    # G is anchored at the scan's grid, so the scan reads one sweep's
-    # values (a QUADPACK integral per sample once took 621 calls on the box
-    # case, under 80 when only the refining search and the knots did)
+    # G is anchored at the scan's grid, so the scan reads the values of
+    # one Cumulative.at pass (a QUADPACK integral per sample once took 621
+    # calls on the box case, under 80 when only the refining search and
+    # the knots did)
     args, before = MORREY[name]
     sup = SymFunc.sup
     scanned = []

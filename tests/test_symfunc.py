@@ -335,7 +335,7 @@ def test_sup_sees_the_left_limit_at_a_jump():
 
 
 # ---------------------------------------------------------------------------
-# sweep-tabulated cumulative integrals on the pinned deep-quadrature configs
+# anchored cumulative integrals on the pinned deep-quadrature configs
 # ---------------------------------------------------------------------------
 
 # (v, p, q, governing constant pinned in bench/oracle.py) for u = ind(1)
@@ -345,8 +345,8 @@ PINNED = {
     "V": (Fraction(1, 4), Fraction(3, 2), Fraction(1, 2), 1.3865871452054561),
 }
 # integrand evaluations of one evaluate(): array nodes through
-# pieces.first_stage (the graded cells of the sweeps, of the integrals and
-# of Cumulative.at), and before that scalar ones through QUADPACK too;
+# pieces.first_stage (the graded cells of the integrals and of
+# Cumulative.at), and before that scalar ones through QUADPACK too;
 # tabulating the cumulatives point by point costs 2.73M (III) and 2.22M
 # (V), the segment rule with one QUADPACK integral over each outer head
 # 129k and 58k, the outer integrals cell by cell 171k and 113k, graded
@@ -376,11 +376,10 @@ def _point(f_at):
 
 def _pointwise_reference(cum: Cumulative, t: float) -> float:
     """The cumulative integral at t computed on its own, the reference
-    for the sweep: the anchor on the fixed side plus the integral from it
-    (or from the end) to t, by scipy's quad of its integrand in u = log t
-    to relative accuracy 1e-12."""
+    for the anchored values: the anchor on the fixed side plus the integral
+    from it (or from the end) to t, by scipy's quad of its integrand in
+    u = log t to relative accuracy 1e-12."""
     g, ks, vals = _log_t(_point(cum.f_at)), cum.anchors, cum.values
-    t = 1.0 / t if cum.recip else t
 
     def seg(a: float, b: float) -> float:
         # quad flags roundoff across the kinks of a tabulated integrand
@@ -401,27 +400,29 @@ def _pointwise_reference(cum: Cumulative, t: float) -> float:
 
 @pytest.fixture(scope="module")
 def pinned_runs():
-    """Per pinned config: the report of one evaluate(), every sweep it
-    made (the cumulative as it was before the sweep, the grid and the
-    values), its integrand evaluations (array nodes through
-    pieces.first_stage, the first_stage calls of the cells of its outer
-    integrals, and all its first_stage calls), the cells that stopped open
-    (``pieces.QUAD_FLAGS``) and every integral over (0, inf) of a function with
-    kinks (the function and the value)."""
+    """Per pinned config: the report of one evaluate(), every cumulative
+    it anchored (the cumulative as it was before ``SymFunc.anchored``, the
+    grid and the anchored function's values there), its integrand
+    evaluations (array nodes through pieces.first_stage, the first_stage
+    calls of the cells of its outer integrals, and all its first_stage
+    calls), the cells that stopped open (``pieces.QUAD_FLAGS``) and every
+    integral over (0, inf) of a function with kinks (the function and the
+    value)."""
     runs = {}
     for name, (g, p, q, _pin) in PINNED.items():
         swept, outer = [], []
         evals = {"array": 0, "stages": 0, "all_stages": 0}
-        sweep = Cumulative.sweep
+        anchored = SymFunc.anchored
         stage, integral = pieces.first_stage, SymFunc.integral
         log_cells, quad_cells = pieces.log_cells, pieces.quad_cells
         # in an outer integral's log_cells, and quad_cells calls open
         state = {"outer": False, "cells": False, "depth": 0}
 
         def recording(self, ts):
-            vals, cum = sweep(self, ts)
-            swept.append((self, ts, vals))
-            return vals, cum
+            out = anchored(self, ts)
+            if out is not self:  # a quadrature cumulative
+                swept.append((self.at.__self__, ts, out.at(ts)))
+            return out
 
         def recorded(self):
             if not len(self.kinks):
@@ -462,7 +463,7 @@ def pinned_runs():
 
         pieces.QUAD_FLAGS.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Cumulative, "sweep", recording)
+            mp.setattr(SymFunc, "anchored", recording)
             mp.setattr(pieces, "first_stage", counted_nodes)
             mp.setattr(pieces, "log_cells", outer_cells)
             mp.setattr(pieces, "quad_cells", nested)
@@ -482,7 +483,7 @@ def test_pinned_governing_constants(pinned_runs, name):
 
 
 def _tight_sweep(cum: Cumulative, ts: np.ndarray) -> np.ndarray:
-    """cum (not recip) on the increasing grid ts: the value at the grid's
+    """cum on the increasing grid ts: the value at the grid's
     end on the fixed side, plus the segments between consecutive grid
     points and knots, each integrated in u = log t by ``_tight_cells``."""
     edges = sorted(set(ts.tolist()).union(
@@ -510,15 +511,14 @@ def test_sweep_matches_pointwise_cumulatives(pinned_runs, name):
         # a running sum's error is absolute, on the scale of its total:
         # where the integral falls to 0 at the support's end it is the
         # relative error that grows (to 1.5e-9 on V)
-        if not cum.recip:  # a recip sweep is its reciprocal's, reversed
-            np.testing.assert_allclose(vals, _tight_sweep(cum, ts),
-                                       rtol=1e-10, atol=1e-10 * vals.max())
+        np.testing.assert_allclose(vals, _tight_sweep(cum, ts),
+                                   rtol=1e-10, atol=1e-10 * vals.max())
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_BUDGET))
 def test_nested_quadrature_evaluation_budget(pinned_runs, name):
     evals = pinned_runs[name][2]
-    assert evals["array"] > 0  # sweeps and cells go through first_stage
+    assert evals["array"] > 0  # Cumulative.at and cells run first_stage
     assert evals["array"] < EVAL_BUDGET[name]
 
 
@@ -612,13 +612,13 @@ def test_outer_integrals_match_a_tight_reference(pinned_runs, name):
 def _iii_cumulatives():
     """The tail integral and the antiderivative of pinned III's inner
     weight w, anchored at their tabulation grid (and the knot 1, where u*
-    and w fall to 0), and the reciprocal of the first."""
+    and w fall to 0)."""
     cfg = criteria.ExponentConfig(3, 1)
     w = criteria.w_inner_weight(WeightSpec.indicator(1.0), cfg).tabulated()
     ts = np.geomspace(1e-8, 1e8, 2048)
-    Tw = w.tail_integral().at.__self__.sweep(ts)[1]
-    U = w.antiderivative().at.__self__.sweep(ts)[1]
-    return {"from right": Tw, "from left": U, "recip": Tw.reciprocal()}
+    Tw = w.tail_integral().anchored(ts).at.__self__
+    U = w.antiderivative().anchored(ts).at.__self__
+    return {"from right": Tw, "from left": U}
 
 
 CUMULATIVES = _iii_cumulatives()
@@ -636,8 +636,7 @@ def test_cumulative_at_matches_its_point_values(name):
                          1.0 - rng.uniform(1e-4, 8.9e-3, 20),
                          1.0 - np.geomspace(1e-6, 1e-4, 4),
                          [1e-12, 3e-10, 1e9, 4e11]])
-    ts = 1.0 / xs if cum.recip else xs
-    got = cum.at(ts)
+    got = cum.at(xs)
     ks = cum.anchors
     g = _log_t(_point(cum.f_at))
     for x, v in zip(xs.tolist(), got.tolist()):
@@ -671,15 +670,13 @@ def test_no_quadpack_flags_in_regime_ii():
     assert not pieces.QUAD_FLAGS
 
 
-def test_recip_sweep_is_the_sweep_on_the_reciprocal_grid():
+def test_tabulated_recip_cumulative_reads_the_cumulative_at_one_over_t():
     # T(x) = integral_x^inf s^-2 ds = 1/x, so T(1/t) = t
     T = SymFunc.power(1.0, -2).tail_integral()
-    R = T.recip_arg()
-    assert isinstance(R.at.__self__, Cumulative) and R.at.__self__.recip
-    tab = R.tabulated(n=257, pad=1e3)
+    tab = T.recip_arg().tabulated(n=257, pad=1e3)
     for t in (2e-3, 0.37, 1.0, 5.5, 900.0):
         assert tab(t) == pytest.approx(t, rel=1e-9)
-    # beyond the window the copy integrates from the nearest grid anchor
+    # beyond the window the copy reads T itself, at 1/t
     assert tab(1e5) == pytest.approx(1e5, rel=1e-9)
     assert tab(1e-5) == pytest.approx(1e-5, rel=1e-9)
 
@@ -688,7 +685,7 @@ def test_anchored_cumulative_reads_its_sweep_at_the_grid():
     f = AT_FAMILY["power"].add(AT_FAMILY["from_step shifted"])
     T = f.tail_integral()
     ts = np.geomspace(min(T.knots) / 1e3, max(T.knots) * 1e3, 257)
-    vals = T.at.__self__.sweep(ts)[0]
+    vals = T.at(ts)
     A = T.anchored(ts)
     anchored = A.at.__self__
     assert isinstance(anchored, Cumulative) and set(ts) <= set(
