@@ -2,8 +2,8 @@
 
 Subcommands: criteria, hardy, norms, estimate, verify, sweep.  Reports are
 JSON with explicit finiteness certificates (no bare "inf" leaks into the
-numeric fields).  Exit codes: 0 success, 2 input/precondition error,
-1 internal error.
+numeric fields).  Exit codes: 0 success, 2 input/precondition error (an
+input the exact layer does not represent included), 1 internal error.
 
 Exponents are accepted as integers, decimals, fractions like ``4/3``, or
 ``inf``, and are kept exact through regime classification.
@@ -423,7 +423,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (InputError, NotImplementedError) as exc:
+        # NotImplementedError: an input the exact layer does not represent,
+        # such as a weight whose rearrangement has no closed form
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal error

@@ -41,6 +41,11 @@ REGIME_III = "III"
 REGIME_IV = "IV"
 REGIME_V = "V"
 
+# the key of each regime's governing constant (C5 = C4 + C6, C8 = C4 + C9)
+_GOVERNING = {REGIME_DEG_QINF: "degenerate", REGIME_DEG_P1: "degenerate",
+             REGIME_I: "C3", REGIME_II: "C4", REGIME_III: "C5",
+             REGIME_IV: "C7", REGIME_V: "C8"}
+
 
 def classify(cfg: ExponentConfig) -> str:
     """Exponent regime; boundary cases are decided exactly.
@@ -92,17 +97,16 @@ def ustar_profile(u: WeightSpec) -> StepFunction:
     return prof
 
 
-def ustar_sym(u: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
+def ustar_sym(u: WeightSpec, power: Exponent) -> SymFunc:
     """u*(t)**power as a SymFunc; raises Divergence when u* is identically inf."""
     return SymFunc.from_step(ustar_profile(u).pow_compose(power))
 
 
-def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
+def _vstar_sym(v: WeightSpec, power: Exponent) -> SymFunc:
     """v_*(t)**power (power is typically negative); Divergence when v_* = 0,
     and for a negative power when v_* vanishes on an interval (0, a)."""
     prof = lower_star(v)
-    top = prof.essential_sup()
-    if top.is_finite and top.value == 0.0:
+    if prof.support_bound() == 0.0:
         raise Divergence("v_* vanishes identically (v is not bounded below "
                          "by a positive non-decreasing radial weight)")
     first = prof.pieces[0]
@@ -114,7 +118,7 @@ def _vstar_sym(v: WeightSpec, cfg: ExponentConfig, power: Exponent) -> SymFunc:
 
 def U_func(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     """U(t) = integral_0^t u*(s)**q ds; raises Divergence when U = inf."""
-    return ustar_sym(u, cfg, cfg.q).antiderivative()
+    return ustar_sym(u, cfg.q).antiderivative()
 
 
 def xi_func(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
@@ -124,7 +128,7 @@ def xi_func(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
         raise ValueError("xi is defined for q < 2")
     qs = cfg.q_sharp
     U = U_func(u, cfg)
-    tail = ustar_sym(u, cfg, qs).tail_integral()  # Divergence if infinite
+    tail = ustar_sym(u, qs).tail_integral()  # Divergence if infinite
     bump = SymFunc.power(1.0, q / 2).mul(tail.pow(q / qs))
     return U.add(bump)
 
@@ -133,28 +137,33 @@ def w_inner_weight(u: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     """w(t) = u*(t)**q (U(t) / xi(t))**(qs/2) t**(-q/2).  U <= xi, so the
     power of the ratio stays at most 1 however large qs is."""
     q, qs = cfg.q, cfg.q_sharp
-    uq = ustar_sym(u, cfg, q)
+    uq = ustar_sym(u, q)
     U = U_func(u, cfg)
     xi = xi_func(u, cfg)
     return (uq.mul(U.mul(xi.pow(-1)).pow(qs / 2))
             .mul(SymFunc.power(1.0, -q / 2)))
 
 
+def _inv_vstar_sup(v: WeightSpec) -> float:
+    """The sup-norm of 1/v_*, its limit at 0+ because v_* is
+    non-decreasing: the p' = inf factor of the p = 1 constants; raises
+    Divergence where it is infinite."""
+    lim = lower_star(v).pieces[0].limit_at(0.0)
+    if lim == 0.0:
+        raise Divergence("1/v_* is unbounded near 0 (p' = inf sup-norm)")
+    return 1.0 / lim
+
+
 def W_func(v: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     """W(s) = integral_0^{1/s} v_*(t)**(-p') dt.
 
     For p = 1 the inner quantity is read as the sup-norm of 1/v_* on
-    (0, 1/s), which equals the (constant) limit of 1/v_* at 0+ because v_*
-    is non-decreasing; divergence of that limit raises.
+    (0, 1/s), the constant ``_inv_vstar_sup``; divergence of it raises.
     """
     if cfg.p == 1:
-        prof = lower_star(v)
-        lim = prof.pieces[0].limit_at(0.0)
-        if lim == 0.0:
-            raise Divergence("1/v_* is unbounded near 0 (p' = inf sup-norm)")
-        return SymFunc.constant(1.0 / lim)
+        return SymFunc.constant(_inv_vstar_sup(v))
     pp = cfg.p_prime
-    return _vstar_sym(v, cfg, -pp).antiderivative().recip_arg()
+    return _vstar_sym(v, -pp).antiderivative().recip_arg()
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +183,7 @@ def C4(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     ( int u*(s)**q U(s)**(r/p) (int_0^{1/s} v_***(-p'))**(r/p') ds )**(1/r).
     """
     return guarded(lambda: integral_form(
-        ustar_sym(u, cfg, cfg.q), U_func(u, cfg), W_func(v, cfg),
+        ustar_sym(u, cfg.q), U_func(u, cfg), W_func(v, cfg),
         cfg.p, cfg.r))
 
 
@@ -184,8 +193,8 @@ def C6(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
         r, ps, p = cfg.r, cfg.p_sharp, cfg.p
         w = w_inner_weight(u, cfg).tabulated()
         Tw = w.tail_integral()
-        vsym_pow = _vstar_sym(v, cfg, ps * (p - 2) / 2)
-        V = _vstar_sym(v, cfg, p).antiderivative()
+        vsym_pow = _vstar_sym(v, ps * (p - 2) / 2)
+        V = _vstar_sym(v, p).antiderivative()
         g = (SymFunc.power(1.0, ps / 2).mul(vsym_pow)
              .mul(V.tabulated().pow(-ps / 2)))
         inner2 = g.tail_integral().recip_arg()
@@ -203,7 +212,7 @@ def C7(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
     def compute() -> ExtReal:
         q = cfg.q
         w = w_inner_weight(u, cfg).tabulated()
-        A1 = _vstar_sym(v, cfg, -1).antiderivative()
+        A1 = _vstar_sym(v, -1).antiderivative()
         inner = A1.recip_arg().tabulated()
         G = inner.pow(2).antiderivative()
         integrand = w.mul(G.tabulated().pow(q / 2))
@@ -221,7 +230,7 @@ def C9(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
         r, p = cfg.r, cfg.p
         w = w_inner_weight(u, cfg).tabulated()
         Tw = w.tail_integral()
-        V = _vstar_sym(v, cfg, p).antiderivative()
+        V = _vstar_sym(v, p).antiderivative()
         h = SymFunc.power(1.0, r / 2).mul(V.tabulated().pow(-r / p))
         S = h.running_sup_from().recip_arg()
         integrand = w.mul(Tw.tabulated().pow(r / p)).mul(S)
@@ -236,17 +245,18 @@ def degenerate_constant(u: WeightSpec, v: WeightSpec,
     def compute() -> ExtReal:
         prof_u = ustar_profile(u)
         if is_inf(cfg.q):
-            unorm = prof_u.essential_sup()
+            # ||u||_inf is u*(0+), as the profile u* is non-increasing
+            top = prof_u.pieces[0].limit_at(0.0)
+            unorm = (ExtReal.infinite("u* is unbounded near 0")
+                     if math.isinf(top) else ExtReal.finite(top))
         else:
             unorm = SymFunc.from_step(
                 prof_u.pow_compose(cfg.q)).integral().powf(
                     1.0 / float(cfg.q))
         if cfg.p == 1:
-            lim = lower_star(v).pieces[0].limit_at(0.0)
-            vnorm = (ExtReal.infinite("1/v_* unbounded near 0")
-                     if lim == 0.0 else ExtReal.finite(1.0 / lim))
+            vnorm = guarded(lambda: ExtReal.finite(_inv_vstar_sup(v)))
         else:
-            vnorm = _vstar_sym(v, cfg, -cfg.p_prime).integral().powf(
+            vnorm = _vstar_sym(v, -cfg.p_prime).integral().powf(
                 1.0 / float(cfg.p_prime))
         return unorm * vnorm
     return guarded(compute)
@@ -282,12 +292,7 @@ class CriterionReport:
     @property
     def governing(self) -> ExtReal:
         """The constant equivalent to the optimal C in this regime."""
-        order = {REGIME_DEG_QINF: ["degenerate"],
-                 REGIME_DEG_P1: ["degenerate"],
-                 REGIME_I: ["C3"], REGIME_II: ["C4"],
-                 REGIME_III: ["C5"], REGIME_IV: ["C7"],
-                 REGIME_V: ["C8"]}[self.regime]
-        return self.constants[order[0]]
+        return self.constants[_GOVERNING[self.regime]]
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -308,45 +313,35 @@ def evaluate(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> CriterionRepo
     regime = classify(cfg)
     rep = CriterionReport(regime, cfg, u, v)
     cs = rep.constants
+    key = _GOVERNING[regime]
     if regime in (REGIME_DEG_QINF, REGIME_DEG_P1):
-        cs["degenerate"] = degenerate_constant(u, v, cfg)
-        rep.holds = cs["degenerate"].is_finite
+        cs[key] = degenerate_constant(u, v, cfg)
         rep.notes.append("product constant ||u||_q ||1/v||_{p'} is sharp here")
-        return rep
-    if regime == REGIME_I:
-        cs["C3"] = C3(u, v, cfg)
-        rep.holds = cs["C3"].is_finite
-        return rep
-    if regime == REGIME_II:
-        cs["C4"] = C4(u, v, cfg)
-        rep.holds = cs["C4"].is_finite
-        return rep
-    # regimes III / IV / V require the q#-tail condition
-    tail = qsharp_tail_finite(u, cfg)
-    cs["qsharp_tail"] = tail
-    if tail.is_infinite:
-        rep.holds = False
-        rep.notes.append("necessary tail condition fails: "
-                         "integral_1^inf u*^{q#} diverges")
-        key = {REGIME_III: "C5", REGIME_IV: "C7", REGIME_V: "C8"}[regime]
-        cs[key] = ExtReal.infinite("q#-tail condition fails")
-        return rep
-    if regime == REGIME_IV:
-        cs["C7"] = C7(u, v, cfg)
-        rep.holds = cs["C7"].is_finite
-        return rep
-    c4 = C4(u, v, cfg)
-    cs["C4"] = c4
-    total, corr, correction = (("C5", "C6", C6) if regime == REGIME_III
-                               else ("C8", "C9", C9))
-    if c4.is_infinite:
-        rep.notes.append(f"{corr} not computed: C4 is infinite, so "
-                         f"{total} = C4 + {corr} is infinite")
-        cs[total] = c4
+    elif regime == REGIME_I:
+        cs[key] = C3(u, v, cfg)
+    elif regime == REGIME_II:
+        cs[key] = C4(u, v, cfg)
     else:
-        cs[corr] = correction(u, v, cfg)
-        cs[total] = c4 + cs[corr]
-    rep.holds = cs[total].is_finite
+        # regimes III / IV / V require the q#-tail condition
+        cs["qsharp_tail"] = qsharp_tail_finite(u, cfg)
+        if cs["qsharp_tail"].is_infinite:
+            rep.notes.append("necessary tail condition fails: "
+                             "integral_1^inf u*^{q#} diverges")
+            cs[key] = ExtReal.infinite("q#-tail condition fails")
+        elif regime == REGIME_IV:
+            cs[key] = C7(u, v, cfg)
+        else:
+            cs["C4"] = c4 = C4(u, v, cfg)
+            corr, correction = (("C6", C6) if regime == REGIME_III
+                                else ("C9", C9))
+            if c4.is_infinite:
+                rep.notes.append(f"{corr} not computed: C4 is infinite, so "
+                                 f"{key} = C4 + {corr} is infinite")
+                cs[key] = c4
+            else:
+                cs[corr] = correction(u, v, cfg)
+                cs[key] = c4 + cs[corr]
+    rep.holds = rep.governing.is_finite
     return rep
 
 

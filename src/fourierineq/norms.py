@@ -366,7 +366,7 @@ def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
 
     def compute() -> ExtReal:
         if q >= 2:
-            uq = ustar_sym(u, cfg, cfg.q)
+            uq = ustar_sym(u, cfg.q)
             integrand = uq.mul(inner_average(star(f)).pow(cfg.q))
             return integrand.integral().powf(1.0 / qf)
         tail_ok = qsharp_tail_finite(u, cfg)

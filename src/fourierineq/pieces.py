@@ -60,6 +60,10 @@ from .exponents import Exponent, as_exp, parse_exp
 from .extreal import ExtReal
 
 _E = math.e
+# h(s) = s / ((e+s) log(e+s)) peaks at s* = e log(e+s*), where it is
+# e / (e+s*); the peak value is rounded up (``Piece.values_monotone``)
+_S_PEAK = 5.833958031974924
+_H_PEAK = 0.3178444328993728
 
 
 # ---------------------------------------------------------------------------
@@ -387,19 +391,8 @@ _BATCH = 15  # points per call of the refinement
 _FLAT = 8.0 * sys.float_info.epsilon  # a bracket flat to rounding
 
 
-def scan_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """n geometrically spaced samples over (lo, hi), the grid of
-    ``scan_max``.  An infinite hi is cut to max(10 (lo + 1), 1e6) and a
-    zero lo to 1e-9 hi."""
-    if math.isinf(hi):
-        hi = max(10.0 * (lo + 1.0), 1e6)
-    if lo <= 0.0:
-        lo = hi * 1e-9
-    return np.geomspace(lo, hi, n)
-
-
 def scan_max(h_at, ts: np.ndarray) -> float:
-    """Numeric max of h over the increasing grid ts (``scan_grid``) and
+    """Numeric max of h over the increasing grid ts and
     between its points, where h_at is h on an array: the best sample, taken
     in one call, refined between its neighbours unless they are within a
     few ulp of it.  Each step is one call of h_at at 15 points evenly
@@ -600,8 +593,25 @@ class Piece:
         return self(t)
 
     def values_monotone(self) -> bool:
-        """True when the piece is monotone on its interval."""
-        return self.a * self.b >= 0  # same sign (or one vanishes)
+        """True when the piece is monotone on its interval.  With
+        s = t - shift, the log of s**a log(e+s)**b has the derivative
+        (a + b h(s)) / s, where h(s) = s / ((e+s) log(e+s)) rises from 0 at
+        s = 0 to its peak 0.31784 at s* = 5.834 and falls back to 0 as
+        s -> inf.  So a piece with a b < 0 is monotone iff |b| h - |a| keeps
+        one sign over the range of h on its interval, from the smaller h at
+        its ends to the larger (or the peak, where s* lies inside).  h is
+        computed to a few ulp: the test can err only where |b| h and |a|
+        agree to about 1e-15 relative, and such a piece departs from
+        monotone by a relative 1e-22 or so (the 3/2 power of that gap at
+        the peak, its square at an end), far below its float resolution."""
+        if self.is_constant or self.a * self.b >= 0:
+            return True
+        s0, s1 = max(self.lo - self.shift, 0.0), self.hi - self.shift
+        ends = [s / ((_E + s) * math.log(_E + s)) if math.isfinite(s)
+                else 0.0 for s in (s0, s1)]
+        top = _H_PEAK if s0 < _S_PEAK < s1 else max(ends)
+        a, b = abs(float(self.a)), abs(float(self.b))
+        return b * top <= a or b * min(ends) >= a
 
     def endpoint_range(self) -> tuple[float, float]:
         v0 = self.limit_at(self.lo)
@@ -855,9 +865,6 @@ class StepFunction:
             prev = min(v0, v1)
         return True
 
-    def essential_sup(self) -> ExtReal:
-        return sup_over(self, StepFunction.constant(1.0))
-
     # -- calculus ------------------------------------------------------------
     def integrate(self, x0: float = 0.0, x1: float = math.inf) -> ExtReal:
         if x1 <= x0:
@@ -1081,53 +1088,3 @@ def _overlaps(f: StepFunction, g: StepFunction):
         i += fe[i] == hi
         j += ge[j] == hi
         lo = hi
-
-
-# ---------------------------------------------------------------------------
-# sup of a product (funcspace-level op; exact monotone analysis per cell)
-# ---------------------------------------------------------------------------
-
-
-_CELL_SCAN = 129  # scan_max samples per cell of sup_over
-
-
-def sup_over(f: StepFunction, g: StepFunction,
-             lo: float = 0.0, hi: float = math.inf) -> ExtReal:
-    """sup of f*g over (lo, hi) with certified endpoint behavior.
-
-    On each refined cell both factors are single power-log terms, so the
-    product is monotone or has at most one interior critical point; the sup
-    is attained at cell endpoints, the critical point, or as a certified
-    limit at 0+/inf.
-    """
-    best = 0.0
-    for clo, chi, p, q in _overlaps(f, g):
-        clo, chi = max(clo, lo), min(chi, hi)
-        if chi <= clo:
-            continue
-        prod = p.try_mul(q)
-        if prod is not None:
-            prod = prod.restricted(clo, chi)
-            v0 = prod.limit_at(clo if clo > 0 else 0.0)
-            v1 = prod.limit_at(chi)
-            if math.isinf(v0):
-                return ExtReal.infinite(f"product unbounded near t={clo:g}")
-            if math.isinf(v1):
-                where = "infinity" if math.isinf(chi) else f"t={chi:g}"
-                return ExtReal.infinite(f"product unbounded near {where}")
-            best = max(best, v0, v1)
-            if not prod.values_monotone():
-                best = max(best, scan_max(
-                    prod.at, scan_grid(clo, chi, _CELL_SCAN)))
-            continue
-        # inexact product (mixed offsets / shifts): numeric scan with
-        # endpoint limits taken factor-wise
-        v0 = p.limit_at(clo if clo > 0 else 0.0) * q.limit_at(clo if clo > 0 else 0.0)
-        v1lim = p.limit_at(chi) * q.limit_at(chi)
-        if math.isinf(v0) or math.isinf(v1lim):
-            return ExtReal.infinite("product unbounded on a cell")
-        with np.errstate(invalid="ignore", over="ignore"):
-            best = max(best, v0, v1lim, scan_max(
-                lambda ts: p.at(ts) * q.at(ts),
-                scan_grid(clo, chi, _CELL_SCAN)))
-    return ExtReal.finite(best)

@@ -269,10 +269,8 @@ def circ_profile(w: WeightSpec) -> StepFunction:
     actually grows rearranges to the constant +inf (its super-level sets all
     have infinite measure).
     """
-    prof_half = w.halfline_profile()
-    if prof_half.is_nonincreasing():
-        return prof_half
-    return star(prof_half)
+    prof = w.halfline_profile()
+    return prof if prof.is_nonincreasing() else _star_of(w, prof)
 
 
 def lower_star(w: WeightSpec) -> StepFunction:
@@ -282,11 +280,20 @@ def lower_star(w: WeightSpec) -> StepFunction:
     decreasing profile in the non-decreasing slot yields v_* = 0 (so
     integrals of negative powers of v_* diverge, as they must).
     """
-    prof_half = w.halfline_profile()
-    inv = recip(prof_half)
-    if inv.is_nonincreasing():
-        return prof_half
-    return recip(star(inv))
+    prof = w.halfline_profile()
+    inv = recip(prof)
+    return prof if inv.is_nonincreasing() else recip(_star_of(w, inv))
+
+
+def _star_of(w: WeightSpec, prof: StepFunction) -> StepFunction:
+    """star(prof) for the profile of w (or of 1/w); where star has no exact
+    rearrangement of it, the NotImplementedError names w."""
+    try:
+        return star(prof)
+    except NotImplementedError as exc:
+        raise NotImplementedError(
+            f"weight {w.format()} in the {w.direction} slot has no exact "
+            f"rearrangement ({exc})") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -294,59 +301,12 @@ def lower_star(w: WeightSpec) -> StepFunction:
 # ---------------------------------------------------------------------------
 
 
-class AveragedRearrangement:
-    """Callable t -> (1/t) * integral_0^t f* (the level-set maximal average).
-
-    Returned by double_star when the result is not exactly representable as
-    power-log pieces; supports pointwise evaluation and knot inspection.
-    """
-
-    def __init__(self, fs: StepFunction):
-        self.fs = fs
-        self.knots = [b for b in fs.breakpoints if b > 0.0]
-
-    def __call__(self, t: float) -> float:
-        if t <= 0.0:
-            raise ValueError("defined on (0, inf)")
-        val = self.fs.integrate(0.0, t)
-        if not val.is_finite:
-            return math.inf
-        return val.value / t
-
-
-def double_star(f: StepFunction):
-    """f** = t -> (1/t) integral_0^t f*; StepFunction when representable."""
-    fs = star(f)
-    pieces: list[Piece] = []
-    acc = 0.0  # integral of f* up to current piece start
-    exact = True
-    for p in fs.pieces:
-        if math.isinf(p.offset):
-            return StepFunction.constant(math.inf)
-        if p.is_constant:
-            v = p.const_value
-            # (acc + v*(t-lo))/t = v + (acc - v*lo)/t
-            coef = acc - v * p.lo
-            if coef < 0:
-                coef = 0.0  # exact zero up to roundoff: f* non-increasing
-            pieces.append(Piece(p.lo, p.hi, v, coef, 0.0, -1, 0))
-        elif p.is_monomial and p.shift == 0.0 and p.a != -1:
-            a = float(p.a)
-            head = acc - p.coef * p.lo ** (a + 1) / (a + 1) if p.lo > 0 else acc
-            if abs(head) <= 1e-12 * max(1.0, acc):
-                pieces.append(Piece(p.lo, p.hi, 0.0, p.coef / (a + 1),
-                                    0.0, p.a, 0))
-            else:
-                exact = False
-                break
-        else:
-            exact = False
-            break
-        seg = p.integral(p.lo, p.hi)
-        acc = math.inf if seg.is_infinite else acc + seg.value
-    if exact:
-        return StepFunction(pieces)
-    return AveragedRearrangement(fs)
+def double_star(f: StepFunction) -> SymFunc:
+    """f** = t -> (1/t) integral_0^t f*, exact: the closed-form cumulative
+    of f* over t, with certified ends; raises Divergence where the
+    integral of f* diverges."""
+    return (SymFunc.from_step(star(f)).antiderivative()
+            .mul(SymFunc.power(1.0, -1)))
 
 
 def hl_pairing(f: StepFunction, g: StepFunction) -> ExtReal:

@@ -64,7 +64,7 @@ from . import pieces
 from .exponents import Exponent, as_exp
 from .extreal import ExtReal
 from .pieces import (QUAD_TOL, Divergence, StepFunction, end_integrable,
-                     end_integral, end_limit, scan_grid, scan_max)
+                     end_integral, end_limit, scan_max)
 
 
 _NO_KINKS = np.empty(0)
@@ -314,7 +314,7 @@ class SymFunc:
         """The geometric grid that ``sup`` scans: 600 points from the
         lowest knot / 1e8 to the highest * 1e8."""
         lo, hi = self._span()
-        return scan_grid(lo / 1e8, hi * 1e8, _SCAN)
+        return np.geomspace(lo / 1e8, hi * 1e8, _SCAN)
 
     def tabulated(self, n: int = 2048, pad: float = 1e8) -> "SymFunc":
         """Fast log-log interpolated copy (used inside nested quadratures):

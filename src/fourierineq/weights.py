@@ -5,7 +5,11 @@ Weight families:
                   for a non-decreasing slot |x|**a, so positive `a` is the
                   natural parameter in both roles.
     powlog(a,b)   power-log weight, same sign convention, log factor
-                  log(e+|x|)**(-b) (resp. **b).
+                  log(e+|x|)**(-b) (resp. **b).  It is monotone iff a b >= 0
+                  or |b| h* <= |a| (|a|/d in ball-measure coordinates),
+                  h* = 0.31784 the peak of s / ((e+s) log(e+s))
+                  (``Piece.values_monotone``): powlog(1,-1/10) is,
+                  powlog(1/4,-1) is not and has no exact rearrangement.
     ind(R)        indicator of the ball of radius R (non-increasing only).
     table(path)   radial profile loaded from a step-function CSV.
 

@@ -73,6 +73,33 @@ def test_criteria_bad_weight_exit_2(capsys):
         assert code == 2, u
 
 
+@pytest.mark.parametrize("u, v, p, q", [
+    ("powlog(1,-1/10)", "pow(0)", "2", "3"),
+    ("pow(0)", "powlog(1,-1/10)", "3", "2"),
+    ("ind(1)", "powlog(1/4,-1/10)", "3", "2")])
+def test_criteria_power_log_weight_monotone_in_its_slot(capsys, u, v, p, q):
+    # |x|**-1 log(e+|x|)**(1/10) is non-increasing although its power and
+    # log exponents differ in sign; so are the reciprocals of the two v
+    code, out = run(capsys, "criteria", "--u", u, "--v", v, "--p", p,
+                    "--q", q)
+    assert code == 0
+    j = strict_json(out)
+    # u not in L^3 near 0, u = 1 not in L^2: no constant; the last is finite
+    assert j["holds"] is (u == "ind(1)")
+
+
+@pytest.mark.parametrize("slot, p, q", [("--u", "2", "3"), ("--v", "3", "2")])
+def test_criteria_weight_without_exact_rearrangement_exit_2(capsys, slot,
+                                                            p, q):
+    # |x|**(-1/4) log(e+|x|) rises on (1.55, 39.5): not monotone; in the v
+    # slot its reciprocal, |x|**(1/4) log(e+|x|)**-1, falls there
+    other = "--v" if slot == "--u" else "--u"
+    code = main(["criteria", slot, "powlog(1/4,-1)", other, "pow(0)",
+                 "--p", p, "--q", q])
+    assert code == 2
+    assert "weight powlog(1/4,-1)" in capsys.readouterr().err
+
+
 def test_estimate_non_power_of_two_N_exit_2(capsys):
     code, _ = run(capsys, "estimate", "--u", "ind(1)", "--v", "pow(1/4)",
                   "--p", "3", "--q", "2", "--N", "1000", "--L", "64")

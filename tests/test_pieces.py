@@ -9,7 +9,7 @@ import pytest
 from fourierineq import pieces
 from fourierineq.criteria import ExponentConfig
 from fourierineq.pieces import (LeadSpec, Piece, StepFunction, TailSpec,
-                                as_exp, parse_exp, scan_max, sup_over)
+                                as_exp, parse_exp, scan_max)
 from fourierineq.rearrange import hl_pairing
 from fourierineq.symfunc import Asym, SymFunc
 from fourierineq.weights import WeightSpec
@@ -108,20 +108,28 @@ def test_csv_round_trip_with_tail(tmp_path):
     assert g.tail == f.tail
 
 
-def test_sup_over_product():
+def _sup(*factors: StepFunction):
+    """SymFunc.sup of the product of the factors, taken by SymFunc.mul."""
+    prod = SymFunc.from_step(factors[0])
+    for g in factors[1:]:
+        prod = prod.mul(SymFunc.from_step(g))
+    return prod.sup()
+
+
+def test_sup_of_a_product():
     # sup of t^{-1/2} * 1_{(1,inf)} is attained at t = 1
     f = StepFunction.power(1.0, Fraction(1, 2))
     g = StepFunction.from_cells([0.0, 1.0], [0.0, 1.0],
                                 tail=TailSpec.power(0))
-    s = sup_over(f, g)
+    s = _sup(f, g)
     assert s.is_finite and s.value == pytest.approx(1.0, rel=1e-9)
     # growing times decaying, unbalanced: certified infinite
     h = StepFunction.power(1.0, -1)  # grows like t
-    s2 = sup_over(f, h)
+    s2 = _sup(f, h)
     assert s2.is_infinite
     # an infinite cell times a power piece is infinite on that cell
     k = StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, math.inf])
-    assert sup_over(k, h).is_infinite
+    assert _sup(k, h).is_infinite
 
 
 def test_breakpoints_one_ulp_apart():
@@ -133,24 +141,42 @@ def test_breakpoints_one_ulp_apart():
     prod = f * g
     for t in [0.5, 5.0, 8.0, 9.9, 20.0]:
         assert prod(t) == f(t) * g(t)
-    assert sup_over(f, g).value == 6.0
+    assert _sup(f, g).value == 6.0
     pairing = hl_pairing(f, g)
     assert pairing.is_finite and pairing.value == pytest.approx(
         6.0 * x1 + 0.5 * (10.0 - x2), rel=1e-12)
 
 
-def test_essential_sup():
+def test_sup_of_a_step_function():
     f = StepFunction.from_cells([0, 1, 2], [3.0, 7.0])
-    s = f.essential_sup()
+    s = _sup(f)
     assert s.is_finite and s.value == 7.0
     g = StepFunction.power(1.0, Fraction(-1, 2))  # grows
-    assert g.essential_sup().is_infinite
-    assert StepFunction.from_cells([0, 1, 2], [1.0, math.inf]) \
-        .essential_sup().is_infinite
+    assert _sup(g).is_infinite
+    assert _sup(StepFunction.from_cells([0, 1, 2], [1.0, math.inf])) \
+        .is_infinite
     # t^{1/2} log(e+t)^{-2} on (0, 8) peaks inside the piece, near 1.55
     h = StepFunction([Piece(0.0, 8.0, 0.0, 1.0, 0.0, Fraction(1, 2), -2)])
     dense = max(h(i / 10000) for i in range(1, 80000))
-    assert h.essential_sup().value == pytest.approx(dense, rel=1e-9)
+    assert _sup(h).value == pytest.approx(dense, rel=1e-9)
+
+
+@pytest.mark.parametrize("a, b, lo, hi, monotone", [
+    (-1, Fraction(1, 10), 0.0, math.inf, True),  # |b| h(s*) = 0.032 <= 1
+    (Fraction(-1, 4), 1, 0.0, math.inf, False),  # h(s*) = 0.318 > 1/4
+    (Fraction(-1, 4), 1, 0.0, 1.0, True),  # h(1) = 0.205, before the peak
+    (Fraction(-1, 4), 1, 50.0, math.inf, True),  # h(50) = 0.239, past it
+    (Fraction(1, 4), -1, 1.0, 3.0, False),  # h crosses 1/4 at s = 1.55
+    (Fraction(1, 4), -1, 2.0, 3.0, True),  # h(2) = 0.273 > 1/4 throughout
+])
+def test_power_log_piece_monotone_by_its_log_derivative(a, b, lo, hi,
+                                                        monotone):
+    # the log of s**a log(e+s)**b has the derivative (a + b h(s)) / s
+    p = Piece(lo, hi, 0.0, 1.0, 0.0, a, b)
+    assert p.values_monotone() is monotone
+    steps = np.diff(p.at(np.geomspace(max(lo, 1e-6), min(hi, 1e6), 20001)))
+    assert (bool(np.all(steps <= 0.0)) or bool(np.all(steps >= 0.0))) \
+        is monotone
 
 
 def test_invalid_inputs():

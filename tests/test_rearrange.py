@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierineq.pieces import Piece, StepFunction
+from fourierineq.pieces import Divergence, Piece, StepFunction
 from fourierineq.rearrange import (circ_profile, distribution, double_star,
                                    hl_pairing, lower_star, star)
+from fourierineq.symfunc import Asym, SymFunc
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
 
 from conftest import measure_above, random_cells
@@ -93,6 +94,20 @@ def test_double_star_exact_constant():
     # f** = 1 on (0,1], 1/t beyond
     assert fss(0.5) == pytest.approx(1.0)
     assert fss(2.0) == pytest.approx(0.5)
+
+
+def test_double_star_is_a_symfunc_with_certified_ends():
+    fss = double_star(StepFunction.indicator(1.0))
+    assert isinstance(fss, SymFunc)
+    assert fss.head == Asym(1) and fss.tail == Asym(1, -1, 0)
+    for t in (0.25, math.nextafter(1.0, 0.0), 1.0, 3.0, 1e6):
+        assert fss(t) == pytest.approx(min(1.0, 1.0 / t), rel=1e-15)
+
+
+def test_double_star_of_a_non_integrable_head_diverges():
+    # t**-2: the integral of f* over (0, t) is infinite for every t
+    with pytest.raises(Divergence):
+        double_star(StepFunction.power(1.0, 2))
 
 
 def test_circ_profile_dimension():

@@ -196,6 +196,19 @@ def test_no_private_names_imported_across_modules():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def test_scan_max_has_one_caller_symfunc_sup():
+    """The package's one sup driver is ``SymFunc.sup``: no other code
+    calls the maximizer ``pieces.scan_max``."""
+    calls = {}
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "scan_max" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                calls[path.name] = calls.get(path.name, 0) + 1
+    assert calls == {"symfunc.py": 1}
+
+
 def test_every_symfunc_of_norms_has_an_array_evaluator():
     """Every ``SymFunc(...)`` that norms.py builds passes ``at=``, so that
     no sup scan there samples point by point."""

@@ -36,6 +36,14 @@ def test_table_monotonicity_check():
     assert not w_bad.is_monotone_valid()
 
 
+def test_power_log_monotonicity_check():
+    # |x|**-1 log(e+|x|)**(1/10) falls although its exponents differ in
+    # sign; |x|**(-1/4) log(e+|x|) rises on (1.55, 39.5)
+    for slot in (NONINCREASING, NONDECREASING):
+        assert parse_weight("powlog(1,-1/10)", slot).is_monotone_valid()
+        assert not parse_weight("powlog(1/4,-1)", slot).is_monotone_valid()
+
+
 def test_halfline_profile_dimension():
     # r^{-1} in d = 2 becomes t^{-1/2} in ball-measure coordinates
     w = WeightSpec.power(1, NONINCREASING, d=2)
