@@ -9,9 +9,11 @@ right-continuous, and at a breakpoint it takes the piece on the right
 (``StepFunction.indicator(1.0)(1.0)`` is 0); the limit from the left is
 the value one ulp below, which ``SymFunc.sup`` reads at every knot.
 Constant cells are pieces with coef = 0; power leads/tails are pieces with
-offset = 0.  The shift parameter exists because the family
-{offset + c*(t-shift)**a} is closed under the monotone inversion used to
-compute rearrangements exactly.
+offset = 0.  The shift parameter lets a rearrangement move a power piece
+along the half line with its shape kept.  The family
+{offset + c*(t-shift)**a} is closed under inversion only up to sign: the
+inverse of a piece shifted left of 0 needs a negative offset, which a
+Piece does not hold (``rearrange.distribution`` rejects it).
 
 The exponent rule (every exponent slot holds a Fraction, or math.inf), its
 parser and the exponent helpers live in ``exponents``; ``as_exp`` and
@@ -612,11 +614,6 @@ class Piece:
         top = _H_PEAK if s0 < _S_PEAK < s1 else max(ends)
         a, b = abs(float(self.a)), abs(float(self.b))
         return b * top <= a or b * min(ends) >= a
-
-    def endpoint_range(self) -> tuple[float, float]:
-        v0 = self.limit_at(self.lo)
-        v1 = self.limit_at(self.hi)
-        return (min(v0, v1), max(v0, v1))
 
     # -- calculus -------------------------------------------------------
     def integral(self, x0: float, x1: float) -> ExtReal:

@@ -5,14 +5,23 @@ star(f) is the non-increasing rearrangement with respect to the measure of
 (unit ball has measure 1), so the rearrangement of a monotone radial weight
 is the profile map t -> w0(t**(1/d)).
 
-All rearrangements of step data are exact: level sets of monotone power
-pieces are inverted in closed form (the piece family offset + c*(t-shift)**a
-is closed under that inversion), never sampled.
+All rearrangements of step data are exact, never sampled.  star sorts the
+levels of constant cells (``star_cells``).  With decreasing power pieces
+offset + c*(t-shift)**a it splits, sorts and lays out: each power piece is
+cut where it crosses a cell level (in closed form), each part is keyed by
+the levels it spans, (top, bottom), and the parts, sorted by
+(-top, -bottom, width), are laid out from t = 0, a power part keeping its
+shape under a new shift.  ``distribution`` inverts star(f) piece by piece
+in closed form.  Two cases raise NotImplementedError: star where two power
+parts' level ranges overlap, and distribution of a power piece that star
+moved left of its origin (shift < 0: the inverse needs a negative offset).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from fractions import Fraction
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -20,7 +29,7 @@ import numpy as np
 from .extreal import ExtReal
 from .pieces import Piece, StepFunction
 from .symfunc import SymFunc
-from .weights import WeightSpec, recip
+from .weights import WeightSpec, radial_map, recip
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +84,11 @@ def star_cells(c: Cells) -> tuple[np.ndarray, np.ndarray]:
 def star(f: StepFunction) -> StepFunction:
     """Non-increasing rearrangement of f, exact.
 
-    Supported pieces: constants and monotone non-increasing power pieces
-    whose value ranges do not overlap other non-constant pieces (increasing
-    power pieces and log factors would need reflected/transcendental
-    inversions and are rejected).
+    Supported pieces: constants and decreasing power pieces whose value
+    ranges do not overlap other non-constant pieces (increasing power
+    pieces and log factors would need reflected/transcendental inversions
+    and are rejected).  Cell data takes ``star_cells``, the rest the split,
+    sort and layout of ``_star_general``.
     """
     live = [p for p in f.pieces if p.offset != 0.0 or p.coef != 0.0]
     if not live:
@@ -104,109 +114,48 @@ def star(f: StepFunction) -> StepFunction:
         his = edges[1:][keep]
         los = np.concatenate(([0.0], his[:-1]))
         return StepFunction([Piece(float(a), float(b), float(v))
-                             for a, b, v in zip(los, his, levels[keep])])
+                             for a, b, v in zip(los, his, levels[keep])
+                             if b > a])  # not a cell too thin to show
     return _star_general(live)
 
 
 def _star_general(live: list[Piece]) -> StepFunction:
-    """Layer-cake merge of constant cells and decreasing power pieces."""
-    # floor level below which the super-level measure is infinite
-    floor = 0.0
+    """Split, sort and lay out (see the module docstring); a part starts at
+    the exact sum of the widths before it, rounded once, so a piece that
+    stays in place keeps its shift."""
+    levels = sorted({p.const_value for p in live if p.is_constant},
+                    reverse=True)
+    parts = []  # (top, bottom, lo, hi, piece); a cell is one part
     for p in live:
-        if math.isinf(p.hi):
-            floor = max(floor, p.limit_at(math.inf))
-    # critical levels: endpoint values of every piece
-    crits: set[float] = set()
-    unbounded_top = False
-    for p in live:
-        for v in (p.limit_at(p.lo), p.limit_at(p.hi)):
-            if math.isinf(v):
-                unbounded_top = True
-            elif v > floor:
-                crits.add(v)
-    levels = sorted(crits, reverse=True)
-    if unbounded_top:
-        levels = [math.inf] + levels
-    if floor >= 0.0:
-        levels.append(floor)
-
-    def measure_above(lam: float) -> float:
-        m = 0.0
-        for p in live:
-            m += _piece_measure_above(p, lam)
-        return m
-
+        top, bottom = p.limit_at(p.lo), p.limit_at(p.hi)
+        keys = [top] + [v for v in levels if bottom < v < top] + [bottom]
+        edges = [p.lo]
+        for v in keys[1:-1]:
+            edges.append(min(max(p.shift + _ginv_term(p, v), edges[-1]), p.hi))
+        edges.append(p.hi)
+        parts += zip(keys, keys[1:], edges, edges[1:], [p] * len(edges))
+    # a cell at a level goes before a power part that starts there
+    parts.sort(key=lambda q: (-q[0], -q[1], q[3] - q[2]))
     pieces: list[Piece] = []
-    t_cursor = 0.0
-    for lam_hi, lam_lo in zip(levels, levels[1:]):
-        mid = lam_lo + 0.5 * (min(lam_hi, 2 * lam_lo + 1.0) - lam_lo) \
-            if math.isinf(lam_hi) else 0.5 * (lam_hi + lam_lo)
-        straddlers = [p for p in live if not p.is_constant
-                      and _straddles(p, lam_lo, lam_hi)]
-        if len(straddlers) > 1:
-            raise NotImplementedError(
-                "rearrangement with overlapping non-constant level ranges")
-        const_len = sum((p.hi - p.lo) for p in live
-                        if _piece_measure_above(p, mid) == (p.hi - p.lo)
-                        and math.isfinite(p.hi))
-        if not straddlers:
-            # measure is flat on this band: the rearrangement jumps here
-            t_next = const_len
-            if t_next > t_cursor + 1e-15:
-                pieces.append(Piece(t_cursor, t_next, lam_hi
-                                    if math.isfinite(lam_hi) else lam_lo))
-                t_cursor = t_next
-            continue
-        p = straddlers[0]
-        # decreasing piece: {p > lam} = (lo, g_inv(lam)); measure adds
-        # g_inv(lam) - lo, so  t = K + ((lam-off)/c)**(1/a)  with
-        # K = const_len + shift - lo, inverted exactly to
-        # lam = off + c*(t-K)**a.
-        K = const_len + p.shift - p.lo
-        t_hi_level = K + _ginv_term(p, lam_hi)   # t at the top level
-        t_lo_level = K + _ginv_term(p, lam_lo)   # t at the bottom level
-        t0 = max(t_cursor, t_hi_level)
-        if t0 > t_cursor + 1e-15:
-            pieces.append(Piece(t_cursor, t0, lam_hi
-                                if math.isfinite(lam_hi) else lam_lo))
-        if t_lo_level > t0 + 1e-15 or math.isinf(t_lo_level):
-            pieces.append(Piece(t0, t_lo_level, p.offset, p.coef, K, p.a, 0))
-        t_cursor = t_lo_level
-    if math.isfinite(t_cursor):
-        if floor > 0.0:
-            pieces.append(Piece(t_cursor, math.inf, floor))
-        else:
-            pieces.append(Piece(t_cursor, math.inf))
-    if not pieces:
-        return StepFunction.constant(floor)
+    t, laid, floor = 0.0, Fraction(0), math.inf  # floor: last power bottom
+    for top, bottom, lo, hi, p in parts:
+        if not p.is_constant:
+            if top > floor:
+                raise NotImplementedError(
+                    "rearrangement with overlapping non-constant level ranges")
+            floor = bottom
+        laid += Fraction(hi) - Fraction(lo) if hi < math.inf else math.inf
+        end = float(laid)
+        if end > t:  # not past an infinite part, nor too thin to show at t
+            pieces.append(Piece(t, end, top) if p.is_constant else
+                          replace(p, lo=t, hi=end, shift=t - (lo - p.shift)))
+            t = end
     return StepFunction(pieces)
 
 
-def _straddles(p: Piece, lam_lo: float, lam_hi: float) -> bool:
-    v0, v1 = p.endpoint_range()
-    return v0 <= lam_lo + 1e-15 and (v1 >= lam_hi - 1e-15
-                                     or (math.isinf(lam_hi) and math.isinf(v1)))
-
-
 def _ginv_term(p: Piece, lam: float) -> float:
-    """((lam - offset)/coef)**(1/a) for a decreasing monomial piece."""
-    a = float(p.a)
-    if math.isinf(lam):
-        return 0.0
-    s = lam - p.offset
-    if s <= 0.0:
-        return math.inf  # level at or below the piece offset: full tail
-    return (s / p.coef) ** (1.0 / a)
-
-
-def _piece_measure_above(p: Piece, lam: float) -> float:
-    v_min, v_max = p.endpoint_range()
-    if lam >= v_max:
-        return 0.0
-    if lam < v_min:
-        return p.hi - p.lo
-    # straddling a decreasing piece: (lo, shift + ginv)
-    return max(0.0, min(p.hi, p.shift + _ginv_term(p, lam)) - p.lo)
+    """t - shift where a decreasing power piece equals lam > offset."""
+    return ((lam - p.offset) / p.coef) ** (1.0 / float(p.a))
 
 
 # ---------------------------------------------------------------------------
@@ -215,44 +164,30 @@ def _piece_measure_above(p: Piece, lam: float) -> float:
 
 
 def distribution(f: StepFunction) -> StepFunction:
-    """lam -> |{f > lam}| as a StepFunction of lam, exact.
-
-    Computed by analytic inversion of the (already computed) rearrangement;
-    tails are never sampled.
-    """
-    fs = star(f)
+    """lam -> |{f > lam}| as a StepFunction of lam, exact: star(f)'s pieces
+    inverted from the right.  Below a piece the measure is its right end;
+    over a power piece's range, shift + ((lam - offset)/coef)**(1/a), up to
+    the level its left neighbour ends at (its own value at lo can round
+    past that level)."""
+    live = [p for p in star(f).pieces if p.offset != 0.0 or p.coef != 0.0]
+    ends = [p.limit_at(p.hi) for p in live]  # a cell's level, at inf too
+    caps = [math.inf] + ends[:-1]
     out: list[Piece] = []
-    # walk star pieces from the right (small values) to the left
-    lam_cursor = 0.0
-    for p in reversed(fs.pieces):
-        if p.offset == 0.0 and p.coef == 0.0:
-            continue
-        if p.is_constant:
-            v = p.const_value
-            if math.isinf(v):
-                break
-            if v > lam_cursor + 1e-15:
-                out.append(Piece(lam_cursor, v, p.hi if math.isfinite(p.hi)
-                                 else math.inf))
-                lam_cursor = v
-        else:
-            # lam = off + c*(t-K)**a on [lo, hi)  =>
-            # m(lam) = K + ((lam-off)/c)**(1/a) on (value(hi), value(lo))
-            v_at_hi = p.limit_at(p.hi)
-            v_at_lo = p.limit_at(p.lo)
-            a = float(p.a)
-            lam_lo = max(lam_cursor, v_at_hi)
-            lam_hi = v_at_lo
-            if lam_hi <= lam_lo + 1e-15 and not math.isinf(lam_hi):
-                continue
-            coef = p.coef ** (-1.0 / a)
-            out.append(Piece(lam_lo, lam_hi, p.shift, coef, p.offset,
-                             1 / p.a, 0))
-            lam_cursor = lam_hi
-    if math.isfinite(lam_cursor):
-        out.append(Piece(lam_cursor, math.inf))
-    if not out:
-        return StepFunction.constant(0.0)
+    lam = 0.0
+    for p, bottom, cap in zip(live[::-1], ends[::-1], caps[::-1]):
+        if bottom > lam:
+            out.append(Piece(lam, bottom, p.hi))
+            lam = bottom
+        top = min(p.limit_at(p.lo), cap)
+        if top > lam:
+            if p.shift < 0.0:
+                raise NotImplementedError(
+                    "distribution of a power piece moved left of its origin")
+            out.append(Piece(lam, top, p.shift, p.coef ** (-1.0 / float(p.a)),
+                             p.offset, 1 / p.a))
+            lam = top
+    if lam < math.inf:
+        out.append(Piece(lam, math.inf))
     return StepFunction(out)
 
 
@@ -265,24 +200,29 @@ def circ_profile(w: WeightSpec) -> StepFunction:
     """Non-increasing rearrangement of a radial non-increasing weight.
 
     For a valid monotone weight this is the ball-measure profile map
-    t -> w0(t**(1/d)).  A weight declared non-increasing whose profile
-    actually grows rearranges to the constant +inf (its super-level sets all
-    have infinite measure).
+    t -> w0(t**(1/d)); monotone is decided on the exact r-profile w0, not on
+    the ball-measure profile, whose log factor is asymptotic in d > 1.  A
+    weight declared non-increasing whose profile actually grows rearranges
+    to the constant +inf (its super-level sets all have infinite measure).
     """
-    prof = w.halfline_profile()
-    return prof if prof.is_nonincreasing() else _star_of(w, prof)
+    prof = w.profile()
+    half = radial_map(prof, w.d)
+    return half if prof.is_nonincreasing() else _star_of(w, half)
 
 
 def lower_star(w: WeightSpec) -> StepFunction:
     """Non-decreasing rearrangement v_* defined by 1/v_* = (1/v)*.
 
-    For a valid non-decreasing radial weight this is the profile map; a
+    For a valid non-decreasing radial weight (decided on the exact
+    r-profile, as in ``circ_profile``) this is the profile map; a
     decreasing profile in the non-decreasing slot yields v_* = 0 (so
     integrals of negative powers of v_* diverge, as they must).
     """
-    prof = w.halfline_profile()
-    inv = recip(prof)
-    return prof if inv.is_nonincreasing() else recip(_star_of(w, inv))
+    prof = w.profile()
+    half = radial_map(prof, w.d)
+    if recip(prof).is_nonincreasing():
+        return half
+    return recip(_star_of(w, recip(half)))
 
 
 def _star_of(w: WeightSpec, prof: StepFunction) -> StepFunction:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,17 +23,42 @@ def random_cells(rng: np.random.Generator, max_cells: int = 12,
     return StepFunction.from_cells(edges.tolist(), vals.tolist())
 
 
+def random_power_step(rng: np.random.Generator, cells: int,
+                      tail: Fraction | None,
+                      lead: Fraction | None) -> StepFunction:
+    """cells random constant cells on (0, 5), then, with a tail exponent
+    a, c * t**-a beyond the last cell, and with a lead exponent b, the
+    first cell as v * t**-b."""
+    edges = np.unique(rng.uniform(0.0, 5.0, size=cells + 1))
+    edges[0] = 0.0
+    vals = rng.uniform(0.0, 3.0, size=len(edges) - 1)
+    if len(vals) > 2 and rng.random() < 0.3:
+        vals[2] = vals[1]
+    if tail is not None:
+        vals = np.append(vals, rng.uniform(0.1, 3.0))
+    return StepFunction.from_cells(
+        edges.tolist(), vals.tolist(),
+        TailSpec.zero() if tail is None else TailSpec.power(tail),
+        None if lead is None else TailSpec.power(lead))
+
+
 def measure_above(f: StepFunction, lam: float) -> float:
-    """|{f > lam}| for compact step data, exact up to fsum rounding."""
-    widths = []
+    """|{f > lam}| as the fsum of each piece's exact measure: a constant
+    cell's width where its level exceeds lam, and for a decreasing power
+    piece offset + c*(t-shift)**a the length of
+    (lo, clamp(shift + ((lam-offset)/c)**(1/a), lo, hi)); inf where an
+    infinite piece counts whole."""
+    parts = []
     for p in f.pieces:
-        if not p.is_constant:
-            raise AssertionError("helper expects constant cells")
-        if math.isfinite(p.hi) and p.const_value > lam:
-            widths.append(p.hi - p.lo)
-        elif not math.isfinite(p.hi) and p.const_value > lam:
-            return math.inf
-    return math.fsum(widths)
+        if p.is_constant:
+            parts.append(p.hi - p.lo if p.const_value > lam else 0.0)
+        elif lam <= p.offset:
+            parts.append(p.hi - p.lo)
+        else:
+            assert p.a < 0 and p.b == 0, "helper expects decreasing powers"
+            cut = p.shift + ((lam - p.offset) / p.coef) ** (1.0 / float(p.a))
+            parts.append(min(max(cut, p.lo), p.hi) - p.lo)
+    return math.fsum(parts)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.integrate import quad
 from fourierineq.calderon import (Cells, dominates, phi, psi,
                                   verify_joint_type)
 from fourierineq.extremal import dft, random_band_limited, step_profile
-from fourierineq.pieces import StepFunction
+from fourierineq.pieces import StepFunction, TailSpec
 from fourierineq.rearrange import star
 
 from conftest import random_cells
@@ -26,6 +27,26 @@ def test_phi_closed_form():
     G = StepFunction.from_cells([0, 1], [3.0])
     assert phi(G, 0.5) == pytest.approx(4.5, abs=1e-10)
     assert phi(G, 2.0) == pytest.approx(13.5, rel=1e-9)
+
+
+def test_psi_of_a_power_lead():
+    # F = t**-1/4 on (0, 1): not cell data, so the piecewise path;
+    # Psi(x) = integral_0^x t**-1/2 = 2 sqrt(min(x, 1))
+    F = StepFunction.from_cells([0, 1], [1.0], lead=TailSpec.power(
+        Fraction(1, 4)))
+    for x in [0.01, 0.25, 0.5, 1.0, 2.0, 100.0]:
+        assert psi(F, x) == pytest.approx(2.0 * math.sqrt(min(x, 1.0)),
+                                          rel=1e-15)
+
+
+def test_phi_of_a_power_lead():
+    # G = t**-1/2 on (0, 1): integral_0^{1/t} G* = 2 min(1, t**-1/2), so
+    # Phi(x) = 4x for x <= 1 and 4 + 4 log x beyond
+    G = StepFunction.from_cells([0, 1], [1.0], lead=TailSpec.power(
+        Fraction(1, 2)))
+    for x in [0.01, 0.25, 0.5, 1.0, 2.0, 100.0]:
+        want = 4.0 * x if x <= 1.0 else 4.0 + 4.0 * math.log(x)
+        assert phi(G, x) == pytest.approx(want, rel=1e-15)
 
 
 def test_phi_matches_quadrature(rng):

@@ -100,6 +100,39 @@ def test_criteria_weight_without_exact_rearrangement_exit_2(capsys, slot,
     assert "weight powlog(1/4,-1)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows, u, v", [
+    ("0,1.3771100936785345\n1.089936277021461,2.1467835050436612\n"
+     "tail,power,1/2\n", "table({})", "pow(0)"),
+    ("0,1.4802427558635778\n3.7515993971685804,2.97719922056446\n"
+     "tail,power,1/4\n", "table({})", "pow(0)"),
+    ("0,2.972400369204712\n3.299806532485232,0.29377782841203903\n"
+     "tail,power,-1\n", "ind(1)", "table({})")],
+    ids=["u-tail-1/2", "u-tail-1/4", "v-tail-1"])
+def test_criteria_table_with_a_tail_past_its_last_cell(tmp_path, capsys,
+                                                       rows, u, v):
+    # a power tail that starts above the last cell (in the v slot: 1/v
+    # does), so the weight is not monotone and star cuts the tail at the
+    # cell's level
+    table = tmp_path / "w.csv"
+    table.write_text(rows)
+    code, out = run(capsys, "criteria", "--u", u.format(table), "--v",
+                    v.format(table), "--p", "3", "--q", "2")
+    assert code == 0
+    assert strict_json(out)["regime"] == "II"
+
+
+def test_criteria_power_log_weight_monotone_before_the_radial_map(capsys):
+    # |x|**-1 log(e+|x|)**2 is non-increasing, but its ball-measure profile
+    # in d = 3, whose log factor is asymptotic, is not: monotone is decided
+    # on the r-profile.  u*(t) ~ t**(-1/3) near 0, so u*(t)**3 ~ 1/t is not
+    # integrable there and C3 is infinite
+    code, out = run(capsys, "criteria", "--u", "powlog(1,-2)", "--v",
+                    "pow(0)", "--d", "3", "--p", "2", "--q", "3")
+    assert code == 0
+    c3 = strict_json(out)["constants"]["C3"]
+    assert c3["state"] == "infinite" and "not integrable at 0" in c3["reason"]
+
+
 def test_estimate_non_power_of_two_N_exit_2(capsys):
     code, _ = run(capsys, "estimate", "--u", "ind(1)", "--v", "pow(1/4)",
                   "--p", "3", "--q", "2", "--N", "1000", "--L", "64")

@@ -6,13 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierineq.pieces import Divergence, Piece, StepFunction
+from fourierineq.pieces import Divergence, Piece, StepFunction, TailSpec
 from fourierineq.rearrange import (circ_profile, distribution, double_star,
                                    hl_pairing, lower_star, star)
 from fourierineq.symfunc import Asym, SymFunc
 from fourierineq.weights import NONDECREASING, NONINCREASING, WeightSpec
 
-from conftest import measure_above, random_cells
+from conftest import measure_above, random_cells, random_power_step
 
 
 @st.composite
@@ -21,6 +21,65 @@ def step_functions(draw):
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
     return random_cells(rng, max_cells=n)
+
+
+@st.composite
+def power_steps(draw):
+    """1-5 cells, an optional tail t**-a (a in 1/4, 1/2, ..., 7/4) and an
+    optional lead t**-1/4 or t**-1/2."""
+    cells = draw(st.integers(min_value=1, max_value=5))
+    tail = draw(st.none() | st.integers(1, 7).map(lambda k: Fraction(k, 4)))
+    lead = draw(st.sampled_from([None, Fraction(1, 4), Fraction(1, 2)]))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    return random_power_step(np.random.default_rng(seed), cells, tail, lead)
+
+
+def _probe_levels(f):
+    """Every finite cell level, the midpoints between the sorted finite
+    levels and piece end values, and levels below and above them all (not
+    the end values themselves, where one ulp of t moves a measure off 0)."""
+    ends = {p.limit_at(x) for p in f.pieces for x in (p.lo, p.hi)}
+    crit = sorted(v for v in ends if 0.0 < v < math.inf)
+    cells = [p.const_value for p in f.pieces
+             if p.is_constant and p.const_value > 0.0]
+    mids = [(a + b) / 2 for a, b in zip(crit, crit[1:])]
+    return cells + mids + [crit[0] / 2, 2 * crit[-1] + 1.0]
+
+
+@settings(max_examples=80, deadline=None)
+@given(power_steps())
+def test_star_and_distribution_match_the_measure_of_each_piece(f):
+    try:
+        fs = star(f)
+    except NotImplementedError:  # two power pieces' level ranges overlap
+        return
+    levels = _probe_levels(f)
+    for lam in levels:
+        want = measure_above(f, lam)
+        assert measure_above(fs, lam) == pytest.approx(want, rel=1e-9)
+    try:
+        m = distribution(f)
+    except NotImplementedError:
+        # only a power piece moved left of its origin has no inverse
+        assert any(p.shift < 0.0 and not p.is_constant for p in fs.pieces)
+        return
+    for lam in levels:
+        assert m(lam) == pytest.approx(measure_above(f, lam), rel=1e-9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(power_steps())
+def test_star_of_power_steps_is_nonincreasing(f):
+    # relative, on a dense grid: is_nonincreasing's absolute 1e-12 reads
+    # cancellation in t - shift as a rise
+    try:
+        fs = star(f)
+    except NotImplementedError:
+        return
+    ts = np.union1d(np.geomspace(1e-6, 1e4, 3000),
+                    np.linspace(0.0, 40.0, 4001)[1:])
+    vals = fs.at(ts)
+    assert np.all(vals[1:] <= vals[:-1] * (1.0 + 1e-9))
 
 
 @settings(max_examples=60, deadline=None)
@@ -78,6 +137,8 @@ def test_star_increasing_unbounded():
     f = StepFunction.power(1.0, -1)  # grows like t
     fs = star(f)
     assert fs(1.0) == math.inf
+    # every super-level set has infinite measure
+    assert distribution(f)(1.0) == math.inf
 
 
 def test_distribution_step():
@@ -86,6 +147,42 @@ def test_distribution_step():
     assert m(0.5) == pytest.approx(3.0)   # |{f > 0.5}| = 3
     assert m(1.5) == pytest.approx(1.0)   # |{f > 1.5}| = 1
     assert m(2.5) == pytest.approx(0.0)
+
+
+def test_distribution_of_a_power_lead():
+    # t**-1/2 on (0, 1), 1/2 on (1, 2): |{f > lam}| = 2 below 1/2, 1 up to
+    # 1 and lam**-2 above
+    f = StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, 0.5],
+                                lead=TailSpec.power(Fraction(1, 2)))
+    m = distribution(f)
+    for lam, want in [(0.25, 2.0), (0.75, 1.0), (1.0, 1.0), (4.0, 1 / 16)]:
+        assert m(lam) == pytest.approx(want, rel=1e-15)
+
+
+def test_star_of_a_tail_that_starts_above_the_last_cell():
+    # 1.377 on (0, 1.09), 2.147 t**-1/2 beyond (2.056 at 1.09): the tail is
+    # cut where it crosses 1.377, its upper part moved to t = 0
+    f = StepFunction.from_cells([0.0, 1.089936277021461],
+                                [1.3771100936785345, 2.1467835050436612],
+                                TailSpec.power(Fraction(1, 2)))
+    fs = star(f)
+    cut = (2.1467835050436612 / 1.3771100936785345) ** 2
+    assert fs.breakpoints[:3] == pytest.approx(
+        [0.0, cut - 1.089936277021461, cut], rel=1e-15)
+    assert fs(1.0) == pytest.approx(2.1467835050436612 / math.sqrt(
+        1.0 + 1.089936277021461), rel=1e-14)
+    assert fs(cut + 1.0) == pytest.approx(2.1467835050436612 / math.sqrt(
+        cut + 1.0), rel=1e-14)
+
+
+def test_star_of_cells_drops_a_cell_too_thin_to_show():
+    # the one-ulp cell at level 1/2 lands at t = 100, where its width
+    # rounds away: star keeps the other two cells and stays contiguous
+    f = StepFunction.from_cells([0.0, 1.0, math.nextafter(1.0, 2.0), 100.0],
+                                [1.0, 0.5, 2.0])
+    assert [(p.lo, p.hi, p.const_value) for p in star(f).pieces] == [
+        (0.0, 100.0 - math.nextafter(1.0, 2.0), 2.0),
+        (100.0 - math.nextafter(1.0, 2.0), 100.0, 1.0), (100.0, math.inf, 0.0)]
 
 
 def test_double_star_exact_constant():
