@@ -182,9 +182,11 @@ def C4(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
 
     ( int u*(s)**q U(s)**(r/p) (int_0^{1/s} v_***(-p'))**(r/p') ds )**(1/r).
     """
-    return guarded(lambda: integral_form(
-        ustar_sym(u, cfg.q), U_func(u, cfg), W_func(v, cfg),
-        cfg.p, cfg.r))
+    def compute() -> ExtReal:
+        uq = ustar_sym(u, cfg.q)
+        return integral_form(uq, uq.antiderivative(), W_func(v, cfg),
+                             cfg.p, cfg.r)
+    return guarded(compute)
 
 
 def C6(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:

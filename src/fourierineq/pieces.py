@@ -683,26 +683,29 @@ class Piece:
                 0.0 if e > 0 else math.inf)
             if self.const_value == 0.0 and e == 0:
                 v = 1.0
-            if math.isinf(v):
-                return replace(self, offset=math.inf, coef=0.0, a=0, b=0)
-            return replace(self, offset=v, coef=0.0, a=0, b=0)
+            return Piece(self.lo, self.hi, v, 0.0, self.shift)
         if not self.is_monomial:
             raise NotImplementedError(
                 "power of an offset-plus-power piece has no closed form")
-        return replace(self, coef=self.coef ** float(e), a=self.a * e,
-                       b=self.b * e)
+        return Piece(self.lo, self.hi, 0.0, self.coef ** float(e), self.shift,
+                     self.a * e, self.b * e)
 
     def scaled(self, k: float) -> "Piece":
+        """k times the piece, by the rule 0 x = 0 (also for x = inf): a
+        zero piece or a zero scale gives a zero piece, and an infinite
+        scale of any other piece an infinite level."""
         if k < 0:
             raise ValueError("negative scale")
-        # a zero part stays zero under an infinite scale (0 * inf = 0)
-        return replace(self, offset=self.offset * k if self.offset else 0.0,
-                       coef=self.coef * k if self.coef else 0.0)
+        if not (k and (self.offset or self.coef)):
+            return replace(self, offset=0.0, coef=0.0)
+        if math.isinf(k):
+            return replace(self, offset=math.inf, coef=0.0, a=0, b=0)
+        return replace(self, offset=self.offset * k, coef=self.coef * k)
 
     def restricted(self, lo: float, hi: float) -> "Piece":
-        lo = max(lo, self.lo)
-        hi = min(hi, self.hi)
-        return replace(self, lo=lo, hi=hi)
+        if lo <= self.lo and self.hi <= hi:
+            return self
+        return replace(self, lo=max(lo, self.lo), hi=min(hi, self.hi))
 
     def try_mul(self, other: "Piece") -> "Piece | None":
         """Exact product on the overlap, or None when not representable."""

@@ -19,15 +19,23 @@ every point of a 1-d float array ts, computed with numpy over the whole
 array; calling the SymFunc reads at at one point.  Every integral, point
 value and sup scan runs through it: ``anchored`` re-anchors a quadrature
 cumulative at a grid, at its values there; ``tabulated`` is ``anchored``
-plus log-log interpolation between the grid values; ``sup`` and
-``running_sup_from`` scan with it; and the integrals go through the
-package's one quadrature rule ``pieces.quad_cells``.  A quadrature
-cumulative's values all come from ``Cumulative.at``, which integrates the
-pieces between sorted points at once, in log coordinates, so it agrees
-with the exact integral to the quadrature's tolerance; at its anchors it
-reads their values.  Where a SymFunc holds a StepFunction of
-closed-form pieces (``step``), its integral and cumulatives are that
-StepFunction's, exact.
+plus log-log interpolation between the grid values; ``sup`` (where there
+is no ``step``) and ``running_sup_from`` scan with it; and the integrals
+go through the package's one quadrature rule ``pieces.quad_cells``.  A
+quadrature cumulative's values all come from ``Cumulative.at``, which
+integrates the pieces between sorted points at once, in log coordinates,
+so it agrees with the exact integral to the quadrature's tolerance; at its
+anchors it reads their values.
+
+Where a SymFunc holds a StepFunction of closed-form pieces (``step``, no
+log factors), its integral, cumulatives and sup are that StepFunction's,
+exact: the sup is the largest limit at the ends of its pieces, each
+monotone, with no scan.  ``from_step`` sets it, and ``pow``, ``mul`` and
+``recip_arg`` carry it where the result is again such a StepFunction (for
+``recip_arg``, one term c t**a on all of (0, inf)); the cumulative of one
+such term is its integrated term, and carries it too.  Other cumulatives
+(their values exact where the integrand has a step), ``tabulated`` copies,
+sums and running sups have none.
 
 A product follows the rule 0 x = 0, as ``Asym.mul`` does at the ends: it
 reads 0 wherever either factor reads 0, even where the other is inf or
@@ -155,6 +163,37 @@ def _piece_end(p: pieces.Piece, at_zero: bool) -> Asym:
     return _dominant(terms, at_zero)
 
 
+def _one_term(sf: StepFunction | None) -> Asym | None:
+    """The term c t**a (b = 0) of a StepFunction that is one such term on
+    all of (0, inf), a constant being c t**0; None for any other (or
+    none)."""
+    if sf is None or len(sf.pieces) > 1:
+        return None
+    p = sf.pieces[0]
+    if p.is_constant:
+        return Asym(p.const_value)
+    if p.offset or p.shift:
+        return None
+    return Asym(p.coef, p.a)
+
+
+def _step_sup(sf: StepFunction) -> ExtReal:
+    """The sup of a StepFunction of closed-form pieces: each piece is
+    monotone, so its sup is the larger of its limits at its two ends (inf
+    where a power passes the floats' range, as the scan reads it)."""
+    best = 0.0
+    for p in sf.pieces:
+        try:
+            top = max(p.limit_at(p.lo), p.limit_at(p.hi))
+        except OverflowError:
+            top = math.inf
+        if math.isinf(top):
+            return ExtReal.infinite(f"reads inf on the piece ({p.lo:.3g}, "
+                                    f"{p.hi:.3g})")
+        best = max(best, top)
+    return ExtReal.finite(best)
+
+
 def _dominant(terms: Sequence[Asym], at_zero: bool) -> Asym:
     terms = [t for t in terms if t.coef != 0.0]
     if not terms:
@@ -224,7 +263,9 @@ class SymFunc:
         """The product f g, read by the rule 0 x = 0: it is 0 wherever
         either factor is 0, even where the other is inf or nan.  Its ``at``
         evaluates f (self) at every point and g (other) only where f is
-        not 0, so a factor that vanishes belongs first."""
+        not 0, so a factor that vanishes belongs first.  Its ``step`` is
+        the product of the factors' steps, where both have one and
+        ``StepFunction.__mul__`` represents it."""
         f_at, g_at = self.at, other.at
 
         def at(ts: np.ndarray) -> np.ndarray:
@@ -238,8 +279,14 @@ class SymFunc:
                     out[live] = _times(f[live], g_at(ts[live]))
                 return out
 
+        step = None
+        if self.step is not None and other.step is not None:
+            try:
+                step = self.step * other.step
+            except NotImplementedError:
+                pass
         return SymFunc(self.head.mul(other.head), self.tail.mul(other.tail),
-                       self.knots + other.knots, at=at,
+                       self.knots + other.knots, step=step, at=at,
                        kinks=_kinks(self.kinks, other.kinks))
 
     def pow(self, e: Exponent) -> "SymFunc":
@@ -284,8 +331,11 @@ class SymFunc:
             with _quiet():
                 return f_at(1.0 / ts)
 
-        return SymFunc(head, tail, [1.0 / k for k in self.knots], at=at,
-                       kinks=1.0 / self.kinks[::-1])
+        # c t**a on all of (0, inf) is c t**-a; any other step is dropped
+        term = _one_term(self.step)
+        step = None if term is None else StepFunction.power(term.coef, term.a)
+        return SymFunc(head, tail, [1.0 / k for k in self.knots], step=step,
+                       at=at, kinks=1.0 / self.kinks[::-1])
 
     # -- numeric helpers -----------------------------------------------------
     def _span(self) -> tuple[float, float]:
@@ -417,6 +467,12 @@ class SymFunc:
                 f"log**({start.b}) not integrable at {name}")
         knots = self.knots or (1.0,)
         other_finite = other.integrable(not from_left)
+        near = start.integrated()
+        if not other_finite and _one_term(self.step) is not None:
+            # one term c t**a: its cumulative is its integrated term, which
+            # the end rule gives exactly (there is no log factor)
+            step = StepFunction.power(near.coef, -near.a)
+            return SymFunc(near, near, knots, step=step, at=step.at)
         if self.step is not None:
             at = self.step.cumulative(from_left).at
             total = self.step.integrate().value
@@ -428,18 +484,22 @@ class SymFunc:
             at = Cumulative(self.at, knots, cum if from_left else cum[::-1],
                             from_left, start).at
             total = _total(head_int, segs, tail_int)
-        near = start.integrated()
         far = Asym(total) if other_finite else other.integrated()
         head, tail = (near, far) if from_left else (far, near)
         return SymFunc(head, tail, knots, at=at)
 
     def sup(self) -> ExtReal:
-        """sup over (0, inf) with certified endpoint limits."""
+        """sup over (0, inf) with certified endpoint limits; exact where
+        ``step`` is set (``_step_sup``), else the scan of ``at`` at the
+        ``scan_grid``, refined by ``scan_max``, with the values at the
+        knots and their left limits."""
         lims = [end.limit(at_zero) for end, at_zero, _ in self._ends()]
         for lim, (end, _, name) in zip(lims, self._ends()):
             if math.isinf(lim):
                 return ExtReal.infinite(f"~ {end.coef:.3g} t**({end.a}) "
                                         f"log**({end.b}) unbounded at {name}")
+        if self.step is not None:
+            return _step_sup(self.step)
         # a maximum at a kink or a jump sits on a knot, between the scan's
         # samples: take the value there and the limit from the left
         near = [t for k in self.knots for t in (k, math.nextafter(k, 0.0))]

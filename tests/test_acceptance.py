@@ -91,9 +91,12 @@ def test_joint_type_constant_pinned_and_seed_stable():
 # -- 4. exact classification of the power-weight grid ------------------------
 
 def test_power_weight_grid_classified_exactly():
+    # and each finite C3 is Pitt's sharp constant, the sup form's constant
+    # value (1 - lam q)**(-1/q) (1 - alpha p')**(-1/p')
     ps = [1 + Fraction(k, 4) for k in range(1, 21)]      # 20 values in (1, 6]
     alphas = [Fraction(j - 5, 16) for j in range(20)]    # 20 values
     mismatches = []
+    off_closed_form = []
     for p in ps:
         for q in ps:
             if p > q:
@@ -109,7 +112,14 @@ def test_power_weight_grid_classified_exactly():
                 rep = evaluate(u, v, ExponentConfig(p, q))
                 if rep.holds != expected:
                     mismatches.append((p, q, al))
+                if rep.holds:
+                    closed = (float(1 - lam * q) ** (-1 / float(q))
+                              * float(1 - al * pprime) ** (-1 / float(pprime)))
+                    if rep.constants["C3"].value != pytest.approx(
+                            closed, rel=1e-13, abs=0.0):
+                        off_closed_form.append((p, q, al))
     assert mismatches == []
+    assert off_closed_form == []
 
 
 # -- 5. the unweighted constant is exactly 1 ---------------------------------
@@ -119,7 +129,7 @@ def test_unweighted_constant_pinned():
     v = WeightSpec.one(NONDECREASING)
     cfg = ExponentConfig(2, 2)
     rep = evaluate(u, v, cfg)
-    assert rep.constants["C3"].value == pytest.approx(1.0, abs=1e-12)
+    assert rep.constants["C3"].value == 1.0
     br = bracket_constant(u, v, cfg, np.random.default_rng(7), n_random=4)
     assert br.lower >= 1.0 - 1e-6
     assert br.lower <= br.upper.value + 1e-9

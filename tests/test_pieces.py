@@ -132,6 +132,18 @@ def test_sup_of_a_product():
     assert _sup(k, h).is_infinite
 
 
+def test_a_zero_cell_times_an_infinite_cell_is_zero():
+    # 0 x = 0 in either order, as SymFunc.mul reads it: the infinite cell
+    # scaled by 0 read nan, and the integral raised ValueError
+    zero = StepFunction.from_cells([0, 1, 2], [0.0, 1.0])
+    inf = StepFunction.from_cells([0, 1, 2], [math.inf, 1.0])
+    for f, g in [(zero, inf), (inf, zero)]:
+        assert (f * g).pieces[0].const_value == 0.0
+        assert (f * g).integrate().value == 1.0
+        prod = SymFunc.from_step(f).mul(SymFunc.from_step(g))
+        assert prod.step is not None and prod.integral().value == 1.0
+
+
 def test_breakpoints_one_ulp_apart():
     # a cell one ulp wide between the breakpoints of f and g
     x1 = 7.672331698415035
