@@ -31,7 +31,7 @@ from .hardy import integral_form, sup_form
 from .pieces import StepFunction
 from .rearrange import circ_profile, lower_star
 from .symfunc import Divergence, SymFunc, guarded
-from .weights import WeightSpec, NONINCREASING, NONDECREASING, recip
+from .weights import WeightSpec, NONINCREASING, NONDECREASING
 
 REGIME_DEG_QINF = "degenerate-q-infinity"
 REGIME_DEG_P1 = "degenerate-p-one"
@@ -370,6 +370,7 @@ def _reciprocal_weight(w: WeightSpec, new_direction: str) -> WeightSpec:
     if w.family == "powerlog":
         return WeightSpec.powerlog(w.a, w.b, new_direction, w.d)
     if w.family == "table":
-        return WeightSpec.from_table(recip(w.table), new_direction, w.d)
+        return WeightSpec.from_table(w.table.pow_compose(-1), new_direction,
+                                     w.d)
     raise ValueError("indicator weights have no reciprocal weight "
                      "(they vanish on a set of positive measure)")

@@ -26,9 +26,12 @@ its limit there and the leading term of its integral (``end_integrable``,
 ``end_limit``, ``end_integral``), comparing the exact exponents.  Pieces and
 the asymptotic terms of ``symfunc`` take every end decision from it.
 
-Coefficients are floats; quadrature is used only where a closed form does
-not exist (log factors over finite ranges, infinite tails with log factors),
-and only after convergence has been decided symbolically.
+Coefficients are floats.  A piece without a log factor has one closed-form
+integral, ``_closed_integral``, on floats or arrays: ``Piece.integral`` and
+``StepCumulative.at`` both read it.  Quadrature is used only where a closed
+form does not exist (log factors over finite ranges, infinite tails with
+log factors), and only after convergence has been decided symbolically.
+The reciprocal 1/f of a StepFunction is ``pow_compose(-1)``.
 
 Array evaluators (``Piece.at``, ``StepFunction.at``, ``StepCumulative.at``)
 compute a whole array of points with numpy's logs and powers, which on an
@@ -361,9 +364,12 @@ def end_integrable(c: float, a: Exponent, b: Exponent, at_zero: bool) -> bool:
 
 
 def end_limit(c: float, a: Exponent, b: Exponent, at_zero: bool) -> float:
-    """The term's limit at 0 (at_zero) or at inf: 0, c or inf."""
+    """The term's limit at 0 (at_zero) or at inf: 0, c or inf; inf where
+    c is not finite, as ``end_integrable`` reads such a term."""
     if c == 0.0:
         return 0.0
+    if not math.isfinite(c):
+        return math.inf
     if a != 0:
         grows = (a < 0) == at_zero
     elif b != 0:
@@ -617,7 +623,11 @@ class Piece:
 
     # -- calculus -------------------------------------------------------
     def integral(self, x0: float, x1: float) -> ExtReal:
-        """Integral over (x0, x1) subset of (lo, hi); endpoints may be 0/inf."""
+        """Integral over (x0, x1) subset of (lo, hi); endpoints may be 0/inf.
+        Divergence is decided first, by the end rule; then the closed form
+        ``_closed_integral`` gives the value of a piece without a log factor
+        and quadrature that of one with a log factor.  OverflowError where
+        the value passes the floats' range."""
         x0 = max(x0, self.lo)
         x1 = min(x1, self.hi)
         if x1 <= x0:
@@ -628,52 +638,41 @@ class Piece:
                 return ExtReal.infinite("constant level over infinite measure")
             if math.isinf(self.offset):
                 return ExtReal.infinite("infinite level on a cell")
-        total = self.offset * (x1 - x0) if not math.isinf(x1) else 0.0
-        if self.coef == 0.0:
-            return ExtReal.finite(total)
-        s0 = x0 - self.shift
-        s1 = x1 - self.shift if not math.isinf(x1) else math.inf
-        # symbolic convergence checks
+        # symbolic convergence checks; the log factor ~ 1 at a head s = 0
         a, b = self.a, self.b
-        if s0 <= 0.0:
-            # head at s=0: log factor ~ 1 there
-            if not end_integrable(self.coef, a, 0, True):
+        if self.coef != 0.0:
+            if (x0 - self.shift <= 0.0
+                    and not end_integrable(self.coef, a, 0, True)):
                 return ExtReal.infinite(
                     f"non-integrable head exponent {self.a} at t={self.shift}"
                 )
-            s0 = 0.0
-        if math.isinf(s1) and not end_integrable(self.coef, a, b, False):
-            return ExtReal.infinite(
-                f"non-integrable tail exponents (a={self.a}, b={self.b})")
-        # exact closed forms when there is no log factor
-        if b == 0:
-            if a == -1:
+            if math.isinf(x1) and not end_integrable(self.coef, a, b, False):
+                return ExtReal.infinite(
+                    f"non-integrable tail exponents (a={self.a}, b={self.b})")
+        if b == 0 or self.coef == 0.0:
+            val = float(_closed_integral(self, x0, x1))
+        else:
+            # certified-convergent quadrature for log factors, of the piece
+            # in s = t - shift: a head at s = 0 by the end rule of its power
+            # (the log factor tends to 1 there), the cells up to s = 1 or
+            # s1, and an infinite tail by its own
+            s0 = max(x0 - self.shift, 0.0)
+            s1 = x1 - self.shift
+            g_at = replace(self, offset=0.0, shift=0.0).at
+            lo = min(s1, 1.0) if s0 == 0.0 else s0
+            hi = max(lo, 1.0) if math.isinf(s1) else s1
+            val = 0.0
+            with np.errstate(over="ignore"):  # an overflow is inf, read below
                 if s0 == 0.0:
-                    return ExtReal.infinite("log divergence at piece head")
-                val = self.coef * math.log(s1 / s0)
-            else:
-                a1 = float(a) + 1
-                hi_part = 0.0 if math.isinf(s1) else s1 ** a1
-                val = self.coef * (hi_part - s0 ** a1) / a1
-            return ExtReal.finite(total + val)
-        # certified-convergent quadrature for log factors: a head at s = 0
-        # by the end rule of its power (the log factor tends to 1 there),
-        # the cells up to s = 1 or s1, and an infinite tail by its own
-        fa, fb = float(a), float(b)
-        g_at = lambda s: self.coef * s ** fa * np.log(_E + s) ** fb
-        lo = min(s1, 1.0) if s0 == 0.0 else s0
-        hi = max(lo, 1.0) if math.isinf(s1) else s1
-        val = 0.0
-        with np.errstate(over="ignore"):  # an overflow is inf, read below
-            if s0 == 0.0:
-                val += end_quad(g_at, replace(self, b=0), 0.0, lo)
-            if hi > lo:
-                val += log_cells(g_at, [lo, hi])
-            if math.isinf(s1):
-                val += end_quad(g_at, self, hi, math.inf)
+                    val += end_quad(g_at, replace(self, b=0), 0.0, lo)
+                if hi > lo:
+                    val += log_cells(g_at, [lo, hi])
+                if math.isinf(s1):
+                    val += end_quad(g_at, self, hi, math.inf)
+            val += self.offset * (x1 - x0) if not math.isinf(x1) else 0.0
         if not math.isfinite(val):  # past the floats' range
             raise OverflowError(f"integral of a piece over ({x0}, {x1})")
-        return ExtReal.finite(total + val)
+        return ExtReal.finite(val)
 
     # -- algebra ---------------------------------------------------------
     def pow(self, e: Exponent) -> "Piece":
@@ -766,7 +765,7 @@ class StepFunction:
         pts = grid.points if isinstance(grid, Grid) else Grid(tuple(grid)).points
         ncells = len(pts) - 1
         nvals = ncells + (0 if tail.kind == "zero" else 1)
-        if len(values) != max(nvals, ncells) and len(values) != nvals:
+        if len(values) != nvals:
             raise ValueError(f"need {nvals} values for {ncells} cells and tail")
         pieces: list[Piece] = []
         for i in range(ncells):
@@ -782,8 +781,8 @@ class StepFunction:
         if tail.kind == "zero":
             pieces.append(Piece(last, math.inf))
         else:
-            c = float(values[ncells]) if len(values) > ncells else float(values[-1])
-            pieces.append(Piece(last, math.inf, 0.0, c, 0.0, -tail.a, -tail.b))
+            pieces.append(Piece(last, math.inf, 0.0, float(values[ncells]), 0.0,
+                                -tail.a, -tail.b))
         return StepFunction(pieces)
 
     @staticmethod
@@ -976,10 +975,10 @@ class StepCumulative:
     integral of the piece holding t; inf beyond a divergent piece.  Exact
     for pieces without log factors: ``at`` evaluates each piece's partial
     integrals on the group of points of an array that the piece holds, by
-    its closed form (``_closed_partial``) where there is one, else by
-    ``Piece.integral`` point by point."""
+    the piece's one closed form (``_closed_integral``), and only those of
+    a piece with a log factor by ``Piece.integral`` point by point."""
 
-    __slots__ = ("pieces", "los", "from_left", "base", "closed")
+    __slots__ = ("pieces", "los", "from_left", "base")
 
     def __init__(self, f: StepFunction, from_left: bool):
         self.pieces, self.los, self.from_left = f.pieces, f._los, from_left
@@ -988,7 +987,6 @@ class StepCumulative:
             seg = p.integral(p.lo, p.hi)
             acc.append(acc[-1] + (seg.value if seg.is_finite else math.inf))
         self.base = acc if from_left else acc[::-1]
-        self.closed = [_closed_partial(p, from_left) for p in f.pieces]
 
     def _partial(self, i: int, t: float) -> float:
         """The partial integral of piece i at t by ``Piece.integral``; inf
@@ -1012,67 +1010,39 @@ class StepCumulative:
         held = np.bincount(idx[idx >= 0], minlength=len(self.pieces))
         for i in np.flatnonzero(held):
             sel = np.flatnonzero(idx == i)
-            part = self.closed[i]
-            vals = (part(ts[sel]) if part is not None else np.array(
-                [self._partial(i, t) for t in ts[sel].tolist()]))
+            p, t = self.pieces[i], ts[sel]
+            if p.b != 0 and p.coef != 0.0:  # a log factor
+                vals = np.array([self._partial(i, x) for x in t.tolist()])
+            elif self.from_left:
+                vals = _closed_integral(p, p.lo, np.minimum(t, p.hi))
+            else:
+                vals = _closed_integral(p, t, p.hi)
             out[sel] = self.base[i] + vals
         return out
 
 
-def _closed_partial(p: Piece, from_left: bool):
-    """The array evaluator of t -> p.integral(p.lo, t).value (from_left)
-    or p.integral(t, p.hi).value on the piece's interval: the float
-    formulas of ``Piece.integral`` in its order, with numpy's logs and
-    powers, inf where a partial integral overflows.  None unless each is
-    closed form: a finite level, no log factor, no divergent tail, a shift
-    at most lo.  A head that diverges at t = shift is inf from the left,
-    and from the right only at t = shift."""
-    lo, hi, off, c, shift, a = p.lo, p.hi, p.offset, p.coef, p.shift, p.a
-    finite_hi = not math.isinf(hi)
-    if math.isinf(off) or (not from_left and not finite_hi and off > 0.0):
-        return None  # an infinite level, or a level over infinite measure
-    power = c != 0.0
-    if power and (p.b != 0 or shift > lo):
-        return None
-    open_head = (power and lo - shift <= 0.0
-                 and not end_integrable(c, a, 0, True))
-    if power and not (from_left or finite_hi
-                      or end_integrable(c, a, 0, False)):
-        return None  # the tail diverges
-    log_form = a == -1
-    closed_power = power and not log_form
-    try:
-        a1 = float(a) + 1 if closed_power else 0.0
-        s0 = lo - shift if lo - shift > 0.0 else 0.0
-        head = s0 ** a1 if closed_power and from_left and not open_head else 0.0
-        s1 = hi - shift if finite_hi else math.inf
-        tail = (s1 ** a1 if closed_power and finite_hi and not from_left
-                else 0.0)
-    except OverflowError:
-        return None  # Piece.integral raises it when called
-
-    def left(t: np.ndarray) -> np.ndarray:
-        x1 = np.minimum(t, hi)
-        if open_head:
-            return np.where(x1 <= lo, 0.0, math.inf)
-        total = off * (x1 - lo)
-        if power:
-            with np.errstate(all="ignore"):
-                total = total + (c * np.log((x1 - shift) / s0) if log_form
-                                 else c * ((x1 - shift) ** a1 - head) / a1)
-        return np.where(x1 <= lo, 0.0, total)
-
-    def right(t: np.ndarray) -> np.ndarray:
-        x0 = np.maximum(t, lo)
-        total = off * (hi - x0) if finite_hi else np.zeros(t.shape)
-        if power:
-            s0 = np.maximum(x0 - shift, 0.0)
-            with np.errstate(all="ignore"):  # inf at s0 = 0 on an open head
-                total = total + (c * np.log(s1 / s0) if log_form
-                                 else c * (tail - s0 ** a1) / a1)
-        return np.where(hi <= x0, 0.0, total)
-
-    return left if from_left else right
+def _closed_integral(p: Piece, x0, x1):
+    """The integral over (x0, x1) of the piece p without a log factor, for
+    ends x0 and x1 in its interval, floats or arrays: offset (x1 - x0) +
+    c ((x1 - shift)**(a+1) - (x0 - shift)**(a+1)) / (a+1), or
+    c log((x1 - shift) / (x0 - shift)) at a = -1, with t - shift clamped
+    at 0.  It reads 0 on an empty range, and inf where the integral
+    diverges (an infinite level, a level over an infinite range, a
+    divergent tail, a head that is not integrable) or passes the floats'
+    range.  The power of a float end is the C library's (a numpy
+    scalar's), of an array numpy's; the log at a = -1 is numpy's."""
+    with np.errstate(all="ignore"):
+        total = p.offset * (x1 - x0) if p.offset else 0.0
+        if p.coef != 0.0:
+            s0 = np.maximum(x0 - p.shift, 0.0)
+            s1 = np.maximum(x1 - p.shift, 0.0)
+            if p.a == -1:
+                total = total + p.coef * np.log(s1 / s0)
+            else:
+                a1 = float(p.a) + 1.0
+                total = total + p.coef * (s1 ** a1 - s0 ** a1) / a1
+        total = np.where(x1 > x0, total, 0.0)
+    return np.fmin(total, math.inf)  # nan, of inf - inf or inf * 0, is inf
 
 
 def _overlaps(f: StepFunction, g: StepFunction):

@@ -29,7 +29,7 @@ import numpy as np
 from .extreal import ExtReal
 from .pieces import Piece, StepFunction
 from .symfunc import SymFunc
-from .weights import WeightSpec, radial_map, recip
+from .weights import WeightSpec, radial_map
 
 
 # ---------------------------------------------------------------------------
@@ -220,9 +220,9 @@ def lower_star(w: WeightSpec) -> StepFunction:
     """
     prof = w.profile()
     half = radial_map(prof, w.d)
-    if recip(prof).is_nonincreasing():
+    if prof.pow_compose(-1).is_nonincreasing():
         return half
-    return recip(_star_of(w, recip(half)))
+    return _star_of(w, half.pow_compose(-1)).pow_compose(-1)
 
 
 def _star_of(w: WeightSpec, prof: StepFunction) -> StepFunction:

@@ -124,7 +124,7 @@ class WeightSpec:
         prof = self.profile()
         if self.direction == NONINCREASING:
             return prof.is_nonincreasing()
-        return recip(prof).is_nonincreasing()
+        return prof.pow_compose(-1).is_nonincreasing()
 
     def evaluate(self, r):
         """Value at radius r >= 0 (the profile's right limit at r = 0).
@@ -164,22 +164,6 @@ def radial_map(profile: StepFunction, d: int) -> StepFunction:
             out.append(Piece(lo, hi, p.offset, coef, 0.0, p.a / d, p.b))
         else:
             raise NotImplementedError("radial map of shifted pieces")
-    return StepFunction(out)
-
-
-def recip(f: StepFunction) -> StepFunction:
-    """Pointwise reciprocal; exact for constant and monomial pieces."""
-    from .pieces import Piece, StepFunction
-    out = []
-    for p in f.pieces:
-        if p.is_constant:
-            v = p.const_value
-            out.append(Piece(p.lo, p.hi, math.inf if v == 0.0 else 1.0 / v))
-        elif p.is_monomial:
-            out.append(Piece(p.lo, p.hi, 0.0, 1.0 / p.coef, p.shift,
-                             -p.a, -p.b))
-        else:
-            raise NotImplementedError("reciprocal of offset-plus-power piece")
     return StepFunction(out)
 
 

@@ -198,6 +198,20 @@ def test_dual_config_roundtrip():
     assert dv.evaluate(2.0) == pytest.approx(1.0 / u.evaluate(2.0), rel=1e-12)
 
 
+def test_dual_of_a_table_weight_is_its_reciprocal():
+    # the dual weight of a table is the table's pointwise reciprocal: 1/v
+    # on every cell and on the power tail, and inf on a zero cell
+    table = StepFunction.from_cells([0, 1, 2, 4], [0.0, 0.5, 3.0, 1.7],
+                                    tail=TailSpec.power(Fraction(-1, 2)))
+    v = WeightSpec.from_table(table, NONDECREASING)
+    du, _, _ = dual_config(WeightSpec.power(Fraction(1, 4)), v, cfg(3, 2))
+    assert du.direction == NONINCREASING
+    assert du.evaluate(0.5) == math.inf
+    for r in [1.0, 1.5, 3.0, 4.0, 9.0, 1e6]:
+        assert du.evaluate(r) == pytest.approx(1.0 / v.evaluate(r),
+                                               rel=1e-15)
+
+
 def test_report_json():
     u = WeightSpec.one()
     v = WeightSpec.one(NONDECREASING)

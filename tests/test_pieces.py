@@ -1,4 +1,5 @@
 import bisect
+import decimal
 import math
 import warnings
 from fractions import Fraction
@@ -253,6 +254,9 @@ def test_cumulative_reads_inf_where_a_partial_integral_overflows():
     assert SymFunc.from_step(f).antiderivative()(1e100) == math.inf
     assert f.cumulative(from_left=False).at(np.array([1e100]))[0] == (
         math.inf)
+    # a single integral past the floats' range raises
+    with pytest.raises(OverflowError):
+        StepFunction.power(1.0, -3).integrate(1.0, 1e100)
     # a piece without a closed form (a log factor) goes to Piece.integral,
     # whose power overflows there too
     g = StepFunction([Piece(0.0, 1.0, 1.0),
@@ -347,34 +351,97 @@ def _piece_integral_cumulatives(f: StepFunction, ts) -> np.ndarray:
     return np.array(out)
 
 
-def test_cumulative_at_is_the_point_value(monkeypatch):
-    # at runs each piece's closed form on its group of points with numpy's
-    # logs and powers; a difference of partial integrals is absolute, on the
-    # scale of the cumulative, so it is compared there too.  The reference
-    # is Piece.integral, whose float formulas at uses in the same order, so
-    # only numpy's logs and powers differ (in the last bit)
+def _decimal_cumulatives(f: StepFunction, ts) -> np.ndarray:
+    """(left, right) cumulative integrals of f at every point of ts, each
+    piece's part offset (x1 - x0) + c ((x1 - shift)**(a+1) - (x0 -
+    shift)**(a+1)) / (a+1), or c log((x1 - shift) / (x0 - shift)) at
+    a = -1, in 30-digit decimal arithmetic from the float ends and
+    parameters and the exact exponents; inf where a part diverges."""
+    D = decimal.Decimal
+
+    def part(p, x0, x1):
+        x0, x1 = max(x0, p.lo), min(x1, p.hi)
+        if x1 <= x0:
+            return D(0)
+        if p.offset and not math.isfinite(p.offset * x1):
+            return D("Infinity")
+        total = D(p.offset) * (D(x1) - D(x0)) if p.offset else D(0)
+        if p.coef:
+            s0, s1 = max(D(x0) - D(p.shift), D(0)), D(x1) - D(p.shift)
+            a1 = p.a + 1
+            if a1 == 0:
+                return total + D(p.coef) * (s1 / s0).ln()
+            e = D(a1.numerator) / D(a1.denominator)
+            total += D(p.coef) * (s1 ** e - s0 ** e) / e
+        return total
+
+    ps = f.pieces
+    out = []
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        for t in ts:
+            i = bisect.bisect_right(f.breakpoints, t) - 1
+            left = sum((part(p, p.lo, p.hi) for p in ps[:i]), D(0))
+            right = sum((part(p, p.lo, p.hi) for p in ps[i + 1:]), D(0))
+            out.append((float(left + part(ps[i], ps[i].lo, t)),
+                        float(right + part(ps[i], t, ps[i].hi))))
+    return np.array(out)
+
+
+def _closed_form_cases():
+    """The random closed-form functions, an infinite level, and the points
+    at which their cumulatives are compared: breakpoints, an ulp below
+    each inner one, and random points."""
     rng = np.random.default_rng(2025)
     fs = [_random_closed_form(rng) for _ in range(200)]
     fs.append(StepFunction.from_cells([0.0, 1.0, 2.0], [1.0, math.inf]))
     for f in fs:
         inner = [p.hi for p in f.pieces[:-1]]
-        ts = np.array([0.0, *f.breakpoints, *inner,
-                       *np.nextafter(inner, 0.0).tolist(),
-                       *rng.uniform(0.0, 12.0, 8).tolist()])
+        yield f, np.array([0.0, *f.breakpoints, *inner,
+                           *np.nextafter(inner, 0.0).tolist(),
+                           *rng.uniform(0.0, 12.0, 8).tolist()])
+
+
+def _assert_cumulatives_close(got, want):
+    """A difference of partial integrals is absolute, on the scale of the
+    cumulative, so it is compared there too."""
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
+        ok = np.isfinite(w)
+        np.testing.assert_allclose(g[ok], w[ok], rtol=2e-15,
+                                   atol=1e-15 * w[ok].max())
+
+
+def test_closed_form_matches_a_30_digit_reference():
+    # Piece.integral (through the prefix sums of its piece integrals) and
+    # the cumulatives' at share one closed form; the reference is the same
+    # formula in 30-digit decimal arithmetic (a part over one ulp can round
+    # to 0 in floats, and reads about 1e-16 here)
+    for f, ts in _closed_form_cases():
+        want = _decimal_cumulatives(f, ts.tolist()).T
+        _assert_cumulatives_close(
+            _piece_integral_cumulatives(f, ts.tolist()).T, want)
+        _assert_cumulatives_close(
+            [f.cumulative().at(ts), f.cumulative(from_left=False).at(ts)],
+            want)
+
+
+def test_cumulative_at_is_the_point_value(monkeypatch):
+    # at runs each piece's closed form on its group of points with numpy's
+    # logs and powers; the reference is Piece.integral, which runs the same
+    # closed form on floats, so this checks the prefix sums
+    for f, ts in _closed_form_cases():
         want = _piece_integral_cumulatives(f, ts.tolist())
         cums = (f.cumulative(), f.cumulative(from_left=False))
-        # the float formulas run for every point of a closed-form piece:
-        # Piece.integral is not called once the cumulatives are built
-        if not any(p.offset == math.inf for p in f.pieces):
-            monkeypatch.setattr(Piece, "integral", None)
+        # the closed form runs for every point of a piece without a log
+        # factor, an infinite level too: Piece.integral is not called once
+        # the cumulatives are built
+        monkeypatch.setattr(Piece, "integral", None)
         got = [cum.at(ts) for cum in cums]
         monkeypatch.undo()
+        _assert_cumulatives_close(got, want.T)
         for g, w in zip(got, want.T):
-            np.testing.assert_array_equal(np.isinf(g), np.isinf(w))
             np.testing.assert_array_equal(g == 0.0, w == 0.0)
-            ok = np.isfinite(w)
-            np.testing.assert_allclose(g[ok], w[ok], rtol=2e-15,
-                                       atol=1e-15 * w[ok].max())
 
 
 def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):

@@ -232,6 +232,19 @@ def test_lower_star():
     assert ls2(1.0) == 0.0
 
 
+def test_lower_star_of_a_table_that_is_not_monotone():
+    # v = 2, 1/2, 4 on unit cells and 2t beyond 3: 1/v rearranges to
+    # 2, 1/2, 1/4 and (2t)**-1, whose reciprocal v_* is 1/2, 2, 4 and 2t
+    table = StepFunction.from_cells([0, 1, 2, 3], [2.0, 0.5, 4.0, 2.0],
+                                    tail=TailSpec.power(-1))
+    w = WeightSpec.from_table(table, NONDECREASING)
+    assert not w.is_monotone_valid()
+    ls = lower_star(w)
+    for t, want in [(0.5, 0.5), (1.5, 2.0), (2.5, 4.0), (5.0, 10.0),
+                    (1e3, 2e3)]:
+        assert ls(t) == pytest.approx(want, rel=1e-15)
+
+
 def test_hl_pairing_exact_constants():
     f = StepFunction.from_cells([0, 1], [5.0])
     g = StepFunction.from_cells([0, 1], [6.0])

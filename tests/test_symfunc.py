@@ -237,6 +237,24 @@ def test_an_infinite_end_term_is_not_integrable():
         inv.antiderivative()
 
 
+def test_an_infinite_end_term_is_unbounded():
+    # 1/ind(1) times a function with the tail t**-1 is inf on (1, inf): its
+    # tail term inf * t**-1 has the limit inf there, whatever its exponents,
+    # so its sup names that term and its running sup is unbounded
+    for a in (Fraction(-2), Fraction(0), Fraction(3)):
+        for at_zero in (True, False):
+            assert pieces.end_limit(math.inf, a, 0, at_zero) == math.inf
+    tail = StepFunction.from_cells([0, 1], [1.0, 1.0],
+                                   tail=TailSpec.power(1))
+    f = SymFunc.from_step(StepFunction.indicator(1.0)).pow(-1).mul(
+        SymFunc.from_step(tail))
+    assert f.tail.coef == math.inf
+    s = f.sup()
+    assert s.is_infinite and "unbounded at inf" in s.reason
+    with pytest.raises(Divergence):
+        f.running_sup_from()
+
+
 def test_mul_pow_asymptotics():
     f = SymFunc.power(2.0, 1)
     g = SymFunc.power(3.0, -1)
