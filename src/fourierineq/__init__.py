@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "extreal": ("ExtReal",),
     "exponents": ("ExponentConfig", "conjugate"),
-    "pieces": ("Grid", "Piece", "StepFunction", "TailSpec"),
+    "pieces": ("Piece", "StepFunction", "TailSpec"),
     "weights": ("WeightSpec", "parse_weight", "NONINCREASING",
                 "NONDECREASING"),
     "rearrange": ("star", "lower_star", "circ_profile", "distribution",

@@ -114,12 +114,15 @@ class DominationCert:
                 "phi": self.phi_at}
 
 
+_TOL = 1e-9  # F < G holds at bestK <= 1 + _TOL
+_REFINE = 33  # scan points between two knots
+
+
 def _breakpoints(f: Profile) -> np.ndarray:
     return f.edges if isinstance(f, Cells) else np.array(f.breakpoints)
 
 
-def dominates(F: Profile, G: Profile, tol: float = 1e-9,
-              refine: int = 33) -> DominationCert:
+def dominates(F: Profile, G: Profile) -> DominationCert:
     """Check F < G and report bestK = sup_x (Psi_F/Phi_G)**(1/2).
 
     F and G are StepFunctions or Cells.  Psi and Phi are evaluated on all
@@ -137,7 +140,7 @@ def dominates(F: Profile, G: Profile, tol: float = 1e-9,
     stops = np.concatenate((seams, [hi]))
     xs = np.unique(np.concatenate(
         (np.geomspace(lo, hi, 400), knots,
-         np.geomspace(starts, stops, refine, axis=1).ravel())))
+         np.geomspace(starts, stops, _REFINE, axis=1).ravel())))
     pv, fv = _psi_fn(F)(xs), phi_fn(G)(xs)
     refuted = (fv <= 0.0) & (pv > 0.0)
     if refuted.any():
@@ -151,11 +154,11 @@ def dominates(F: Profile, G: Profile, tol: float = 1e-9,
     if r[k] == 0.0:
         return DominationCert(True, 0.0, float(lo), 0.0, 0.0)
     bestK = math.sqrt(float(r[k]))
-    return DominationCert(bestK <= 1.0 + tol, bestK, float(xs[k]),
+    return DominationCert(bestK <= 1.0 + _TOL, bestK, float(xs[k]),
                           float(pv[k]), float(fv[k]))
 
 
-def verify_joint_type(signals: Iterable, tol: float = 1e-9) -> DominationCert:
+def verify_joint_type(signals: Iterable) -> DominationCert:
     """Empirical joint strong type (1, inf; 2, 2) for the transform.
 
     For each sampled signal f, checks star(|Tf|) against star(|f|) and
@@ -168,7 +171,7 @@ def verify_joint_type(signals: Iterable, tol: float = 1e-9) -> DominationCert:
     for sig in signals:
         T = dft(sig)
         cert = dominates(Cells.sampled(np.abs(T.values), T.dx),
-                         Cells.sampled(np.abs(sig.values), sig.dx), tol=tol)
+                         Cells.sampled(np.abs(sig.values), sig.dx))
         if worst is None or cert.bestK > worst.bestK:
             worst = cert
     if worst is None:

@@ -77,19 +77,14 @@ def _write_report(report: dict, out: str | None) -> None:
         print(text)
 
 
-def emit_plot_data(report: dict, outdir: str) -> list[str]:
-    """Write CSV series for external plotting; returns written paths."""
+def _write_plot(outdir: str, name: str, columns: list[str],
+                rows: list) -> None:
+    """Write one CSV series, outdir/name.csv, for external plotting."""
     os.makedirs(outdir, exist_ok=True)
-    written: list[str] = []
-    series = report.get("plot_series", {})
-    for name, rows in series.items():
-        path = os.path.join(outdir, f"{name}.csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(rows["columns"])
-            writer.writerows(rows["rows"])
-        written.append(path)
-    return written
+    with open(os.path.join(outdir, f"{name}.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -102,24 +97,19 @@ def cmd_criteria(args) -> int:
     cfg = _config(args, d)
     from . import criteria, pieces
     report = criteria.evaluate(u, v, cfg).to_json()
-    if args.plot_dir:
-        # xi(t)/U(t) profile when the correction weight exists (q < 2)
-        # and U and the tail in xi are finite
-        if not is_inf(cfg.q) and cfg.q < 2:
-            import numpy as np
-            try:
-                U = criteria.U_func(u, cfg)
-                xi = criteria.xi_func(u, cfg)
-            except pieces.Divergence:
-                pass
-            else:
-                ts = np.geomspace(1e-4, 1e4, 200)
-                rows = np.column_stack([ts, xi.at(ts) / U.at(ts)]).tolist()
-                report["plot_series"] = {
-                    "xi_over_U": {"columns": ["t", "xi_over_U"],
-                                  "rows": rows}}
-        emit_plot_data(report, args.plot_dir)
-        report.pop("plot_series", None)
+    # xi(t)/U(t) profile when the correction weight exists (q < 2) and U
+    # and the tail in xi are finite
+    if args.plot_dir and not is_inf(cfg.q) and cfg.q < 2:
+        import numpy as np
+        try:
+            U = criteria.U_func(u, cfg)
+            xi = criteria.xi_func(u, cfg)
+        except pieces.Divergence:
+            pass
+        else:
+            ts = np.geomspace(1e-4, 1e4, 200)
+            rows = np.column_stack([ts, xi.at(ts) / U.at(ts)]).tolist()
+            _write_plot(args.plot_dir, "xi_over_U", ["t", "xi_over_U"], rows)
     _write_report(report, args.out)
     return 0
 
@@ -233,12 +223,8 @@ def cmd_estimate(args) -> int:
         max(2, args.budget // 2))
     report["half_resolution_lower"] = json_float(half)
     if args.plot_dir:
-        report["plot_series"] = {
-            "ratio_vs_resolution": {
-                "columns": ["N", "best_ratio"],
-                "rows": [[args.N // 2, half], [args.N, br.lower]]}}
-        emit_plot_data(report, args.plot_dir)
-        report.pop("plot_series", None)
+        _write_plot(args.plot_dir, "ratio_vs_resolution", ["N", "best_ratio"],
+                    [[args.N // 2, half], [args.N, br.lower]])
     _write_report(report, args.out)
     return 0
 

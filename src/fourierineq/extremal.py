@@ -11,7 +11,9 @@ identity holds exactly and |Tf| is bounded by the discrete L1 norm, so the
 elementary inequalities are reproduced to machine precision.  ``dft`` works
 on rows: a SampledSignal may hold k signals (k, N) on one grid, and a
 bracket transforms its random signals, and the blocks of each block
-witness, in one FFT call each.
+witness, in one FFT call each.  A bracket evaluates v on the signal grid
+and u on the dual grid once, in one ``_GridRatios``; every witness reads
+its grid, its norms and its profile v**(-p') from there.
 
 The translate and annuli witnesses are sums sum_n e_n b_n of blocks b_n
 with disjoint supports, so ||v sum_n e_n b_n||_p is the l^p norm of
@@ -155,7 +157,7 @@ class _GridRatios:
         self.xi = SampledSignal(np.zeros(N), N / L)  # dft's output grid
         self.vw = v.evaluate(np.abs(self.x.xs))
         self.uw = _dual_weight(u, self.xi, cfg.q)
-        self.base = _vinv_pprime(v, cfg, self.x.xs, self.vw)
+        self.base = _vinv_pprime(cfg, self.vw)
         self.cfg = cfg
 
     def signal_norms(self, F: np.ndarray) -> np.ndarray:
@@ -173,9 +175,6 @@ class _GridRatios:
                          self.signal_norms(sig.values))
 
 
-_grid_ratios = _GridRatios
-
-
 def step_profile(sig: SampledSignal) -> StepFunction:
     """|f| as a compact step function (cell widths dx; layout irrelevant
     for rearrangement purposes)."""
@@ -184,14 +183,16 @@ def step_profile(sig: SampledSignal) -> StepFunction:
     return StepFunction.from_cells(grid.tolist(), mags.tolist())
 
 
+_BAND_FRAC = 0.125  # random_band_limited keeps |k| <= _BAND_FRAC * N / 2
+
+
 def random_band_limited(rng: np.random.Generator, N: int = 4096,
-                        L: float = 64.0, band_frac: float = 0.125
-                        ) -> SampledSignal:
+                        L: float = 64.0) -> SampledSignal:
     """Random smooth signal: Gaussian spectrum restricted to a low band."""
     spec = (rng.standard_normal(N) + 1j * rng.standard_normal(N))
     k = np.arange(N)
     k[k >= N // 2] -= N
-    spec[np.abs(k) > band_frac * N / 2] = 0.0
+    spec[np.abs(k) > _BAND_FRAC * N / 2] = 0.0
     vals = np.fft.ifft(spec)
     return SampledSignal(vals, L)
 
@@ -201,11 +202,11 @@ def best_random_ratio(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                       L: float = 64.0, n: int = 8, *, ratios=None) -> float:
     """The largest ratio() of n signals ``random_band_limited(rng, N, L)``,
     drawn one by one in rng order (0.0 when n < 1); their transforms are
-    one FFT over rows and their ratios one ``_grid_ratios`` call.  ratios:
-    a ``_grid_ratios`` to reuse."""
+    one FFT over rows and their ratios one ``_GridRatios`` call.  ratios:
+    a ``_GridRatios`` to reuse."""
     if n < 1:
         return 0.0
-    ratios = ratios or _grid_ratios(u, v, cfg, N, L)
+    ratios = ratios or _GridRatios(u, v, cfg, N, L)
     sigs = SampledSignal([random_band_limited(rng, N, L).values
                           for _ in range(n)], L)
     return float(np.max(ratios(sigs)))
@@ -216,40 +217,32 @@ def best_random_ratio(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
 # ---------------------------------------------------------------------------
 
 
-def _vinv_pprime(v: WeightSpec, cfg: ExponentConfig, xs: np.ndarray,
-                 vals: Optional[np.ndarray] = None) -> np.ndarray:
-    """v**(-p') at the samples xs, 0 where it is not finite; vals: v at
-    |xs|, where the caller has it."""
+def _vinv_pprime(cfg: ExponentConfig, vals: np.ndarray) -> np.ndarray:
+    """v**(-p') from the values vals of v, 0 where it is not finite."""
     pp = cfg.p_prime
     e = float(pp) if not is_inf(pp) else 1.0
-    if vals is None:
-        vals = v.evaluate(np.abs(xs))
     with np.errstate(divide="ignore"):
         base = np.where(vals > 0, vals ** (-e), np.inf)
     base[~np.isfinite(base)] = 0.0
     return base
 
 
-def modulated_bump(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
-                   N: int = 4096, L: float = 64.0, *,
-                   base: Optional[np.ndarray] = None) -> SampledSignal:
-    """f(x) = v(x)**(-p') e^{2 pi i xi0 x} with xi0 at the max of u.
+def modulated_bump(v: WeightSpec, cfg: ExponentConfig, N: int = 4096,
+                   L: float = 64.0) -> SampledSignal:
+    """f(x) = v(x)**(-p') e^{2 pi i xi0 x} with xi0 at the max of u, which
+    is xi0 = 0 for every radial non-increasing u: so f = v**(-p'), and u
+    is not needed.
 
     This witness makes ||u Tf||_inf approach ||u||_inf ||1/v||_{p'}
-    ||f v||_p and is the sharpness witness in the degenerate regime.
-    base: v**(-p') on the grid (``_GridRatios.base``), where the caller
-    has it."""
-    sig = SampledSignal(np.zeros(N, dtype=complex), L)
-    if base is None:
-        base = _vinv_pprime(v, cfg, sig.xs)
-    # u is radial non-increasing: its max over the dual grid sits at xi = 0
-    sig.values = base.astype(complex)
-    return sig
+    ||f v||_p and is the sharpness witness in the degenerate regime.  A
+    bracket reads it from its grid, as ``_GridRatios.base``."""
+    xs = SampledSignal(np.zeros(N), L).xs
+    return SampledSignal(_vinv_pprime(cfg, v.evaluate(np.abs(xs))), L)
 
 
-def _block_ratio(blocks: np.ndarray, L: float, ratios):
+def _block_ratio(blocks: np.ndarray, ratios):
     """E -> ratio() of the signals E @ blocks, one per row of the real
-    (k, M) coefficient array E; ratios is the bracket's ``_grid_ratios``.
+    (k, M) coefficient array E; ratios is the bracket's ``_GridRatios``.
 
     The blocks have disjoint supports (ValueError otherwise), so the signal
     side of a row is ||v sum e_n block_n||_p = ||(|e_n| P_n)_n||_lp with
@@ -267,7 +260,7 @@ def _block_ratio(blocks: np.ndarray, L: float, ratios):
     if np.any(np.count_nonzero(blocks, axis=0) > 1):
         raise ValueError("blocks must have disjoint supports")
     P = ratios.signal_norms(blocks)
-    TB = dft(SampledSignal(blocks, L)).values
+    TB = dft(SampledSignal(blocks, ratios.x.L)).values
     p = ratios.cfg.p
     if ratios.cfg.q == 2 and np.all(np.isfinite(ratios.uw)):
         # (M, 2N): the real and imaginary part of each weighted sample in
@@ -309,25 +302,20 @@ def best_sign_ratio(ratio_of, M: int) -> float:
     return best
 
 
-def _translate_blocks(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
-                      n_blocks: int, base: Optional[np.ndarray] = None
-                      ) -> np.ndarray:
+def _translate_blocks(ratios: _GridRatios, n_blocks: int) -> np.ndarray:
     """Rows lambda_n v**(-p') 1_{-s <= x - 2ns < s} of the translate
-    witness, disjoint supports; base: v**(-p') on the grid, where the
-    caller has it."""
+    witness on the grid of ratios, disjoint supports."""
+    cfg, x, base = ratios.cfg, ratios.x, ratios.base
     p = float(cfg.p) if not is_inf(cfg.p) else math.inf
     if not p > 2:
         raise ValueError("translate witness needs p > 2")
-    sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
-    xs = sig0.xs
-    if base is None:
-        base = _vinv_pprime(v, cfg, xs)
-    s = L / (4.0 * n_blocks)
+    xs = x.xs
+    s = x.L / (4.0 * n_blocks)
     # block n is -s <= x - 2ns < s; one index per point, so a point on a
     # common edge lies in one block only, whatever the rounding
     index = np.floor((xs + s) / (2 * s))
     masks = index == np.arange(n_blocks)[:, None]
-    Vn = np.array([float(np.sum(base[m]) * sig0.dx) for m in masks])
+    Vn = np.array([float(np.sum(base[m]) * x.dx) for m in masks])
     Vn = np.maximum(Vn, 1e-300)
     lam = Vn ** (1.0 / (p - 2.0)) if math.isfinite(p) else np.ones(n_blocks)
     return np.where(masks, lam[:, None] * base, 0.0)
@@ -344,39 +332,35 @@ def lower_bound_translates(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     over all 2**(n_blocks-1) sign patterns eps, 8 at a time
     (``best_sign_ratio``).  At q = 2 (u finite on the dual grid) a
     pattern's transform norm is the quadratic form e^T G e of the blocks'
-    Gram matrix (``_block_ratio``).  ratios: a ``_grid_ratios`` to reuse."""
-    ratios = ratios or _grid_ratios(u, v, cfg, N, L)
-    blocks = _translate_blocks(v, cfg, N, L, n_blocks, ratios.base)
-    return best_sign_ratio(_block_ratio(blocks, L, ratios), n_blocks)
+    Gram matrix (``_block_ratio``).  ratios: a ``_GridRatios`` to reuse."""
+    ratios = ratios or _GridRatios(u, v, cfg, N, L)
+    blocks = _translate_blocks(ratios, n_blocks)
+    return best_sign_ratio(_block_ratio(blocks, ratios), n_blocks)
 
 
-def _annuli_shells(v: WeightSpec, cfg: ExponentConfig, N: int, L: float,
-                   n_shells: int, base: Optional[np.ndarray] = None
+def _annuli_shells(ratios: _GridRatios, n_shells: int
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Rows v**(-p') 1_{shell n} for shells of dyadically halving
-    v**(-p') mass inside radius 0.45 L, and the mass W_n of each shell;
-    base: v**(-p') on the grid, where the caller has it."""
-    sig0 = SampledSignal(np.zeros(N, dtype=complex), L)
-    xs = sig0.xs
-    if base is None:
-        base = _vinv_pprime(v, cfg, xs)
-    radii = np.abs(xs)
-    Rmax = 0.45 * L
+    v**(-p') mass inside radius 0.45 L on the grid of ratios, and the mass
+    W_n of each shell."""
+    x, base = ratios.x, ratios.base
+    radii = np.abs(x.xs)
+    Rmax = 0.45 * x.L
     inside = radii <= Rmax
-    total = float(np.sum(base[inside]) * sig0.dx)
+    total = float(np.sum(base[inside]) * x.dx)
     # shell boundaries alpha_n (descending) with mass total / 2**n outside
     order = np.argsort(radii)
-    cum = np.cumsum(base[order] * sig0.dx)
+    cum = np.cumsum(base[order] * x.dx)
     alphas = [Rmax]
     for n in range(1, n_shells):
         # mass inside alpha_n equals total / 2**n (dyadic halving)
         target = total * 2.0 ** (-n)
         idx = int(np.searchsorted(cum, target))
-        alphas.append(float(radii[order][min(idx, N - 1)]))
+        alphas.append(float(radii[order][min(idx, x.N - 1)]))
     alphas.append(0.0)
     masks = np.array([(radii > alphas[n + 1]) & (radii <= alphas[n]) & inside
                       for n in range(n_shells)])
-    Wn = np.array([max(float(np.sum(base[m]) * sig0.dx), 1e-300)
+    Wn = np.array([max(float(np.sum(base[m]) * x.dx), 1e-300)
                    for m in masks])
     return np.where(masks, base, 0.0), Wn
 
@@ -390,10 +374,10 @@ def lower_bound_annuli(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     time (``best_sign_ratio``).  The shells are transformed once, since
     T(lambda shell) = lambda T(shell), and at q = 2 (u finite on the dual
     grid) their Gram matrix serves every theta and pattern
-    (``_block_ratio``).  ratios: a ``_grid_ratios``."""
-    ratios = ratios or _grid_ratios(u, v, cfg, N, L)
-    shells, Wn = _annuli_shells(v, cfg, N, L, n_shells, ratios.base)
-    shell_ratio = _block_ratio(shells, L, ratios)
+    (``_block_ratio``).  ratios: a ``_GridRatios``."""
+    ratios = ratios or _GridRatios(u, v, cfg, N, L)
+    shells, Wn = _annuli_shells(ratios, n_shells)
+    shell_ratio = _block_ratio(shells, ratios)
     return max(best_sign_ratio(lambda E: shell_ratio(E * Wn ** theta),
                                n_shells)
                for theta in (-0.5, 0.0, 0.25, 0.5, 1.0))
@@ -420,13 +404,17 @@ def cube_pair_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     return guarded(compute)
 
 
-def _block_sum(prof: StepFunction, e_in: float, e_out: float, width: float,
-              n_max: int = 4000, rel_tol: float = 1e-10) -> float:
+_BLOCK_MAX = 4000  # blocks a side of a _block_sum, at most
+_BLOCK_REL_TOL = 1e-10  # a _block_sum stops at a term this small a share
+
+
+def _block_sum(prof: StepFunction, e_in: float, e_out: float,
+               width: float) -> float:
     """sum_n (integral of prof**e_in over block n)**e_out over the blocks
     of the given width centred at n * width, n in Z, on both sides of the
     origin (prof is a radial profile); inf when a block mass is.  The sum
-    stops after n_max blocks a side, or once a term (n > 8) falls below
-    rel_tol times the sum."""
+    stops after _BLOCK_MAX blocks a side, or once a term (n > 8) falls
+    below _BLOCK_REL_TOL times the sum."""
     powed = prof.pow_compose(e_in)
 
     def mass(a: float, b: float) -> float:
@@ -436,21 +424,20 @@ def _block_sum(prof: StepFunction, e_in: float, e_out: float, width: float,
     half = width / 2.0
     tot = (2.0 * mass(0.0, half)) ** e_out
     n = 1
-    while n <= n_max:
+    while n <= _BLOCK_MAX:
         m = mass(n * width - half, n * width + half)
         if math.isinf(m):
             return math.inf
         term = 2.0 * m ** e_out
         tot += term
-        if term < rel_tol * tot and n > 8:
+        if term < _BLOCK_REL_TOL * tot and n > 8:
             break
         n += 1
     return tot
 
 
 def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
-                       s: float, n_max: int = 4000, rel_tol: float = 1e-10
-                       ) -> ExtReal:
+                       s: float) -> ExtReal:
     """Translate-block necessary condition for p > 2 at spacing scale s:
 
     (int_{|A| = 1/s} u^q)^{1/q} * (sum_n V_n^{p#/p'})^{1/p#},
@@ -480,15 +467,14 @@ def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
                 f"({last.a} * p# <= 1)")
     elif last.offset > 0.0:
         return ExtReal.infinite("block sums diverge: v constant at infinity")
-    total = _block_sum(prof, -pp, psh / pp, 2.0 * s, n_max, rel_tol)
+    total = _block_sum(prof, -pp, psh / pp, 2.0 * s)
     if math.isinf(total):
         return ExtReal.infinite("block sums diverge")
     return ExtReal.finite(ufac * total ** (1.0 / psh))
 
 
 def symmetric_block_condition(u: WeightSpec, v: WeightSpec,
-                              cfg: ExponentConfig, t: float,
-                              n_max: int = 4000, rel_tol: float = 1e-10
+                              cfg: ExponentConfig, t: float
                               ) -> tuple[ExtReal, ExtReal]:
     """Two necessary functionals for 0 < q < 2 < p <= inf at scale t:
 
@@ -504,8 +490,8 @@ def symmetric_block_condition(u: WeightSpec, v: WeightSpec,
     psh = float(cfg.p_sharp)
     uprof = u.profile()
     vprof = v.profile()
-    vsum = _block_sum(vprof, -pp, psh / pp, 1.0 / t, n_max, rel_tol)
-    usum = _block_sum(uprof, q, qsh / q, t, n_max, rel_tol)
+    vsum = _block_sum(vprof, -pp, psh / pp, 1.0 / t)
+    usum = _block_sum(uprof, q, qsh / q, t)
     if math.isinf(vsum) or math.isinf(usum):
         block = ExtReal.infinite("block sums diverge")
     else:
@@ -561,21 +547,17 @@ def bracket_constant(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
             f"no lower bound: the witnesses are one-dimensional signals, "
             f"not functions on R^{cfg.d}"])
     wit: dict[str, float] = {}
-    ratios = _grid_ratios(u, v, cfg, N, L)
+    ratios = _GridRatios(u, v, cfg, N, L)
     wit["random_band_limited"] = best_random_ratio(u, v, cfg, rng, N, L,
                                                    n_random, ratios=ratios)
 
-    bump = modulated_bump(u, v, cfg, N, L, base=ratios.base)
-    if np.all(np.isfinite(bump.values)) and np.any(bump.values != 0):
-        wit["modulated_bump"] = float(ratios(bump))
+    # the modulated bump is v**(-p'), the grid's base
+    if np.any(ratios.base != 0):
+        wit["modulated_bump"] = float(ratios(SampledSignal(ratios.base, L)))
 
-    p_gt_2 = is_inf(cfg.p) or cfg.p > 2
-    if p_gt_2:
-        try:
-            wit["translates"] = lower_bound_translates(u, v, cfg, N, L,
-                                                       ratios=ratios)
-        except (ValueError, FloatingPointError):
-            pass
+    if is_inf(cfg.p) or cfg.p > 2:
+        wit["translates"] = lower_bound_translates(u, v, cfg, N, L,
+                                                   ratios=ratios)
     q_lt_p = is_inf(cfg.p) or (not is_inf(cfg.q) and cfg.q < cfg.p)
     if q_lt_p and report.regime != REGIME_DEG_QINF:
         wit["annuli"] = lower_bound_annuli(u, v, cfg, N, L, ratios=ratios)

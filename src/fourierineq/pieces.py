@@ -9,7 +9,9 @@ right-continuous, and at a breakpoint it takes the piece on the right
 (``StepFunction.indicator(1.0)(1.0)`` is 0); the limit from the left is
 the value one ulp below, which ``SymFunc.sup`` reads at every knot.
 Constant cells are pieces with coef = 0; power leads/tails are pieces with
-offset = 0.  The shift parameter lets a rearrangement move a power piece
+offset = 0.  ``StepFunction.from_cells`` builds cells on a sequence of grid
+points from 0, checked by ``Piece`` and ``StepFunction``, with a lead and a
+tail given as ``TailSpec``.  The shift parameter lets a rearrangement move a power piece
 along the half line with its shape kept.  The family
 {offset + c*(t-shift)**a} is closed under inversion only up to sign: the
 inverse of a piece shifted left of 0 needs a negative offset, which a
@@ -55,7 +57,7 @@ import collections
 import csv
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -494,35 +496,6 @@ class TailSpec:
         return TailSpec("powerlog", a, b)
 
 
-# A lead mirrors a tail but describes the first cell (0, t1).  Near zero the
-# log factor log(e+t) tends to 1, so only the power exponent matters for
-# integrability there.
-LeadSpec = TailSpec
-
-
-# ---------------------------------------------------------------------------
-# Grid
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Strictly increasing breakpoints starting at 0."""
-
-    points: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        pts = tuple(float(p) for p in self.points)
-        if not pts or pts[0] != 0.0:
-            raise ValueError("grid must start at 0")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
-            raise ValueError("grid points must be strictly increasing")
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
 # ---------------------------------------------------------------------------
 # Piece
 # ---------------------------------------------------------------------------
@@ -727,6 +700,9 @@ class Piece:
 # ---------------------------------------------------------------------------
 
 
+_RISE_TOL = 1e-12  # the rise is_nonincreasing forgives
+
+
 class StepFunction:
     """Piecewise power-log function on (0, inf).
 
@@ -751,18 +727,23 @@ class StepFunction:
 
     # -- constructors ----------------------------------------------------
     @staticmethod
-    def from_cells(grid: Sequence[float] | Grid,
-                   values: Sequence[float],
+    def from_cells(grid: Sequence[float], values: Sequence[float],
                    tail: TailSpec = TailSpec.zero(),
-                   lead: LeadSpec | None = None) -> "StepFunction":
-        """Constant values on grid cells, plus a tail after the last point.
+                   lead: TailSpec | None = None) -> "StepFunction":
+        """Constant values on the cells of grid (strictly increasing
+        points from 0, as ``Piece`` and ``StepFunction`` check), plus a
+        tail after the last point.
 
         The last entry of values is the tail coefficient: the tail is
         values[-1] * t**(-a) * log(e+t)**(-b) beyond the last grid point (and
-        is ignored for a zero tail).  With a lead, the first cell becomes
-        values[0] * t**(-a_lead) instead of a constant.
+        is ignored for a zero tail).  With a lead, a TailSpec that describes
+        the first cell, that cell becomes values[0] * t**(-a_lead) instead
+        of a constant; near 0 the log factor log(e+t) tends to 1, so only
+        the lead's power exponent matters for integrability there.
         """
-        pts = grid.points if isinstance(grid, Grid) else Grid(tuple(grid)).points
+        pts = [float(x) for x in grid]
+        if not pts:
+            raise ValueError("grid must start at 0")
         ncells = len(pts) - 1
         nvals = ncells + (0 if tail.kind == "zero" else 1)
         if len(values) != nvals:
@@ -792,8 +773,8 @@ class StepFunction:
                                    -as_exp(a), -as_exp(b))])
 
     @staticmethod
-    def indicator(R: float, height: float = 1.0) -> "StepFunction":
-        return StepFunction.from_cells([0.0, float(R)], [height])
+    def indicator(R: float) -> "StepFunction":
+        return StepFunction.from_cells([0.0, float(R)], [1.0])
 
     @staticmethod
     def constant(c: float) -> "StepFunction":
@@ -852,14 +833,15 @@ class StepFunction:
     def is_compact(self) -> bool:
         return math.isfinite(self.support_bound())
 
-    def is_nonincreasing(self, strict_tol: float = 1e-12) -> bool:
+    def is_nonincreasing(self) -> bool:
+        """Non-increasing up to a rise of _RISE_TOL (absolute)."""
         prev = math.inf
         for p in self.pieces:
             v0 = p.limit_at(p.lo)
             v1 = p.limit_at(p.hi)
             if not p.values_monotone():
                 return False
-            if max(v0, v1) > prev + strict_tol or v1 > v0 + strict_tol:
+            if max(v0, v1) > prev + _RISE_TOL or v1 > v0 + _RISE_TOL:
                 return False
             prev = min(v0, v1)
         return True

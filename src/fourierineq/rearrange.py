@@ -6,15 +6,18 @@ star(f) is the non-increasing rearrangement with respect to the measure of
 is the profile map t -> w0(t**(1/d)).
 
 All rearrangements of step data are exact, never sampled.  star sorts the
-levels of constant cells (``star_cells``).  With decreasing power pieces
-offset + c*(t-shift)**a it splits, sorts and lays out: each power piece is
-cut where it crosses a cell level (in closed form), each part is keyed by
-the levels it spans, (top, bottom), and the parts, sorted by
-(-top, -bottom, width), are laid out from t = 0, a power part keeping its
-shape under a new shift.  ``distribution`` inverts star(f) piece by piece
-in closed form.  Two cases raise NotImplementedError: star where two power
-parts' level ranges overlap, and distribution of a power piece that star
-moved left of its origin (shift < 0: the inverse needs a negative offset).
+levels of finite constant cells (``star_cells``).  With decreasing power
+pieces offset + c*(t-shift)**a, or a cell of infinite level, it splits,
+sorts and lays out: each power piece is cut where it crosses a cell level
+(in closed form), each part is keyed by the levels it spans, (top,
+bottom), and the parts, sorted by (-top, -bottom, width), are laid out
+from t = 0, a power part keeping its shape under a new shift.  A cell of
+infinite level is a part of its own width and goes first, so star is
+infinite on (0, w), w the total width of such cells, and not
+identically.  ``distribution`` inverts star(f) piece by piece in closed
+form.  Two cases raise NotImplementedError: star where two power parts'
+level ranges overlap, and distribution of a power piece that star moved
+left of its origin (shift < 0: the inverse needs a negative offset).
 """
 
 from __future__ import annotations
@@ -94,8 +97,6 @@ def star(f: StepFunction) -> StepFunction:
     if not live:
         return StepFunction.constant(0.0)
     for p in live:
-        if math.isinf(p.offset):
-            return StepFunction.constant(math.inf)
         if p.b != 0:
             raise NotImplementedError("rearrangement of log-factor pieces")
         if not p.is_constant and p.a > 0:

@@ -150,7 +150,7 @@ def test_degenerate_constant_is_achieved():
                 if checked >= 10:
                     break
                 cfg = ExponentConfig(p, math.inf)
-                f = modulated_bump(u, v, cfg)
+                f = modulated_bump(v, cfg)
                 r = ratio(f, u, v, cfg)
                 pp = p / (p - 1)
                 ref = (2.0 * grow.pow_compose(-pp).integrate().value

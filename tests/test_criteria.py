@@ -212,6 +212,20 @@ def test_dual_of_a_table_weight_is_its_reciprocal():
                                                rel=1e-15)
 
 
+def test_a_zero_cell_of_v_is_where_v_star_vanishes():
+    # v = 1 on (0, 1), 0 on (1, 2) and 3t beyond: v_* is 0 on (0, 1) only,
+    # and every verdict against ind(1) stays infinite; the reason names
+    # that interval (it read "v_* vanishes identically")
+    table = StepFunction.from_cells([0, 1, 2], [1.0, 0.0, 3.0],
+                                    tail=TailSpec.power(-1))
+    v = WeightSpec.from_table(table, NONDECREASING)
+    u = WeightSpec.indicator(1.0)
+    for p, q in ((2, 2), (3, 2), (2, math.inf), (1, 2), (3, 1)):
+        assert evaluate(u, v, cfg(p, q)).holds is False
+    assert evaluate(u, v, cfg(3, 2)).governing.reason == (
+        "v_* vanishes on (0, 1), so v_***(-3/2) is infinite there")
+
+
 def test_report_json():
     u = WeightSpec.one()
     v = WeightSpec.one(NONDECREASING)

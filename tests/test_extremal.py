@@ -103,7 +103,7 @@ def test_modulated_bump_achieves_degenerate_constant():
     v = WeightSpec.from_table(grow, NONDECREASING)
     u = WeightSpec.indicator(1.0)
     cfg = ExponentConfig(2, math.inf)
-    f = modulated_bump(u, v, cfg)
+    f = modulated_bump(v, cfg)
     r = ratio(f, u, v, cfg)
     # ratio = int f / ||v^{-1}||_2 = 2I / sqrt(2I) = sqrt(2I), I = int v^{-2}
     ref = math.sqrt(2.0 * grow.pow_compose(-2.0).integrate().value)
@@ -176,11 +176,11 @@ def test_linear_sign_ratio_matches_direct_ratio():
             (ExponentConfig(3, 2), ExponentConfig(math.inf, 1),
              ExponentConfig(6, Fraction(3, 2)), ExponentConfig(4, 3),
              ExponentConfig(3, 1)), (4, 6)):
-        ratios = extremal._grid_ratios(u, v, cfg, N, L)
-        shells, Wn = extremal._annuli_shells(v, cfg, N, L, M)
-        for blocks in (extremal._translate_blocks(v, cfg, N, L, M),
+        ratios = extremal._GridRatios(u, v, cfg, N, L)
+        shells, Wn = extremal._annuli_shells(ratios, M)
+        for blocks in (extremal._translate_blocks(ratios, M),
                        (Wn ** 0.5)[:, None] * shells):
-            ratio_of = extremal._block_ratio(blocks, L, ratios)
+            ratio_of = extremal._block_ratio(blocks, ratios)
             E = rng.choice([-1.0, 1.0], size=(4, len(blocks)))
             for eps, r in zip(E, ratio_of(E)):
                 f = SampledSignal(sum(e * b for e, b in zip(eps, blocks)), L)
@@ -193,8 +193,8 @@ def test_translate_blocks_partition_the_grid():
     v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
     for N, L in ((512, 16.0), (1024, 32.0), (256, 64.0)):
         for M in range(1, 13):
-            blocks = extremal._translate_blocks(v, ExponentConfig(3, 2), N,
-                                                L, M)
+            blocks = extremal._translate_blocks(extremal._GridRatios(
+                WeightSpec.one(), v, ExponentConfig(3, 2), N, L), M)
             assert np.max(np.count_nonzero(blocks, axis=0)) <= 1
 
 
@@ -203,11 +203,11 @@ def test_block_ratio_refuses_overlapping_blocks():
     u = WeightSpec.indicator(1.0)
     v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
     cfg = ExponentConfig(3, 2)
-    blocks = extremal._translate_blocks(v, cfg, N, L, 6)
+    ratios = extremal._GridRatios(u, v, cfg, N, L)
+    blocks = extremal._translate_blocks(ratios, 6)
     blocks[1] += blocks[0]
     with pytest.raises(ValueError, match="disjoint"):
-        extremal._block_ratio(blocks, L,
-                              extremal._grid_ratios(u, v, cfg, N, L))
+        extremal._block_ratio(blocks, ratios)
 
 
 THETAS = (-0.5, 0.0, 0.25, 0.5, 1.0)  # lower_bound_annuli's amplitude family
@@ -225,12 +225,13 @@ def test_sign_search_is_the_brute_force_maximum():
                    (ExponentConfig(3, 2), 10)):
         signs = [np.array(e)
                  for e in itertools.product((1.0, -1.0), repeat=M)]
-        blocks = extremal._translate_blocks(v, cfg, N, L, M)
+        ratios = extremal._GridRatios(u, v, cfg, N, L)
+        blocks = extremal._translate_blocks(ratios, M)
         brute = max(ratio(SampledSignal(eps @ blocks, L), u, v, cfg)
                     for eps in signs)
         assert lower_bound_translates(u, v, cfg, N, L, M) == pytest.approx(
             brute, rel=1e-12)
-        shells, Wn = extremal._annuli_shells(v, cfg, N, L, M)
+        shells, Wn = extremal._annuli_shells(ratios, M)
         brute = max(ratio(SampledSignal((eps * Wn ** th) @ shells, L),
                           u, v, cfg) for eps in signs for th in THETAS)
         assert lower_bound_annuli(u, v, cfg, N, L, M) == pytest.approx(
@@ -246,7 +247,8 @@ def test_sign_search_skips_nan_rows():
     u = WeightSpec.power(Fraction(1, 2))
     v = WeightSpec.one(NONDECREASING)
     cfg = ExponentConfig(math.inf, 2)
-    blocks = extremal._translate_blocks(v, cfg, N, L, 6)
+    blocks = extremal._translate_blocks(
+        extremal._GridRatios(u, v, cfg, N, L), 6)
     signs = [np.array(e) for e in itertools.product((1.0, -1.0), repeat=6)]
     with np.errstate(invalid="ignore"):
         rows = [ratio(SampledSignal(eps @ blocks, L), u, v, cfg)
@@ -324,13 +326,13 @@ def ascent_sign_ratio(ratio_of, eps0, rng, n_draws=8):
 def ascent_witnesses(u, v, cfg, rng, N, L):
     """(translates, annuli) as the ascent found them, drawing from rng in
     the order bracket_constant did (p > 2 and q < p)."""
-    ratios = extremal._grid_ratios(u, v, cfg, N, L)
-    blocks = extremal._translate_blocks(v, cfg, N, L, 6)
-    translate_ratio = extremal._block_ratio(blocks, L, ratios)
+    ratios = extremal._GridRatios(u, v, cfg, N, L)
+    blocks = extremal._translate_blocks(ratios, 6)
+    translate_ratio = extremal._block_ratio(blocks, ratios)
     translates = ascent_sign_ratio(lambda e: translate_ratio(e[None])[0],
                                    np.ones(6), rng)
-    shells, Wn = extremal._annuli_shells(v, cfg, N, L, 6)
-    shell_ratio = extremal._block_ratio(shells, L, ratios)
+    shells, Wn = extremal._annuli_shells(ratios, 6)
+    shell_ratio = extremal._block_ratio(shells, ratios)
     annuli = max(ascent_sign_ratio(
         lambda e: shell_ratio(e[None] * Wn ** th)[0], np.ones(6), rng,
         n_draws=4) for th in THETAS)
@@ -444,6 +446,19 @@ def test_bracket_lower_skips_nan_witnesses(monkeypatch):
     assert br.lower == 0.0
 
 
+def test_a_fault_in_a_witness_surfaces(monkeypatch):
+    # bracket_constant catches nothing: a ValueError inside the translates
+    # witness at (3, 2) reaches its caller
+    def fail(*args):
+        raise ValueError("a fault in a witness")
+    monkeypatch.setattr(extremal, "_translate_blocks", fail)
+    with pytest.raises(ValueError, match="a fault in a witness"):
+        bracket_constant(WeightSpec.indicator(1.0),
+                         WeightSpec.power(Fraction(1, 4), NONDECREASING),
+                         ExponentConfig(3, 2), np.random.default_rng(3),
+                         N=512, L=16.0, n_random=2)
+
+
 def test_bracket_with_an_infinite_v_sample_warns_nothing():
     # the same bracket at the defaults, under the suite's filter, which
     # turns a RuntimeWarning into an error: inf / inf and 0 * inf in the
@@ -487,7 +502,7 @@ def test_bracket_evaluates_each_weight_once(monkeypatch):
     assert len(calls) == 2 and {id(w) for w in calls} == {id(u), id(v)}
     monkeypatch.undo()
     assert br.witnesses["modulated_bump"] == ratio(
-        modulated_bump(u, v, cfg, N, L), u, v, cfg)
+        modulated_bump(v, cfg, N, L), u, v, cfg)
     assert br.witnesses["translates"] == lower_bound_translates(u, v, cfg,
                                                                 N, L)
     assert br.witnesses["annuli"] == lower_bound_annuli(u, v, cfg, N, L)

@@ -9,7 +9,7 @@ import pytest
 
 from fourierineq import pieces
 from fourierineq.criteria import ExponentConfig
-from fourierineq.pieces import (LeadSpec, Piece, StepFunction, TailSpec,
+from fourierineq.pieces import (Piece, StepFunction, TailSpec,
                                 as_exp, parse_exp, scan_max)
 from fourierineq.rearrange import hl_pairing
 from fourierineq.symfunc import Asym, SymFunc
@@ -45,7 +45,7 @@ def test_power_integrals_certificates():
     t = g.integrate(1.0, math.inf)
     assert t.is_finite and t.value == pytest.approx(1.0, rel=1e-12)
     # (t^{-49})^{1/49} = t^{-1} diverges at 0 however 1/49 is spelled
-    h = StepFunction.from_cells([0.0, 1.0], [1.0], lead=LeadSpec.power(49))
+    h = StepFunction.from_cells([0.0, 1.0], [1.0], lead=TailSpec.power(49))
     for e in (1 / 49, Fraction(1, 49)):
         assert h.pow_compose(e).integrate().is_infinite
 

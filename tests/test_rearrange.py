@@ -245,6 +245,28 @@ def test_lower_star_of_a_table_that_is_not_monotone():
         assert ls(t) == pytest.approx(want, rel=1e-15)
 
 
+def test_star_of_an_infinite_level_is_infinite_on_its_width():
+    # 1 on (0, 1) and inf on (1, 2): the infinite cell is a part of its own
+    # width, laid out first, so star is inf on (0, 1) and not identically
+    f = StepFunction.from_cells([0, 1, 2], [1.0, math.inf])
+    assert [(p.lo, p.hi, p.const_value) for p in star(f).pieces] == [
+        (0.0, 1.0, math.inf), (1.0, 2.0, 1.0), (2.0, math.inf, 0.0)]
+    m = distribution(f)
+    for lam, want in [(0.5, 2.0), (1.0, 1.0), (1e300, 1.0)]:
+        assert m(lam) == want
+
+
+def test_lower_star_of_a_table_with_a_zero_cell():
+    # v = 1 on (0, 1), 0 on (1, 2) and 3t beyond: 1/v = 1, inf and
+    # (3t)**-1 rearranges to inf on (0, 1), 1 on (1, 2) and (3t)**-1
+    # beyond, whose reciprocal v_* is 0, 1 and 3t (it read 0 everywhere)
+    table = StepFunction.from_cells([0, 1, 2], [1.0, 0.0, 3.0],
+                                    tail=TailSpec.power(-1))
+    ls = lower_star(WeightSpec.from_table(table, NONDECREASING))
+    for t, want in [(0.5, 0.0), (1.5, 1.0), (3.0, 9.0), (10.0, 30.0)]:
+        assert ls(t) == pytest.approx(want, rel=1e-15)
+
+
 def test_hl_pairing_exact_constants():
     f = StepFunction.from_cells([0, 1], [5.0])
     g = StepFunction.from_cells([0, 1], [6.0])
