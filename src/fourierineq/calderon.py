@@ -39,7 +39,7 @@ from .symfunc import SymFunc
 def inner_average(fs: StepFunction) -> SymFunc:
     """t -> integral_0^{1/t} fs for a non-increasing fs (such as star(f)),
     as a SymFunc (non-increasing in t)."""
-    return SymFunc.from_step(fs).antiderivative().recip_arg()
+    return SymFunc.from_step(fs).antiderivative().pow_arg(-1)
 
 
 def psi(F: Profile, x: float) -> float:

@@ -88,13 +88,18 @@ def check_dimension(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> None:
 
 def ustar_profile(u: WeightSpec) -> StepFunction:
     """u* in ball-measure half-line coordinates (``circ_profile``); raises
-    Divergence when u* is identically inf, the one place that decides
-    it."""
+    Divergence when u* is infinite, on (0, a) or everywhere, the one place
+    that decides it.  Star lays an infinite level out first, so the first
+    piece holds it."""
     prof = circ_profile(u)
-    if any(math.isinf(p.offset) for p in prof.pieces):
+    first = prof.pieces[0]
+    if not math.isinf(first.offset):
+        return prof
+    if math.isinf(first.hi):
         raise Divergence("u* is identically infinite (u is not dominated by "
                          "a non-increasing radial weight)")
-    return prof
+    raise Divergence(f"u* is infinite on (0, {first.hi:.6g}) (u is infinite "
+                     "on a set of that measure)")
 
 
 def ustar_sym(u: WeightSpec, power: Exponent) -> SymFunc:
@@ -163,7 +168,7 @@ def W_func(v: WeightSpec, cfg: ExponentConfig) -> SymFunc:
     if cfg.p == 1:
         return SymFunc.constant(_inv_vstar_sup(v))
     pp = cfg.p_prime
-    return _vstar_sym(v, -pp).antiderivative().recip_arg()
+    return _vstar_sym(v, -pp).antiderivative().pow_arg(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +204,7 @@ def C6(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
         V = _vstar_sym(v, p).antiderivative()
         g = (SymFunc.power(1.0, ps / 2).mul(vsym_pow)
              .mul(V.tabulated().pow(-ps / 2)))
-        inner2 = g.tail_integral().recip_arg()
+        inner2 = g.tail_integral().pow_arg(-1)
         integrand = w.mul(Tw.tabulated().pow(r / p)).mul(
             inner2.tabulated().pow(r / ps))
         return integrand.integral().powf(1.0 / float(r))
@@ -215,7 +220,7 @@ def C7(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
         q = cfg.q
         w = w_inner_weight(u, cfg).tabulated()
         A1 = _vstar_sym(v, -1).antiderivative()
-        inner = A1.recip_arg().tabulated()
+        inner = A1.pow_arg(-1).tabulated()
         G = inner.pow(2).antiderivative()
         integrand = w.mul(G.tabulated().pow(q / 2))
         return integrand.integral().powf(1.0 / float(q))
@@ -234,7 +239,7 @@ def C9(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> ExtReal:
         Tw = w.tail_integral()
         V = _vstar_sym(v, p).antiderivative()
         h = SymFunc.power(1.0, r / 2).mul(V.tabulated().pow(-r / p))
-        S = h.running_sup_from().recip_arg()
+        S = h.running_sup_from().pow_arg(-1)
         integrand = w.mul(Tw.tabulated().pow(r / p)).mul(S)
         return integrand.integral().powf(1.0 / float(r))
     return guarded(compute)

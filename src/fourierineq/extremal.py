@@ -38,10 +38,10 @@ import numpy as np
 
 from .criteria import (C3, CriterionReport, U_func, W_func, evaluate,
                        ustar_profile, REGIME_DEG_QINF)
-from .exponents import ExponentConfig, is_inf
+from .exponents import Exponent, ExponentConfig, is_inf
 from .extreal import ExtReal, json_float
 from .pieces import StepFunction
-from .symfunc import Divergence, guarded
+from .symfunc import SymFunc, guarded
 from .weights import WeightSpec
 
 
@@ -408,27 +408,33 @@ _BLOCK_MAX = 4000  # blocks a side of a _block_sum, at most
 _BLOCK_REL_TOL = 1e-10  # a _block_sum stops at a term this small a share
 
 
-def _block_sum(prof: StepFunction, e_in: float, e_out: float,
+def _block_sum(prof: StepFunction, e_in: Exponent, e_out: Exponent,
                width: float) -> float:
     """sum_n (integral of prof**e_in over block n)**e_out over the blocks
     of the given width centred at n * width, n in Z, on both sides of the
-    origin (prof is a radial profile); inf when a block mass is.  The sum
-    stops after _BLOCK_MAX blocks a side, or once a term (n > 8) falls
+    origin (prof is a radial profile), for exact exponents.  Its terms go
+    like (prof**e_in)**e_out at inf, so it is inf where the end rule finds
+    that term not integrable there, and where a block mass is inf.  The
+    sum stops after _BLOCK_MAX blocks a side, or once a term (n > 8) falls
     below _BLOCK_REL_TOL times the sum."""
     powed = prof.pow_compose(e_in)
+    if not SymFunc.from_step(powed).tail.pow(e_out).integrable(
+            at_zero=False):
+        return math.inf
+    fe = float(e_out)
 
     def mass(a: float, b: float) -> float:
         val = powed.integrate(max(a, 0.0), b)
         return val.value if val.is_finite else math.inf
 
     half = width / 2.0
-    tot = (2.0 * mass(0.0, half)) ** e_out
+    tot = (2.0 * mass(0.0, half)) ** fe
     n = 1
     while n <= _BLOCK_MAX:
         m = mass(n * width - half, n * width + half)
         if math.isinf(m):
             return math.inf
-        term = 2.0 * m ** e_out
+        term = 2.0 * m ** fe
         tot += term
         if term < _BLOCK_REL_TOL * tot and n > 8:
             break
@@ -445,32 +451,18 @@ def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     """
     if not (is_inf(cfg.p) or cfg.p > 2):
         raise ValueError("block condition requires p > 2")
-    q = float(cfg.q)
-    pp = float(cfg.p_prime)
-    psh = float(cfg.p_sharp)
-    try:
-        ustar = ustar_profile(u)
-    except Divergence as exc:
-        return ExtReal.infinite(exc.reason)
-    uval = ustar.pow_compose(q).integrate(0.0, 1.0 / s)
-    if not uval.is_finite:
-        return ExtReal.infinite(uval.reason)
-    ufac = uval.value ** (1.0 / q)
-    prof = v.profile()
-    # symbolic tail check: v0 ~ r^g growth => V_n ~ 2s (2ns)^{-g p'},
-    # terms ~ n^{-g p' p#/p'}; converges iff g * p# > 1 (decided exactly)
-    last = prof.pieces[-1]
-    if last.coef != 0.0:
-        if last.a * cfg.p_sharp <= 1:
-            return ExtReal.infinite(
-                "block sums diverge: v growth exponent too small "
-                f"({last.a} * p# <= 1)")
-    elif last.offset > 0.0:
-        return ExtReal.infinite("block sums diverge: v constant at infinity")
-    total = _block_sum(prof, -pp, psh / pp, 2.0 * s)
-    if math.isinf(total):
-        return ExtReal.infinite("block sums diverge")
-    return ExtReal.finite(ufac * total ** (1.0 / psh))
+    q, pp, psh = float(cfg.q), cfg.p_prime, cfg.p_sharp
+
+    def compute() -> ExtReal:
+        uval = ustar_profile(u).pow_compose(q).integrate(0.0, 1.0 / s)
+        if not uval.is_finite:
+            return ExtReal.infinite(uval.reason)
+        total = _block_sum(v.profile(), -pp, psh / pp, 2.0 * s)
+        if math.isinf(total):
+            return ExtReal.infinite("block sums diverge")
+        return ExtReal.finite(uval.value ** (1.0 / q)
+                              * total ** (1.0 / float(psh)))
+    return guarded(compute)
 
 
 def symmetric_block_condition(u: WeightSpec, v: WeightSpec,
@@ -484,14 +476,13 @@ def symmetric_block_condition(u: WeightSpec, v: WeightSpec,
 
     Returned as (block_form, tail_form).
     """
-    q = float(cfg.q)
     qsh = float(cfg.q_sharp)
-    pp = float(cfg.p_prime)
     psh = float(cfg.p_sharp)
     uprof = u.profile()
     vprof = v.profile()
-    vsum = _block_sum(vprof, -pp, psh / pp, 1.0 / t)
-    usum = _block_sum(uprof, q, qsh / q, t)
+    vsum = _block_sum(vprof, -cfg.p_prime, cfg.p_sharp / cfg.p_prime,
+                      1.0 / t)
+    usum = _block_sum(uprof, cfg.q, cfg.q_sharp / cfg.q, t)
     if math.isinf(vsum) or math.isinf(usum):
         block = ExtReal.infinite("block sums diverge")
     else:

@@ -12,12 +12,13 @@ Logs are natural; log+(x) = max(log x, 0).  Infinite series tails are
 summed via integral comparison with relative remainder below 1e-10 so
 values are reproducible at reported precision.
 
-Every SymFunc built here is given by its array evaluator alone, and every
-integral, the series tails included, runs through the graded rule
-``pieces.quad_cells``; the Morrey norm anchors its cumulative G
-at the grid that its sup scans (``SymFunc.anchored``), so the scan reads
-G's anchors after one ``Cumulative.at`` pass instead of one quadrature
-per sample.
+Every SymFunc here comes from the constructors and the algebra of
+``SymFunc``, which make its end terms (``_phi_symfunc`` keeps its exact
+evaluator and takes its ends from that algebra), and every integral, the
+series tails included, runs through the graded rule ``pieces.quad_cells``;
+the Morrey norm anchors its cumulative G at the grid that its sup scans
+(``SymFunc.anchored``), so the scan reads G's anchors after one
+``Cumulative.at`` pass instead of one quadrature per sample.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .exponents import ExponentConfig, as_exp, is_inf, sharp
 from .extreal import ExtReal
 from .pieces import StepFunction, end_quad, quad_cells
 from .rearrange import circ_profile, star
-from .symfunc import Asym, Divergence, SymFunc, guarded
+from .symfunc import Divergence, SymFunc, guarded
 from .weights import WeightSpec
 
 
@@ -235,7 +236,7 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
             return ((S * S * _zeta2_series(x)) ** (qf / 2)
                     / (x * np.log(x + 1) ** (qf / 2)))
         # the terms decay like S^q x^(-1-q/2) log(x)^(-q/2)
-        end = Asym(S ** qf, -1 - q / 2, -q / 2)
+        end = SymFunc.power(S ** qf, -1 - q / 2, -q / 2).tail
         total += float(_series_tail(tail_term, N0,
                                     end_quad(tail_term, end, N0, math.inf)))
     return ExtReal.finite(total ** (1.0 / qf))
@@ -322,23 +323,18 @@ def dyadic_block_norms(a: SequenceData, exponent) -> float:
 
 
 def _phi_symfunc(f: StepFunction) -> SymFunc:
-    """t -> integral_0^t (integral_0^{1/r} f*)^2 dr (calderon's Phi_f) with
-    certified asymptotics; requires f* integrable (raises Divergence
-    otherwise)."""
+    """t -> integral_0^t (integral_0^{1/r} f*)^2 dr (calderon's Phi_f), at
+    ``phi_fn``, with the ends and knots of the antiderivative of the
+    squared inner average; requires f* integrable and the squared inner
+    average integrable at inf (raises Divergence otherwise)."""
     fs = star(f)
-    tot = fs.integrate(0.0, math.inf)
-    if not tot.is_finite:
+    if not fs.integrate(0.0, math.inf).is_finite:
         raise Divergence("f* is not integrable; inner averages diverge")
-    # as t -> 0 the inner average is the full mass
-    head = Asym(tot.value * tot.value, 1, 0)
-    # as t -> inf the integral saturates (inner average is square-integrable
-    # near infinity because f* is bounded near its support bound)
-    tail_val = inner_average(fs).pow(2).integral()
-    if not tail_val.is_finite:
+    sq = inner_average(fs).pow(2)
+    if not sq.tail.integrable(at_zero=False):
         raise Divergence("squared inner averages are not integrable")
-    return SymFunc(head, Asym(tail_val.value, 0, 0),
-                   knots=[1.0 / k for k in fs.breakpoints if k > 0.0],
-                   at=phi_fn(fs))
+    G = sq.antiderivative()
+    return SymFunc(G.head, G.tail, G.knots, at=phi_fn(fs))
 
 
 def optimal_Y_norm(f: StepFunction, u: WeightSpec, q) -> ExtReal:
@@ -396,10 +392,16 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
     q = as_exp(q)
     if not 0 < q < math.inf:
         raise ValueError("requires 0 < q < inf")
-    qf = float(q)
     if f.support_bound() == 0.0:  # f = 0 a.e.
         return ExtReal.finite(0.0)
     phi_sym = SymFunc.from_step(shape)
+    # R**(-d/2), without the knot 1 of SymFunc.power
+    r_pow = SymFunc.from_step(StepFunction.power(1.0, d / 2))
+
+    def composite(G: SymFunc) -> SymFunc:
+        """R -> shape(R) G(R^d)^{1/q} [* R^{-d/2} when q < 2]."""
+        out = G.pow_arg(d).pow(1 / q).mul(phi_sym)
+        return out.mul(r_pow) if q < 2 else out
 
     def compute() -> ExtReal:
         if q >= 2:
@@ -407,32 +409,10 @@ def morrey_optimal_norm(f: StepFunction, q, shape: StepFunction,
         else:
             inner = _phi_symfunc(f).pow(q / 2)
         G = inner.antiderivative()  # cumulative integral, certified asyms
-
-        # R -> shape(R) * G(R^d)^{1/q} [* R^{-d/2} when q < 2], a SymFunc in
-        # R, with G anchored at the grid its sup scans (below)
-        def comp_at(Rs: np.ndarray) -> np.ndarray:
-            with np.errstate(all="ignore"):
-                val = Ga.at(Rs ** d) ** (1.0 / qf) * phi_sym.at(Rs)
-                if q < 2:
-                    val *= Rs ** (-d / 2.0)
-            return val
-
-        def map_asym(a: Asym) -> Asym:
-            # G(R^d) asymptotics in R, then the 1/q power
-            out = Asym(a.coef, a.a * d, a.b).pow(1 / q)
-            if q < 2:
-                out = out.mul(Asym(1.0, -d / 2.0, 0))
-            return out
-
-        head = map_asym(G.head).mul(phi_sym.head)
-        tail = map_asym(G.tail).mul(phi_sym.tail)
-        knots = sorted(set(list(shape.breakpoints) +
-                           [k ** (1.0 / d) for k in G.knots if k > 0]))
-        composite = SymFunc(head, tail, knots=knots, at=comp_at)
-        # the scan samples are then anchors: one Cumulative.at pass
-        # instead of a quadrature per sample
-        Ga = G.anchored(composite.scan_grid() ** d)
-        return composite.sup()
+        # G anchored at the grid that the composite's sup scans: one
+        # Cumulative.at pass instead of a quadrature per sample
+        grid = composite(G).scan_grid()
+        return composite(G.anchored(grid ** d)).sup()
     return guarded(compute)
 
 
@@ -445,22 +425,10 @@ def expL_pair(F: StepFunction, d: int = 1) -> tuple[ExtReal, ExtReal]:
     if F.support_bound() == 0.0:  # F = 0 a.e.
         return ExtReal.finite(0.0), ExtReal.finite(0.0)
     A = SymFunc.from_step(star(F)).antiderivative()
-
-    def denom_left_at(Rs: np.ndarray) -> np.ndarray:
-        return Rs ** d * (1.0 + np.maximum(np.log(1.0 / Rs), 0.0))
-
-    # near 0: R^d (1 + log(1/R)) ~ (1/d) t log(1/t) with t = R^d
-    dleft = SymFunc(Asym(1.0, d, 1), Asym(1.0, d, 0), knots=[1.0],
-                    at=denom_left_at)
-    Aleft = SymFunc(Asym(A.head.coef, A.head.a * d, A.head.b),
-                    Asym(A.tail.coef, A.tail.a * d, A.tail.b),
-                    knots=[k ** (1.0 / d) for k in A.knots if k > 0],
-                    at=lambda Rs: A.at(Rs ** d))
-    left = Aleft.mul(dleft.pow(-1)).sup()
-
-    dright = SymFunc(Asym(1.0, 0, 0), Asym(1.0, 0, 1), knots=[1.0],
-                     at=lambda Rs: 1.0 + np.maximum(np.log(Rs), 0.0))
-    right = A.mul(dright.pow(-1)).sup()
+    wlog = SymFunc.one_plus_log_plus().pow_arg(-1)  # 1 + log+(1/R)
+    dleft = SymFunc.power(1.0, d).mul(wlog)
+    left = A.pow_arg(d).mul(dleft.pow(-1)).sup()
+    right = A.mul(SymFunc.one_plus_log_plus().pow(-1)).sup()
     return left, right
 
 
@@ -470,6 +438,4 @@ def llogl_norm(F: StepFunction) -> ExtReal:
     if F.support_bound() == 0.0:  # F = 0 a.e.
         return ExtReal.finite(0.0)
     Fs = SymFunc.from_step(star(F))
-    wlog = SymFunc(Asym(1.0, 0, 1), Asym(1.0, 0, 0), knots=[1.0],
-                   at=lambda ts: 1.0 + np.maximum(np.log(1.0 / ts), 0.0))
-    return Fs.mul(wlog).integral()
+    return Fs.mul(SymFunc.one_plus_log_plus().pow_arg(-1)).integral()

@@ -12,7 +12,8 @@ All finiteness decisions (integrability at the endpoints, boundedness of
 sups) are made from the exponents symbolically, by the end rule of
 ``pieces``; quadrature is used only for the finite numeric values and is
 performed in exp-substituted coordinates so endpoint singularities are
-integrated accurately.
+integrated accurately.  Every end term is made here: other modules build
+their SymFuncs from the constructors and the algebra below.
 
 A SymFunc has one evaluator, ``at`` (a required argument): at(ts) is f at
 every point of a 1-d float array ts, computed with numpy over the whole
@@ -31,8 +32,8 @@ Where a SymFunc holds a StepFunction of closed-form pieces (``step``, no
 log factors), its integral, cumulatives and sup are that StepFunction's,
 exact: the sup is the largest limit at the ends of its pieces, each
 monotone, with no scan.  ``from_step`` sets it, and ``pow``, ``mul`` and
-``recip_arg`` carry it where the result is again such a StepFunction (for
-``recip_arg``, one term c t**a on all of (0, inf)); the cumulative of one
+``pow_arg`` carry it where the result is again such a StepFunction (for
+``pow_arg``, one term c t**a on all of (0, inf)); the cumulative of one
 such term is its integrated term, and carries it too.  Other cumulatives
 (their values exact where the integrand has a step), ``tabulated`` copies,
 sums and running sups have none.
@@ -48,12 +49,12 @@ beyond u's support, comes first).
 Every SymFunc also carries its kinks: the sorted points where it is not
 smooth between its knots, the grid of a ``tabulated`` factor and the
 sample grid of a ``running_sup_from`` one.  ``mul``, ``add`` and ``pow``
-take the union, ``recip_arg`` takes 1/x, and a cumulative has none.  An
-integral over a head, segment or tail of the knots is taken cell by cell
-between its outermost kinks, in log coordinates (``pieces.log_cells``, whose
-graded cells take a singular end such as u*'s support end at their first
-stage), and beyond them by ``pieces.end_quad``; a segment without kinks is
-one cell.
+take the union, ``pow_arg(k)`` takes x**(1/k), and a cumulative has
+none.  An integral over a head, segment or tail of the knots is taken cell
+by cell between its outermost kinks, in log coordinates
+(``pieces.log_cells``, whose graded cells take a singular end such as u*'s
+support end at their first stage), and beyond them by ``pieces.end_quad``;
+a segment without kinks is one cell.
 
 Exponents follow the exponent rule of ``pieces`` (always Fractions), so
 boundary cases (exponent exactly -1 or 0) are decided exactly.
@@ -251,6 +252,12 @@ class SymFunc:
                        at=lambda ts: np.full(len(ts), c, dtype=float))
 
     @staticmethod
+    def one_plus_log_plus() -> "SymFunc":
+        """t -> 1 + max(log t, 0): 1 at 0, L at inf, with the knot 1."""
+        return SymFunc(Asym(1.0), Asym(1.0, 0, 1), (1.0,),
+                       at=lambda ts: 1.0 + np.maximum(np.log(ts), 0.0))
+
+    @staticmethod
     def from_step(sf: StepFunction) -> "SymFunc":
         closed_form = all(p.b == 0 for p in sf.pieces)
         return SymFunc(_piece_end(sf.pieces[0], True),
@@ -321,21 +328,40 @@ class SymFunc:
                        self.knots + other.knots, at=at,
                        kinks=_kinks(self.kinks, other.kinks))
 
-    def recip_arg(self) -> "SymFunc":
-        """t -> f(1/t); swaps the roles of 0 and infinity."""
-        head = Asym(self.tail.coef, -self.tail.a, self.tail.b)
-        tail = Asym(self.head.coef, -self.head.a, self.head.b)
+    def pow_arg(self, k: Exponent) -> "SymFunc":
+        """t -> f(t**k) for an exact k != 0, an int or a Fraction.  An end
+        term c t**a L**b becomes c |k|**b t**(a k) L**b, as
+        L(t**k) = |k| L(t), and for k < 0 the head and the tail swap; a
+        knot or kink x moves to x**(1/k), for k < 0 as 1 / x**(1/|k|), so
+        that k = -1 gives 1/x exactly (as numpy's ts**-1.0 is 1/ts)."""
+        fk = float(k)
+        scale = abs(fk)
+        # a -> a k, for the reciprocal k = -1 by the cheaper negation
+        times_k = (lambda a: -a) if fk == -1.0 else (lambda a: a * k)
+
+        def end(term: Asym) -> Asym:
+            coef = term.coef * scale ** float(term.b) if term.b else term.coef
+            return Asym(coef, times_k(term.a), term.b)
+
+        head, tail = end(self.head), end(self.tail)
+        knots, kinks = self.knots, self.kinks
+        if scale != 1.0:
+            root = 1.0 / scale
+            knots, kinks = [x ** root for x in knots], kinks ** root
+        if fk < 0.0:
+            head, tail = tail, head
+            knots, kinks = [1.0 / x for x in knots], 1.0 / kinks[::-1]
         f_at = self.at
 
         def at(ts: np.ndarray) -> np.ndarray:
             with _quiet():
-                return f_at(1.0 / ts)
+                return f_at(ts ** fk)
 
-        # c t**a on all of (0, inf) is c t**-a; any other step is dropped
+        # c t**a on all of (0, inf) is c t**(a k); any other step is dropped
         term = _one_term(self.step)
-        step = None if term is None else StepFunction.power(term.coef, term.a)
-        return SymFunc(head, tail, [1.0 / k for k in self.knots], step=step,
-                       at=at, kinks=1.0 / self.kinks[::-1])
+        step = (None if term is None
+                else StepFunction.power(term.coef, -times_k(term.a)))
+        return SymFunc(head, tail, knots, step=step, at=at, kinks=kinks)
 
     # -- numeric helpers -----------------------------------------------------
     def _span(self) -> tuple[float, float]:
@@ -513,7 +539,11 @@ class SymFunc:
         return ExtReal.finite(float(best))
 
     def running_sup_from(self) -> "SymFunc":
-        """S(x) = sup over [x, inf) of f; requires a bounded tail limit."""
+        """S(x) = sup over [x, inf) of f; requires a bounded tail limit.
+        S ~ f at inf, and at 0 where f is unbounded there; where f is
+        bounded at 0, S tends to the sup of the samples.  Below the sample
+        grid S reads max(f(x), S at the grid's first point), and beyond it
+        the largest of 16 samples of f over [x, 10 x]."""
         atinf = self.tail.limit(at_zero=False)
         if math.isinf(atinf):
             raise Divergence("running sup of a function unbounded at inf")
@@ -522,10 +552,15 @@ class SymFunc:
         ts = np.geomspace(lo / 1e8, hi * 1e8, 1200)
         vals = f_at(ts)
         suffix = np.maximum.accumulate(np.maximum(vals, atinf)[::-1])[::-1]
+        first = float(suffix[0])  # S at the grid's first point
 
         def at(xs: np.ndarray) -> np.ndarray:
             out = suffix[np.minimum(np.searchsorted(ts, xs, side="left"),
                                     len(ts) - 1)]
+            near = xs < ts[0]
+            if near.any():  # max(f(x), first)
+                f = f_at(xs[near])
+                out[near] = np.where(f > first, f, first)
             far = xs >= ts[-1]
             if far.any():  # the largest of 16 samples over [x, 10 x]
                 x = xs[far]
@@ -534,9 +569,9 @@ class SymFunc:
                 out[far] = np.where(top > atinf, top, atinf)  # max(atinf, top)
             return out
 
-        global_sup = float(max(np.max(vals), atinf))
-        return SymFunc(Asym(global_sup), Asym(max(atinf, float(vals[-1]))),
-                       self.knots, at=at, kinks=ts)
+        head = (self.head if math.isinf(self.head.limit(at_zero=True))
+                else Asym(first))
+        return SymFunc(head, self.tail, self.knots, at=at, kinks=ts)
 
 
 # ---------------------------------------------------------------------------

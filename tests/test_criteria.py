@@ -5,7 +5,8 @@ import pytest
 
 from fourierineq.criteria import (REGIME_DEG_P1, REGIME_DEG_QINF, REGIME_I,
                                   REGIME_II, REGIME_III, REGIME_IV, REGIME_V,
-                                  ExponentConfig, U_func, classify, conjugate,
+                                  C9, ExponentConfig, U_func, classify,
+                                  conjugate,
                                   degenerate_constant, dual_config, evaluate,
                                   qsharp_tail_finite, ustar_profile, xi_func)
 from fourierineq.extremal import block_l2_condition
@@ -280,6 +281,32 @@ def test_one_dimension_per_problem():
     # in d = 3 the (3, 2) constant of ind(1) and pow(1/4) is infinite
     v3 = WeightSpec.power(Fraction(1, 4), NONDECREASING, d=3)
     assert evaluate(u, v3, cfg(3, 2, 3)).holds is False
+
+
+def test_ustar_infinite_on_an_interval_names_it():
+    # u = 1 on (0, 1), inf on (1, 2): u* is inf on (0, 1), then 1
+    u = WeightSpec.from_table(StepFunction.from_cells(
+        [0.0, 1.0, 2.0], [1.0, math.inf]), NONINCREASING)
+    with pytest.raises(Divergence) as exc:
+        ustar_profile(u)
+    assert exc.value.reason.startswith("u* is infinite on (0, 1)")
+    rep = evaluate(u, WeightSpec.power(Fraction(1, 4), NONDECREASING),
+                   cfg(3, 2))
+    assert rep.holds is False
+    assert rep.governing.reason == exc.value.reason
+
+
+def test_c9_of_a_table_u_with_a_power_tail():
+    # u = 2 on (0, 1), 1 on (1, 3), 0.5 t^-2 beyond: w does not vanish at
+    # inf, so C9 reads the running sup S on all of (0, inf), and S reads
+    # max(h(x), its first sample) below its sample grid (49.12 while it
+    # read the first sample alone there)
+    u = WeightSpec.from_table(StepFunction.from_cells(
+        [0.0, 1.0, 3.0], [2.0, 1.0, 0.5], tail=TailSpec.power(2)),
+        NONINCREASING)
+    v = WeightSpec.power(Fraction(1, 4), NONDECREASING)
+    c9 = C9(u, v, cfg(Fraction(3, 2), Fraction(1, 2)))
+    assert c9.value == pytest.approx(70.24198531056543, rel=1e-6)
 
 
 def test_infinite_ustar_is_decided_in_one_place():

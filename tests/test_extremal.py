@@ -395,6 +395,21 @@ def test_random_witness_is_the_best_ratio_of_its_draws():
                                                                 rel=1e-12)
 
 
+def test_block_sums_are_decided_by_the_end_rule():
+    # v = |x|^a at (p, q) = (4, 1), p' = 4/3 and p# = 4: the v-block terms
+    # go like n^(-4a), sum_n n^(-1/2) at a = 1/8 and sum_n 1/n at a = 1/4
+    u = WeightSpec.indicator(1.0)
+    cfg = ExponentConfig(4, 1)
+    for a in (Fraction(1, 8), Fraction(1, 4)):
+        v = WeightSpec.power(a, NONDECREASING)
+        block, _ = symmetric_block_condition(u, v, cfg, t=1.0)
+        assert block.is_infinite
+    # powlog(1/4, 1): terms like 1/(n log^4 n), a convergent series
+    v = WeightSpec.powerlog(Fraction(1, 4), 1, NONDECREASING)
+    r = block_l2_condition(u, v, cfg, s=1.0)
+    assert r.is_finite and r.value == pytest.approx(2.0944, rel=1e-4)
+
+
 def test_block_l2_condition_borderline_growth_diverges():
     # v = |x|^{9/22} at p = 11 (p# = 22/9): the blocks give sum_n 1/n, so
     # the condition is infinite; the growth test compares exact exponents

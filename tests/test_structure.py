@@ -38,6 +38,25 @@ def test_no_module_imports_scipy_optimize():
     assert _users("scipy.optimize") == []
 
 
+def _names(tree: ast.AST, name: str) -> bool:
+    """Does the tree name `name`: a variable, an attribute or an import?"""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.alias) and name in (
+                    node.name, node.name.rpartition(".")[2])):
+            return True
+    return False
+
+
+def test_only_symfunc_names_asym():
+    """End terms are made in symfunc alone: every other module builds its
+    SymFuncs from symfunc's constructors and algebra."""
+    assert sorted(path.name for path in PACKAGE.glob("*.py")
+                  if _names(ast.parse(path.read_text()), "Asym")) == [
+                      "symfunc.py"]
+
+
 def _fresh(code: str, *args: str) -> str:
     """stdout of code run by a fresh interpreter that imports the package
     from the source tree."""

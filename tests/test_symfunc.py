@@ -297,9 +297,48 @@ def test_mul_evaluates_the_second_factor_only_where_the_first_is_not_0():
 
 def test_recip_arg():
     f = SymFunc.power(1.0, 2)  # t^2
-    g = f.recip_arg()          # t^{-2}
+    g = f.pow_arg(-1)          # t^{-2}
     assert g(4.0) == pytest.approx(1.0 / 16.0, rel=1e-12)
     assert g.tail.a == -2
+
+
+def test_pow_arg_minus_one_reads_f_at_one_over_t_bit_for_bit():
+    f = SymFunc.from_step(STEP).antiderivative()  # a StepCumulative's at
+    g = f.pow_arg(-1)
+    ts = np.geomspace(1e-6, 1e6, 501)
+    np.testing.assert_array_equal(g.at(ts), f.at(1.0 / ts))
+    assert g.knots == tuple(sorted(1.0 / x for x in f.knots))
+    for mine, its in ((g.head, f.tail), (g.tail, f.head)):
+        assert mine == Asym(its.coef, -its.a, its.b)
+
+
+def test_pow_arg_scales_the_end_terms():
+    # f(t**3) for f = 2 t**-1 log(e+t)**2: 2 t**-3 (3 log t)**2 at inf
+    g = SymFunc.power(2.0, -1, 2).pow_arg(3)
+    assert g.tail == Asym(18, -3, 2) and g.head == Asym(2.0, -3, 0)
+    t = 1e40
+    assert g(t) == pytest.approx(18 * t ** -3 * math.log(t) ** 2, rel=1e-12)
+    # one term c t**a on all of (0, inf) keeps its step: c t**(a k)
+    h = SymFunc.from_step(StepFunction.power(3.0, 2)).pow_arg(Fraction(1, 2))
+    assert h.step is not None and h.step(4.0) == pytest.approx(0.75)
+
+
+def test_running_sup_never_reads_below_f():
+    # h(y) = y**(r/2) V(y)**(-r/p) of C9 for ind(1) against pow(1/4) at
+    # (p, q) = (3/2, 1/2), which goes like 1.17 t**(-5/16) at both ends
+    cfg = criteria.ExponentConfig(Fraction(3, 2), Fraction(1, 2))
+    r, p = cfg.r, cfg.p
+    V = criteria._vstar_sym(WeightSpec.power(Fraction(1, 4), NONDECREASING),
+                            p).antiderivative()
+    h = SymFunc.power(1.0, r / 2).mul(V.tabulated().pow(-r / p))
+    S = h.running_sup_from()
+    # h is unbounded at 0 and tends to 0 at inf: S ~ h at both ends
+    assert S.head == h.head and S.tail == h.tail
+    samples = S.kinks
+    below = np.geomspace(samples[0] / 1e6, samples[0], 13, endpoint=False)
+    for xs in (samples, below):
+        assert (S.at(xs) >= h.at(xs)).all()
+    np.testing.assert_array_equal(S.at(below), h.at(below))
 
 
 def test_asym_integrability():
@@ -768,7 +807,7 @@ def test_no_quadpack_flags_in_regime_ii():
 def test_tabulated_recip_cumulative_reads_the_cumulative_at_one_over_t():
     # T(x) = integral_x^inf s^-2 ds = 1/x, so T(1/t) = t
     T = SymFunc.power(1.0, -2).tail_integral()
-    tab = T.recip_arg().tabulated(n=257, pad=1e3)
+    tab = T.pow_arg(-1).tabulated(n=257, pad=1e3)
     for t in (2e-3, 0.37, 1.0, 5.5, 900.0):
         assert tab(t) == pytest.approx(t, rel=1e-9)
     # beyond the window the copy reads T itself, at 1/t
@@ -825,17 +864,17 @@ def _at_family() -> dict[str, SymFunc]:
         "pow of power": power.pow(Fraction(5, 2)),
         "0 * inf": step.mul(step.pow(-1)),
         "inf * 0": step.pow(-1).mul(step),
-        "recip_arg": power.mul(step).recip_arg(),
+        "recip_arg": power.mul(step).pow_arg(-1),
         "tabulated": power.mul(shifted).tabulated(**TAB),
         "tabulated with zeros": power.mul(step).tabulated(**TAB),
         "tabulated cumulative": power.add(shifted).tail_integral()
         .tabulated(**TAB),
         "tabulated recip cumulative": power.add(shifted).tail_integral()
-        .recip_arg().tabulated(**TAB),
+        .pow_arg(-1).tabulated(**TAB),
         "anchored cumulative": power.add(shifted).tail_integral()
         .anchored(ANCHORS),
         "anchored recip cumulative": power.add(shifted).tail_integral()
-        .recip_arg().anchored(ANCHORS),
+        .pow_arg(-1).anchored(ANCHORS),
         "step antiderivative": shifted.antiderivative(),
         "step tail integral": step.tail_integral(),
         "step antiderivative, infinite cells": step.pow(-1).antiderivative(),
