@@ -89,16 +89,18 @@ def check_dimension(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig) -> None:
 def ustar_profile(u: WeightSpec) -> StepFunction:
     """u* in ball-measure half-line coordinates (``circ_profile``); raises
     Divergence when u* is infinite, on (0, a) or everywhere, the one place
-    that decides it.  Star lays an infinite level out first, so the first
-    piece holds it."""
+    that decides it.  Star lays an infinite level out first, as a leading
+    run of pieces (one per infinite cell), so u* is infinite up to the
+    first finite piece."""
     prof = circ_profile(u)
-    first = prof.pieces[0]
-    if not math.isinf(first.offset):
+    hi = next((p.lo for p in prof.pieces if not math.isinf(p.offset)),
+              math.inf)
+    if hi == 0.0:
         return prof
-    if math.isinf(first.hi):
+    if math.isinf(hi):
         raise Divergence("u* is identically infinite (u is not dominated by "
                          "a non-increasing radial weight)")
-    raise Divergence(f"u* is infinite on (0, {first.hi:.6g}) (u is infinite "
+    raise Divergence(f"u* is infinite on (0, {hi:.6g}) (u is infinite "
                      "on a set of that measure)")
 
 

@@ -235,10 +235,12 @@ def gamma_norm(a: SequenceData, q, use_twostar: bool = True) -> ExtReal:
             """The outer term at x >= N0, a float or an array."""
             return ((S * S * _zeta2_series(x)) ** (qf / 2)
                     / (x * np.log(x + 1) ** (qf / 2)))
-        # the terms decay like S^q x^(-1-q/2) log(x)^(-q/2)
-        end = SymFunc.power(S ** qf, -1 - q / 2, -q / 2).tail
-        total += float(_series_tail(tail_term, N0,
-                                    end_quad(tail_term, end, N0, math.inf)))
+        # its end, with zeta(2, x) ~ 1/x and log(x + 1) ~ 1 + log+ x at inf
+        model = (SymFunc.power(S * S, -1).pow(q / 2)
+                 .mul(SymFunc.power(1.0, -1))
+                 .mul(SymFunc.one_plus_log_plus().pow(-q / 2)))
+        total += float(_series_tail(tail_term, N0, end_quad(
+            tail_term, model.tail, N0, math.inf)))
     return ExtReal.finite(total ** (1.0 / qf))
 
 

@@ -336,12 +336,10 @@ class SymFunc:
         that k = -1 gives 1/x exactly (as numpy's ts**-1.0 is 1/ts)."""
         fk = float(k)
         scale = abs(fk)
-        # a -> a k, for the reciprocal k = -1 by the cheaper negation
-        times_k = (lambda a: -a) if fk == -1.0 else (lambda a: a * k)
 
         def end(term: Asym) -> Asym:
-            coef = term.coef * scale ** float(term.b) if term.b else term.coef
-            return Asym(coef, times_k(term.a), term.b)
+            return Asym(term.coef * scale ** float(term.b), term.a * k,
+                        term.b)
 
         head, tail = end(self.head), end(self.tail)
         knots, kinks = self.knots, self.kinks
@@ -360,7 +358,7 @@ class SymFunc:
         # c t**a on all of (0, inf) is c t**(a k); any other step is dropped
         term = _one_term(self.step)
         step = (None if term is None
-                else StepFunction.power(term.coef, -times_k(term.a)))
+                else StepFunction.power(term.coef, -(term.a * k)))
         return SymFunc(head, tail, knots, step=step, at=at, kinks=kinks)
 
     # -- numeric helpers -----------------------------------------------------

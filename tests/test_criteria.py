@@ -294,13 +294,23 @@ def test_ustar_infinite_on_an_interval_names_it():
                    cfg(3, 2))
     assert rep.holds is False
     assert rep.governing.reason == exc.value.reason
+    # two infinite cells: star lays out one piece per cell, (0, 1) and
+    # (1, 2), and u* is infinite on both
+    u2 = WeightSpec.from_table(StepFunction.from_cells(
+        [0.0, 1.0, 2.0, 3.0], [math.inf, 1.0, math.inf]), NONINCREASING)
+    with pytest.raises(Divergence) as exc2:
+        ustar_profile(u2)
+    assert exc2.value.reason.startswith("u* is infinite on (0, 2)")
 
 
 def test_c9_of_a_table_u_with_a_power_tail():
     # u = 2 on (0, 1), 1 on (1, 3), 0.5 t^-2 beyond: w does not vanish at
     # inf, so C9 reads the running sup S on all of (0, inf), and S reads
     # max(h(x), its first sample) below its sample grid (49.12 while it
-    # read the first sample alone there)
+    # read the first sample alone there).  The pin keeps the known
+    # under-read between samples of the sup scan (about 0.17% here: 4,800
+    # samples over a wider span read 70.3605; ROADMAP items 3 and 6), so it
+    # is expected to move up when that is mended
     u = WeightSpec.from_table(StepFunction.from_cells(
         [0.0, 1.0, 3.0], [2.0, 1.0, 0.5], tail=TailSpec.power(2)),
         NONINCREASING)
