@@ -146,7 +146,8 @@ def cmd_hardy(args) -> int:
               "K": K.to_json()}
     if args.oracle:
         rng = np.random.default_rng(args.seed)
-        report["oracle_lower_bound"] = hardy.brute_force_K(prob, rng)
+        report["oracle_lower_bound"] = json_float(
+            hardy.brute_force_K(prob, rng))
     _write_report(report, args.out)
     return 0
 
@@ -356,8 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--p", required=True)
     ph.add_argument("--q", required=True)
     ph.add_argument("--oracle", action="store_true",
-                    help="also run the brute-force witness search (a ratio "
-                         "of discretized norms, not a certified lower bound)")
+                    help="also run the brute-force witness search (exact "
+                         "ratios of step test functions, or lower bounds of "
+                         "them: a lower bound on the optimal constant)")
     ph.add_argument("--seed", type=int, default=0)
     ph.add_argument("--out", default=None)
     ph.set_defaults(fn=cmd_hardy)

@@ -12,16 +12,18 @@ Four problem kinds:
 hardy_K evaluates the classical equivalent constant for each kind (sup form
 when qq >= pp, integral form when qq < pp; the discrete pp <= 1 case uses
 the inf form).  brute_force_K searches for near-extremal inputs by
-multiplicative coordinate ascent from random restarts.  Its ratio is not a
-certified lower bound on the optimal constant: the continuous norms are
-midpoint sums on a grid of 8 sub-cells per geometric cell cut to
-[knot/100, 100 knot], and the reverse form's sup is taken at the
-midpoints, so the ratio can exceed the exact one of the same step
-function (by up to 3.9% on a reverse problem at 10 cells).
+multiplicative coordinate ascent from random restarts.  Its test ratio is
+one form over cell levels, built from exact cell masses of the weights
+(``_cell_form``): the ratio of an admissible step function, or a lower
+bound of it, so the search is a lower bound on the optimal constant, up to
+the rounding of the cell masses.
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -188,24 +190,21 @@ def reverse_hardy_K(prob: HardyProblem) -> ExtReal:
 
 
 # ---------------------------------------------------------------------------
-# brute-force extremal search (a discretized ratio, not a certified bound)
+# brute-force extremal search (a lower bound from step test functions)
 # ---------------------------------------------------------------------------
 
 
 def brute_force_K(prob: HardyProblem, rng: np.random.Generator,
                   n_restarts: int = 32, n_cells: int = 24,
                   n_sweeps: int = 30) -> float:
-    """Best ratio LHS/RHS found by coordinate ascent over test inputs.
-    The restarts are the rows of one array and move in lockstep, one
-    ratio call per move; a row stops after a sweep without a gain."""
-    if prob.kind == HEAD_SUM:
-        ratio, dim = _discrete_ratio_fn(prob)
-    elif prob.kind == REVERSE:
-        ratio, dim = _reverse_ratio_fn(prob, n_cells)
-    else:
-        ratio, dim = _continuous_ratio_fn(prob, n_cells)
+    """Best ratio of ``_cell_form`` found by coordinate ascent: a lower
+    bound on the optimal constant, up to the rounding of the cell masses.
+    The restarts are the rows of one array and move in lockstep, one ratio
+    call per move; a row stops after a sweep without a gain."""
+    form = _cell_form(prob, n_cells)
+    dim = form.b.shape[1]
     x = rng.lognormal(0.0, 1.0, size=(n_restarts, dim))
-    cur = ratio(x)
+    cur = _cell_ratio(form, x)
     live, c = np.arange(n_restarts), cur.copy()
     for _ in range(n_sweeps):
         if not live.size:
@@ -215,7 +214,7 @@ def brute_force_K(prob: HardyProblem, rng: np.random.Generator,
             for fac in (4.0, 0.25, 1.5, 1 / 1.5):
                 y = x.copy()
                 y[:, i] *= fac
-                val = ratio(y)
+                val = _cell_ratio(form, y)
                 up = val > c * (1 + 1e-12)
                 if up.any():
                     x[up], c[up] = y[up], val[up]
@@ -225,82 +224,78 @@ def brute_force_K(prob: HardyProblem, rng: np.random.Generator,
     return max([0.0, *cur.tolist()])
 
 
-def _row_ratio(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """lhs / rhs per row, 0 where rhs is not positive."""
-    return np.divide(lhs, rhs, out=np.zeros(len(lhs)), where=rhs > 0)
+# (sum_i u_i (a x)_i**q)**(1/q) / (sum_j v_j (b x)_j**p)**(1/p) over x >= 0,
+# max_j (b x)_j at p = inf; x reaching a row of a_inf (mass inf) reads inf
+_CellForm = namedtuple("_CellForm", "a u a_inf b v q p")
 
 
-def _discrete_ratio_fn(prob: HardyProblem):
-    """The ratio of each row of a (rows, dim) array of sequences; x_n is
-    held at 0 where v_n is inf."""
-    u, v = _discrete_weights(prob)
-    held = np.isinf(v)
-    v = np.where(held, 0.0, v)
-    pp, qq = float(prob.pp), float(prob.qq)
-
-    def ratio(x: np.ndarray) -> np.ndarray:
-        x = np.where(held, 0.0, x)
-        tails = x[:, ::-1].cumsum(axis=-1)[:, ::-1]
-        lhs = (u * tails ** qq).sum(axis=-1) ** (1.0 / qq)
-        rhs = (v * x ** pp).sum(axis=-1) ** (1.0 / pp)
-        return _row_ratio(lhs, rhs)
-
-    return ratio, len(u)
-
-
-def _dense_grid(f: StepFunction, g: StepFunction, n_cells: int):
-    """The evaluation grid of a continuous test function with n_cells
-    geometric cells spanning the knots of f and g (100 times beyond them
-    on both sides), each cell cut into 8: the midpoints and widths of the
-    sub-cells, the cell holding each midpoint, and f and g at the
-    midpoints."""
-    knots = sorted({k for s in (f, g) for k in s.breakpoints if k > 0})
-    lo = (knots[0] if knots else 1.0) / 100.0
-    hi = (knots[-1] if knots else 1.0) * 100.0
-    edges = np.geomspace(lo, hi, n_cells + 1)
-    dense = np.unique(np.linspace(edges[:-1], edges[1:], 9, axis=1))
-    mids = 0.5 * (dense[:-1] + dense[1:])
-    cell_of = np.clip(np.searchsorted(edges, mids, side="right") - 1,
-                      0, n_cells - 1)
-    return mids, np.diff(dense), cell_of, f.at(mids), g.at(mids)
-
-
-def _continuous_ratio_fn(prob: HardyProblem, n_cells: int):
-    """The ratio of each row of a (rows, n_cells) array of cell levels."""
-    pp, qq = float(prob.pp), float(prob.qq)
-    _mids, widths, cell_of, uvals, vvals = _dense_grid(prob.u_w, prob.v_w,
-                                                       n_cells)
-
-    def ratio(x: np.ndarray) -> np.ndarray:
-        masses = x.take(cell_of, axis=-1) * widths
-        if prob.kind == HEAD_INTEGRAL:
-            inner = masses.cumsum(axis=-1) - 0.5 * masses
+def _cell_form(prob: HardyProblem, n_cells: int) -> _CellForm:
+    """The test ratio of prob as one form, exact for head_sum (x is the
+    sequence).  Otherwise x_j is the level of g on the j-th of n_cells
+    geometric cells spanning the weights' knots 100 times over, 0 off them,
+    and the weights enter by exact masses.  head_integral takes int_0^t g
+    at each cell's left end, tail_integral int_t^inf g at its right end.
+    reverse gives f the non-increasing levels sum_{k>=j} x_k from 0, and
+    bounds nu(t)/t int_0^t f on a cell (a, b) by nu(a)/a int_0^b f (nu(b) f
+    on the first), as nu rises and nu(t)/t falls; exact for nu = t.  So the
+    form never exceeds the exact ratio of its test function.  An input
+    whose v mass is inf is held at 0."""
+    q, p = float(prob.qq), float(prob.pp)
+    if prob.kind == HEAD_SUM:
+        u, v = _discrete_weights(prob)
+        a, b = np.triu(np.ones((len(u), len(u)))), np.eye(len(u))
+    else:
+        f, g = ((prob.w, prob.nu) if prob.kind == REVERSE
+                else (prob.u_w, prob.v_w))
+        knots = sorted({k for s in (f, g) for k in s.breakpoints
+                        if k > 0}) or [1.0]
+        edges = np.geomspace(knots[0] / 100.0, knots[-1] * 100.0,
+                             n_cells + 1)
+        cells = np.ones((n_cells + 1, n_cells))
+        if prob.kind == REVERSE:
+            edges[0] = 0.0
+            u, a = _masses(f, edges), np.triu(cells[1:])
+            j = np.arange(n_cells)
+            left = edges[np.maximum(j, 1)]
+            b = ((g.at(left) / left)[:, None]
+                 * edges[1:][np.minimum.outer(j, j)])
+            v, p = np.zeros(n_cells), math.inf
         else:
-            inner = masses[:, ::-1].cumsum(axis=-1)[:, ::-1] - 0.5 * masses
-        lhs = (uvals * inner ** qq * widths).sum(axis=-1) ** (1.0 / qq)
-        gp = (x ** pp).take(cell_of, axis=-1)
-        rhs = (vvals * gp * widths).sum(axis=-1) ** (1.0 / pp)
-        return _row_ratio(lhs, rhs)
+            b, v = np.eye(n_cells), _masses(g, edges)
+            if prob.kind == HEAD_INTEGRAL:
+                u = _masses(f, [*edges, math.inf])
+                a = np.tril(cells, -1) * np.diff(edges)
+            else:
+                u = _masses(f, [0.0, *edges])
+                a = np.triu(cells) * np.diff(edges)
+    held = np.isinf(v)
+    a[:, held], b[:, held], v[held] = 0.0, 0.0, 0.0
+    reached = a.any(axis=1)
+    finite = reached & np.isfinite(u)
+    return _CellForm(a[finite], u[finite], a[reached & ~finite], b, v, q, p)
 
-    return ratio, n_cells
+
+def _masses(f: StepFunction, edges) -> np.ndarray:
+    """The integral of f between each two consecutive edges; inf where it
+    diverges or overflows the floats."""
+    out = np.full(len(edges) - 1, math.inf)
+    for i, (x0, x1) in enumerate(zip(edges[:-1], edges[1:])):
+        with contextlib.suppress(OverflowError):
+            out[i] = f.integrate(float(x0), float(x1)).value
+    return out
 
 
-def _reverse_ratio_fn(prob: HardyProblem, n_cells: int):
-    """The ratio of each row of a (rows, n_cells) array of cell levels,
-    made non-increasing first; the sup is taken at the midpoints."""
-    qq = float(prob.qq)
-    mids, widths, cell_of, wvals, nuvals = _dense_grid(prob.w, prob.nu,
-                                                       n_cells)
-    nu_over_t = nuvals / mids
-
-    def ratio(x: np.ndarray) -> np.ndarray:
-        # enforce a non-increasing test function
-        lev = np.maximum.accumulate(x[:, ::-1], axis=-1)[:, ::-1]
-        fq = (lev ** qq).take(cell_of, axis=-1)
-        lhs = (wvals * fq * widths).sum(axis=-1) ** (1.0 / qq)
-        masses = lev.take(cell_of, axis=-1) * widths
-        cums = masses.cumsum(axis=-1) - 0.5 * masses
-        rhs = (nu_over_t * cums).max(axis=-1)
-        return _row_ratio(lhs, rhs)
-
-    return ratio, n_cells
+def _cell_ratio(form: _CellForm, x: np.ndarray) -> np.ndarray:
+    """The form's ratio of each row of a (rows, dim) array of inputs, 0
+    where the right-hand side vanishes.  By einsum, not @ (see
+    ``pieces._weighted``)."""
+    ax = np.einsum("ij,rj->ri", form.a, x)
+    lhs = np.einsum("i,ri->r", form.u, ax ** form.q) ** (1.0 / form.q)
+    if len(form.a_inf):
+        lhs[np.einsum("ij,rj->ri", form.a_inf, x).any(axis=1)] = np.inf
+    bx = np.einsum("ij,rj->ri", form.b, x)
+    if form.p == math.inf:
+        rhs = bx.max(axis=1)
+    else:
+        rhs = np.einsum("j,rj->r", form.v, bx ** form.p) ** (1.0 / form.p)
+    return np.divide(lhs, rhs, out=np.zeros(len(lhs)), where=rhs > 0)

@@ -261,6 +261,37 @@ def test_hardy_oracle_of_every_continuous_kind(capsys, kind, weights):
     assert j["oracle_lower_bound"] > 0
 
 
+def test_hardy_oracle_infinite_where_the_left_side_diverges(capsys):
+    # u = t^(-1/2) is not integrable at infinity, so every test input makes
+    # the left side diverge: K and the oracle are both infinite, and the
+    # report is JSON proper
+    code, out = run(capsys, "hardy", "--kind", "head_integral",
+                    "--u", "pow(1/2)", "--v", "pow(1)", "--p", "2",
+                    "--q", "2", "--oracle")
+    assert code == 0
+    j = strict_json(out)
+    assert j["K"]["state"] == "infinite"
+    assert j["oracle_lower_bound"]["state"] == "infinite"
+
+
+def test_every_readme_command_exits_0(tmp_path, monkeypatch, capsys):
+    # each `fourierineq ...` line of the README, run in a directory that
+    # holds the files it names
+    import pathlib
+    import shlex
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    lines = [line for line in readme.read_text().splitlines()
+             if line.startswith("fourierineq ")]
+    assert len(lines) >= 8
+    (tmp_path / "coeffs.csv").write_text("1,1.0\n2,0.5\n3,0.25\n")
+    (tmp_path / "f.csv").write_text("0,2\n1,1\n3,0\ntail,zero\n")
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        code = main(shlex.split(line)[1:])
+        capsys.readouterr()
+        assert code == 0, line
+
+
 def test_norms_theta_from_csv(tmp_path, capsys):
     seq = tmp_path / "seq.csv"
     seq.write_text("1,1.0\n2,0.5\n")

@@ -125,69 +125,16 @@ def test_float_and_exact_exponents_give_one_certificate():
             assert a.value == b.value
 
 
-def test_dense_grid_matches_pointwise_loop():
-    # reference: per-cell linspace and per-point weight calls
-    from fourierineq.hardy import _dense_grid
-    prob = continuous_problem()
-    n_cells = 12
-    mids, widths, cell_of, uvals, vvals = _dense_grid(prob.u_w, prob.v_w,
-                                                      n_cells)
-    edges = np.geomspace(1.0 / 100.0, 100.0, n_cells + 1)
-    dense = np.unique(np.concatenate(
-        [np.linspace(a, b, 9) for a, b in zip(edges, edges[1:])]))
-    ref_mids = 0.5 * (dense[:-1] + dense[1:])
-    assert np.array_equal(mids, ref_mids)
-    assert np.array_equal(widths, np.diff(dense))
-    assert np.all(edges[cell_of] <= mids) and np.all(mids < edges[cell_of + 1])
-    for vals, w in ((uvals, prob.u_w), (vvals, prob.v_w)):
-        ref = np.array([w(float(t)) for t in mids])
-        assert np.allclose(vals, ref, rtol=4e-16, atol=0.0)
-
-
 # -- the lockstep ascent against the sequential one ---------------------------
 
 def _sequential_ratio(prob, n_cells):
-    """The ratio of one test input and its length: the 1-D ratios the
-    lockstep ascent replaced, kept as the reference."""
-    if prob.kind == HEAD_SUM:
-        u = np.asarray(prob.u_seq, dtype=float)
-        v = np.asarray(prob.v_seq, dtype=float)[:len(u)]
-        pp, qq = float(prob.pp), float(prob.qq)
-
-        def ratio(x):
-            tails = np.cumsum(x[::-1])[::-1]
-            lhs = float(np.sum(u * tails ** qq)) ** (1.0 / qq)
-            rhs = float(np.sum(v * x ** pp)) ** (1.0 / pp)
-            return lhs / rhs if rhs > 0 else 0.0
-        return ratio, len(u)
-    if prob.kind == REVERSE:
-        qq = float(prob.qq)
-        mids, widths, cell_of, wvals, nuvals = hardy._dense_grid(
-            prob.w, prob.nu, n_cells)
-
-        def ratio(x):
-            lev = np.maximum.accumulate(x[::-1])[::-1]
-            f = lev[cell_of]
-            lhs = float(np.sum(wvals * f ** qq * widths)) ** (1.0 / qq)
-            cums = np.cumsum(f * widths) - 0.5 * f * widths
-            rhs = float(np.max(nuvals / mids * cums))
-            return lhs / rhs if rhs > 0 else 0.0
-        return ratio, n_cells
-    pp, qq = float(prob.pp), float(prob.qq)
-    _mids, widths, cell_of, uvals, vvals = hardy._dense_grid(
-        prob.u_w, prob.v_w, n_cells)
+    """The ratio of one test input and its length: the cell form read one
+    row at a time, the reference of the lockstep ascent."""
+    form = hardy._cell_form(prob, n_cells)
 
     def ratio(x):
-        g = x[cell_of]
-        masses = g * widths
-        if prob.kind == HEAD_INTEGRAL:
-            inner = np.cumsum(masses) - 0.5 * masses
-        else:
-            inner = np.cumsum(masses[::-1])[::-1] - 0.5 * masses
-        lhs = float(np.sum(uvals * inner ** qq * widths)) ** (1.0 / qq)
-        rhs = float(np.sum(vvals * g ** pp * widths)) ** (1.0 / pp)
-        return lhs / rhs if rhs > 0 else 0.0
-    return ratio, n_cells
+        return float(hardy._cell_ratio(form, x[None, :])[0])
+    return ratio, form.b.shape[1]
 
 
 def sequential_brute_force_K(prob, rng, n_restarts=32, n_cells=24,
@@ -252,25 +199,16 @@ def test_lockstep_ascent_matches_sequential(kind):
 
 
 def _counting_ratios(monkeypatch):
-    """Wrap the three ratio factories so that every ratio call is
-    counted; returns the counter."""
+    """Wrap the cell ratio so that every ratio call is counted; returns
+    the counter."""
     calls = {"ratio": 0}
+    ratio = hardy._cell_ratio
 
-    def counted(ratio):
-        def wrapper(x):
-            calls["ratio"] += 1
-            return ratio(x)
-        return wrapper
+    def counted(form, x):
+        calls["ratio"] += 1
+        return ratio(form, x)
 
-    def factory(make):
-        def wrapped(*args):
-            ratio, dim = make(*args)
-            return counted(ratio), dim
-        return wrapped
-
-    for name in ("_discrete_ratio_fn", "_continuous_ratio_fn",
-                 "_reverse_ratio_fn"):
-        monkeypatch.setattr(hardy, name, factory(getattr(hardy, name)))
+    monkeypatch.setattr(hardy, "_cell_ratio", counted)
     return calls
 
 
@@ -333,3 +271,96 @@ def test_vanishing_rhs_weight_reads_zero_without_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert brute_force_K(prob, np.random.default_rng(0)) == 0.0
+
+
+# -- the cell form against the exact ratio of its test function ---------------
+
+def _cell_edges(f, g, n_cells):
+    """The cell edges of a continuous problem with weights f and g."""
+    knots = sorted({k for s in (f, g) for k in s.breakpoints if k > 0})
+    lo = (knots[0] if knots else 1.0) / 100.0
+    hi = (knots[-1] if knots else 1.0) * 100.0
+    return np.geomspace(lo, hi, n_cells + 1)
+
+
+def _quad(fn, a, b, knots):
+    """int_a^b fn by scipy's quad, split at the knots."""
+    from scipy.integrate import quad
+    cuts = [a, *(k for k in knots if a < k < b), b]
+    return math.fsum(quad(fn, lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                     for lo, hi in zip(cuts[:-1], cuts[1:]))
+
+
+def _exact_ratio(prob, n_cells, x):
+    """The exact ratio of the test function that the cell form reads for
+    input x: the discrete norms by their sums, the continuous ones by
+    scipy's quad, and the reverse sup on a fine grid."""
+    pp, qq = float(prob.pp), float(prob.qq)
+    if prob.kind == HEAD_SUM:
+        u, v = np.asarray(prob.u_seq), np.asarray(prob.v_seq)
+        tails = np.cumsum(x[::-1])[::-1]
+        return (float(np.sum(u * tails ** qq)) ** (1 / qq)
+                / float(np.sum(v * x ** pp)) ** (1 / pp))
+    if prob.kind == REVERSE:
+        e = _cell_edges(prob.w, prob.nu, n_cells)
+        e[0] = 0.0
+        lev = np.cumsum(x[::-1])[::-1]
+        lhs = math.fsum(lv ** qq * _quad(prob.w, a, b, prob.w.breakpoints)
+                        for lv, a, b in zip(lev, e[:-1], e[1:])) ** (1 / qq)
+        t = np.union1d(np.geomspace(e[1] / 1e3, e[-1] * 1e3, 20001), e[1:])
+        F = np.interp(t, e, np.concatenate([[0.0],
+                                            np.cumsum(lev * np.diff(e))]))
+        return lhs / float(np.max(prob.nu.at(t) / t * F))
+    u, v = prob.u_w, prob.v_w
+    e = _cell_edges(u, v, n_cells)
+    mass = x * np.diff(e)
+    if prob.kind == HEAD_INTEGRAL:  # int_0^t g on cell j, and beyond
+        before = np.concatenate([[0.0], np.cumsum(mass)[:-1]])
+        inner = [lambda t, j=j: before[j] + x[j] * (t - e[j])
+                 for j in range(n_cells)]
+        ends = (e[-1], math.inf)
+    else:  # int_t^inf g on cell j, and below
+        after = np.cumsum(mass[::-1])[::-1] - mass
+        inner = [lambda t, j=j: after[j] + x[j] * (e[j + 1] - t)
+                 for j in range(n_cells)]
+        ends = (0.0, e[0])
+    lhs = math.fsum([mass.sum() ** qq * _quad(u, *ends, u.breakpoints),
+                     *(_quad(lambda t, h=h: u(t) * h(t) ** qq, a, b,
+                             u.breakpoints)
+                       for h, a, b in zip(inner, e[:-1], e[1:]))])
+    rhs = math.fsum(xj ** pp * _quad(v, a, b, v.breakpoints)
+                    for xj, a, b in zip(x, e[:-1], e[1:]))
+    return lhs ** (1 / qq) / rhs ** (1 / pp)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_cell_ratio_is_a_lower_bound_of_the_exact_ratio(kind):
+    # random inputs on the benchmark's problem and five random problems:
+    # the cell form never exceeds the exact ratio of its test function,
+    # and it is exact for sequences
+    pytest.importorskip("scipy")
+    n_cells = 10
+    rng = np.random.default_rng(11)
+    probs = [bench_problem(kind),
+             *random_hardy_problems(kind, np.random.default_rng(7), n=5)]
+    for prob in probs:
+        form = hardy._cell_form(prob, n_cells)
+        for x in rng.lognormal(0.0, 1.0, size=(3, form.b.shape[1])):
+            got = float(hardy._cell_ratio(form, x[None, :])[0])
+            exact = _exact_ratio(prob, n_cells, x)
+            assert 0.0 < got <= exact * (1.0 + 1e-9)
+            if kind == HEAD_SUM:
+                assert got == pytest.approx(exact, rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("R", [1.0, 2.0])
+def test_brute_force_reads_the_sharp_reverse_constant(R):
+    # w = 1 on (0, R), nu = t, qq = 1/2: (int_0^R f**(1/2))**2 <= R int_0^R f
+    # by Cauchy-Schwarz, with equality for f constant on (0, R), so the
+    # optimal constant is R
+    prob = HardyProblem(REVERSE, 1.0, 0.5, w=StepFunction.indicator(R),
+                        nu=StepFunction.power(1.0, -1))
+    for seed in (1, 2, 3):
+        best = brute_force_K(prob, np.random.default_rng(seed))
+        assert best == pytest.approx(R, rel=1e-9, abs=0.0)
+        assert best <= R * (1.0 + 1e-12)
