@@ -51,7 +51,7 @@ def _psi_fn(F: Profile) -> Callable:
     """x -> Psi_F(x) for an array x."""
     F = as_cells(F)
     if not isinstance(F, Cells):
-        return star(F).pow_compose(2.0).cumulative().at
+        return star(F).pow_compose(2.0).cumulative()
     edges, levels = star_cells(F)
     sq = np.append(levels * levels, 0.0)
     acc = np.concatenate(([0.0], np.cumsum(sq[:-1] * np.diff(edges))))

@@ -119,12 +119,14 @@ def cmd_hardy(args) -> int:
         pp = parse_exp(args.p)
         qq = parse_exp(args.q)
         if args.kind == "head_sum":
+            if args.v is None:
+                raise ValueError("--v is required for head_sum")
             useq = [float(x) for x in args.u.split(",")]
             vseq = [float(x) for x in args.v.split(",")]
         else:
             uw = _weight(args.u, NONINCREASING)
             if args.kind != "reverse":
-                vw = _weight(args.v, NONDECREASING)
+                vw = _weight(args.v or "pow(0)", NONDECREASING)
     import numpy as np
     from . import hardy, pieces
     with _malformed():
@@ -352,8 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--u", required=True,
                     help="weight DSL (or comma-separated values for "
                          "head_sum; the w weight for reverse)")
-    ph.add_argument("--v", default="pow(0)",
-                    help="weight DSL or comma-separated values")
+    ph.add_argument("--v", help="weight DSL (default pow(0)), or comma-"
+                                "separated values, required, for head_sum")
     ph.add_argument("--p", required=True)
     ph.add_argument("--q", required=True)
     ph.add_argument("--oracle", action="store_true",

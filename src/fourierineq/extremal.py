@@ -116,10 +116,10 @@ def _dual_weight(u: WeightSpec, T: SampledSignal, q) -> np.ndarray:
     singular = np.flatnonzero(~np.isfinite(w))
     if is_inf(q) or not len(singular):
         return w
-    uq = u.profile().pow_compose(q)
-    for i in singular:
-        r0, r1 = max(abs(T.xs[i]) - T.dx / 2, 0.0), abs(T.xs[i]) + T.dx / 2
-        w[i] = (uq.integrate(r0, r1).value / (r1 - r0)) ** (1.0 / float(q))
+    xi = np.abs(T.xs[singular])
+    r0, r1 = np.maximum(xi - T.dx / 2, 0.0), xi + T.dx / 2
+    w[singular] = (u.profile().pow_compose(q).integrals(r0, r1)
+                   / (r1 - r0)) ** (1.0 / float(q))
     return w
 
 
@@ -404,42 +404,35 @@ def cube_pair_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,
     return guarded(compute)
 
 
-_BLOCK_MAX = 4000  # blocks a side of a _block_sum, at most
-_BLOCK_REL_TOL = 1e-10  # a _block_sum stops at a term this small a share
+_BLOCK_MAX = 4000  # blocks a side of a _block_sum summed term by term
 
 
 def _block_sum(prof: StepFunction, e_in: Exponent, e_out: Exponent,
                width: float) -> float:
-    """sum_n (integral of prof**e_in over block n)**e_out over the blocks
-    of the given width centred at n * width, n in Z, on both sides of the
-    origin (prof is a radial profile), for exact exponents.  Its terms go
-    like (prof**e_in)**e_out at inf, so it is inf where the end rule finds
-    that term not integrable there, and where a block mass is inf.  The
-    sum stops after _BLOCK_MAX blocks a side, or once a term (n > 8) falls
-    below _BLOCK_REL_TOL times the sum."""
+    """sum_n (integral of prof**e_in over block n)**e_out over the blocks of
+    the given width centred at n * width, n in Z (prof is a radial
+    profile), for exact exponents: inf where the end rule finds the terms'
+    tail (prof**e_in)**e_out not integrable, or a block mass is inf.  The
+    masses of the _BLOCK_MAX = N blocks a side come from one call of
+    ``StepFunction.integrals``; the rest of a side is width**(e_out - 1)
+    times the end rule's leading term of the integral of that tail beyond
+    (N + 1/2) width (left out where that point is not past 1 and the tail
+    has a log factor)."""
     powed = prof.pow_compose(e_in)
-    if not SymFunc.from_step(powed).tail.pow(e_out).integrable(
-            at_zero=False):
+    term = SymFunc.from_step(powed).tail.pow(e_out)
+    if not term.integrable(at_zero=False):
         return math.inf
     fe = float(e_out)
-
-    def mass(a: float, b: float) -> float:
-        val = powed.integrate(max(a, 0.0), b)
-        return val.value if val.is_finite else math.inf
-
-    half = width / 2.0
-    tot = (2.0 * mass(0.0, half)) ** fe
-    n = 1
-    while n <= _BLOCK_MAX:
-        m = mass(n * width - half, n * width + half)
-        if math.isinf(m):
-            return math.inf
-        term = 2.0 * m ** fe
-        tot += term
-        if term < _BLOCK_REL_TOL * tot and n > 8:
-            break
-        n += 1
-    return tot
+    edges = width * (np.arange(_BLOCK_MAX + 1) + 0.5)
+    masses = powed.integrals(np.append(0.0, edges[:-1]), edges)
+    if np.isinf(masses).any():
+        return math.inf
+    far, rest, beyond = edges[-1], term.integrated(), 0.0
+    if rest.coef and (rest.b == 0 or far > 1.0):
+        beyond = (rest.coef * far ** float(rest.a)
+                  * math.log(far) ** float(rest.b) * width ** (fe - 1.0))
+    return ((2.0 * masses[0]) ** fe
+            + 2.0 * (math.fsum((masses[1:] ** fe).tolist()) + beyond))
 
 
 def block_l2_condition(u: WeightSpec, v: WeightSpec, cfg: ExponentConfig,

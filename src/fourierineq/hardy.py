@@ -21,7 +21,6 @@ the rounding of the cell masses.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -254,35 +253,25 @@ def _cell_form(prob: HardyProblem, n_cells: int) -> _CellForm:
         cells = np.ones((n_cells + 1, n_cells))
         if prob.kind == REVERSE:
             edges[0] = 0.0
-            u, a = _masses(f, edges), np.triu(cells[1:])
+            u, a = f.integrals(edges[:-1], edges[1:]), np.triu(cells[1:])
             j = np.arange(n_cells)
             left = edges[np.maximum(j, 1)]
             b = ((g.at(left) / left)[:, None]
                  * edges[1:][np.minimum.outer(j, j)])
             v, p = np.zeros(n_cells), math.inf
         else:
-            b, v = np.eye(n_cells), _masses(g, edges)
+            b, v = np.eye(n_cells), g.integrals(edges[:-1], edges[1:])
             if prob.kind == HEAD_INTEGRAL:
-                u = _masses(f, [*edges, math.inf])
+                u = f.integrals(edges, np.append(edges[1:], math.inf))
                 a = np.tril(cells, -1) * np.diff(edges)
             else:
-                u = _masses(f, [0.0, *edges])
+                u = f.integrals(np.append(0.0, edges[:-1]), edges)
                 a = np.triu(cells) * np.diff(edges)
     held = np.isinf(v)
     a[:, held], b[:, held], v[held] = 0.0, 0.0, 0.0
     reached = a.any(axis=1)
     finite = reached & np.isfinite(u)
     return _CellForm(a[finite], u[finite], a[reached & ~finite], b, v, q, p)
-
-
-def _masses(f: StepFunction, edges) -> np.ndarray:
-    """The integral of f between each two consecutive edges; inf where it
-    diverges or overflows the floats."""
-    out = np.full(len(edges) - 1, math.inf)
-    for i, (x0, x1) in enumerate(zip(edges[:-1], edges[1:])):
-        with contextlib.suppress(OverflowError):
-            out[i] = f.integrate(float(x0), float(x1)).value
-    return out
 
 
 def _cell_ratio(form: _CellForm, x: np.ndarray) -> np.ndarray:

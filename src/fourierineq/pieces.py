@@ -10,17 +10,12 @@ right-continuous, and at a breakpoint it takes the piece on the right
 the value one ulp below, which ``SymFunc.sup`` reads at every knot.
 Constant cells are pieces with coef = 0; power leads/tails are pieces with
 offset = 0.  ``StepFunction.from_cells`` builds cells on a sequence of grid
-points from 0, checked by ``Piece`` and ``StepFunction``, with a lead and a
-tail given as ``TailSpec``.  The shift parameter lets a rearrangement move a power piece
-along the half line with its shape kept.  The family
-{offset + c*(t-shift)**a} is closed under inversion only up to sign: the
-inverse of a piece shifted left of 0 needs a negative offset, which a
-Piece does not hold (``rearrange.distribution`` rejects it).
-
-The exponent rule (every exponent slot holds a Fraction, or math.inf), its
-parser and the exponent helpers live in ``exponents``; ``as_exp`` and
-``parse_exp`` are imported here and keep their names ``pieces.as_exp`` and
-``pieces.parse_exp``.
+points from 0 with a lead and a tail given as ``TailSpec``.  The shift lets
+a rearrangement move a power piece along the half line with its shape
+kept; the inverse of a piece shifted left of 0 needs a negative offset,
+which a Piece does not hold (``rearrange.distribution`` rejects it).  The
+exponent rule and its parser live in ``exponents`` (``as_exp`` and
+``parse_exp`` keep their names here).
 
 The end rule decides, by one formula at both ends of (0, inf), whether a
 term c * t**a * L**b (L = log(1/t) at 0, log(t) at inf) is integrable there,
@@ -28,26 +23,20 @@ its limit there and the leading term of its integral (``end_integrable``,
 ``end_limit``, ``end_integral``), comparing the exact exponents.  Pieces and
 the asymptotic terms of ``symfunc`` take every end decision from it.
 
-Coefficients are floats.  A piece without a log factor has one closed-form
-integral, ``_closed_integral``, on floats or arrays: ``Piece.integral`` and
-``StepCumulative.at`` both read it.  Quadrature is used only where a closed
-form does not exist (log factors over finite ranges, infinite tails with
-log factors), and only after convergence has been decided symbolically.
-The reciprocal 1/f of a StepFunction is ``pow_compose(-1)``.
+A StepFunction has one integral, ``StepFunction.integrals``: over every
+interval of two arrays at once, from sums of the whole-piece integrals and
+the parts of the pieces that hold the ends.  A part without a log factor is
+the closed form ``_closed_integral``, on arrays; one with a log factor is
+quadrature, batched per piece (``_log_integrals``), after the end rule has
+decided convergence.  The reciprocal 1/f is ``pow_compose(-1)``.
 
-Array evaluators (``Piece.at``, ``StepFunction.at``, ``StepCumulative.at``)
-compute a whole array of points with numpy's logs and powers, which on an
-AVX-512 x86 host differ from the C library's in the last bit for about 5%
-of exp and pow values; so an array value may differ from the scalar
-``Piece.__call__`` and ``StepFunction.__call__`` by a few ulp.  The
-package's one quadrature rule is the graded rule ``quad_cells``: it
-integrates cells at once, each in a variable x in (0, 1) whose map
-u = a + (b - a) x**2 (3 - 2 x) flattens an algebraic singularity at either
-end, halving in x, as arrays, the pieces that QUADPACK's first
-Gauss-Kronrod stage (dqk21, here ``first_stage`` on arrays) leaves open.
-Every integral of the package runs through it: those of a ``SymFunc``,
-the log-factor pieces of ``Piece.integral`` and the series tails of
-``norms``.  It needs numpy alone.
+Array evaluators and ``integrals`` compute with numpy's logs and powers,
+which on an AVX-512 x86 host differ from the C library's in the last bit
+for about 5% of exp and pow values, so an array value may differ from the
+scalar ``__call__`` by a few ulp.  The package's one quadrature rule is the
+graded rule ``quad_cells``, on numpy alone: the integrals of a ``SymFunc``,
+the log-factor parts of ``integrals`` and the series tails of ``norms`` all
+run through it.
 """
 
 from __future__ import annotations
@@ -220,8 +209,8 @@ def quad_cells(at, a: np.ndarray, b: np.ndarray, epsabs=0.0) -> np.ndarray:
     once in ``QUAD_FLAGS``, under "limit" or "roundoff".  A cell of width
     0 is 0.
 
-    The package's one quadrature rule: ``Cumulative.at``, ``end_quad``
-    and the integrals of ``log_cells`` all go through it."""
+    The package's one quadrature rule: ``Cumulative.at``, ``end_quad``,
+    ``log_cells`` and ``_log_integrals`` all go through it."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     n = len(a)
@@ -594,59 +583,6 @@ class Piece:
         a, b = abs(float(self.a)), abs(float(self.b))
         return b * top <= a or b * min(ends) >= a
 
-    # -- calculus -------------------------------------------------------
-    def integral(self, x0: float, x1: float) -> ExtReal:
-        """Integral over (x0, x1) subset of (lo, hi); endpoints may be 0/inf.
-        Divergence is decided first, by the end rule; then the closed form
-        ``_closed_integral`` gives the value of a piece without a log factor
-        and quadrature that of one with a log factor.  OverflowError where
-        the value passes the floats' range."""
-        x0 = max(x0, self.lo)
-        x1 = min(x1, self.hi)
-        if x1 <= x0:
-            return ExtReal.finite(0.0)
-        # constant part
-        if self.offset > 0.0 or self.coef == 0.0:
-            if math.isinf(x1) and self.offset > 0.0:
-                return ExtReal.infinite("constant level over infinite measure")
-            if math.isinf(self.offset):
-                return ExtReal.infinite("infinite level on a cell")
-        # symbolic convergence checks; the log factor ~ 1 at a head s = 0
-        a, b = self.a, self.b
-        if self.coef != 0.0:
-            if (x0 - self.shift <= 0.0
-                    and not end_integrable(self.coef, a, 0, True)):
-                return ExtReal.infinite(
-                    f"non-integrable head exponent {self.a} at t={self.shift}"
-                )
-            if math.isinf(x1) and not end_integrable(self.coef, a, b, False):
-                return ExtReal.infinite(
-                    f"non-integrable tail exponents (a={self.a}, b={self.b})")
-        if b == 0 or self.coef == 0.0:
-            val = float(_closed_integral(self, x0, x1))
-        else:
-            # certified-convergent quadrature for log factors, of the piece
-            # in s = t - shift: a head at s = 0 by the end rule of its power
-            # (the log factor tends to 1 there), the cells up to s = 1 or
-            # s1, and an infinite tail by its own
-            s0 = max(x0 - self.shift, 0.0)
-            s1 = x1 - self.shift
-            g_at = replace(self, offset=0.0, shift=0.0).at
-            lo = min(s1, 1.0) if s0 == 0.0 else s0
-            hi = max(lo, 1.0) if math.isinf(s1) else s1
-            val = 0.0
-            with np.errstate(over="ignore"):  # an overflow is inf, read below
-                if s0 == 0.0:
-                    val += end_quad(g_at, replace(self, b=0), 0.0, lo)
-                if hi > lo:
-                    val += log_cells(g_at, [lo, hi])
-                if math.isinf(s1):
-                    val += end_quad(g_at, self, hi, math.inf)
-            val += self.offset * (x1 - x0) if not math.isinf(x1) else 0.0
-        if not math.isfinite(val):  # past the floats' range
-            raise OverflowError(f"integral of a piece over ({x0}, {x1})")
-        return ExtReal.finite(val)
-
     # -- algebra ---------------------------------------------------------
     def pow(self, e: Exponent) -> "Piece":
         e = as_exp(e)
@@ -711,7 +647,7 @@ class StepFunction:
     piece's (``__call__`` and ``at`` agree there).
     """
 
-    __slots__ = ("pieces", "_los")
+    __slots__ = ("pieces", "_los", "_table")
 
     def __init__(self, pieces: Iterable[Piece]):
         ps = sorted(pieces, key=lambda p: p.lo)
@@ -724,6 +660,7 @@ class StepFunction:
             ps.append(Piece(ps[-1].hi, math.inf))
         self.pieces: tuple[Piece, ...] = tuple(ps)
         self._los = [p.lo for p in self.pieces]
+        self._table = None  # built on first use
 
     # -- constructors ----------------------------------------------------
     @staticmethod
@@ -847,21 +784,83 @@ class StepFunction:
         return True
 
     # -- calculus ------------------------------------------------------------
-    def integrate(self, x0: float = 0.0, x1: float = math.inf) -> ExtReal:
-        if x1 <= x0:
-            return ExtReal.finite(0.0)
-        total = ExtReal.finite(0.0)
-        for p in self.pieces:
-            if p.hi <= x0 or p.lo >= x1:
-                continue
-            total = total + p.integral(x0, x1)
-            if total.is_infinite:
-                return total
-        return total
+    def integrals(self, lo, hi) -> np.ndarray:
+        """The integral of f over every (lo[k], hi[k]) of two arrays, or an
+        array and a float: 0 where hi <= lo, inf where it diverges or passes
+        the floats' range; whole pieces by prefix sums (suffix sums where less
+        mass lies right of them), the pieces an end cuts by ``_parts``."""
+        lo = np.maximum(lo, 0.0)
+        lo, hi = lo + np.zeros(np.shape(hi)), np.maximum(hi, lo)
+        los, his, _, _, pre, suf, n_inf = self._arrays()
+        i, j = np.searchsorted(los, np.array([lo, hi]), side="right") - 1
+        to_inf, live = hi == math.inf, hi > lo
+        cut_i = (lo > los[i]) & live
+        cut_j = (hi > los[j]) & ~to_inf & ((j > i) | ~cut_i)
+        stop = j + to_inf
+        first = np.minimum(i + cut_i, stop)
+        with np.errstate(all="ignore"):  # inf - inf reads inf below
+            total = np.where(pre[first] <= suf[stop], pre[stop] - pre[first],
+                             suf[first] - suf[stop])
+            if n_inf[-1]:
+                total[n_inf[stop] > n_inf[first]] = math.inf
+            for cut, k in ((cut_i, i), (cut_j, j)):  # clipped to the piece
+                if cut.any():
+                    k = k[cut]
+                    total[cut] += self._parts(k, np.maximum(lo[cut], los[k]),
+                                              np.minimum(hi[cut], his[k]))
+        total[~live] = 0.0  # (inf, inf) too
+        return np.fmin(total, math.inf)
 
-    def cumulative(self, from_left: bool = True) -> "StepCumulative":
-        """t -> integral_0^t f (from_left) or t -> integral_t^inf f."""
-        return StepCumulative(self, from_left)
+    def _arrays(self) -> tuple:
+        """Built on first use: lo, hi, rows offset, coef (0 with a log
+        factor), shift, a + 1 (0 at a = -1), the log-factor pieces, and the
+        prefix and suffix sums of the finite whole-piece integrals and the
+        count of the infinite ones."""
+        if self._table is None:
+            cols = np.array([[p.hi, p.offset, 0.0 if p.b else p.coef, p.shift,
+                              0.0 if p.a == -1 else float(p.a) + 1.0]
+                             for p in self.pieces]).T
+            logs = [k for k, p in enumerate(self.pieces) if p.b and p.coef]
+            self._table = (np.array(self._los), cols[0], cols[1:], logs)
+            with np.errstate(all="ignore"):
+                whole = self._parts(np.arange(len(cols[0])),
+                                    self._table[0], cols[0])
+            inf = np.isinf(whole)
+            fin = np.where(inf, 0.0, whole)
+            self._table += (np.append(0.0, fin.cumsum()),
+                            np.append(fin[::-1].cumsum()[::-1], 0.0),
+                            np.append(0, inf.cumsum()))
+        return self._table
+
+    def _parts(self, idx, x0, x1) -> np.ndarray:
+        """The integral of piece idx[k] over (x0[k], x1[k]), x0 < x1 in its
+        interval (inf where it diverges or passes the floats' range)."""
+        params, logs = self._table[2:4]
+        out = _closed_integral(*params.take(idx, axis=1), x0, x1)
+        for k in logs:
+            sel = idx == k
+            if sel.any():
+                out[sel] += _log_integrals(self.pieces[k], x0[sel], x1[sel])
+        return np.fmin(out, math.inf)  # nan, of inf - inf or 0 * inf, is inf
+
+    def integrate(self, x0: float = 0.0, x1: float = math.inf) -> ExtReal:
+        """The integral over (x0, x1) by ``integrals``; if inf, the end
+        rule's reason (``_divergence``), or OverflowError past the floats."""
+        val = float(self.integrals(np.array([x0]), np.array([x1]))[0])
+        if val < math.inf:
+            return ExtReal.finite(val)
+        for p in self.pieces:
+            reason = p.lo < x1 and x0 < p.hi and _divergence(
+                p, max(x0, p.lo) <= p.shift, min(x1, p.hi) == math.inf)
+            if reason:
+                return ExtReal.infinite(reason)
+        raise OverflowError(f"integral over ({x0}, {x1}) passes the floats")
+
+    def cumulative(self, from_left: bool = True):
+        """ts -> integral_0^t f (from_left) or integral_t^inf f at every t of
+        an array, by ``integrals``."""
+        return ((lambda ts: self.integrals(0.0, ts)) if from_left
+                else (lambda ts: self.integrals(ts, math.inf)))
 
     # -- algebra ---------------------------------------------------------------
     def pow_compose(self, e: float) -> "StepFunction":
@@ -951,80 +950,57 @@ class StepFunction:
         return f"StepFunction({len(self.pieces)} pieces on (0, inf))"
 
 
-class StepCumulative:
-    """t -> integral_0^t f (from_left) or t -> integral_t^inf f of a
-    StepFunction f, as prefix sums of the piece integrals plus the partial
-    integral of the piece holding t; inf beyond a divergent piece.  Exact
-    for pieces without log factors: ``at`` evaluates each piece's partial
-    integrals on the group of points of an array that the piece holds, by
-    the piece's one closed form (``_closed_integral``), and only those of
-    a piece with a log factor by ``Piece.integral`` point by point."""
-
-    __slots__ = ("pieces", "los", "from_left", "base")
-
-    def __init__(self, f: StepFunction, from_left: bool):
-        self.pieces, self.los, self.from_left = f.pieces, f._los, from_left
-        acc = [0.0]
-        for p in (f.pieces[:-1] if from_left else f.pieces[:0:-1]):
-            seg = p.integral(p.lo, p.hi)
-            acc.append(acc[-1] + (seg.value if seg.is_finite else math.inf))
-        self.base = acc if from_left else acc[::-1]
-
-    def _partial(self, i: int, t: float) -> float:
-        """The partial integral of piece i at t by ``Piece.integral``; inf
-        where it diverges, or overflows the floats."""
-        p = self.pieces[i]
-        try:
-            part = (p.integral(p.lo, t) if self.from_left
-                    else p.integral(t, p.hi))
-        except OverflowError:
-            return math.inf
-        return part.value if part.is_finite else math.inf
-
-    def at(self, ts: np.ndarray) -> np.ndarray:
-        """The integral at every point of the array ts."""
-        ts = np.asarray(ts, dtype=float)
-        idx = np.searchsorted(self.los, ts, side="right") - 1
-        out = np.zeros(ts.shape)
-        if not self.from_left:  # left of 0: the integral from 0
-            ts = np.where(idx < 0, 0.0, ts)
-            idx = np.maximum(idx, 0)
-        held = np.bincount(idx[idx >= 0], minlength=len(self.pieces))
-        for i in np.flatnonzero(held):
-            sel = np.flatnonzero(idx == i)
-            p, t = self.pieces[i], ts[sel]
-            if p.b != 0 and p.coef != 0.0:  # a log factor
-                vals = np.array([self._partial(i, x) for x in t.tolist()])
-            elif self.from_left:
-                vals = _closed_integral(p, p.lo, np.minimum(t, p.hi))
-            else:
-                vals = _closed_integral(p, t, p.hi)
-            out[sel] = self.base[i] + vals
-        return out
+def _closed_integral(offset, coef, shift, a1, x0, x1) -> np.ndarray:
+    """offset (x1 - x0) + coef ((x1 - shift)**a1 - (x0 - shift)**a1) / a1,
+    or coef log((x1 - shift) / (x0 - shift)) at a1 = 0 (t - shift clamped
+    at 0): the integral of a piece without a log factor, on arrays, inf or
+    nan where it diverges or passes the floats' range.  Its powers and logs
+    are numpy's (see the module docstring), run only where coef != 0."""
+    total = np.where(offset != 0.0, offset * (x1 - x0), 0.0)
+    k = coef.nonzero()[0]
+    if len(k):
+        c, a, sh = coef[k], a1[k], shift[k]
+        s0, s1 = np.maximum(x0[k] - sh, 0.0), np.maximum(x1[k] - sh, 0.0)
+        pw = c * (s1 ** a - s0 ** a) / a
+        total[k] += (pw if a.all()
+                     else np.where(a == 0.0, c * np.log(s1 / s0), pw))
+    return total
 
 
-def _closed_integral(p: Piece, x0, x1):
-    """The integral over (x0, x1) of the piece p without a log factor, for
-    ends x0 and x1 in its interval, floats or arrays: offset (x1 - x0) +
-    c ((x1 - shift)**(a+1) - (x0 - shift)**(a+1)) / (a+1), or
-    c log((x1 - shift) / (x0 - shift)) at a = -1, with t - shift clamped
-    at 0.  It reads 0 on an empty range, and inf where the integral
-    diverges (an infinite level, a level over an infinite range, a
-    divergent tail, a head that is not integrable) or passes the floats'
-    range.  The power of a float end is the C library's (a numpy
-    scalar's), of an array numpy's; the log at a = -1 is numpy's."""
-    with np.errstate(all="ignore"):
-        total = p.offset * (x1 - x0) if p.offset else 0.0
-        if p.coef != 0.0:
-            s0 = np.maximum(x0 - p.shift, 0.0)
-            s1 = np.maximum(x1 - p.shift, 0.0)
-            if p.a == -1:
-                total = total + p.coef * np.log(s1 / s0)
-            else:
-                a1 = float(p.a) + 1.0
-                total = total + p.coef * (s1 ** a1 - s0 ** a1) / a1
-        total = np.where(x1 > x0, total, 0.0)
-    return np.fmin(total, math.inf)  # nan, of inf - inf or inf * 0, is inf
+def _divergence(p: Piece, head: bool, tail: bool) -> str | None:
+    """Why the integral of p over a range diverges by the end rule, or
+    None: head where the range reaches t = shift, tail where it reaches inf."""
+    if tail and p.offset > 0.0:
+        return "constant level over infinite measure"
+    if math.isinf(p.offset):
+        return "infinite level on a cell"
+    if p.coef != 0.0:
+        if head and not end_integrable(p.coef, p.a, 0, True):
+            return f"non-integrable head exponent {p.a} at t={p.shift}"
+        if tail and not end_integrable(p.coef, p.a, p.b, False):
+            return f"non-integrable tail exponents (a={p.a}, b={p.b})"
+    return None
+
+
+def _log_integrals(p: Piece, x0, x1) -> np.ndarray:
+    """The integral of p's term coef s**a log(e+s)**b (s = t - shift) over
+    every (x0[k], x1[k]), inf where ``_divergence`` finds it divergent: one
+    ``end_quad`` to e0 = min(1, least end) for all heads, one from e1 =
+    max(1, largest start) for all tails, the rest in log t in one call."""
+    s0, s1 = np.maximum(x0 - p.shift, 0.0), x1 - p.shift
+    head, tail = s0 == 0.0, np.isinf(s1)
+    g_at = replace(p, offset=0.0, shift=0.0).at
+    e0 = min(1.0, float(s1[head].min(initial=1.0)))
+    c0 = np.where(head, e0, s0)
+    e1 = max(1.0, float(c0[tail].max(initial=1.0)))
+    out = quad_cells(log_integrand(g_at), np.log(c0),
+                     np.log(np.where(tail, e1, s1)))
+    for ends, t0, t1, end in ((head, 0.0, e0, replace(p, b=0)),
+                              (tail, e1, math.inf, p)):
+        if ends.any():
+            bad = _divergence(p, ends is head, ends is tail)
+            out[ends] += math.inf if bad else end_quad(g_at, end, t0, t1)
+    return out
 
 
 def _overlaps(f: StepFunction, g: StepFunction):

@@ -498,7 +498,7 @@ class SymFunc:
             step = StepFunction.power(near.coef, -near.a)
             return SymFunc(near, near, knots, step=step, at=step.at)
         if self.step is not None:
-            at = self.step.cumulative(from_left).at
+            at = self.step.cumulative(from_left)
             total = self.step.integrate().value
         else:
             head_int, segs, tail_int = self._knot_integrals()

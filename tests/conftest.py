@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -40,6 +41,37 @@ def random_power_step(rng: np.random.Generator, cells: int,
         edges.tolist(), vals.tolist(),
         TailSpec.zero() if tail is None else TailSpec.power(tail),
         None if lead is None else TailSpec.power(lead))
+
+
+def decimal_integral(f: StepFunction, x0: float, x1: float) -> float:
+    """integral_{x0}^{x1} f for f of pieces without a log factor: each
+    piece's part over its share (a, b) of (x0, x1), offset (b - a) +
+    c ((b - shift)**(a+1) - (a - shift)**(a+1)) / (a+1), or
+    c log((b - shift) / (a - shift)) at a = -1, summed in 30-digit decimal
+    arithmetic from the float ends and parameters and the exact exponents;
+    inf where a part diverges (decimal's inf, or its nan of inf - inf)."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 30
+        ctx.traps[decimal.DivisionByZero] = False
+        ctx.traps[decimal.InvalidOperation] = False
+        total = D(0)
+        for p in f.pieces:
+            a, b = max(x0, p.lo), min(x1, p.hi)
+            if b <= a:
+                continue
+            assert p.b == 0 or p.coef == 0.0, "closed-form pieces only"
+            if p.offset:
+                total += D(p.offset) * (D(b) - D(a))
+            if p.coef:
+                s0, s1 = max(D(a) - D(p.shift), D(0)), D(b) - D(p.shift)
+                a1 = p.a + 1
+                if a1 == 0:
+                    total += D(p.coef) * (s1 / s0).ln()
+                else:
+                    e = D(a1.numerator) / D(a1.denominator)
+                    total += D(p.coef) * (s1 ** e - s0 ** e) / e
+        return math.inf if total.is_nan() else float(total)
 
 
 def measure_above(f: StepFunction, lam: float) -> float:

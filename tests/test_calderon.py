@@ -114,7 +114,7 @@ def test_cell_psi_matches_step_calculus(rng):
         F = random_cells(rng, max_cells=8)
         ref = star(F).pow_compose(2.0).cumulative()
         for x in [1e-3, 0.7, 2.5, 9.0, 50.0]:
-            assert psi(F, x) == pytest.approx(ref.at(np.array([x]))[0],
+            assert psi(F, x) == pytest.approx(ref(np.array([x]))[0],
                                               rel=1e-13, abs=0)
 
 

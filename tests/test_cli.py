@@ -231,6 +231,18 @@ def test_hardy_discrete_with_oracle(capsys):
     assert j["oracle_lower_bound"] > 0
 
 
+def test_hardy_head_sum_requires_v(capsys):
+    # the weight default pow(0) of --v is no sequence: head_sum without --v
+    # names the missing option; the other kinds keep pow(0)
+    code = main(["hardy", "--kind", "head_sum", "--u", "1,0.5", "--p", "2",
+                 "--q", "1"])
+    assert code == 2
+    assert "--v is required for head_sum" in capsys.readouterr().err
+    code, out = run(capsys, "hardy", "--kind", "tail_integral", "--u",
+                    "ind(1)", "--p", "2", "--q", "2")
+    assert code == 0 and strict_json(out)["K"]["state"] == "infinite"
+
+
 def test_hardy_discrete_oracle_with_a_short_v(capsys):
     # v is padded with inf to the length of u, and x_3 held at 0 where
     # v_3 = inf: K and the oracle read the same problem

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fourierineq import extremal
+from fourierineq import extremal, pieces
 from fourierineq.criteria import ExponentConfig
 from fourierineq.extremal import (SampledSignal, bracket_constant,
                                   block_l2_condition, cube_pair_condition,
@@ -408,6 +408,32 @@ def test_block_sums_are_decided_by_the_end_rule():
     v = WeightSpec.powerlog(Fraction(1, 4), 1, NONDECREASING)
     r = block_l2_condition(u, v, cfg, s=1.0)
     assert r.is_finite and r.value == pytest.approx(2.0944, rel=1e-4)
+
+
+def test_block_series_adds_its_remainder():
+    # powlog(1/4, 1) at (p, q) = (4, 1), s = 1: the terms go like
+    # 1/(n log^4 n), and the 4,000 blocks a side alone read 2.0944214.  The
+    # reference is the partial sum of the first 4,000 blocks a side plus the
+    # mpmath block tail 2 * integral_{N+1/2}^inf m(x)**3 dx, m(x) the mass of
+    # v**(-4/3) on the block of width 2 centred at 2x (with 64,000 blocks
+    # a side and their tail the sum agrees to 1e-12); recomputed with the
+    # tail integrated in u = log x, it reads 2.0945212622
+    u = WeightSpec.indicator(1.0)
+    v = WeightSpec.powerlog(Fraction(1, 4), 1, NONDECREASING)
+    r = block_l2_condition(u, v, ExponentConfig(4, 1), s=1.0)
+    assert r.is_finite and abs(r.value - 2.0945212260) < 1e-6
+
+
+def test_block_sum_reaches_quadrature_in_one_batch(monkeypatch):
+    # the blocks of a power-log profile are log-factor integrals: they reach
+    # quad_cells together, in a bounded number of calls, not one per block
+    cells = []
+    quad_cells = pieces.quad_cells
+    monkeypatch.setattr(pieces, "quad_cells", lambda at, a, b, *rest: (
+        cells.append(len(a)), quad_cells(at, a, b, *rest))[1])
+    prof = WeightSpec.powerlog(Fraction(1, 4), 1, NONDECREASING).profile()
+    assert math.isfinite(extremal._block_sum(prof, Fraction(-4, 3), 3, 2.0))
+    assert len(cells) <= 6 and sum(cells) > extremal._BLOCK_MAX
 
 
 def test_block_l2_condition_borderline_growth_diverges():

@@ -1,11 +1,10 @@
-import bisect
-import decimal
 import math
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from fourierineq import pieces
 from fourierineq.criteria import ExponentConfig
@@ -14,6 +13,8 @@ from fourierineq.pieces import (Piece, StepFunction, TailSpec,
 from fourierineq.rearrange import hl_pairing
 from fourierineq.symfunc import Asym, SymFunc
 from fourierineq.weights import WeightSpec
+
+from conftest import decimal_integral, random_power_step
 
 
 def test_from_cells_values_and_call():
@@ -218,13 +219,13 @@ def test_log_power_piece_tail_beyond_exp_overflow():
                                 tail=TailSpec.powerlog(1, Fraction(3, 2)))
     assert f.integrate().value == pytest.approx(1.0 + 2.2975656105992071,
                                                 rel=1e-10)
-    assert f.cumulative(from_left=False).at(np.array([1.0]))[0] == (
+    assert f.cumulative(from_left=False)(np.array([1.0]))[0] == (
         pytest.approx(2.2975656105992071, rel=1e-10))
 
 
 def _at(cum, t: float) -> float:
-    """A cumulative's array evaluator at one point."""
-    return float(cum.at(np.array([t]))[0])
+    """A cumulative's array function at one point."""
+    return float(cum(np.array([t]))[0])
 
 
 def test_cumulative_both_directions():
@@ -249,19 +250,21 @@ def test_cumulative_reads_inf_where_a_partial_integral_overflows():
     # t**3 beyond 1: integral_1^t s**3 ds = (t**4 - 1)/4 exceeds the floats
     # at t = 1e100, where the closed form's power overflowed
     f = StepFunction.from_cells([0, 1], [1, 1], tail=TailSpec.power(-3))
-    got = f.cumulative().at(np.array([0.5, 2.0, 1e100]))
+    got = f.cumulative()(np.array([0.5, 2.0, 1e100]))
     np.testing.assert_array_equal(got, [0.5, 1.0 + 15.0 / 4.0, math.inf])
     assert SymFunc.from_step(f).antiderivative()(1e100) == math.inf
-    assert f.cumulative(from_left=False).at(np.array([1e100]))[0] == (
+    assert f.cumulative(from_left=False)(np.array([1e100]))[0] == (
         math.inf)
     # a single integral past the floats' range raises
     with pytest.raises(OverflowError):
         StepFunction.power(1.0, -3).integrate(1.0, 1e100)
-    # a piece without a closed form (a log factor) goes to Piece.integral,
+    # a piece without a closed form (a log factor) goes to the quadrature,
     # whose power overflows there too
     g = StepFunction([Piece(0.0, 1.0, 1.0),
                       Piece(1.0, math.inf, 0.0, 1.0, 0.0, 3, 1)])
-    assert g.cumulative().at(np.array([1e150]))[0] == math.inf
+    assert g.cumulative()(np.array([1e150]))[0] == math.inf
+    with pytest.raises(OverflowError):
+        g.integrate(0.0, 1e150)
 
 
 def test_parse_exp():
@@ -330,62 +333,11 @@ def _random_closed_form(rng) -> StepFunction:
     return StepFunction(out)
 
 
-def _piece_integral_cumulatives(f: StepFunction, ts) -> np.ndarray:
-    """(left, right) cumulative integrals of f at every point of ts: prefix
-    sums of ``Piece.integral`` plus the partial integral of the piece
-    holding t, each part inf where it diverges."""
-    ps = f.pieces
-
-    def part(p, x0, x1):
-        v = p.integral(x0, x1)
-        return v.value if v.is_finite else math.inf
-    out = []
-    for t in ts:
-        i = bisect.bisect_right(f.breakpoints, t) - 1
-        head = sum((part(p, p.lo, p.hi) for p in ps[:i]), 0.0)
-        rest = 0.0
-        for p in ps[:i:-1]:
-            rest += part(p, p.lo, p.hi)
-        out.append((head + part(ps[i], ps[i].lo, t),
-                    rest + part(ps[i], t, ps[i].hi)))
-    return np.array(out)
-
-
 def _decimal_cumulatives(f: StepFunction, ts) -> np.ndarray:
-    """(left, right) cumulative integrals of f at every point of ts, each
-    piece's part offset (x1 - x0) + c ((x1 - shift)**(a+1) - (x0 -
-    shift)**(a+1)) / (a+1), or c log((x1 - shift) / (x0 - shift)) at
-    a = -1, in 30-digit decimal arithmetic from the float ends and
-    parameters and the exact exponents; inf where a part diverges."""
-    D = decimal.Decimal
-
-    def part(p, x0, x1):
-        x0, x1 = max(x0, p.lo), min(x1, p.hi)
-        if x1 <= x0:
-            return D(0)
-        if p.offset and not math.isfinite(p.offset * x1):
-            return D("Infinity")
-        total = D(p.offset) * (D(x1) - D(x0)) if p.offset else D(0)
-        if p.coef:
-            s0, s1 = max(D(x0) - D(p.shift), D(0)), D(x1) - D(p.shift)
-            a1 = p.a + 1
-            if a1 == 0:
-                return total + D(p.coef) * (s1 / s0).ln()
-            e = D(a1.numerator) / D(a1.denominator)
-            total += D(p.coef) * (s1 ** e - s0 ** e) / e
-        return total
-
-    ps = f.pieces
-    out = []
-    with decimal.localcontext() as ctx:
-        ctx.prec = 30
-        for t in ts:
-            i = bisect.bisect_right(f.breakpoints, t) - 1
-            left = sum((part(p, p.lo, p.hi) for p in ps[:i]), D(0))
-            right = sum((part(p, p.lo, p.hi) for p in ps[i + 1:]), D(0))
-            out.append((float(left + part(ps[i], ps[i].lo, t)),
-                        float(right + part(ps[i], t, ps[i].hi))))
-    return np.array(out)
+    """(left, right) cumulative integrals of f at every point of ts by the
+    30-digit reference ``decimal_integral``."""
+    return np.array([(decimal_integral(f, 0.0, t),
+                      decimal_integral(f, t, math.inf)) for t in ts])
 
 
 def _closed_form_cases():
@@ -412,36 +364,53 @@ def _assert_cumulatives_close(got, want):
                                    atol=1e-15 * w[ok].max())
 
 
+def _no_quadrature(monkeypatch) -> list:
+    """Record every call of ``quad_cells``: a piece without a log factor
+    takes none."""
+    calls = []
+    quad_cells = pieces.quad_cells
+    monkeypatch.setattr(pieces, "quad_cells", lambda *args, **kw: (
+        calls.append(args[1]), quad_cells(*args, **kw))[1])
+    return calls
+
+
 def test_closed_form_matches_a_30_digit_reference():
-    # Piece.integral (through the prefix sums of its piece integrals) and
-    # the cumulatives' at share one closed form; the reference is the same
+    # the cumulatives (prefix and suffix sums of the whole-piece integrals
+    # plus the closed form of the piece holding t) against the same
     # formula in 30-digit decimal arithmetic (a part over one ulp can round
     # to 0 in floats, and reads about 1e-16 here)
     for f, ts in _closed_form_cases():
-        want = _decimal_cumulatives(f, ts.tolist()).T
         _assert_cumulatives_close(
-            _piece_integral_cumulatives(f, ts.tolist()).T, want)
-        _assert_cumulatives_close(
-            [f.cumulative().at(ts), f.cumulative(from_left=False).at(ts)],
-            want)
+            [f.cumulative()(ts), f.cumulative(from_left=False)(ts)],
+            _decimal_cumulatives(f, ts.tolist()).T)
 
 
 def test_cumulative_at_is_the_point_value(monkeypatch):
-    # at runs each piece's closed form on its group of points with numpy's
-    # logs and powers; the reference is Piece.integral, which runs the same
-    # closed form on floats, so this checks the prefix sums
+    # each piece's closed form runs on its group of points with numpy's
+    # logs and powers, without quadrature, an infinite level too; the
+    # reference is the 30-digit decimal one, so this checks the prefix
+    # sums, and a cumulative is 0 wherever the reference is (no residue of
+    # a difference of sums; a part over one ulp may round to 0 in floats)
+    calls = _no_quadrature(monkeypatch)
     for f, ts in _closed_form_cases():
-        want = _piece_integral_cumulatives(f, ts.tolist())
-        cums = (f.cumulative(), f.cumulative(from_left=False))
-        # the closed form runs for every point of a piece without a log
-        # factor, an infinite level too: Piece.integral is not called once
-        # the cumulatives are built
-        monkeypatch.setattr(Piece, "integral", None)
-        got = [cum.at(ts) for cum in cums]
-        monkeypatch.undo()
+        want = _decimal_cumulatives(f, ts.tolist())
+        got = [f.cumulative()(ts), f.cumulative(from_left=False)(ts)]
+        assert calls == []
         _assert_cumulatives_close(got, want.T)
         for g, w in zip(got, want.T):
-            np.testing.assert_array_equal(g == 0.0, w == 0.0)
+            np.testing.assert_array_equal(g[w == 0.0], 0.0)
+
+
+def test_integrate_is_the_cumulative_bit_for_bit():
+    # integrate and the cumulatives read one routine, StepFunction.integrals
+    for f, ts in _closed_form_cases():
+        for t in ts.tolist():
+            for val, cum in ((f.integrate(0.0, t), f.cumulative()),
+                             (f.integrate(t, math.inf),
+                              f.cumulative(from_left=False))):
+                got = cum(np.array([t]))[0]
+                assert (val.value == got if val.is_finite
+                        else got == math.inf)
 
 
 def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):
@@ -454,23 +423,18 @@ def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):
           StepFunction([Piece(0.0, 1.0, 1.0),
                         Piece(1.0, 4.0, 0.0, 2.0, 1.0, Fraction(-5, 2)),
                         Piece(4.0, math.inf)])]
-    calls = []
-    integral = Piece.integral
-    monkeypatch.setattr(Piece, "integral", lambda p, x0, x1: (
-        calls.append(x0), integral(p, x0, x1))[1])
+    calls = _no_quadrature(monkeypatch)
     for f in fs:
         ts = np.array([0.0, *f.breakpoints, *np.geomspace(1e-6, 1e3, 61)])
+        want = _decimal_cumulatives(f, ts.tolist())
         for from_left in (True, False):
-            cum = f.cumulative(from_left=from_left)
-            calls.clear()
-            got = cum.at(ts)
+            got = f.cumulative(from_left=from_left)(ts)
             assert calls == []  # closed form, inf at t = shift included
-            want = _piece_integral_cumulatives(f, ts.tolist())[
-                :, 0 if from_left else 1]
-            np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
-            ok = np.isfinite(want)
-            np.testing.assert_allclose(got[ok], want[ok], rtol=2e-15,
-                                       atol=1e-15 * want[ok].max())
+            w = want[:, 0 if from_left else 1]
+            np.testing.assert_array_equal(np.isinf(got), np.isinf(w))
+            ok = np.isfinite(w)
+            np.testing.assert_allclose(got[ok], w[ok], rtol=2e-15,
+                                       atol=1e-15 * w[ok].max())
     # integral_t^inf s**(-3/2) ds = 2 / sqrt(t)
     right = fs[0].cumulative(from_left=False)
     for t in [1e-6, 0.3, 1.0, 50.0]:
@@ -481,22 +445,142 @@ def test_right_cumulative_over_a_divergent_head_is_closed_form(monkeypatch):
 def test_left_cumulative_over_a_divergent_head_is_inf_in_closed_form(
         monkeypatch):
     # integral_0^t s**(-3/2) ds diverges for every t > 0: the closed form
-    # reads inf, and no point goes to Piece.integral
+    # reads inf, and no point goes to the quadrature
     f = StepFunction.power(1.0, Fraction(3, 2))
-    calls = []
-    integral = Piece.integral
-    monkeypatch.setattr(Piece, "integral", lambda p, x0, x1: (
-        calls.append(x0), integral(p, x0, x1))[1])
-    got = f.cumulative().at(np.geomspace(1e-6, 1e3, 2048))
+    calls = _no_quadrature(monkeypatch)
+    got = f.cumulative()(np.geomspace(1e-6, 1e3, 2048))
     assert calls == [] and (got == math.inf).all()
     # a divergent head after a finite cell: 0 up to it, inf beyond
     g = StepFunction([Piece(0.0, 1.0), Piece(1.0, math.inf, 0.0, 2.0, 1.0,
                                              Fraction(-3, 2))])
-    cum = g.cumulative()
-    calls.clear()  # the integral of the finite cell, once
-    got = cum.at(np.array([0.5, 1.0, 1.5, 1e3]))
+    got = g.cumulative()(np.array([0.5, 1.0, 1.5, 1e3]))
     assert calls == []
     np.testing.assert_array_equal(got, [0.0, 0.0, math.inf, math.inf])
+
+
+def _random_intervals(f: StepFunction, rng, n: int):
+    """n random intervals (lo, hi) for f: ends drawn from 0, inf, its
+    breakpoints, an ulp off them and random points up to 8, some with
+    hi <= lo."""
+    knots = [p for p in f.breakpoints if p > 0.0]
+    pool = np.array([0.0, math.inf, *knots,
+                     *np.nextafter(knots, 0.0).tolist(),
+                     *np.nextafter(knots, math.inf).tolist(),
+                     *rng.uniform(0.0, 8.0, 12).tolist()])
+    ends = np.sort(rng.choice(pool, size=(n, 2)), axis=1)
+    ends[: n // 10] = ends[: n // 10, ::-1]  # hi <= lo
+    return ends[:, 0], ends[:, 1]
+
+
+def _random_power_steps(rng, n: int):
+    """n draws of ``random_power_step`` with a lead and a tail each
+    integrable or not (t**-3/2 diverges at 0, t**-1/2 at inf)."""
+    exps = [None, Fraction(1, 2), Fraction(3, 2), Fraction(1), Fraction(3)]
+    return [random_power_step(rng, int(rng.integers(1, 7)),
+                              exps[rng.integers(5)], exps[rng.integers(5)])
+            for _ in range(n)]
+
+
+def test_integrals_match_the_30_digit_reference_on_random_intervals():
+    # arbitrary (lo, hi), not only cumulatives; the whole pieces between
+    # the ends come from prefix or suffix sums and a part over a few ulp
+    # is a difference of powers, so the difference is absolute, on the
+    # scale of the finite masses of f and of the values
+    rng = np.random.default_rng(32)
+    for f in _random_power_steps(rng, 150):
+        lo, hi = _random_intervals(f, rng, 40)
+        got = f.integrals(lo, hi)
+        want = np.array([decimal_integral(f, a, b)
+                         for a, b in zip(lo.tolist(), hi.tolist())])
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        ok = np.isfinite(want)
+        scale = max(want[ok].max(initial=0.0), math.fsum(
+            x for p in f.pieces
+            if math.isfinite(x := decimal_integral(f, p.lo, p.hi))))
+        np.testing.assert_allclose(got[ok], want[ok], rtol=2e-15,
+                                   atol=2e-15 * scale)
+        np.testing.assert_array_equal(got[hi <= lo], 0.0)
+
+
+def test_integrals_are_additive():
+    # I(a, b) + I(b, c) = I(a, c), inf on one side exactly where it is on
+    # the other
+    rng = np.random.default_rng(33)
+    for f in _random_power_steps(rng, 150):
+        lo, hi = _random_intervals(f, rng, 40)
+        mid = np.sort(np.stack([lo, hi, rng.uniform(0.0, 8.0, 40)]), axis=0)
+        a, b, c = mid
+        left, right, whole = (f.integrals(a, b), f.integrals(b, c),
+                              f.integrals(a, c))
+        np.testing.assert_array_equal(np.isinf(left) | np.isinf(right),
+                                      np.isinf(whole))
+        ok = np.isfinite(whole)
+        scale = f.integrals(0.0, c[ok]).max(initial=0.0)
+        if not math.isfinite(scale):
+            scale = whole[ok].max(initial=0.0)
+        np.testing.assert_allclose(left[ok] + right[ok], whole[ok],
+                                   rtol=4e-15, atol=4e-15 * scale)
+
+
+def test_integrals_diverge_where_integrate_certifies_it():
+    # the routine reads inf from the closed form, integrate names the
+    # reason by the end rule: they agree on every interval
+    rng = np.random.default_rng(34)
+    for f in _random_power_steps(rng, 150):
+        lo, hi = _random_intervals(f, rng, 40)
+        got = f.integrals(lo, hi)
+        for a, b, g in zip(lo.tolist(), hi.tolist(), got.tolist()):
+            val = f.integrate(a, b)
+            assert val.is_infinite == (g == math.inf), (a, b)
+            assert val.is_infinite or val.value == g
+
+
+def _quad_reference(f: StepFunction, a: float, b: float) -> float:
+    """integral_a^b f by scipy's quad, piece by piece, in u = log t to
+    relative accuracy 1e-12; beyond u = 700, where e**u nears the floats'
+    limit, a piece's term coef t**(a+1) u**b (t - shift ~ t and
+    log(e + t) ~ u there; offset 0 on a convergent tail)."""
+    total = 0.0
+    for p in f.pieces:
+        x0, x1 = max(a, p.lo), min(b, p.hi)
+        if x1 > x0:
+            def g(u, p=p):
+                if u > 700.0:
+                    return (p.coef * math.exp((float(p.a) + 1.0) * u)
+                            * u ** float(p.b))
+                t = math.exp(u)
+                return p(t) * t if t > 0.0 else 0.0
+            lo = math.log(x0) if x0 > 0.0 else -math.inf
+            hi = math.log(x1) if x1 < math.inf else math.inf
+            total += quad(g, lo, hi, epsabs=0.0, epsrel=1e-12,
+                          limit=200)[0]
+    return total
+
+
+def test_log_factor_pieces_match_scipy_quad():
+    # pieces with a log factor, with heads at 0, shifted heads and tails:
+    # the shared head and tail integrals and the batched cells of each
+    # piece against scipy's quad (test-only), where the end rule finds the
+    # integral finite
+    rng = np.random.default_rng(35)
+    fs = [StepFunction.power(1.5, Fraction(1, 2), 1),
+          StepFunction.power(1.0, 2, 2),
+          StepFunction.from_cells([0.0, 0.7, 2.0], [0.4, 1.2, 2.0],
+                                  tail=TailSpec.powerlog(1, Fraction(3, 2)),
+                                  lead=TailSpec.powerlog(Fraction(1, 3),
+                                                         -2)),
+          StepFunction([Piece(0.0, 1.0, 1.0),
+                        Piece(1.0, 3.0, 0.5, 2.0, 0.5, Fraction(-1, 2), 3),
+                        Piece(3.0, math.inf, 0.0, 1.0, 0.0, -3, -1)])]
+    for f in fs:
+        lo, hi = _random_intervals(f, rng, 30)
+        got = f.integrals(lo, hi)
+        for a, b, g in zip(lo.tolist(), hi.tolist(), got.tolist()):
+            if f.integrate(a, b).is_infinite:
+                assert g == math.inf
+                continue
+            want = _quad_reference(f, a, b)
+            assert g == pytest.approx(want, rel=1e-9, abs=1e-13), (a, b)
 
 
 def _search_problems(rng, n):

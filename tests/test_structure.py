@@ -157,7 +157,7 @@ NUMPY_ONLY_RUN = """
 import math, sys, time
 import numpy as np
 from fourierineq import cli
-from fourierineq.pieces import Piece, quad_cells
+from fourierineq.pieces import Piece, StepFunction, quad_cells
 t = time.perf_counter()
 value = quad_cells(lambda t: t * t, np.array([0.0]), np.array([1.0]))[0]
 first_s = time.perf_counter() - t
@@ -169,8 +169,8 @@ assert cli.main(["norms", "--kind", "gamma", "--seq", sys.argv[1],
 # log-factor pieces: a head at 0 and cells, then cells and a tail
 head = Piece(0.0, math.inf, 0.0, 1.0, 0.0, -0.5, 1)
 tail = Piece(0.0, math.inf, 0.0, 1.0, 0.0, -2, -2)
-assert head.integral(0.0, 5.0).is_finite
-assert tail.integral(0.5, math.inf).is_finite
+assert StepFunction([head]).integrate(0.0, 5.0).is_finite
+assert StepFunction([tail]).integrate(0.5, math.inf).is_finite
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 print(first_s)
 """
