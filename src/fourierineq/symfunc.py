@@ -22,7 +22,8 @@ value and sup scan runs through it: ``anchored`` re-anchors a quadrature
 cumulative at a grid, at its values there; ``tabulated`` is ``anchored``
 plus log-log interpolation between the grid values; ``sup`` (where there
 is no ``step``) and ``running_sup_from`` scan with it; and the integrals
-go through the package's one quadrature rule ``pieces.quad_cells``.  A
+go through the package's one quadrature rule ``pieces.quad_cells``, except
+on the power cells below, which are integrated in closed form.  A
 quadrature cumulative's values all come from ``Cumulative.at``, which
 integrates the pieces between sorted points at once, in log coordinates,
 so it agrees with the exact integral to the quadrature's tolerance; at its
@@ -56,6 +57,25 @@ by cell between its outermost kinks, in log coordinates
 support end at their first stage), and beyond them by ``pieces.end_quad``;
 a segment without kinks is one cell.
 
+A SymFunc may also carry power cells (``cells``): a ``PowerCells`` table,
+cells on each of which its ``at`` computes exactly a power c t**s, or a
+term (c, a) where f is c t**a on all of (0, inf).  ``tabulated`` sets a
+table (each grid cell of the log-log interpolant) and so does
+``running_sup_from`` (its constant cells); ``power`` and ``constant`` set
+a term, and a ``step`` that is one term reads as one; ``pow`` and
+``pow_arg`` carry either, and ``mul`` carries a product of two tables (on
+the union of their edges, where both have cells), of a table and a term,
+or of two terms.  Every other operation drops them.  A cell where ``at`` reads something else (a
+grid value that is 0 or not finite) or f leaves the normal floats is
+marked.  The integrals then take every unmarked cell of a table in closed
+form, add its edges and its two ends to the knots as anchors, and keep the
+quadrature above for the rest: a run of marked cells between two anchors
+is one ``log_cells`` segment, and the ends ``end_quad``.  A cumulative of
+such a function reads a point in an unmarked cell from the cell's anchor
+plus the closed form of one partial cell, so that tabulating it runs no
+quadrature inside the table.  Quadrature cumulatives without a table (of a
+sum, of another cumulative, of a step-backed function) are as above.
+
 Exponents follow the exponent rule of ``pieces`` (always Fractions), so
 boundary cases (exponent exactly -1 or 0) are decided exactly.
 """
@@ -64,6 +84,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -205,16 +226,174 @@ def _dominant(terms: Sequence[Asym], at_zero: bool) -> Asym:
 
 
 # ---------------------------------------------------------------------------
+# power-cell tables
+# ---------------------------------------------------------------------------
+
+_NORMAL = 708.0  # |log f| within which e**(log f) is a normal float
+
+
+class PowerCells:
+    """A table of cells (te[i], te[i+1]), finite and increasing, on each of
+    which f is a power:
+
+        f(t) = exp(h[i] + s[i] (log t - u[i])),   u = log te,
+
+    exactly what f's ``at`` computes there (a log-log interpolant, a
+    constant cell of a running sup, a power or product of such) wherever
+    log f is finite at both edges of the cell.  A cell where it is not (a
+    grid value that is 0 or not finite, where ``at`` reads something else)
+    or where f leaves the normal floats at an edge is marked; its h or s
+    may be anything, and every operation keeps it non-finite or out of
+    range, so that its mark follows from the numbers.  The cells that are
+    not marked are exact: ``integrals`` integrates them in closed form."""
+
+    __slots__ = ("te", "u", "h", "s", "marked")
+
+    def __init__(self, te: np.ndarray, u: np.ndarray, h: np.ndarray,
+                 s: np.ndarray):
+        self.te, self.u, self.h, self.s = te, u, h, s
+        with _quiet():  # log f at both edges
+            right = h + s * (u[1:] - u[:-1])
+            self.marked = ~(np.abs(h) <= _NORMAL) | ~(np.abs(right) <= _NORMAL)
+
+    @staticmethod
+    def loglinear(te: np.ndarray, u: np.ndarray,
+                  logv: np.ndarray) -> "PowerCells":
+        """The cells of the log-log interpolant of the values e**logv at
+        te (u = log te), by np.interp's slopes."""
+        with _quiet():
+            s = np.diff(logv) / np.diff(u)
+        return PowerCells(te, u, logv[:-1], s)
+
+    def anchors(self) -> np.ndarray:
+        """The edges of the exact cells and the table's two ends: the
+        edges between which a run of marked cells lies."""
+        exact = ~self.marked
+        edge = np.append(exact, True)
+        edge[1:] |= exact
+        edge[0] = True
+        return self.te[edge]
+
+    def pow(self, e: float) -> "PowerCells":
+        return PowerCells(self.te, self.u, self.h * e, self.s * e)
+
+    def times_power(self, term: tuple[float, float]) -> "PowerCells":
+        """The table of f c t**a, term = (c, a)."""
+        c, a = term
+        return PowerCells(self.te, self.u,
+                          self.h + (math.log(c) + a * self.u[:-1]),
+                          self.s + a)
+
+    def pow_arg(self, k: float) -> "PowerCells":
+        """The table of t -> f(t**k): an edge x moves to x**(1/k) as
+        ``SymFunc.pow_arg`` moves a kink, and for k < 0 the cells
+        reverse."""
+        te, cell = self.te, slice(None)
+        if abs(k) != 1.0:
+            te = te ** (1.0 / abs(k))
+        if k < 0.0:
+            te, cell = 1.0 / te[::-1], slice(None, None, -1)
+        u = np.log(te)
+        s = self.s[cell]
+        h = self.h[cell] + s * (k * u[:-1] - self.u[:-1][cell])
+        return PowerCells(te, u, h, k * s)
+
+    def mul(self, other: "PowerCells") -> "PowerCells | None":
+        """The table of f g on the union of both tables' edges where both
+        have cells; None where they share none."""
+        lo = max(self.te[0], other.te[0])
+        hi = min(self.te[-1], other.te[-1])
+        if not lo < hi:
+            return None
+        te = np.union1d(*[f.te[(f.te >= lo) & (f.te <= hi)]
+                          for f in (self, other)])
+        u = np.log(te)
+        h, s = np.zeros(len(te) - 1), np.zeros(len(te) - 1)
+        with _quiet():
+            for f in (self, other):
+                i = np.searchsorted(f.te, te[:-1], side="right") - 1
+                h += f.h[i] + f.s[i] * (u[:-1] - f.u[i])
+                s += f.s[i]
+        return PowerCells(te, u, h, s)
+
+    def holding(self, ua: np.ndarray, ub: np.ndarray) -> np.ndarray:
+        """The exact cell that holds each (e**ua[k], e**ub[k]), to a few
+        ulps of u, or -1."""
+        u = self.u
+        with _quiet():
+            mid = 0.5 * (ua + ub)
+        j = np.searchsorted(u, mid, side="right") - 1
+        j[(j < 0) | (j >= len(self.h))] = -1
+        k = j.clip(0)
+        slack = 8.0 * sys.float_info.epsilon * (1.0 + np.abs(mid))
+        inside = ((ua >= u[k] - slack) & (ub <= u[k + 1] + slack)
+                  & ~self.marked[k])
+        return np.where(inside & (j >= 0), j, -1)
+
+    def integrals(self, j: np.ndarray, ua: np.ndarray,
+                  ub: np.ndarray) -> np.ndarray:
+        """The integral of f over every (e**ua[k], e**ub[k]) in the exact
+        cell j[k], in closed form in u = log t: f t is e**(g + a (u - x))
+        (a = s + 1) with x the end where it is larger, so the integral is
+        e**g (ub - ua) times -expm1(-|a| (ub - ua)) / (|a| (ub - ua)), a
+        factor in (0, 1]; nothing over- or underflows that f t does not,
+        and a slope near -1 keeps its digits."""
+        s = self.s[j]
+        a = s + 1.0
+        top = np.where(a > 0.0, ub, ua)
+        width = ub - ua
+        z = np.abs(a) * width
+        with _quiet():
+            phi = np.where(z > 0.0, -np.expm1(-z) / z, 1.0)
+        return np.exp(self.h[j] + s * (top - self.u[j]) + top) * width * phi
+
+
+def _term(c: float, a: float) -> tuple[float, float] | None:
+    """The one-term power c t**a as a power-cell term, where c is a
+    positive float."""
+    return (float(c), float(a)) if 0.0 < c < math.inf else None
+
+
+def _mul_cells(f, g):
+    """The power cells of a product: of two tables, a table and a term, or
+    two terms; None for any other."""
+    if isinstance(f, PowerCells):
+        if isinstance(g, PowerCells):
+            return f.mul(g)
+        return None if g is None else f.times_power(g)
+    if f is None or g is None:
+        return None
+    if isinstance(g, PowerCells):
+        return g.times_power(f)
+    return _term(f[0] * g[0], f[1] + g[1])
+
+
+def _pow_cells(f, e: float):
+    """The power cells of f**e, of a table or a term."""
+    if isinstance(f, PowerCells):
+        return f.pow(e)
+    try:
+        return _term(f[0] ** e, f[1] * e)
+    except OverflowError:
+        return None
+
+
+def _pow_arg_cells(f, k: float):
+    """The power cells of t -> f(t**k), of a table or a term."""
+    return f.pow_arg(k) if isinstance(f, PowerCells) else (f[0], f[1] * k)
+
+
+# ---------------------------------------------------------------------------
 # SymFunc
 # ---------------------------------------------------------------------------
 
 
 class SymFunc:
-    __slots__ = ("at", "head", "tail", "knots", "step", "kinks")
+    __slots__ = ("at", "head", "tail", "knots", "step", "kinks", "cells")
 
     def __init__(self, head: Asym, tail: Asym, knots: Sequence[float] = (),
                  step=None, *, at: Callable[[np.ndarray], np.ndarray],
-                 kinks: np.ndarray = _NO_KINKS):
+                 kinks: np.ndarray = _NO_KINKS, cells=None):
         self.at = at  # f on a 1-d array (see the module docstring)
         self.head = head
         self.tail = tail
@@ -227,6 +406,11 @@ class SymFunc:
         # grids of tabulated and running-sup factors), where its integral
         # is split into cells
         self.kinks = kinks
+        # f as a power cell by cell: a PowerCells table, whose exact cells
+        # are integrated in closed form, or a term (c, a) where f is
+        # c t**a on all of (0, inf); None for any other f (a one-term step
+        # is read as a term by _power_cells)
+        self.cells = cells
 
     def __call__(self, t: float) -> float:
         return float(self.at(np.array([float(t)]))[0])
@@ -244,12 +428,14 @@ class SymFunc:
                 return c * ts ** fa * (np.log(math.e + ts) ** fb if fb
                                        else 1.0)
 
-        return SymFunc(Asym(c, a, 0), Asym(c, a, b), (1.0,), at=at)
+        return SymFunc(Asym(c, a, 0), Asym(c, a, b), (1.0,), at=at,
+                       cells=None if b else _term(c, fa))
 
     @staticmethod
     def constant(c: float) -> "SymFunc":
         return SymFunc(Asym(c), Asym(c),
-                       at=lambda ts: np.full(len(ts), c, dtype=float))
+                       at=lambda ts: np.full(len(ts), c, dtype=float),
+                       cells=_term(c, 0.0))
 
     @staticmethod
     def one_plus_log_plus() -> "SymFunc":
@@ -292,9 +478,11 @@ class SymFunc:
                 step = self.step * other.step
             except NotImplementedError:
                 pass
+        cells = (None if self.cells is None and other.cells is None
+                 else _mul_cells(self._power_cells(), other._power_cells()))
         return SymFunc(self.head.mul(other.head), self.tail.mul(other.tail),
                        self.knots + other.knots, step=step, at=at,
-                       kinks=_kinks(self.kinks, other.kinks))
+                       kinks=_kinks(self.kinks, other.kinks), cells=cells)
 
     def pow(self, e: Exponent) -> "SymFunc":
         f_at = self.at
@@ -314,7 +502,8 @@ class SymFunc:
             except (NotImplementedError, ValueError):
                 step = None
         return SymFunc(self.head.pow(e), self.tail.pow(e), self.knots,
-                       step=step, at=at, kinks=self.kinks)
+                       step=step, at=at, kinks=self.kinks,
+                       cells=self.cells and _pow_cells(self.cells, fe))
 
     def add(self, other: "SymFunc") -> "SymFunc":
         f_at, g_at = self.at, other.at
@@ -359,9 +548,18 @@ class SymFunc:
         term = _one_term(self.step)
         step = (None if term is None
                 else StepFunction.power(term.coef, -(term.a * k)))
-        return SymFunc(head, tail, knots, step=step, at=at, kinks=kinks)
+        return SymFunc(head, tail, knots, step=step, at=at, kinks=kinks,
+                       cells=self.cells and _pow_arg_cells(self.cells, fk))
 
     # -- numeric helpers -----------------------------------------------------
+    def _power_cells(self):
+        """``cells``, or the term c t**a of a step that is one such term on
+        all of (0, inf), which a product with a table reads."""
+        if self.cells is not None or self.step is None:
+            return self.cells
+        term = _one_term(self.step)
+        return term and _term(term.coef, float(term.a))
+
     def _span(self) -> tuple[float, float]:
         lo = min(self.knots) if self.knots else 1.0
         hi = max(self.knots) if self.knots else 1.0
@@ -377,11 +575,10 @@ class SymFunc:
         cum = getattr(self.at, "__self__", None)
         if not isinstance(cum, Cumulative):
             return self
-        x0, x1 = float(ts[0]), float(ts[-1])
-        edges = np.array(sorted(set(ts.tolist()).union(
-            k for k in cum.anchors if x0 < k < x1)))
+        ks = cum.anchors
+        edges = np.union1d(ts, ks[(ks > ts[0]) & (ks < ts[-1])])
         anchored = Cumulative(cum.f_at, edges, cum.at(edges), cum.from_left,
-                              cum.end)
+                              cum.end, cum.cells)
         return SymFunc(self.head, self.tail, self.knots, at=anchored.at)
 
     def scan_grid(self) -> np.ndarray:
@@ -395,7 +592,8 @@ class SymFunc:
         ``anchored`` at the geometric grid, and interpolated between its
         values there.  Outside the grid, and where the interpolated log is
         not finite, the copy is the anchored function itself.  The grid
-        points are kinks of the copy."""
+        points are kinks of the copy, and the edges of its power cells
+        (``PowerCells.loglinear``)."""
         lo, hi = self._span()
         lo, hi = lo / pad, hi * pad
         ts = np.geomspace(lo, hi, n)
@@ -418,29 +616,56 @@ class SymFunc:
             return out
 
         return SymFunc(self.head, self.tail, self.knots, at=at,
-                       kinks=_kinks(self.kinks, ts))
+                       kinks=_kinks(self.kinks, ts),
+                       cells=PowerCells.loglinear(ts, logt, logv))
 
     # -- calculus ---------------------------------------------------------
     def _ends(self):
         """(term, at_zero, name) for the head and the tail."""
         return ((self.head, True, "0"), (self.tail, False, "inf"))
 
-    def _knot_integrals(self) -> tuple[float, list[float], float]:
-        """Integrals of f over the head (0, k_0), the segments
-        (k_i, k_{i+1}) and the tail (k_n, inf) of the knots (1 when there
-        are none), each by ``_part``.  An end where f is certified not
-        integrable is not integrated and reads inf."""
+    def _anchors(self) -> Sequence[float]:
+        """The knots (1 when there are none), and the anchors of a
+        power-cell table (``PowerCells.anchors``)."""
         ks = self.knots or (1.0,)
-        h = (self._part(0.0, ks[0])
+        if isinstance(self.cells, PowerCells):
+            return np.union1d(ks, self.cells.anchors())
+        return ks
+
+    def _knot_integrals(self) -> tuple[Sequence[float], float, list[float],
+                                       float]:
+        """The anchors k (``_anchors``) and the integrals of f over the
+        head (0, k_0), the segments (k_i, k_{i+1}) and the tail (k_n, inf)
+        of them: the ends by ``_part``, the segments by ``_segments``.  An
+        end where f is certified not integrable is not integrated and reads
+        inf."""
+        ks = self._anchors()
+        h = (self._part(0.0, float(ks[0]))
              if self.head.integrable(at_zero=True) else math.inf)
-        segs = [self._part(a, b) for a, b in zip(ks, ks[1:])]
-        t = (self._part(ks[-1], math.inf)
+        t = (self._part(float(ks[-1]), math.inf)
              if self.tail.integrable(at_zero=False) else math.inf)
-        return h, segs, t
+        return ks, h, self._segments(ks), t
+
+    def _segments(self, ks: Sequence[float]) -> list[float]:
+        """integral_{k_i}^{k_{i+1}} f for increasing points k: in closed
+        form where the segment lies in an exact cell of a power-cell table
+        (``PowerCells.integrals``), by ``_part`` elsewhere (a run of marked
+        cells between two exact ones is one segment)."""
+        if not isinstance(self.cells, PowerCells):
+            return [self._part(a, b) for a, b in zip(ks, ks[1:])]
+        us = np.log(ks)
+        ua, ub = us[:-1], us[1:]
+        j = self.cells.holding(ua, ub)
+        held = j >= 0
+        segs = np.empty(len(ua))
+        segs[held] = self.cells.integrals(j[held], ua[held], ub[held])
+        for i in np.flatnonzero(~held).tolist():
+            segs[i] = self._part(float(ks[i]), float(ks[i + 1]))
+        return segs.tolist()
 
     def _part(self, t0: float, t1: float) -> float:
         """integral_{t0}^{t1} f for a head (t0 = 0), a segment or a tail
-        (t1 = inf) of the knots, in log coordinates: between its outermost
+        (t1 = inf) of the anchors, in log coordinates: between its outermost
         kinks cell by cell (``pieces.log_cells``), beyond them by
         ``end_quad``; a segment without kinks is one cell of ``log_cells``
         at the tolerances ``QUAD_TOL``."""
@@ -470,7 +695,7 @@ class SymFunc:
                     f"integrand ~ t**({end.a}) log**({end.b}) at {name}")
         if self.step is not None:
             return self.step.integrate()
-        return ExtReal.finite(_total(*self._knot_integrals()))
+        return ExtReal.finite(_total(*self._knot_integrals()[1:]))
 
     def antiderivative(self) -> "SymFunc":
         """U(t) = integral_0^t f; raises Divergence when U is identically inf."""
@@ -489,28 +714,29 @@ class SymFunc:
             raise Divergence(
                 f"{'head' if from_left else 'tail'} ~ t**({start.a}) "
                 f"log**({start.b}) not integrable at {name}")
-        knots = self.knots or (1.0,)
         other_finite = other.integrable(not from_left)
         near = start.integrated()
         if not other_finite and _one_term(self.step) is not None:
             # one term c t**a: its cumulative is its integrated term, which
             # the end rule gives exactly (there is no log factor)
             step = StepFunction.power(near.coef, -near.a)
-            return SymFunc(near, near, knots, step=step, at=step.at)
+            return SymFunc(near, near, self.knots or (1.0,), step=step,
+                           at=step.at)
         if self.step is not None:
             at = self.step.cumulative(from_left)
             total = self.step.integrate().value
         else:
-            head_int, segs, tail_int = self._knot_integrals()
+            ks, head_int, segs, tail_int = self._knot_integrals()
             parts = ([head_int, *segs] if from_left
                      else [tail_int, *reversed(segs)])
             cum = list(itertools.accumulate(parts))
-            at = Cumulative(self.at, knots, cum if from_left else cum[::-1],
-                            from_left, start).at
+            cells = self.cells if isinstance(self.cells, PowerCells) else None
+            at = Cumulative(self.at, ks, cum if from_left else cum[::-1],
+                            from_left, start, cells).at
             total = _total(head_int, segs, tail_int)
         far = Asym(total) if other_finite else other.integrated()
         head, tail = (near, far) if from_left else (far, near)
-        return SymFunc(head, tail, knots, at=at)
+        return SymFunc(head, tail, self.knots or (1.0,), at=at)
 
     def sup(self) -> ExtReal:
         """sup over (0, inf) with certified endpoint limits; exact where
@@ -569,7 +795,12 @@ class SymFunc:
 
         head = (self.head if math.isinf(self.head.limit(at_zero=True))
                 else Asym(first))
-        return SymFunc(head, self.tail, self.knots, at=at, kinks=ts)
+        # S is suffix[i + 1] on the cell (ts[i], ts[i + 1]]
+        with _quiet():
+            logs = np.log(suffix[1:])
+        cells = PowerCells(ts, np.log(ts), logs, np.zeros(len(logs)))
+        return SymFunc(head, self.tail, self.knots, at=at, kinks=ts,
+                       cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -588,18 +819,20 @@ def _total(head: float, segs: Sequence[float], tail: float) -> float:
 class Cumulative:
     """t -> integral_0^t f (from_left) or t -> integral_t^inf f, held as
     sorted anchors and the integral's values there; f_at is f on an array,
-    and end is f's term at the fixed end.  ``at`` gives the values at an
-    array of points."""
+    end is f's term at the fixed end, and cells f's power-cell table or
+    None.  ``at`` gives the values at an array of points."""
 
-    __slots__ = ("f_at", "anchors", "values", "from_left", "end")
+    __slots__ = ("f_at", "anchors", "values", "from_left", "end", "cells")
 
     def __init__(self, f_at, anchors: Sequence[float],
-                 values: Sequence[float], from_left: bool, end: Asym):
+                 values: Sequence[float], from_left: bool, end: Asym,
+                 cells: PowerCells | None):
         self.f_at = f_at
-        self.anchors = list(anchors)
-        self.values = list(values)
+        self.anchors = np.asarray(anchors, dtype=float)
+        self.values = np.asarray(values, dtype=float)
         self.from_left = from_left
         self.end = end
+        self.cells = cells
 
     def at(self, ts: np.ndarray) -> np.ndarray:
         """The values at every point of the array ts, in one
@@ -612,14 +845,21 @@ class Cumulative:
         the anchors on the fixed side, the outermost point is the anchor,
         its value from the end by ``pieces.end_quad``; a piece beyond the
         anchors keeps the tolerances ``QUAD_TOL``, the others the bound of
-        ``quad_cells``."""
+        ``quad_cells``.
+
+        With a power-cell table, whose anchors are anchors here, a point
+        that shares an exact cell with its anchor reads the anchor's value
+        plus the closed form from it, and a point between two anchors with
+        equal values reads that value: f is not negative, so the
+        cumulative is constant there (a run of marked cells where f is 0,
+        as w beyond u's support).  Only the other points are integrated."""
         xs = np.asarray(ts, dtype=float)
-        ks = np.asarray(self.anchors)
+        ks = self.anchors
         outside = (xs < ks[0]) | (xs > ks[-1])
         # in w = u (from_left) or w = -u, the fixed end is at w = -inf
         sign = 1.0 if self.from_left else -1.0
         w, kw = sign * np.log(xs), sign * np.log(ks)
-        vals = np.asarray(self.values)
+        vals = self.values
         if not self.from_left:
             kw, vals = kw[::-1], vals[::-1]
         i = np.searchsorted(kw, w, side="right") - 1  # -1: the end
@@ -631,6 +871,29 @@ class Cumulative:
             vals = np.append(pieces.end_quad(self.f_at, self.end, *ends),
                              vals)
             i += 1
+        if self.cells is None:
+            return self._integrated(w, i, kw, vals, outside)
+        out = np.empty(len(w))
+        near = kw[i]
+        lo, hi = (near, w) if self.from_left else (-w, -near)
+        j = self.cells.holding(lo, hi)
+        held = j >= 0
+        out[held] = vals[i[held]] + self.cells.integrals(j[held], lo[held],
+                                                         hi[held])
+        beyond = np.minimum(i + 1, len(vals) - 1)
+        flat = ~held & (beyond > i) & (vals[beyond] == vals[i])
+        out[flat] = vals[i[flat]]
+        rest = ~(held | flat)
+        if rest.any():
+            out[rest] = self._integrated(w[rest], i[rest], kw, vals,
+                                         outside[rest])
+        return out
+
+    def _integrated(self, w: np.ndarray, i: np.ndarray, kw: np.ndarray,
+                    vals: np.ndarray, outside: np.ndarray) -> np.ndarray:
+        """The values at the points w (in w = +-u) whose anchors, at kw
+        with the values vals, are i: by ``quad_cells`` between neighbours
+        and running sums from the anchors (see ``at``)."""
         order = np.lexsort((w, i))
         x, i = w[order], i[order]
         first = np.ones(len(x), dtype=bool)

@@ -485,19 +485,24 @@ PINNED = {
 # (V), the segment rule with one QUADPACK integral over each outer head
 # 129k and 58k, the outer integrals cell by cell 171k and 113k, graded
 # cells 155k and 100k, and 152k and 100k once a product skips its second
-# factor where the first reads 0
-EVAL_BUDGET = {"III": 155_000, "V": 102_000}
+# factor where the first reads 0 (IV 65k); 1,554 (III), 546 (IV) and
+# 1,092 (V) since the exact power cells of the tabulations are integrated
+# in closed form, and only the ends and the runs of marked cells are
+# quadrature
+EVAL_BUDGET = {"III": 1_700, "IV": 600, "V": 1_200}
 # pieces.first_stage calls of the cells of the outer integrals (between
 # their outermost kinks) of one evaluate(); counted over the whole evaluate,
 # 126 (III), 16 (IV) and 42 (V) with cells halved in u = log t, where the
-# cell before u*'s support end took about 12 levels, and 12, 5 and 9 with
-# graded cells
-STAGE_BUDGET = {"III": 15, "IV": 7, "V": 12}
+# cell before u*'s support end took about 12 levels, 12, 5 and 9 with
+# graded cells, 3 each once a product skipped its second factor where the
+# first read 0, and 2 each with closed-form power cells
+STAGE_BUDGET = {"III": 2, "IV": 2, "V": 2}
 # pieces.first_stage calls of one whole evaluate(), the nested cumulatives'
 # Cumulative.at and the ends' end_quad included: 59 (III), 15 (IV) and 19
 # (V) while a product evaluated its second factor where the first read 0,
-# 23, 11 and 16 since it does not
-ALL_STAGE_BUDGET = {"III": 25, "IV": 12, "V": 17}
+# 23, 11 and 16 since it does not, and 15, 7 and 12 with closed-form power
+# cells
+ALL_STAGE_BUDGET = {"III": 16, "IV": 8, "V": 13}
 # cells of quad_cells that stopped open ("limit" or "roundoff") in one
 # evaluate(): none
 QUAD_FLAGS = {"III": {}, "IV": {}, "V": {}}
@@ -741,6 +746,143 @@ def test_outer_integrals_match_a_tight_reference(pinned_runs, name):
     assert value.is_finite
     assert value.value == pytest.approx(_tight_integral(f), rel=1e-10,
                                         abs=0.0)
+
+
+# ---------------------------------------------------------------------------
+# power-cell tables: closed-form integrals of the cells of a tabulation
+# ---------------------------------------------------------------------------
+
+
+def _power_cell_family() -> dict[str, SymFunc]:
+    """Functions that carry a power-cell table, each integrable on
+    (0, inf): a tabulation with zero cells (beyond 2.5) and its knots 1
+    and 2.5 inside cells, a product of two tables on different grids, a
+    power (and a one-term step) times a table, pow_arg(-1) and pow_arg(2)
+    of a table, and the reciprocal argument of a running sup."""
+    bump = SymFunc.from_step(StepFunction.from_cells(
+        [0.0, 1.0, 2.5], [2.0, 0.5], tail=TailSpec.zero()))
+    zeros = SymFunc.power(1.0, Fraction(-1, 2)).mul(bump).tabulated(
+        n=301, pad=1e3)
+    f1 = SymFunc(Asym(1.0, Fraction(-1, 2)), Asym(1.0, -2), (1.0,),
+                 at=lambda t: t ** -0.5 / (1.0 + t) ** 1.5).tabulated(
+                     n=257, pad=1e3)
+    f2 = SymFunc(Asym(2.0), Asym(1.0), (0.3, 5.0),
+                 at=lambda t: 1.0 + 1.0 / (1.0 + t)).tabulated(n=200,
+                                                                 pad=1e2)
+    g = SymFunc(Asym(1.0), Asym(1.0, -2), (1.0,),
+                at=lambda t: 1.0 / (1.0 + t * t)).tabulated(n=257, pad=1e3)
+    h = SymFunc(Asym(1.0, 1), Asym(1.0, -1), (1.0,),
+                at=lambda t: t / (1.0 + t * t))
+    term = SymFunc.from_step(StepFunction.power(2.0, Fraction(-1, 3)))
+    return {
+        "zero cells": zeros,
+        "two grids": f1.mul(f2),
+        "power times table": SymFunc.power(1.5, Fraction(1, 3)).mul(
+            term).mul(f1),
+        "pow_arg(-1)": g.pow_arg(-1).mul(SymFunc.power(1.0, -2)),
+        "pow_arg(2)": g.pow_arg(2),
+        "running sup": h.running_sup_from().pow_arg(-1).mul(
+            SymFunc.power(1.0, Fraction(-3, 2))),
+    }
+
+
+POWER_CELLS = _power_cell_family()
+
+
+def _tight_between(f: SymFunc, t0: float, t1: float) -> float:
+    """integral of f over (t0, t1), 0 <= t0 < t1 <= inf, cut at its knots
+    and kinks inside: the cells between cuts by ``_tight_cells``, the
+    pieces at the ends by scipy's quad of f in u = log t to relative
+    accuracy 1e-12."""
+    u0, u1 = (math.log(t) if 0.0 < t < math.inf else
+              (-math.inf if t == 0.0 else math.inf) for t in (t0, t1))
+    cuts = np.log([k for k in sorted({*f.knots, *f.kinks.tolist()})
+                   if t0 < k < t1])
+    g = _log_t(f)
+
+    def tight(a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            return quad(g, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    if not len(cuts):
+        return tight(u0, u1)
+    parts = [tight(u0, cuts[0]), tight(cuts[-1], u1)]
+    parts += _tight_cells(f.at, cuts[:-1], cuts[1:]).tolist()
+    return math.fsum(parts)
+
+
+@pytest.mark.parametrize("name", sorted(POWER_CELLS))
+def test_power_cells_integrate_in_closed_form(name):
+    f = POWER_CELLS[name]
+    assert isinstance(f.cells, symfunc.PowerCells)
+    assert not f.cells.marked.all()
+    assert f.integral().value == pytest.approx(
+        _tight_between(f, 0.0, math.inf), rel=1e-10, abs=0.0)
+    # points in exact cells, in marked ones and at the table's edges; a
+    # point beyond the table is one quad_cells piece from the table's end
+    # across the kinks of the other factors, at QUADPACK's tolerances
+    # (3.3e-9 off on "two grids")
+    te = f.cells.te
+    xs = [te[0] / 7.0, te[0], float(np.sqrt(te[3] * te[4])), 0.9, 1.0,
+          2.0, 2.6, 40.0, te[-1], te[-1] * 7.0]
+    U, T = f.antiderivative(), f.tail_integral()
+    for x, got_u, got_t in zip(xs, U.at(np.array(xs)), T.at(np.array(xs))):
+        rel = 1e-10 if te[0] <= x <= te[-1] else pieces.QUAD_TOL
+        assert got_u == pytest.approx(_tight_between(f, 0.0, x), rel=rel,
+                                      abs=0.0)
+        assert got_t == pytest.approx(_tight_between(f, x, math.inf),
+                                      rel=rel, abs=0.0)
+
+
+def _quad_cells_in_u(mp) -> list:
+    """Record the cells, in u = log t, of every ``pieces.quad_cells`` call
+    on a ``log_integrand``: the cells of ``log_cells`` and of
+    ``Cumulative.at`` (``end_quad`` maps its cells)."""
+    cells, tagged = [], set()
+    log_integrand, quad_cells = pieces.log_integrand, pieces.quad_cells
+
+    def tagging(at):
+        g_at = log_integrand(at)
+        tagged.add(id(g_at))
+        return g_at
+
+    def recording(at, a, b, epsabs=0.0):
+        if id(at) in tagged:
+            cells.append((np.array(a, dtype=float), np.array(b, dtype=float)))
+        return quad_cells(at, a, b, epsabs)
+    mp.setattr(pieces, "log_integrand", tagging)
+    mp.setattr(pieces, "quad_cells", recording)
+    return cells
+
+
+@pytest.mark.parametrize("name", sorted(POWER_CELLS))
+def test_no_quadrature_inside_an_exact_cell(name, monkeypatch):
+    f = POWER_CELLS[name]
+    cells = _quad_cells_in_u(monkeypatch)
+    f.integral()
+    ts = np.geomspace(f.cells.te[0], f.cells.te[-1], 501)[1:-1]
+    f.antiderivative().tabulated(n=501).at(ts)
+    f.tail_integral().at(ts)
+    u, exact = f.cells.u, ~f.cells.marked
+    assert cells  # the ends and the zero run are still quadrature
+    for a, b in cells:
+        a, b = a[b > a], b[b > a]
+        j = np.searchsorted(u, 0.5 * (a + b), side="right") - 1
+        inside = (j >= 0) & (j < len(exact))
+        inside[inside] &= exact[j[inside]]
+        assert not inside.any(), (a[inside], b[inside])
+
+
+def test_a_sum_drops_the_table_and_takes_quadrature(monkeypatch):
+    f = POWER_CELLS["two grids"]
+    s = f.add(POWER_CELLS["pow_arg(2)"])
+    assert s.cells is None
+    cells = _quad_cells_in_u(monkeypatch)
+    got = s.integral().value
+    # log_cells across the kinks of both tables
+    assert sum(len(a) for a, _ in cells) > len(f.cells.h)
+    want = f.integral().value + POWER_CELLS["pow_arg(2)"].integral().value
+    assert got == pytest.approx(want, rel=1e-8)
 
 
 def _iii_cumulatives():
