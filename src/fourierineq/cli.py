@@ -68,6 +68,20 @@ def _config(args, d: int) -> ExponentConfig:
         return ExponentConfig(parse_exp(args.p), parse_exp(args.q), d)
 
 
+def _seed(text: str) -> int:
+    """A --seed: a non-negative integer, as numpy's generators take.
+    Checked by the parser, so a malformed seed exits 2 before numpy
+    loads."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
+    return seed
+
+
 def _write_report(report: dict, out: str | None) -> None:
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     if out:
@@ -359,10 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--p", required=True)
     ph.add_argument("--q", required=True)
     ph.add_argument("--oracle", action="store_true",
-                    help="also run the brute-force witness search (exact "
-                         "ratios of step test functions, or lower bounds of "
-                         "them: a lower bound on the optimal constant)")
-    ph.add_argument("--seed", type=int, default=0)
+                    help="also report a lower bound on the optimal "
+                         "constant from step test functions (exact ratios "
+                         "of them, or lower bounds of them): at p = q = 2 "
+                         "the exact maximum over the cells, the same for "
+                         "every seed; otherwise a random-restart search")
+    ph.add_argument("--seed", type=_seed, default=0)
     ph.add_argument("--out", default=None)
     ph.set_defaults(fn=cmd_hardy)
 
@@ -383,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--d", type=int, default=None, help=D_HELP)
     pe.add_argument("--N", type=int, default=4096)
     pe.add_argument("--L", type=float, default=64.0)
-    pe.add_argument("--seed", type=int, default=0)
+    pe.add_argument("--seed", type=_seed, default=0)
     pe.add_argument("--budget", type=int, default=8,
                     help="random signals per witness family")
     pe.add_argument("--plot-dir", default=None)
@@ -391,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="built-in verification sweeps")
     pv.add_argument("--suite", default="all")
-    pv.add_argument("--seed", type=int, default=7)
+    pv.add_argument("--seed", type=_seed, default=7)
     pv.set_defaults(fn=cmd_verify)
 
     ps = sub.add_parser("sweep", help="criteria over an exponent grid")

@@ -11,12 +11,14 @@ Four problem kinds:
 
 hardy_K evaluates the classical equivalent constant for each kind (sup form
 when qq >= pp, integral form when qq < pp; the discrete pp <= 1 case uses
-the inf form).  brute_force_K searches for near-extremal inputs by
-multiplicative coordinate ascent from random restarts.  Its test ratio is
-one form over cell levels, built from exact cell masses of the weights
-(``_cell_form``): the ratio of an admissible step function, or a lower
-bound of it, so the search is a lower bound on the optimal constant, up to
-the rounding of the cell masses.
+the inf form).  brute_force_K is a lower bound on the optimal constant:
+its test ratio is one form over cell levels, built from exact cell masses
+of the weights (``_cell_form``), the ratio of an admissible step function
+or a lower bound of it, so every value it reads is a lower bound up to the
+rounding of the cell masses.  At pp = qq = 2 it reads the form's exact
+maximum over the cells, a Rayleigh quotient, and does not depend on the
+seed; every other (pp, qq) runs a multiplicative coordinate ascent from
+random restarts.
 """
 
 from __future__ import annotations
@@ -65,6 +67,12 @@ class HardyProblem:
                 raise ValueError("discrete problems need u_seq and v_seq")
             if not self.qq < self.pp:
                 raise ValueError("the discrete form requires qq < pp")
+            u = np.asarray(self.u_seq, dtype=float)
+            if not np.all(np.isfinite(u) & (u >= 0)):
+                raise ValueError("u_seq must be finite and non-negative")
+            # v_n = inf stays: it admits only x_n = 0
+            if not np.all(np.asarray(self.v_seq, dtype=float) >= 0):
+                raise ValueError("v_seq must be non-negative (inf allowed)")
         elif self.kind == REVERSE:
             if not 0 < self.qq < 1:
                 raise ValueError("reverse form requires 0 < qq < 1")
@@ -196,11 +204,19 @@ def reverse_hardy_K(prob: HardyProblem) -> ExtReal:
 def brute_force_K(prob: HardyProblem, rng: np.random.Generator,
                   n_restarts: int = 32, n_cells: int = 24,
                   n_sweeps: int = 30) -> float:
-    """Best ratio of ``_cell_form`` found by coordinate ascent: a lower
-    bound on the optimal constant, up to the rounding of the cell masses.
-    The restarts are the rows of one array and move in lockstep, one ratio
-    call per move; a row stops after a sweep without a gain."""
+    """A large ratio of ``_cell_form``: a lower bound on the optimal
+    constant, up to the rounding of the cell masses.  At pp = qq = 2 it is
+    the form's maximum, read at ``_rayleigh_input``, and rng, n_restarts
+    and n_sweeps go unused.  Otherwise it is the best ratio found by
+    coordinate ascent from n_restarts random starts; the restarts are the
+    rows of one array and move in lockstep, one ratio call per move, and a
+    row stops after a sweep without a gain."""
     form = _cell_form(prob, n_cells)
+    if form.p == form.q == 2.0:
+        x = _rayleigh_input(form)
+        if x is None:
+            return math.inf
+        return float(_cell_ratio(form, x[None, :])[0])
     dim = form.b.shape[1]
     x = rng.lognormal(0.0, 1.0, size=(n_restarts, dim))
     cur = _cell_ratio(form, x)
@@ -288,3 +304,43 @@ def _cell_ratio(form: _CellForm, x: np.ndarray) -> np.ndarray:
     else:
         rhs = np.einsum("j,rj->r", form.v, bx ** form.p) ** (1.0 / form.p)
     return np.divide(lhs, rhs, out=np.zeros(len(lhs)), where=rhs > 0)
+
+
+# power iteration of _rayleigh_input: it stops once the quotient rises by
+# no more than this share, or after this many steps
+RAYLEIGH_TOL = 1e-14
+RAYLEIGH_MAX_STEPS = 1000
+
+
+def _rayleigh_input(form: _CellForm) -> Optional[np.ndarray]:
+    """An input at which a form with p = q = 2 and b = I (the continuous
+    kinds; head_sum needs q < p and reverse has p = inf) peaks, or None
+    where the form is unbounded: a reached row of a_inf, or a column
+    without v mass that the left side reads.  The squared ratio is the
+    quotient x'Qx / x'Dx, Q = a' diag(u) a and D = diag(v), so its
+    maximum is the top eigenvalue of D^-1/2 Q D^-1/2, at a non-negative
+    (Perron) vector, as Q is.  Power iteration from all ones, by einsum
+    (see ``pieces._weighted``): each iterate is an admissible input, and
+    the quotients rise, so stopping early only lowers the value.  Columns
+    without v mass that the left side does not read (held ones included)
+    stay at 0."""
+    if form.a_inf.any():
+        return None
+    reads = np.einsum("i,ij,ij->j", form.u, form.a, form.a) > 0
+    on = form.v > 0
+    if np.any(reads & ~on):
+        return None
+    scale = form.v[on] ** -0.5
+    a = form.a[:, on] * scale  # a D^-1/2
+    y = best = np.ones(len(scale))
+    rho = 0.0
+    for _ in range(RAYLEIGH_MAX_STEPS):
+        z = np.einsum("ij,i->j", a, form.u * np.einsum("ij,j->i", a, y))
+        quotient = np.einsum("j,j->", y, z) / np.einsum("j,j->", y, y)
+        if not quotient > rho * (1.0 + RAYLEIGH_TOL):
+            break
+        best, rho = y, quotient
+        y = z / z.max()
+    x = np.zeros(len(form.v))
+    x[on] = scale * best
+    return x

@@ -243,6 +243,45 @@ def test_hardy_head_sum_requires_v(capsys):
     assert code == 0 and strict_json(out)["K"]["state"] == "infinite"
 
 
+@pytest.mark.parametrize("u, v", [("1,nan", "1,1"), ("1,inf", "1,1"),
+                                  ("1,-1", "1,1"), ("1,1", "1,nan"),
+                                  ("1,1", "1,-2")])
+def test_hardy_discrete_bad_sequence_exit_2(capsys, u, v):
+    # u must be finite and non-negative, v non-negative and not nan
+    code = main(["hardy", "--kind", "head_sum", "--u", u, "--v", v,
+                 "--p", "2", "--q", "1"])
+    assert code == 2
+    assert "must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["hardy", "--kind", "head_integral", "--u", "pow(2)", "--p", "2",
+     "--q", "2", "--oracle"],
+    ["estimate", "--u", "ind(1)", "--v", "pow(1/4)", "--p", "3", "--q", "2"],
+    ["verify", "--suite", "plancherel"]])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_bad_seed_exit_2(capsys, args, seed):
+    # the parser refuses a seed that is not a non-negative integer
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--seed", seed])
+    assert exc.value.code == 2
+    assert "non-negative integer" in capsys.readouterr().err
+
+
+def test_hardy_oracle_reads_the_classical_constant(capsys):
+    # u = t^-2, v = 1 at p = q = 2: the classical Hardy inequality, sharp
+    # constant 2; the oracle is the maximum over 24 cells, for every seed
+    values = set()
+    for seed in ("0", "5"):
+        code, out = run(capsys, "hardy", "--kind", "head_integral", "--u",
+                        "pow(2)", "--v", "pow(0)", "--p", "2", "--q", "2",
+                        "--oracle", "--seed", seed)
+        assert code == 0
+        values.add(strict_json(out)["oracle_lower_bound"])
+    value, = values
+    assert 1.6 < value <= 2.0
+
+
 def test_hardy_discrete_oracle_with_a_short_v(capsys):
     # v is padded with inf to the length of u, and x_3 held at 0 where
     # v_3 = inf: K and the oracle read the same problem

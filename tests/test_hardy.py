@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -90,6 +91,20 @@ def test_problem_validation():
         HardyProblem(HEAD_INTEGRAL, 0.5, 2.0,
                      u_w=StepFunction.constant(1.0),
                      v_w=StepFunction.constant(1.0))
+    # discrete weights: u finite and non-negative, v non-negative, not nan
+    for u, v in (([1.0, math.nan], [1.0, 1.0]), ([1.0, math.inf], [1.0, 1.0]),
+                 ([1.0, -1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0, math.nan]),
+                 ([1.0, 1.0], [1.0, -2.0])):
+        with pytest.raises(ValueError):
+            HardyProblem(HEAD_SUM, 2.0, 1.0, u_seq=np.array(u),
+                         v_seq=np.array(v))
+
+
+def test_discrete_infinite_v_admitted():
+    # v_n = inf holds x_n at 0: the problem on the remaining terms
+    prob = HardyProblem(HEAD_SUM, 2.0, 1.0, u_seq=np.ones(3),
+                        v_seq=np.array([1.0, math.inf, 1.0]))
+    assert hardy_K(prob).is_finite
 
 
 def test_brute_force_respects_two_sided_bound():
@@ -178,6 +193,14 @@ def bench_problem(kind):
                         nu=StepFunction.power(1.0, -1))
 
 
+def ascent_problem(prob):
+    """prob where brute_force_K runs the ascent: a continuous problem at
+    pp = qq = 2, which the Rayleigh quotient solves, moves to (3, 2)."""
+    if prob.kind in (HEAD_INTEGRAL, TAIL_INTEGRAL):
+        return dataclasses.replace(prob, pp=3.0, qq=2.0)
+    return prob
+
+
 def assert_lockstep_matches(prob, seed, sizes=()):
     got = brute_force_K(prob, np.random.default_rng(seed), *sizes)
     want = sequential_brute_force_K(prob, np.random.default_rng(seed),
@@ -191,9 +214,11 @@ def test_lockstep_ascent_matches_sequential(kind):
     # the benchmark's problem at its sizes and seeds, then one random
     # problem per seed at the benchmark's sizes and at slightly larger ones
     for seed in (1, 2, 3):
-        assert_lockstep_matches(bench_problem(kind), seed, (4, 10, 8))
+        assert_lockstep_matches(ascent_problem(bench_problem(kind)), seed,
+                                (4, 10, 8))
     for seed in range(10):
         prob, = random_hardy_problems(kind, np.random.default_rng(seed), n=1)
+        prob = ascent_problem(prob)
         for sizes in ((4, 10, 8), (6, 12, 10)):
             assert assert_lockstep_matches(prob, seed, sizes) > 0
 
@@ -214,14 +239,15 @@ def _counting_ratios(monkeypatch):
 
 @pytest.fixture(scope="module")
 def default_runs():
-    """Per kind: brute_force_K of the benchmark's problem at the default
-    sizes and seed 1, with its number of ratio calls."""
+    """Per kind: brute_force_K of the benchmark's problem, at (3, 2) where
+    it is continuous, at the default sizes and seed 1, with its number of
+    ratio calls."""
     runs = {}
     with pytest.MonkeyPatch.context() as mp:
         calls = _counting_ratios(mp)
         for kind in KINDS:
             calls["ratio"] = 0
-            value = brute_force_K(bench_problem(kind),
+            value = brute_force_K(ascent_problem(bench_problem(kind)),
                                   np.random.default_rng(1))
             runs[kind] = (value, calls["ratio"])
     return runs
@@ -229,7 +255,7 @@ def default_runs():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_lockstep_ascent_matches_sequential_at_defaults(default_runs, kind):
-    want = sequential_brute_force_K(bench_problem(kind),
+    want = sequential_brute_force_K(ascent_problem(bench_problem(kind)),
                                     np.random.default_rng(1))
     assert default_runs[kind][0] == pytest.approx(want, rel=1e-12, abs=0.0)
 
@@ -239,7 +265,7 @@ def test_ratio_calls_do_not_grow_with_restarts(default_runs, monkeypatch,
                                                kind):
     # one ratio call for the start points and at most one per move, each
     # for all live restarts at once
-    prob = bench_problem(kind)
+    prob = ascent_problem(bench_problem(kind))
     dim = len(prob.u_seq) if kind == HEAD_SUM else 24
     budget = 1 + 4 * 30 * dim
     assert default_runs[kind][1] <= budget
@@ -250,13 +276,13 @@ def test_ratio_calls_do_not_grow_with_restarts(default_runs, monkeypatch,
 
 def test_no_restarts_give_zero():
     for kind in KINDS:
-        assert brute_force_K(bench_problem(kind), np.random.default_rng(1),
-                             n_restarts=0) == 0.0
+        assert brute_force_K(ascent_problem(bench_problem(kind)),
+                             np.random.default_rng(1), n_restarts=0) == 0.0
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_no_sweeps_give_the_best_start(kind):
-    prob = bench_problem(kind)
+    prob = ascent_problem(bench_problem(kind))
     ratio, dim = _sequential_ratio(prob, 10)
     starts = np.random.default_rng(5).lognormal(0.0, 1.0, size=(4, dim))
     want = max(0.0, *(ratio(x) for x in starts))
@@ -364,3 +390,92 @@ def test_brute_force_reads_the_sharp_reverse_constant(R):
         best = brute_force_K(prob, np.random.default_rng(seed))
         assert best == pytest.approx(R, rel=1e-9, abs=0.0)
         assert best <= R * (1.0 + 1e-12)
+
+
+# -- the oracle at pp = qq = 2: the top of the cell form ----------------------
+
+def classical_problem(kind):
+    """The classical Hardy inequality (head_integral, u = t^-2 and v = 1)
+    or its dual (tail_integral, u = 1 and v = t^2), both with the sharp
+    constant 2 (Hardy, Littlewood & Polya 1934, 9.8)."""
+    if kind == HEAD_INTEGRAL:
+        return HardyProblem(HEAD_INTEGRAL, 2.0, 2.0,
+                            u_w=StepFunction.power(1.0, 2),
+                            v_w=StepFunction.constant(1.0))
+    return HardyProblem(TAIL_INTEGRAL, 2.0, 2.0,
+                        u_w=StepFunction.constant(1.0),
+                        v_w=StepFunction.power(1.0, -2))
+
+
+@pytest.mark.parametrize("kind", [HEAD_INTEGRAL, TAIL_INTEGRAL])
+def test_oracle_rises_to_the_sharp_constant(kind):
+    # finer cells admit more test functions, so the maximum rises, and it
+    # stays below the sharp constant; the ascent never beats it
+    values = []
+    for n_cells in (10, 24, 96):
+        got = brute_force_K(classical_problem(kind), np.random.default_rng(1),
+                            n_cells=n_cells)
+        ascent = sequential_brute_force_K(classical_problem(kind),
+                                          np.random.default_rng(1), 4,
+                                          n_cells, 8)
+        assert got >= ascent * (1.0 - 1e-12)
+        values.append(got)
+    assert values[0] < values[1] < values[2] <= 2.0
+    if kind == HEAD_INTEGRAL:
+        assert values == pytest.approx([1.4716, 1.6428, 1.7569], rel=1e-4)
+
+
+def _top_eigenvalue_root(form):
+    """sqrt(lambda_max(D^-1/2 Q D^-1/2)) by LAPACK, over the columns with
+    v mass: the maximum of the form at pp = qq = 2."""
+    Q = form.a.T @ (form.u[:, None] * form.a)
+    on = form.v > 0
+    s = form.v[on] ** -0.5
+    return math.sqrt(np.linalg.eigvalsh(Q[np.ix_(on, on)]
+                                        * np.outer(s, s))[-1])
+
+
+@pytest.mark.parametrize("kind", [HEAD_INTEGRAL, TAIL_INTEGRAL])
+def test_oracle_is_the_maximum_of_the_cell_form(kind):
+    # the benchmark's problem and six random ones: the oracle is the form's
+    # ratio at its input, the top eigenvalue's root, at least the ratio of
+    # every random input, and at most the exact ratio of its test function
+    pytest.importorskip("scipy")
+    rng = np.random.default_rng(13)
+    probs = [bench_problem(kind),
+             *random_hardy_problems(kind, np.random.default_rng(7), n=6)]
+    for prob in probs:
+        for n_cells in (10, 24):
+            form = hardy._cell_form(prob, n_cells)
+            x = hardy._rayleigh_input(form)
+            got = brute_force_K(prob, rng, n_cells=n_cells)
+            assert got == float(hardy._cell_ratio(form, x[None, :])[0])
+            assert got == pytest.approx(_top_eigenvalue_root(form),
+                                        rel=1e-10, abs=0.0)
+            tries = rng.lognormal(0.0, 1.0, size=(1000, len(x)))
+            assert hardy._cell_ratio(form, tries).max() <= got * (1 + 1e-12)
+            assert got <= _exact_ratio(prob, n_cells, x) * (1.0 + 1e-9)
+
+
+def test_oracle_infinite_where_a_cell_reaches_infinite_u_mass():
+    # u = t^(-1/2) is not integrable at infinity, so the last row of the
+    # head form has infinite u mass and every input reaches it
+    prob = HardyProblem(HEAD_INTEGRAL, 2.0, 2.0,
+                        u_w=StepFunction.power(1.0, 0.5),
+                        v_w=StepFunction.power(1.0, -1))
+    assert hardy._cell_form(prob, 24).a_inf.any()
+    assert brute_force_K(prob, np.random.default_rng(1)) == math.inf
+    assert hardy_K(prob).is_infinite
+
+
+def test_oracle_infinite_where_a_cell_without_v_mass_is_read():
+    # v = 0 on (0, 1): a level there costs nothing on the right side and
+    # raises the left one, so the form is unbounded
+    v = StepFunction.from_cells([0.0, 1.0], [0.0, 1.0],
+                                tail=TailSpec.power(0))
+    prob = HardyProblem(HEAD_INTEGRAL, 2.0, 2.0,
+                        u_w=StepFunction.power(1.0, 2), v_w=v)
+    form = hardy._cell_form(prob, 24)
+    assert not form.a_inf.any() and (form.v == 0.0).any()
+    assert brute_force_K(prob, np.random.default_rng(1)) == math.inf
+    assert hardy_K(prob).is_infinite

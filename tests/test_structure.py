@@ -100,13 +100,20 @@ MALFORMED = [
     EST + ["--N", "1000"], EST + ["--N", "2"], EST + ["--L", "0"],
     ["norms", "--kind", "theta"], ["norms", "--kind", "expL"],
     ["verify", "--suite", "nope"],
+    EST + ["--seed", "-1"],
+    ["hardy", "--kind", "head_integral", "--u", "pow(2)", "--p", "2",
+     "--q", "2", "--oracle", "--seed", "-1"],
 ]
 
 CHECKED_FIRST = """
 import json, sys
 from fourierineq.cli import main
 for args in json.loads(sys.argv[1]):
-    print(main(args), "numpy" in sys.modules)
+    try:
+        code = main(args)
+    except SystemExit as exc:  # the parser refuses the argument
+        code = exc.code
+    print(code, "numpy" in sys.modules)
 """
 
 
